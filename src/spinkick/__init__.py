@@ -20,8 +20,7 @@ from .analysis import (
 )
 from .channels import (
     GammaCoefficient,
-    QubitChannel,
-    TransitionMap,
+    QubitMap,
     TwoKickParams,
     build_n_kick_channel,
     compose,
@@ -50,6 +49,7 @@ from .environment import (
 )
 from .errors import (
     ConfigError,
+    InvalidMap,
     LengthMismatch,
     NonCommutingSchedule,
     NonContractive,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import QubitChannel, TwoKickParams, transition_map
+from .channels import QubitMap, TwoKickParams, transition_map
 from .environment import GaussianEnvironment
 from .errors import NonContractive, NonEvenEnvironment, NonPureInput, SingularChannel
 from .kicks import InteractionGeometry, r_of_t
@@ -258,8 +258,8 @@ class DivisibilityReport:
 
 
 def divisibility_report(
-    longer: QubitChannel,
-    shorter: QubitChannel,
+    longer: QubitMap,
+    shorter: QubitMap,
     tol: float = PSD_TOL,
     n_samples: int = 10_000,
     rng=None,

@@ -12,19 +12,22 @@ enumeration order is lexicographic with bit i of the index addressing kick i
 (bit 0 = earliest kick, cleared bit = +1).  Construction is deterministic:
 fixed enumeration and fixed-order accumulation give bit-reproducible output.
 
-Channels are stored as an affine Bloch action (A, b) together with the
-chi-matrix in a declared operator basis; the constructed objects are
-immutable and safe to share between threads.
+Channels and the transition maps between kick counts are one type,
+QubitMap: an affine Bloch action (A, b) together with the chi-matrix in a
+declared operator basis, and a flag ``cp`` that says whether the map is
+validated as completely positive.  The constructed objects are immutable and
+safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .environment import GaussianEnvironment, format_complex, gaussian_char, gram_matrix, parse_complex
 from .errors import (
+    InvalidMap,
     LengthMismatch,
     NonCommutingSchedule,
     NonEvenEnvironment,
@@ -206,51 +209,32 @@ def chi_from_affine(affine: AffineBlochMap, basis: OperatorBasis) -> np.ndarray:
 
 
 def affine_from_chi(chi: np.ndarray, basis: OperatorBasis) -> AffineBlochMap:
-    """Affine Bloch action of the map chi, from its action on
-    {1/2, (1+sigma_i)/2}."""
-    b = density_to_bloch(apply_chi(chi, basis, I2 / 2.0))
-    cols = [
-        density_to_bloch(apply_chi(chi, basis, (I2 + sig) / 2.0)) - b for sig in PAULI
-    ]
-    return AffineBlochMap(np.column_stack(cols), b)
+    """Affine Bloch action of the map chi."""
+    return _affine_from_action(lambda rho: apply_chi(chi, basis, rho))
 
 
 def _affine_from_action(apply_rho) -> AffineBlochMap:
+    """Affine Bloch action of a map, from its action on {1/2, (1+sigma_i)/2}."""
     b = density_to_bloch(apply_rho(I2 / 2.0))
     cols = [density_to_bloch(apply_rho((I2 + sig) / 2.0)) - b for sig in PAULI]
     return AffineBlochMap(np.column_stack(cols), b)
 
 
 # ---------------------------------------------------------------------------
-# channel and transition-map containers
+# the map container
 
 
 @dataclass(frozen=True, eq=False)
-class QubitChannel:
-    """A CPTP qubit map: affine Bloch action plus chi matrix in a basis."""
+class QubitMap:
+    """A trace- and Hermiticity-preserving qubit map: affine Bloch action plus
+    chi matrix in a basis.  cp=True marks a channel (CPTP, chi validated
+    PSD); transition maps, which need not be CP, carry cp=False."""
 
     affine: AffineBlochMap
     chi: np.ndarray
     basis: OperatorBasis
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        chi = np.array(self.chi, dtype=complex).reshape(4, 4)
-        chi.setflags(write=False)
-        object.__setattr__(self, "chi", chi)
-
-    def __call__(self, u) -> np.ndarray:
-        return apply_affine(self.affine, u)
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionMap:
-    """A trace-preserving, Hermiticity-preserving map that need not be CP."""
-
-    affine: AffineBlochMap
-    chi: np.ndarray
-    basis: OperatorBasis
-    meta: dict = field(default_factory=dict)
+    cp: bool = True
 
     def __post_init__(self):
         chi = np.array(self.chi, dtype=complex).reshape(4, 4)
@@ -262,34 +246,38 @@ class TransitionMap:
 
 
 def validate_map(m, herm_tol: float = 1e-10, tp_tol: float = 1e-10) -> None:
-    """Check Hermiticity of chi and trace preservation; raises ValueError."""
+    """Check Hermiticity of chi and trace preservation; raises InvalidMap."""
     chi, basis = m.chi, m.basis
     herm = np.max(np.abs(chi - chi.conj().T))
     if herm > herm_tol:
-        raise ValueError(f"chi not Hermitian: deviation {herm:.3e} > {herm_tol}")
+        raise InvalidMap(f"chi not Hermitian: deviation {herm:.3e} > {herm_tol}")
     b = basis.ops
     tp = np.einsum("ab,bkl,aki->li", chi, b.conj(), b)
     dev = np.max(np.abs(tp - I2))
     if dev > tp_tol:
-        raise ValueError(f"not trace preserving: sum chi B^dag B deviates by {dev:.3e}")
+        raise InvalidMap(f"not trace preserving: sum chi B^dag B deviates by {dev:.3e}")
 
 
-def validate_channel(ch: QubitChannel, psd_tol: float = 1e-10, **kw) -> None:
+def validate_channel(ch: QubitMap, psd_tol: float = 1e-10, **kw) -> None:
     """Channel invariants: Hermitian chi, trace preservation, chi PSD."""
     validate_map(ch, **kw)
     lo = np.linalg.eigvalsh(ch.chi).min()
     if lo < -psd_tol:
-        raise ValueError(f"chi not PSD: min eigenvalue {lo:.3e} < {-psd_tol}")
+        raise InvalidMap(f"chi not PSD: min eigenvalue {lo:.3e} < {-psd_tol}")
 
 
-def _channel(affine, basis, meta, psd_tol=1e-10) -> QubitChannel:
-    ch = QubitChannel(affine, chi_from_affine(affine, basis), basis, meta)
-    validate_channel(ch, psd_tol=psd_tol)
-    return ch
+def _map(affine, basis, meta, cp=True, chi=None) -> QubitMap:
+    """Construct and validate a map; chi is derived from the affine action
+    unless given."""
+    if chi is None:
+        chi = chi_from_affine(affine, basis)
+    m = QubitMap(affine, chi, basis, meta, cp)
+    (validate_channel if cp else validate_map)(m)
+    return m
 
 
-def identity_channel(basis: OperatorBasis | None = None) -> QubitChannel:
-    return _channel(AffineBlochMap.identity(), basis or pauli_basis(), {"kind": "identity"})
+def identity_channel(basis: OperatorBasis | None = None) -> QubitMap:
+    return _map(AffineBlochMap.identity(), basis or pauli_basis(), {"kind": "identity"})
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +289,7 @@ def phase_damping_channel(
     gamma: complex,
     basis: OperatorBasis | None = None,
     meta: dict | None = None,
-) -> QubitChannel:
+) -> QubitMap:
     """Generalized phase damping about a fixed axis with complex gamma.
 
     Operator form P+ rho P+ + P- rho P- + gamma P+ rho P- + conj(gamma)
@@ -325,7 +313,7 @@ def phase_damping_channel(
     basis = basis or default_chi_basis(r, r)
     md = {"kind": "phase_damping", "gamma": g, "r_last": tuple(r)}
     md.update(meta or {})
-    return _channel(affine, basis, md)
+    return _map(affine, basis, md)
 
 
 def single_kick_channel(
@@ -334,7 +322,7 @@ def single_kick_channel(
     t0: float,
     weight: float = 1.0,
     basis: OperatorBasis | None = None,
-) -> QubitChannel:
+) -> QubitMap:
     """Exact channel for one kick at t0: phase damping about r(t0) with
     gamma = <exp(-2i w O(t0))>.
 
@@ -359,7 +347,7 @@ def build_n_kick_channel(
     sched: KickSchedule,
     basis: OperatorBasis | None = None,
     max_kicks: int = MAX_KICKS_DEFAULT,
-) -> QubitChannel:
+) -> QubitMap:
     """Exact channel for an arbitrary kick schedule by full 4^n enumeration.
 
     Accumulates the chi matrix from the double trace over projector strings
@@ -401,9 +389,7 @@ def build_n_kick_channel(
         "environment": repr(env),
         "r_last": tuple(rs[-1]),
     }
-    ch = QubitChannel(affine, chi, basis, meta)
-    validate_channel(ch)
-    return ch
+    return _map(affine, basis, meta, chi=chi)
 
 
 @dataclass(frozen=True)
@@ -485,7 +471,7 @@ def two_kick_closed_form(
     t1: float,
     weights=(1.0, 1.0),
     basis: OperatorBasis | None = None,
-) -> QubitChannel:
+) -> QubitMap:
     """Closed-form two-kick channel on an even environment.
 
     When r(t1) is parallel to r(t0) the e-frame degenerates; the schedule is
@@ -510,7 +496,7 @@ def two_kick_closed_form(
         "r_last": tuple(r1),
         "closed_form": {"alpha": params.alpha, "g": params.g, "h": params.h, "k": params.k},
     }
-    return _channel(affine, basis, meta)
+    return _map(affine, basis, meta)
 
 
 def dephasing_gamma(
@@ -533,7 +519,7 @@ def dephasing_channel(
     sched: KickSchedule,
     tol: float = COMMUTE_TOL,
     basis: OperatorBasis | None = None,
-) -> QubitChannel:
+) -> QubitMap:
     """Phase damping channel for a synchronized (commuting) schedule.
 
     All kick axes share one spectral decomposition, so the 4^n enumeration
@@ -559,33 +545,22 @@ def dephasing_channel(
 # map algebra
 
 
-def _is_channel_pair(later, earlier) -> bool:
-    return isinstance(later, QubitChannel) and isinstance(earlier, QubitChannel)
-
-
-def compose(later, earlier, basis: OperatorBasis | None = None):
+def compose(later: QubitMap, earlier: QubitMap, basis: OperatorBasis | None = None) -> QubitMap:
     """Composition later o earlier; affine parts multiply, chi is recomputed
-    from the composed action in ``basis`` (default: the later map's)."""
+    from the composed action in ``basis`` (default: the later map's).  The
+    result is a channel only when both factors are."""
     a2, b2 = later.affine.matrix, later.affine.shift
     a1, b1 = earlier.affine.matrix, earlier.affine.shift
     affine = AffineBlochMap(a2 @ a1, a2 @ b1 + b2)
-    basis = basis or later.basis
-    chi = chi_from_affine(affine, basis)
     meta = {
         "kind": "composition",
         "parents": (later.meta.get("kind"), earlier.meta.get("kind")),
         "r_last": later.meta.get("r_last"),
     }
-    if _is_channel_pair(later, earlier):
-        ch = QubitChannel(affine, chi, basis, meta)
-        validate_channel(ch)
-        return ch
-    tm = TransitionMap(affine, chi, basis, meta)
-    validate_map(tm)
-    return tm
+    return _map(affine, basis or later.basis, meta, cp=later.cp and earlier.cp)
 
 
-def invert_channel(ch) -> TransitionMap:
+def invert_channel(ch: QubitMap) -> QubitMap:
     """Inverse map (A^{-1}, -A^{-1} b); generally not completely positive.
 
     Raises SingularChannel when A is singular (for dephasing that is the
@@ -597,18 +572,15 @@ def invert_channel(ch) -> TransitionMap:
         raise SingularChannel(f"affine matrix singular (singular values {svals})")
     a_inv = np.linalg.inv(a)
     affine = AffineBlochMap(a_inv, -a_inv @ ch.affine.shift)
-    chi = chi_from_affine(affine, ch.basis)
     meta = {
         "kind": "inverse",
         "parent": ch.meta.get("kind"),
         "condition_number": float(svals[0] / svals[-1]),
     }
-    tm = TransitionMap(affine, chi, ch.basis, meta)
-    validate_map(tm)
-    return tm
+    return _map(affine, ch.basis, meta, cp=False)
 
 
-def transition_map(longer: QubitChannel, shorter: QubitChannel) -> TransitionMap:
+def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
     """Theta = longer o shorter^{-1}, the map between intermediate states.
 
     Hermiticity- and trace-preserving by construction; complete positivity
@@ -626,9 +598,7 @@ def transition_map(longer: QubitChannel, shorter: QubitChannel) -> TransitionMap
     )
     if "closed_form" in longer.meta:
         meta["closed_form"] = longer.meta["closed_form"]
-    tm = TransitionMap(theta.affine, theta.chi, theta.basis, meta)
-    validate_map(tm)
-    return tm
+    return replace(theta, meta=meta)
 
 
 def two_kick_transition_map(
@@ -638,33 +608,29 @@ def two_kick_transition_map(
     t1: float,
     weights=(1.0, 1.0),
     basis: OperatorBasis | None = None,
-) -> TransitionMap:
+) -> QubitMap:
     """Closed-form transition map of the two-kick process: the two-kick
     affine action with g set to 1."""
     params = two_kick_params(env, geom, t0, t1, weights)
     affine = _two_kick_affine(params, unit_g=True)
     if basis is None:
         basis = default_chi_basis(params.frame[0], r_of_t(geom, t0))
-    chi = chi_from_affine(affine, basis)
     meta = {
         "kind": "transition_closed_form",
         "times": (float(t0), float(t1)),
         "r_last": tuple(params.frame[0]),
         "closed_form": {"alpha": params.alpha, "g": params.g, "h": params.h, "k": params.k},
     }
-    tm = TransitionMap(affine, chi, basis, meta)
-    validate_map(tm)
-    return tm
+    return _map(affine, basis, meta, cp=False)
 
 
 # ---------------------------------------------------------------------------
 # serialization (text format, round-trip safe)
 
 
-def save_channel(m, path) -> None:
-    """Write a channel or transition map to the documented text format."""
-    kind = "channel" if isinstance(m, QubitChannel) else "transition"
-    lines = ["spinkick-map v1", f"kind: {kind}"]
+def format_channel(m: QubitMap) -> str:
+    """A channel or transition map in the documented text format."""
+    lines = ["spinkick-map v1", f"kind: {'channel' if m.cp else 'transition'}"]
     times = m.meta.get("times")
     if times is not None:
         lines.append("times: " + " ".join(f"{t:.17g}" for t in times))
@@ -679,11 +645,16 @@ def save_channel(m, path) -> None:
         lines.append(" ".join(f"{x:.17g}" for x in row))
     lines.append("b:")
     lines.append(" ".join(f"{x:.17g}" for x in m.affine.shift))
+    return "\n".join(lines) + "\n"
+
+
+def save_channel(m: QubitMap, path) -> None:
+    """Write a channel or transition map to the documented text format."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_channel(m))
 
 
-def load_channel(path):
+def load_channel(path) -> QubitMap:
     """Read back a map written by save_channel."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -712,12 +683,4 @@ def load_channel(path):
     if lines[i] != "b:":
         raise ValueError("expected b section")
     b = np.array([float(tok) for tok in lines[i + 1].split()])
-    affine = AffineBlochMap(a, b)
-    basis = OperatorBasis(ops)
-    if kind == "channel":
-        ch = QubitChannel(affine, chi, basis, meta)
-        validate_channel(ch)
-        return ch
-    tm = TransitionMap(affine, chi, basis, meta)
-    validate_map(tm)
-    return tm
+    return _map(AffineBlochMap(a, b), OperatorBasis(ops), meta, cp=kind == "channel", chi=chi)

@@ -9,7 +9,8 @@ maps every failure class to a documented exit code:
     0  success
     2  config error (parse failure, unknown key, bad value)
     3  I/O error
-    4  domain error (library exceptions: TooManyKicks, SingularChannel, ...)
+    4  domain error (library exceptions: TooManyKicks, SingularChannel,
+       InvalidMap, ...)
     5  verification failure (oracle distance above tolerance, truncation
        not converged)
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import os
 import sys
 import tempfile
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import analysis, channels, oracle
 from .environment import SingleModeThermal, TabulatedKernel, WhiteKickKernel, parse_complex
-from .errors import ConfigError, SpinKickError, TruncationNotConverged
+from .errors import ConfigError, LengthMismatch, NonUnitVector, SpinKickError, TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule
 
 EXIT_OK = 0
@@ -91,6 +93,15 @@ _KNOWN_KEYS = {
     },
     "output": {"dir", "prefix"},
 }
+
+
+@contextlib.contextmanager
+def _bad_values(section: str):
+    """Report the value errors of the model constructors as config errors."""
+    try:
+        yield
+    except (ValueError, NonUnitVector, LengthMismatch) as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 class RunConfig:
@@ -180,19 +191,22 @@ class RunConfig:
                 raise ConfigError(f"bad displacement {disp_raw!r}") from exc
             beta = self.getfloat("environment", "beta")
             nbar = self.getfloat("environment", "nbar", 0.0)
-            return SingleModeThermal(omega=omega, nbar=nbar, beta=beta, displacement=disp)
+            with _bad_values("environment"):
+                return SingleModeThermal(omega=omega, nbar=nbar, beta=beta, displacement=disp)
         if model == "white_kick":
             v = self.getfloat("environment", "variance")
             if v is None:
                 raise ConfigError("[environment] variance is required for white_kick")
-            return WhiteKickKernel(v)
+            with _bad_values("environment"):
+                return WhiteKickKernel(v)
         if model == "tabulated":
             path = self.getstr("environment", "path")
             if path is None:
                 raise ConfigError("[environment] path is required for tabulated")
             if not os.path.isabs(path):
                 path = os.path.join(self.base_dir, path)
-            return TabulatedKernel.from_file(path)
+            with _bad_values("environment"):
+                return TabulatedKernel.from_file(path)
         raise ConfigError(f"unknown environment model {model!r}")
 
     def geometry(self) -> InteractionGeometry:
@@ -201,17 +215,21 @@ class RunConfig:
         gap = self.getfloat("geometry", "Omega")
         if h is None or alpha is None or gap is None:
             raise ConfigError("[geometry] h, alpha and Omega are all required")
-        return InteractionGeometry(h=h, alpha=alpha, omega=gap)
+        with _bad_values("geometry"):
+            return InteractionGeometry(h=h, alpha=alpha, omega=gap)
 
     def schedule(self) -> KickSchedule:
         times = self.getvec("schedule", "times")
         if times is None:
             times = np.array([])
         weights = self.getvec("schedule", "weights")
-        return KickSchedule(times, weights)
+        with _bad_values("schedule"):
+            return KickSchedule(times, weights)
 
     def initial_state(self) -> np.ndarray:
         u = self.getvec("initial_state", "u", np.array([0.0, 0.0, 1.0]))
+        if u.shape != (3,):
+            raise ConfigError(f"[initial_state] u needs 3 components, got {len(u)}")
         return u
 
 
@@ -233,12 +251,6 @@ def _out_dir(args, cfg) -> str:
 
 def _prefix(cfg) -> str:
     return cfg.getstr("output", "prefix", "spinkick")
-
-
-def _build_full_channel(cfg, env, geom, sched, max_kicks):
-    if len(sched) == 0:
-        return channels.identity_channel()
-    return channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +280,11 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
             _fmt(v) for v in (t_start, u[0], u[1], u[2], analysis.purity(u), entropy_cell(u))
         )
     )
+    full = channels.identity_channel() if len(sched) == 0 else None
     for k in range(1, len(sched) + 1):
         prefix_sched = KickSchedule(sched.times[:k], sched.weights[:k])
-        ch = channels.build_n_kick_channel(env, geom, prefix_sched, max_kicks=max_kicks)
-        uk = ch(u0)
+        full = channels.build_n_kick_channel(env, geom, prefix_sched, max_kicks=max_kicks)
+        uk = full(u0)
         rows.append(
             f"{k},"
             + ",".join(
@@ -287,12 +300,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
             )
         )
     write_text_atomic(os.path.join(out, f"{prefix}_trajectory.csv"), "\n".join(rows) + "\n")
-
-    full = _build_full_channel(cfg, env, geom, sched, max_kicks)
-    channel_path = os.path.join(out, f"{prefix}_channel.txt")
-    os.makedirs(out, exist_ok=True)
-    channels.save_channel(full, channel_path + ".tmp")
-    os.replace(channel_path + ".tmp", channel_path)
+    write_text_atomic(os.path.join(out, f"{prefix}_channel.txt"), channels.format_channel(full))
     print(f"wrote {prefix}_trajectory.csv and {prefix}_channel.txt in {out}")
 
     # optional follow-on analyses, toggled in [analysis]
@@ -313,7 +321,7 @@ def cmd_fixed_point(args, cfg: RunConfig) -> int:
     max_kicks = args.max_kicks or cfg.getint("analysis", "max_kicks", channels.MAX_KICKS_DEFAULT)
     out = _out_dir(args, cfg)
     prefix = _prefix(cfg)
-    ch = _build_full_channel(cfg, env, geom, sched, max_kicks)
+    ch = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
     res = analysis.fixed_point(ch)
     lines = [
         "u_f=" + " ".join(_fmt(x) for x in res.u_f),
@@ -357,11 +365,12 @@ def cmd_divisibility(args, cfg: RunConfig) -> int:
     else:
         if len(sched) < 2:
             raise ConfigError("divisibility needs a schedule with at least 2 kicks")
-        longer = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
         if len(sched) == 2 and env.is_even:
             longer = channels.two_kick_closed_form(
                 env, geom, sched.times[0], sched.times[1], weights=sched.weights
             )
+        else:
+            longer = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
         shorter = channels.build_n_kick_channel(
             env, geom, KickSchedule(sched.times[:-1], sched.weights[:-1]), max_kicks=max_kicks
         )
@@ -383,22 +392,23 @@ def _apply_sweep_value(cfg, env, geom, sched, parameter, value):
         raise ConfigError("sweep parameter 'variance' needs the white_kick model")
     if parameter in ("gap", "scale") and len(sched) == 0:
         raise ConfigError(f"sweep parameter {parameter!r} needs a non-empty schedule")
-    if parameter == "nbar":
-        env = SingleModeThermal(env.omega, nbar=value, displacement=env.displacement)
-    elif parameter == "omega":
-        env = SingleModeThermal(value, nbar=env.nbar, displacement=env.displacement)
-    elif parameter == "variance":
-        env = WhiteKickKernel(value)
-    elif parameter == "Omega":
-        geom = InteractionGeometry(geom.h, geom.alpha, value)
-    elif parameter == "gap":
-        t0 = sched.times[0]
-        times = t0 + value * np.arange(len(sched))
-        sched = KickSchedule(times, sched.weights)
-    elif parameter == "scale":
-        sched = KickSchedule(sched.times, sched.weights * value)
-    else:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {_SWEEPABLE}")
+    with _bad_values("sweep"):
+        if parameter == "nbar":
+            env = SingleModeThermal(env.omega, nbar=value, displacement=env.displacement)
+        elif parameter == "omega":
+            env = SingleModeThermal(value, nbar=env.nbar, displacement=env.displacement)
+        elif parameter == "variance":
+            env = WhiteKickKernel(value)
+        elif parameter == "Omega":
+            geom = InteractionGeometry(geom.h, geom.alpha, value)
+        elif parameter == "gap":
+            t0 = sched.times[0]
+            times = t0 + value * np.arange(len(sched))
+            sched = KickSchedule(times, sched.weights)
+        elif parameter == "scale":
+            sched = KickSchedule(sched.times, sched.weights * value)
+        else:
+            raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {_SWEEPABLE}")
     return env, geom, sched
 
 
@@ -512,7 +522,7 @@ def cmd_oracle_check(args, cfg: RunConfig) -> int:
     prefix = _prefix(cfg)
     mode = cfg.getstr("oracle", "mode", "kicks")
 
-    analytic = _build_full_channel(cfg, env, geom, sched, max_kicks)
+    analytic = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
     dim = cfg.getint("oracle", "dim")
     spec = oracle.fock_spec_for(env, dim)
 

@@ -49,6 +49,12 @@ class SingularChannel(SpinKickError):
     """The affine part of a map is not invertible."""
 
 
+class InvalidMap(SpinKickError, ValueError):
+    """A constructed map fails its invariants (Hermitian chi, trace
+    preservation, or chi PSD for a channel), e.g. after an ill-conditioned
+    inversion."""
+
+
 class NonContractive(SpinKickError):
     """Fixed-point equation is inconsistent (spectral radius >= 1, b != 0)."""
 

@@ -14,11 +14,11 @@ and the constructed step operators are unitary on the truncated space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import QubitChannel, chi_from_affine, default_chi_basis, validate_map
+from .channels import QubitMap, chi_from_affine, default_chi_basis, validate_map
 from .environment import SingleModeThermal
 from .errors import NonHermitian, StepTooCoarse, TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, r_of_t
@@ -29,32 +29,19 @@ TAIL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FockSpec:
-    """Truncated single-mode oscillator: dimension, frequency, state.
+    """A single-mode environment truncated to ``dim`` Fock levels.
 
     dim is the starting truncation; oracle_channel grows it until the
-    result is stable.  Thermal occupation via nbar or beta; an optional
-    displacement makes the state coherent/displaced.
+    result is stable.  Frequency, occupation and displacement are those of
+    ``env``.
     """
 
+    env: SingleModeThermal
     dim: int
-    omega: float
-    nbar: float = 0.0
-    beta: float | None = None
-    displacement: complex = 0.0j
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.beta is not None:
-            object.__setattr__(self, "nbar", 1.0 / math.expm1(self.beta * self.omega))
-        if self.nbar < 0:
-            raise ValueError("nbar must be non-negative")
-        object.__setattr__(self, "displacement", complex(self.displacement))
-
-    def with_dim(self, dim: int) -> "FockSpec":
-        return FockSpec(dim, self.omega, self.nbar, None, self.displacement)
 
 
 def fock_spec_for(env: SingleModeThermal, dim: int | None = None) -> FockSpec:
@@ -65,7 +52,7 @@ def fock_spec_for(env: SingleModeThermal, dim: int | None = None) -> FockSpec:
     """
     if dim is None:
         dim = 20 + math.ceil(10.0 * env.nbar + 8.0 * abs(env.displacement) ** 2)
-    return FockSpec(dim, env.omega, env.nbar, None, env.displacement)
+    return FockSpec(env, dim)
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -79,7 +66,7 @@ def quadrature_heisenberg(spec: FockSpec, t: float) -> np.ndarray:
     truncation grows.
     """
     a = annihilation(spec.dim)
-    phase = np.exp(-1j * spec.omega * t)
+    phase = np.exp(-1j * spec.env.omega * t)
     return (a * phase + a.conj().T * np.conj(phase)) / math.sqrt(2.0)
 
 
@@ -96,18 +83,19 @@ def environment_state(spec: FockSpec):
     returned tail mass is the occupation of the highest retained level and
     bounds the renormalization error.
     """
+    nbar, displacement = spec.env.nbar, spec.env.displacement
     n = np.arange(spec.dim)
-    if spec.nbar == 0:
+    if nbar == 0:
         p = np.zeros(spec.dim)
         p[0] = 1.0
     else:
-        q = spec.nbar / (spec.nbar + 1.0)
+        q = nbar / (nbar + 1.0)
         p = q**n
         p /= p.sum()
     rho = np.diag(p).astype(complex)
-    if spec.displacement != 0:
+    if displacement != 0:
         a = annihilation(spec.dim)
-        gen = spec.displacement * a.conj().T - np.conj(spec.displacement) * a
+        gen = displacement * a.conj().T - np.conj(displacement) * a
         disp = _expm_i_hermitian(-1j * gen)  # exp(gen) with gen anti-Hermitian
         rho = disp @ rho @ disp.conj().T
     tail = float(rho[-1, -1].real)
@@ -139,7 +127,7 @@ def _partial_trace_env(m: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("injn->ij", m.reshape(2, dim, 2, dim))
 
 
-def _channel_from_joint_unitary(u: np.ndarray, rho_env: np.ndarray, basis: OperatorBasis, meta: dict) -> QubitChannel:
+def _channel_from_joint_unitary(u: np.ndarray, rho_env: np.ndarray, basis: OperatorBasis, meta: dict) -> QubitMap:
     dim = rho_env.shape[0]
     inputs = [I2 / 2.0] + [(I2 + sig) / 2.0 for sig in PAULI]
     blochs = []
@@ -150,7 +138,7 @@ def _channel_from_joint_unitary(u: np.ndarray, rho_env: np.ndarray, basis: Opera
     b = blochs[0]
     a = np.column_stack([v - b for v in blochs[1:]])
     affine = AffineBlochMap(a, b)
-    ch = QubitChannel(affine, chi_from_affine(affine, basis), basis, meta)
+    ch = QubitMap(affine, chi_from_affine(affine, basis), basis, meta)
     # truncation error can leave tiny PSD defects, so only the structural
     # invariants are enforced here; CP-ness is what the comparison tests
     validate_map(ch, herm_tol=1e-8, tp_tol=1e-8)
@@ -177,7 +165,7 @@ def oracle_channel(
     stability_tol: float = 1e-8,
     dim_step: int = 10,
     max_dim: int = 300,
-) -> QubitChannel:
+) -> QubitMap:
     """Brute-force channel with adaptive Fock truncation.
 
     Starting from spec.dim, the dimension grows by dim_step until the
@@ -190,7 +178,7 @@ def oracle_channel(
         rs = [r_of_t(geom, t) for t in times]
         basis = default_chi_basis(rs[-1], rs[0]) if len(rs) else default_chi_basis([0, 0, 1], [0, 0, 1])
     dim = spec.dim
-    current, tail = _build_at_dim(spec.with_dim(dim), geom, times, weights, basis)
+    current, tail = _build_at_dim(replace(spec, dim=dim), geom, times, weights, basis)
     history = []
     while True:
         next_dim = dim + dim_step
@@ -198,7 +186,7 @@ def oracle_channel(
             raise TruncationNotConverged(
                 f"no stable channel up to dim {max_dim} (tol {stability_tol})"
             )
-        finer, tail_f = _build_at_dim(spec.with_dim(next_dim), geom, times, weights, basis)
+        finer, tail_f = _build_at_dim(replace(spec, dim=next_dim), geom, times, weights, basis)
         dist = channel_distance(current, finer)
         history.append((next_dim, dist))
         if dist < stability_tol and tail_f < TAIL_TOL:
@@ -206,7 +194,7 @@ def oracle_channel(
             meta.update(
                 {"dim": next_dim, "stability": dist, "tail": tail_f, "history": tuple(history)}
             )
-            return QubitChannel(finer.affine, finer.chi, finer.basis, meta)
+            return replace(finer, meta=meta)
         current, tail, dim = finer, tail_f, next_dim
 
 
@@ -232,7 +220,7 @@ def nascent_delta_channel(
     shape: str = "gaussian",
     weights=None,
     basis: OperatorBasis | None = None,
-) -> QubitChannel:
+) -> QubitMap:
     """Channel from smooth switchings of width delta_t replacing each delta.
 
     Each kick becomes a pulse of area w_k; the joint evolution is the
@@ -251,7 +239,7 @@ def nascent_delta_channel(
             raise StepTooCoarse(
                 f"pulse width {2 * half * delta_t:.3g} overlaps kick gap {min_gap:.3g}"
             )
-    fastest = max(geom.omega, spec.omega)
+    fastest = max(geom.omega, spec.env.omega)
     if fastest > 0 and half * delta_t >= 0.5 * math.pi / fastest:
         raise StepTooCoarse(
             f"pulse half-width {half * delta_t:.3g} is not small against the"

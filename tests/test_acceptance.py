@@ -249,7 +249,7 @@ def test_criterion_7_nascent_delta_convergence():
     env = SingleModeThermal(omega=1.0)
     geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
     analytic = single_kick_channel(env, geom, 1.0)
-    spec = FockSpec(dim=40, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     dists = []
     for dt in (0.064, 0.032, 0.016, 0.008):
         ch = nascent_delta_channel(spec, geom, [1.0], dt, steps_per_kick=48)

@@ -34,7 +34,7 @@ from spinkick import (
     apply_affine,
 )
 from spinkick.analysis import entropy_from_purity, fibonacci_sphere
-from spinkick.channels import TransitionMap, chi_from_affine
+from spinkick.channels import QubitMap, chi_from_affine
 from spinkick.pauli import AffineBlochMap, pauli_basis
 from conftest import random_geometry, random_schedule
 
@@ -146,7 +146,7 @@ def test_fixed_point_identity_flagged():
 
 def test_fixed_point_inconsistent_raises():
     rot = AffineBlochMap(np.eye(3), [0, 0, 0.2])  # translation with A = 1
-    bad = TransitionMap(rot, chi_from_affine(rot, pauli_basis()), pauli_basis(), {})
+    bad = QubitMap(rot, chi_from_affine(rot, pauli_basis()), pauli_basis(), {}, cp=False)
     with pytest.raises(NonContractive):
         fixed_point(bad)
 
@@ -224,7 +224,7 @@ def test_is_positive_synthetic_h():
     """k = 0: the transition map is diagonal and positive iff |h| <= 1."""
     for h_abs, expect in ((0.7, True), (1.0, True), (1.3, False)):
         aff = AffineBlochMap(np.diag([1.0, h_abs**2, h_abs**2]), np.zeros(3))
-        tm = TransitionMap(aff, chi_from_affine(aff, pauli_basis()), pauli_basis(), {})
+        tm = QubitMap(aff, chi_from_affine(aff, pauli_basis()), pauli_basis(), {}, cp=False)
         ok, _ = is_positive(tm)
         assert ok is expect
         assert is_cp(tm) is expect

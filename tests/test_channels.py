@@ -11,7 +11,6 @@ from spinkick import (
     SingularChannel,
     TabulatedKernel,
     TooManyKicks,
-    TransitionMap,
     WhiteKickKernel,
     build_n_kick_channel,
     compose,
@@ -310,7 +309,7 @@ def test_compose_identity(vacuum, standard_geometry):
 def test_invert_roundtrip(vacuum, standard_geometry):
     ch = single_kick_channel(vacuum, standard_geometry, 0.2)
     inv = invert_channel(ch)
-    assert isinstance(inv, TransitionMap)
+    assert not inv.cp
     round_trip = compose(inv, ch)
     np.testing.assert_allclose(round_trip.affine.matrix, np.eye(3), atol=1e-10)
     np.testing.assert_allclose(round_trip.affine.shift, 0.0, atol=1e-10)
@@ -429,11 +428,28 @@ def test_mean_shift_invariance_has_a_boundary():
 
 def test_channel_validation_catches_bad_chi(vacuum, standard_geometry):
     ch = single_kick_channel(vacuum, standard_geometry, 0.0)
-    from spinkick import QubitChannel
+    from spinkick import QubitMap
 
-    bad = QubitChannel(ch.affine, ch.chi + 1e-3 * np.eye(4) * 1j, ch.basis, {})
+    bad = QubitMap(ch.affine, ch.chi + 1e-3 * np.eye(4) * 1j, ch.basis, {})
     with pytest.raises(ValueError):
         validate_channel(bad)
+
+
+def test_invalid_map_is_a_domain_error(vacuum, standard_geometry):
+    from spinkick import InvalidMap, QubitMap, SpinKickError
+
+    ch = single_kick_channel(vacuum, standard_geometry, 0.0)
+    bad = QubitMap(ch.affine, ch.chi + 1e-3j * np.eye(4), ch.basis, {}, cp=False)
+    with pytest.raises(InvalidMap):
+        validate_map(bad)
+    assert issubclass(InvalidMap, SpinKickError)
+
+
+def test_compose_is_channel_only_for_channel_pairs(vacuum, standard_geometry):
+    ch = single_kick_channel(vacuum, standard_geometry, 0.2)
+    assert compose(ch, ch).cp
+    assert not compose(invert_channel(ch), ch).cp
+    assert not compose(ch, invert_channel(ch)).cp
 
 
 # ---------------------------------------------------------------------------
@@ -458,5 +474,5 @@ def test_transition_roundtrip(tmp_path, vacuum, standard_geometry):
     path = tmp_path / "theta.txt"
     save_channel(theta, path)
     back = load_channel(path)
-    assert isinstance(back, TransitionMap)
+    assert not back.cp
     np.testing.assert_array_equal(back.chi, theta.chi)

@@ -1,8 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinkick import load_channel
-from spinkick.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, main
+from spinkick.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 
 BASE_CFG = """
 [environment]
@@ -276,3 +281,136 @@ def test_log_base_flag(tmp_path):
     assert main(["--config", cfg2, "simulate"]) == EXIT_OK
     s_nats = float((out / "run_trajectory.csv").read_text().strip().splitlines()[2].split(",")[6])
     assert s_bits == pytest.approx(s_nats / np.log(2), rel=1e-12)
+
+
+def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
+    """n kicks take n builds: the channel file reuses the last prefix channel."""
+    from spinkick import channels
+
+    calls = []
+    build = channels.build_n_kick_channel
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "build_n_kick_channel", counting)
+    out = tmp_path / "out"
+    body = BASE_CFG.format(out=out).replace("times = 0.0", "times = 0.0 0.7 1.3")
+    assert main(["--config", write_cfg(tmp_path, body), "simulate"]) == EXIT_OK
+    assert calls == [1, 2, 3]
+    ch = load_channel(out / "run_channel.txt")
+    assert ch.meta["times"] == (0.0, 0.7, 1.3)
+    assert sorted(p.name for p in out.iterdir()) == ["run_channel.txt", "run_trajectory.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("simulate", "times = 0.0", "times = 0.7 0.0"),  # decreasing times
+        ("simulate", "nbar = 0.0", "nbar = -1"),
+        ("simulate", "h = 0 0 1", "h = 0 0 2"),  # not a unit vector
+        ("simulate", "u = 1 0 0", "u = 1 0"),
+        ("sweep", "[output]", "[sweep]\nparameter = nbar\nstart = -1\nstop = 1\ncount = 3\n\n[output]"),
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, command, old, new):
+    body = BASE_CFG.format(out=tmp_path / "out").replace(old, new)
+    assert main(["--config", write_cfg(tmp_path, body), command]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        "times:\n0 1\nmean:\n0 0\ncovariance:\n1 0\n0.5 1\n",  # not Hermitian
+        "times:\n0 1\nmean:\n0\ncovariance:\n1 0\n0 1\n",  # mean too short
+    ],
+)
+def test_malformed_tabulated_kernel_exits_2(tmp_path, capsys, kernel):
+    (tmp_path / "kernel.txt").write_text(kernel)
+    body = BASE_CFG.format(out=tmp_path / "out").replace(
+        "model = single_mode_thermal\nomega = 1.0\nnbar = 0.0",
+        "model = tabulated\npath = kernel.txt",
+    )
+    assert main(["--config", write_cfg(tmp_path, body), "simulate"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: [environment]")
+
+
+ILL_CONDITIONED_CFG = """
+[environment]
+model = single_mode_thermal
+omega = 1
+nbar = 3
+
+[geometry]
+h = 0 0 1
+alpha = 1 0 0
+Omega = 1
+
+[schedule]
+times = 0 1 2
+weights = 1.5 1.5 1.5
+
+[output]
+dir = {out}
+prefix = run
+"""
+
+
+def test_invalid_transition_map_exits_4(tmp_path, capsys):
+    """The inverse of the ill-conditioned 2-kick channel (condition number
+    ~1e6) fails its Hermiticity check: a domain error, not a traceback."""
+    cfg = write_cfg(tmp_path, ILL_CONDITIONED_CFG.format(out=tmp_path / "out"))
+    assert main(["--config", cfg, "divisibility"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error: chi not Hermitian")
+
+
+def test_sweep_invalid_transition_map_is_nan(tmp_path):
+    out = tmp_path / "out"
+    body = ILL_CONDITIONED_CFG.format(out=out)
+    body += "\n[sweep]\nparameter = nbar\nstart = 2.5\nstop = 3\ncount = 2\n"
+    body += "quantities = lambda_min purity_final\n"
+    assert main(["--config", write_cfg(tmp_path, body), "sweep"]) == EXIT_OK
+    rows = (out / "run_sweep.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["nan", "nan"]
+
+
+def _vec(v):
+    return " ".join(repr(float(x)) for x in v)
+
+
+@st.composite
+def cli_runs(draw):
+    """simulate/divisibility runs on up to 3 kicks, some inputs out of range."""
+    command = draw(st.sampled_from(["simulate", "divisibility"]))
+    n = draw(st.integers(0 if command == "simulate" else 2, 3))
+    times = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)):
+        times = sorted(times)
+    weights = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    h = draw(st.sampled_from([(0, 0, 1), (1, 0, 0), (0.6, 0, 0.8), (0, 0.8, 0.6), (0, 0, 2)]))
+    alpha = draw(st.sampled_from([(1, 0, 0), (0, 1, 0), (0.6, 0.8, 0)]))
+    nbar = draw(st.floats(-0.5, 3.0))
+    if draw(st.booleans()):
+        env = f"model = single_mode_thermal\nomega = {draw(st.floats(0.1, 2.0))!r}\nnbar = {nbar!r}"
+    else:
+        env = f"model = white_kick\nvariance = {nbar!r}"
+    body = (
+        f"[environment]\n{env}\n\n[geometry]\nh = {_vec(h)}\nalpha = {_vec(alpha)}\n"
+        f"Omega = {draw(st.floats(0.0, 2.0))!r}\n\n[schedule]\ntimes = {_vec(times)}\n"
+        f"weights = {_vec(weights)}\n"
+    )
+    return command, body
+
+
+@settings(max_examples=40, deadline=None)
+@given(cli_runs())
+def test_exit_codes_stay_in_contract(run):
+    command, body = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        code = main(["--config", cfg, "--out", os.path.join(tmp, "out"), command])
+    assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DOMAIN, EXIT_CHECK}

@@ -29,7 +29,7 @@ from conftest import random_geometry, random_schedule
 
 
 def test_quadrature_small():
-    spec = FockSpec(dim=2, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=2)
     np.testing.assert_allclose(
         quadrature_heisenberg(spec, 0.0),
         np.array([[0, 1], [1, 0]]) / np.sqrt(2),
@@ -38,7 +38,7 @@ def test_quadrature_small():
 
 
 def test_quadrature_vacuum_moment():
-    spec = FockSpec(dim=30, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=30)
     o = quadrature_heisenberg(spec, 1.3)
     assert np.max(np.abs(o - o.conj().T)) < 1e-12
     rho, _ = environment_state(spec)
@@ -49,7 +49,7 @@ def test_quadrature_vacuum_moment():
 def test_vacuum_covariance_matches_fock():
     """<0| O(t) O(t') |0> computed in the truncated space equals the
     closed-form kernel 0.5 e^{-i w (t - t')}."""
-    spec = FockSpec(dim=30, omega=1.4)
+    spec = FockSpec(SingleModeThermal(omega=1.4), dim=30)
     env = SingleModeThermal(omega=1.4)
     rho, _ = environment_state(spec)
     rng = np.random.default_rng(6)
@@ -59,7 +59,7 @@ def test_vacuum_covariance_matches_fock():
         fock_val = complex(np.trace(rho @ o1 @ o2))
         assert fock_val == pytest.approx(env.covariance(t, tp), abs=1e-12)
     # pinned value: the kernel at (0, pi/2) for unit frequency is +0.5i
-    unit = FockSpec(dim=30, omega=1.0)
+    unit = FockSpec(SingleModeThermal(omega=1.0), dim=30)
     rho0, _ = environment_state(unit)
     val = complex(
         np.trace(rho0 @ quadrature_heisenberg(unit, 0.0) @ quadrature_heisenberg(unit, np.pi / 2))
@@ -68,7 +68,7 @@ def test_vacuum_covariance_matches_fock():
 
 
 def test_quadrature_commutator_matches_kernel():
-    spec = FockSpec(dim=40, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     env = SingleModeThermal(omega=1.0)
     t, tp = 0.0, np.pi / 2
     o1 = quadrature_heisenberg(spec, t)
@@ -80,7 +80,7 @@ def test_quadrature_commutator_matches_kernel():
 
 
 def test_thermal_state_moments():
-    spec = FockSpec(dim=60, omega=1.0, nbar=1.5)
+    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=1.5), dim=60)
     rho, tail = environment_state(spec)
     assert tail < 1e-12
     n_op = np.diag(np.arange(60).astype(float))
@@ -89,7 +89,7 @@ def test_thermal_state_moments():
 
 def test_displaced_state_mean_matches_env():
     a0 = 0.6 - 0.4j
-    spec = FockSpec(dim=40, omega=1.3, displacement=a0)
+    spec = FockSpec(SingleModeThermal(omega=1.3, displacement=a0), dim=40)
     env = SingleModeThermal(omega=1.3, displacement=a0)
     rho, _ = environment_state(spec)
     for t in (0.0, 0.7, 2.1):
@@ -98,7 +98,7 @@ def test_displaced_state_mean_matches_env():
 
 
 def test_kick_unitary_properties():
-    spec = FockSpec(dim=25, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=25)
     o = quadrature_heisenberg(spec, 0.4)
     u = kick_unitary([0, 0, 1], o, weight=0.0)
     np.testing.assert_allclose(u, np.eye(50), atol=1e-14)
@@ -176,7 +176,7 @@ def test_oracle_entanglement_entropy(vacuum, standard_geometry):
 def test_oracle_truncation_budget(vacuum, standard_geometry):
     with pytest.raises(TruncationNotConverged):
         oracle_channel(
-            FockSpec(dim=3, omega=1.0), standard_geometry, KickSchedule([0.0]), max_dim=3
+            FockSpec(vacuum, dim=3), standard_geometry, KickSchedule([0.0]), max_dim=3
         )
 
 
@@ -195,7 +195,7 @@ def test_oracle_random_matrix(standard_geometry):
 
 
 def test_nascent_zero_weight_is_identity(standard_geometry):
-    spec = FockSpec(dim=20, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     ch = nascent_delta_channel(spec, standard_geometry, [1.0], 0.05, weights=[0.0])
     assert channel_distance(ch, identity_channel(ch.basis)) == 0.0
 
@@ -203,7 +203,7 @@ def test_nascent_zero_weight_is_identity(standard_geometry):
 def test_nascent_converges_monotonically(vacuum):
     geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
     analytic = single_kick_channel(vacuum, geom, 1.0)
-    spec = FockSpec(dim=40, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     dists = [
         channel_distance(
             analytic, nascent_delta_channel(spec, geom, [1.0], dt, steps_per_kick=48)
@@ -218,7 +218,7 @@ def test_nascent_converges_monotonically(vacuum):
 
 def test_nascent_with_precession_still_converges(vacuum, standard_geometry):
     analytic = single_kick_channel(vacuum, standard_geometry, 1.0)
-    spec = FockSpec(dim=40, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     dists = [
         channel_distance(
             analytic,
@@ -232,7 +232,7 @@ def test_nascent_with_precession_still_converges(vacuum, standard_geometry):
 def test_nascent_rectangular_shape(vacuum):
     geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
     analytic = single_kick_channel(vacuum, geom, 1.0)
-    spec = FockSpec(dim=40, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     d = channel_distance(
         analytic,
         nascent_delta_channel(spec, geom, [1.0], 0.01, steps_per_kick=64, shape="rectangular"),
@@ -241,7 +241,7 @@ def test_nascent_rectangular_shape(vacuum):
 
 
 def test_nascent_two_kicks(vacuum, standard_geometry):
-    spec = FockSpec(dim=40, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     analytic = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 1.5]))
     d1 = channel_distance(
         analytic, nascent_delta_channel(spec, standard_geometry, [0.0, 1.5], 0.04)
@@ -253,7 +253,7 @@ def test_nascent_two_kicks(vacuum, standard_geometry):
 
 
 def test_nascent_step_too_coarse(vacuum, standard_geometry):
-    spec = FockSpec(dim=20, omega=1.0)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     with pytest.raises(StepTooCoarse):
         nascent_delta_channel(spec, standard_geometry, [0.0, 0.3], 0.05)  # pulses overlap
     with pytest.raises(StepTooCoarse):

@@ -70,11 +70,13 @@ from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule, r_o
 from .oracle import (
     FockSpec,
     channel_distance,
+    coupling_spectrum,
     fock_spec_for,
     kick_unitary,
     nascent_delta_channel,
     oracle_channel,
     quadrature_heisenberg,
+    rotated_spectrum,
 )
 from .pauli import (
     AffineBlochMap,

@@ -34,7 +34,7 @@ import numpy as np
 from . import analysis, channels, oracle
 from .environment import SingleModeThermal, TabulatedKernel, WhiteKickKernel, parse_complex
 from .errors import ConfigError, LengthMismatch, NonUnitVector, SpinKickError, TruncationNotConverged
-from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule
+from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -335,6 +335,34 @@ def cmd_fixed_point(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# Largest |h|^2 + |k|^2 at which divisibility trusts the two-kick closed form.
+CLOSED_FORM_MAX_GAIN = 1e4
+
+
+def _closed_form_is_well_conditioned(env, geom, sched: KickSchedule) -> bool:
+    """Whether the two-kick closed form may stand in for the 4^n builder.
+
+    It needs two kicks on an even environment, and two named limits:
+
+    - ``CLOSED_FORM_MAX_GAIN``: the closed form multiplies a matrix whose
+      entries grow like |h|^2 + |k|^2 (as exp(2 w0 w1 Re K)) by one damped
+      by g = exp(-2 Var), so beyond this gain the product has lost the
+      digits that make the channel CP;
+    - ``channels.PARALLEL_BASIS_TOL``: below this |r1 x r0| the frame
+      adapted to the two kick axes is too ill-conditioned to build the
+      channel in.
+
+    Otherwise divisibility uses the 4^n builder, which has 16 terms here.
+    """
+    if len(sched) != 2 or not env.is_even:
+        return False
+    t0, t1 = sched.times
+    if np.linalg.norm(np.cross(r_of_t(geom, t1), r_of_t(geom, t0))) < channels.PARALLEL_BASIS_TOL:
+        return False
+    params = channels.two_kick_params(env, geom, t0, t1, sched.weights)
+    return abs(params.h) ** 2 + abs(params.k) ** 2 <= CLOSED_FORM_MAX_GAIN
+
+
 def cmd_divisibility(args, cfg: RunConfig) -> int:
     env = cfg.environment()
     geom = cfg.geometry()
@@ -365,7 +393,7 @@ def cmd_divisibility(args, cfg: RunConfig) -> int:
     else:
         if len(sched) < 2:
             raise ConfigError("divisibility needs a schedule with at least 2 kicks")
-        if len(sched) == 2 and env.is_even:
+        if _closed_form_is_well_conditioned(env, geom, sched):
             longer = channels.two_kick_closed_form(
                 env, geom, sched.times[0], sched.times[1], weights=sched.weights
             )
@@ -517,24 +545,30 @@ def cmd_oracle_check(args, cfg: RunConfig) -> int:
     geom = cfg.geometry()
     sched = cfg.schedule()
     tol = args.tol or cfg.getfloat("oracle", "tol", 1e-8)
+    if not tol > 0:
+        raise ConfigError(f"[oracle] tol must be positive, got {tol!r}")
     max_kicks = args.max_kicks or cfg.getint("analysis", "max_kicks", channels.MAX_KICKS_DEFAULT)
     out_dir = _out_dir(args, cfg)
     prefix = _prefix(cfg)
     mode = cfg.getstr("oracle", "mode", "kicks")
-
-    analytic = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
+    if mode not in ("kicks", "nascent"):
+        raise ConfigError(f"[oracle] mode must be 'kicks' or 'nascent', got {mode!r}")
     dim = cfg.getint("oracle", "dim")
-    spec = oracle.fock_spec_for(env, dim)
+    with _bad_values("oracle"):
+        spec = oracle.fock_spec_for(env, dim)
+    analytic = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
 
     if mode == "nascent":
-        deltas_raw = cfg.getstr("oracle", "deltas")
-        if deltas_raw:
-            deltas = [float(x) for x in deltas_raw.split()]
-        else:
+        deltas = cfg.getvec("oracle", "deltas")
+        if deltas is None or len(deltas) == 0:
             base_dt = cfg.getfloat("oracle", "delta_t", 0.064)
             deltas = [base_dt, base_dt / 2, base_dt / 4, base_dt / 8]
         steps = cfg.getint("oracle", "steps_per_kick", 48)
+        if steps < 1:
+            raise ConfigError(f"[oracle] steps_per_kick must be at least 1, got {steps}")
         shape = cfg.getstr("oracle", "shape", "gaussian")
+        if shape not in oracle.PULSE_SHAPES:
+            raise ConfigError(f"[oracle] shape must be one of {sorted(oracle.PULSE_SHAPES)}, got {shape!r}")
         rows = ["delta_t,distance"]
         dists = []
         for dt in deltas:

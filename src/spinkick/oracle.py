@@ -8,7 +8,9 @@ analytic constructions is a genuine cross-check.  Also provides the nascent-delt
 
 All matrix exponentials go through Hermitian eigendecompositions; every
 exponent here is i times a Hermitian matrix, so this is exact up to rounding
-and the constructed step operators are unitary on the truncated space.
+and the constructed step operators are unitary on the truncated space.  The
+coupling at time t is a diagonal phase rotation of the coupling at time 0,
+so one eigendecomposition per truncation serves every kick step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .channels import QubitMap, chi_from_affine, default_chi_basis, validate_map
 from .environment import SingleModeThermal
-from .errors import NonHermitian, StepTooCoarse, TruncationNotConverged
+from .errors import InvalidMap, NonHermitian, StepTooCoarse, TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, r_of_t
 from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, dot_sigma
 
@@ -102,39 +104,72 @@ def environment_state(spec: FockSpec):
     return rho, tail
 
 
-def kick_unitary(r, o_matrix: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """Joint unitary exp(-i w r.sigma x O) on qubit (x) oscillator.
+def coupling_spectrum(o_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors of a Hermitian coupling O.
 
-    Built from the spectral split P+ x e^{-iwO} + P- x e^{+iwO}; exactly
-    unitary on the truncated space for Hermitian O.
+    The one place the coupling is checked for Hermiticity (to 1e-12): every
+    spectrum kick_unitary receives comes from here, directly or through
+    rotated_spectrum.
     """
     o_matrix = np.asarray(o_matrix, dtype=complex)
     if np.max(np.abs(o_matrix - o_matrix.conj().T)) > 1e-12:
         raise NonHermitian("coupling observable must be Hermitian")
+    return np.linalg.eigh(o_matrix)
+
+
+def rotated_spectrum(spec: FockSpec, spectrum, t: float):
+    """Spectrum of O(t) from that of X = O(0), without a new decomposition.
+
+    O(t) = D(t) X D(t)^dag with D(t) = diag(e^{iwtn}), so O(t) has the
+    eigenvalues of X and the eigenvectors D(t) V.  The phases are built as
+    powers of e^{iwt} so that adjacent levels keep their relative phase to
+    rounding, whatever the size of wtn.
+    """
+    evals, vecs = spectrum
+    phases = np.ones(spec.dim, dtype=complex)
+    phases[1:] = np.cumprod(np.full(spec.dim - 1, np.exp(1j * spec.env.omega * t)))
+    return evals, phases[:, None] * vecs
+
+
+def kick_unitary(r, spectrum, weight: float = 1.0) -> np.ndarray:
+    """Joint unitary exp(-i w r.sigma x O) on qubit (x) oscillator.
+
+    ``spectrum`` is (lambda, W) with O = W diag(lambda) W^dag, as returned
+    by coupling_spectrum or rotated_spectrum.  Built from the spectral split
+    P+ x U- + P- x U+ with U- = W e^{-iw lambda} W^dag and U+ = U-^dag: the
+    four d x d blocks are filled directly.  The full 2d x 2d step must pass
+    a unitarity check (1e-10), which an eigenbasis that is not orthonormal
+    fails with InvalidMap.
+    """
+    evals, vecs = spectrum
+    d = len(evals)
+    u_minus = (vecs * np.exp(-1j * weight * evals)) @ vecs.conj().T
+    u_plus = u_minus.conj().T
     p_plus = (I2 + dot_sigma(r)) / 2.0
     p_minus = (I2 - dot_sigma(r)) / 2.0
-    u_minus = _expm_i_hermitian(o_matrix, -weight)
-    u_plus = _expm_i_hermitian(o_matrix, +weight)
-    u = np.kron(p_plus, u_minus) + np.kron(p_minus, u_plus)
-    dim = u.shape[0]
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
+    u = np.empty((2 * d, 2 * d), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            u[i * d : (i + 1) * d, j * d : (j + 1) * d] = p_plus[i, j] * u_minus + p_minus[i, j] * u_plus
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(2 * d)))
     if defect > 1e-10:
-        raise ValueError(f"joint operator failed unitarity check ({defect:.3e})")
+        raise InvalidMap(f"joint operator failed unitarity check ({defect:.3e})")
     return u
 
 
-def _partial_trace_env(m: np.ndarray, dim: int) -> np.ndarray:
-    return np.einsum("injn->ij", m.reshape(2, dim, 2, dim))
-
-
 def _channel_from_joint_unitary(u: np.ndarray, rho_env: np.ndarray, basis: OperatorBasis, meta: dict) -> QubitMap:
+    """Reduced qubit channel of the joint unitary u on rho_q (x) rho_env.
+
+    With U_ia the d x d blocks of u, the reduced output of rho_q is
+    sum_ab rho_q[a, b] m[:, a, :, b], where m[i, a, j, b] = tr(U_ia rho_env
+    U_jb^dag): four d x d products and one contraction for all probes.
+    """
     dim = rho_env.shape[0]
+    blocks = u.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3)  # blocks[i, a] = U_ia
+    left = (blocks @ rho_env).reshape(4, dim * dim)
+    m = (left @ blocks.reshape(4, dim * dim).conj().T).reshape(2, 2, 2, 2)
     inputs = [I2 / 2.0] + [(I2 + sig) / 2.0 for sig in PAULI]
-    blochs = []
-    for rho_q in inputs:
-        joint = np.kron(rho_q, rho_env)
-        out = _partial_trace_env(u @ joint @ u.conj().T, dim)
-        blochs.append(density_to_bloch(out, tol=1e-8))
+    blochs = [density_to_bloch(np.einsum("ab,iajb->ij", rho_q, m), tol=1e-8) for rho_q in inputs]
     b = blochs[0]
     a = np.column_stack([v - b for v in blochs[1:]])
     affine = AffineBlochMap(a, b)
@@ -146,14 +181,15 @@ def _channel_from_joint_unitary(u: np.ndarray, rho_env: np.ndarray, basis: Opera
 
 
 def _build_at_dim(spec: FockSpec, geom: InteractionGeometry, times, weights, basis: OperatorBasis):
+    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
     u = None
     for t, w in zip(times, weights):
-        step = kick_unitary(r_of_t(geom, t), quadrature_heisenberg(spec, t), w)
+        step = kick_unitary(r_of_t(geom, t), rotated_spectrum(spec, spectrum, t), w)
         u = step if u is None else step @ u
     if u is None:
         u = np.eye(2 * spec.dim, dtype=complex)
     rho_env, tail = environment_state(spec)
-    meta = {"kind": "oracle", "dim": spec.dim, "tail": tail}
+    meta = {"kind": "oracle", "dim": spec.dim, "tail": tail, "kick_steps": len(times), "eigendecompositions": 1}
     return _channel_from_joint_unitary(u, rho_env, basis, meta), tail
 
 
@@ -171,7 +207,9 @@ def oracle_channel(
     Starting from spec.dim, the dimension grows by dim_step until the
     reconstructed channel changes by less than stability_tol under one more
     increment and the state tail is negligible; the finer result is
-    returned, with the dimension and stability recorded in meta.
+    returned, with the dimension and stability recorded in meta.  meta also
+    counts the work of the whole search: ``kick_steps`` joint steps and
+    ``eigendecompositions`` of the coupling, one per truncation tried.
     """
     times, weights = sched.times, sched.weights
     if basis is None:
@@ -179,6 +217,7 @@ def oracle_channel(
         basis = default_chi_basis(rs[-1], rs[0]) if len(rs) else default_chi_basis([0, 0, 1], [0, 0, 1])
     dim = spec.dim
     current, tail = _build_at_dim(replace(spec, dim=dim), geom, times, weights, basis)
+    work = {key: current.meta[key] for key in ("kick_steps", "eigendecompositions")}
     history = []
     while True:
         next_dim = dim + dim_step
@@ -189,26 +228,22 @@ def oracle_channel(
         finer, tail_f = _build_at_dim(replace(spec, dim=next_dim), geom, times, weights, basis)
         dist = channel_distance(current, finer)
         history.append((next_dim, dist))
+        for key in work:
+            work[key] += finer.meta[key]
         if dist < stability_tol and tail_f < TAIL_TOL:
             meta = dict(finer.meta)
             meta.update(
-                {"dim": next_dim, "stability": dist, "tail": tail_f, "history": tuple(history)}
+                {"dim": next_dim, "stability": dist, "tail": tail_f, "history": tuple(history), **work}
             )
             return replace(finer, meta=meta)
         current, tail, dim = finer, tail_f, next_dim
 
 
-def _pulse_shape(shape: str):
-    """Normalized switching profile and its half-width in units of delta_t."""
-    if shape == "gaussian":
-        half = 5.0
-        fn = lambda x: np.exp(-0.5 * x * x)
-    elif shape == "rectangular":
-        half = 1.0
-        fn = lambda x: np.ones_like(x)
-    else:
-        raise ValueError(f"unknown pulse shape {shape!r}")
-    return fn, half
+# normalized switching profiles and their half-widths in units of delta_t
+PULSE_SHAPES = {
+    "gaussian": (lambda x: np.exp(-0.5 * x * x), 5.0),
+    "rectangular": (lambda x: np.ones_like(x), 1.0),
+}
 
 
 def nascent_delta_channel(
@@ -227,12 +262,16 @@ def nascent_delta_channel(
     time-ordered product of narrow-step unitaries on a midpoint grid across
     each pulse.  As delta_t -> 0 this converges to the delta-kick channel on
     the same schedule.  Zero weights are allowed (identity contribution).
+    meta counts the ``kick_steps`` taken and the one eigendecomposition of
+    the coupling they share.
     """
     times = np.asarray(kick_times, dtype=float)
     w = np.ones(len(times)) if weights is None else np.asarray(weights, dtype=float)
     if len(w) != len(times):
         raise ValueError("weights and kick_times must match in length")
-    profile, half = _pulse_shape(shape)
+    if shape not in PULSE_SHAPES:
+        raise ValueError(f"unknown pulse shape {shape!r}")
+    profile, half = PULSE_SHAPES[shape]
     if len(times) > 1:
         min_gap = float(np.min(np.diff(np.sort(times))))
         if 2.0 * half * delta_t >= min_gap:
@@ -251,7 +290,9 @@ def nascent_delta_channel(
     vals = profile(xs)
     vals = vals / vals.sum()
 
+    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
     u = np.eye(2 * spec.dim, dtype=complex)
+    kick_steps = 0
     order = np.argsort(times)
     for idx in order:
         for x, frac in zip(xs, vals):
@@ -259,8 +300,9 @@ def nascent_delta_channel(
             theta = w[idx] * frac
             if theta == 0.0:
                 continue
-            step = kick_unitary(r_of_t(geom, t), quadrature_heisenberg(spec, t), theta)
+            step = kick_unitary(r_of_t(geom, t), rotated_spectrum(spec, spectrum, t), theta)
             u = step @ u
+            kick_steps += 1
     rho_env, tail = environment_state(spec)
     if basis is None:
         rs = [r_of_t(geom, t) for t in times]
@@ -272,6 +314,8 @@ def nascent_delta_channel(
         "delta_t": float(delta_t),
         "shape": shape,
         "steps_per_kick": int(steps_per_kick),
+        "kick_steps": kick_steps,
+        "eigendecompositions": 1,
     }
     return _channel_from_joint_unitary(u, rho_env, basis, meta)
 

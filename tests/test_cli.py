@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinkick import load_channel
-from spinkick.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from spinkick import KickSchedule, build_n_kick_channel, divisibility_report, load_channel
+from spinkick.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, RunConfig, main
 
 BASE_CFG = """
 [environment]
@@ -246,6 +246,27 @@ def test_oracle_check_nascent(tmp_path, capsys):
     assert dists[-1] < 1e-4
 
 
+@pytest.mark.parametrize(
+    "oracle_keys",
+    [
+        "mode = bogus",
+        "mode = nascent\ndeltas = 0.05 abc",
+        "mode = nascent\nshape = triangle",
+        "dim = 1",
+        "tol = -1",
+        "mode = nascent\nsteps_per_kick = 0",
+    ],
+    ids=["unknown_mode", "non_numeric_deltas", "unknown_shape", "dim_1", "negative_tol", "zero_steps"],
+)
+def test_bad_oracle_value_exits_2(tmp_path, capsys, oracle_keys):
+    out = tmp_path / "out"
+    body = BASE_CFG.format(out=out).replace("Omega = 1.0", "Omega = 0.0")
+    cfg = write_cfg(tmp_path, body + "\n[oracle]\n" + oracle_keys + "\n")
+    assert main(["--config", cfg, "oracle-check"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: [oracle]")
+    assert not out.exists()
+
+
 def test_simulate_with_toggles(tmp_path, capsys):
     out = tmp_path / "out"
     body = BASE_CFG.format(out=out).replace("times = 0.0", "times = 0.0 0.7")
@@ -335,6 +356,72 @@ def test_malformed_tabulated_kernel_exits_2(tmp_path, capsys, kernel):
     )
     assert main(["--config", write_cfg(tmp_path, body), "simulate"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: [environment]")
+
+
+def _kv(path):
+    return dict(line.split("=", 1) for line in path.read_text().strip().splitlines())
+
+
+TWO_KICK_CFG = """
+[environment]
+{env}
+
+[geometry]
+h = {h}
+alpha = {alpha}
+Omega = {gap}
+
+[schedule]
+times = {times}
+weights = {weights}
+
+[output]
+dir = {{out}}
+prefix = run
+"""
+
+# |r1 x r0| = 2e-9: the frame adapted to the two kick axes is ill-conditioned
+NEAR_PARALLEL_CFG = TWO_KICK_CFG.format(
+    env="model = white_kick\nvariance = 2.74",
+    h="0 0 1", alpha="1 0 0", gap="0.04", times="2.75 2.75000005", weights="0.22 0.21",
+)
+# |h|^2 + |k|^2 = 8.2e4
+HIGH_GAIN_CFG = TWO_KICK_CFG.format(
+    env="model = single_mode_thermal\nomega = 1.89\nnbar = 0.3",
+    h="0 0.8 0.6", alpha="0 1 0", gap="0.85", times="0.16 1.63", weights="2.93 2.15",
+)
+# |h| = 1.5e10, and the first kick leaves coherences of e^-62
+ERASING_CFG = TWO_KICK_CFG.format(
+    env="model = single_mode_thermal\nomega = 0.5\nnbar = 3",
+    h="0 0.8 0.6", alpha="1 0 0", gap="2", times="2.0 2.989", weights="2.989 2.272",
+)
+
+
+@pytest.mark.parametrize("body", [NEAR_PARALLEL_CFG, HIGH_GAIN_CFG], ids=["near_parallel", "high_gain"])
+def test_divisibility_leaves_ill_conditioned_closed_form(tmp_path, body):
+    """Two kicks outside the closed form's limits go to the 4^n builder."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, body.format(out=out))
+    assert main(["--config", cfg, "divisibility"]) == EXIT_OK
+    kv = _kv(out / "run_divisibility.kv")
+    assert "h_abs" not in kv  # no closed-form parameters reported
+    c = RunConfig.from_file(cfg)
+    env, geom, sched = c.environment(), c.geometry(), c.schedule()
+    shorter = KickSchedule(sched.times[:1], sched.weights[:1])
+    ref = divisibility_report(build_n_kick_channel(env, geom, sched), build_n_kick_channel(env, geom, shorter))
+    got = [float(kv[f"lambda_{i}"]) for i in range(1, 5)]
+    np.testing.assert_allclose(got, ref.chi_eigenvalues, rtol=0, atol=1e-9)
+
+
+def test_divisibility_after_erasing_kick_is_singular(tmp_path, capsys):
+    """The 4^n channel of this train is valid (the closed form's is not), but
+    its first kick erases the state, so no transition map exists."""
+    cfg = write_cfg(tmp_path, ERASING_CFG.format(out=tmp_path / "out"))
+    assert main(["--config", cfg, "divisibility"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error: affine matrix singular")
+    c = RunConfig.from_file(cfg)
+    longer = build_n_kick_channel(c.environment(), c.geometry(), c.schedule())
+    assert np.linalg.eigvalsh(longer.chi).min() > 0.29
 
 
 ILL_CONDITIONED_CFG = """

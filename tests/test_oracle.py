@@ -12,6 +12,7 @@ from spinkick import (
     build_n_kick_channel,
     channel_distance,
     commutator_C,
+    coupling_spectrum,
     dephasing_channel,
     entanglement_entropy,
     entropy,
@@ -21,10 +22,14 @@ from spinkick import (
     nascent_delta_channel,
     oracle_channel,
     quadrature_heisenberg,
+    rotated_spectrum,
     single_kick_channel,
     two_kick_closed_form,
 )
-from spinkick.oracle import annihilation, environment_state
+from spinkick.errors import InvalidMap
+from spinkick.kicks import r_of_t
+from spinkick.oracle import _channel_from_joint_unitary, annihilation, environment_state
+from spinkick.pauli import I2, PAULI, density_to_bloch, dot_sigma, pauli_basis
 from conftest import random_geometry, random_schedule
 
 
@@ -99,14 +104,90 @@ def test_displaced_state_mean_matches_env():
 
 def test_kick_unitary_properties():
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=25)
-    o = quadrature_heisenberg(spec, 0.4)
-    u = kick_unitary([0, 0, 1], o, weight=0.0)
+    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.4))
+    u = kick_unitary([0, 0, 1], spectrum, weight=0.0)
     np.testing.assert_allclose(u, np.eye(50), atol=1e-14)
-    u = kick_unitary([0, 0, 1], o, weight=1.3)
+    u = kick_unitary([0, 0, 1], spectrum, weight=1.3)
     np.testing.assert_allclose(u[:25, 25:], 0.0, atol=1e-14)  # block diagonal
     np.testing.assert_allclose(u.conj().T @ u, np.eye(50), atol=1e-12)
+
+
+def test_non_hermitian_coupling_rejected():
+    o = quadrature_heisenberg(FockSpec(SingleModeThermal(omega=1.0), dim=25), 0.4)
     with pytest.raises(NonHermitian):
-        kick_unitary([0, 0, 1], o + 1e-3j * np.eye(25))
+        coupling_spectrum(o + 1e-3j * np.eye(25))
+
+
+def _direct_step(r, o, weight):
+    """The step from its own decomposition of O(t), assembled with kron."""
+    evals, vecs = np.linalg.eigh(o)
+    u_minus = (vecs * np.exp(-1j * weight * evals)) @ vecs.conj().T
+    u_plus = (vecs * np.exp(1j * weight * evals)) @ vecs.conj().T
+    s = dot_sigma(r)
+    return np.kron((I2 + s) / 2, u_minus) + np.kron((I2 - s) / 2, u_plus)
+
+
+@pytest.mark.parametrize("dim", [10, 40, 80, 120])
+def test_cached_spectrum_step_matches_direct(dim):
+    """O(t) = D(t) O(0) D(t)^dag: the step from the time-0 spectrum equals
+    the step from a decomposition of O(t) itself."""
+    rng = np.random.default_rng(dim)
+    omega = 1.7
+    spec = FockSpec(SingleModeThermal(omega=omega), dim=dim)
+    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
+    for _ in range(6):
+        t = rng.uniform(0.0, 50.0) / omega
+        w = rng.uniform(0.0, 3.0)
+        r = rng.normal(size=3)
+        r /= np.linalg.norm(r)
+        cached = kick_unitary(r, rotated_spectrum(spec, spectrum, t), w)
+        direct = _direct_step(r, quadrature_heisenberg(spec, t), w)
+        assert np.max(np.abs(cached - direct)) < 1e-12
+
+
+def test_non_orthonormal_eigenbasis_fails_unitarity():
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
+    evals, vecs = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
+    with pytest.raises(InvalidMap, match="unitarity"):
+        kick_unitary([0, 0, 1], (evals, 1.001 * vecs), weight=0.5)
+
+
+def _kron_readout(u, rho_env):
+    """Bloch vectors of the four probe outputs by explicit joint states."""
+    dim = rho_env.shape[0]
+    blochs = []
+    for rho_q in [I2 / 2.0] + [(I2 + sig) / 2.0 for sig in PAULI]:
+        joint = u @ np.kron(rho_q, rho_env) @ u.conj().T
+        blochs.append(density_to_bloch(np.einsum("injn->ij", joint.reshape(2, dim, 2, dim))))
+    return blochs
+
+
+def test_block_readout_matches_kron_partial_trace(standard_geometry):
+    env = SingleModeThermal(omega=1.1, nbar=0.7, displacement=0.4 - 0.3j)
+    spec = FockSpec(env, dim=40)
+    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
+    u = np.eye(2 * spec.dim, dtype=complex)
+    for t, w in [(0.0, 0.8), (0.9, 1.3), (2.2, 0.6)]:
+        u = kick_unitary(r_of_t(standard_geometry, t), rotated_spectrum(spec, spectrum, t), w) @ u
+    rho_env, _ = environment_state(spec)
+    ch = _channel_from_joint_unitary(u, rho_env, pauli_basis(), {})
+    b, *cols = _kron_readout(u, rho_env)
+    np.testing.assert_allclose(ch.affine.shift, b, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(ch.affine.matrix, np.column_stack([c - b for c in cols]), rtol=0, atol=1e-13)
+
+
+def test_oracle_records_its_work(standard_geometry):
+    env = SingleModeThermal(omega=1.0, nbar=0.5)
+    sched = KickSchedule([0.0, 0.7, 1.9])
+    orc = oracle_channel(fock_spec_for(env), standard_geometry, sched)
+    builds = len(orc.meta["history"]) + 1
+    assert builds > 1
+    assert orc.meta["eigendecompositions"] == builds
+    assert orc.meta["kick_steps"] == 3 * builds
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
+    ch = nascent_delta_channel(spec, standard_geometry, [0.0, 1.5], 0.02, steps_per_kick=12)
+    assert ch.meta["eigendecompositions"] == 1
+    assert ch.meta["kick_steps"] == 24
 
 
 def test_oracle_single_kick_vacuum(vacuum, standard_geometry):

@@ -12,21 +12,18 @@ from .analysis import (
     entropy,
     fixed_point,
     is_cp,
-    is_positive,
     post_kick_purity,
     purity,
     trace_distance,
     two_kick_divisibility,
 )
 from .channels import (
-    GammaCoefficient,
     QubitMap,
     TwoKickParams,
     build_n_kick_channel,
     compose,
     dephasing_channel,
     dephasing_gamma,
-    gamma_coefficient,
     identity_channel,
     invert_channel,
     load_channel,
@@ -85,6 +82,7 @@ from .pauli import (
     bloch_to_density,
     density_to_bloch,
     is_physical_bloch,
+    max_image_norm,
     pauli_basis,
     projector,
 )

@@ -2,7 +2,8 @@
 
 Purity, entropy and entanglement entropy of kicked states; fixed points of
 repeated rounds; closed-form chi eigenvalues of the two-kick transition map;
-and CP/P-divisibility verdicts with explicit witnesses.
+and CP/P-divisibility verdicts with explicit witnesses, P judged by the
+exact maximum of |A u + b| over pure states.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .channels import QubitMap, TwoKickParams, transition_map
 from .environment import GaussianEnvironment
 from .errors import NonContractive, NonEvenEnvironment, NonPureInput, SingularChannel
 from .kicks import InteractionGeometry, r_of_t
+from .pauli import apply_affine, max_image_norm
 
 PSD_TOL = 1e-10
 
@@ -163,43 +165,6 @@ def is_cp(m, tol: float = PSD_TOL) -> bool:
     return bool(np.linalg.eigvalsh(m.chi).min() >= -tol)
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n nearly-uniform points on the unit sphere, deterministic."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    theta = golden * i
-    return np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
-
-
-def is_positive(m, tol: float = PSD_TOL, n_samples: int = 10_000, rng=None):
-    """Positivity check: does the map keep the unit sphere inside the ball?
-
-    Convexity reduces positivity to pure states, so only the sphere is
-    scanned.  The analytic witness r_last (the image of the later kick axis,
-    which leaves the ball whenever h k != 0) is tried first, then a
-    deterministic Fibonacci sphere; the first violating input is returned as
-    the witness.  An optional rng adds extra random samples.
-    """
-    a, b = m.affine.matrix, m.affine.shift
-    hint = m.meta.get("r_last")
-    if hint is not None:
-        hint = np.asarray(hint, dtype=float)
-        if np.linalg.norm(a @ hint + b) > 1.0 + tol:
-            return False, hint
-    pts = fibonacci_sphere(n_samples)
-    if rng is not None:
-        extra = rng.normal(size=(n_samples, 3))
-        extra /= np.linalg.norm(extra, axis=1)[:, None]
-        pts = np.vstack([pts, extra])
-    norms = np.linalg.norm(pts @ a.T + b, axis=1)
-    bad = np.nonzero(norms > 1.0 + tol)[0]
-    if len(bad):
-        return False, pts[bad[0]]
-    return True, None
-
-
 @dataclass(frozen=True)
 class DivisibilityReport:
     """CP/P verdicts for a transition map, with eigenvalues and witness."""
@@ -257,18 +222,25 @@ class DivisibilityReport:
         return "\n".join(out) + "\n"
 
 
-def divisibility_report(
-    longer: QubitMap,
-    shorter: QubitMap,
-    tol: float = PSD_TOL,
-    n_samples: int = 10_000,
-    rng=None,
-) -> DivisibilityReport:
-    """Assemble Theta = longer o shorter^{-1} and judge CP and P."""
+def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TOL) -> DivisibilityReport:
+    """Assemble Theta = longer o shorter^{-1} and judge CP and P.
+
+    P (positivity) holds when Theta keeps every pure state in the ball,
+    judged exactly by ``max_image_norm``; CP implies P, so a CP step is
+    reported positive even when rounding lifts the maximum just past 1 + tol.
+    The witness of a non-positive step is the analytic hint r_last (the
+    later kick axis) when its image leaves the ball, else the maximizer.
+    """
     theta = transition_map(longer, shorter)
     eigs = np.sort(np.linalg.eigvalsh(theta.chi))[::-1]
     cp = bool(eigs.min() >= -tol)
-    pos, witness = is_positive(theta, tol=tol, n_samples=n_samples, rng=rng)
+    norm, u = max_image_norm(theta.affine)
+    pos = cp or norm <= 1.0 + tol
+    witness = None
+    if not pos:
+        hint = theta.meta.get("r_last")
+        hint_leaves = hint is not None and np.linalg.norm(apply_affine(theta.affine, hint)) > 1.0 + tol
+        witness = np.asarray(hint, dtype=float) if hint_leaves else u
     params = theta.meta.get("closed_form")
     return DivisibilityReport(
         chi_eigenvalues=eigs,

@@ -28,7 +28,6 @@ import numpy as np
 from .environment import GaussianEnvironment, format_complex, gaussian_char, gram_matrix, parse_complex
 from .errors import (
     InvalidMap,
-    LengthMismatch,
     NonCommutingSchedule,
     NonEvenEnvironment,
     ParallelAxes,
@@ -59,47 +58,6 @@ PARALLEL_BASIS_TOL = 1e-3
 # gamma coefficients
 
 
-@dataclass(frozen=True)
-class GammaCoefficient:
-    """One Weyl-relation coefficient gamma(s, s') with its sign vectors."""
-
-    value: complex
-    s: tuple
-    s_prime: tuple
-
-    def __post_init__(self):
-        if len(self.s) != len(self.s_prime):
-            raise LengthMismatch("sign vectors differ in length")
-        if abs(self.value) > 1.0 + 1e-10:
-            raise ValueError(f"|gamma| = {abs(self.value)} exceeds 1")
-        if tuple(self.s) == tuple(self.s_prime) and abs(self.value - 1.0) > 1e-12:
-            raise ValueError("gamma(s, s) must equal 1")
-
-
-def gamma_coefficient(env: GaussianEnvironment, sched: KickSchedule, s, s_prime) -> complex:
-    """Coefficient gamma(s, s') of the exact n-kick channel.
-
-    Gaussian expectation of the projected Weyl-operator string: a phase from
-    the means, a self-variance damping factor, and cross terms coupling each
-    kick to all earlier ones through the centered correlator.  gamma(s, s)
-    is exactly 1.
-    """
-    s = np.asarray(s, dtype=float)
-    sp = np.asarray(s_prime, dtype=float)
-    n = len(sched.times)
-    if s.shape != (n,) or sp.shape != (n,):
-        raise LengthMismatch(f"sign vectors must have length {n}")
-    lam = sched.weights
-    mu = lam * np.array([env.mean(t) for t in sched.times])
-    gram = gram_matrix(env, sched.times, lam)
-    var = np.diag(gram).real
-    expo = 1j * ((sp - s) @ mu) - 0.5 * ((sp - s) ** 2 @ var)
-    for i in range(n):
-        for j in range(i):
-            expo -= (s[i] - sp[i]) * (s[j] * gram[i, j] - sp[j] * gram[j, i])
-    return complex(np.exp(expo))
-
-
 def _sign_matrix(n: int) -> np.ndarray:
     """All 2^n sign vectors; row m has s_i = +1 iff bit i of m is clear."""
     m = np.arange(2**n)[:, None]
@@ -110,9 +68,12 @@ def _sign_matrix(n: int) -> np.ndarray:
 def _gamma_matrix(env, times, weights, signs: np.ndarray) -> np.ndarray:
     """gamma(s, s') for every pair of rows of ``signs`` at once.
 
-    Uses the separable split exp(phi(s) + conj(phi(s')) + s K^T s') of the
-    Gaussian formula, which reproduces the pairwise evaluation to machine
-    precision and keeps the 4^n sweep in dense linear algebra.
+    Gaussian expectation of the projected Weyl-operator string: a phase from
+    the means, a self-variance damping factor, and cross terms coupling each
+    kick to all earlier ones through the centered correlator; gamma(s, s) is
+    1.  The separable split exp(phi(s) + conj(phi(s')) + s K^T s') keeps the
+    4^n sweep in dense linear algebra (the tests keep the pairwise formula as
+    the reference it must match).
     """
     lam = np.asarray(weights, dtype=float)
     mu = lam * np.array([env.mean(t) for t in times])

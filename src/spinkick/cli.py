@@ -15,9 +15,11 @@ maps every failure class to a documented exit code:
        not converged)
 
 All floats are printed with 17 significant digits so round-trips are
-lossless; the decimal separator is always '.'.  The --seed flag affects only
-sampled quantities (positivity sphere samples, channel-distance probe
-states); channel construction itself is deterministic.
+lossless; the decimal separator is always '.'.  Nothing is sampled: the
+positivity verdict and the channel distance are exact maxima over the Bloch
+sphere, and every output is a deterministic function of the config.  The
+--seed flag and the [analysis] keys seed and sphere_samples are still
+accepted, so older configs and scripts keep working, but they change nothing.
 """
 
 from __future__ import annotations
@@ -73,10 +75,10 @@ _KNOWN_KEYS = {
         "entropy",
         "oracle_check",
         "log_base",
-        "sphere_samples",
+        "sphere_samples",  # accepted, unused: positivity is exact
         "tol",
         "max_kicks",
-        "seed",
+        "seed",  # accepted, unused: nothing is sampled
     },
     "divisibility": {"mode", "n", "m"},
     "oracle": {"dim", "dim_max", "tol", "mode", "delta_t", "deltas", "steps_per_kick", "shape"},
@@ -368,9 +370,6 @@ def cmd_divisibility(args, cfg: RunConfig) -> int:
     geom = cfg.geometry()
     sched = cfg.schedule()
     tol = args.tol or cfg.getfloat("analysis", "tol", analysis.PSD_TOL)
-    n_samples = cfg.getint("analysis", "sphere_samples", 10_000)
-    seed = args.seed if args.seed is not None else cfg.getint("analysis", "seed")
-    rng = np.random.default_rng(seed) if seed is not None else None
     max_kicks = args.max_kicks or cfg.getint("analysis", "max_kicks", channels.MAX_KICKS_DEFAULT)
     out = _out_dir(args, cfg)
     prefix = _prefix(cfg)
@@ -402,7 +401,7 @@ def cmd_divisibility(args, cfg: RunConfig) -> int:
         shorter = channels.build_n_kick_channel(
             env, geom, KickSchedule(sched.times[:-1], sched.weights[:-1]), max_kicks=max_kicks
         )
-        report = analysis.divisibility_report(longer, shorter, tol=tol, n_samples=n_samples, rng=rng)
+        report = analysis.divisibility_report(longer, shorter, tol=tol)
 
     write_text_atomic(os.path.join(out, f"{prefix}_divisibility.txt"), report.to_text())
     write_text_atomic(os.path.join(out, f"{prefix}_divisibility.kv"), report.to_kv())
@@ -618,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="path to the run config file")
     parser.add_argument("--out", help="output directory (overrides [output] dir)")
-    parser.add_argument("--seed", type=int, help="seed for sampled quantities only")
+    parser.add_argument("--seed", type=int, help="accepted for compatibility; nothing is sampled")
     parser.add_argument("--log-base", choices=["e", "2"], dest="log_base", help="entropy log base")
     parser.add_argument("--tol", type=float, help="tolerance override for checks")
     parser.add_argument("--max-kicks", type=int, dest="max_kicks", help="enumeration budget override")

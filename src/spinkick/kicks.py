@@ -3,7 +3,7 @@ detection of synchronized (commuting) schedules."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,16 +26,21 @@ class InteractionGeometry:
 
     The free Hamiltonian is Omega h.sigma and the coupling observable is
     alpha.sigma; in the interaction picture the coupling axis precesses
-    about h at frequency Omega.
+    about h at frequency Omega.  h_cross_alpha = h x alpha is derived once
+    here, because r(t) needs it on every call.
     """
 
     h: np.ndarray
     alpha: np.ndarray
     omega: float
+    h_cross_alpha: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h", _unit(self.h, "h"))
         object.__setattr__(self, "alpha", _unit(self.alpha, "alpha"))
+        cross = np.cross(self.h, self.alpha)
+        cross.setflags(write=False)
+        object.__setattr__(self, "h_cross_alpha", cross)
         if self.omega < 0:
             raise ValueError("omega (qubit gap) must be >= 0")
 
@@ -78,7 +83,7 @@ def r_of_t(geom: InteractionGeometry, t: float) -> np.ndarray:
     h, a = geom.h, geom.alpha
     ha = float(h @ a)
     wt = geom.omega * t
-    return ha * h + np.cos(wt) * (a - ha * h) - np.sin(wt) * np.cross(h, a)
+    return ha * h + np.cos(wt) * (a - ha * h) - np.sin(wt) * geom.h_cross_alpha
 
 
 def is_commuting_schedule(

@@ -24,7 +24,7 @@ from .channels import QubitMap, chi_from_affine, default_chi_basis, validate_map
 from .environment import SingleModeThermal
 from .errors import InvalidMap, NonHermitian, StepTooCoarse, TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, r_of_t
-from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, dot_sigma
+from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, dot_sigma, max_image_norm
 
 TAIL_TOL = 1e-12
 
@@ -320,23 +320,11 @@ def nascent_delta_channel(
     return _channel_from_joint_unitary(u, rho_env, basis, meta)
 
 
-_AXES = np.array(
-    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-    dtype=float,
-)
+def channel_distance(c1, c2) -> float:
+    """Largest trace distance between the two maps' outputs over all states.
 
-
-def channel_distance(c1, c2, n_random: int = 100, seed: int = 2718) -> float:
-    """Max trace distance between outputs over a fixed probe-state set.
-
-    The probes are the six axis states plus n_random fixed pseudo-random
-    pure states; zero exactly when the affine parts agree on the sample (the
-    axis states alone already pin down A and b).
+    Half the exact maximum of |(A1 - A2) u + (b1 - b2)| over the Bloch ball
+    (``max_image_norm``); zero exactly when the affine parts agree.
     """
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n_random, 3))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    probes = np.vstack([_AXES, pts])
-    out1 = probes @ c1.affine.matrix.T + c1.affine.shift
-    out2 = probes @ c2.affine.matrix.T + c2.affine.shift
-    return 0.5 * float(np.max(np.linalg.norm(out1 - out2, axis=1)))
+    diff = AffineBlochMap(c1.affine.matrix - c2.affine.matrix, c1.affine.shift - c2.affine.shift)
+    return 0.5 * max_image_norm(diff)[0]

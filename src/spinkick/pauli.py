@@ -108,6 +108,48 @@ def apply_affine(m: AffineBlochMap, u) -> np.ndarray:
     return m.matrix @ np.asarray(u, dtype=float) + m.shift
 
 
+def max_image_norm(m: AffineBlochMap):
+    """Largest |A u + b| over unit vectors u, and a unit u that attains it.
+
+    Maximizing |A u + b|^2 = u.M u + 2 c.u + |b|^2 (M = A^T A, c = A^T b) on
+    the sphere is a trust-region subproblem.  With M = V diag(l) V^T and
+    d = V^T c the maximizer is u = V x, x_i = d_i / (delta + g_i), where
+    g_i = l_max - l_i >= 0 and delta >= 0 solves the secular equation
+    |x(delta)| = 1; working in delta rather than mu = l_max + delta keeps
+    small gaps exact.  In the hard case d vanishes on the top eigenspace and
+    |x(0)| <= 1 (every map with b = 0, such as dephasing or white-kick
+    transition maps): then delta = 0 and a top eigenvector fills the rest of
+    the unit length.  Otherwise delta is found by Newton's method on
+    1/|x(delta)| - 1, which is concave and increasing, so from the lower
+    bound max(|d_i| - g_i, 0) the iterates climb to the root without
+    overshooting.  By convexity of |A u + b| the value is also the maximum
+    over the whole Bloch ball.
+    """
+    a, b = m.matrix, m.shift
+    lam, v = np.linalg.eigh(a.T @ a)
+    d = v.T @ (a.T @ b)
+    gap = lam[-1] - lam
+    keep = d != 0.0
+    dk, gk = d[keep], gap[keep]
+    hard = not np.any(gk == 0.0) and np.sum((dk / gk) ** 2) <= 1.0
+    delta = 0.0
+    if not hard:
+        delta = max(0.0, float(np.max(np.abs(dk) - gk)))
+        for _ in range(100):
+            xk = dk / (delta + gk)
+            length_sq = xk @ xk
+            step = length_sq * (np.sqrt(length_sq) - 1.0) / (xk @ (xk / (delta + gk)))
+            if not step > np.finfo(float).eps * delta:
+                break
+            delta += step
+    x = np.divide(d, delta + gap, out=np.zeros(3), where=keep)
+    if hard:
+        x[-1] = np.sqrt(max(0.0, 1.0 - x @ x))
+    u = v @ x
+    u /= np.linalg.norm(u)
+    return float(np.linalg.norm(a @ u + b)), u
+
+
 @dataclass(frozen=True)
 class OperatorBasis:
     """Four 2x2 operators orthonormal under <A,B> = tr(B^dag A)."""

@@ -1,7 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from spinkick import InteractionGeometry, KickSchedule, SingleModeThermal
+
+
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n nearly-uniform points on the unit sphere, deterministic: the dense
+    sampler that exact sphere maxima are checked against."""
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    theta = golden * i
+    return np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
 
 
 def random_unit(rng) -> np.ndarray:

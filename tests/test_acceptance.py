@@ -25,7 +25,7 @@ from spinkick import (
     fixed_point,
     fock_spec_for,
     is_cp,
-    is_positive,
+    max_image_norm,
     nascent_delta_channel,
     oracle_channel,
     single_kick_channel,
@@ -34,6 +34,7 @@ from spinkick import (
     two_kick_params,
     r_of_t,
 )
+from spinkick.analysis import PSD_TOL
 from spinkick.channels import chi_from_affine
 from conftest import random_geometry, random_unit
 
@@ -195,17 +196,18 @@ def test_criterion_4_chi_eigenvalue_formulas():
 
 
 def test_criterion_5_divisibility_equivalence():
-    """is_cp and is_positive agree on every two-kick transition map."""
+    """is_cp and the exact positivity check agree on every two-kick transition map."""
     instances = _two_kick_instances()
     cp_count = 0
     for params, theta, white in instances:
         cp = is_cp(theta)
-        positive, witness = is_positive(theta, n_samples=10_000)
+        norm, witness = max_image_norm(theta.affine)
+        positive = norm <= 1.0 + PSD_TOL
         assert cp == positive, f"CP={cp} but P={positive} (k={params.k}, h={params.h})"
         if cp:
             cp_count += 1
         else:
-            assert witness is not None
+            assert np.linalg.norm(apply_affine(theta.affine, witness)) > 1.0 + PSD_TOL
     assert 0 < cp_count < len(instances)  # both verdicts exercised
     _report(5, f"{len(instances)} maps, zero CP/P disagreements ({cp_count} divisible)")
 

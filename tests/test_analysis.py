@@ -22,7 +22,7 @@ from spinkick import (
     fixed_point,
     identity_channel,
     is_cp,
-    is_positive,
+    max_image_norm,
     post_kick_purity,
     purity,
     single_kick_channel,
@@ -33,10 +33,10 @@ from spinkick import (
     two_kick_params,
     apply_affine,
 )
-from spinkick.analysis import entropy_from_purity, fibonacci_sphere
+from spinkick.analysis import PSD_TOL, entropy_from_purity
 from spinkick.channels import QubitMap, chi_from_affine
 from spinkick.pauli import AffineBlochMap, pauli_basis
-from conftest import random_geometry, random_schedule
+from conftest import fibonacci_sphere, random_geometry, random_schedule
 
 
 def test_purity_examples():
@@ -203,15 +203,18 @@ def test_is_cp_examples(vacuum, standard_geometry):
 
 
 def test_is_positive_identity():
-    ok, witness = is_positive(identity_channel())
-    assert ok and witness is None
+    norm, _ = max_image_norm(identity_channel().affine)
+    assert norm <= 1.0 + PSD_TOL
 
 
 def test_is_positive_witness(vacuum, standard_geometry):
     longer = two_kick_closed_form(vacuum, standard_geometry, 0.0, 0.7)
-    theta = transition_map(longer, single_kick_channel(vacuum, standard_geometry, 0.0))
-    ok, witness = is_positive(theta)
-    assert not ok
+    shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
+    theta = transition_map(longer, shorter)
+    assert max_image_norm(theta.affine)[0] > 1.0 + PSD_TOL
+    report = divisibility_report(longer, shorter)
+    assert not report.p_divisible
+    witness = report.witness
     np.testing.assert_allclose(witness, theta.meta["r_last"], atol=1e-12)
     params = two_kick_params(vacuum, standard_geometry, 0.0, 0.7)
     out = apply_affine(theta.affine, witness)
@@ -225,7 +228,7 @@ def test_is_positive_synthetic_h():
     for h_abs, expect in ((0.7, True), (1.0, True), (1.3, False)):
         aff = AffineBlochMap(np.diag([1.0, h_abs**2, h_abs**2]), np.zeros(3))
         tm = QubitMap(aff, chi_from_affine(aff, pauli_basis()), pauli_basis(), {}, cp=False)
-        ok, _ = is_positive(tm)
+        ok = max_image_norm(tm.affine)[0] <= 1.0 + PSD_TOL
         assert ok is expect
         assert is_cp(tm) is expect
 
@@ -248,7 +251,7 @@ def test_cp_equals_positive_two_kicks():
         except Exception:
             continue
         cp = is_cp(theta)
-        pos, _ = is_positive(theta)
+        pos = max_image_norm(theta.affine)[0] <= 1.0 + PSD_TOL
         assert cp == pos
         if cp:
             assert pos  # CP implies P

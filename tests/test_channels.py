@@ -1,9 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from spinkick import (
-    GammaCoefficient,
+    GaussianEnvironment,
     InteractionGeometry,
+    LengthMismatch,
     KickSchedule,
     NonCommutingSchedule,
     NonEvenEnvironment,
@@ -16,8 +19,8 @@ from spinkick import (
     compose,
     dephasing_channel,
     dephasing_gamma,
-    gamma_coefficient,
     gaussian_char,
+    gram_matrix,
     identity_channel,
     invert_channel,
     load_channel,
@@ -39,7 +42,48 @@ from conftest import random_geometry, random_schedule
 
 
 # ---------------------------------------------------------------------------
-# gamma coefficients
+# gamma coefficients: the pairwise formula is the reference for _gamma_matrix
+
+
+@dataclass(frozen=True)
+class GammaCoefficient:
+    """One Weyl-relation coefficient gamma(s, s') with its sign vectors."""
+
+    value: complex
+    s: tuple
+    s_prime: tuple
+
+    def __post_init__(self):
+        if len(self.s) != len(self.s_prime):
+            raise LengthMismatch("sign vectors differ in length")
+        if abs(self.value) > 1.0 + 1e-10:
+            raise ValueError(f"|gamma| = {abs(self.value)} exceeds 1")
+        if tuple(self.s) == tuple(self.s_prime) and abs(self.value - 1.0) > 1e-12:
+            raise ValueError("gamma(s, s) must equal 1")
+
+
+def gamma_coefficient(env: GaussianEnvironment, sched: KickSchedule, s, s_prime) -> complex:
+    """Coefficient gamma(s, s') of the exact n-kick channel, one pair at a time.
+
+    Gaussian expectation of the projected Weyl-operator string: a phase from
+    the means, a self-variance damping factor, and cross terms coupling each
+    kick to all earlier ones through the centered correlator.  gamma(s, s)
+    is exactly 1.
+    """
+    s = np.asarray(s, dtype=float)
+    sp = np.asarray(s_prime, dtype=float)
+    n = len(sched.times)
+    if s.shape != (n,) or sp.shape != (n,):
+        raise LengthMismatch(f"sign vectors must have length {n}")
+    lam = sched.weights
+    mu = lam * np.array([env.mean(t) for t in sched.times])
+    gram = gram_matrix(env, sched.times, lam)
+    var = np.diag(gram).real
+    expo = 1j * ((sp - s) @ mu) - 0.5 * ((sp - s) ** 2 @ var)
+    for i in range(n):
+        for j in range(i):
+            expo -= (s[i] - sp[i]) * (s[j] * gram[i, j] - sp[j] * gram[j, i])
+    return complex(np.exp(expo))
 
 
 def test_gamma_diagonal_is_one(vacuum, standard_geometry):

@@ -424,6 +424,42 @@ def test_divisibility_after_erasing_kick_is_singular(tmp_path, capsys):
     assert np.linalg.eigvalsh(longer.chi).min() > 0.29
 
 
+# chi's smallest eigenvalue is -7.6e-11, inside the 1e-10 tolerance, while
+# rounding lifts the image of the unit sphere to 1 + 1.1e-10
+CP_AT_ROUNDING_CFG = TWO_KICK_CFG.format(
+    env="model = white_kick\nvariance = 1.0862921068769453",
+    h="0 0 1", alpha="0 1 0", gap="1.6544937572858738",
+    times="0.15385277108826723 0.4927448533294416 2.8433797086990795",
+    weights="1.1841735273762743 2.1111604474218986 1.195031453043704",
+)
+
+
+def test_divisibility_cp_implies_p(tmp_path):
+    """A CP step is reported positive even where the image of the sphere
+    reads just past 1 + tol; this report used to end in a traceback."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, CP_AT_ROUNDING_CFG.format(out=out))
+    assert main(["--config", cfg, "divisibility"]) == EXIT_OK
+    kv = _kv(out / "run_divisibility.kv")
+    assert kv["cp_divisible"] == "true"
+    assert kv["p_divisible"] == "true"
+    assert "witness" not in kv
+
+
+def test_seed_and_sampling_keys_change_nothing(tmp_path, capsys):
+    """--seed, [analysis] seed and sphere_samples are still accepted, and the
+    divisibility files and stdout are the same bytes with and without them."""
+    runs = []
+    for name, flags, keys in (("plain", [], ""), ("seeded", ["--seed", "5"], "seed = 3\nsphere_samples = 20\n")):
+        out = tmp_path / name
+        body = BASE_CFG.format(out=out).replace("times = 0.0", "times = 0.0 0.7") + "\n[analysis]\n" + keys
+        assert main(["--config", write_cfg(tmp_path, body, f"{name}.cfg"), *flags, "divisibility"]) == EXIT_OK
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs.append((files, capsys.readouterr().out))
+    assert b"witness=" in runs[0][0]["run_divisibility.kv"]
+    assert runs[0] == runs[1]
+
+
 ILL_CONDITIONED_CFG = """
 [environment]
 model = single_mode_thermal

@@ -86,3 +86,18 @@ def test_empty_schedule_commutes(standard_geometry):
     ok, signs = is_commuting_schedule(standard_geometry, KickSchedule([]))
     assert ok
     assert len(signs) == 0
+
+
+def test_cached_cross_product_keeps_r_of_t_bits():
+    """r(t) with the cached h x alpha equals the formula with the cross
+    product taken on every call, bit for bit."""
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        h, a = rng.normal(size=(2, 3))
+        geom = InteractionGeometry(h / np.linalg.norm(h), a / np.linalg.norm(a), rng.uniform(0, 3))
+        for t in rng.uniform(-5, 5, size=5):
+            ha = float(geom.h @ geom.alpha)
+            wt = geom.omega * t
+            cross = np.cross(geom.h, geom.alpha)
+            direct = ha * geom.h + np.cos(wt) * (geom.alpha - ha * geom.h) - np.sin(wt) * cross
+            assert np.array_equal(r_of_t(geom, t), direct)

@@ -76,6 +76,7 @@ from .oracle import (
     rotated_spectrum,
 )
 from .pauli import (
+    PAULI_BASIS,
     AffineBlochMap,
     OperatorBasis,
     apply_affine,
@@ -83,7 +84,6 @@ from .pauli import (
     density_to_bloch,
     is_physical_bloch,
     max_image_norm,
-    pauli_basis,
     projector,
 )
 

@@ -106,7 +106,7 @@ def trace_distance(u1, u2) -> float:
 # fixed points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointResult:
     u_f: np.ndarray
     spectral_radius: float
@@ -165,7 +165,7 @@ def is_cp(m, tol: float = PSD_TOL) -> bool:
     return bool(np.linalg.eigvalsh(m.chi).min() >= -tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivisibilityReport:
     """CP/P verdicts for a transition map, with eigenvalues and witness."""
 

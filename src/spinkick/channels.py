@@ -34,21 +34,21 @@ from .errors import (
     SingularChannel,
     TooManyKicks,
 )
-from .kicks import COMMUTE_TOL, InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
+from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
 from .pauli import (
     I2,
     PAULI,
+    PAULI_BASIS,
     AffineBlochMap,
     OperatorBasis,
     apply_affine,
     density_to_bloch,
     dot_sigma,
-    pauli_basis,
 )
 
 MAX_KICKS_DEFAULT = 10
 
-# Below this cross-product norm the two reference axes are treated as
+# At or below this |r_last x r_first| the two reference axes are treated as
 # parallel when choosing a chi basis.  Kept deliberately coarse (1e-3) so the
 # constructed basis stays orthonormal to ~1e-13 even at the cutoff.
 PARALLEL_BASIS_TOL = 1e-3
@@ -88,19 +88,19 @@ def _gamma_matrix(env, times, weights, signs: np.ndarray) -> np.ndarray:
 # chi bases and chi <-> affine conversion
 
 
-def two_kick_frame(r_later, r_earlier, tol: float = 1e-10) -> np.ndarray:
+def two_kick_frame(r_later, r_earlier) -> np.ndarray:
     """Orthonormal frame (rows e1, e2, e3) adapted to two kick axes.
 
     e1 = r_later, e2 completes r_earlier in the (r_later, r_earlier) plane,
     e3 is along r_later x r_earlier.  Raises ParallelAxes when the plane is
-    degenerate.
+    degenerate (|r_later x r_earlier| <= 1e-10).
     """
     r1 = np.asarray(r_later, dtype=float)
     r0 = np.asarray(r_earlier, dtype=float)
     cross = np.cross(r1, r0)
     nc = np.linalg.norm(cross)
-    if nc <= tol:
-        raise ParallelAxes(f"|r_later x r_earlier| = {nc:.3e} <= {tol}")
+    if nc <= 1e-10:
+        raise ParallelAxes(f"|r_later x r_earlier| = {nc:.3e} <= 1e-10")
     alpha = float(r1 @ r0)
     e2 = (r0 - alpha * r1) / nc
     return np.stack([r1, e2, cross / nc])
@@ -112,15 +112,18 @@ def basis_from_frame(frame: np.ndarray) -> OperatorBasis:
     return OperatorBasis(np.stack(ops) / np.sqrt(2.0))
 
 
-def default_chi_basis(r_last, r_first) -> OperatorBasis:
-    """Basis used to accumulate chi matrices.
+def default_chi_basis(axes) -> OperatorBasis:
+    """The chi basis of every constructed map, from its kick axes in time order.
 
-    The frame adapted to (r_last, r_first) when those axes are well
-    separated; the Pauli basis otherwise.
+    The frame of the last and first axes (``two_kick_frame``) when
+    |r_last x r_first| > PARALLEL_BASIS_TOL; the Pauli basis otherwise, which
+    covers a single axis and an empty schedule.
     """
-    cross = np.cross(np.asarray(r_last, float), np.asarray(r_first, float))
-    if np.linalg.norm(cross) <= PARALLEL_BASIS_TOL:
-        return pauli_basis()
+    if len(axes) == 0:
+        return PAULI_BASIS
+    r_last, r_first = np.asarray(axes[-1], float), np.asarray(axes[0], float)
+    if np.linalg.norm(np.cross(r_last, r_first)) <= PARALLEL_BASIS_TOL:
+        return PAULI_BASIS
     return basis_from_frame(two_kick_frame(r_last, r_first))
 
 
@@ -219,12 +222,13 @@ def validate_map(m, herm_tol: float = 1e-10, tp_tol: float = 1e-10) -> None:
         raise InvalidMap(f"not trace preserving: sum chi B^dag B deviates by {dev:.3e}")
 
 
-def validate_channel(ch: QubitMap, psd_tol: float = 1e-10, **kw) -> None:
-    """Channel invariants: Hermitian chi, trace preservation, chi PSD."""
-    validate_map(ch, **kw)
+def validate_channel(ch: QubitMap) -> None:
+    """Channel invariants: Hermitian chi, trace preservation, chi PSD (min
+    eigenvalue >= -1e-10)."""
+    validate_map(ch)
     lo = np.linalg.eigvalsh(ch.chi).min()
-    if lo < -psd_tol:
-        raise InvalidMap(f"chi not PSD: min eigenvalue {lo:.3e} < {-psd_tol}")
+    if lo < -1e-10:
+        raise InvalidMap(f"chi not PSD: min eigenvalue {lo:.3e} < -1e-10")
 
 
 def _map(affine, basis, meta, cp=True, chi=None) -> QubitMap:
@@ -237,20 +241,16 @@ def _map(affine, basis, meta, cp=True, chi=None) -> QubitMap:
     return m
 
 
-def identity_channel(basis: OperatorBasis | None = None) -> QubitMap:
-    return _map(AffineBlochMap.identity(), basis or pauli_basis(), {"kind": "identity"})
+def identity_channel() -> QubitMap:
+    """The channel of an empty schedule, in the Pauli basis."""
+    return _map(AffineBlochMap.identity(), default_chi_basis(()), {"kind": "identity"})
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def phase_damping_channel(
-    r_axis,
-    gamma: complex,
-    basis: OperatorBasis | None = None,
-    meta: dict | None = None,
-) -> QubitMap:
+def phase_damping_channel(r_axis, gamma: complex, meta: dict | None = None) -> QubitMap:
     """Generalized phase damping about a fixed axis with complex gamma.
 
     Operator form P+ rho P+ + P- rho P- + gamma P+ rho P- + conj(gamma)
@@ -270,11 +270,9 @@ def phase_damping_channel(
             + np.conj(g) * (p_minus @ rho @ p_plus)
         )
 
-    affine = _affine_from_action(act)
-    basis = basis or default_chi_basis(r, r)
     md = {"kind": "phase_damping", "gamma": g, "r_last": tuple(r)}
     md.update(meta or {})
-    return _map(affine, basis, md)
+    return _map(_affine_from_action(act), default_chi_basis([r]), md)
 
 
 def single_kick_channel(
@@ -282,7 +280,6 @@ def single_kick_channel(
     geom: InteractionGeometry,
     t0: float,
     weight: float = 1.0,
-    basis: OperatorBasis | None = None,
 ) -> QubitMap:
     """Exact channel for one kick at t0: phase damping about r(t0) with
     gamma = <exp(-2i w O(t0))>.
@@ -299,14 +296,13 @@ def single_kick_channel(
         "weights": (float(weight),),
         "environment": repr(env),
     }
-    return phase_damping_channel(r, gamma, basis=basis, meta=meta)
+    return phase_damping_channel(r, gamma, meta=meta)
 
 
 def build_n_kick_channel(
     env: GaussianEnvironment,
     geom: InteractionGeometry,
     sched: KickSchedule,
-    basis: OperatorBasis | None = None,
     max_kicks: int = MAX_KICKS_DEFAULT,
 ) -> QubitMap:
     """Exact channel for an arbitrary kick schedule by full 4^n enumeration.
@@ -318,13 +314,12 @@ def build_n_kick_channel(
     """
     n = len(sched)
     if n == 0:
-        return identity_channel(basis)
+        return identity_channel()
     if n > max_kicks:
         raise TooManyKicks(f"{n} kicks exceeds budget of {max_kicks} (4^n terms)")
     times = sched.times
     rs = np.stack([r_of_t(geom, t) for t in times])
-    if basis is None:
-        basis = default_chi_basis(rs[-1], rs[0])
+    basis = default_chi_basis(rs)
 
     signs = _sign_matrix(n)
     m_count = signs.shape[0]
@@ -353,7 +348,7 @@ def build_n_kick_channel(
     return _map(affine, basis, meta, chi=chi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoKickParams:
     """Closed-form parameters of the two-kick channel on an even state."""
 
@@ -362,10 +357,6 @@ class TwoKickParams:
     h: complex
     k: complex
     frame: np.ndarray
-
-    @property
-    def shift_magnitude(self) -> float:
-        return 2.0 * float(np.imag(np.conj(self.h) * self.k))
 
 
 def two_kick_params(
@@ -431,24 +422,17 @@ def two_kick_closed_form(
     t0: float,
     t1: float,
     weights=(1.0, 1.0),
-    basis: OperatorBasis | None = None,
 ) -> QubitMap:
     """Closed-form two-kick channel on an even environment.
 
     When r(t1) is parallel to r(t0) the e-frame degenerates; the schedule is
     then commuting and the construction falls back to the dephasing channel.
     """
-    if not env.is_even:
-        raise NonEvenEnvironment("two-kick closed form assumes a vanishing mean")
     try:
         params = two_kick_params(env, geom, t0, t1, weights)
     except ParallelAxes:
-        return dephasing_channel(env, geom, KickSchedule([t0, t1], list(weights)), basis=basis)
-    affine = _two_kick_affine(params)
+        return dephasing_channel(env, geom, KickSchedule([t0, t1], list(weights)))
     r1 = params.frame[0]
-    r0 = r_of_t(geom, t0)
-    if basis is None:
-        basis = default_chi_basis(r1, r0)
     meta = {
         "kind": "two_kick_closed_form",
         "times": (float(t0), float(t1)),
@@ -457,37 +441,26 @@ def two_kick_closed_form(
         "r_last": tuple(r1),
         "closed_form": {"alpha": params.alpha, "g": params.g, "h": params.h, "k": params.k},
     }
-    return _map(affine, basis, meta)
+    return _map(_two_kick_affine(params), default_chi_basis([r_of_t(geom, t0), r1]), meta)
 
 
-def dephasing_gamma(
-    env: GaussianEnvironment,
-    geom: InteractionGeometry,
-    sched: KickSchedule,
-    tol: float = COMMUTE_TOL,
-) -> complex:
+def dephasing_gamma(env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> complex:
     """Dephasing coefficient <exp(-2i sum_k f_k w_k O(t_k))> of a commuting
     schedule."""
-    ok, signs = is_commuting_schedule(geom, sched, tol)
+    ok, signs = is_commuting_schedule(geom, sched)
     if not ok:
         raise NonCommutingSchedule("kick axes are not collinear within tolerance")
     return gaussian_char(env, sched.times, 2.0 * signs * sched.weights)
 
 
-def dephasing_channel(
-    env: GaussianEnvironment,
-    geom: InteractionGeometry,
-    sched: KickSchedule,
-    tol: float = COMMUTE_TOL,
-    basis: OperatorBasis | None = None,
-) -> QubitMap:
+def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> QubitMap:
     """Phase damping channel for a synchronized (commuting) schedule.
 
     All kick axes share one spectral decomposition, so the 4^n enumeration
     collapses to a single coefficient computed in O(n^2) from the correlator
     double sum.  Time ordering contributes only a global phase and drops out.
     """
-    ok, signs = is_commuting_schedule(geom, sched, tol)
+    ok, signs = is_commuting_schedule(geom, sched)
     if not ok:
         raise NonCommutingSchedule("kick axes are not collinear within tolerance")
     r = r_of_t(geom, sched.times[0])
@@ -499,17 +472,17 @@ def dephasing_channel(
         "signs": tuple(int(f) for f in signs),
         "environment": repr(env),
     }
-    return phase_damping_channel(r, gamma, basis=basis, meta=meta)
+    return phase_damping_channel(r, gamma, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # map algebra
 
 
-def compose(later: QubitMap, earlier: QubitMap, basis: OperatorBasis | None = None) -> QubitMap:
+def compose(later: QubitMap, earlier: QubitMap) -> QubitMap:
     """Composition later o earlier; affine parts multiply, chi is recomputed
-    from the composed action in ``basis`` (default: the later map's).  The
-    result is a channel only when both factors are."""
+    from the composed action in the later map's basis.  The result is a
+    channel only when both factors are."""
     a2, b2 = later.affine.matrix, later.affine.shift
     a1, b1 = earlier.affine.matrix, earlier.affine.shift
     affine = AffineBlochMap(a2 @ a1, a2 @ b1 + b2)
@@ -518,7 +491,7 @@ def compose(later: QubitMap, earlier: QubitMap, basis: OperatorBasis | None = No
         "parents": (later.meta.get("kind"), earlier.meta.get("kind")),
         "r_last": later.meta.get("r_last"),
     }
-    return _map(affine, basis or later.basis, meta, cp=later.cp and earlier.cp)
+    return _map(affine, later.basis, meta, cp=later.cp and earlier.cp)
 
 
 def invert_channel(ch: QubitMap) -> QubitMap:
@@ -547,7 +520,7 @@ def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
     Hermiticity- and trace-preserving by construction; complete positivity
     of Theta is exactly what divisibility analysis interrogates.
     """
-    theta = compose(longer, invert_channel(shorter), basis=longer.basis)
+    theta = compose(longer, invert_channel(shorter))
     meta = dict(theta.meta)
     meta.update(
         {
@@ -568,21 +541,18 @@ def two_kick_transition_map(
     t0: float,
     t1: float,
     weights=(1.0, 1.0),
-    basis: OperatorBasis | None = None,
 ) -> QubitMap:
     """Closed-form transition map of the two-kick process: the two-kick
     affine action with g set to 1."""
     params = two_kick_params(env, geom, t0, t1, weights)
-    affine = _two_kick_affine(params, unit_g=True)
-    if basis is None:
-        basis = default_chi_basis(params.frame[0], r_of_t(geom, t0))
     meta = {
         "kind": "transition_closed_form",
         "times": (float(t0), float(t1)),
         "r_last": tuple(params.frame[0]),
         "closed_form": {"alpha": params.alpha, "g": params.g, "h": params.h, "k": params.k},
     }
-    return _map(affine, basis, meta, cp=False)
+    basis = default_chi_basis([r_of_t(geom, t0), params.frame[0]])
+    return _map(_two_kick_affine(params, unit_g=True), basis, meta, cp=False)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ def _unit(v, name: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionGeometry:
     """Free-Hamiltonian axis h, coupling axis alpha, and qubit gap Omega.
 
@@ -33,7 +33,7 @@ class InteractionGeometry:
     h: np.ndarray
     alpha: np.ndarray
     omega: float
-    h_cross_alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    h_cross_alpha: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h", _unit(self.h, "h"))
@@ -45,7 +45,7 @@ class InteractionGeometry:
             raise ValueError("omega (qubit gap) must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KickSchedule:
     """Strictly increasing kick times with positive per-kick weights."""
 
@@ -86,13 +86,11 @@ def r_of_t(geom: InteractionGeometry, t: float) -> np.ndarray:
     return ha * h + np.cos(wt) * (a - ha * h) - np.sin(wt) * geom.h_cross_alpha
 
 
-def is_commuting_schedule(
-    geom: InteractionGeometry, sched: KickSchedule, tol: float = COMMUTE_TOL
-):
+def is_commuting_schedule(geom: InteractionGeometry, sched: KickSchedule):
     """Whether all kick axes r(t_i) are collinear, and the signs if so.
 
     Returns (True, f) with f_k = sign(r(t_k) . r(t_0)) when every pairwise
-    cross product has norm <= tol, else (False, None).  Near-commuting
+    cross product has norm <= COMMUTE_TOL, else (False, None).  Near-commuting
     schedules are treated as non-commuting: exactness is preferred over a
     silent approximation.
     """
@@ -102,7 +100,7 @@ def is_commuting_schedule(
     n = len(rs)
     for i in range(n):
         for j in range(i):
-            if np.linalg.norm(np.cross(rs[i], rs[j])) > tol:
+            if np.linalg.norm(np.cross(rs[i], rs[j])) > COMMUTE_TOL:
                 return False, None
     signs = np.where(rs @ rs[0] >= 0.0, 1, -1).astype(int)
     return True, signs

@@ -27,6 +27,7 @@ from .kicks import InteractionGeometry, KickSchedule, r_of_t
 from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, dot_sigma, max_image_norm
 
 TAIL_TOL = 1e-12
+DIM_STEP = 10  # Fock levels added per truncation step of oracle_channel
 
 
 @dataclass(frozen=True)
@@ -180,63 +181,60 @@ def _channel_from_joint_unitary(u: np.ndarray, rho_env: np.ndarray, basis: Opera
     return ch
 
 
-def _build_at_dim(spec: FockSpec, geom: InteractionGeometry, times, weights, basis: OperatorBasis):
+def _channel_at_dim(spec: FockSpec, geom: InteractionGeometry, steps, basis: OperatorBasis, meta: dict) -> QubitMap:
+    """Reduced channel of the joint steps (t, w), in time order, at spec.dim.
+
+    One eigendecomposition of the coupling serves every step; the product
+    of the steps acts on the qubit and the truncated environment state, and
+    the channel is read from its blocks.  meta gains the dimension, the
+    state's tail mass and the work done.
+    """
     spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
-    u = None
-    for t, w in zip(times, weights):
+    u = np.eye(2 * spec.dim, dtype=complex)
+    for k, (t, w) in enumerate(steps):
         step = kick_unitary(r_of_t(geom, t), rotated_spectrum(spec, spectrum, t), w)
-        u = step if u is None else step @ u
-    if u is None:
-        u = np.eye(2 * spec.dim, dtype=complex)
+        u = step @ u if k else step  # the identity stays only for an empty train
     rho_env, tail = environment_state(spec)
-    meta = {"kind": "oracle", "dim": spec.dim, "tail": tail, "kick_steps": len(times), "eigendecompositions": 1}
-    return _channel_from_joint_unitary(u, rho_env, basis, meta), tail
+    meta = {**meta, "dim": spec.dim, "tail": tail, "kick_steps": len(steps), "eigendecompositions": 1}
+    return _channel_from_joint_unitary(u, rho_env, basis, meta)
 
 
 def oracle_channel(
     spec: FockSpec,
     geom: InteractionGeometry,
     sched: KickSchedule,
-    basis: OperatorBasis | None = None,
     stability_tol: float = 1e-8,
-    dim_step: int = 10,
     max_dim: int = 300,
 ) -> QubitMap:
     """Brute-force channel with adaptive Fock truncation.
 
-    Starting from spec.dim, the dimension grows by dim_step until the
+    Starting from spec.dim, the dimension grows by DIM_STEP until the
     reconstructed channel changes by less than stability_tol under one more
     increment and the state tail is negligible; the finer result is
     returned, with the dimension and stability recorded in meta.  meta also
     counts the work of the whole search: ``kick_steps`` joint steps and
     ``eigendecompositions`` of the coupling, one per truncation tried.
     """
-    times, weights = sched.times, sched.weights
-    if basis is None:
-        rs = [r_of_t(geom, t) for t in times]
-        basis = default_chi_basis(rs[-1], rs[0]) if len(rs) else default_chi_basis([0, 0, 1], [0, 0, 1])
+    steps = list(zip(sched.times, sched.weights))
+    basis = default_chi_basis([r_of_t(geom, t) for t in sched.times])
     dim = spec.dim
-    current, tail = _build_at_dim(replace(spec, dim=dim), geom, times, weights, basis)
+    current = _channel_at_dim(replace(spec, dim=dim), geom, steps, basis, {"kind": "oracle"})
     work = {key: current.meta[key] for key in ("kick_steps", "eigendecompositions")}
     history = []
     while True:
-        next_dim = dim + dim_step
+        next_dim = dim + DIM_STEP
         if next_dim > max_dim:
             raise TruncationNotConverged(
                 f"no stable channel up to dim {max_dim} (tol {stability_tol})"
             )
-        finer, tail_f = _build_at_dim(replace(spec, dim=next_dim), geom, times, weights, basis)
+        finer = _channel_at_dim(replace(spec, dim=next_dim), geom, steps, basis, {"kind": "oracle"})
         dist = channel_distance(current, finer)
         history.append((next_dim, dist))
         for key in work:
             work[key] += finer.meta[key]
-        if dist < stability_tol and tail_f < TAIL_TOL:
-            meta = dict(finer.meta)
-            meta.update(
-                {"dim": next_dim, "stability": dist, "tail": tail_f, "history": tuple(history), **work}
-            )
-            return replace(finer, meta=meta)
-        current, tail, dim = finer, tail_f, next_dim
+        if dist < stability_tol and finer.meta["tail"] < TAIL_TOL:
+            return replace(finer, meta={**finer.meta, "stability": dist, "history": tuple(history), **work})
+        current, dim = finer, next_dim
 
 
 # normalized switching profiles and their half-widths in units of delta_t
@@ -254,7 +252,6 @@ def nascent_delta_channel(
     steps_per_kick: int = 48,
     shape: str = "gaussian",
     weights=None,
-    basis: OperatorBasis | None = None,
 ) -> QubitMap:
     """Channel from smooth switchings of width delta_t replacing each delta.
 
@@ -263,7 +260,8 @@ def nascent_delta_channel(
     each pulse.  As delta_t -> 0 this converges to the delta-kick channel on
     the same schedule.  Zero weights are allowed (identity contribution).
     meta counts the ``kick_steps`` taken and the one eigendecomposition of
-    the coupling they share.
+    the coupling they share.  The chi basis comes from the kick axes, not
+    from the pulse grid.
     """
     times = np.asarray(kick_times, dtype=float)
     w = np.ones(len(times)) if weights is None else np.asarray(weights, dtype=float)
@@ -290,34 +288,15 @@ def nascent_delta_channel(
     vals = profile(xs)
     vals = vals / vals.sum()
 
-    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
-    u = np.eye(2 * spec.dim, dtype=complex)
-    kick_steps = 0
-    order = np.argsort(times)
-    for idx in order:
-        for x, frac in zip(xs, vals):
-            t = times[idx] + delta_t * x
-            theta = w[idx] * frac
-            if theta == 0.0:
-                continue
-            step = kick_unitary(r_of_t(geom, t), rotated_spectrum(spec, spectrum, t), theta)
-            u = step @ u
-            kick_steps += 1
-    rho_env, tail = environment_state(spec)
-    if basis is None:
-        rs = [r_of_t(geom, t) for t in times]
-        basis = default_chi_basis(rs[-1], rs[0])
-    meta = {
-        "kind": "nascent_delta",
-        "dim": spec.dim,
-        "tail": tail,
-        "delta_t": float(delta_t),
-        "shape": shape,
-        "steps_per_kick": int(steps_per_kick),
-        "kick_steps": kick_steps,
-        "eigendecompositions": 1,
-    }
-    return _channel_from_joint_unitary(u, rho_env, basis, meta)
+    steps = [
+        (times[idx] + delta_t * x, w[idx] * frac)
+        for idx in np.argsort(times)
+        for x, frac in zip(xs, vals)
+        if w[idx] * frac != 0.0
+    ]
+    basis = default_chi_basis([r_of_t(geom, t) for t in times])
+    meta = {"kind": "nascent_delta", "delta_t": float(delta_t), "shape": shape, "steps_per_kick": int(steps_per_kick)}
+    return _channel_at_dim(spec, geom, steps, basis, meta)
 
 
 def channel_distance(c1, c2) -> float:

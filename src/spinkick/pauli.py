@@ -7,7 +7,7 @@ here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,7 @@ def projector(r, s: int) -> np.ndarray:
     return (I2 + s * dot_sigma(r)) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineBlochMap:
     """Affine action u -> A u + b on Bloch vectors.
 
@@ -150,27 +150,20 @@ def max_image_norm(m: AffineBlochMap):
     return float(np.linalg.norm(a @ u + b)), u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
-    """Four 2x2 operators orthonormal under <A,B> = tr(B^dag A)."""
+    """Four 2x2 operators orthonormal (to 1e-12) under <A,B> = tr(B^dag A)."""
 
     ops: np.ndarray
-    tol: float = field(default=1e-12, compare=False)
 
     def __post_init__(self):
         ops = np.array(self.ops, dtype=complex).reshape(4, 2, 2)
         gram = np.einsum("byx,ayx->ab", ops.conj(), ops)
-        if np.max(np.abs(gram - np.eye(4))) > self.tol:
-            raise ValueError(
-                f"basis not orthonormal: max Gram deviation "
-                f"{np.max(np.abs(gram - np.eye(4))):.3e} > {self.tol}"
-            )
+        dev = np.max(np.abs(gram - np.eye(4)))
+        if dev > 1e-12:
+            raise ValueError(f"basis not orthonormal: max Gram deviation {dev:.3e} > 1e-12")
         object.__setattr__(self, "ops", _freeze(ops))
 
-    def __getitem__(self, a: int) -> np.ndarray:
-        return self.ops[a]
 
-
-def pauli_basis() -> OperatorBasis:
-    """The normalized Pauli basis {1, sx, sy, sz}/sqrt(2)."""
-    return OperatorBasis(np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z]) / np.sqrt(2.0))
+# the normalized Pauli basis {1, sx, sy, sz}/sqrt(2)
+PAULI_BASIS = OperatorBasis(np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z]) / np.sqrt(2.0))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from spinkick import (
+    PAULI_BASIS,
+    AffineBlochMap,
     GaussianEnvironment,
     InteractionGeometry,
     LengthMismatch,
@@ -29,15 +31,21 @@ from spinkick import (
     transition_map,
     two_kick_closed_form,
     two_kick_params,
+    two_kick_transition_map,
     r_of_t,
 )
+from spinkick.analysis import dephasing_divisibility, fixed_point
 from spinkick.channels import (
+    PARALLEL_BASIS_TOL,
     _gamma_matrix,
     _sign_matrix,
     chi_from_affine,
+    default_chi_basis,
     validate_channel,
     validate_map,
 )
+from spinkick.oracle import fock_spec_for, nascent_delta_channel, oracle_channel
+from spinkick.pauli import OperatorBasis
 from conftest import random_geometry, random_schedule
 
 
@@ -254,7 +262,6 @@ def test_two_kick_uncorrelated_composes(standard_geometry):
     comp = compose(
         single_kick_channel(env, standard_geometry, 0.8),
         single_kick_channel(env, standard_geometry, 0.0),
-        basis=closed.basis,
     )
     np.testing.assert_allclose(closed.affine.matrix, comp.affine.matrix, atol=1e-12)
     np.testing.assert_allclose(closed.affine.shift, comp.affine.shift, atol=1e-12)
@@ -345,7 +352,7 @@ def test_dephasing_order_invariance(standard_geometry):
 
 def test_compose_identity(vacuum, standard_geometry):
     ch = single_kick_channel(vacuum, standard_geometry, 0.2)
-    ident = identity_channel(ch.basis)
+    ident = identity_channel()
     out = compose(ident, ch)
     np.testing.assert_allclose(out.affine.matrix, ch.affine.matrix, atol=1e-14)
 
@@ -381,7 +388,7 @@ def test_transition_map_consistency(vacuum, standard_geometry):
     longer = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
     theta = transition_map(longer, shorter)
-    recomposed = compose(theta, shorter, basis=longer.basis)
+    recomposed = compose(theta, shorter)
     np.testing.assert_allclose(recomposed.affine.matrix, longer.affine.matrix, atol=1e-10)
     np.testing.assert_allclose(recomposed.affine.shift, longer.affine.shift, atol=1e-10)
     validate_map(theta)
@@ -520,3 +527,98 @@ def test_transition_roundtrip(tmp_path, vacuum, standard_geometry):
     back = load_channel(path)
     assert not back.cp
     np.testing.assert_array_equal(back.chi, theta.chi)
+
+
+# ---------------------------------------------------------------------------
+# one chi-basis rule, identity equality
+
+
+def test_two_kick_transition_map_matches_inverted_composition():
+    """The closed-form transition map is longer o shorter^-1 of the exact
+    two-kick and one-kick channels (worst deviation 4e-14 on these draws)."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        env = SingleModeThermal(omega=rng.uniform(0.3, 2.0), nbar=rng.uniform(0.0, 1.0))
+        geom = random_geometry(rng)
+        t0 = rng.uniform(0.0, 1.0)
+        t1 = t0 + rng.uniform(0.2, 1.5)
+        w = rng.uniform(0.5, 1.0, size=2)
+        closed = two_kick_transition_map(env, geom, t0, t1, w)
+        exact = transition_map(
+            build_n_kick_channel(env, geom, KickSchedule([t0, t1], w)),
+            single_kick_channel(env, geom, t0, w[0]),
+        )
+        assert not closed.cp
+        np.testing.assert_allclose(closed.affine.matrix, exact.affine.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(closed.affine.shift, exact.affine.shift, rtol=0, atol=1e-12)
+
+
+def test_every_constructor_reads_chi_in_the_default_basis():
+    """Frame of the last and first kick axes when they are well separated,
+    the Pauli basis for parallel axes and for an empty schedule."""
+    rng = np.random.default_rng(3)
+    env = SingleModeThermal(omega=1.0, nbar=0.5)
+    geom = random_geometry(rng)
+    times = [0.1, 0.5, 0.9]
+    rs = [r_of_t(geom, t) for t in times]
+    frame = default_chi_basis(rs).ops
+    assert np.linalg.norm(np.cross(rs[-1], rs[0])) > PARALLEL_BASIS_TOL
+    assert not np.array_equal(frame, PAULI_BASIS.ops)
+    spec = fock_spec_for(env, dim=20)
+    framed = [
+        build_n_kick_channel(env, geom, KickSchedule(times)),
+        oracle_channel(spec, geom, KickSchedule(times), stability_tol=1.0),
+        nascent_delta_channel(spec, geom, times, 0.01, steps_per_kick=4),
+    ]
+    for m in framed:
+        np.testing.assert_array_equal(m.basis.ops, frame)
+    pair = default_chi_basis(rs[:2]).ops
+    np.testing.assert_array_equal(two_kick_closed_form(env, geom, *times[:2]).basis.ops, pair)
+    np.testing.assert_array_equal(two_kick_transition_map(env, geom, *times[:2]).basis.ops, pair)
+
+    synced = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0)
+    empty = KickSchedule([])
+    pauli = [
+        identity_channel(),
+        build_n_kick_channel(env, geom, empty),
+        oracle_channel(spec, geom, empty, stability_tol=1.0),
+        nascent_delta_channel(spec, geom, [], 0.01),
+        single_kick_channel(env, geom, 0.3),
+        dephasing_channel(env, synced, KickSchedule([0.0, np.pi])),
+        two_kick_closed_form(env, synced, 0.0, np.pi),
+    ]
+    for m in pauli:
+        assert m.basis is PAULI_BASIS
+
+
+def _geometry():
+    return InteractionGeometry([0, 0, 1], [1, 0, 0], 1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        AffineBlochMap.identity,
+        lambda: OperatorBasis(PAULI_BASIS.ops),
+        _geometry,
+        lambda: KickSchedule([0.0, 1.0]),
+        lambda: two_kick_params(SingleModeThermal(omega=1.0), _geometry(), 0.0, 0.7),
+        lambda: fixed_point(single_kick_channel(SingleModeThermal(omega=1.0), _geometry(), 0.0)),
+        lambda: dephasing_divisibility(0.5, 0.8),
+    ],
+    ids=[
+        "AffineBlochMap",
+        "OperatorBasis",
+        "InteractionGeometry",
+        "KickSchedule",
+        "TwoKickParams",
+        "FixedPointResult",
+        "DivisibilityReport",
+    ],
+)
+def test_equality_is_identity(make):
+    """Types with numpy fields compare by identity: == gives a bool, never
+    the ambiguous truth value of an array."""
+    a, b = make(), make()
+    assert (a == a) is True
+    assert (a == b) is False

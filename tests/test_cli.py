@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -537,3 +538,30 @@ def test_exit_codes_stay_in_contract(run):
             fh.write(body)
         code = main(["--config", cfg, "--out", os.path.join(tmp, "out"), command])
     assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DOMAIN, EXIT_CHECK}
+
+
+EXAMPLE_CFG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "docs", "example-run.cfg")
+
+
+@pytest.mark.parametrize(
+    "command, oracle_mode, code",
+    [
+        ("simulate", "kicks", EXIT_OK),
+        ("sweep", "kicks", EXIT_OK),
+        ("fixed-point", "kicks", EXIT_OK),
+        ("oracle-check", "kicks", EXIT_OK),
+        ("oracle-check", "nascent", EXIT_OK),
+        ("divisibility", "kicks", EXIT_CONFIG),
+    ],
+    ids=["simulate", "sweep", "fixed-point", "oracle-kicks", "oracle-nascent", "divisibility"],
+)
+def test_example_config_with_empty_schedule(tmp_path, command, oracle_mode, code):
+    """An empty schedule is a valid run: every command ends in its documented
+    code (the identity channel; divisibility needs two kicks)."""
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        body = fh.read()
+    body = re.sub(r"^times = .*$", "times =", body, flags=re.M)
+    body = re.sub(r"^weights = .*$", "", body, flags=re.M)
+    body = body.replace("mode = kicks", f"mode = {oracle_mode}")
+    cfg = write_cfg(tmp_path, body)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == code

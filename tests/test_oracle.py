@@ -29,7 +29,7 @@ from spinkick import (
 from spinkick.errors import InvalidMap
 from spinkick.kicks import r_of_t
 from spinkick.oracle import _channel_from_joint_unitary, annihilation, environment_state
-from spinkick.pauli import I2, PAULI, density_to_bloch, dot_sigma, pauli_basis
+from spinkick.pauli import I2, PAULI, PAULI_BASIS, density_to_bloch, dot_sigma
 from conftest import random_geometry, random_schedule
 
 
@@ -170,7 +170,7 @@ def test_block_readout_matches_kron_partial_trace(standard_geometry):
     for t, w in [(0.0, 0.8), (0.9, 1.3), (2.2, 0.6)]:
         u = kick_unitary(r_of_t(standard_geometry, t), rotated_spectrum(spec, spectrum, t), w) @ u
     rho_env, _ = environment_state(spec)
-    ch = _channel_from_joint_unitary(u, rho_env, pauli_basis(), {})
+    ch = _channel_from_joint_unitary(u, rho_env, PAULI_BASIS, {})
     b, *cols = _kron_readout(u, rho_env)
     np.testing.assert_allclose(ch.affine.shift, b, rtol=0, atol=1e-13)
     np.testing.assert_allclose(ch.affine.matrix, np.column_stack([c - b for c in cols]), rtol=0, atol=1e-13)
@@ -234,7 +234,7 @@ def test_oracle_confirms_echo(standard_geometry):
     assert deph.meta["gamma"] == pytest.approx(1.0, abs=1e-13)
     orc = oracle_channel(fock_spec_for(env), standard_geometry, sched)
     assert channel_distance(deph, orc) < 1e-8
-    assert channel_distance(identity_channel(deph.basis), orc) < 1e-8
+    assert channel_distance(identity_channel(), orc) < 1e-8
 
 
 def test_oracle_weighted_kicks(standard_geometry):
@@ -278,7 +278,7 @@ def test_oracle_random_matrix(standard_geometry):
 def test_nascent_zero_weight_is_identity(standard_geometry):
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     ch = nascent_delta_channel(spec, standard_geometry, [1.0], 0.05, weights=[0.0])
-    assert channel_distance(ch, identity_channel(ch.basis)) == 0.0
+    assert channel_distance(ch, identity_channel()) == 0.0
 
 
 def test_nascent_converges_monotonically(vacuum):
@@ -353,7 +353,7 @@ def test_channel_distance_properties(vacuum, standard_geometry):
         InteractionGeometry(h=[1, 0, 0], alpha=[0, 0, 1], omega=0.0),
         0.0,
     )
-    ident = identity_channel(full_dephasing.basis)
+    ident = identity_channel()
     assert channel_distance(ident, full_dephasing) == pytest.approx(0.5, abs=1e-12)
     other = single_kick_channel(vacuum, standard_geometry, 0.4)
     assert channel_distance(ch, other) == pytest.approx(

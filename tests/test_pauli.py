@@ -16,11 +16,10 @@ from spinkick import (
     build_n_kick_channel,
     is_physical_bloch,
     max_image_norm,
-    pauli_basis,
     projector,
     transition_map,
 )
-from spinkick.pauli import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, dot_sigma
+from spinkick.pauli import I2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, dot_sigma
 from conftest import fibonacci_sphere
 
 bloch_vectors = st.lists(
@@ -98,7 +97,7 @@ def test_is_physical_bloch():
 
 
 def test_pauli_basis_orthonormal():
-    b = pauli_basis()
+    b = PAULI_BASIS
     gram = np.einsum("byx,ayx->ab", b.ops.conj(), b.ops)
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-15)
 

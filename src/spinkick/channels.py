@@ -65,6 +65,16 @@ def _sign_matrix(n: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
+def _projector_strings(rs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """P_{s_n}(r_n) ... P_{s_1}(r_1) for every row s of ``signs``, kick n
+    outermost: one stacked product per kick."""
+    strings = np.broadcast_to(I2, (len(signs), 2, 2))
+    for r, s in zip(rs, signs.T):
+        p_plus, p_minus = (I2 + dot_sigma(r)) / 2.0, (I2 - dot_sigma(r)) / 2.0
+        strings = np.where(s[:, None, None] > 0, p_plus, p_minus) @ strings
+    return strings
+
+
 def _gamma_matrix(env, times, weights, signs: np.ndarray) -> np.ndarray:
     """gamma(s, s') for every pair of rows of ``signs`` at once.
 
@@ -112,17 +122,23 @@ def basis_from_frame(frame: np.ndarray) -> OperatorBasis:
     return OperatorBasis(np.stack(ops) / np.sqrt(2.0))
 
 
+def parallel_axes(r_last, r_first) -> bool:
+    """Whether |r_last x r_first| <= PARALLEL_BASIS_TOL: two kick axes too
+    close to span a well-conditioned ``two_kick_frame``."""
+    return bool(np.linalg.norm(np.cross(r_last, r_first)) <= PARALLEL_BASIS_TOL)
+
+
 def default_chi_basis(axes) -> OperatorBasis:
     """The chi basis of every constructed map, from its kick axes in time order.
 
-    The frame of the last and first axes (``two_kick_frame``) when
-    |r_last x r_first| > PARALLEL_BASIS_TOL; the Pauli basis otherwise, which
-    covers a single axis and an empty schedule.
+    The frame of the last and first axes (``two_kick_frame``) unless they
+    are ``parallel_axes``; the Pauli basis otherwise, which covers a single
+    axis and an empty schedule.
     """
     if len(axes) == 0:
         return PAULI_BASIS
     r_last, r_first = np.asarray(axes[-1], float), np.asarray(axes[0], float)
-    if np.linalg.norm(np.cross(r_last, r_first)) <= PARALLEL_BASIS_TOL:
+    if parallel_axes(r_last, r_first):
         return PAULI_BASIS
     return basis_from_frame(two_kick_frame(r_last, r_first))
 
@@ -322,18 +338,7 @@ def build_n_kick_channel(
     basis = default_chi_basis(rs)
 
     signs = _sign_matrix(n)
-    m_count = signs.shape[0]
-    p_plus = np.stack([(I2 + dot_sigma(r)) / 2.0 for r in rs])
-    p_minus = np.stack([(I2 - dot_sigma(r)) / 2.0 for r in rs])
-
-    strings = np.empty((m_count, 2, 2), dtype=complex)
-    for m in range(m_count):
-        acc = I2
-        for i in range(n):  # left-multiply so kick N ends outermost
-            acc = (p_plus[i] if signs[m, i] > 0 else p_minus[i]) @ acc
-        strings[m] = acc
-
-    coeff = np.einsum("ayx,myx->ma", basis.ops.conj(), strings)
+    coeff = np.einsum("ayx,myx->ma", basis.ops.conj(), _projector_strings(rs, signs))
     gammas = _gamma_matrix(env, times, sched.weights, signs)
     chi = coeff.T @ gammas @ coeff.conj()
 
@@ -460,19 +465,14 @@ def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched
     collapses to a single coefficient computed in O(n^2) from the correlator
     double sum.  Time ordering contributes only a global phase and drops out.
     """
-    ok, signs = is_commuting_schedule(geom, sched)
-    if not ok:
-        raise NonCommutingSchedule("kick axes are not collinear within tolerance")
-    r = r_of_t(geom, sched.times[0])
-    gamma = gaussian_char(env, sched.times, 2.0 * signs * sched.weights)
+    gamma = dephasing_gamma(env, geom, sched)
     meta = {
         "kind": "dephasing",
         "times": tuple(float(t) for t in sched.times),
         "weights": tuple(float(w) for w in sched.weights),
-        "signs": tuple(int(f) for f in signs),
         "environment": repr(env),
     }
-    return phase_damping_channel(r, gamma, meta=meta)
+    return phase_damping_channel(r_of_t(geom, sched.times[0]), gamma, meta=meta)
 
 
 # ---------------------------------------------------------------------------

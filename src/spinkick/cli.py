@@ -1,13 +1,17 @@
 """Config-driven command-line front end.
 
 Commands: simulate, divisibility, sweep, oracle-check, fixed-point.  Each
-reads a single key-value/section config file (grammar documented in the
-README, one canonical example in the repo), writes CSV/report files
-atomically (write-then-rename, so failures leave no partial outputs), and
-maps every failure class to a documented exit code:
+reads one INI-style config file (grammar in the README; docs/example-run.cfg
+lists every key).  ``_SCHEMA`` declares each section and key once, with the
+parser of its text and its default.  ``RunConfig`` parses every key when it
+reads the file, and --tol, --max-kicks, --log-base and --out go through the
+same parsers, so a bad value anywhere stops the run before a command starts.
+Files are written atomically (write-then-rename, so failures leave no
+partial outputs), and every failure class maps to a documented exit code:
 
     0  success
-    2  config error (parse failure, unknown key, bad value)
+    2  config error (parse failure, unknown section or key, a bad value in
+       any section or flag)
     3  I/O error
     4  domain error (library exceptions: TooManyKicks, SingularChannel,
        InvalidMap, ...)
@@ -25,6 +29,7 @@ accepted, so older configs and scripts keep working, but they change nothing.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import contextlib
 import os
@@ -37,6 +42,7 @@ from . import analysis, channels, oracle
 from .environment import SingleModeThermal, TabulatedKernel, WhiteKickKernel, parse_complex
 from .errors import ConfigError, LengthMismatch, NonUnitVector, SpinKickError, TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
+from .pauli import is_physical_bloch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,37 +70,162 @@ def write_text_atomic(path: str, content: str) -> None:
         raise
 
 
-_KNOWN_KEYS = {
-    "environment": {"model", "omega", "nbar", "beta", "displacement", "variance", "path"},
-    "geometry": {"h", "alpha", "Omega"},
-    "schedule": {"times", "weights"},
-    "initial_state": {"u"},
+# ---------------------------------------------------------------------------
+# value parsers: config text -> typed value, ValueError on a bad one
+
+
+def _finite(convert, what: str):
+    """``convert``, for a finite value; ``what`` names the expected kind."""
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise ValueError(f"not {what}: {raw!r}") from None
+        if not isinstance(value, int) and not cmath.isfinite(value):
+            raise ValueError(f"not finite: {raw!r}")
+        return value
+
+    return parse
+
+
+_real = _finite(float, "a number")
+_integer = _finite(int, "an integer")
+_complex = _finite(parse_complex, "a complex number a+bi")
+
+
+def _vector(raw: str) -> np.ndarray:
+    return np.array([_real(x) for x in raw.split()])
+
+
+def _bloch_vector(raw: str) -> np.ndarray:
+    u = _vector(raw)
+    if u.shape != (3,):
+        raise ValueError(f"needs 3 components, got {len(u)}")
+    if not is_physical_bloch(u):
+        raise ValueError(f"|u| = {np.linalg.norm(u):.17g} lies outside the Bloch ball")
+    return u
+
+
+def _at_least(parse, lower, strict: bool = False):
+    """``parse``, then require every value >= lower (> lower when strict)."""
+
+    def bounded(raw: str):
+        value = parse(raw)
+        if np.any(np.asarray(value) <= lower if strict else np.asarray(value) < lower):
+            raise ValueError(f"must be {'>' if strict else '>='} {lower}, got {raw!r}")
+        return value
+
+    return bounded
+
+
+def _choice(options):
+    """One word of ``options``: a tuple of words, or a dict from word to value."""
+    mapping = options if isinstance(options, dict) else dict(zip(options, options))
+
+    def choose(raw: str):
+        if raw not in mapping:
+            raise ValueError(f"must be one of {', '.join(mapping)}; got {raw!r}")
+        return mapping[raw]
+
+    return choose
+
+
+_booleans = _choice(configparser.ConfigParser.BOOLEAN_STATES)
+
+
+def _bool(raw: str) -> bool:
+    return _booleans(raw.lower())
+
+
+_SWEEPABLE = ("nbar", "omega", "Omega", "gap", "variance", "scale")
+_SWEEP_QUANTITIES = (
+    "gamma_abs", "purity_final", "entropy_final", "lambda_min", "nonunital_shift", "fixed_point_norm", "commuting"
+)
+_DEFAULT_QUANTITIES = "gamma_abs purity_final lambda_min"
+
+
+def _quantities(raw: str) -> list[str]:
+    """Names from _SWEEP_QUANTITIES; a blank value asks for the default list."""
+    names = (raw or _DEFAULT_QUANTITIES).split()
+    unknown = [q for q in names if q not in _SWEEP_QUANTITIES]
+    if unknown:
+        raise ValueError(f"unknown {unknown}; available: {sorted(_SWEEP_QUANTITIES)}")
+    return names
+
+
+_positive_real = _at_least(_real, 0, strict=True)
+
+# Every section and key of a run config: the parser of its text and its
+# default text.  A default of None means the key has none: the command that
+# needs the key requires it, or the library picks the value.
+_SCHEMA = {
+    "environment": {
+        "model": (_choice(("single_mode_thermal", "white_kick", "tabulated")), None),
+        "omega": (_real, None),
+        "nbar": (_real, "0"),
+        "beta": (_real, None),
+        "displacement": (_complex, "0+0i"),
+        "variance": (_real, None),
+        "path": (str, None),
+    },
+    "geometry": {"h": (_vector, None), "alpha": (_vector, None), "Omega": (_real, None)},
+    "schedule": {"times": (_vector, ""), "weights": (_vector, None)},
+    "initial_state": {"u": (_bloch_vector, "0 0 1")},
     "analysis": {
-        "divisibility",
-        "fixed_point",
-        "entropy",
-        "oracle_check",
-        "log_base",
-        "sphere_samples",  # accepted, unused: positivity is exact
-        "tol",
-        "max_kicks",
-        "seed",  # accepted, unused: nothing is sampled
+        "divisibility": (_bool, "false"),
+        "fixed_point": (_bool, "false"),
+        "oracle_check": (_bool, "false"),
+        "entropy": (_bool, "true"),
+        "log_base": (_choice({"e": None, "2": 2.0}), "e"),
+        "tol": (_positive_real, repr(analysis.PSD_TOL)),
+        "max_kicks": (_at_least(_integer, 0), str(channels.MAX_KICKS_DEFAULT)),
+        "sphere_samples": (str, None),  # accepted, unused: positivity is exact
+        "seed": (str, None),  # accepted, unused: nothing is sampled
     },
-    "divisibility": {"mode", "n", "m"},
-    "oracle": {"dim", "dim_max", "tol", "mode", "delta_t", "deltas", "steps_per_kick", "shape"},
+    "divisibility": {
+        "mode": (_choice(("auto", "two_kick", "dephasing")), "auto"),
+        "n": (_integer, "1"),
+        "m": (_integer, None),  # the schedule length
+    },
+    "oracle": {
+        "dim": (_at_least(_integer, 2), None),  # oracle.fock_spec_for's estimate
+        "dim_max": (_integer, "300"),
+        "tol": (_positive_real, "1e-8"),
+        "mode": (_choice(("kicks", "nascent")), "kicks"),
+        "delta_t": (_positive_real, "0.064"),
+        "deltas": (_at_least(_vector, 0, strict=True), None),  # delta_t halved 3x
+        "steps_per_kick": (_at_least(_integer, 1), "48"),
+        "shape": (_choice(tuple(oracle.PULSE_SHAPES)), "gaussian"),
+    },
     "sweep": {
-        "parameter",
-        "start",
-        "stop",
-        "count",
-        "parameter2",
-        "start2",
-        "stop2",
-        "count2",
-        "quantities",
+        "parameter": (_choice(_SWEEPABLE), None),
+        "start": (_real, None),
+        "stop": (_real, None),
+        "count": (_at_least(_integer, 2), None),
+        "parameter2": (_choice(_SWEEPABLE), None),
+        "start2": (_real, None),
+        "stop2": (_real, None),
+        "count2": (_at_least(_integer, 2), None),
+        "quantities": (_quantities, _DEFAULT_QUANTITIES),
     },
-    "output": {"dir", "prefix"},
+    "output": {"dir": (lambda raw: os.path.join(os.getcwd(), raw), "out"), "prefix": (str, "spinkick")},
 }
+
+# The config keys that each command-line flag overrides.
+_FLAG_KEYS = {
+    "--out": (("output", "dir"),),
+    "--log-base": (("analysis", "log_base"),),
+    "--tol": (("analysis", "tol"), ("oracle", "tol")),
+    "--max-kicks": (("analysis", "max_kicks"),),
+}
+
+
+def _parse(section: str, key: str, raw: str, origin: str = ""):
+    try:
+        return _SCHEMA[section][key][0](raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}{origin}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -107,16 +238,30 @@ def _bad_values(section: str):
 
 
 class RunConfig:
-    """Validated run configuration; unknown sections or keys are rejected."""
+    """A run configuration: the typed value of every key of ``_SCHEMA``.
+
+    Unknown sections and keys and bad values are rejected when the file is
+    read.  ``cfg[section, key]`` is the value, the default where the file
+    does not give the key, and None where the key has no default.
+    """
 
     def __init__(self, parser: configparser.ConfigParser, base_dir: str):
-        for section in parser.sections():
-            if section not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key in parser[section]:
-                if key not in _KNOWN_KEYS[section]:
-                    raise ConfigError(f"unknown key '{key}' in section [{section}]")
-        self._p = parser
+        given = {}
+        try:
+            for section in parser.sections():
+                if section not in _SCHEMA:
+                    raise ConfigError(f"unknown config section [{section}]")
+                for key, raw in parser[section].items():
+                    if key not in _SCHEMA[section]:
+                        raise ConfigError(f"unknown key '{key}' in section [{section}]")
+                    given[section, key] = raw
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config: {exc}") from exc
+        self._values = {}
+        for section, keys in _SCHEMA.items():
+            for key, (_, default) in keys.items():
+                raw = given.get((section, key), default)
+                self._values[section, key] = None if raw is None else _parse(section, key, raw)
         self.base_dir = base_dir
 
     @classmethod
@@ -131,200 +276,110 @@ class RunConfig:
             raise ConfigError(f"cannot read config file {path}")
         return cls(parser, os.path.dirname(os.path.abspath(path)))
 
-    def _get(self, section, key, default=None):
-        if self._p.has_option(section, key):
-            return self._p.get(section, key)
-        return default
+    def __getitem__(self, section_key: tuple[str, str]):
+        return self._values[section_key]
 
-    def getfloat(self, section, key, default=None):
-        raw = self._get(section, key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
-
-    def getint(self, section, key, default=None):
-        raw = self._get(section, key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
-
-    def getbool(self, section, key, default=False):
-        raw = self._get(section, key)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "yes", "1", "on"):
-            return True
-        if raw.lower() in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
-
-    def getvec(self, section, key, default=None):
-        raw = self._get(section, key)
-        if raw is None:
-            return default
-        try:
-            return np.array([float(x) for x in raw.split()])
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: not a vector: {raw!r}") from exc
-
-    def getstr(self, section, key, default=None):
-        return self._get(section, key, default)
+    def override(self, section: str, key: str, raw: str, flag: str) -> None:
+        """Set a key from a command-line flag's text, through the key's parser."""
+        self._values[section, key] = _parse(section, key, raw, f" ({flag})")
 
     # object builders -------------------------------------------------------
 
     def environment(self):
-        model = self.getstr("environment", "model")
+        model = self["environment", "model"]
         if model is None:
             raise ConfigError("[environment] model is required")
         if model == "single_mode_thermal":
-            omega = self.getfloat("environment", "omega")
+            omega = self["environment", "omega"]
             if omega is None:
                 raise ConfigError("[environment] omega is required for single_mode_thermal")
-            disp_raw = self.getstr("environment", "displacement", "0+0i")
-            try:
-                disp = parse_complex(disp_raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad displacement {disp_raw!r}") from exc
-            beta = self.getfloat("environment", "beta")
-            nbar = self.getfloat("environment", "nbar", 0.0)
+            nbar, beta, disp = (self["environment", key] for key in ("nbar", "beta", "displacement"))
             with _bad_values("environment"):
                 return SingleModeThermal(omega=omega, nbar=nbar, beta=beta, displacement=disp)
         if model == "white_kick":
-            v = self.getfloat("environment", "variance")
+            v = self["environment", "variance"]
             if v is None:
                 raise ConfigError("[environment] variance is required for white_kick")
             with _bad_values("environment"):
                 return WhiteKickKernel(v)
-        if model == "tabulated":
-            path = self.getstr("environment", "path")
-            if path is None:
-                raise ConfigError("[environment] path is required for tabulated")
-            if not os.path.isabs(path):
-                path = os.path.join(self.base_dir, path)
-            with _bad_values("environment"):
-                return TabulatedKernel.from_file(path)
-        raise ConfigError(f"unknown environment model {model!r}")
+        path = self["environment", "path"]
+        if path is None:
+            raise ConfigError("[environment] path is required for tabulated")
+        with _bad_values("environment"):
+            return TabulatedKernel.from_file(os.path.join(self.base_dir, path))
 
     def geometry(self) -> InteractionGeometry:
-        h = self.getvec("geometry", "h")
-        alpha = self.getvec("geometry", "alpha")
-        gap = self.getfloat("geometry", "Omega")
+        h, alpha, gap = (self["geometry", key] for key in ("h", "alpha", "Omega"))
         if h is None or alpha is None or gap is None:
             raise ConfigError("[geometry] h, alpha and Omega are all required")
         with _bad_values("geometry"):
             return InteractionGeometry(h=h, alpha=alpha, omega=gap)
 
     def schedule(self) -> KickSchedule:
-        times = self.getvec("schedule", "times")
-        if times is None:
-            times = np.array([])
-        weights = self.getvec("schedule", "weights")
         with _bad_values("schedule"):
-            return KickSchedule(times, weights)
-
-    def initial_state(self) -> np.ndarray:
-        u = self.getvec("initial_state", "u", np.array([0.0, 0.0, 1.0]))
-        if u.shape != (3,):
-            raise ConfigError(f"[initial_state] u needs 3 components, got {len(u)}")
-        return u
+            return KickSchedule(self["schedule", "times"], self["schedule", "weights"])
 
 
-def _log_base(args, cfg) -> float | None:
-    name = args.log_base or cfg.getstr("analysis", "log_base", "e")
-    if name == "e":
-        return None
-    if name == "2":
-        return 2.0
-    raise ConfigError(f"log base must be 'e' or '2', got {name!r}")
+def _head(sched: KickSchedule, k: int) -> KickSchedule:
+    """The first k kicks of a schedule."""
+    return KickSchedule(sched.times[:k], sched.weights[:k])
 
 
-def _out_dir(args, cfg) -> str:
-    out = args.out or cfg.getstr("output", "dir", "out")
-    if not os.path.isabs(out):
-        out = os.path.join(os.getcwd(), out)
-    return out
+class _Train:
+    """A run's environment, geometry and schedule, and the exact channel of
+    each prefix of the schedule, built at most once: the reports simulate
+    toggles on reuse the channels of its trajectory."""
 
+    def __init__(self, cfg: RunConfig):
+        self.env, self.geom, self.sched = cfg.environment(), cfg.geometry(), cfg.schedule()
+        self._max_kicks = cfg["analysis", "max_kicks"]
+        self._built = {}
 
-def _prefix(cfg) -> str:
-    return cfg.getstr("output", "prefix", "spinkick")
+    def channel(self, k: int | None = None) -> channels.QubitMap:
+        """The channel of the first k kicks; of the whole schedule by default."""
+        k = len(self.sched) if k is None else k
+        if k not in self._built:
+            self._built[k] = channels.build_n_kick_channel(
+                self.env, self.geom, _head(self.sched, k), max_kicks=self._max_kicks
+            )
+        return self._built[k]
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_simulate(args, cfg: RunConfig) -> int:
-    env = cfg.environment()
-    geom = cfg.geometry()
-    sched = cfg.schedule()
-    base = _log_base(args, cfg)
-    max_kicks = args.max_kicks or cfg.getint("analysis", "max_kicks", channels.MAX_KICKS_DEFAULT)
-    u0 = cfg.initial_state()
-    out = _out_dir(args, cfg)
-    prefix = _prefix(cfg)
-    with_entropy = cfg.getbool("analysis", "entropy", True)
+def cmd_simulate(cfg: RunConfig, train: _Train) -> int:
+    sched = train.sched
+    base = cfg["analysis", "log_base"]
+    with_entropy = cfg["analysis", "entropy"]
+    u0 = cfg["initial_state", "u"]
+    out, prefix = cfg["output", "dir"], cfg["output", "prefix"]
 
-    def entropy_cell(u):
-        return analysis.entropy(u, base) if with_entropy else float("nan")
+    def row(k, t, u):
+        s = analysis.entropy(u, base) if with_entropy else float("nan")
+        return f"{k}," + ",".join(_fmt(v) for v in (t, u[0], u[1], u[2], analysis.purity(u), s))
 
-    rows = ["kick_index,t,u_x,u_y,u_z,purity,entropy"]
-    u = np.asarray(u0, dtype=float)
-    t_start = float(sched.times[0]) if len(sched) else 0.0
-    rows.append(
-        "0,"
-        + ",".join(
-            _fmt(v) for v in (t_start, u[0], u[1], u[2], analysis.purity(u), entropy_cell(u))
-        )
-    )
-    full = channels.identity_channel() if len(sched) == 0 else None
+    rows = ["kick_index,t,u_x,u_y,u_z,purity,entropy", row(0, sched.times[0] if len(sched) else 0.0, u0)]
     for k in range(1, len(sched) + 1):
-        prefix_sched = KickSchedule(sched.times[:k], sched.weights[:k])
-        full = channels.build_n_kick_channel(env, geom, prefix_sched, max_kicks=max_kicks)
-        uk = full(u0)
-        rows.append(
-            f"{k},"
-            + ",".join(
-                _fmt(v)
-                for v in (
-                    sched.times[k - 1],
-                    uk[0],
-                    uk[1],
-                    uk[2],
-                    analysis.purity(uk),
-                    entropy_cell(uk),
-                )
-            )
-        )
+        rows.append(row(k, sched.times[k - 1], train.channel(k)(u0)))
     write_text_atomic(os.path.join(out, f"{prefix}_trajectory.csv"), "\n".join(rows) + "\n")
-    write_text_atomic(os.path.join(out, f"{prefix}_channel.txt"), channels.format_channel(full))
+    write_text_atomic(os.path.join(out, f"{prefix}_channel.txt"), channels.format_channel(train.channel()))
     print(f"wrote {prefix}_trajectory.csv and {prefix}_channel.txt in {out}")
 
     # optional follow-on analyses, toggled in [analysis]
     code = EXIT_OK
-    if cfg.getbool("analysis", "divisibility", False) and len(sched) >= 2:
-        code = max(code, cmd_divisibility(args, cfg))
-    if cfg.getbool("analysis", "fixed_point", False):
-        code = max(code, cmd_fixed_point(args, cfg))
-    if cfg.getbool("analysis", "oracle_check", False):
-        code = max(code, cmd_oracle_check(args, cfg))
+    if cfg["analysis", "divisibility"] and len(sched) >= 2:
+        code = max(code, cmd_divisibility(cfg, train))
+    if cfg["analysis", "fixed_point"]:
+        code = max(code, cmd_fixed_point(cfg, train))
+    if cfg["analysis", "oracle_check"]:
+        code = max(code, cmd_oracle_check(cfg, train))
     return code
 
 
-def cmd_fixed_point(args, cfg: RunConfig) -> int:
-    env = cfg.environment()
-    geom = cfg.geometry()
-    sched = cfg.schedule()
-    max_kicks = args.max_kicks or cfg.getint("analysis", "max_kicks", channels.MAX_KICKS_DEFAULT)
-    out = _out_dir(args, cfg)
-    prefix = _prefix(cfg)
-    ch = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
-    res = analysis.fixed_point(ch)
+def cmd_fixed_point(cfg: RunConfig, train: _Train) -> int:
+    res = analysis.fixed_point(train.channel())
     lines = [
         "u_f=" + " ".join(_fmt(x) for x in res.u_f),
         f"spectral_radius={_fmt(res.spectral_radius)}",
@@ -332,6 +387,7 @@ def cmd_fixed_point(args, cfg: RunConfig) -> int:
         f"unique={str(res.unique).lower()}",
         f"residual={_fmt(res.residual)}",
     ]
+    out, prefix = cfg["output", "dir"], cfg["output", "prefix"]
     write_text_atomic(os.path.join(out, f"{prefix}_fixed_point.txt"), "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK
@@ -350,31 +406,24 @@ def _closed_form_is_well_conditioned(env, geom, sched: KickSchedule) -> bool:
       entries grow like |h|^2 + |k|^2 (as exp(2 w0 w1 Re K)) by one damped
       by g = exp(-2 Var), so beyond this gain the product has lost the
       digits that make the channel CP;
-    - ``channels.PARALLEL_BASIS_TOL``: below this |r1 x r0| the frame
-      adapted to the two kick axes is too ill-conditioned to build the
-      channel in.
+    - ``channels.parallel_axes``: at or below ``PARALLEL_BASIS_TOL`` in
+      |r1 x r0| the frame adapted to the two kick axes is too
+      ill-conditioned to build the channel in.
 
     Otherwise divisibility uses the 4^n builder, which has 16 terms here.
     """
     if len(sched) != 2 or not env.is_even:
         return False
     t0, t1 = sched.times
-    if np.linalg.norm(np.cross(r_of_t(geom, t1), r_of_t(geom, t0))) < channels.PARALLEL_BASIS_TOL:
+    if channels.parallel_axes(r_of_t(geom, t1), r_of_t(geom, t0)):
         return False
     params = channels.two_kick_params(env, geom, t0, t1, sched.weights)
     return abs(params.h) ** 2 + abs(params.k) ** 2 <= CLOSED_FORM_MAX_GAIN
 
 
-def cmd_divisibility(args, cfg: RunConfig) -> int:
-    env = cfg.environment()
-    geom = cfg.geometry()
-    sched = cfg.schedule()
-    tol = args.tol or cfg.getfloat("analysis", "tol", analysis.PSD_TOL)
-    max_kicks = args.max_kicks or cfg.getint("analysis", "max_kicks", channels.MAX_KICKS_DEFAULT)
-    out = _out_dir(args, cfg)
-    prefix = _prefix(cfg)
-
-    mode = cfg.getstr("divisibility", "mode", "auto")
+def cmd_divisibility(cfg: RunConfig, train: _Train) -> int:
+    env, geom, sched = train.env, train.geom, train.sched
+    mode = cfg["divisibility", "mode"]
     commuting, _ = is_commuting_schedule(geom, sched) if len(sched) else (False, None)
     if mode == "auto":
         mode = "dephasing" if commuting and len(sched) >= 2 else "two_kick"
@@ -382,37 +431,31 @@ def cmd_divisibility(args, cfg: RunConfig) -> int:
     if mode == "dephasing":
         if not commuting:
             raise ConfigError("dephasing divisibility requires a synchronized schedule")
-        n = cfg.getint("divisibility", "n", 1)
-        m = cfg.getint("divisibility", "m", len(sched))
+        n, m = cfg["divisibility", "n"], cfg["divisibility", "m"]
+        m = len(sched) if m is None else m
         if not 1 <= n < m <= len(sched):
             raise ConfigError(f"need 1 <= n < m <= {len(sched)}, got n={n}, m={m}")
-        gam_n = channels.dephasing_gamma(env, geom, KickSchedule(sched.times[:n], sched.weights[:n]))
-        gam_m = channels.dephasing_gamma(env, geom, KickSchedule(sched.times[:m], sched.weights[:m]))
+        gam_n = channels.dephasing_gamma(env, geom, _head(sched, n))
+        gam_m = channels.dephasing_gamma(env, geom, _head(sched, m))
         report = analysis.dephasing_divisibility(gam_m, gam_n)
     else:
         if len(sched) < 2:
             raise ConfigError("divisibility needs a schedule with at least 2 kicks")
         if _closed_form_is_well_conditioned(env, geom, sched):
-            longer = channels.two_kick_closed_form(
-                env, geom, sched.times[0], sched.times[1], weights=sched.weights
-            )
+            longer = channels.two_kick_closed_form(env, geom, *sched.times, weights=sched.weights)
         else:
-            longer = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
-        shorter = channels.build_n_kick_channel(
-            env, geom, KickSchedule(sched.times[:-1], sched.weights[:-1]), max_kicks=max_kicks
-        )
-        report = analysis.divisibility_report(longer, shorter, tol=tol)
+            longer = train.channel()
+        shorter = train.channel(len(sched) - 1)
+        report = analysis.divisibility_report(longer, shorter, tol=cfg["analysis", "tol"])
 
+    out, prefix = cfg["output", "dir"], cfg["output", "prefix"]
     write_text_atomic(os.path.join(out, f"{prefix}_divisibility.txt"), report.to_text())
     write_text_atomic(os.path.join(out, f"{prefix}_divisibility.kv"), report.to_kv())
     print(report.to_text(), end="")
     return EXIT_OK
 
 
-_SWEEPABLE = ("nbar", "omega", "Omega", "gap", "variance", "scale")
-
-
-def _apply_sweep_value(cfg, env, geom, sched, parameter, value):
+def _apply_sweep_value(env, geom, sched, parameter, value):
     if parameter in ("nbar", "omega") and not isinstance(env, SingleModeThermal):
         raise ConfigError(f"sweep parameter {parameter!r} needs the single_mode_thermal model")
     if parameter == "variance" and not isinstance(env, WhiteKickKernel):
@@ -429,145 +472,90 @@ def _apply_sweep_value(cfg, env, geom, sched, parameter, value):
         elif parameter == "Omega":
             geom = InteractionGeometry(geom.h, geom.alpha, value)
         elif parameter == "gap":
-            t0 = sched.times[0]
-            times = t0 + value * np.arange(len(sched))
-            sched = KickSchedule(times, sched.weights)
-        elif parameter == "scale":
+            sched = KickSchedule(sched.times[0] + value * np.arange(len(sched)), sched.weights)
+        else:  # scale
             sched = KickSchedule(sched.times, sched.weights * value)
-        else:
-            raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {_SWEEPABLE}")
     return env, geom, sched
 
 
 def _sweep_quantities(env, geom, sched, u0, base, max_kicks):
     """Scalar observables available to cmd_sweep, computed per grid point."""
     ch = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
-    uf_norm = np.nan
-    try:
-        uf_norm = float(np.linalg.norm(analysis.fixed_point(ch).u_f))
-    except SpinKickError:
-        pass
+    commuting, _ = is_commuting_schedule(geom, sched)
     out = {
         "purity_final": analysis.purity(ch(u0)),
         "entropy_final": analysis.entropy(ch(u0), base),
         "nonunital_shift": float(np.linalg.norm(ch.affine.shift)),
-        "fixed_point_norm": uf_norm,
+        "fixed_point_norm": np.nan,
+        "commuting": 1.0 if commuting else 0.0,
+        "gamma_abs": abs(channels.dephasing_gamma(env, geom, sched)) if commuting else np.nan,
+        "lambda_min": np.nan,
     }
-    commuting, _ = is_commuting_schedule(geom, sched)
-    out["commuting"] = 1.0 if commuting else 0.0
-    if commuting:
-        out["gamma_abs"] = abs(channels.dephasing_gamma(env, geom, sched))
-    else:
-        out["gamma_abs"] = np.nan
+    with contextlib.suppress(SpinKickError):
+        out["fixed_point_norm"] = float(np.linalg.norm(analysis.fixed_point(ch).u_f))
     if len(sched) == 2 and env.is_even:
-        try:
+        with contextlib.suppress(SpinKickError):
             params = channels.two_kick_params(env, geom, sched.times[0], sched.times[1], sched.weights)
-            lam = analysis.chi_eigenvalues_two_kick(params.h, params.k)
-            out["lambda_min"] = float(lam.min())
-        except SpinKickError:
-            out["lambda_min"] = np.nan
-    else:
-        theta_ok = len(sched) >= 2
-        if theta_ok:
-            shorter = channels.build_n_kick_channel(
-                env, geom, KickSchedule(sched.times[:-1], sched.weights[:-1]), max_kicks=max_kicks
-            )
-            try:
-                theta = channels.transition_map(ch, shorter)
-                out["lambda_min"] = float(np.linalg.eigvalsh(theta.chi).min())
-            except SpinKickError:
-                out["lambda_min"] = np.nan
-        else:
-            out["lambda_min"] = np.nan
+            out["lambda_min"] = float(analysis.chi_eigenvalues_two_kick(params.h, params.k).min())
+    elif len(sched) >= 2:
+        shorter = channels.build_n_kick_channel(env, geom, _head(sched, len(sched) - 1), max_kicks=max_kicks)
+        with contextlib.suppress(SpinKickError):
+            theta = channels.transition_map(ch, shorter)
+            out["lambda_min"] = float(np.linalg.eigvalsh(theta.chi).min())
     return out
 
 
-def cmd_sweep(args, cfg: RunConfig) -> int:
-    env = cfg.environment()
-    geom = cfg.geometry()
-    sched = cfg.schedule()
-    base = _log_base(args, cfg)
-    max_kicks = args.max_kicks or cfg.getint("analysis", "max_kicks", channels.MAX_KICKS_DEFAULT)
-    u0 = cfg.initial_state()
-    out_dir = _out_dir(args, cfg)
-    prefix = _prefix(cfg)
+def _sweep_grid(cfg: RunConfig, suffix: str = "") -> np.ndarray:
+    start, stop, count = (cfg["sweep", key + suffix] for key in ("start", "stop", "count"))
+    if start is None or stop is None or count is None:
+        raise ConfigError(f"[sweep] start{suffix}, stop{suffix} and count{suffix} are required")
+    return np.linspace(start, stop, count)
 
-    parameter = cfg.getstr("sweep", "parameter")
+
+def cmd_sweep(cfg: RunConfig, train: _Train) -> int:
+    base = cfg["analysis", "log_base"]
+    max_kicks = cfg["analysis", "max_kicks"]
+    u0 = cfg["initial_state", "u"]
+    out_dir, prefix = cfg["output", "dir"], cfg["output", "prefix"]
+
+    parameter = cfg["sweep", "parameter"]
     if parameter is None:
         raise ConfigError("[sweep] parameter is required")
-    start = cfg.getfloat("sweep", "start")
-    stop = cfg.getfloat("sweep", "stop")
-    count = cfg.getint("sweep", "count")
-    if start is None or stop is None or count is None or count < 2:
-        raise ConfigError("[sweep] start, stop and count >= 2 are required")
-    wanted = (cfg.getstr("sweep", "quantities") or "gamma_abs purity_final lambda_min").split()
+    grid = _sweep_grid(cfg)
+    wanted = cfg["sweep", "quantities"]
+    parameter2 = cfg["sweep", "parameter2"]
+    grid2 = _sweep_grid(cfg, "2") if parameter2 is not None else [None]
 
-    parameter2 = cfg.getstr("sweep", "parameter2")
-    if parameter2 is not None:
-        start2 = cfg.getfloat("sweep", "start2")
-        stop2 = cfg.getfloat("sweep", "stop2")
-        count2 = cfg.getint("sweep", "count2")
-        if start2 is None or stop2 is None or count2 is None or count2 < 2:
-            raise ConfigError("[sweep] start2, stop2 and count2 >= 2 are required")
-        grid2 = np.linspace(start2, stop2, count2)
-    else:
-        grid2 = [None]
-
-    grid = np.linspace(start, stop, count)
-    header = parameter + ("," + parameter2 if parameter2 else "") + "," + ",".join(wanted)
-    rows = [header]
+    rows = [",".join([parameter] + ([parameter2] if parameter2 else []) + wanted)]
     for value in grid:
         for value2 in grid2:
-            env_v, geom_v, sched_v = _apply_sweep_value(cfg, env, geom, sched, parameter, value)
+            env_v, geom_v, sched_v = _apply_sweep_value(train.env, train.geom, train.sched, parameter, value)
             cells = [_fmt(value)]
             if parameter2 is not None:
-                env_v, geom_v, sched_v = _apply_sweep_value(
-                    cfg, env_v, geom_v, sched_v, parameter2, value2
-                )
+                env_v, geom_v, sched_v = _apply_sweep_value(env_v, geom_v, sched_v, parameter2, value2)
                 cells.append(_fmt(value2))
             quantities = _sweep_quantities(env_v, geom_v, sched_v, u0, base, max_kicks)
-            unknown = [q for q in wanted if q not in quantities]
-            if unknown:
-                raise ConfigError(
-                    f"unknown sweep quantities {unknown}; available: {sorted(quantities)}"
-                )
             rows.append(",".join(cells + [_fmt(quantities[q]) for q in wanted]))
     write_text_atomic(os.path.join(out_dir, f"{prefix}_sweep.csv"), "\n".join(rows) + "\n")
     print(f"wrote {prefix}_sweep.csv ({len(rows) - 1} rows) in {out_dir}")
     return EXIT_OK
 
 
-def cmd_oracle_check(args, cfg: RunConfig) -> int:
-    env = cfg.environment()
+def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
+    env, geom, sched = train.env, train.geom, train.sched
     if not isinstance(env, SingleModeThermal):
         raise ConfigError("oracle-check requires the single_mode_thermal environment")
-    geom = cfg.geometry()
-    sched = cfg.schedule()
-    tol = args.tol or cfg.getfloat("oracle", "tol", 1e-8)
-    if not tol > 0:
-        raise ConfigError(f"[oracle] tol must be positive, got {tol!r}")
-    max_kicks = args.max_kicks or cfg.getint("analysis", "max_kicks", channels.MAX_KICKS_DEFAULT)
-    out_dir = _out_dir(args, cfg)
-    prefix = _prefix(cfg)
-    mode = cfg.getstr("oracle", "mode", "kicks")
-    if mode not in ("kicks", "nascent"):
-        raise ConfigError(f"[oracle] mode must be 'kicks' or 'nascent', got {mode!r}")
-    dim = cfg.getint("oracle", "dim")
-    with _bad_values("oracle"):
-        spec = oracle.fock_spec_for(env, dim)
-    analytic = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
+    tol = cfg["oracle", "tol"]
+    out_dir, prefix = cfg["output", "dir"], cfg["output", "prefix"]
+    spec = oracle.fock_spec_for(env, cfg["oracle", "dim"])
+    analytic = train.channel()
 
-    if mode == "nascent":
-        deltas = cfg.getvec("oracle", "deltas")
+    if cfg["oracle", "mode"] == "nascent":
+        deltas = cfg["oracle", "deltas"]
         if deltas is None or len(deltas) == 0:
-            base_dt = cfg.getfloat("oracle", "delta_t", 0.064)
+            base_dt = cfg["oracle", "delta_t"]
             deltas = [base_dt, base_dt / 2, base_dt / 4, base_dt / 8]
-        steps = cfg.getint("oracle", "steps_per_kick", 48)
-        if steps < 1:
-            raise ConfigError(f"[oracle] steps_per_kick must be at least 1, got {steps}")
-        shape = cfg.getstr("oracle", "shape", "gaussian")
-        if shape not in oracle.PULSE_SHAPES:
-            raise ConfigError(f"[oracle] shape must be one of {sorted(oracle.PULSE_SHAPES)}, got {shape!r}")
+        steps, shape = cfg["oracle", "steps_per_kick"], cfg["oracle", "shape"]
         rows = ["delta_t,distance"]
         dists = []
         for dt in deltas:
@@ -586,8 +574,9 @@ def cmd_oracle_check(args, cfg: RunConfig) -> int:
         print(f"OK: finest distance {final:.3e} <= tolerance {tol:g}")
         return EXIT_OK
 
-    max_dim = cfg.getint("oracle", "dim_max", 300)
-    orc = oracle.oracle_channel(spec, geom, sched, stability_tol=min(tol, 1e-8), max_dim=max_dim)
+    orc = oracle.oracle_channel(
+        spec, geom, sched, stability_tol=min(tol, 1e-8), max_dim=cfg["oracle", "dim_max"]
+    )
     dist = oracle.channel_distance(analytic, orc)
     rows = ["dim,stability,distance_to_analytic"]
     for step_dim, step_dist in orc.meta["history"]:
@@ -618,9 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the run config file")
     parser.add_argument("--out", help="output directory (overrides [output] dir)")
     parser.add_argument("--seed", type=int, help="accepted for compatibility; nothing is sampled")
-    parser.add_argument("--log-base", choices=["e", "2"], dest="log_base", help="entropy log base")
-    parser.add_argument("--tol", type=float, help="tolerance override for checks")
-    parser.add_argument("--max-kicks", type=int, dest="max_kicks", help="enumeration budget override")
+    parser.add_argument("--log-base", dest="log_base", metavar="{e,2}", help="entropy log base")
+    parser.add_argument("--tol", help="tolerance override for checks")
+    parser.add_argument("--max-kicks", dest="max_kicks", metavar="N", help="enumeration budget override")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="build channels, write trajectory CSV and channel file")
     sub.add_parser("divisibility", help="transition-map CP/P analysis")
@@ -643,7 +632,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config)
-        code = _COMMANDS[args.command](args, cfg)
+        for flag, keys in _FLAG_KEYS.items():
+            raw = getattr(args, flag[2:].replace("-", "_"))
+            if raw is not None:
+                for section, key in keys:
+                    cfg.override(section, key, raw, flag)
+        code = _COMMANDS[args.command](cfg, _Train(cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,6 +38,7 @@ from spinkick.analysis import dephasing_divisibility, fixed_point
 from spinkick.channels import (
     PARALLEL_BASIS_TOL,
     _gamma_matrix,
+    _projector_strings,
     _sign_matrix,
     chi_from_affine,
     default_chi_basis,
@@ -45,7 +46,7 @@ from spinkick.channels import (
     validate_map,
 )
 from spinkick.oracle import fock_spec_for, nascent_delta_channel, oracle_channel
-from spinkick.pauli import OperatorBasis
+from spinkick.pauli import I2, OperatorBasis, dot_sigma
 from conftest import random_geometry, random_schedule
 
 
@@ -128,6 +129,24 @@ def test_gamma_matrix_matches_pairwise():
             assert gam[i, j] == pytest.approx(expected, abs=1e-13)
             assert abs(gam[i, j]) <= 1 + 1e-12
             GammaCoefficient(gam[i, j], tuple(signs[i]), tuple(signs[j]))
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_projector_strings_match_loop(n):
+    """The stacked products equal the per-string loop bit for bit."""
+    rng = np.random.default_rng(n)
+    rs = rng.normal(size=(n, 3))
+    rs /= np.linalg.norm(rs, axis=1)[:, None]
+    signs = _sign_matrix(n)
+    expected = np.empty((len(signs), 2, 2), dtype=complex)
+    for m, s in enumerate(signs):
+        acc = I2
+        for r, sign in zip(rs, s):
+            p = (I2 + dot_sigma(r)) / 2.0 if sign > 0 else (I2 - dot_sigma(r)) / 2.0
+            acc = p @ acc
+        expected[m] = acc
+    got = _projector_strings(rs, signs)
+    assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinkick import KickSchedule, build_n_kick_channel, divisibility_report, load_channel
-from spinkick.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, RunConfig, main
+from spinkick.cli import _SCHEMA, EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, RunConfig, main
 
 BASE_CFG = """
 [environment]
@@ -256,8 +256,19 @@ def test_oracle_check_nascent(tmp_path, capsys):
         "dim = 1",
         "tol = -1",
         "mode = nascent\nsteps_per_kick = 0",
+        "mode = nascent\ndelta_t = -0.01",
+        "mode = nascent\ndeltas = 0.01 -0.01",
     ],
-    ids=["unknown_mode", "non_numeric_deltas", "unknown_shape", "dim_1", "negative_tol", "zero_steps"],
+    ids=[
+        "unknown_mode",
+        "non_numeric_deltas",
+        "unknown_shape",
+        "dim_1",
+        "negative_tol",
+        "zero_steps",
+        "negative_delta_t",
+        "negative_deltas",
+    ],
 )
 def test_bad_oracle_value_exits_2(tmp_path, capsys, oracle_keys):
     out = tmp_path / "out"
@@ -325,6 +336,13 @@ def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
     assert ch.meta["times"] == (0.0, 0.7, 1.3)
     assert sorted(p.name for p in out.iterdir()) == ["run_channel.txt", "run_trajectory.csv"]
 
+    # the reports simulate toggles on reuse those channels
+    calls.clear()
+    toggled = body + "\n[analysis]\ndivisibility = true\nfixed_point = true\noracle_check = true\n"
+    assert main(["--config", write_cfg(tmp_path, toggled, "toggled.cfg"), "simulate"]) == EXIT_OK
+    assert calls == [1, 2, 3]
+    assert len(list(out.iterdir())) == 6
+
 
 @pytest.mark.parametrize(
     "command, old, new",
@@ -334,12 +352,28 @@ def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
         ("simulate", "h = 0 0 1", "h = 0 0 2"),  # not a unit vector
         ("simulate", "u = 1 0 0", "u = 1 0"),
         ("sweep", "[output]", "[sweep]\nparameter = nbar\nstart = -1\nstop = 1\ncount = 3\n\n[output]"),
+        ("simulate", "u = 1 0 0", "u = 2 0 0"),  # outside the Bloch ball
+        # a bad value fails every command, also one that does not read it
+        ("simulate", "[output]", "[analysis]\ntol = -5\n\n[output]"),
+        ("simulate", "[output]", "[divisibility]\nmode = bogus\n\n[output]"),
+        ("sweep", "[output]", "[sweep]\nparameter = nbar\nstart = 0\nstop = nan\ncount = 3\n\n[output]"),
+        ("--max-kicks -1 simulate", "[output]", "[output]"),
+        ("simulate", "prefix = run", "prefix = 50%"),  # a bare % is an interpolation error
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, command, old, new):
     body = BASE_CFG.format(out=tmp_path / "out").replace(old, new)
-    assert main(["--config", write_cfg(tmp_path, body), command]) == EXIT_CONFIG
+    assert main(["--config", write_cfg(tmp_path, body), *command.split()]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("times, code", [("0.0", EXIT_DOMAIN), ("", EXIT_OK)])
+def test_max_kicks_flag_zero_is_a_budget(tmp_path, times, code):
+    """--max-kicks 0 is honoured like max_kicks = 0 in the config: only the
+    empty schedule fits."""
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", f"times = {times}")
+    assert main(["--config", write_cfg(tmp_path, body), "--max-kicks", "0", "simulate"]) == code
 
 
 @pytest.mark.parametrize(
@@ -541,6 +575,19 @@ def test_exit_codes_stay_in_contract(run):
 
 
 EXAMPLE_CFG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "docs", "example-run.cfg")
+
+
+def test_example_config_lists_every_key():
+    """The example's header promises every section and key, commented-out
+    ones included, and no other."""
+    keys, section = set(), None
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        for line in fh:
+            if m := re.match(r"\[(\w+)\]", line):
+                section = m[1]
+            elif m := re.match(r"#?\s*(\w+)\s*=", line):
+                keys.add((section, m[1]))
+    assert keys == {(section, key) for section, table in _SCHEMA.items() for key in table}
 
 
 @pytest.mark.parametrize(

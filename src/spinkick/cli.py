@@ -32,6 +32,7 @@ import argparse
 import cmath
 import configparser
 import contextlib
+import functools
 import os
 import sys
 import tempfile
@@ -246,6 +247,8 @@ class RunConfig:
     """
 
     def __init__(self, parser: configparser.ConfigParser, base_dir: str):
+        if parser.defaults():
+            raise ConfigError("a [DEFAULT] section is not allowed: it would copy its keys into every section")
         given = {}
         try:
             for section in parser.sections():
@@ -466,7 +469,7 @@ def _apply_sweep_value(env, geom, sched, parameter, value):
         if parameter == "nbar":
             env = SingleModeThermal(env.omega, nbar=value, displacement=env.displacement)
         elif parameter == "omega":
-            env = SingleModeThermal(value, nbar=env.nbar, displacement=env.displacement)
+            env = SingleModeThermal(value, nbar=env.nbar, beta=env.beta, displacement=env.displacement)
         elif parameter == "variance":
             env = WhiteKickKernel(value)
         elif parameter == "Omega":
@@ -478,31 +481,46 @@ def _apply_sweep_value(env, geom, sched, parameter, value):
     return env, geom, sched
 
 
-def _sweep_quantities(env, geom, sched, u0, base, max_kicks):
-    """Scalar observables available to cmd_sweep, computed per grid point."""
+def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted):
+    """The scalar observables of cmd_sweep named in ``wanted``, at one grid
+    point.  Each is computed only when asked for: the channel is built once,
+    and the (n-1)-kick prefix, the transition map and the fixed point only
+    for the quantities that need them."""
     ch = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
-    commuting, _ = is_commuting_schedule(geom, sched)
-    out = {
-        "purity_final": analysis.purity(ch(u0)),
-        "entropy_final": analysis.entropy(ch(u0), base),
-        "nonunital_shift": float(np.linalg.norm(ch.affine.shift)),
-        "fixed_point_norm": np.nan,
-        "commuting": 1.0 if commuting else 0.0,
-        "gamma_abs": abs(channels.dephasing_gamma(env, geom, sched)) if commuting else np.nan,
-        "lambda_min": np.nan,
-    }
-    with contextlib.suppress(SpinKickError):
-        out["fixed_point_norm"] = float(np.linalg.norm(analysis.fixed_point(ch).u_f))
-    if len(sched) == 2 and env.is_even:
-        with contextlib.suppress(SpinKickError):
-            params = channels.two_kick_params(env, geom, sched.times[0], sched.times[1], sched.weights)
-            out["lambda_min"] = float(analysis.chi_eigenvalues_two_kick(params.h, params.k).min())
-    elif len(sched) >= 2:
+    commuting = functools.cache(lambda: is_commuting_schedule(geom, sched)[0])
+
+    def fixed_point_norm():
+        try:
+            return float(np.linalg.norm(analysis.fixed_point(ch).u_f))
+        except SpinKickError:
+            return np.nan
+
+    def lambda_min():
+        if len(sched) < 2:
+            return np.nan
+        if len(sched) == 2 and env.is_even:
+            try:
+                params = channels.two_kick_params(env, geom, sched.times[0], sched.times[1], sched.weights)
+            except SpinKickError:
+                return np.nan
+            return float(analysis.chi_eigenvalues_two_kick(params.h, params.k).min())
         shorter = channels.build_n_kick_channel(env, geom, _head(sched, len(sched) - 1), max_kicks=max_kicks)
-        with contextlib.suppress(SpinKickError):
+        try:
             theta = channels.transition_map(ch, shorter)
-            out["lambda_min"] = float(np.linalg.eigvalsh(theta.chi).min())
-    return out
+        except SpinKickError:
+            return np.nan
+        return float(np.linalg.eigvalsh(theta.chi).min())
+
+    formulas = {
+        "purity_final": lambda: analysis.purity(ch(u0)),
+        "entropy_final": lambda: analysis.entropy(ch(u0), base),
+        "nonunital_shift": lambda: float(np.linalg.norm(ch.affine.shift)),
+        "fixed_point_norm": fixed_point_norm,
+        "commuting": lambda: 1.0 if commuting() else 0.0,
+        "gamma_abs": lambda: abs(channels.dephasing_gamma(env, geom, sched)) if commuting() else np.nan,
+        "lambda_min": lambda_min,
+    }
+    return {q: formulas[q]() for q in dict.fromkeys(wanted)}
 
 
 def _sweep_grid(cfg: RunConfig, suffix: str = "") -> np.ndarray:
@@ -534,7 +552,7 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> int:
             if parameter2 is not None:
                 env_v, geom_v, sched_v = _apply_sweep_value(env_v, geom_v, sched_v, parameter2, value2)
                 cells.append(_fmt(value2))
-            quantities = _sweep_quantities(env_v, geom_v, sched_v, u0, base, max_kicks)
+            quantities = _sweep_quantities(env_v, geom_v, sched_v, u0, base, max_kicks, wanted)
             rows.append(",".join(cells + [_fmt(quantities[q]) for q in wanted]))
     write_text_atomic(os.path.join(out_dir, f"{prefix}_sweep.csv"), "\n".join(rows) + "\n")
     print(f"wrote {prefix}_sweep.csv ({len(rows) - 1} rows) in {out_dir}")

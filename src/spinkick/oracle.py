@@ -22,9 +22,9 @@ import numpy as np
 
 from .channels import QubitMap, chi_from_affine, default_chi_basis, validate_map
 from .environment import SingleModeThermal
-from .errors import InvalidMap, NonHermitian, StepTooCoarse, TruncationNotConverged
+from .errors import InvalidMap, NonHermitian, NonUnitVector, StepTooCoarse, TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, r_of_t
-from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, dot_sigma, max_image_norm
+from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, max_image_norm
 
 TAIL_TOL = 1e-12
 DIM_STEP = 10  # Fock levels added per truncation step of oracle_channel
@@ -132,30 +132,54 @@ def rotated_spectrum(spec: FockSpec, spectrum, t: float):
     return evals, phases[:, None] * vecs
 
 
-def kick_unitary(r, spectrum, weight: float = 1.0) -> np.ndarray:
-    """Joint unitary exp(-i w r.sigma x O) on qubit (x) oscillator.
+def _spin_frame(r) -> np.ndarray:
+    """Unitary 2 x 2 frame whose columns are the +1 and -1 eigenvectors of r.sigma.
+
+    The +1 eigenvector e is along (1 + z, x + iy) for z >= 0 and along
+    (x - iy, 1 - z) for z < 0, so its norm never comes from a vanishing
+    1 +- z and r = -z is as well defined as r = +z.  The -1 eigenvector is
+    f = (-conj(e1), conj(e0)).  r must be a unit axis to 1e-10.
+    """
+    x, y, z = (float(c) for c in r)
+    if abs(x * x + y * y + z * z - 1.0) > 1e-10:
+        raise NonUnitVector(f"kick axis |r| = {math.sqrt(x * x + y * y + z * z)} is not 1 within 1e-10")
+    e0, e1 = (complex(1.0 + z), complex(x, y)) if z >= 0.0 else (complex(x, -y), complex(1.0 - z))
+    norm = math.sqrt(abs(e0) ** 2 + abs(e1) ** 2)
+    e0, e1 = e0 / norm, e1 / norm
+    return np.array([[e0, -e1.conjugate()], [e1, e0.conjugate()]])
+
+
+def kick_unitary(r, spectrum, weight: float = 1.0, u: np.ndarray | None = None) -> np.ndarray:
+    """Joint step exp(-i w r.sigma x O) on qubit (x) oscillator, applied to u.
 
     ``spectrum`` is (lambda, W) with O = W diag(lambda) W^dag, as returned
-    by coupling_spectrum or rotated_spectrum.  Built from the spectral split
-    P+ x U- + P- x U+ with U- = W e^{-iw lambda} W^dag and U+ = U-^dag: the
-    four d x d blocks are filled directly.  The full 2d x 2d step must pass
-    a unitarity check (1e-10), which an eigenbasis that is not orthonormal
-    fails with InvalidMap.
+    by coupling_spectrum or rotated_spectrum.  With e and f the +1 and -1
+    eigenvectors of r.sigma, the step is e e^dag x U- + f f^dag x U+, where
+    U- = W e^{-iw lambda} W^dag and U+ = U-^dag.  Returns step @ u for a u
+    of 2d rows, as e x U-(e^dag u) + f x U+(f^dag u): the spin index is
+    rotated in O(d^2) and the oscillator factors act as two d x d products,
+    so the 2d x 2d step is never built.  With u None the step itself is
+    returned, its four d x d blocks filled directly.  U- must pass a
+    unitarity check (1e-10), which an eigenbasis that is not orthonormal
+    fails with InvalidMap; the step is unitary exactly when U- is, because
+    the spin frame (e, f) is unitary.
     """
     evals, vecs = spectrum
     d = len(evals)
     u_minus = (vecs * np.exp(-1j * weight * evals)) @ vecs.conj().T
-    u_plus = u_minus.conj().T
-    p_plus = (I2 + dot_sigma(r)) / 2.0
-    p_minus = (I2 - dot_sigma(r)) / 2.0
-    u = np.empty((2 * d, 2 * d), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            u[i * d : (i + 1) * d, j * d : (j + 1) * d] = p_plus[i, j] * u_minus + p_minus[i, j] * u_plus
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(2 * d)))
+    defect = np.max(np.abs(u_minus.conj().T @ u_minus - np.eye(d)))
     if defect > 1e-10:
         raise InvalidMap(f"joint operator failed unitarity check ({defect:.3e})")
-    return u
+    frame = _spin_frame(r)
+    if u is None:
+        # block (i, j) of the step: e_i conj(e_j) U- + f_i conj(f_j) U+
+        factors = np.stack((u_minus, u_minus.conj().T))
+        return np.einsum("is,js,sab->iajb", frame, frame.conj(), factors).reshape(2 * d, 2 * d)
+    spin = (frame.conj().T @ u.reshape(2, -1)).reshape(2, d, -1)  # e^dag u and f^dag u
+    acted = np.empty_like(spin)
+    np.matmul(u_minus, spin[0], out=acted[0])
+    np.matmul(u_minus.conj().T, spin[1], out=acted[1])
+    return (frame @ acted.reshape(2, -1)).reshape(u.shape)
 
 
 def _channel_from_joint_unitary(u: np.ndarray, rho_env: np.ndarray, basis: OperatorBasis, meta: dict) -> QubitMap:
@@ -190,10 +214,11 @@ def _channel_at_dim(spec: FockSpec, geom: InteractionGeometry, steps, basis: Ope
     state's tail mass and the work done.
     """
     spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
-    u = np.eye(2 * spec.dim, dtype=complex)
-    for k, (t, w) in enumerate(steps):
-        step = kick_unitary(r_of_t(geom, t), rotated_spectrum(spec, spectrum, t), w)
-        u = step @ u if k else step  # the identity stays only for an empty train
+    u = None  # the first step is built directly, the later ones applied to it
+    for t, w in steps:
+        u = kick_unitary(r_of_t(geom, t), rotated_spectrum(spec, spectrum, t), w, u)
+    if u is None:  # an empty train
+        u = np.eye(2 * spec.dim, dtype=complex)
     rho_env, tail = environment_state(spec)
     meta = {**meta, "dim": spec.dim, "tail": tail, "kick_steps": len(steps), "eigendecompositions": 1}
     return _channel_from_joint_unitary(u, rho_env, basis, meta)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinkick import KickSchedule, build_n_kick_channel, divisibility_report, load_channel
-from spinkick.cli import _SCHEMA, EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, RunConfig, main
+from spinkick import KickSchedule, SingleModeThermal, build_n_kick_channel, divisibility_report, load_channel
+from spinkick.cli import _SCHEMA, EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, RunConfig, _apply_sweep_value, main
 
 BASE_CFG = """
 [environment]
@@ -98,6 +98,15 @@ def test_unknown_section_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path) + "\n[mystery]\nx = 1\n")
     assert main(["--config", cfg, "simulate"]) == EXIT_CONFIG
     assert "mystery" in capsys.readouterr().err
+
+
+def test_default_section_rejected(tmp_path, capsys):
+    """configparser would copy [DEFAULT] keys into every section; the error
+    names [DEFAULT] rather than the first section the copy lands in."""
+    cfg = write_cfg(tmp_path, "[DEFAULT]\ntol = 1e-6\n" + BASE_CFG.format(out=tmp_path))
+    assert main(["--config", cfg, "simulate"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[DEFAULT]" in err and "unknown key" not in err
 
 
 def test_duplicate_section_rejected(tmp_path):
@@ -216,6 +225,43 @@ def test_sweep_gap_parameter(tmp_path):
     assert len(lines) == 7
     lam = [float(r.split(",")[1]) for r in lines[1:]]
     assert all(v < 0 or np.isnan(v) for v in lam)
+
+
+def test_omega_sweep_keeps_the_temperature():
+    """A config that gives beta sweeps omega at that beta, so nbar follows."""
+    env = SingleModeThermal(omega=1.0, beta=1.0)
+    swept, _, _ = _apply_sweep_value(env, None, KickSchedule([0.0]), "omega", 2.0)
+    assert swept.omega == 2.0
+    assert swept.nbar == pytest.approx(1.0 / (np.e**2 - 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "quantities, builds, fixed_points",
+    [("purity_final", [3], 0), ("lambda_min", [3, 2], 0), ("fixed_point_norm", [3], 1), ("commuting", [3], 0)],
+    ids=["purity_final", "lambda_min", "fixed_point_norm", "commuting"],
+)
+def test_sweep_computes_only_requested_quantities(tmp_path, monkeypatch, quantities, builds, fixed_points):
+    """Per grid point: one build of the channel, plus the (n-1)-kick prefix
+    only for lambda_min and a fixed-point solve only for fixed_point_norm."""
+    from spinkick import analysis, channels
+
+    calls = {"build": [], "fixed_point": 0}
+    build, fixed_point = channels.build_n_kick_channel, analysis.fixed_point
+
+    def counting_build(*args, **kwargs):
+        calls["build"].append(len(args[2]))
+        return build(*args, **kwargs)
+
+    def counting_fixed_point(*args, **kwargs):
+        calls["fixed_point"] += 1
+        return fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "build_n_kick_channel", counting_build)
+    monkeypatch.setattr(analysis, "fixed_point", counting_fixed_point)
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", "times = 0.0 0.7 1.3")
+    body += f"\n[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = 2\nquantities = {quantities}\n"
+    assert main(["--config", write_cfg(tmp_path, body), "sweep"]) == EXIT_OK
+    assert calls == {"build": builds * 2, "fixed_point": 2 * fixed_points}
 
 
 def test_oracle_check(tmp_path, capsys):
@@ -359,6 +405,7 @@ def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
         ("sweep", "[output]", "[sweep]\nparameter = nbar\nstart = 0\nstop = nan\ncount = 3\n\n[output]"),
         ("--max-kicks -1 simulate", "[output]", "[output]"),
         ("simulate", "prefix = run", "prefix = 50%"),  # a bare % is an interpolation error
+        ("simulate", "[environment]", "[DEFAULT]\ntol = 1e-6\n\n[environment]"),
     ],
 )
 def test_bad_config_value_exits_2(tmp_path, capsys, command, old, new):

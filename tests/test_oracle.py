@@ -6,6 +6,7 @@ from spinkick import (
     InteractionGeometry,
     KickSchedule,
     NonHermitian,
+    NonUnitVector,
     SingleModeThermal,
     StepTooCoarse,
     TruncationNotConverged,
@@ -145,11 +146,48 @@ def test_cached_spectrum_step_matches_direct(dim):
         assert np.max(np.abs(cached - direct)) < 1e-12
 
 
+_AXES = {
+    "generic": None,
+    "plus_z": [0.0, 0.0, 1.0],
+    "minus_z": [0.0, 0.0, -1.0],
+    "near_minus_z": [0.6e-9, 0.8e-9, -np.sqrt(1.0 - 1e-18)],  # 1e-9 from -z
+}
+
+
+@pytest.mark.parametrize("axis", list(_AXES))
+@pytest.mark.parametrize("dim", [10, 40, 80, 120])
+def test_applied_steps_match_kron_product(dim, axis):
+    """The running product built step by step in the spin eigenbasis, as
+    the oracle builds it (first step direct, later steps applied), equals
+    the product of kron-assembled steps."""
+    rng = np.random.default_rng(dim)
+    omega = 1.7
+    spec = FockSpec(SingleModeThermal(omega=omega), dim=dim)
+    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
+    for n_steps in (2, 5, 8):
+        u, direct = None, np.eye(2 * dim, dtype=complex)
+        for _ in range(n_steps):
+            t = rng.uniform(0.0, 50.0) / omega
+            w = rng.uniform(0.0, 3.0)
+            r = rng.normal(size=3) if _AXES[axis] is None else np.array(_AXES[axis])
+            r /= np.linalg.norm(r)
+            u = kick_unitary(r, rotated_spectrum(spec, spectrum, t), w, u)
+            direct = _direct_step(r, quadrature_heisenberg(spec, t), w) @ direct
+        assert np.max(np.abs(u - direct)) < 1e-13
+
+
 def test_non_orthonormal_eigenbasis_fails_unitarity():
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     evals, vecs = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
     with pytest.raises(InvalidMap, match="unitarity"):
         kick_unitary([0, 0, 1], (evals, 1.001 * vecs), weight=0.5)
+
+
+def test_non_unit_kick_axis_rejected():
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
+    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
+    with pytest.raises(NonUnitVector):
+        kick_unitary([0.0, 0.0, 1.001], spectrum, weight=0.5)
 
 
 def _kron_readout(u, rho_env):

@@ -21,6 +21,7 @@ from .channels import (
     QubitMap,
     TwoKickParams,
     build_n_kick_channel,
+    build_prefix_channels,
     compose,
     dephasing_channel,
     dephasing_gamma,

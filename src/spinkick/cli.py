@@ -330,22 +330,27 @@ def _head(sched: KickSchedule, k: int) -> KickSchedule:
 
 class _Train:
     """A run's environment, geometry and schedule, and the exact channel of
-    each prefix of the schedule, built at most once: the reports simulate
-    toggles on reuse the channels of its trajectory."""
+    each prefix of the schedule, all from one ``build_prefix_channels`` pass:
+    the reports simulate toggles on reuse the channels of its trajectory."""
 
     def __init__(self, cfg: RunConfig):
         self.env, self.geom, self.sched = cfg.environment(), cfg.geometry(), cfg.schedule()
         self._max_kicks = cfg["analysis", "max_kicks"]
-        self._built = {}
+        self._prefixes = None
 
     def channel(self, k: int | None = None) -> channels.QubitMap:
-        """The channel of the first k kicks; of the whole schedule by default."""
+        """The channel of the first k kicks; of the whole schedule by default.
+
+        The first request runs the pass over every prefix within the
+        ``max_kicks`` budget; a longer prefix goes to the builder, which
+        refuses it with TooManyKicks."""
         k = len(self.sched) if k is None else k
-        if k not in self._built:
-            self._built[k] = channels.build_n_kick_channel(
-                self.env, self.geom, _head(self.sched, k), max_kicks=self._max_kicks
+        if self._prefixes is None or k >= len(self._prefixes):
+            reach = min(len(self.sched), max(k, self._max_kicks))
+            self._prefixes = channels.build_prefix_channels(
+                self.env, self.geom, _head(self.sched, reach), max_kicks=self._max_kicks
             )
-        return self._built[k]
+        return self._prefixes[k]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +406,7 @@ CLOSED_FORM_MAX_GAIN = 1e4
 
 
 def _closed_form_is_well_conditioned(env, geom, sched: KickSchedule) -> bool:
-    """Whether the two-kick closed form may stand in for the 4^n builder.
+    """Whether the two-kick closed form may stand in for the exact channel.
 
     It needs two kicks on an even environment, and two named limits:
 
@@ -413,7 +418,7 @@ def _closed_form_is_well_conditioned(env, geom, sched: KickSchedule) -> bool:
       |r1 x r0| the frame adapted to the two kick axes is too
       ill-conditioned to build the channel in.
 
-    Otherwise divisibility uses the 4^n builder, which has 16 terms here.
+    Otherwise divisibility uses the exact prefix channels, 5 terms here.
     """
     if len(sched) != 2 or not env.is_even:
         return False

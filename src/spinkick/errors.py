@@ -30,7 +30,7 @@ class LengthMismatch(SpinKickError):
 
 
 class TooManyKicks(SpinKickError):
-    """Schedule exceeds the exact-enumeration budget (4^n terms)."""
+    """Schedule exceeds the kick budget of the exact builders (work grows as 4^n)."""
 
 
 class NonEvenEnvironment(SpinKickError):

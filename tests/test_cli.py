@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinkick import KickSchedule, SingleModeThermal, build_n_kick_channel, divisibility_report, load_channel
+from spinkick import (
+    KickSchedule,
+    SingleModeThermal,
+    build_n_kick_channel,
+    build_prefix_channels,
+    divisibility_report,
+    load_channel,
+)
 from spinkick.cli import _SCHEMA, EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, RunConfig, _apply_sweep_value, main
 
 BASE_CFG = """
@@ -363,30 +370,39 @@ def test_log_base_flag(tmp_path):
 
 
 def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
-    """n kicks take n builds: the channel file reuses the last prefix channel."""
+    """n kicks take one pass, and each prefix channel is converted to its
+    affine action once: the channel file reuses the last prefix channel."""
     from spinkick import channels
 
-    calls = []
-    build = channels.build_n_kick_channel
+    passes, conversions = [], []
+    build, convert = channels.build_prefix_channels, channels.affine_from_chi
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[2]))
+    def counting_build(*args, **kwargs):
+        passes.append(len(args[2]))
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(channels, "build_n_kick_channel", counting)
+    def counting_convert(*args, **kwargs):
+        conversions.append(args[0])
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "build_prefix_channels", counting_build)
+    monkeypatch.setattr(channels, "affine_from_chi", counting_convert)
     out = tmp_path / "out"
     body = BASE_CFG.format(out=out).replace("times = 0.0", "times = 0.0 0.7 1.3")
     assert main(["--config", write_cfg(tmp_path, body), "simulate"]) == EXIT_OK
-    assert calls == [1, 2, 3]
+    assert passes == [3]
+    assert len(conversions) == 3
     ch = load_channel(out / "run_channel.txt")
     assert ch.meta["times"] == (0.0, 0.7, 1.3)
     assert sorted(p.name for p in out.iterdir()) == ["run_channel.txt", "run_trajectory.csv"]
 
     # the reports simulate toggles on reuse those channels
-    calls.clear()
+    passes.clear()
+    conversions.clear()
     toggled = body + "\n[analysis]\ndivisibility = true\nfixed_point = true\noracle_check = true\n"
     assert main(["--config", write_cfg(tmp_path, toggled, "toggled.cfg"), "simulate"]) == EXIT_OK
-    assert calls == [1, 2, 3]
+    assert passes == [3]
+    assert len(conversions) == 3
     assert len(list(out.iterdir())) == 6
 
 
@@ -481,7 +497,15 @@ ERASING_CFG = TWO_KICK_CFG.format(
 
 @pytest.mark.parametrize("body", [NEAR_PARALLEL_CFG, HIGH_GAIN_CFG], ids=["near_parallel", "high_gain"])
 def test_divisibility_leaves_ill_conditioned_closed_form(tmp_path, body):
-    """Two kicks outside the closed form's limits go to the 4^n builder."""
+    """Two kicks outside the closed form's limits go to the exact prefix
+    channels, which match the 4^n enumeration.
+
+    The eigenvalues are compared with the builder the CLI runs.  At high
+    gain A_1 has condition number 9.2e5, so the transition map amplifies
+    rounding: lambda_2 is 0.12315789 in 60-digit arithmetic and reads
+    0.12315840 from the enumeration and 0.12315831 from the pass, though
+    both builders' affine maps lie within 6e-16 of the 60-digit ones.
+    """
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, body.format(out=out))
     assert main(["--config", cfg, "divisibility"]) == EXIT_OK
@@ -489,8 +513,13 @@ def test_divisibility_leaves_ill_conditioned_closed_form(tmp_path, body):
     assert "h_abs" not in kv  # no closed-form parameters reported
     c = RunConfig.from_file(cfg)
     env, geom, sched = c.environment(), c.geometry(), c.schedule()
-    shorter = KickSchedule(sched.times[:1], sched.weights[:1])
-    ref = divisibility_report(build_n_kick_channel(env, geom, sched), build_n_kick_channel(env, geom, shorter))
+    prefixes = build_prefix_channels(env, geom, sched)
+    for k in (1, 2):
+        ref = build_n_kick_channel(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
+        np.testing.assert_allclose(prefixes[k].chi, ref.chi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prefixes[k].affine.matrix, ref.affine.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prefixes[k].affine.shift, ref.affine.shift, rtol=0, atol=1e-12)
+    ref = divisibility_report(prefixes[2], prefixes[1])
     got = [float(kv[f"lambda_{i}"]) for i in range(1, 5)]
     np.testing.assert_allclose(got, ref.chi_eigenvalues, rtol=0, atol=1e-9)
 

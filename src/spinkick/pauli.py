@@ -122,8 +122,9 @@ def max_image_norm(m: AffineBlochMap):
     the unit length.  Otherwise delta is found by Newton's method on
     1/|x(delta)| - 1, which is concave and increasing, so from the lower
     bound max(|d_i| - g_i, 0) the iterates climb to the root without
-    overshooting.  By convexity of |A u + b| the value is also the maximum
-    over the whole Bloch ball.
+    overshooting; from there on delta + g_i >= |d_i|, so |x_i| <= 1.  By
+    convexity of |A u + b| the value is also the maximum over the whole Bloch
+    ball.
     """
     a, b = m.matrix, m.shift
     lam, v = np.linalg.eigh(a.T @ a)
@@ -131,14 +132,18 @@ def max_image_norm(m: AffineBlochMap):
     gap = lam[-1] - lam
     keep = d != 0.0
     dk, gk = d[keep], gap[keep]
-    hard = not np.any(gk == 0.0) and np.sum((dk / gk) ** 2) <= 1.0
+    hard = not np.any(gk == 0.0) and np.all(np.abs(dk) <= gk) and np.sum((dk / gk) ** 2) <= 1.0
     delta = 0.0
     if not hard:
         delta = max(0.0, float(np.max(np.abs(dk) - gk)))
         for _ in range(100):
             xk = dk / (delta + gk)
             length_sq = xk @ xk
-            step = length_sq * (np.sqrt(length_sq) - 1.0) / (xk @ (xk / (delta + gk)))
+            # the Newton step scaled by the smallest denominator h, so that
+            # x_i h / (delta + g_i) <= |x_i| <= 1 cannot overflow when d is
+            # subnormal
+            h = float(np.min(delta + gk))
+            step = h * length_sq * (np.sqrt(length_sq) - 1.0) / (xk @ (xk * (h / (delta + gk))))
             if not step > np.finfo(float).eps * delta:
                 break
             delta += step

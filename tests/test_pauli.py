@@ -141,6 +141,8 @@ HARD_CASES = {
     "diag_1_h2_h2": (np.diag([1.0, 0.49, 0.49]), np.zeros(3), 1.0),
     "diag_1_h2_h2_shifted": _diag_shifted(0.49, 0.3),
     "diag_1_h2_h2_past_hard_case": _diag_shifted(0.49, 0.9),
+    # a kick of subnormal weight: the Newton denominators were ~1e-311
+    "subnormal_shift": (np.eye(3), np.array([0.0, 0.0, -3.15e-311]), 1.0),
     "constant": (np.zeros((3, 3)), np.array([0.3, -0.4, 0.0]), 0.5),
     "zero": (np.zeros((3, 3)), np.zeros(3), 0.0),
 }

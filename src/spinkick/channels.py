@@ -23,15 +23,17 @@ Construction is deterministic: a fixed order of accumulation gives
 bit-reproducible output.
 
 Channels and the transition maps between kick counts are one type,
-QubitMap: an affine Bloch action (A, b) together with the chi-matrix in a
-declared operator basis, and a flag ``cp`` that says whether the map is
-validated as completely positive.  The constructed objects are immutable and
-safe to share between threads.
+QubitMap.  Its record is the affine Bloch action (A, b) and a declared
+operator basis; its chi matrix in that basis is derived from (A, b) by one
+fixed linear map (``chi_from_affine``).  A flag ``cp`` says whether the map
+is validated as completely positive.  The builders that sum the chi matrix
+directly keep only the affine action they read from it.  The constructed
+objects are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -162,52 +164,40 @@ def apply_chi(chi: np.ndarray, basis: OperatorBasis, rho: np.ndarray) -> np.ndar
 
 def _basis_tensor(basis: OperatorBasis) -> np.ndarray:
     """16x16 tensor T[(c,d),(a,b)] = tr(B_c^dag B_a B_d B_b^dag) linking the
-    chi matrix to the superoperator matrix in the same basis."""
+    chi matrix to the superoperator matrix S_cd = tr(B_c^dag E[B_d]) in the
+    same basis."""
     b = basis.ops
     bh = b.conj().transpose(0, 2, 1)
     t = np.einsum("cxy,ayz,dzw,bwx->cdab", bh, b, b, bh)
     return t.reshape(16, 16)
 
 
-def _sigma_coeffs(x: np.ndarray):
-    """Decompose a 2x2 operator as x0*1 + xvec.sigma (complex coefficients)."""
-    x0 = np.trace(x) / 2.0
-    xvec = np.einsum("ijk,kj->i", PAULI, x) / 2.0
-    return x0, xvec
-
-
-def _apply_affine_linear(affine: AffineBlochMap, x: np.ndarray) -> np.ndarray:
-    """Complex-linear extension of the affine Bloch action to operators."""
-    x0, xvec = _sigma_coeffs(x)
-    out_vec = affine.matrix.astype(complex) @ xvec + x0 * affine.shift
-    return x0 * I2 + np.einsum("i,ijk->jk", out_vec, PAULI)
+# T_P^{-1}, for the normalized Pauli basis P_mu = sigma_mu/sqrt(2) (sigma_0 = 1)
+_PAULI_TENSOR_INV = np.linalg.inv(_basis_tensor(PAULI_BASIS))
 
 
 def chi_from_affine(affine: AffineBlochMap, basis: OperatorBasis) -> np.ndarray:
-    """chi matrix of the (trace-preserving) map with the given affine action.
+    """chi matrix, in ``basis``, of the trace-preserving map with the given
+    affine action: one fixed linear map of (A, b).
 
-    The correspondence is a bijection: the superoperator matrix S_cd =
-    tr(B_c^dag E[B_d]) is linear in chi through the basis tensor, which is
-    invertible for any orthonormal operator basis.
+    In the normalized Pauli basis the superoperator is S = [[1, 0], [b, A]]
+    and chi_P = unvec(T_P^{-1} vec S), with T_P the (invertible) basis tensor
+    of ``_basis_tensor``.  The change of basis gives chi = C chi_P C^dag,
+    C_a,mu = tr(B_a^dag sigma_mu)/sqrt(2).
     """
-    s = np.empty((4, 4), dtype=complex)
-    for d in range(4):
-        out = _apply_affine_linear(affine, basis.ops[d])
-        for c in range(4):
-            s[c, d] = np.trace(basis.ops[c].conj().T @ out)
-    chi = np.linalg.solve(_basis_tensor(basis), s.reshape(16))
-    return chi.reshape(4, 4)
+    s = np.zeros((4, 4))
+    s[0, 0] = 1.0
+    s[1:, 0] = affine.shift
+    s[1:, 1:] = affine.matrix
+    chi_p = (_PAULI_TENSOR_INV @ s.reshape(16)).reshape(4, 4)
+    c = np.einsum("ayx,myx->am", basis.ops.conj(), PAULI_BASIS.ops)
+    return c @ chi_p @ c.conj().T
 
 
 def affine_from_chi(chi: np.ndarray, basis: OperatorBasis) -> AffineBlochMap:
-    """Affine Bloch action of the map chi."""
-    return _affine_from_action(lambda rho: apply_chi(chi, basis, rho))
-
-
-def _affine_from_action(apply_rho) -> AffineBlochMap:
-    """Affine Bloch action of a map, from its action on {1/2, (1+sigma_i)/2}."""
-    b = density_to_bloch(apply_rho(I2 / 2.0))
-    cols = [density_to_bloch(apply_rho((I2 + sig) / 2.0)) - b for sig in PAULI]
+    """Affine Bloch action of the map chi, from its action on {1/2, (1+sigma_i)/2}."""
+    b = density_to_bloch(apply_chi(chi, basis, I2 / 2.0))
+    cols = [density_to_bloch(apply_chi(chi, basis, (I2 + sig) / 2.0)) - b for sig in PAULI]
     return AffineBlochMap(np.column_stack(cols), b)
 
 
@@ -217,18 +207,20 @@ def _affine_from_action(apply_rho) -> AffineBlochMap:
 
 @dataclass(frozen=True, eq=False)
 class QubitMap:
-    """A trace- and Hermiticity-preserving qubit map: affine Bloch action plus
-    chi matrix in a basis.  cp=True marks a channel (CPTP, chi validated
-    PSD); transition maps, which need not be CP, carry cp=False."""
+    """A trace- and Hermiticity-preserving qubit map, recorded by its affine
+    Bloch action in a declared chi basis.  The read-only ``chi`` is derived
+    from the action (``chi_from_affine``).  cp=True marks a channel (CPTP,
+    chi validated PSD); transition maps, which need not be CP, carry
+    cp=False."""
 
     affine: AffineBlochMap
-    chi: np.ndarray
     basis: OperatorBasis
     meta: dict = field(default_factory=dict)
     cp: bool = True
+    chi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        chi = np.array(self.chi, dtype=complex).reshape(4, 4)
+        chi = chi_from_affine(self.affine, self.basis)
         chi.setflags(write=False)
         object.__setattr__(self, "chi", chi)
 
@@ -258,12 +250,9 @@ def validate_channel(ch: QubitMap) -> None:
         raise InvalidMap(f"chi not PSD: min eigenvalue {lo:.3e} < -1e-10")
 
 
-def _map(affine, basis, meta, cp=True, chi=None) -> QubitMap:
-    """Construct and validate a map; chi is derived from the affine action
-    unless given."""
-    if chi is None:
-        chi = chi_from_affine(affine, basis)
-    m = QubitMap(affine, chi, basis, meta, cp)
+def _map(affine, basis, meta, cp=True) -> QubitMap:
+    """Construct and validate a map."""
+    m = QubitMap(affine, basis, meta, cp)
     (validate_channel if cp else validate_map)(m)
     return m
 
@@ -282,24 +271,16 @@ def phase_damping_channel(r_axis, gamma: complex, meta: dict | None = None) -> Q
 
     Operator form P+ rho P+ + P- rho P- + gamma P+ rho P- + conj(gamma)
     P- rho P+; the modulus of gamma damps coherences in the r eigenbasis and
-    its phase is a rotation about r.
+    its phase is a rotation about r.  The Bloch action is u -> A u with
+    A = r r^T + Re(gamma) (1 - r r^T) - Im(gamma) [r]_x, where [r]_x u = r x u.
     """
     r = np.asarray(r_axis, dtype=float)
-    p_plus = (I2 + dot_sigma(r)) / 2.0
-    p_minus = (I2 - dot_sigma(r)) / 2.0
     g = complex(gamma)
-
-    def act(rho):
-        return (
-            p_plus @ rho @ p_plus
-            + p_minus @ rho @ p_minus
-            + g * (p_plus @ rho @ p_minus)
-            + np.conj(g) * (p_minus @ rho @ p_plus)
-        )
-
+    rr = np.outer(r, r)
+    a = rr + g.real * (np.eye(3) - rr) - g.imag * np.cross(r, np.eye(3)).T
     md = {"kind": "phase_damping", "gamma": g, "r_last": tuple(r)}
     md.update(meta or {})
-    return _map(_affine_from_action(act), default_chi_basis([r]), md)
+    return _map(AffineBlochMap(a, np.zeros(3)), default_chi_basis([r]), md)
 
 
 def single_kick_channel(
@@ -335,7 +316,8 @@ def build_n_kick_channel(
     """Exact channel for an arbitrary kick schedule by full 4^n enumeration.
 
     Accumulates the chi matrix from the double trace over projector strings
-    and recovers the affine action from the chi action on {1/2, (1+s_i)/2}.
+    and keeps the affine action it has on {1/2, (1+s_i)/2}; the channel's chi
+    is derived from that action.
     It exponentiates all 4^n coefficients gamma(s, s') and holds them as one
     complex matrix (16 * 4^n bytes; 67 MB at 11 kicks).  For the channels
     after every kick of a train, ``build_prefix_channels`` does about a
@@ -355,9 +337,8 @@ def build_n_kick_channel(
     gammas = _gamma_matrix(env, times, sched.weights, signs)
     chi = coeff.T @ gammas @ coeff.conj()
 
-    affine = affine_from_chi(chi, basis)
     meta = _n_kick_meta(env, times, sched.weights, rs[-1], "enumeration", 4**n)
-    return _map(affine, basis, meta, chi=chi)
+    return _map(affine_from_chi(chi, basis), basis, meta)
 
 
 def _check_budget(n: int, max_kicks: int) -> None:
@@ -384,8 +365,9 @@ class PrefixChannels:
     one ``build_prefix_channels`` pass.
 
     ``prefixes[k]`` is a validated channel.  The pass yields every prefix's
-    chi; the affine action is derived and the channel validated when a
-    prefix is first read, so a caller pays only for the prefixes it reads.
+    chi; the affine action is read from it and the channel built and
+    validated when a prefix is first read, so a caller pays only for the
+    prefixes it reads.
     """
 
     def __init__(self, parts):
@@ -402,7 +384,7 @@ class PrefixChannels:
                 self._maps[k] = identity_channel()
             else:
                 chi, basis, meta = self._parts[k - 1]
-                self._maps[k] = _map(affine_from_chi(chi, basis), basis, meta, chi=chi)
+                self._maps[k] = _map(affine_from_chi(chi, basis), basis, meta)
         return self._maps[k]
 
 
@@ -598,19 +580,21 @@ def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched
 # map algebra
 
 
-def compose(later: QubitMap, earlier: QubitMap) -> QubitMap:
-    """Composition later o earlier; affine parts multiply, chi is recomputed
-    from the composed action in the later map's basis.  The result is a
-    channel only when both factors are."""
+def _composed_affine(later: QubitMap, earlier: QubitMap) -> AffineBlochMap:
     a2, b2 = later.affine.matrix, later.affine.shift
     a1, b1 = earlier.affine.matrix, earlier.affine.shift
-    affine = AffineBlochMap(a2 @ a1, a2 @ b1 + b2)
+    return AffineBlochMap(a2 @ a1, a2 @ b1 + b2)
+
+
+def compose(later: QubitMap, earlier: QubitMap) -> QubitMap:
+    """Composition later o earlier in the later map's basis; the affine
+    parts multiply.  The result is a channel only when both factors are."""
     meta = {
         "kind": "composition",
         "parents": (later.meta.get("kind"), earlier.meta.get("kind")),
         "r_last": later.meta.get("r_last"),
     }
-    return _map(affine, later.basis, meta, cp=later.cp and earlier.cp)
+    return _map(_composed_affine(later, earlier), later.basis, meta, cp=later.cp and earlier.cp)
 
 
 def invert_channel(ch: QubitMap) -> QubitMap:
@@ -639,19 +623,17 @@ def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
     Hermiticity- and trace-preserving by construction; complete positivity
     of Theta is exactly what divisibility analysis interrogates.
     """
-    theta = compose(longer, invert_channel(shorter))
-    meta = dict(theta.meta)
-    meta.update(
-        {
-            "kind": "transition",
-            "longer": longer.meta.get("times"),
-            "shorter": shorter.meta.get("times"),
-            "r_last": longer.meta.get("r_last"),
-        }
-    )
+    inverse = invert_channel(shorter)
+    meta = {
+        "kind": "transition",
+        "parents": (longer.meta.get("kind"), inverse.meta.get("kind")),
+        "r_last": longer.meta.get("r_last"),
+        "longer": longer.meta.get("times"),
+        "shorter": shorter.meta.get("times"),
+    }
     if "closed_form" in longer.meta:
         meta["closed_form"] = longer.meta["closed_form"]
-    return replace(theta, meta=meta)
+    return _map(_composed_affine(longer, inverse), longer.basis, meta, cp=False)
 
 
 def two_kick_transition_map(
@@ -704,33 +686,44 @@ def save_channel(m: QubitMap, path) -> None:
         fh.write(format_channel(m))
 
 
+def _read_section(lines, i: int, name: str, rows: int, parse):
+    """The ``rows`` rows under the header ``name:`` at lines[i], parsed
+    entry by entry, and the index of the line after them."""
+    if lines[i] != f"{name}:":
+        raise ValueError(f"expected {name} section")
+    return np.array([[parse(tok) for tok in lines[i + 1 + r].split()] for r in range(rows)]), i + 1 + rows
+
+
 def load_channel(path) -> QubitMap:
-    """Read back a map written by save_channel."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "spinkick-map v1":
-        raise ValueError(f"unrecognized header {lines[0]!r}")
-    kind = lines[1].split(":", 1)[1].strip()
-    meta = {}
-    i = 2
-    if lines[i].startswith("times:"):
-        meta["times"] = tuple(float(x) for x in lines[i].split(":", 1)[1].split())
-        i += 1
-    if lines[i] != "basis:":
-        raise ValueError("expected basis section")
-    ops = np.array(
-        [[parse_complex(tok) for tok in lines[i + 1 + r].split()] for r in range(4)]
-    ).reshape(4, 2, 2)
-    i += 5
-    if lines[i] != "chi:":
-        raise ValueError("expected chi section")
-    chi = np.array([[parse_complex(tok) for tok in lines[i + 1 + r].split()] for r in range(4)])
-    i += 5
-    if lines[i] != "A:":
-        raise ValueError("expected A section")
-    a = np.array([[float(tok) for tok in lines[i + 1 + r].split()] for r in range(3)])
-    i += 4
-    if lines[i] != "b:":
-        raise ValueError("expected b section")
-    b = np.array([float(tok) for tok in lines[i + 1].split()])
-    return _map(AffineBlochMap(a, b), OperatorBasis(ops), meta, cp=kind == "channel", chi=chi)
+    """Read back a map written by save_channel.
+
+    The map is rebuilt from the file's basis, A and b, and its chi derived
+    from them; the file's chi section must agree with the derived chi to
+    1e-10 max(1, max|chi|).  A malformed file, or one whose chi disagrees,
+    raises InvalidMap.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        if lines[0] != "spinkick-map v1":
+            raise ValueError(f"unrecognized header {lines[0]!r}")
+        kind = lines[1].split(":", 1)[1].strip()
+        meta = {}
+        i = 2
+        if lines[i].startswith("times:"):
+            meta["times"] = tuple(float(x) for x in lines[i].split(":", 1)[1].split())
+            i += 1
+        ops, i = _read_section(lines, i, "basis", 4, parse_complex)
+        chi, i = _read_section(lines, i, "chi", 4, parse_complex)
+        a, i = _read_section(lines, i, "A", 3, float)
+        b, i = _read_section(lines, i, "b", 1, float)
+        affine, basis, chi = AffineBlochMap(a, b), OperatorBasis(ops), chi.reshape(4, 4)
+    except IndexError as exc:
+        raise InvalidMap(f"malformed channel file {path}: a line is missing or cut short") from exc
+    except ValueError as exc:
+        raise InvalidMap(f"malformed channel file {path}: {exc}") from exc
+    m = _map(affine, basis, meta, cp=kind == "channel")
+    dev = np.max(np.abs(chi - m.chi))
+    if not dev <= 1e-10 * max(1.0, np.max(np.abs(m.chi))):
+        raise InvalidMap(f"chi section of {path} differs from the chi of its A and b by {dev:.3e}")
+    return m

@@ -52,7 +52,8 @@ class SingularChannel(SpinKickError):
 class InvalidMap(SpinKickError, ValueError):
     """A constructed map fails its invariants (Hermitian chi, trace
     preservation, or chi PSD for a channel), e.g. after an ill-conditioned
-    inversion."""
+    inversion; or a channel file is malformed or its chi section disagrees
+    with its affine action."""
 
 
 class NonContractive(SpinKickError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import QubitMap, chi_from_affine, default_chi_basis, validate_map
+from .channels import QubitMap, default_chi_basis, validate_map
 from .environment import SingleModeThermal
 from .errors import InvalidMap, NonHermitian, NonUnitVector, StepTooCoarse, TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, r_of_t
@@ -197,8 +197,7 @@ def _channel_from_joint_unitary(u: np.ndarray, rho_env: np.ndarray, basis: Opera
     blochs = [density_to_bloch(np.einsum("ab,iajb->ij", rho_q, m), tol=1e-8) for rho_q in inputs]
     b = blochs[0]
     a = np.column_stack([v - b for v in blochs[1:]])
-    affine = AffineBlochMap(a, b)
-    ch = QubitMap(affine, chi_from_affine(affine, basis), basis, meta)
+    ch = QubitMap(AffineBlochMap(a, b), basis, meta)
     # truncation error can leave tiny PSD defects, so only the structural
     # invariants are enforced here; CP-ness is what the comparison tests
     validate_map(ch, herm_tol=1e-8, tp_tol=1e-8)

@@ -34,7 +34,7 @@ from spinkick import (
     apply_affine,
 )
 from spinkick.analysis import PSD_TOL, entropy_from_purity
-from spinkick.channels import QubitMap, chi_from_affine
+from spinkick.channels import QubitMap
 from spinkick.pauli import PAULI_BASIS, AffineBlochMap
 from conftest import fibonacci_sphere, random_geometry, random_schedule
 
@@ -146,7 +146,7 @@ def test_fixed_point_identity_flagged():
 
 def test_fixed_point_inconsistent_raises():
     rot = AffineBlochMap(np.eye(3), [0, 0, 0.2])  # translation with A = 1
-    bad = QubitMap(rot, chi_from_affine(rot, PAULI_BASIS), PAULI_BASIS, {}, cp=False)
+    bad = QubitMap(rot, PAULI_BASIS, {}, cp=False)
     with pytest.raises(NonContractive):
         fixed_point(bad)
 
@@ -227,7 +227,7 @@ def test_is_positive_synthetic_h():
     """k = 0: the transition map is diagonal and positive iff |h| <= 1."""
     for h_abs, expect in ((0.7, True), (1.0, True), (1.3, False)):
         aff = AffineBlochMap(np.diag([1.0, h_abs**2, h_abs**2]), np.zeros(3))
-        tm = QubitMap(aff, chi_from_affine(aff, PAULI_BASIS), PAULI_BASIS, {}, cp=False)
+        tm = QubitMap(aff, PAULI_BASIS, {}, cp=False)
         ok = max_image_norm(tm.affine)[0] <= 1.0 + PSD_TOL
         assert ok is expect
         assert is_cp(tm) is expect

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from spinkick import (
     AffineBlochMap,
     GaussianEnvironment,
     InteractionGeometry,
+    InvalidMap,
     LengthMismatch,
     KickSchedule,
     NonCommutingSchedule,
@@ -41,13 +43,20 @@ from spinkick.channels import (
     _gamma_matrix,
     _projector_strings,
     _sign_matrix,
+    affine_from_chi,
+    apply_chi,
+    basis_from_frame,
     chi_from_affine,
     default_chi_basis,
+    format_channel,
+    phase_damping_channel,
+    two_kick_frame,
     validate_channel,
     validate_map,
 )
+from spinkick.environment import format_complex, parse_complex
 from spinkick.oracle import fock_spec_for, nascent_delta_channel, oracle_channel
-from spinkick.pauli import I2, OperatorBasis, dot_sigma
+from spinkick.pauli import I2, PAULI, OperatorBasis, bloch_to_density, dot_sigma
 from conftest import random_geometry, random_schedule, random_unit
 
 
@@ -196,6 +205,71 @@ def test_single_kick_weight_scales_variance(vacuum, standard_geometry):
     assert ch.meta["gamma"] == pytest.approx(np.exp(-4.0 * 0.5 * 2.0))  # e^{-2 w^2}
 
 
+def test_phase_damping_matches_operator_form():
+    """The closed-form Bloch action of phase damping equals the operator form
+    P+ rho P+ + P- rho P- + gamma P+ rho P- + conj(gamma) P- rho P+ on the
+    probes 1/2 and (1 + sigma_i)/2, for complex gamma."""
+    rng = np.random.default_rng(7)
+    probes = [np.zeros(3), *np.eye(3)]
+    for _ in range(20):
+        r = random_unit(rng)
+        g = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        p_plus, p_minus = (I2 + dot_sigma(r)) / 2.0, (I2 - dot_sigma(r)) / 2.0
+        ch = phase_damping_channel(r, g)
+        for u in probes:
+            rho = bloch_to_density(u)
+            want = (
+                p_plus @ rho @ p_plus
+                + p_minus @ rho @ p_minus
+                + g * (p_plus @ rho @ p_minus)
+                + np.conj(g) * (p_minus @ rho @ p_plus)
+            )
+            np.testing.assert_allclose(bloch_to_density(ch(u)), want, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# chi <-> affine conversion: the closed form against its definition
+
+
+def _affine_on_operator(affine, x):
+    """The complex-linear extension of u -> A u + b to a 2x2 operator:
+    1 -> 1 + b.sigma, sigma_j -> sum_i A_ij sigma_i."""
+    x0 = np.trace(x) / 2.0
+    xvec = np.einsum("ijk,kj->i", PAULI, x) / 2.0
+    out = affine.matrix @ xvec + x0 * affine.shift
+    return x0 * I2 + np.einsum("i,ijk->jk", out, PAULI)
+
+
+def _random_orthonormal_basis(rng):
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u, _ = np.linalg.qr(z)
+    return OperatorBasis(np.einsum("ma,myx->ayx", u, PAULI_BASIS.ops))
+
+
+def test_chi_from_affine_matches_definition():
+    """chi_from_affine(A, b) is the chi whose superoperator tr(B_c^dag E[B_d])
+    is that of u -> A u + b, and affine_from_chi inverts it, in the Pauli
+    basis, a two-kick frame basis and a random orthonormal basis."""
+    rng = np.random.default_rng(12)
+    bases = [
+        PAULI_BASIS,
+        basis_from_frame(two_kick_frame(random_unit(rng), random_unit(rng))),
+        _random_orthonormal_basis(rng),
+    ]
+    for basis in bases:
+        for _ in range(10):
+            affine = AffineBlochMap(rng.normal(size=(3, 3)), rng.normal(size=3))
+            chi = chi_from_affine(affine, basis)
+            for c, bc in enumerate(basis.ops):
+                for d, bd in enumerate(basis.ops):
+                    want = np.trace(bc.conj().T @ _affine_on_operator(affine, bd))
+                    got = np.trace(bc.conj().T @ apply_chi(chi, basis, bd))
+                    assert abs(got - want) <= 1e-13, (c, d, abs(got - want))
+            back = affine_from_chi(chi, basis)
+            np.testing.assert_allclose(back.matrix, affine.matrix, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(back.shift, affine.shift, rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # n-kick builder
 
@@ -243,7 +317,12 @@ def test_n_kick_chi_consistent_with_affine():
     geom = random_geometry(rng)
     sched = random_schedule(rng, 3)
     ch = build_n_kick_channel(env, geom, sched)
-    np.testing.assert_allclose(ch.chi, chi_from_affine(ch.affine, ch.basis), atol=1e-12)
+    rs = np.stack([r_of_t(geom, t) for t in sched.times])
+    signs = _sign_matrix(len(sched))
+    coeff = np.einsum("ayx,myx->ma", ch.basis.ops.conj(), _projector_strings(rs, signs))
+    gammas = _gamma_matrix(env, sched.times, sched.weights, signs)
+    double_trace = coeff.T @ gammas @ coeff.conj()
+    np.testing.assert_allclose(double_trace, chi_from_affine(ch.affine, ch.basis), atol=1e-12)
 
 
 def test_n_kick_budget(vacuum, standard_geometry):
@@ -600,18 +679,16 @@ def test_mean_shift_invariance_has_a_boundary():
 
 def test_channel_validation_catches_bad_chi(vacuum, standard_geometry):
     ch = single_kick_channel(vacuum, standard_geometry, 0.0)
-    from spinkick import QubitMap
-
-    bad = QubitMap(ch.affine, ch.chi + 1e-3 * np.eye(4) * 1j, ch.basis, {})
+    bad = SimpleNamespace(chi=ch.chi + 1e-3 * np.eye(4) * 1j, basis=ch.basis)
     with pytest.raises(ValueError):
         validate_channel(bad)
 
 
 def test_invalid_map_is_a_domain_error(vacuum, standard_geometry):
-    from spinkick import InvalidMap, QubitMap, SpinKickError
+    from spinkick import SpinKickError
 
     ch = single_kick_channel(vacuum, standard_geometry, 0.0)
-    bad = QubitMap(ch.affine, ch.chi + 1e-3j * np.eye(4), ch.basis, {}, cp=False)
+    bad = SimpleNamespace(chi=ch.chi + 1e-3j * np.eye(4), basis=ch.basis)
     with pytest.raises(InvalidMap):
         validate_map(bad)
     assert issubclass(InvalidMap, SpinKickError)
@@ -648,6 +725,37 @@ def test_transition_roundtrip(tmp_path, vacuum, standard_geometry):
     back = load_channel(path)
     assert not back.cp
     np.testing.assert_array_equal(back.chi, theta.chi)
+
+
+def test_load_rejects_an_edited_chi_entry(tmp_path, vacuum, standard_geometry):
+    """chi is derived from the file's A and b; a chi section that disagrees
+    with them is refused."""
+    ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
+    path = tmp_path / "channel.txt"
+    save_channel(ch, path)
+    lines = path.read_text().splitlines()
+    row = lines.index("chi:") + 2
+    entries = lines[row].split()
+    entries[1] = format_complex(parse_complex(entries[1]) + 1e-6)
+    lines[row] = " ".join(entries)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidMap, match="chi section"):
+        load_channel(path)
+
+
+@pytest.mark.parametrize("cut", ["empty", "after_chi", "bad_header"])
+def test_load_rejects_a_malformed_file(tmp_path, vacuum, standard_geometry, cut):
+    ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
+    text = format_channel(ch)
+    text = {
+        "empty": "",
+        "after_chi": text[: text.index("chi:\n") + len("chi:\n")],
+        "bad_header": text.replace("spinkick-map v1", "spinkick-map v2"),
+    }[cut]
+    path = tmp_path / "channel.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidMap, match="malformed"):
+        load_channel(path)
 
 
 # ---------------------------------------------------------------------------

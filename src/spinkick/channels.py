@@ -12,15 +12,22 @@ their order is lexicographic with bit i of the index addressing kick i
 (bit 0 = earliest kick, cleared bit = +1).
 
 Two builders evaluate it exactly.  ``build_n_kick_channel`` enumerates the
-4^n coefficients of one schedule at once: it exponentiates 4^n entries and
-holds the whole gamma matrix.  ``build_prefix_channels`` gives the channel
-after every kick of a schedule from one pass that appends one kick at a
-time: the coefficients of the shorter prefix are reused, only the new
-off-diagonal block (4^k entries for kick k) is exponentiated, about 4^n/3
-entries in all, and the last level is contracted without forming the 4^n
-matrix.  The two agree to rounding (1e-12 in the tests for n <= 10).
-Construction is deterministic: a fixed order of accumulation gives
-bit-reproducible output.
+4^n coefficients of one schedule at once: it exponentiates 4^n complex
+entries and holds the whole gamma matrix, 16 * 4^n bytes.
+``build_prefix_channels`` gives the channel after every kick of a schedule
+from one pass that appends one kick at a time.  It carries the real part of
+the coefficients' exponent and their unit-modulus phase for the kicks so
+far, in two buffers of 4^(n-1) entries filled in place; each kick sums the
+real exponent of one new off-diagonal block (4^k entries for kick k, about
+4^n/3 in all) and multiplies its phase.  The only exponentials of 4^k
+arrays are real ones, and the coefficients are formed a band of rows at a
+time for the contraction: the peak is the buffers' 24 * 4^(n-1) bytes and
+one band's temporaries, and the 4^n matrix is never formed.  The two agree
+to rounding (1e-12 in the tests for n <= 10).  A build past the
+``max_kicks`` budget, or one whose coefficients cannot be allocated, raises
+TooManyKicks naming the bytes it needs; each channel records them in
+``meta["bytes"]``.  Construction is deterministic: a fixed order of
+accumulation gives bit-reproducible output.
 
 Channels and the transition maps between kick counts are one type,
 QubitMap.  Its record is the affine Bloch action (A, b) and a declared
@@ -33,6 +40,7 @@ objects are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,36 +327,50 @@ def build_n_kick_channel(
     and keeps the affine action it has on {1/2, (1+s_i)/2}; the channel's chi
     is derived from that action.
     It exponentiates all 4^n coefficients gamma(s, s') and holds them as one
-    complex matrix (16 * 4^n bytes; 67 MB at 11 kicks).  For the channels
-    after every kick of a train, ``build_prefix_channels`` does about a
-    third of that work in one pass.  Schedules longer than ``max_kicks`` are
-    refused (raise the budget explicitly if you really mean it).
+    complex matrix (16 * 4^n bytes, ``meta["bytes"]``; 67 MB at 11 kicks).
+    For the channels after every kick of a train, ``build_prefix_channels``
+    sums about a third of those exponents in one pass, in under half the
+    memory.  Schedules longer than ``max_kicks`` are refused (raise the
+    budget explicitly if you really mean it), and so is a build whose gamma
+    matrix cannot be allocated.
     """
     n = len(sched)
     if n == 0:
         return identity_channel()
-    _check_budget(n, max_kicks)
-    times = sched.times
-    rs = np.stack([r_of_t(geom, t) for t in times])
-    basis = default_chi_basis(rs)
+    nbytes = 16 * 4**n
+    with _coefficient_budget(n, max_kicks, nbytes):
+        times = sched.times
+        rs = np.stack([r_of_t(geom, t) for t in times])
+        basis = default_chi_basis(rs)
 
-    signs = _sign_matrix(n)
-    coeff = np.einsum("ayx,myx->ma", basis.ops.conj(), _projector_strings(rs, signs))
-    gammas = _gamma_matrix(env, times, sched.weights, signs)
-    chi = coeff.T @ gammas @ coeff.conj()
+        signs = _sign_matrix(n)
+        coeff = np.einsum("ayx,myx->ma", basis.ops.conj(), _projector_strings(rs, signs))
+        gammas = _gamma_matrix(env, times, sched.weights, signs)
+        chi = coeff.T @ gammas @ coeff.conj()
 
-    meta = _n_kick_meta(env, times, sched.weights, rs[-1], "enumeration", 4**n)
+    meta = _n_kick_meta(env, times, sched.weights, rs[-1], "enumeration", 4**n, nbytes)
     return _map(affine_from_chi(chi, basis), basis, meta)
 
 
-def _check_budget(n: int, max_kicks: int) -> None:
+@contextmanager
+def _coefficient_budget(n: int, max_kicks: int, nbytes: int):
+    """Refuse an n-kick exact build past ``max_kicks``, or one whose
+    coefficients cannot be allocated, with TooManyKicks naming the bytes
+    ``nbytes`` it needs."""
+    power = min(max(nbytes.bit_length() - 1, 0) // 10, 5)
+    need = f"{nbytes} bytes ({nbytes / 1024**power:.4g} {('B', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB')[power]})"
     if n > max_kicks:
-        raise TooManyKicks(f"{n} kicks exceeds budget of {max_kicks} (4^n terms)")
+        raise TooManyKicks(f"{n} kicks exceeds budget of {max_kicks}; the build would hold {need} of coefficients")
+    try:
+        yield
+    except MemoryError as exc:
+        raise TooManyKicks(f"{n} kicks need {need} of coefficients, more than could be allocated") from exc
 
 
-def _n_kick_meta(env, times, weights, r_last, path: str, terms: int) -> dict:
-    """Provenance of an exact n-kick channel: ``path`` names the builder and
-    ``terms`` counts the gamma entries it exponentiated."""
+def _n_kick_meta(env, times, weights, r_last, path: str, terms: int, nbytes: int) -> dict:
+    """Provenance of an exact n-kick channel: ``path`` names the builder,
+    ``terms`` counts the gamma entries whose exponent it summed and
+    ``bytes`` is the coefficient storage it held at its peak, by formula."""
     return {
         "kind": "n_kick",
         "times": tuple(float(t) for t in times),
@@ -357,7 +379,24 @@ def _n_kick_meta(env, times, weights, r_last, path: str, terms: int) -> dict:
         "r_last": tuple(r_last),
         "path": path,
         "terms": terms,
+        "bytes": nbytes,
     }
+
+
+def _band_rows(m: int) -> int:
+    """Rows of an m-row level's coefficients that the pass forms at a time:
+    all of them up to 64, then 64, and a sixteenth of them from 1024 on."""
+    return max(min(m, 64), m // 16)
+
+
+def _pass_bytes(n: int) -> int:
+    """Peak coefficient storage of an n-kick pass: the real exponent (8 bytes
+    an entry) and the phase (16) at 2^(n-1) x 2^(n-1), plus the band
+    temporaries of the last level (48 bytes an entry, see the loop)."""
+    if n == 0:
+        return 0
+    m = 2 ** (n - 1)
+    return 24 * m * m + 48 * _band_rows(m) * m
 
 
 class PrefixChannels:
@@ -396,61 +435,85 @@ def build_prefix_channels(
 ) -> PrefixChannels:
     """Exact channel of every prefix of a schedule, in one kick-by-kick pass.
 
-    The pass carries the coefficient matrix Gamma_k of the first k kicks and
-    its exponent L_k (Gamma_k = exp(L_k) entrywise).  Appending kick k splits
-    the sign pairs by (s_k, s'_k):
+    The coefficient matrix Gamma_k of the first k kicks is exp(L_k)
+    entrywise.  The pass carries its exponent split in two: the real part
+    R_k = Re L_k, and the phase P_k = exp(i Im L_k), a unit-modulus matrix.
+    Appending kick k splits the sign pairs by (s_k, s'_k):
 
-    - the two blocks with s_k = s'_k are Gamma_k, reused bit for bit, so
-      the diagonal stays exactly 1;
-    - the block with s_k = +1, s'_k = -1 is X = exp(L_k + a(s) + b(s')),
-      with f(s) = sum_{j<k} G_kj s_j over the weighted Gram matrix G,
-      a(s) = -2 f(s) - i mu_k and b(s') = 2 conj(f(s')) - i mu_k - 2 Var_k;
-    - the fourth block is X^dag.
+    - the two blocks with s_k = s'_k repeat R_k and P_k, so R = 0 and P = 1
+      on the diagonal and the diagonal of Gamma stays exactly 1;
+    - the block with s_k = +1, s'_k = -1 has real exponent
+      R_k + Re a(s) + Re b(s') and phase P_k * p(s) p(s'), with
+      f(s) = sum_{j<k} G_kj s_j over the weighted Gram matrix G,
+      a(s) = -2 f(s) - i mu_k, b(s') = 2 conj(f(s')) - i mu_k - 2 Var_k and
+      p = exp(i Im a) = exp(i Im b);
+    - the fourth block is the transpose of the third, its phase conjugated.
 
-    Exponentiating the sum, not multiplying Gamma_k by exp(a) exp(b), keeps
-    every factor bounded at high occupation.  With c_+ and c_- the
-    coefficients of P_+(r_k) P(s) and P_-(r_k) P(s) in the prefix's
-    ``default_chi_basis``, the chi of the first k+1 kicks is
+    The real exponent is summed before it is exponentiated, so every factor
+    stays bounded at high occupation, and the only exponential of a 4^k
+    array is a real one.  With c_+ and c_- the coefficients of
+    P_+(r_k) P(s) and P_-(r_k) P(s) in the prefix's ``default_chi_basis``,
+    the chi of the first k+1 kicks is
 
         c_+^T Gamma_k c_+* + c_-^T Gamma_k c_-* + Y + Y^dag,  Y = c_+^T X c_-*,
 
-    so the last level is contracted without forming Gamma_n.  The pass
-    exponentiates (4^n - 1)/3 entries and holds three 4^(n-1) complex
-    matrices at its peak: about a third of ``build_n_kick_channel``'s work
-    and three quarters of its gamma matrix, for all n prefixes at once.
-    Schedules longer than ``max_kicks`` are refused.
+    with Gamma_k = exp(R_k) P_k and X = exp(R_k + Re a + Re b) P_k p p^T,
+    both formed a band of rows at a time and contracted at once, so the
+    last level never forms Gamma_n.  R and P live in buffers allocated once
+    at their final size, 2^(n-1) x 2^(n-1), with level k in the top-left
+    2^k block; each kick writes its three new quadrants in place.  The peak
+    is those two buffers, 24 * 4^(n-1) bytes, and one band's temporaries
+    (``meta["bytes"]``; 28 MB at 11 kicks, of which the buffers are 25 MB).
+    Schedules longer than ``max_kicks`` are refused, and so is a pass whose
+    buffers cannot be allocated.
     """
     n = len(sched)
-    _check_budget(n, max_kicks)
-    times = sched.times
-    rs = [r_of_t(geom, t) for t in times]
-    mu = sched.weights * np.array([env.mean(t) for t in times])
-    gram = gram_matrix(env, times, sched.weights)
-    var = np.diag(gram).real
+    nbytes = _pass_bytes(n)
+    with _coefficient_budget(n, max_kicks, nbytes):
+        size = 2 ** max(n - 1, 0)
+        re_l, phase = np.empty((size, size)), np.empty((size, size), dtype=complex)
+        re_l[0, 0], phase[0, 0] = 0.0, 1.0
 
-    exponent = np.zeros((1, 1), dtype=complex)
-    gamma = np.ones((1, 1), dtype=complex)
-    strings = I2[None]
-    parts = []
-    for k in range(n):
-        f = _sign_matrix(k) @ gram[k, :k]
-        x = exponent + (-2.0 * f - 1j * mu[k])[:, None]
-        x += (2.0 * f.conj() - 1j * mu[k] - 2.0 * var[k])[None, :]
-        if k + 1 < n:
-            exponent = np.block([[exponent, x], [x.conj().T, exponent]])
-        np.exp(x, out=x)
+        times = sched.times
+        rs = [r_of_t(geom, t) for t in times]
+        mu = sched.weights * np.array([env.mean(t) for t in times])
+        gram = gram_matrix(env, times, sched.weights)
+        var = np.diag(gram).real
+        strings = I2[None]
+        parts = []
+        for k in range(n):
+            m, band = 2**k, _band_rows(2**k)
+            f = _sign_matrix(k) @ gram[k, :k]
+            re_a, re_b = -2.0 * f.real, 2.0 * f.real - 2.0 * var[k]
+            p = np.exp(-1j * (2.0 * f.imag + mu[k]))
 
-        strings = np.concatenate([projector(rs[k], 1) @ strings, projector(rs[k], -1) @ strings])
-        basis = default_chi_basis(rs[: k + 1])
-        c_plus, c_minus = np.split(np.einsum("ayx,myx->ma", basis.ops.conj(), strings), 2)
-        y = c_plus.T @ x @ c_minus.conj()
-        chi = c_plus.T @ gamma @ c_plus.conj() + c_minus.T @ gamma @ c_minus.conj() + y + y.conj().T
-        terms = (4 ** (k + 1) - 1) // 3  # 1 + 4 + ... + 4^k
-        meta = _n_kick_meta(env, times[: k + 1], sched.weights[: k + 1], rs[k], "kick_by_kick", terms)
-        parts.append((chi, basis, meta))
+            strings = np.concatenate([projector(rs[k], 1) @ strings, projector(rs[k], -1) @ strings])
+            basis = default_chi_basis(rs[: k + 1])
+            c_plus, c_minus = np.split(np.einsum("ayx,myx->ma", basis.ops.conj(), strings), 2)
+            c_conj = np.concatenate([c_plus, c_minus], axis=1).conj()
+            chi, y = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+            for i in range(0, m, band):
+                rows = slice(i, i + band)
+                r, ph = re_l[rows, :m], phase[rows, :m]
+                g = (np.exp(r) * ph) @ c_conj
+                chi += c_plus[rows].T @ g[:, :4] + c_minus[rows].T @ g[:, 4:]
 
-        if k + 1 < n:
-            gamma = np.block([[gamma, x], [x.conj().T, gamma]])
+                x_re = r + re_a[rows, None]
+                x_re += re_b
+                x_ph = ph * p[rows, None]
+                x_ph *= p
+                y += c_plus[rows].T @ ((np.exp(x_re) * x_ph) @ c_conj[:, 4:])
+                if k + 1 < n:
+                    re_l[rows, m : 2 * m], re_l[m : 2 * m, rows] = x_re, x_re.T
+                    phase[rows, m : 2 * m], phase[m : 2 * m, rows] = x_ph, x_ph.conj().T
+            if k + 1 < n:
+                re_l[m : 2 * m, m : 2 * m] = re_l[:m, :m]
+                phase[m : 2 * m, m : 2 * m] = phase[:m, :m]
+
+            chi += y + y.conj().T
+            terms = (4 ** (k + 1) - 1) // 3  # 1 + 4 + ... + 4^k
+            meta = _n_kick_meta(env, times[: k + 1], sched.weights[: k + 1], rs[k], "kick_by_kick", terms, nbytes)
+            parts.append((chi, basis, meta))
     return PrefixChannels(parts)
 
 

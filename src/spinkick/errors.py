@@ -30,7 +30,8 @@ class LengthMismatch(SpinKickError):
 
 
 class TooManyKicks(SpinKickError):
-    """Schedule exceeds the kick budget of the exact builders (work grows as 4^n)."""
+    """Schedule exceeds the kick budget of the exact builders, or their
+    coefficient storage (which grows as 4^n bytes) cannot be allocated."""
 
 
 class NonEvenEnvironment(SpinKickError):

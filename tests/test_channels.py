@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -355,15 +356,16 @@ def test_n_kick_deterministic(vacuum, standard_geometry):
 # kick-by-kick prefix pass: the enumeration is its reference
 
 
-def _tabulated(rng, times) -> TabulatedKernel:
+def _tabulated(rng, times, mean_bound=0.3) -> TabulatedKernel:
     """A kernel on the schedule's grid: two thermal modes plus white noise,
-    so the covariance is Hermitian and PSD, with a nonzero mean."""
+    so the covariance is Hermitian and PSD, with means drawn uniformly from
+    [-mean_bound, mean_bound]."""
     t = np.asarray(times)
     cov = 0.05 * np.eye(len(t), dtype=complex)
     for omega, nbar in ((0.7, 0.4), (1.6, 0.9)):
         d = omega * (t[:, None] - t[None, :])
         cov += 0.2 * ((2.0 * nbar + 1.0) * np.cos(d) - 1j * np.sin(d))
-    return TabulatedKernel(t, rng.uniform(-0.3, 0.3, size=len(t)), cov)
+    return TabulatedKernel(t, rng.uniform(-mean_bound, mean_bound, size=len(t)), cov)
 
 
 @pytest.mark.parametrize(
@@ -450,6 +452,81 @@ def test_prefix_pass_budget(vacuum, standard_geometry):
     with pytest.raises(TooManyKicks):
         build_prefix_channels(vacuum, standard_geometry, sched)
     assert len(build_prefix_channels(vacuum, standard_geometry, sched, max_kicks=11)) == 12
+
+
+@pytest.mark.parametrize("kind", ["tabulated", "displaced"])
+def test_prefix_pass_carries_wrapping_phases(kind):
+    """Means of tens of radians wrap the carried phase many times: every
+    prefix still matches the enumeration and the extended-precision sum."""
+    rng = np.random.default_rng(23)
+    sched = KickSchedule(np.sort(rng.uniform(0.0, 5.0, size=9)), rng.uniform(0.5, 1.5, size=9))
+    geom = random_geometry(rng)
+    if kind == "tabulated":
+        env = _tabulated(rng, sched.times, mean_bound=40.0)
+    else:
+        env = SingleModeThermal(omega=1.3, nbar=0.7, displacement=4.0 - 2.0j)
+    prefixes = build_prefix_channels(env, geom, sched)
+    extended = np.finfo(np.longdouble).eps < 1e-18
+    for k in range(1, 10):
+        head = KickSchedule(sched.times[:k], sched.weights[:k])
+        np.testing.assert_allclose(prefixes[k].chi, build_n_kick_channel(env, geom, head).chi, rtol=0, atol=1e-12)
+        if extended:
+            np.testing.assert_allclose(prefixes[k].chi, _extended_chi(env, geom, head), rtol=0, atol=1e-13)
+
+
+def test_prefix_pass_is_independent_of_its_length():
+    """The pass fills buffers sized for its last kick; prefix k comes out bit
+    for bit the same whatever the length of the pass."""
+    rng = np.random.default_rng(5)
+    sched = KickSchedule(np.sort(rng.uniform(0.0, 5.0, size=10)), rng.uniform(0.5, 1.5, size=10))
+    env = SingleModeThermal(omega=0.9, nbar=0.5, displacement=0.4 - 0.3j)
+    geom = random_geometry(rng)
+    full = build_prefix_channels(env, geom, sched)
+    for m in range(11):
+        short = build_prefix_channels(env, geom, KickSchedule(sched.times[:m], sched.weights[:m]))
+        for k in range(m + 1):
+            assert np.array_equal(short[k].chi, full[k].chi)
+            assert np.array_equal(short[k].affine.matrix, full[k].affine.matrix)
+            assert np.array_equal(short[k].affine.shift, full[k].affine.shift)
+
+
+def test_prefix_pass_peak_memory_is_its_stated_bytes(vacuum, standard_geometry):
+    """The traced peak of a 9-kick pass is its meta["bytes"] and little more:
+    sign vectors, projector strings and basis coefficients grow as 2^n, not
+    4^n.  Every prefix records the figure of the pass that built it."""
+    sched = KickSchedule(np.linspace(0, 4, 9))
+    build_prefix_channels(vacuum, standard_geometry, sched)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        prefixes = build_prefix_channels(vacuum, standard_geometry, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.0 <= peak / prefixes[9].meta["bytes"] <= 1.25
+    assert prefixes[9].meta["bytes"] == prefixes[1].meta["bytes"]
+
+
+def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
+    sched = KickSchedule([0.0, 0.4, 0.9])
+    assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3
+    assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == 24 * 4**2 + 48 * 4**2
+
+
+def test_budget_refusal_names_the_bytes(vacuum, standard_geometry):
+    sched = KickSchedule(np.linspace(0, 1, 11))
+    with pytest.raises(TooManyKicks, match=f"would hold {16 * 4**11} bytes"):
+        build_n_kick_channel(vacuum, standard_geometry, sched)
+    with pytest.raises(TooManyKicks, match=r"would hold \d+ bytes"):
+        build_prefix_channels(vacuum, standard_geometry, sched)
+
+
+def test_pass_beyond_memory_is_refused(vacuum, standard_geometry):
+    """A 24-kick pass needs 1.7 PiB, far past any address space: the
+    allocation of its buffers fails before memory is touched, and the
+    failure is a TooManyKicks that names the bytes."""
+    sched = KickSchedule(np.linspace(0, 1, 24))
+    with pytest.raises(TooManyKicks, match=r"24 kicks need \d+ bytes"):
+        build_prefix_channels(vacuum, standard_geometry, sched, max_kicks=24)
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,32 @@ def test_max_kicks_flag_zero_is_a_budget(tmp_path, times, code):
     assert main(["--config", write_cfg(tmp_path, body), "--max-kicks", "0", "simulate"]) == code
 
 
+def test_simulate_beyond_memory_exits_4(tmp_path, capsys):
+    """24 kicks within a raised budget: the pass cannot allocate its 1.7 PiB
+    of coefficients, and the run exits 4 naming the bytes, not with a
+    traceback."""
+    times = " ".join(str(0.1 * i) for i in range(24))
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", f"times = {times}")
+    assert main(["--config", write_cfg(tmp_path, body), "--max-kicks", "24", "simulate"]) == EXIT_DOMAIN
+    assert re.match(r"error: 24 kicks need \d+ bytes", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
+    """A gamma matrix the enumeration cannot allocate ends the sweep with
+    exit 4."""
+    from spinkick import channels
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(channels, "_gamma_matrix", no_memory)
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", "times = 0.0 0.7 1.3")
+    body += "\n[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = 2\nquantities = purity_final\n"
+    assert main(["--config", write_cfg(tmp_path, body), "sweep"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith(f"error: 3 kicks need {16 * 4**3} bytes")
+
+
 @pytest.mark.parametrize(
     "kernel",
     [

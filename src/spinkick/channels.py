@@ -15,27 +15,31 @@ Two builders evaluate it exactly.  ``build_n_kick_channel`` enumerates the
 4^n coefficients of one schedule at once: it exponentiates 4^n complex
 entries and holds the whole gamma matrix, 16 * 4^n bytes.
 ``build_prefix_channels`` gives the channel after every kick of a schedule
-from one pass that appends one kick at a time.  It carries the real part of
-the coefficients' exponent and their unit-modulus phase for the kicks so
-far, in two buffers of 4^(n-1) entries filled in place; each kick sums the
-real exponent of one new off-diagonal block (4^k entries for kick k, about
-4^n/3 in all) and multiplies its phase.  The only exponentials of 4^k
-arrays are real ones, and the coefficients are formed a band of rows at a
-time for the contraction: the peak is the buffers' 24 * 4^(n-1) bytes and
-one band's temporaries, and the 4^n matrix is never formed.  The two agree
-to rounding (1e-12 in the tests for n <= 10).  A build past the
-``max_kicks`` budget, or one whose coefficients cannot be allocated, raises
-TooManyKicks naming the bytes it needs; each channel records them in
-``meta["bytes"]``.  Construction is deterministic: a fixed order of
-accumulation gives bit-reproducible output.
+from one exact recursion on the affine action.  The sign pairs that agree
+on a new kick repeat the previous coefficients, so their part of the new
+channel is the previous prefix dephased along the kick axis r,
+(A, b) -> (r r^T A, r r^T b); the pass adds the Bloch action of the one new
+coherence block, read in the normalized Pauli basis.  It carries the real
+part of that block's exponent and its unit-modulus phase in two buffers of
+4^(n-1) entries filled in place; kick k sums the real exponent of 4^k new
+entries (about 4^n/3 in all).  The only exponentials of 4^k arrays are
+real ones, formed a band of rows at a time: the peak is the buffers'
+24 * 4^(n-1) bytes and one band's temporaries, and the 4^n matrix is never
+formed.  The two agree to rounding (1e-12 in the tests for n <= 10).  A
+build past the ``max_kicks`` budget, or one whose coefficients cannot be
+allocated, raises TooManyKicks naming the bytes it needs; each channel
+records them in ``meta["bytes"]``.  Construction is deterministic: a fixed
+order of accumulation gives bit-reproducible output.
 
 Channels and the transition maps between kick counts are one type,
 QubitMap.  Its record is the affine Bloch action (A, b) and a declared
 operator basis; its chi matrix in that basis is derived from (A, b) by one
 fixed linear map (``chi_from_affine``).  A flag ``cp`` says whether the map
-is validated as completely positive.  The builders that sum the chi matrix
-directly keep only the affine action they read from it.  The constructed
-objects are immutable and safe to share between threads.
+is validated as completely positive.  The enumeration, which sums the chi
+matrix directly, keeps only the affine action it reads from it; the
+prefix pass never forms a chi, and each prefix's basis and chi are built
+when the prefix is read.  The constructed objects are immutable and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -180,8 +184,9 @@ def _basis_tensor(basis: OperatorBasis) -> np.ndarray:
     return t.reshape(16, 16)
 
 
-# T_P^{-1}, for the normalized Pauli basis P_mu = sigma_mu/sqrt(2) (sigma_0 = 1)
-_PAULI_TENSOR_INV = np.linalg.inv(_basis_tensor(PAULI_BASIS))
+# T_P and T_P^{-1}, for the normalized Pauli basis P_mu = sigma_mu/sqrt(2) (sigma_0 = 1)
+_PAULI_TENSOR = _basis_tensor(PAULI_BASIS)
+_PAULI_TENSOR_INV = np.linalg.inv(_PAULI_TENSOR)
 
 
 def chi_from_affine(affine: AffineBlochMap, basis: OperatorBasis) -> np.ndarray:
@@ -403,14 +408,14 @@ class PrefixChannels:
     """The exact channels of the first k kicks of a schedule, k = 0..n, from
     one ``build_prefix_channels`` pass.
 
-    ``prefixes[k]`` is a validated channel.  The pass yields every prefix's
-    chi; the affine action is read from it and the channel built and
-    validated when a prefix is first read, so a caller pays only for the
-    prefixes it reads.
+    ``prefixes[k]`` is a validated channel.  The pass records each prefix's
+    affine action (A, b) and kick axes; a prefix's chi basis and chi are
+    built, and the channel validated, when it is first read, so a caller
+    pays only for the prefixes it reads.
     """
 
     def __init__(self, parts):
-        self._parts = parts  # (chi, basis, meta) of prefixes 1..n
+        self._parts = parts  # (affine, axes, meta) of prefixes 1..n
         self._maps = {}
 
     def __len__(self) -> int:
@@ -422,8 +427,8 @@ class PrefixChannels:
             if k == 0:
                 self._maps[k] = identity_channel()
             else:
-                chi, basis, meta = self._parts[k - 1]
-                self._maps[k] = _map(affine_from_chi(chi, basis), basis, meta)
+                affine, axes, meta = self._parts[k - 1]
+                self._maps[k] = _map(affine, default_chi_basis(axes), meta)
         return self._maps[k]
 
 
@@ -435,37 +440,35 @@ def build_prefix_channels(
 ) -> PrefixChannels:
     """Exact channel of every prefix of a schedule, in one kick-by-kick pass.
 
-    The coefficient matrix Gamma_k of the first k kicks is exp(L_k)
-    entrywise.  The pass carries its exponent split in two: the real part
-    R_k = Re L_k, and the phase P_k = exp(i Im L_k), a unit-modulus matrix.
-    Appending kick k splits the sign pairs by (s_k, s'_k):
+    Appending kick k splits the sign pairs of the Weyl sum by (s_k, s'_k).
+    The two blocks with s_k = s'_k repeat the coefficients Gamma_k of the
+    first k kicks, so their part of the new channel is
+    sum_sigma P_sigma(r_k) E_k[rho] P_sigma(r_k): the previous prefix
+    dephased along r_k, (A, b) -> (r_k r_k^T A, r_k r_k^T b).  The block with
+    s_k = +1, s'_k = -1 is the one new coherence block X, and the fourth is
+    its adjoint; they add the map Y + Y^dag, Y = c_+^T X c_-*, where c_+ and
+    c_- are the coefficients of P_+(r_k) P(s) and P_-(r_k) P(s) in the
+    normalized Pauli basis.  Its Bloch action is read by the fixed linear
+    map S = unvec(T_P vec chi_P), the inverse of ``chi_from_affine``.  So the
+    pass carries (A, b), the record of every map, and never forms a chi.
 
-    - the two blocks with s_k = s'_k repeat R_k and P_k, so R = 0 and P = 1
-      on the diagonal and the diagonal of Gamma stays exactly 1;
-    - the block with s_k = +1, s'_k = -1 has real exponent
-      R_k + Re a(s) + Re b(s') and phase P_k * p(s) p(s'), with
-      f(s) = sum_{j<k} G_kj s_j over the weighted Gram matrix G,
-      a(s) = -2 f(s) - i mu_k, b(s') = 2 conj(f(s')) - i mu_k - 2 Var_k and
-      p = exp(i Im a) = exp(i Im b);
-    - the fourth block is the transpose of the third, its phase conjugated.
-
-    The real exponent is summed before it is exponentiated, so every factor
-    stays bounded at high occupation, and the only exponential of a 4^k
-    array is a real one.  With c_+ and c_- the coefficients of
-    P_+(r_k) P(s) and P_-(r_k) P(s) in the prefix's ``default_chi_basis``,
-    the chi of the first k+1 kicks is
-
-        c_+^T Gamma_k c_+* + c_-^T Gamma_k c_-* + Y + Y^dag,  Y = c_+^T X c_-*,
-
-    with Gamma_k = exp(R_k) P_k and X = exp(R_k + Re a + Re b) P_k p p^T,
-    both formed a band of rows at a time and contracted at once, so the
-    last level never forms Gamma_n.  R and P live in buffers allocated once
-    at their final size, 2^(n-1) x 2^(n-1), with level k in the top-left
-    2^k block; each kick writes its three new quadrants in place.  The peak
-    is those two buffers, 24 * 4^(n-1) bytes, and one band's temporaries
-    (``meta["bytes"]``; 28 MB at 11 kicks, of which the buffers are 25 MB).
-    Schedules longer than ``max_kicks`` are refused, and so is a pass whose
-    buffers cannot be allocated.
+    The coefficients are exp(L) entrywise.  The pass carries the exponent
+    of Gamma_k split in two: the real part R_k = Re L_k, and the phase
+    P_k = exp(i Im L_k), a unit-modulus matrix.  X has real exponent
+    R_k + Re a(s) + Re b(s') and phase P_k * p(s) p(s'), with
+    f(s) = sum_{j<k} G_kj s_j over the weighted Gram matrix G,
+    a(s) = -2 f(s) - i mu_k, b(s') = 2 conj(f(s')) - i mu_k - 2 Var_k and
+    p = exp(i Im a) = exp(i Im b).  The real exponent is summed before it is
+    exponentiated, so every factor stays bounded at high occupation, and
+    the only exponential of a 4^k array is a real one, formed a band of
+    rows at a time for the contraction.  R and P live in buffers allocated
+    once at their final size, 2^(n-1) x 2^(n-1), with level k in the
+    top-left 2^k block: X, its transpose (phase conjugated) and a copy of
+    level k fill the three new quadrants in place, so R = 0 and P = 1 on
+    the diagonal.  The peak is those two buffers, 24 * 4^(n-1) bytes, and
+    one band's temporaries (``meta["bytes"]``; 28 MB at 11 kicks, of which
+    the buffers are 25 MB).  Schedules longer than ``max_kicks`` are
+    refused, and so is a pass whose buffers cannot be allocated.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
@@ -480,6 +483,7 @@ def build_prefix_channels(
         gram = gram_matrix(env, times, sched.weights)
         var = np.diag(gram).real
         strings = I2[None]
+        a_mat, shift = np.eye(3), np.zeros(3)
         parts = []
         for k in range(n):
             m, band = 2**k, _band_rows(2**k)
@@ -488,21 +492,16 @@ def build_prefix_channels(
             p = np.exp(-1j * (2.0 * f.imag + mu[k]))
 
             strings = np.concatenate([projector(rs[k], 1) @ strings, projector(rs[k], -1) @ strings])
-            basis = default_chi_basis(rs[: k + 1])
-            c_plus, c_minus = np.split(np.einsum("ayx,myx->ma", basis.ops.conj(), strings), 2)
-            c_conj = np.concatenate([c_plus, c_minus], axis=1).conj()
-            chi, y = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+            c_plus, c_minus = np.split(np.einsum("ayx,myx->ma", PAULI_BASIS.ops.conj(), strings), 2)
+            c_minus_conj = c_minus.conj()
+            y = np.zeros((4, 4), dtype=complex)
             for i in range(0, m, band):
                 rows = slice(i, i + band)
-                r, ph = re_l[rows, :m], phase[rows, :m]
-                g = (np.exp(r) * ph) @ c_conj
-                chi += c_plus[rows].T @ g[:, :4] + c_minus[rows].T @ g[:, 4:]
-
-                x_re = r + re_a[rows, None]
+                x_re = re_l[rows, :m] + re_a[rows, None]
                 x_re += re_b
-                x_ph = ph * p[rows, None]
+                x_ph = phase[rows, :m] * p[rows, None]
                 x_ph *= p
-                y += c_plus[rows].T @ ((np.exp(x_re) * x_ph) @ c_conj[:, 4:])
+                y += c_plus[rows].T @ ((np.exp(x_re) * x_ph) @ c_minus_conj)
                 if k + 1 < n:
                     re_l[rows, m : 2 * m], re_l[m : 2 * m, rows] = x_re, x_re.T
                     phase[rows, m : 2 * m], phase[m : 2 * m, rows] = x_ph, x_ph.conj().T
@@ -510,10 +509,12 @@ def build_prefix_channels(
                 re_l[m : 2 * m, m : 2 * m] = re_l[:m, :m]
                 phase[m : 2 * m, m : 2 * m] = phase[:m, :m]
 
-            chi += y + y.conj().T
+            s = (_PAULI_TENSOR @ (y + y.conj().T).reshape(16)).reshape(4, 4).real
+            dephase = np.outer(rs[k], rs[k])
+            a_mat, shift = dephase @ a_mat + s[1:, 1:], dephase @ shift + s[1:, 0]
             terms = (4 ** (k + 1) - 1) // 3  # 1 + 4 + ... + 4^k
             meta = _n_kick_meta(env, times[: k + 1], sched.weights[: k + 1], rs[k], "kick_by_kick", terms, nbytes)
-            parts.append((chi, basis, meta))
+            parts.append((AffineBlochMap(a_mat, shift), rs[: k + 1], meta))
     return PrefixChannels(parts)
 
 

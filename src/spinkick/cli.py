@@ -341,16 +341,12 @@ class _Train:
     def channel(self, k: int | None = None) -> channels.QubitMap:
         """The channel of the first k kicks; of the whole schedule by default.
 
-        The first request runs the pass over every prefix within the
-        ``max_kicks`` budget; a longer prefix goes to the builder, which
-        refuses it with TooManyKicks."""
-        k = len(self.sched) if k is None else k
-        if self._prefixes is None or k >= len(self._prefixes):
-            reach = min(len(self.sched), max(k, self._max_kicks))
-            self._prefixes = channels.build_prefix_channels(
-                self.env, self.geom, _head(self.sched, reach), max_kicks=self._max_kicks
-            )
-        return self._prefixes[k]
+        The first request runs the pass over the whole schedule, which
+        refuses a schedule longer than ``max_kicks`` with TooManyKicks
+        before it builds anything."""
+        if self._prefixes is None:
+            self._prefixes = channels.build_prefix_channels(self.env, self.geom, self.sched, max_kicks=self._max_kicks)
+        return self._prefixes[len(self.sched) if k is None else k]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import QubitMap, default_chi_basis, validate_map
 from .environment import SingleModeThermal
-from .errors import InvalidMap, NonHermitian, NonUnitVector, StepTooCoarse, TruncationNotConverged
+from .errors import InvalidMap, LengthMismatch, NonHermitian, NonUnitVector, StepTooCoarse, TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, r_of_t
 from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, max_image_norm
 
@@ -290,7 +290,7 @@ def nascent_delta_channel(
     times = np.asarray(kick_times, dtype=float)
     w = np.ones(len(times)) if weights is None else np.asarray(weights, dtype=float)
     if len(w) != len(times):
-        raise ValueError("weights and kick_times must match in length")
+        raise LengthMismatch(f"{len(times)} kick times but {len(w)} weights")
     if shape not in PULSE_SHAPES:
         raise ValueError(f"unknown pulse shape {shape!r}")
     profile, half = PULSE_SHAPES[shape]

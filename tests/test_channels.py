@@ -506,6 +506,26 @@ def test_prefix_pass_peak_memory_is_its_stated_bytes(vacuum, standard_geometry):
     assert prefixes[9].meta["bytes"] == prefixes[1].meta["bytes"]
 
 
+def test_prefix_pass_builds_a_chi_basis_only_for_read_prefixes(vacuum, standard_geometry, monkeypatch):
+    """The pass carries (A, b) alone: reading one prefix of a 10-kick pass
+    builds one chi basis."""
+    from spinkick import channels
+
+    calls = []
+    basis_rule = channels.default_chi_basis
+
+    def counting_rule(axes):
+        calls.append(len(axes))
+        return basis_rule(axes)
+
+    monkeypatch.setattr(channels, "default_chi_basis", counting_rule)
+    prefixes = build_prefix_channels(vacuum, standard_geometry, KickSchedule(np.linspace(0, 4, 10)))
+    assert calls == []
+    channel = prefixes[10]
+    assert calls == [10]
+    assert prefixes[10] is channel and calls == [10]
+
+
 def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.4, 0.9])
     assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3

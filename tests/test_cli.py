@@ -370,39 +370,42 @@ def test_log_base_flag(tmp_path):
 
 
 def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
-    """n kicks take one pass, and each prefix channel is converted to its
-    affine action once: the channel file reuses the last prefix channel."""
+    """n kicks take one pass, and each prefix channel is built and validated
+    once, straight from the affine action the pass carries: the channel
+    file reuses the last prefix channel."""
     from spinkick import channels
 
-    passes, conversions = [], []
-    build, convert = channels.build_prefix_channels, channels.affine_from_chi
+    passes, validated, conversions = [], [], []
+    build, validate = channels.build_prefix_channels, channels.validate_channel
 
     def counting_build(*args, **kwargs):
         passes.append(len(args[2]))
         return build(*args, **kwargs)
 
-    def counting_convert(*args, **kwargs):
-        conversions.append(args[0])
-        return convert(*args, **kwargs)
+    def counting_validate(m):
+        validated.append(m.meta.get("times"))
+        return validate(m)
 
     monkeypatch.setattr(channels, "build_prefix_channels", counting_build)
-    monkeypatch.setattr(channels, "affine_from_chi", counting_convert)
+    monkeypatch.setattr(channels, "validate_channel", counting_validate)
+    monkeypatch.setattr(channels, "affine_from_chi", lambda *args: conversions.append(args))
     out = tmp_path / "out"
     body = BASE_CFG.format(out=out).replace("times = 0.0", "times = 0.0 0.7 1.3")
     assert main(["--config", write_cfg(tmp_path, body), "simulate"]) == EXIT_OK
     assert passes == [3]
-    assert len(conversions) == 3
+    assert validated == [(0.0,), (0.0, 0.7), (0.0, 0.7, 1.3)]
     ch = load_channel(out / "run_channel.txt")
     assert ch.meta["times"] == (0.0, 0.7, 1.3)
     assert sorted(p.name for p in out.iterdir()) == ["run_channel.txt", "run_trajectory.csv"]
 
     # the reports simulate toggles on reuse those channels
     passes.clear()
-    conversions.clear()
+    validated.clear()
     toggled = body + "\n[analysis]\ndivisibility = true\nfixed_point = true\noracle_check = true\n"
     assert main(["--config", write_cfg(tmp_path, toggled, "toggled.cfg"), "simulate"]) == EXIT_OK
     assert passes == [3]
-    assert len(conversions) == 3
+    assert len(validated) == 3
+    assert conversions == []
     assert len(list(out.iterdir())) == 6
 
 
@@ -447,6 +450,28 @@ def test_simulate_beyond_memory_exits_4(tmp_path, capsys):
     body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", f"times = {times}")
     assert main(["--config", write_cfg(tmp_path, body), "--max-kicks", "24", "simulate"]) == EXIT_DOMAIN
     assert re.match(r"error: 24 kicks need \d+ bytes", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_schedule_over_budget_is_refused_up_front(tmp_path, monkeypatch, capsys):
+    """15 kicks against the default budget of 10: the run exits 4 naming the
+    schedule's own length, and the pass is refused before it builds any
+    prefix."""
+    from spinkick import channels
+
+    passes = []
+    build = channels.build_prefix_channels
+
+    def counting_build(*args, **kwargs):
+        passes.append(len(args[2]))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "build_prefix_channels", counting_build)
+    times = " ".join(str(0.1 * i) for i in range(15))
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", f"times = {times}")
+    assert main(["--config", write_cfg(tmp_path, body), "simulate"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error: 15 kicks exceeds budget of 10")
+    assert passes == [15]
     assert not (tmp_path / "out").exists()
 
 

@@ -27,7 +27,7 @@ from spinkick import (
     single_kick_channel,
     two_kick_closed_form,
 )
-from spinkick.errors import InvalidMap
+from spinkick.errors import InvalidMap, LengthMismatch
 from spinkick.kicks import r_of_t
 from spinkick.oracle import _channel_from_joint_unitary, annihilation, environment_state
 from spinkick.pauli import I2, PAULI, PAULI_BASIS, density_to_bloch, dot_sigma
@@ -377,6 +377,12 @@ def test_nascent_step_too_coarse(vacuum, standard_geometry):
         nascent_delta_channel(spec, standard_geometry, [0.0, 0.3], 0.05)  # pulses overlap
     with pytest.raises(StepTooCoarse):
         nascent_delta_channel(spec, standard_geometry, [0.0], 0.5)  # wide vs period
+
+
+def test_nascent_length_mismatch(standard_geometry):
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
+    with pytest.raises(LengthMismatch, match="2 kick times but 1 weights"):
+        nascent_delta_channel(spec, standard_geometry, [0.0, 1.5], 0.02, weights=[1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,17 @@
+import re
+from pathlib import Path
+
+import spinkick as sk
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_tour_runs():
+    """The README's library tour runs as written, and its comments state
+    what it yields."""
+    (tour,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    ns = {}
+    exec(compile(tour, str(README), "exec"), ns)
+    assert not sk.is_cp(ns["theta"])
+    assert sk.max_image_norm(ns["theta"].affine)[0] > 1.0
+    assert sk.channel_distance(ns["ch"], ns["orc"]) < 1e-12

@@ -17,7 +17,7 @@ from .channels import QubitMap, TwoKickParams, transition_map
 from .environment import GaussianEnvironment
 from .errors import NonContractive, NonEvenEnvironment, NonPureInput, SingularChannel
 from .kicks import InteractionGeometry, r_of_t
-from .pauli import apply_affine, max_image_norm
+from .pauli import apply_affine, cross3, max_image_norm
 
 PSD_TOL = 1e-10
 
@@ -67,7 +67,7 @@ def post_kick_purity(
         raise NonEvenEnvironment("closed-form purity assumes a vanishing mean")
     u = np.asarray(u, dtype=float)
     var = weight * weight * env.covariance(t0, t0).real
-    cross = np.cross(u, r_of_t(geom, t0))
+    cross = cross3(u, r_of_t(geom, t0))
     return 0.5 * (1.0 + float(u @ u) + (math.exp(-4.0 * var) - 1.0) * float(cross @ cross))
 
 
@@ -91,7 +91,7 @@ def entanglement_entropy(
     if abs(np.linalg.norm(u) - 1.0) > tol:
         raise NonPureInput(f"|u| = {np.linalg.norm(u)} is not 1 within {tol}")
     var = weight * weight * env.covariance(t0, t0).real
-    cross = np.cross(u, r_of_t(geom, t0))
+    cross = cross3(u, r_of_t(geom, t0))
     length_sq = 1.0 + (math.exp(-4.0 * var) - 1.0) * float(cross @ cross)
     return _h2((1.0 + math.sqrt(max(0.0, length_sq))) / 2.0, base)
 

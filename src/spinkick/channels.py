@@ -19,17 +19,16 @@ from one exact recursion on the affine action.  The sign pairs that agree
 on a new kick repeat the previous coefficients, so their part of the new
 channel is the previous prefix dephased along the kick axis r,
 (A, b) -> (r r^T A, r r^T b); the pass adds the Bloch action of the one new
-coherence block, read in the normalized Pauli basis.  It carries the real
-part of that block's exponent and its unit-modulus phase in two buffers of
-4^(n-1) entries filled in place; kick k sums the real exponent of 4^k new
-entries (about 4^n/3 in all).  The only exponentials of 4^k arrays are
-real ones, formed a band of rows at a time: the peak is the buffers'
-24 * 4^(n-1) bytes and one band's temporaries, and the 4^n matrix is never
-formed.  The two agree to rounding (1e-12 in the tests for n <= 10).  A
-build past the ``max_kicks`` budget, or one whose coefficients cannot be
-allocated, raises TooManyKicks naming the bytes it needs; each channel
-records them in ``meta["bytes"]``.  Construction is deterministic: a fixed
-order of accumulation gives bit-reproducible output.
+coherence block, read in the normalized Pauli basis.  Every 64 x 64 tile
+of the coefficients' exponent is one base block plus separable row and
+column shifts, so the pass never holds an array of 4^(n-1) entries; kick k
+sums the real exponent of 4^k new entries (about 4^n/3 in all).  The only
+exponentials of 4^k arrays are real ones, formed a row of tiles at a time
+(2.3 MiB at 11 kicks).  The two agree to rounding (1e-12 in the tests for
+n <= 10).  A build past the ``max_kicks`` budget, or one whose
+coefficients cannot be allocated, raises TooManyKicks naming the bytes it
+needs; each channel records them in ``meta["bytes"]``.  Construction is
+deterministic: a fixed order of accumulation gives bit-reproducible output.
 
 Channels and the transition maps between kick counts are one type,
 QubitMap.  Its record is the affine Bloch action (A, b) and a declared
@@ -66,6 +65,7 @@ from .pauli import (
     AffineBlochMap,
     OperatorBasis,
     apply_affine,
+    cross3,
     density_to_bloch,
     dot_sigma,
     projector,
@@ -77,6 +77,9 @@ MAX_KICKS_DEFAULT = 10
 # parallel when choosing a chi basis.  Kept deliberately coarse (1e-3) so the
 # constructed basis stays orthonormal to ~1e-13 even at the cutoff.
 PARALLEL_BASIS_TOL = 1e-3
+
+# Side of the prefix pass's base block, of which larger levels are tiles.
+_BASE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +135,7 @@ def two_kick_frame(r_later, r_earlier) -> np.ndarray:
     """
     r1 = np.asarray(r_later, dtype=float)
     r0 = np.asarray(r_earlier, dtype=float)
-    cross = np.cross(r1, r0)
+    cross = cross3(r1, r0)
     nc = np.linalg.norm(cross)
     if nc <= 1e-10:
         raise ParallelAxes(f"|r_later x r_earlier| = {nc:.3e} <= 1e-10")
@@ -150,7 +153,7 @@ def basis_from_frame(frame: np.ndarray) -> OperatorBasis:
 def parallel_axes(r_last, r_first) -> bool:
     """Whether |r_last x r_first| <= PARALLEL_BASIS_TOL: two kick axes too
     close to span a well-conditioned ``two_kick_frame``."""
-    return bool(np.linalg.norm(np.cross(r_last, r_first)) <= PARALLEL_BASIS_TOL)
+    return bool(np.linalg.norm(cross3(r_last, r_first)) <= PARALLEL_BASIS_TOL)
 
 
 def default_chi_basis(axes) -> OperatorBasis:
@@ -334,10 +337,10 @@ def build_n_kick_channel(
     It exponentiates all 4^n coefficients gamma(s, s') and holds them as one
     complex matrix (16 * 4^n bytes, ``meta["bytes"]``; 67 MB at 11 kicks).
     For the channels after every kick of a train, ``build_prefix_channels``
-    sums about a third of those exponents in one pass, in under half the
-    memory.  Schedules longer than ``max_kicks`` are refused (raise the
-    budget explicitly if you really mean it), and so is a build whose gamma
-    matrix cannot be allocated.
+    sums about a third of those exponents in one pass, in under a twentieth
+    of the memory at 11 kicks (2.3 MiB).  Schedules longer than
+    ``max_kicks`` are refused (raise the budget explicitly if you really
+    mean it), and so is a build whose gamma matrix cannot be allocated.
     """
     n = len(sched)
     if n == 0:
@@ -388,20 +391,36 @@ def _n_kick_meta(env, times, weights, r_last, path: str, terms: int, nbytes: int
     }
 
 
-def _band_rows(m: int) -> int:
-    """Rows of an m-row level's coefficients that the pass forms at a time:
-    all of them up to 64, then 64, and a sixteenth of them from 1024 on."""
-    return max(min(m, 64), m // 16)
-
-
 def _pass_bytes(n: int) -> int:
-    """Peak coefficient storage of an n-kick pass: the real exponent (8 bytes
-    an entry) and the phase (16) at 2^(n-1) x 2^(n-1), plus the band
-    temporaries of the last level (48 bytes an entry, see the loop)."""
+    """Peak storage of an n-kick pass, m = 2^(n-1): below the base side, 72
+    bytes per entry of the last level; from it on, the base block (24 bytes an
+    entry), the tile shifts (24 per tile and base row), one row of tiles (24
+    an entry), and per sign vector 384 (strings, coefficients, row vectors)."""
     if n == 0:
         return 0
     m = 2 ** (n - 1)
-    return 24 * m * m + 48 * _band_rows(m) * m
+    if m < _BASE:
+        return 72 * m * m
+    return 24 * _BASE * _BASE + 24 * m * m // _BASE + (24 * _BASE + 384) * m
+
+
+def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, c_plus, c_minus_conj) -> np.ndarray:
+    """Y = c_+^T X c_-* for a level of t x t tiles, one row of tiles at a time:
+    tile (i, j) of X is exp(R_J + u' (+) v') * P_J * (pi' (x) rho'), the row
+    shifts u_ij, pi_ij moved by Re a and p and the column shifts v_ij = u_ji,
+    rho_ij = conj pi_ji by Re b and p; the phases are folded into c_+, c_-*."""
+    x_re, x = np.empty((len(u), _BASE, _BASE)), np.empty((len(u), _BASE, _BASE), dtype=complex)
+    y = np.zeros((4, 4), dtype=complex)
+    for i in range(len(u)):
+        np.copyto(x_re, (u[i] + re_a[i])[:, :, None])  # unlike np.add, allocates no ufunc buffers
+        x_re += re_l
+        x_re += (u[:, i] + re_b)[:, None, :]
+        np.exp(x_re, out=x_re)
+        np.multiply(x_re, phase.real, out=x.real)
+        np.multiply(x_re, phase.imag, out=x.imag)
+        z = x @ ((pi[:, i].conj() * p)[:, :, None] * c_minus_conj.reshape(-1, _BASE, 4))
+        y += c_plus[i * _BASE : (i + 1) * _BASE].T @ np.einsum("tj,tjc->jc", pi[i] * p[i], z)
+    return y
 
 
 class PrefixChannels:
@@ -460,22 +479,27 @@ def build_prefix_channels(
     a(s) = -2 f(s) - i mu_k, b(s') = 2 conj(f(s')) - i mu_k - 2 Var_k and
     p = exp(i Im a) = exp(i Im b).  The real exponent is summed before it is
     exponentiated, so every factor stays bounded at high occupation, and
-    the only exponential of a 4^k array is a real one, formed a band of
-    rows at a time for the contraction.  R and P live in buffers allocated
-    once at their final size, 2^(n-1) x 2^(n-1), with level k in the
-    top-left 2^k block: X, its transpose (phase conjugated) and a copy of
-    level k fill the three new quadrants in place, so R = 0 and P = 1 on
-    the diagonal.  The peak is those two buffers, 24 * 4^(n-1) bytes, and
-    one band's temporaries (``meta["bytes"]``; 28 MB at 11 kicks, of which
-    the buffers are 25 MB).  Schedules longer than ``max_kicks`` are
-    refused, and so is a pass whose buffers cannot be allocated.
+    the only exponentials of 4^k arrays are real ones.  As R_k^T = R_k and
+    P_k^T = conj P_k, R_{k+1} = [[R_k, R_k + Re a (+) Re b], [R_k + Re b (+)
+    Re a, R_k]]: every level is tiles of the level-J block (R_J, P_J; side
+    2^J = ``_BASE`` = 64) plus separable row and column shifts.  Levels
+    below it double in place in that block; from it on, the pass carries
+    each tile's real row shift u and phase row shift pi (its column shifts
+    are u and conj pi of the mirrored tile), doubles them by the same rule
+    (O(4^k / 64) work) and contracts X a row of tiles at a time
+    (``_tile_rows``).  All are allocated at their final size first, so a
+    pass that cannot be held (``_pass_bytes``: 2.3 MiB at 11 kicks, 24 TiB
+    at 24) is refused before any level runs, as is one past ``max_kicks``.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
     with _coefficient_budget(n, max_kicks, nbytes):
         size = 2 ** max(n - 1, 0)
-        re_l, phase = np.empty((size, size)), np.empty((size, size), dtype=complex)
+        side, tiles = min(size, _BASE), size // _BASE
+        re_l, phase = np.empty((side, side)), np.empty((side, side), dtype=complex)
         re_l[0, 0], phase[0, 0] = 0.0, 1.0
+        u, pi = np.empty((tiles, tiles, _BASE)), np.empty((tiles, tiles, _BASE), dtype=complex)
+        u[:1, :1], pi[:1, :1] = 0.0, 1.0
 
         times = sched.times
         rs = [r_of_t(geom, t) for t in times]
@@ -486,28 +510,35 @@ def build_prefix_channels(
         a_mat, shift = np.eye(3), np.zeros(3)
         parts = []
         for k in range(n):
-            m, band = 2**k, _band_rows(2**k)
+            m = 2**k
             f = _sign_matrix(k) @ gram[k, :k]
             re_a, re_b = -2.0 * f.real, 2.0 * f.real - 2.0 * var[k]
             p = np.exp(-1j * (2.0 * f.imag + mu[k]))
 
             strings = np.concatenate([projector(rs[k], 1) @ strings, projector(rs[k], -1) @ strings])
-            c_plus, c_minus = np.split(np.einsum("ayx,myx->ma", PAULI_BASIS.ops.conj(), strings), 2)
-            c_minus_conj = c_minus.conj()
-            y = np.zeros((4, 4), dtype=complex)
-            for i in range(0, m, band):
-                rows = slice(i, i + band)
-                x_re = re_l[rows, :m] + re_a[rows, None]
+            c_plus, c_minus_conj = np.split(np.einsum("ayx,myx->ma", PAULI_BASIS.ops.conj(), strings), 2)
+            np.conjugate(c_minus_conj, out=c_minus_conj)
+            if m < _BASE:
+                y = np.zeros((4, 4), dtype=complex)
+                x_re = re_l[:m, :m] + re_a[:, None]
                 x_re += re_b
-                x_ph = phase[rows, :m] * p[rows, None]
+                x_ph = phase[:m, :m] * p[:, None]
                 x_ph *= p
-                y += c_plus[rows].T @ ((np.exp(x_re) * x_ph) @ c_minus_conj)
+                y += c_plus.T @ ((np.exp(x_re) * x_ph) @ c_minus_conj)
                 if k + 1 < n:
-                    re_l[rows, m : 2 * m], re_l[m : 2 * m, rows] = x_re, x_re.T
-                    phase[rows, m : 2 * m], phase[m : 2 * m, rows] = x_ph, x_ph.conj().T
-            if k + 1 < n:
-                re_l[m : 2 * m, m : 2 * m] = re_l[:m, :m]
-                phase[m : 2 * m, m : 2 * m] = phase[:m, :m]
+                    re_l[:m, m : 2 * m], re_l[m : 2 * m, :m] = x_re, x_re.T
+                    phase[:m, m : 2 * m], phase[m : 2 * m, :m] = x_ph, x_ph.conj().T
+                    re_l[m : 2 * m, m : 2 * m] = re_l[:m, :m]
+                    phase[m : 2 * m, m : 2 * m] = phase[:m, :m]
+            else:
+                t = m // _BASE
+                re_a, re_b, p = re_a.reshape(t, _BASE), re_b.reshape(t, _BASE), p.reshape(t, _BASE)
+                y = _tile_rows(re_l, phase, u[:t, :t], pi[:t, :t], re_a, re_b, p, c_plus, c_minus_conj)
+                if k + 1 < n:
+                    for grid, op, upper, lower in ((u, np.add, re_a, re_b), (pi, np.multiply, p, p.conj())):
+                        op(grid[:t, :t], upper[:, None], out=grid[:t, t : 2 * t])
+                        op(grid[:t, :t], lower[:, None], out=grid[t : 2 * t, :t])
+                        grid[t : 2 * t, t : 2 * t] = grid[:t, :t]
 
             s = (_PAULI_TENSOR @ (y + y.conj().T).reshape(16)).reshape(4, 4).real
             dephase = np.outer(rs[k], rs[k])
@@ -554,7 +585,7 @@ def two_kick_params(
     corr = w1 * w0 * env.covariance(t1, t0)
     g = float(np.exp(-2.0 * v0))
     h = np.exp(-v1) * (np.cosh(2.0 * corr) - alpha * np.sinh(2.0 * corr))
-    k = np.linalg.norm(np.cross(r1, r0)) * np.exp(-v1) * np.sinh(2.0 * corr)
+    k = np.linalg.norm(cross3(r1, r0)) * np.exp(-v1) * np.sinh(2.0 * corr)
     return TwoKickParams(alpha, g, complex(h), complex(k), frame)
 
 

@@ -30,8 +30,8 @@ class LengthMismatch(SpinKickError):
 
 
 class TooManyKicks(SpinKickError):
-    """Schedule exceeds the kick budget of the exact builders, or their
-    coefficient storage (which grows as 4^n bytes) cannot be allocated."""
+    """Schedule exceeds the kick budget of the exact builders, or their coefficient
+    storage (16 * 4^n bytes, or about 3 * 4^n / 32 in the prefix pass) cannot be allocated."""
 
 
 class NonEvenEnvironment(SpinKickError):

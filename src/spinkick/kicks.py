@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonUnitVector
+from .pauli import cross3
 
 COMMUTE_TOL = 1e-10
 
@@ -38,7 +39,7 @@ class InteractionGeometry:
     def __post_init__(self):
         object.__setattr__(self, "h", _unit(self.h, "h"))
         object.__setattr__(self, "alpha", _unit(self.alpha, "alpha"))
-        cross = np.cross(self.h, self.alpha)
+        cross = cross3(self.h, self.alpha)
         cross.setflags(write=False)
         object.__setattr__(self, "h_cross_alpha", cross)
         if self.omega < 0:
@@ -100,7 +101,7 @@ def is_commuting_schedule(geom: InteractionGeometry, sched: KickSchedule):
     n = len(rs)
     for i in range(n):
         for j in range(i):
-            if np.linalg.norm(np.cross(rs[i], rs[j])) > COMMUTE_TOL:
+            if np.linalg.norm(cross3(rs[i], rs[j])) > COMMUTE_TOL:
                 return False, None
     signs = np.where(rs @ rs[0] >= 0.0, 1, -1).astype(int)
     return True, signs

@@ -27,6 +27,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def cross3(a, b) -> np.ndarray:
+    """a x b for real 3-vectors: np.cross's arithmetic, bit for bit, without its overhead."""
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def dot_sigma(v) -> np.ndarray:
     """Pauli observable v . sigma for a real 3-vector v."""
     v = np.asarray(v, dtype=float)

@@ -506,6 +506,50 @@ def test_prefix_pass_peak_memory_is_its_stated_bytes(vacuum, standard_geometry):
     assert prefixes[9].meta["bytes"] == prefixes[1].meta["bytes"]
 
 
+def test_prefix_pass_peak_memory_at_eleven_kicks(vacuum, standard_geometry):
+    """An 11-kick pass carries a 64 x 64 base block and per-tile shifts, not
+    a 4^10 exponent: its stated bytes are under 8 MiB and its traced peak is
+    that figure and little more."""
+    sched = KickSchedule(np.linspace(0, 4, 11))
+    build_prefix_channels(vacuum, standard_geometry, sched, max_kicks=11)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        prefixes = build_prefix_channels(vacuum, standard_geometry, sched, max_kicks=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prefixes[11].meta["bytes"] < 8 * 1024**2
+    assert 1.0 <= peak / prefixes[11].meta["bytes"] <= 1.25
+
+
+@pytest.mark.parametrize("base", [1, 2, 8, 64])
+def test_prefix_pass_tiles_are_exact_for_any_base_size(base, monkeypatch):
+    """The tiles are the base block plus separable shifts, an exact
+    rewriting: every prefix's chi is the same whatever the base size, on a
+    displaced thermal train and at high occupation."""
+    from spinkick import channels
+
+    rng = np.random.default_rng(5)
+    trains = [
+        (
+            SingleModeThermal(omega=0.9, nbar=0.5, displacement=0.4 - 0.3j),
+            random_geometry(rng),
+            KickSchedule(np.sort(rng.uniform(0.0, 5.0, size=10)), rng.uniform(0.5, 1.5, size=10)),
+        ),
+        (
+            SingleModeThermal(omega=1.0, nbar=5000),
+            InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0),
+            KickSchedule(0.5 * np.arange(9)),
+        ),
+    ]
+    refs = [build_prefix_channels(*train) for train in trains]
+    monkeypatch.setattr(channels, "_BASE", base)
+    for train, ref in zip(trains, refs):
+        got = build_prefix_channels(*train)
+        for k in range(len(ref)):
+            np.testing.assert_allclose(got[k].chi, ref[k].chi, rtol=0, atol=1e-14)
+
+
 def test_prefix_pass_builds_a_chi_basis_only_for_read_prefixes(vacuum, standard_geometry, monkeypatch):
     """The pass carries (A, b) alone: reading one prefix of a 10-kick pass
     builds one chi basis."""
@@ -541,9 +585,9 @@ def test_budget_refusal_names_the_bytes(vacuum, standard_geometry):
 
 
 def test_pass_beyond_memory_is_refused(vacuum, standard_geometry):
-    """A 24-kick pass needs 1.7 PiB, far past any address space: the
-    allocation of its buffers fails before memory is touched, and the
-    failure is a TooManyKicks that names the bytes."""
+    """A 24-kick pass needs 24 TiB of tile shifts: their allocation fails
+    before memory is touched, and the failure is a TooManyKicks that names
+    the bytes."""
     sched = KickSchedule(np.linspace(0, 1, 24))
     with pytest.raises(TooManyKicks, match=r"24 kicks need \d+ bytes"):
         build_prefix_channels(vacuum, standard_geometry, sched, max_kicks=24)

@@ -443,7 +443,7 @@ def test_max_kicks_flag_zero_is_a_budget(tmp_path, times, code):
 
 
 def test_simulate_beyond_memory_exits_4(tmp_path, capsys):
-    """24 kicks within a raised budget: the pass cannot allocate its 1.7 PiB
+    """24 kicks within a raised budget: the pass cannot allocate its 24 TiB
     of coefficients, and the run exits 4 naming the bytes, not with a
     traceback."""
     times = " ".join(str(0.1 * i) for i in range(24))

@@ -19,7 +19,7 @@ from spinkick import (
     projector,
     transition_map,
 )
-from spinkick.pauli import I2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, dot_sigma
+from spinkick.pauli import I2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, cross3, dot_sigma
 from conftest import fibonacci_sphere
 
 bloch_vectors = st.lists(
@@ -110,6 +110,19 @@ def test_operator_basis_rejects_non_orthonormal():
 def test_dot_sigma():
     np.testing.assert_allclose(dot_sigma([1, 0, 0]), SIGMA_X)
     np.testing.assert_allclose(dot_sigma([0, 1, 1]), SIGMA_Y + SIGMA_Z)
+
+
+def test_cross3_is_np_cross_bit_for_bit():
+    """Random pairs with zeros of both signs and parallel pairs: the same
+    values as np.cross, and the same sign bits."""
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2000, 3)), rng.normal(size=(2000, 3))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    b[rng.random(b.shape) < 0.2] = -0.0
+    a[::7] = -b[::7]
+    for x, y in zip(a, b):
+        got, ref = cross3(x, y), np.cross(x, y)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -70,11 +70,9 @@ from .oracle import (
     channel_distance,
     coupling_spectrum,
     fock_spec_for,
-    kick_unitary,
     nascent_delta_channel,
     oracle_channel,
     quadrature_heisenberg,
-    rotated_spectrum,
 )
 from .pauli import (
     PAULI_BASIS,

@@ -24,7 +24,7 @@ of the coefficients' exponent is one base block plus separable row and
 column shifts, so the pass never holds an array of 4^(n-1) entries; kick k
 sums the real exponent of 4^k new entries (about 4^n/3 in all).  The only
 exponentials of 4^k arrays are real ones, formed a row of tiles at a time
-(2.3 MiB at 11 kicks).  The two agree to rounding (1e-12 in the tests for
+(2.4 MiB at 11 kicks).  The two agree to rounding (1e-12 in the tests for
 n <= 10).  A build past the ``max_kicks`` budget, or one whose
 coefficients cannot be allocated, raises TooManyKicks naming the bytes it
 needs; each channel records them in ``meta["bytes"]``.  Construction is
@@ -338,7 +338,7 @@ def build_n_kick_channel(
     complex matrix (16 * 4^n bytes, ``meta["bytes"]``; 67 MB at 11 kicks).
     For the channels after every kick of a train, ``build_prefix_channels``
     sums about a third of those exponents in one pass, in under a twentieth
-    of the memory at 11 kicks (2.3 MiB).  Schedules longer than
+    of the memory at 11 kicks (2.4 MiB).  Schedules longer than
     ``max_kicks`` are refused (raise the budget explicitly if you really
     mean it), and so is a build whose gamma matrix cannot be allocated.
     """
@@ -360,13 +360,18 @@ def build_n_kick_channel(
     return _map(affine_from_chi(chi, basis), basis, meta)
 
 
+def _byte_text(nbytes: int) -> str:
+    """nbytes, and the same size in the largest binary unit it reaches."""
+    power = min(max(nbytes.bit_length() - 1, 0) // 10, 5)
+    return f"{nbytes} bytes ({nbytes / 1024**power:.4g} {('B', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB')[power]})"
+
+
 @contextmanager
 def _coefficient_budget(n: int, max_kicks: int, nbytes: int):
     """Refuse an n-kick exact build past ``max_kicks``, or one whose
     coefficients cannot be allocated, with TooManyKicks naming the bytes
     ``nbytes`` it needs."""
-    power = min(max(nbytes.bit_length() - 1, 0) // 10, 5)
-    need = f"{nbytes} bytes ({nbytes / 1024**power:.4g} {('B', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB')[power]})"
+    need = _byte_text(nbytes)
     if n > max_kicks:
         raise TooManyKicks(f"{n} kicks exceeds budget of {max_kicks}; the build would hold {need} of coefficients")
     try:
@@ -395,13 +400,15 @@ def _pass_bytes(n: int) -> int:
     """Peak storage of an n-kick pass, m = 2^(n-1): below the base side, 72
     bytes per entry of the last level; from it on, the base block (24 bytes an
     entry), the tile shifts (24 per tile and base row), one row of tiles (24
-    an entry), and per sign vector 384 (strings, coefficients, row vectors)."""
+    an entry), per sign vector 384 (strings, coefficients, row vectors), and
+    numpy's iteration buffer for the broadcasts over a row of tiles (8 bytes
+    an entry of the row, at most ``np.getbufsize()`` entries)."""
     if n == 0:
         return 0
     m = 2 ** (n - 1)
     if m < _BASE:
         return 72 * m * m
-    return 24 * _BASE * _BASE + 24 * m * m // _BASE + (24 * _BASE + 384) * m
+    return 24 * _BASE * _BASE + 24 * m * m // _BASE + (24 * _BASE + 384) * m + 8 * min(np.getbufsize(), _BASE * m)
 
 
 def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, c_plus, c_minus_conj) -> np.ndarray:
@@ -488,7 +495,7 @@ def build_prefix_channels(
     are u and conj pi of the mirrored tile), doubles them by the same rule
     (O(4^k / 64) work) and contracts X a row of tiles at a time
     (``_tile_rows``).  All are allocated at their final size first, so a
-    pass that cannot be held (``_pass_bytes``: 2.3 MiB at 11 kicks, 24 TiB
+    pass that cannot be held (``_pass_bytes``: 2.4 MiB at 11 kicks, 24 TiB
     at 24) is refused before any level runs, as is one past ``max_kicks``.
     """
     n = len(sched)

@@ -1,16 +1,17 @@
 """Independent brute-force verification in a truncated Fock space.
 
-Builds the joint qubit+oscillator unitaries explicitly, applies them to a
-spanning set of product inputs, partial-traces, and reconstructs the channel.
-No Weyl-relation shortcuts are taken anywhere, so agreement with the
-analytic constructions is a genuine cross-check.  Also provides the nascent-delta
-(smooth switching) limit as a time-ordered product of narrow pulses.
+Evolves the joint qubit+oscillator state explicitly, partial-traces it, and
+reconstructs the channel.  No Weyl-relation shortcuts are taken anywhere,
+so agreement with the analytic constructions is a genuine cross-check.  Also
+provides the nascent-delta (smooth switching) limit as a time-ordered
+product of narrow pulses.
 
-All matrix exponentials go through Hermitian eigendecompositions; every
-exponent here is i times a Hermitian matrix, so this is exact up to rounding
-and the constructed step operators are unitary on the truncated space.  The
-coupling at time t is a diagonal phase rotation of the coupling at time 0,
-so one eigendecomposition per truncation serves every kick step.
+All matrix exponentials go through Hermitian eigendecompositions, so the
+evolution is unitary on the truncated space up to rounding.  The coupling
+at time t is a diagonal phase rotation of the coupling at time 0, so one
+eigendecomposition per truncation serves every step, and in its eigenbasis
+a kick is a diagonal phase; the channel is read from the evolved columns
+of a square root of the environment state.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import QubitMap, default_chi_basis, validate_map
+from .channels import QubitMap, _byte_text, default_chi_basis, validate_map
 from .environment import SingleModeThermal
-from .errors import InvalidMap, LengthMismatch, NonHermitian, NonUnitVector, StepTooCoarse, TruncationNotConverged
+from .errors import InvalidMap, LengthMismatch, NonHermitian, NonUnitVector, SpinKickError, StepTooCoarse
+from .errors import TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, r_of_t
 from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, max_image_norm
 
@@ -79,13 +81,11 @@ def _expm_i_hermitian(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return (vecs * np.exp(1j * scale * evals)) @ vecs.conj().T
 
 
-def environment_state(spec: FockSpec):
-    """Truncated (displaced) Gibbs state and its top-level occupation.
-
-    The thermal diagonal is renormalized on the truncated space; the
-    returned tail mass is the occupation of the highest retained level and
-    bounds the renormalization error.
-    """
+def _environment_factor(spec: FockSpec):
+    """S = diag(sqrt(p)), or D(alpha0) diag(sqrt(p)) when displaced, with
+    S S^dag the truncated Gibbs state (p renormalized on the truncated
+    space), and the occupation of its highest level, which bounds the
+    renormalization error."""
     nbar, displacement = spec.env.nbar, spec.env.displacement
     n = np.arange(spec.dim)
     if nbar == 0:
@@ -95,22 +95,25 @@ def environment_state(spec: FockSpec):
         q = nbar / (nbar + 1.0)
         p = q**n
         p /= p.sum()
-    rho = np.diag(p).astype(complex)
+    factor = np.diag(np.sqrt(p)).astype(complex)
     if displacement != 0:
         a = annihilation(spec.dim)
         gen = displacement * a.conj().T - np.conj(displacement) * a
-        disp = _expm_i_hermitian(-1j * gen)  # exp(gen) with gen anti-Hermitian
-        rho = disp @ rho @ disp.conj().T
-    tail = float(rho[-1, -1].real)
-    return rho, tail
+        factor = _expm_i_hermitian(-1j * gen) * np.sqrt(p)  # exp(gen), gen anti-Hermitian
+    return factor, float(np.vdot(factor[-1], factor[-1]).real)
+
+
+def environment_state(spec: FockSpec):
+    """Truncated (displaced) Gibbs state S S^dag and its top-level occupation."""
+    factor, tail = _environment_factor(spec)
+    return factor @ factor.conj().T, tail
 
 
 def coupling_spectrum(o_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of a Hermitian coupling O.
 
     The one place the coupling is checked for Hermiticity (to 1e-12): every
-    spectrum kick_unitary receives comes from here, directly or through
-    rotated_spectrum.
+    spectrum the oracle evolves with comes from here.
     """
     o_matrix = np.asarray(o_matrix, dtype=complex)
     if np.max(np.abs(o_matrix - o_matrix.conj().T)) > 1e-12:
@@ -118,18 +121,13 @@ def coupling_spectrum(o_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(o_matrix)
 
 
-def rotated_spectrum(spec: FockSpec, spectrum, t: float):
-    """Spectrum of O(t) from that of X = O(0), without a new decomposition.
-
-    O(t) = D(t) X D(t)^dag with D(t) = diag(e^{iwtn}), so O(t) has the
-    eigenvalues of X and the eigenvectors D(t) V.  The phases are built as
-    powers of e^{iwt} so that adjacent levels keep their relative phase to
-    rounding, whatever the size of wtn.
-    """
-    evals, vecs = spectrum
-    phases = np.ones(spec.dim, dtype=complex)
-    phases[1:] = np.cumprod(np.full(spec.dim - 1, np.exp(1j * spec.env.omega * t)))
-    return evals, phases[:, None] * vecs
+def _level_phases(dim: int, turn: complex) -> np.ndarray:
+    """1, turn, ..., turn^(dim - 1), for turn = e^{iwt} the diagonal of D(t),
+    O(t) = D(t) O(0) D(t)^dag: a cumulative product, so adjacent levels keep
+    their relative phase to rounding, whatever the size of wtn."""
+    phases = np.ones(dim, dtype=complex)
+    phases[1:] = np.cumprod(np.full(dim - 1, turn))
+    return phases
 
 
 def _spin_frame(r) -> np.ndarray:
@@ -149,78 +147,73 @@ def _spin_frame(r) -> np.ndarray:
     return np.array([[e0, -e1.conjugate()], [e1, e0.conjugate()]])
 
 
-def kick_unitary(r, spectrum, weight: float = 1.0, u: np.ndarray | None = None) -> np.ndarray:
-    """Joint step exp(-i w r.sigma x O) on qubit (x) oscillator, applied to u.
-
-    ``spectrum`` is (lambda, W) with O = W diag(lambda) W^dag, as returned
-    by coupling_spectrum or rotated_spectrum.  With e and f the +1 and -1
-    eigenvectors of r.sigma, the step is e e^dag x U- + f f^dag x U+, where
-    U- = W e^{-iw lambda} W^dag and U+ = U-^dag.  Returns step @ u for a u
-    of 2d rows, as e x U-(e^dag u) + f x U+(f^dag u): the spin index is
-    rotated in O(d^2) and the oscillator factors act as two d x d products,
-    so the 2d x 2d step is never built.  With u None the step itself is
-    returned, its four d x d blocks filled directly.  U- must pass a
-    unitarity check (1e-10), which an eigenbasis that is not orthonormal
-    fails with InvalidMap; the step is unitary exactly when U- is, because
-    the spin frame (e, f) is unitary.
+def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray) -> np.ndarray:
+    """Y[i, a, l, c] (output spin, input spin, eigenlevel, column) with
+    U (I2 (x) C) = (I2 (x) D(t_n) V) Y, for U the product of the steps
+    exp(-i w r.sigma (x) O(t)), (t, w, r) in time order, C a d x K block of
+    environment columns and (lambda, V) = ``spectrum``, O(0) = V diag(lambda)
+    V^dag.  With W_k = D(t_k) V and F_k the frame of r_k.sigma, step k is
+    (F_k (x) W_k) B_k (F_k (x) W_k)^dag, B_k = e^{-+iw_k lambda} on the +-1
+    eigenvector, so the evolution is carried in the latest step's frames and
+    between steps only F_{k+1}^dag F_k and G_k = W_{k+1}^dag W_k act (its
+    phases are powers of e^{-iwt_{k+1}} e^{iwt_k}, each taken at its own time
+    as in O(t)).  V must be orthonormal to 1e-10, else InvalidMap: every G_k
+    and B_k is unitary exactly when V is.
     """
     evals, vecs = spectrum
-    d = len(evals)
-    u_minus = (vecs * np.exp(-1j * weight * evals)) @ vecs.conj().T
-    defect = np.max(np.abs(u_minus.conj().T @ u_minus - np.eye(d)))
+    d, width = columns.shape
+    defect = np.max(np.abs(vecs.conj().T @ vecs - np.eye(d)))
     if defect > 1e-10:
-        raise InvalidMap(f"joint operator failed unitarity check ({defect:.3e})")
-    frame = _spin_frame(r)
-    if u is None:
-        # block (i, j) of the step: e_i conj(e_j) U- + f_i conj(f_j) U+
-        factors = np.stack((u_minus, u_minus.conj().T))
-        return np.einsum("is,js,sab->iajb", frame, frame.conj(), factors).reshape(2 * d, 2 * d)
-    spin = (frame.conj().T @ u.reshape(2, -1)).reshape(2, d, -1)  # e^dag u and f^dag u
-    acted = np.empty_like(spin)
-    np.matmul(u_minus, spin[0], out=acted[0])
-    np.matmul(u_minus.conj().T, spin[1], out=acted[1])
-    return (frame @ acted.reshape(2, -1)).reshape(u.shape)
+        raise InvalidMap(f"coupling eigenbasis failed unitarity check ({defect:.3e})")
+    y, other = np.zeros((2, 2, d, width), dtype=complex), np.empty((2, 2, d, width), dtype=complex)
+    y[0, 0] = y[1, 1] = columns
+    vecs_h, frame = vecs.conj().T, I2
+    for k, (t, w, r) in enumerate(steps):
+        step_frame, step_turn = _spin_frame(r), np.exp(1j * spec.env.omega * t)
+        if k == 0:  # F_1^dag (x) W_1^dag C
+            phases = _level_phases(d, step_turn.conjugate())[:, None]
+            np.multiply(step_frame.conj().T[:, :, None, None], vecs_h @ (phases * columns), out=y)
+        else:
+            np.matmul((vecs_h * _level_phases(d, step_turn.conjugate() * turn)) @ vecs, y, out=other)
+            np.matmul(step_frame.conj().T @ frame, other.reshape(2, -1), out=y.reshape(2, -1))
+        minus = np.exp(-1j * w * evals)
+        y *= np.stack((minus, minus.conj()))[:, None, :, None]
+        frame, turn = step_frame, step_turn
+    np.matmul(frame, y.reshape(2, -1), out=other.reshape(2, -1))
+    return other
 
 
-def _channel_from_joint_unitary(u: np.ndarray, rho_env: np.ndarray, basis: OperatorBasis, meta: dict) -> QubitMap:
-    """Reduced qubit channel of the joint unitary u on rho_q (x) rho_env.
+def _channel_at_dim(spec: FockSpec, steps, basis: OperatorBasis, meta: dict) -> QubitMap:
+    """Reduced channel of the joint steps (t, w, r), in time order, at spec.dim.
 
-    With U_ia the d x d blocks of u, the reduced output of rho_q is
-    sum_ab rho_q[a, b] m[:, a, :, b], where m[i, a, j, b] = tr(U_ia rho_env
-    U_jb^dag): four d x d products and one contraction for all probes.
+    With Y the evolved columns of S, rho_env = S S^dag, m[i, a, j, b] =
+    tr(U_ia rho_env U_jb^dag) = sum_{l, c} Y[i, a, l, c] conj(Y[j, b, l, c])
+    (D(t_n) V cancels in the trace); a probe's output is sum_ab rho_q[a, b]
+    m[:, a, :, b].  meta gains the dimension, tail mass, work and peak
+    ``bytes``; a build that cannot be allocated raises SpinKickError.
     """
-    dim = rho_env.shape[0]
-    blocks = u.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3)  # blocks[i, a] = U_ia
-    left = (blocks @ rho_env).reshape(4, dim * dim)
-    m = (left @ blocks.reshape(4, dim * dim).conj().T).reshape(2, 2, 2, 2)
+    # Y and its step buffer (64 d^2 bytes each); V, V^dag, S, G_k and the scaled
+    # V^dag that forms it (16 d^2 each); numpy's iteration buffers add <= 128 KiB
+    nbytes = 208 * spec.dim**2
+    try:
+        spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
+        factor, tail = _environment_factor(spec)
+        y = _evolve(spec, spectrum, steps, factor).reshape(4, -1)
+        m = (y @ y.conj().T).reshape(2, 2, 2, 2)
+    except MemoryError as exc:
+        raise SpinKickError(
+            f"oracle truncation at dim {spec.dim} needs {_byte_text(nbytes)}, more than could be allocated"
+        ) from exc
     inputs = [I2 / 2.0] + [(I2 + sig) / 2.0 for sig in PAULI]
     blochs = [density_to_bloch(np.einsum("ab,iajb->ij", rho_q, m), tol=1e-8) for rho_q in inputs]
     b = blochs[0]
     a = np.column_stack([v - b for v in blochs[1:]])
+    meta = {**meta, "dim": spec.dim, "tail": tail, "kick_steps": len(steps), "eigendecompositions": 1, "bytes": nbytes}
     ch = QubitMap(AffineBlochMap(a, b), basis, meta)
     # truncation error can leave tiny PSD defects, so only the structural
     # invariants are enforced here; CP-ness is what the comparison tests
     validate_map(ch, herm_tol=1e-8, tp_tol=1e-8)
     return ch
-
-
-def _channel_at_dim(spec: FockSpec, geom: InteractionGeometry, steps, basis: OperatorBasis, meta: dict) -> QubitMap:
-    """Reduced channel of the joint steps (t, w), in time order, at spec.dim.
-
-    One eigendecomposition of the coupling serves every step; the product
-    of the steps acts on the qubit and the truncated environment state, and
-    the channel is read from its blocks.  meta gains the dimension, the
-    state's tail mass and the work done.
-    """
-    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
-    u = None  # the first step is built directly, the later ones applied to it
-    for t, w in steps:
-        u = kick_unitary(r_of_t(geom, t), rotated_spectrum(spec, spectrum, t), w, u)
-    if u is None:  # an empty train
-        u = np.eye(2 * spec.dim, dtype=complex)
-    rho_env, tail = environment_state(spec)
-    meta = {**meta, "dim": spec.dim, "tail": tail, "kick_steps": len(steps), "eigendecompositions": 1}
-    return _channel_from_joint_unitary(u, rho_env, basis, meta)
 
 
 def oracle_channel(
@@ -239,10 +232,10 @@ def oracle_channel(
     counts the work of the whole search: ``kick_steps`` joint steps and
     ``eigendecompositions`` of the coupling, one per truncation tried.
     """
-    steps = list(zip(sched.times, sched.weights))
-    basis = default_chi_basis([r_of_t(geom, t) for t in sched.times])
+    steps = [(t, w, r_of_t(geom, t)) for t, w in zip(sched.times, sched.weights)]
+    basis = default_chi_basis([r for _, _, r in steps])
     dim = spec.dim
-    current = _channel_at_dim(replace(spec, dim=dim), geom, steps, basis, {"kind": "oracle"})
+    current = _channel_at_dim(replace(spec, dim=dim), steps, basis, {"kind": "oracle"})
     work = {key: current.meta[key] for key in ("kick_steps", "eigendecompositions")}
     history = []
     while True:
@@ -251,7 +244,7 @@ def oracle_channel(
             raise TruncationNotConverged(
                 f"no stable channel up to dim {max_dim} (tol {stability_tol})"
             )
-        finer = _channel_at_dim(replace(spec, dim=next_dim), geom, steps, basis, {"kind": "oracle"})
+        finer = _channel_at_dim(replace(spec, dim=next_dim), steps, basis, {"kind": "oracle"})
         dist = channel_distance(current, finer)
         history.append((next_dim, dist))
         for key in work:
@@ -313,14 +306,14 @@ def nascent_delta_channel(
     vals = vals / vals.sum()
 
     steps = [
-        (times[idx] + delta_t * x, w[idx] * frac)
+        (t, wt, r_of_t(geom, t))
         for idx in np.argsort(times)
-        for x, frac in zip(xs, vals)
-        if w[idx] * frac != 0.0
+        for t, wt in zip(times[idx] + delta_t * xs, w[idx] * vals)
+        if wt != 0.0
     ]
     basis = default_chi_basis([r_of_t(geom, t) for t in times])
     meta = {"kind": "nascent_delta", "delta_t": float(delta_t), "shape": shape, "steps_per_kick": int(steps_per_kick)}
-    return _channel_at_dim(spec, geom, steps, basis, meta)
+    return _channel_at_dim(spec, steps, basis, meta)
 
 
 def channel_distance(c1, c2) -> float:

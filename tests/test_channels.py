@@ -522,6 +522,21 @@ def test_prefix_pass_peak_memory_at_eleven_kicks(vacuum, standard_geometry):
     assert 1.0 <= peak / prefixes[11].meta["bytes"] <= 1.25
 
 
+@pytest.mark.parametrize("n", range(7, 12))
+def test_tiled_pass_peak_memory_is_its_stated_bytes(n, vacuum, standard_geometry):
+    """From 7 kicks on the pass runs in tiles, and its stated bytes, which
+    include numpy's iteration buffer, are its traced peak within a quarter."""
+    sched = KickSchedule(np.linspace(0, 4, n))
+    build_prefix_channels(vacuum, standard_geometry, sched, max_kicks=11)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        prefixes = build_prefix_channels(vacuum, standard_geometry, sched, max_kicks=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.0 <= peak / prefixes[n].meta["bytes"] <= 1.25
+
+
 @pytest.mark.parametrize("base", [1, 2, 8, 64])
 def test_prefix_pass_tiles_are_exact_for_any_base_size(base, monkeypatch):
     """The tiles are the base block plus separable shifts, an exact

@@ -490,6 +490,21 @@ def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"error: 3 kicks need {16 * 4**3} bytes")
 
 
+def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
+    """An oracle truncation whose arrays cannot be allocated ends the run
+    with exit 4, naming the dimension and the bytes of the build."""
+    from spinkick import oracle
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 26.8 GiB")
+
+    monkeypatch.setattr(oracle, "_evolve", no_memory)
+    body = BASE_CFG.format(out=tmp_path / "out") + "\n[oracle]\ndim = 30\n"
+    assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {208 * 30**2} bytes")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "kernel",
     [

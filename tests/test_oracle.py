@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,17 +21,15 @@ from spinkick import (
     entropy,
     fock_spec_for,
     identity_channel,
-    kick_unitary,
     nascent_delta_channel,
     oracle_channel,
     quadrature_heisenberg,
-    rotated_spectrum,
     single_kick_channel,
     two_kick_closed_form,
 )
 from spinkick.errors import InvalidMap, LengthMismatch
 from spinkick.kicks import r_of_t
-from spinkick.oracle import _channel_from_joint_unitary, annihilation, environment_state
+from spinkick.oracle import _channel_at_dim, _evolve, _level_phases, annihilation, environment_state
 from spinkick.pauli import I2, PAULI, PAULI_BASIS, density_to_bloch, dot_sigma
 from conftest import random_geometry, random_schedule
 
@@ -103,12 +103,23 @@ def test_displaced_state_mean_matches_env():
         assert np.trace(rho @ o).real == pytest.approx(env.mean(t), abs=1e-10)
 
 
+def _joint(spec, spectrum, steps, columns):
+    """U (I2 (x) C) rebuilt from the oracle's evolution of steps (t, w, r) as
+    (I2 (x) D(t_n) V) Y."""
+    y = _evolve(spec, spectrum, steps, columns)
+    dim, width = columns.shape
+    basis = _level_phases(dim, np.exp(1j * spec.env.omega * steps[-1][0]))[:, None] * spectrum[1]
+    return np.kron(I2, basis) @ y.transpose(0, 2, 1, 3).reshape(2 * dim, 2 * width)
+
+
 def test_kick_unitary_properties():
+    """One kick step, as the oracle evolves it, is the identity at weight 0,
+    block diagonal along z, and unitary."""
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=25)
-    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.4))
-    u = kick_unitary([0, 0, 1], spectrum, weight=0.0)
+    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
+    u = _joint(spec, spectrum, [(0.4, 0.0, [0, 0, 1])], np.eye(25))
     np.testing.assert_allclose(u, np.eye(50), atol=1e-14)
-    u = kick_unitary([0, 0, 1], spectrum, weight=1.3)
+    u = _joint(spec, spectrum, [(0.4, 1.3, [0, 0, 1])], np.eye(25))
     np.testing.assert_allclose(u[:25, 25:], 0.0, atol=1e-14)  # block diagonal
     np.testing.assert_allclose(u.conj().T @ u, np.eye(50), atol=1e-12)
 
@@ -141,7 +152,7 @@ def test_cached_spectrum_step_matches_direct(dim):
         w = rng.uniform(0.0, 3.0)
         r = rng.normal(size=3)
         r /= np.linalg.norm(r)
-        cached = kick_unitary(r, rotated_spectrum(spec, spectrum, t), w)
+        cached = _joint(spec, spectrum, [(t, w, r)], np.eye(dim))
         direct = _direct_step(r, quadrature_heisenberg(spec, t), w)
         assert np.max(np.abs(cached - direct)) < 1e-12
 
@@ -157,22 +168,23 @@ _AXES = {
 @pytest.mark.parametrize("axis", list(_AXES))
 @pytest.mark.parametrize("dim", [10, 40, 80, 120])
 def test_applied_steps_match_kron_product(dim, axis):
-    """The running product built step by step in the spin eigenbasis, as
-    the oracle builds it (first step direct, later steps applied), equals
-    the product of kron-assembled steps."""
+    """The evolution carried in each step's coupling eigenbasis and spin
+    frame, as the oracle carries it, equals the product of kron-assembled
+    steps."""
     rng = np.random.default_rng(dim)
     omega = 1.7
     spec = FockSpec(SingleModeThermal(omega=omega), dim=dim)
     spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
     for n_steps in (2, 5, 8):
-        u, direct = None, np.eye(2 * dim, dtype=complex)
+        steps, direct = [], np.eye(2 * dim, dtype=complex)
         for _ in range(n_steps):
             t = rng.uniform(0.0, 50.0) / omega
             w = rng.uniform(0.0, 3.0)
             r = rng.normal(size=3) if _AXES[axis] is None else np.array(_AXES[axis])
             r /= np.linalg.norm(r)
-            u = kick_unitary(r, rotated_spectrum(spec, spectrum, t), w, u)
+            steps.append((t, w, r))
             direct = _direct_step(r, quadrature_heisenberg(spec, t), w) @ direct
+        u = _joint(spec, spectrum, steps, np.eye(dim))
         assert np.max(np.abs(u - direct)) < 1e-13
 
 
@@ -180,14 +192,14 @@ def test_non_orthonormal_eigenbasis_fails_unitarity():
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     evals, vecs = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
     with pytest.raises(InvalidMap, match="unitarity"):
-        kick_unitary([0, 0, 1], (evals, 1.001 * vecs), weight=0.5)
+        _evolve(spec, (evals, 1.001 * vecs), [(0.0, 0.5, [0, 0, 1])], np.eye(20))
 
 
 def test_non_unit_kick_axis_rejected():
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
     with pytest.raises(NonUnitVector):
-        kick_unitary([0.0, 0.0, 1.001], spectrum, weight=0.5)
+        _evolve(spec, spectrum, [(0.0, 0.5, [0.0, 0.0, 1.001])], np.eye(20))
 
 
 def _kron_readout(u, rho_env):
@@ -200,18 +212,53 @@ def _kron_readout(u, rho_env):
     return blochs
 
 
-def test_block_readout_matches_kron_partial_trace(standard_geometry):
-    env = SingleModeThermal(omega=1.1, nbar=0.7, displacement=0.4 - 0.3j)
-    spec = FockSpec(env, dim=40)
-    spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
+def _assert_channel_is_kron_readout(spec, steps):
+    """The oracle's channel at spec.dim, read from the evolved square root of
+    the environment state, against explicit joint states of the product of
+    kron-assembled steps, partial-traced."""
     u = np.eye(2 * spec.dim, dtype=complex)
-    for t, w in [(0.0, 0.8), (0.9, 1.3), (2.2, 0.6)]:
-        u = kick_unitary(r_of_t(standard_geometry, t), rotated_spectrum(spec, spectrum, t), w) @ u
+    for t, w, r in steps:
+        u = _direct_step(r, quadrature_heisenberg(spec, t), w) @ u
     rho_env, _ = environment_state(spec)
-    ch = _channel_from_joint_unitary(u, rho_env, PAULI_BASIS, {})
+    ch = _channel_at_dim(spec, steps, PAULI_BASIS, {})
     b, *cols = _kron_readout(u, rho_env)
     np.testing.assert_allclose(ch.affine.shift, b, rtol=0, atol=1e-13)
     np.testing.assert_allclose(ch.affine.matrix, np.column_stack([c - b for c in cols]), rtol=0, atol=1e-13)
+
+
+def test_block_readout_matches_kron_partial_trace(standard_geometry):
+    env = SingleModeThermal(omega=1.1, nbar=0.7, displacement=0.4 - 0.3j)
+    steps = [(t, w, r_of_t(standard_geometry, t)) for t, w in [(0.0, 0.8), (0.9, 1.3), (2.2, 0.6)]]
+    _assert_channel_is_kron_readout(FockSpec(env, dim=40), steps)
+
+
+@pytest.mark.parametrize("dim", [10, 40, 80, 120])
+def test_channel_matches_kron_partial_trace_at_fixed_dim(dim):
+    """At a fixed truncation, on a displaced thermal state and a train of
+    random axes, the channel is the partial trace of the kron product."""
+    rng = np.random.default_rng(dim)
+    env = SingleModeThermal(omega=1.3, nbar=0.9, displacement=0.5 + 0.2j)
+    steps = []
+    for t in np.sort(rng.uniform(0.0, 6.0, size=5)):
+        r = rng.normal(size=3)
+        steps.append((t, rng.uniform(0.2, 2.0), r / np.linalg.norm(r)))
+    _assert_channel_is_kron_readout(FockSpec(env, dim=dim), steps)
+
+
+def test_oracle_build_peak_memory_is_its_stated_bytes(standard_geometry):
+    """One build holds its evolution, a step buffer and five d x d arrays:
+    meta["bytes"] is 208 d^2, and the traced peak is that and little more."""
+    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=100)
+    steps = [(t, 1.0, r_of_t(standard_geometry, t)) for t in (0.0, 0.7, 1.9, 2.4)]
+    _channel_at_dim(spec, steps, PAULI_BASIS, {})  # warm caches and imports
+    tracemalloc.start()
+    try:
+        ch = _channel_at_dim(spec, steps, PAULI_BASIS, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ch.meta["bytes"] == 208 * 100**2
+    assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
 
 
 def test_oracle_records_its_work(standard_geometry):

@@ -173,7 +173,7 @@ class DivisibilityReport:
     cp_divisible: bool
     p_divisible: bool
     witness: np.ndarray | None = None
-    closed_form_params: dict | None = None
+    closed_form_params: TwoKickParams | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -187,12 +187,9 @@ class DivisibilityReport:
         ]
         for i, lam in enumerate(self.chi_eigenvalues, start=1):
             lines.append(f"lambda_{i}={lam:.17g}")
-        if self.closed_form_params is not None:
-            p = self.closed_form_params
-            lines.append(f"alpha={p['alpha']:.17g}")
-            lines.append(f"g={p['g']:.17g}")
-            lines.append(f"h_abs={abs(p['h']):.17g}")
-            lines.append(f"k_abs={abs(p['k']):.17g}")
+        p = self.closed_form_params
+        if p is not None:
+            lines += [f"alpha={p.alpha:.17g}", f"g={p.g:.17g}", f"h_abs={abs(p.h):.17g}", f"k_abs={abs(p.k):.17g}"]
         if self.witness is not None:
             lines.append("witness=" + " ".join(f"{x:.17g}" for x in self.witness))
         for key, val in self.meta.items():
@@ -207,12 +204,9 @@ class DivisibilityReport:
             f"  transition map is {verdict}; as a Bloch map it is {pos}",
             "  chi eigenvalues: " + ", ".join(f"{v:+.12g}" for v in self.chi_eigenvalues),
         ]
-        if self.closed_form_params is not None:
-            p = self.closed_form_params
-            out.append(
-                f"  closed form: alpha={p['alpha']:.12g} g={p['g']:.12g} "
-                f"|h|={abs(p['h']):.12g} |k|={abs(p['k']):.12g}"
-            )
+        p = self.closed_form_params
+        if p is not None:
+            out.append(f"  closed form: alpha={p.alpha:.12g} g={p.g:.12g} |h|={abs(p.h):.12g} |k|={abs(p.k):.12g}")
         if self.witness is not None:
             out.append(
                 "  witness state mapped outside the ball: ("
@@ -241,13 +235,12 @@ def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TO
         hint = theta.meta.get("r_last")
         hint_leaves = hint is not None and np.linalg.norm(apply_affine(theta.affine, hint)) > 1.0 + tol
         witness = np.asarray(hint, dtype=float) if hint_leaves else u
-    params = theta.meta.get("closed_form")
     return DivisibilityReport(
         chi_eigenvalues=eigs,
         cp_divisible=cp,
         p_divisible=pos,
         witness=witness,
-        closed_form_params=params,
+        closed_form_params=longer.meta.get("closed_form"),
         meta={"longer": theta.meta.get("longer"), "shorter": theta.meta.get("shorter")},
     )
 
@@ -264,7 +257,7 @@ def two_kick_divisibility(params: TwoKickParams) -> DivisibilityReport:
         cp_divisible=cp,
         p_divisible=pos,
         witness=witness,
-        closed_form_params={"alpha": params.alpha, "g": params.g, "h": params.h, "k": params.k},
+        closed_form_params=params,
     )
 
 

@@ -150,23 +150,18 @@ def basis_from_frame(frame: np.ndarray) -> OperatorBasis:
     return OperatorBasis(np.stack(ops) / np.sqrt(2.0))
 
 
-def parallel_axes(r_last, r_first) -> bool:
-    """Whether |r_last x r_first| <= PARALLEL_BASIS_TOL: two kick axes too
-    close to span a well-conditioned ``two_kick_frame``."""
-    return bool(np.linalg.norm(cross3(r_last, r_first)) <= PARALLEL_BASIS_TOL)
-
-
 def default_chi_basis(axes) -> OperatorBasis:
     """The chi basis of every constructed map, from its kick axes in time order.
 
-    The frame of the last and first axes (``two_kick_frame``) unless they
-    are ``parallel_axes``; the Pauli basis otherwise, which covers a single
-    axis and an empty schedule.
+    The frame of the last and first axes (``two_kick_frame``) unless
+    |r_last x r_first| <= PARALLEL_BASIS_TOL, where that frame is too
+    ill-conditioned; the Pauli basis otherwise, which covers a single axis
+    and an empty schedule.
     """
     if len(axes) == 0:
         return PAULI_BASIS
     r_last, r_first = np.asarray(axes[-1], float), np.asarray(axes[0], float)
-    if parallel_axes(r_last, r_first):
+    if np.linalg.norm(cross3(r_last, r_first)) <= PARALLEL_BASIS_TOL:
         return PAULI_BASIS
     return basis_from_frame(two_kick_frame(r_last, r_first))
 
@@ -397,17 +392,20 @@ def _n_kick_meta(env, times, weights, r_last, path: str, terms: int, nbytes: int
 
 
 def _pass_bytes(n: int) -> int:
-    """Peak storage of an n-kick pass, m = 2^(n-1): below the base side, 72
-    bytes per entry of the last level; from it on, the base block (24 bytes an
-    entry), the tile shifts (24 per tile and base row), one row of tiles (24
-    an entry), per sign vector 384 (strings, coefficients, row vectors), and
+    """Peak storage of an n-kick pass, m = 2^(n-1), and per sign vector 384
+    bytes (strings, coefficients, row vectors).  Below the base side: the
+    base block, which is the whole last level (24 bytes an entry), its
+    x_re, x_ph, exponential and product (48 an entry), and numpy's buffer
+    casting the exponential to complex (16 an entry, at most
+    ``np.getbufsize()`` entries).  From it on: the base block, the tile
+    shifts (24 per tile and base row), one row of tiles (24 an entry), and
     numpy's iteration buffer for the broadcasts over a row of tiles (8 bytes
     an entry of the row, at most ``np.getbufsize()`` entries)."""
     if n == 0:
         return 0
     m = 2 ** (n - 1)
     if m < _BASE:
-        return 72 * m * m
+        return 72 * m * m + 384 * m + 16 * min(np.getbufsize(), m * m)
     return 24 * _BASE * _BASE + 24 * m * m // _BASE + (24 * _BASE + 384) * m + 8 * min(np.getbufsize(), _BASE * m)
 
 
@@ -647,7 +645,7 @@ def two_kick_closed_form(
         "weights": (float(weights[0]), float(weights[1])),
         "environment": repr(env),
         "r_last": tuple(r1),
-        "closed_form": {"alpha": params.alpha, "g": params.g, "h": params.h, "k": params.k},
+        "closed_form": params,
     }
     return _map(_two_kick_affine(params), default_chi_basis([r_of_t(geom, t0), r1]), meta)
 
@@ -733,8 +731,6 @@ def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
         "longer": longer.meta.get("times"),
         "shorter": shorter.meta.get("times"),
     }
-    if "closed_form" in longer.meta:
-        meta["closed_form"] = longer.meta["closed_form"]
     return _map(_composed_affine(longer, inverse), longer.basis, meta, cp=False)
 
 
@@ -752,7 +748,7 @@ def two_kick_transition_map(
         "kind": "transition_closed_form",
         "times": (float(t0), float(t1)),
         "r_last": tuple(params.frame[0]),
-        "closed_form": {"alpha": params.alpha, "g": params.g, "h": params.h, "k": params.k},
+        "closed_form": params,
     }
     basis = default_chi_basis([r_of_t(geom, t0), params.frame[0]])
     return _map(_two_kick_affine(params, unit_g=True), basis, meta, cp=False)

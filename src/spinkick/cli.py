@@ -32,6 +32,7 @@ import argparse
 import cmath
 import configparser
 import contextlib
+import dataclasses
 import functools
 import os
 import sys
@@ -41,8 +42,8 @@ import numpy as np
 
 from . import analysis, channels, oracle
 from .environment import SingleModeThermal, TabulatedKernel, WhiteKickKernel, parse_complex
-from .errors import ConfigError, LengthMismatch, NonUnitVector, SpinKickError, TruncationNotConverged
-from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
+from .errors import ConfigError, LengthMismatch, NonUnitVector, ParallelAxes, SpinKickError, TruncationNotConverged
+from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule
 from .pauli import is_physical_bloch
 
 EXIT_OK = 0
@@ -397,34 +398,6 @@ def cmd_fixed_point(cfg: RunConfig, train: _Train) -> int:
     return EXIT_OK
 
 
-# Largest |h|^2 + |k|^2 at which divisibility trusts the two-kick closed form.
-CLOSED_FORM_MAX_GAIN = 1e4
-
-
-def _closed_form_is_well_conditioned(env, geom, sched: KickSchedule) -> bool:
-    """Whether the two-kick closed form may stand in for the exact channel.
-
-    It needs two kicks on an even environment, and two named limits:
-
-    - ``CLOSED_FORM_MAX_GAIN``: the closed form multiplies a matrix whose
-      entries grow like |h|^2 + |k|^2 (as exp(2 w0 w1 Re K)) by one damped
-      by g = exp(-2 Var), so beyond this gain the product has lost the
-      digits that make the channel CP;
-    - ``channels.parallel_axes``: at or below ``PARALLEL_BASIS_TOL`` in
-      |r1 x r0| the frame adapted to the two kick axes is too
-      ill-conditioned to build the channel in.
-
-    Otherwise divisibility uses the exact prefix channels, 5 terms here.
-    """
-    if len(sched) != 2 or not env.is_even:
-        return False
-    t0, t1 = sched.times
-    if channels.parallel_axes(r_of_t(geom, t1), r_of_t(geom, t0)):
-        return False
-    params = channels.two_kick_params(env, geom, t0, t1, sched.weights)
-    return abs(params.h) ** 2 + abs(params.k) ** 2 <= CLOSED_FORM_MAX_GAIN
-
-
 def cmd_divisibility(cfg: RunConfig, train: _Train) -> int:
     env, geom, sched = train.env, train.geom, train.sched
     mode = cfg["divisibility", "mode"]
@@ -445,10 +418,12 @@ def cmd_divisibility(cfg: RunConfig, train: _Train) -> int:
     else:
         if len(sched) < 2:
             raise ConfigError("divisibility needs a schedule with at least 2 kicks")
-        if _closed_form_is_well_conditioned(env, geom, sched):
-            longer = channels.two_kick_closed_form(env, geom, *sched.times, weights=sched.weights)
-        else:
-            longer = train.channel()
+        longer = train.channel()
+        if len(sched) == 2 and env.is_even:
+            # report lines only, wherever the closed form is defined; the channels stay the pass's
+            with contextlib.suppress(ParallelAxes):
+                params = channels.two_kick_params(env, geom, *sched.times, sched.weights)
+                longer = dataclasses.replace(longer, meta={**longer.meta, "closed_form": params})
         shorter = train.channel(len(sched) - 1)
         report = analysis.divisibility_report(longer, shorter, tol=cfg["analysis", "tol"])
 
@@ -628,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="accepted for compatibility; nothing is sampled")
     parser.add_argument("--log-base", dest="log_base", metavar="{e,2}", help="entropy log base")
     parser.add_argument("--tol", help="tolerance override for checks")
-    parser.add_argument("--max-kicks", dest="max_kicks", metavar="N", help="enumeration budget override")
+    parser.add_argument("--max-kicks", dest="max_kicks", metavar="N", help="kick budget of both exact builders")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="build channels, write trajectory CSV and channel file")
     sub.add_parser("divisibility", help="transition-map CP/P analysis")

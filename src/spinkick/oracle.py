@@ -230,28 +230,29 @@ def oracle_channel(
     increment and the state tail is negligible; the finer result is
     returned, with the dimension and stability recorded in meta.  meta also
     counts the work of the whole search: ``kick_steps`` joint steps and
-    ``eigendecompositions`` of the coupling, one per truncation tried.
+    ``eigendecompositions`` of the coupling, one per truncation tried.  A
+    start with no finer truncation up to max_dim to compare it with is
+    refused before anything is built.
     """
+    dims = range(spec.dim, max_dim + 1, DIM_STEP)
+    unstable = f"no stable channel up to dim {max_dim} (tol {stability_tol})"
+    if len(dims) < 2:
+        raise TruncationNotConverged(unstable)
     steps = [(t, w, r_of_t(geom, t)) for t, w in zip(sched.times, sched.weights)]
     basis = default_chi_basis([r for _, _, r in steps])
-    dim = spec.dim
-    current = _channel_at_dim(replace(spec, dim=dim), steps, basis, {"kind": "oracle"})
+    current = _channel_at_dim(replace(spec, dim=dims[0]), steps, basis, {"kind": "oracle"})
     work = {key: current.meta[key] for key in ("kick_steps", "eigendecompositions")}
     history = []
-    while True:
-        next_dim = dim + DIM_STEP
-        if next_dim > max_dim:
-            raise TruncationNotConverged(
-                f"no stable channel up to dim {max_dim} (tol {stability_tol})"
-            )
-        finer = _channel_at_dim(replace(spec, dim=next_dim), steps, basis, {"kind": "oracle"})
+    for dim in dims[1:]:
+        finer = _channel_at_dim(replace(spec, dim=dim), steps, basis, {"kind": "oracle"})
         dist = channel_distance(current, finer)
-        history.append((next_dim, dist))
+        history.append((dim, dist))
         for key in work:
             work[key] += finer.meta[key]
         if dist < stability_tol and finer.meta["tail"] < TAIL_TOL:
             return replace(finer, meta={**finer.meta, "stability": dist, "history": tuple(history), **work})
-        current, dim = finer, next_dim
+        current = finer
+    raise TruncationNotConverged(unstable)
 
 
 # normalized switching profiles and their half-widths in units of delta_t

@@ -14,6 +14,7 @@ from spinkick import (
     build_prefix_channels,
     divisibility_report,
     load_channel,
+    two_kick_params,
 )
 from spinkick.cli import _SCHEMA, EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, RunConfig, _apply_sweep_value, main
 
@@ -563,22 +564,26 @@ ERASING_CFG = TWO_KICK_CFG.format(
 
 @pytest.mark.parametrize("body", [NEAR_PARALLEL_CFG, HIGH_GAIN_CFG], ids=["near_parallel", "high_gain"])
 def test_divisibility_leaves_ill_conditioned_closed_form(tmp_path, body):
-    """Two kicks outside the closed form's limits go to the exact prefix
-    channels, which match the 4^n enumeration.
+    """Two kicks where the closed form is ill-conditioned: the eigenvalues
+    come from the exact prefix channels, which match the 4^n enumeration,
+    and the closed-form parameters are still reported.
 
     The eigenvalues are compared with the builder the CLI runs.  At high
     gain A_1 has condition number 9.2e5, so the transition map amplifies
     rounding: lambda_2 is 0.12315789 in 60-digit arithmetic and reads
-    0.12315840 from the enumeration and 0.12315831 from the pass, though
+    0.12315840 from the enumeration and 0.12315787 from the pass, though
     both builders' affine maps lie within 6e-16 of the 60-digit ones.
     """
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, body.format(out=out))
     assert main(["--config", cfg, "divisibility"]) == EXIT_OK
     kv = _kv(out / "run_divisibility.kv")
-    assert "h_abs" not in kv  # no closed-form parameters reported
     c = RunConfig.from_file(cfg)
     env, geom, sched = c.environment(), c.geometry(), c.schedule()
+    params = two_kick_params(env, geom, *sched.times, sched.weights)
+    assert [kv[key] for key in ("alpha", "g", "h_abs", "k_abs")] == [
+        f"{x:.17g}" for x in (params.alpha, params.g, abs(params.h), abs(params.k))
+    ]
     prefixes = build_prefix_channels(env, geom, sched)
     for k in (1, 2):
         ref = build_n_kick_channel(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
@@ -588,6 +593,39 @@ def test_divisibility_leaves_ill_conditioned_closed_form(tmp_path, body):
     ref = divisibility_report(prefixes[2], prefixes[1])
     got = [float(kv[f"lambda_{i}"]) for i in range(1, 5)]
     np.testing.assert_allclose(got, ref.chi_eigenvalues, rtol=0, atol=1e-9)
+
+
+def test_divisibility_takes_both_channels_from_one_pass(tmp_path, monkeypatch):
+    """On a well-conditioned two-kick train divisibility runs one prefix pass
+    and builds no closed-form channel; the closed-form parameters appear only
+    as report lines, and the eigenvalues are those of the pass's channels."""
+    from spinkick import channels
+
+    passes = []
+
+    def counting_build(env, geom, sched, **kwargs):
+        passes.append(len(sched))
+        return build_prefix_channels(env, geom, sched, **kwargs)
+
+    def no_closed_form(*args, **kwargs):
+        raise AssertionError("a closed-form channel was built")
+
+    monkeypatch.setattr(channels, "build_prefix_channels", counting_build)
+    monkeypatch.setattr(channels, "two_kick_closed_form", no_closed_form)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, BASE_CFG.format(out=out).replace("times = 0.0", "times = 0.0 0.7"))
+    assert main(["--config", cfg, "divisibility"]) == EXIT_OK
+    assert passes == [2]
+    kv = _kv(out / "run_divisibility.kv")
+    c = RunConfig.from_file(cfg)
+    env, geom, sched = c.environment(), c.geometry(), c.schedule()
+    params = two_kick_params(env, geom, *sched.times)
+    assert abs(params.h) ** 2 + abs(params.k) ** 2 < 1e4  # within the former closed-form limit
+    assert kv["h_abs"] == f"{abs(params.h):.17g}"
+    prefixes = build_prefix_channels(env, geom, sched)
+    ref = divisibility_report(prefixes[2], prefixes[1])
+    assert [float(kv[f"lambda_{i}"]) for i in range(1, 5)] == list(ref.chi_eigenvalues)
+    assert "  closed form: alpha=" in (out / "run_divisibility.txt").read_text()
 
 
 def test_divisibility_after_erasing_kick_is_singular(tmp_path, capsys):
@@ -730,6 +768,29 @@ def test_example_config_lists_every_key():
             elif m := re.match(r"#?\s*(\w+)\s*=", line):
                 keys.add((section, m[1]))
     assert keys == {(section, key) for section, table in _SCHEMA.items() for key in table}
+
+
+def test_out_naming_a_file_exits_3(tmp_path, capsys):
+    """An --out that names an existing regular file is an I/O error."""
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    assert main(["--config", EXAMPLE_CFG, "--out", str(target), "simulate"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 17] File exists")
+    assert target.read_text() == "not a directory\n"
+
+
+def test_example_nascent_check_fails_at_its_own_tolerance(tmp_path, capsys):
+    """The example config's nascent mode at its own tol = 1e-8 exits 5, as its
+    comment says: the finest default pulse (delta_t / 8) is still about
+    1.8e-3 from the kick channel."""
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        body = fh.read().replace("mode = kicks", "mode = nascent")
+    cfg = write_cfg(tmp_path, body)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "oracle-check"]) == EXIT_CHECK
+    rows = (tmp_path / "out" / "spinkick_nascent.csv").read_text().strip().splitlines()
+    finest = float(rows[-1].split(",")[1])
+    assert 1.7e-3 < finest < 1.9e-3
+    assert f"FAIL: finest distance {finest:.3e} > tolerance 1e-08" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

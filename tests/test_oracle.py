@@ -346,6 +346,19 @@ def test_oracle_truncation_budget(vacuum, standard_geometry):
         )
 
 
+@pytest.mark.parametrize("dim", [400, 295, 60000])
+def test_oracle_refuses_a_start_past_max_dim_before_building(dim, vacuum, standard_geometry, monkeypatch):
+    """A starting truncation with no finer one up to max_dim is refused at
+    once: no truncation is built (at dim 60000 one would need 750 GB)."""
+    from spinkick import oracle
+
+    builds = []
+    monkeypatch.setattr(oracle, "_channel_at_dim", lambda spec, *args: builds.append(spec.dim))
+    with pytest.raises(TruncationNotConverged, match="no stable channel up to dim 300"):
+        oracle_channel(FockSpec(vacuum, dim=dim), standard_geometry, KickSchedule([0.0, 0.7]), max_dim=300)
+    assert builds == []
+
+
 def test_oracle_random_matrix(standard_geometry):
     rng = np.random.default_rng(42)
     geom = random_geometry(rng)

@@ -48,6 +48,7 @@ from .environment import (
 from .errors import (
     ConfigError,
     InvalidMap,
+    InvalidTruncation,
     LengthMismatch,
     NonCommutingSchedule,
     NonContractive,
@@ -63,6 +64,7 @@ from .errors import (
     TimeNotInTable,
     TooManyKicks,
     TruncationNotConverged,
+    UnknownPulseShape,
 )
 from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
 from .oracle import (

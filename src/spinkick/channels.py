@@ -20,11 +20,14 @@ on a new kick repeat the previous coefficients, so their part of the new
 channel is the previous prefix dephased along the kick axis r,
 (A, b) -> (r r^T A, r r^T b); the pass adds the Bloch action of the one new
 coherence block, read in the normalized Pauli basis.  Every 64 x 64 tile
-of the coefficients' exponent is one base block plus separable row and
-column shifts, so the pass never holds an array of 4^(n-1) entries; kick k
-sums the real exponent of 4^k new entries (about 4^n/3 in all).  The only
-exponentials of 4^k arrays are real ones, formed a row of tiles at a time
-(2.4 MiB at 11 kicks).  The two agree to rounding (1e-12 in the tests for
+of the new coefficients (4^k at kick k, about 4^n/3 in all) is one base
+block Gamma_J between a diagonal row and column scaling, so the pass never
+holds an array of 4^(n-1) coefficients.  A tiled level is contracted as
+one matrix product with Gamma_J, and exponentiates only its O(4^k / 64)
+scalings.  Where those would leave float64's range (at high occupation)
+the level instead sums the real exponent of its 4^k entries before it
+exponentiates them, a row of tiles at a time.  The pass holds 3.5 MiB at
+11 kicks.  The two agree to rounding (1e-12 in the tests for
 n <= 10).  A build past the ``max_kicks`` budget, or one whose
 coefficients cannot be allocated, raises TooManyKicks naming the bytes it
 needs; each channel records them in ``meta["bytes"]``.  Construction is
@@ -68,7 +71,6 @@ from .pauli import (
     cross3,
     density_to_bloch,
     dot_sigma,
-    projector,
 )
 
 MAX_KICKS_DEFAULT = 10
@@ -80,6 +82,11 @@ PARALLEL_BASIS_TOL = 1e-3
 
 # Side of the prefix pass's base block, of which larger levels are tiles.
 _BASE = 64
+
+# Largest exponent range in which a tiled level of the prefix pass is
+# contracted in factored form (``build_prefix_channels``): its factors then
+# lie within [e^-600, e^600], inside float64's normal range [e^-708, e^709].
+_FACTOR_RANGE = 600.0
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +192,13 @@ def _basis_tensor(basis: OperatorBasis) -> np.ndarray:
 # T_P and T_P^{-1}, for the normalized Pauli basis P_mu = sigma_mu/sqrt(2) (sigma_0 = 1)
 _PAULI_TENSOR = _basis_tensor(PAULI_BASIS)
 _PAULI_TENSOR_INV = np.linalg.inv(_PAULI_TENSOR)
+
+# L_i, left multiplication by sigma_i in the normalized Pauli basis:
+# (L_i)_ab = tr(P_a^dag sigma_i P_b), so the coefficients of sigma_i S are L_i c(S)
+_PAULI_LEFT = np.einsum("ayx,iyz,bzx->iab", PAULI_BASIS.ops.conj(), PAULI, PAULI_BASIS.ops)
+# taken once: each np.eye call allocates a 5 KiB flat iterator, the largest
+# fixed cost of a short prefix pass
+_ID3, _ID4 = np.eye(3), np.eye(4)
 
 
 def chi_from_affine(affine: AffineBlochMap, basis: OperatorBasis) -> np.ndarray:
@@ -332,8 +346,8 @@ def build_n_kick_channel(
     It exponentiates all 4^n coefficients gamma(s, s') and holds them as one
     complex matrix (16 * 4^n bytes, ``meta["bytes"]``; 67 MB at 11 kicks).
     For the channels after every kick of a train, ``build_prefix_channels``
-    sums about a third of those exponents in one pass, in under a twentieth
-    of the memory at 11 kicks (2.4 MiB).  Schedules longer than
+    takes about a third of those coefficients in one pass, in under a
+    fifteenth of the memory at 11 kicks (3.5 MiB).  Schedules longer than
     ``max_kicks`` are refused (raise the budget explicitly if you really
     mean it), and so is a build whose gamma matrix cannot be allocated.
     """
@@ -377,8 +391,8 @@ def _coefficient_budget(n: int, max_kicks: int, nbytes: int):
 
 def _n_kick_meta(env, times, weights, r_last, path: str, terms: int, nbytes: int) -> dict:
     """Provenance of an exact n-kick channel: ``path`` names the builder,
-    ``terms`` counts the gamma entries whose exponent it summed and
-    ``bytes`` is the coefficient storage it held at its peak, by formula."""
+    ``terms`` counts the gamma entries it contracted and ``bytes`` is the
+    storage it held at its peak, by formula."""
     return {
         "kind": "n_kick",
         "times": tuple(float(t) for t in times),
@@ -392,31 +406,43 @@ def _n_kick_meta(env, times, weights, r_last, path: str, terms: int, nbytes: int
 
 
 def _pass_bytes(n: int) -> int:
-    """Peak storage of an n-kick pass, m = 2^(n-1), and per sign vector 384
-    bytes (strings, coefficients, row vectors).  Below the base side: the
-    base block, which is the whole last level (24 bytes an entry), its
-    x_re, x_ph, exponential and product (48 an entry), and numpy's buffer
-    casting the exponential to complex (16 an entry, at most
-    ``np.getbufsize()`` entries).  From it on: the base block, the tile
-    shifts (24 per tile and base row), one row of tiles (24 an entry), and
-    numpy's iteration buffer for the broadcasts over a row of tiles (8 bytes
-    an entry of the row, at most ``np.getbufsize()`` entries)."""
-    if n == 0:
-        return 0
-    m = 2 ** (n - 1)
+    """Peak storage of an n-kick pass, m = 2^(n-1) sign vectors at its last
+    kick.  Whatever its length, 4 KiB of small arrays and objects (the Gram
+    matrix, the axes, the 3 x 3 and 4 x 4 maps), and 1.5 KiB per prefix for
+    its record (affine action, axes and meta).  Per sign vector 240 bytes:
+    the Pauli coefficients of both signs and the conjugate of one (192), and
+    f, Re a, Re b and p (48).  Below the base side: the base block, which is
+    the whole last level (24 bytes an entry), its x_re, x_ph, exponential
+    and product (48 an entry), and numpy's buffer casting the exponential to
+    complex (16 an entry, at most ``np.getbufsize()`` entries).  From it on,
+    with T tiles a side: the base block and Gamma_J (40 bytes an entry); per
+    tile and base row, the row shifts u and pi (24), the real shifts U and V
+    and the scaled column factors (32); the work space, which holds either
+    the factored level's scaled columns and their product with Gamma_J (128
+    per tile and base row) or one row of tiles of a summed level (24 an
+    entry), whichever is larger; and numpy's iteration buffers for the two
+    broadcast operands of the scaled columns (32 bytes an entry of the
+    columns, at most ``np.getbufsize()`` entries each)."""
+    m = 2 ** (n - 1) if n else 0
+    fixed = 4096 + 1536 * n + 240 * m
     if m < _BASE:
-        return 72 * m * m + 384 * m + 16 * min(np.getbufsize(), m * m)
-    return 24 * _BASE * _BASE + 24 * m * m // _BASE + (24 * _BASE + 384) * m + 8 * min(np.getbufsize(), _BASE * m)
+        return fixed + 72 * m * m + 16 * min(np.getbufsize(), m * m)
+    rows = m * m // _BASE  # tile-and-base-row pairs, T^2 * _BASE
+    work = max(128 * rows, 24 * m * _BASE)
+    return fixed + 40 * _BASE * _BASE + 56 * rows + work + 32 * min(np.getbufsize(), 4 * rows)
 
 
-def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, c_plus, c_minus_conj) -> np.ndarray:
-    """Y = c_+^T X c_-* for a level of t x t tiles, one row of tiles at a time:
-    tile (i, j) of X is exp(R_J + u' (+) v') * P_J * (pi' (x) rho'), the row
-    shifts u_ij, pi_ij moved by Re a and p and the column shifts v_ij = u_ji,
-    rho_ij = conj pi_ji by Re b and p; the phases are folded into c_+, c_-*."""
-    x_re, x = np.empty((len(u), _BASE, _BASE)), np.empty((len(u), _BASE, _BASE), dtype=complex)
+def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, c_plus, c_minus_conj, work) -> np.ndarray:
+    """Y = c_+^T X c_-* for a level of t x t tiles, summed a row of tiles at a
+    time: tile (i, j) of X is exp(R_J + u' (+) v') * P_J * (pi' (x) rho'),
+    the row shifts u_ij, pi_ij moved by Re a and p and the column shifts
+    v_ij = u_ji, rho_ij = conj pi_ji by Re b and p; the phases are folded
+    into c_+, c_-*.  One row of tiles is held in ``work``."""
+    t, side = len(u), _BASE * _BASE
+    x_re = work[: t * side].reshape(t, _BASE, _BASE)
+    x = work[t * side : 3 * t * side].view(complex).reshape(t, _BASE, _BASE)
     y = np.zeros((4, 4), dtype=complex)
-    for i in range(len(u)):
+    for i in range(t):
         np.copyto(x_re, (u[i] + re_a[i])[:, :, None])  # unlike np.add, allocates no ufunc buffers
         x_re += re_l
         x_re += (u[:, i] + re_b)[:, None, :]
@@ -426,6 +452,40 @@ def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, c_plus, c_minus_conj) -> np.nd
         z = x @ ((pi[:, i].conj() * p)[:, :, None] * c_minus_conj.reshape(-1, _BASE, 4))
         y += c_plus[i * _BASE : (i + 1) * _BASE].T @ np.einsum("tj,tjc->jc", pi[i] * p[i], z)
     return y
+
+
+def _factored_level(gamma_base, shift_u, shift_v, top_v, pi, p, c_plus, c_minus_conj, work) -> np.ndarray:
+    """Y = c_+^T X c_-* for a level of t x t tiles as one product with the
+    base block Gamma_J = exp(R_J) * P_J: tile (i, j) of X is
+    diag(e^(U_ij + max V_ij) pi_ij p_i) Gamma_J diag(e^(V_ij - max V_ij)
+    conj(pi_ji) p_j), U and V its real row and column shifts.  The scaled
+    columns of c_-* for every tile, and their product with Gamma_J, are
+    held in ``work``; ``shift_u`` and ``shift_v`` are overwritten."""
+    t, size = len(pi), 8 * len(pi) ** 2 * _BASE
+    cols = work[:size].view(complex).reshape(t, t, 4, _BASE)
+    prod = work[size : 2 * size].view(complex).reshape(t, t, 4, _BASE)
+    shift_v -= top_v
+    col = np.exp(shift_v, out=shift_v) * pi.transpose(1, 0, 2).conj()
+    col *= p
+    np.multiply(col[:, :, None, :], c_minus_conj.reshape(t, _BASE, 4).transpose(0, 2, 1), out=cols)
+    del col
+    np.matmul(cols.reshape(-1, _BASE), gamma_base.T, out=prod.reshape(-1, _BASE))
+    shift_u += top_v
+    row = np.exp(shift_u, out=shift_u) * pi
+    row *= p[:, None]
+    prod *= row[:, :, None, :]
+    return (prod.sum(1) @ c_plus.reshape(t, _BASE, 4)).sum(0).T
+
+
+def _double_tiles(u, pi, t, re_a, re_b, p) -> None:
+    """Extend the row shifts of a t x t level's tiles to the next level's
+    2t x 2t, in place: the two new off-diagonal quadrants move u by Re a or
+    Re b and pi by p or conj p of their row of tiles, and the diagonal one
+    repeats the level."""
+    for grid, op, upper, lower in ((u, np.add, re_a, re_b), (pi, np.multiply, p, p.conj())):
+        op(grid[:t, :t], upper[:, None], out=grid[:t, t : 2 * t])
+        op(grid[:t, :t], lower[:, None], out=grid[t : 2 * t, :t])
+        grid[t : 2 * t, t : 2 * t] = grid[:t, :t]
 
 
 class PrefixChannels:
@@ -482,19 +542,39 @@ def build_prefix_channels(
     R_k + Re a(s) + Re b(s') and phase P_k * p(s) p(s'), with
     f(s) = sum_{j<k} G_kj s_j over the weighted Gram matrix G,
     a(s) = -2 f(s) - i mu_k, b(s') = 2 conj(f(s')) - i mu_k - 2 Var_k and
-    p = exp(i Im a) = exp(i Im b).  The real exponent is summed before it is
-    exponentiated, so every factor stays bounded at high occupation, and
-    the only exponentials of 4^k arrays are real ones.  As R_k^T = R_k and
-    P_k^T = conj P_k, R_{k+1} = [[R_k, R_k + Re a (+) Re b], [R_k + Re b (+)
-    Re a, R_k]]: every level is tiles of the level-J block (R_J, P_J; side
-    2^J = ``_BASE`` = 64) plus separable row and column shifts.  Levels
-    below it double in place in that block; from it on, the pass carries
-    each tile's real row shift u and phase row shift pi (its column shifts
-    are u and conj pi of the mirrored tile), doubles them by the same rule
-    (O(4^k / 64) work) and contracts X a row of tiles at a time
-    (``_tile_rows``).  All are allocated at their final size first, so a
-    pass that cannot be held (``_pass_bytes``: 2.4 MiB at 11 kicks, 24 TiB
-    at 24) is refused before any level runs, as is one past ``max_kicks``.
+    p = exp(i Im a) = exp(i Im b).  As R_k^T = R_k and P_k^T = conj P_k,
+    R_{k+1} = [[R_k, R_k + Re a (+) Re b], [R_k + Re b (+) Re a, R_k]]:
+    every level is tiles of the level-J block (R_J, P_J; side 2^J =
+    ``_BASE`` = 64) plus separable row and column shifts.  Levels below it
+    double in place in that block.  From it on, the pass carries each
+    tile's real row shift u and phase row shift pi (its column shifts are u
+    and conj pi of the mirrored tile) and doubles them by the same rule
+    (O(4^k / 64) work).  Tile (i, j) of X has the real row shift
+    U_ij = u_ij + Re a_i and column shift V_ij = u_ji + Re b_j, so it is
+    diag(e^(U_ij + max V_ij) pi_ij p_i) Gamma_J diag(e^(V_ij - max V_ij)
+    conj(pi_ji) p_j) with Gamma_J = exp(R_J) * P_J, and the level is one
+    matrix product of Gamma_J with the scaled columns of c_-* for every
+    tile (``_factored_level``).
+
+    Those factors can leave float64's range where the coefficients do not,
+    at high occupation.  So a tiled level is factored only when -min R_J and
+    every tile's max U_ij + max V_ij are at most ``_FACTOR_RANGE`` = 600:
+    then every factor lies within [e^-600, e^600], and a column factor that
+    underflows (below e^-708) stands for a coefficient below e^-108.  Any
+    other level sums its real exponent R_J + U + V before it exponentiates
+    it, a row of tiles at a time (``_tile_rows``), so no factor leaves the
+    range; levels below the base block always do.  The rule reads only the
+    first k+1 kicks, so a prefix does not depend on the length of the pass.
+    Each prefix's meta counts its tiled levels in ``factored_levels`` and
+    ``summed_levels``.
+
+    The pass carries the Pauli coefficients of the projector strings, not
+    the strings: kick k multiplies them by M_+-(r_k) = (1 +- sum_i r_ki
+    L_i)/2, with L_i left multiplication by sigma_i in the normalized Pauli
+    basis.  The base block, the tile shifts and the work space of a level
+    are allocated at their final size first, so a pass that cannot be held
+    (``_pass_bytes``: 3.5 MiB at 11 kicks, 184 TiB at 24) is refused before
+    any level runs, as is one past ``max_kicks``.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
@@ -505,24 +585,29 @@ def build_prefix_channels(
         re_l[0, 0], phase[0, 0] = 0.0, 1.0
         u, pi = np.empty((tiles, tiles, _BASE)), np.empty((tiles, tiles, _BASE), dtype=complex)
         u[:1, :1], pi[:1, :1] = 0.0, 1.0
+        work = np.empty(max(16 * tiles * tiles * _BASE, 3 * tiles * _BASE * _BASE))  # see _pass_bytes
+        gamma_base = None
 
         times = sched.times
         rs = [r_of_t(geom, t) for t in times]
         mu = sched.weights * np.array([env.mean(t) for t in times])
         gram = gram_matrix(env, times, sched.weights)
         var = np.diag(gram).real
-        strings = I2[None]
-        a_mat, shift = np.eye(3), np.zeros(3)
+        left = np.einsum("ki,iab->kab", np.reshape(rs, (n, 3)), _PAULI_LEFT)  # r_k . L for every kick
+        coeffs = np.array([[np.sqrt(2.0), 0.0, 0.0, 0.0]], dtype=complex)  # the empty string's, 1 = sqrt(2) P_0
+        a_mat, shift = _ID3, np.zeros(3)
+        levels = {"factored_levels": 0, "summed_levels": 0}
         parts = []
         for k in range(n):
             m = 2**k
-            f = _sign_matrix(k) @ gram[k, :k]
+            f = np.zeros(1, dtype=complex)  # f(s) = sum_j G_kj s_j, bit j of the index clear for s_j = +1
+            for g in gram[k, :k]:
+                f = np.concatenate([f + g, f - g])
             re_a, re_b = -2.0 * f.real, 2.0 * f.real - 2.0 * var[k]
             p = np.exp(-1j * (2.0 * f.imag + mu[k]))
 
-            strings = np.concatenate([projector(rs[k], 1) @ strings, projector(rs[k], -1) @ strings])
-            c_plus, c_minus_conj = np.split(np.einsum("ayx,myx->ma", PAULI_BASIS.ops.conj(), strings), 2)
-            np.conjugate(c_minus_conj, out=c_minus_conj)
+            coeffs = np.concatenate([coeffs @ ((_ID4 + left[k]) / 2.0).T, coeffs @ ((_ID4 - left[k]) / 2.0).T])
+            c_plus, c_minus_conj = coeffs[:m], coeffs[m:].conj()
             if m < _BASE:
                 y = np.zeros((4, 4), dtype=complex)
                 x_re = re_l[:m, :m] + re_a[:, None]
@@ -535,21 +620,33 @@ def build_prefix_channels(
                     phase[:m, m : 2 * m], phase[m : 2 * m, :m] = x_ph, x_ph.conj().T
                     re_l[m : 2 * m, m : 2 * m] = re_l[:m, :m]
                     phase[m : 2 * m, m : 2 * m] = phase[:m, :m]
+                del x_re, x_ph
             else:
                 t = m // _BASE
+                if t == 1 and -re_l.min() <= _FACTOR_RANGE:  # the base block is complete
+                    gamma_base = re_l.astype(complex)  # exp in place: a real exp times P_J would need a cast buffer
+                    np.exp(gamma_base, out=gamma_base)
+                    gamma_base *= phase
                 re_a, re_b, p = re_a.reshape(t, _BASE), re_b.reshape(t, _BASE), p.reshape(t, _BASE)
-                y = _tile_rows(re_l, phase, u[:t, :t], pi[:t, :t], re_a, re_b, p, c_plus, c_minus_conj)
+                shift_u = u[:t, :t] + re_a[:, None]
+                shift_v = u[:t, :t].transpose(1, 0, 2) + re_b
+                top_v = shift_v.max(2, keepdims=True)
+                if gamma_base is not None and (shift_u.max(2, keepdims=True) + top_v).max() <= _FACTOR_RANGE:
+                    y = _factored_level(gamma_base, shift_u, shift_v, top_v, pi[:t, :t], p, c_plus, c_minus_conj, work)
+                    levels["factored_levels"] += 1
+                else:
+                    y = _tile_rows(re_l, phase, u[:t, :t], pi[:t, :t], re_a, re_b, p, c_plus, c_minus_conj, work)
+                    levels["summed_levels"] += 1
+                del shift_u, shift_v
                 if k + 1 < n:
-                    for grid, op, upper, lower in ((u, np.add, re_a, re_b), (pi, np.multiply, p, p.conj())):
-                        op(grid[:t, :t], upper[:, None], out=grid[:t, t : 2 * t])
-                        op(grid[:t, :t], lower[:, None], out=grid[t : 2 * t, :t])
-                        grid[t : 2 * t, t : 2 * t] = grid[:t, :t]
+                    _double_tiles(u, pi, t, re_a, re_b, p)
 
             s = (_PAULI_TENSOR @ (y + y.conj().T).reshape(16)).reshape(4, 4).real
             dephase = np.outer(rs[k], rs[k])
             a_mat, shift = dephase @ a_mat + s[1:, 1:], dephase @ shift + s[1:, 0]
             terms = (4 ** (k + 1) - 1) // 3  # 1 + 4 + ... + 4^k
             meta = _n_kick_meta(env, times[: k + 1], sched.weights[: k + 1], rs[k], "kick_by_kick", terms, nbytes)
+            meta.update(levels)
             parts.append((AffineBlochMap(a_mat, shift), rs[: k + 1], meta))
     return PrefixChannels(parts)
 

@@ -593,7 +593,10 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and building it costs about as much as a short command."""
     parser = argparse.ArgumentParser(
         prog="spinkick",
         description="Exact qubit channels from delta-kick couplings to a Gaussian environment",

@@ -31,7 +31,7 @@ class LengthMismatch(SpinKickError):
 
 class TooManyKicks(SpinKickError):
     """Schedule exceeds the kick budget of the exact builders, or their coefficient
-    storage (16 * 4^n bytes, or about 3 * 4^n / 32 in the prefix pass) cannot be allocated."""
+    storage (16 * 4^n bytes, or about 0.72 * 4^n in the prefix pass) cannot be allocated."""
 
 
 class NonEvenEnvironment(SpinKickError):
@@ -63,6 +63,14 @@ class NonContractive(SpinKickError):
 
 class NonPureInput(SpinKickError):
     """Operation requires a pure state (unit Bloch vector)."""
+
+
+class InvalidTruncation(SpinKickError, ValueError):
+    """A Fock-space truncation keeps fewer than two levels."""
+
+
+class UnknownPulseShape(SpinKickError, ValueError):
+    """A nascent-delta pulse shape is not one of ``oracle.PULSE_SHAPES``."""
 
 
 class TruncationNotConverged(SpinKickError):

@@ -23,8 +23,17 @@ import numpy as np
 
 from .channels import QubitMap, _byte_text, default_chi_basis, validate_map
 from .environment import SingleModeThermal
-from .errors import InvalidMap, LengthMismatch, NonHermitian, NonUnitVector, SpinKickError, StepTooCoarse
-from .errors import TruncationNotConverged
+from .errors import (
+    InvalidMap,
+    InvalidTruncation,
+    LengthMismatch,
+    NonHermitian,
+    NonUnitVector,
+    SpinKickError,
+    StepTooCoarse,
+    TruncationNotConverged,
+    UnknownPulseShape,
+)
 from .kicks import InteractionGeometry, KickSchedule, r_of_t
 from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, max_image_norm
 
@@ -46,7 +55,7 @@ class FockSpec:
 
     def __post_init__(self):
         if self.dim < 2:
-            raise ValueError("dim must be at least 2")
+            raise InvalidTruncation(f"dim must be at least 2, got {self.dim}")
 
 
 def fock_spec_for(env: SingleModeThermal, dim: int | None = None) -> FockSpec:
@@ -286,7 +295,7 @@ def nascent_delta_channel(
     if len(w) != len(times):
         raise LengthMismatch(f"{len(times)} kick times but {len(w)} weights")
     if shape not in PULSE_SHAPES:
-        raise ValueError(f"unknown pulse shape {shape!r}")
+        raise UnknownPulseShape(f"unknown pulse shape {shape!r}; available: {', '.join(PULSE_SHAPES)}")
     profile, half = PULSE_SHAPES[shape]
     if len(times) > 1:
         min_gap = float(np.min(np.diff(np.sort(times))))

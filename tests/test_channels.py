@@ -437,6 +437,7 @@ def test_prefix_pass_at_high_occupation(nbar, enumeration_tol, standard_geometry
     env = SingleModeThermal(omega=1.0, nbar=nbar)
     sched = KickSchedule(0.5 * np.arange(9))
     prefixes = build_prefix_channels(env, standard_geometry, sched)
+    assert (prefixes[9].meta["factored_levels"], prefixes[9].meta["summed_levels"]) == (0, 3)
     extended = np.finfo(np.longdouble).eps < 1e-18
     for k in range(1, 10):
         head = KickSchedule(sched.times[:k])
@@ -493,8 +494,8 @@ def test_prefix_pass_is_independent_of_its_length():
 
 def test_prefix_pass_peak_memory_is_its_stated_bytes(vacuum, standard_geometry):
     """The traced peak of a 9-kick pass is its meta["bytes"] and little more:
-    sign vectors, projector strings and basis coefficients grow as 2^n, not
-    4^n.  Every prefix records the figure of the pass that built it."""
+    the Pauli coefficients and row vectors grow as 2^n, not 4^n.  Every
+    prefix records the figure of the pass that built it."""
     sched = KickSchedule(np.linspace(0, 4, 9))
     build_prefix_channels(vacuum, standard_geometry, sched)  # warm caches and imports
     tracemalloc.start()
@@ -523,11 +524,12 @@ def test_prefix_pass_peak_memory_at_eleven_kicks(vacuum, standard_geometry):
     assert 1.0 <= peak / prefixes[11].meta["bytes"] <= 1.25
 
 
-@pytest.mark.parametrize("n", range(6, 12))
+@pytest.mark.parametrize("n", range(1, 12))
 def test_tiled_pass_peak_memory_is_its_stated_bytes(n, vacuum, standard_geometry):
-    """From 7 kicks on the pass runs in tiles, and at 6 in its base block;
+    """From 7 kicks on the pass runs in tiles, and below in its base block;
     either way its stated bytes, which include numpy's iteration or casting
-    buffer, are its traced peak within a quarter."""
+    buffers and the few KiB of small arrays and prefix records that dominate
+    short passes, are its traced peak within a quarter."""
     sched = KickSchedule(np.linspace(0, 4, n))
     build_prefix_channels(vacuum, standard_geometry, sched, max_kicks=11)  # warm caches and imports
     tracemalloc.start()
@@ -567,6 +569,47 @@ def test_prefix_pass_tiles_are_exact_for_any_base_size(base, monkeypatch):
             np.testing.assert_allclose(got[k].chi, ref[k].chi, rtol=0, atol=1e-14)
 
 
+def test_prefix_pass_contractions_agree(monkeypatch):
+    """A tiled level is contracted either as one product with the base block
+    or summed a row of tiles at a time.  With the range bound moved so that
+    one displaced thermal train runs every tiled level each way, every prefix
+    agrees, and its meta counts the levels each way."""
+    from spinkick import channels
+
+    rng = np.random.default_rng(5)
+    train = (
+        SingleModeThermal(omega=0.9, nbar=0.5, displacement=0.4 - 0.3j),
+        random_geometry(rng),
+        KickSchedule(np.sort(rng.uniform(0.0, 5.0, size=10)), rng.uniform(0.5, 1.5, size=10)),
+    )
+    runs = {}
+    for bound in (np.inf, -np.inf):
+        monkeypatch.setattr(channels, "_FACTOR_RANGE", bound)
+        runs[bound] = build_prefix_channels(*train)
+    factored, summed = runs[np.inf], runs[-np.inf]
+    for k in range(11):
+        tiled = max(k - 6, 0)
+        if k:
+            assert (factored[k].meta["factored_levels"], factored[k].meta["summed_levels"]) == (tiled, 0)
+            assert (summed[k].meta["factored_levels"], summed[k].meta["summed_levels"]) == (0, tiled)
+        np.testing.assert_allclose(factored[k].chi, summed[k].chi, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(factored[k].affine.matrix, summed[k].affine.matrix, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(factored[k].affine.shift, summed[k].affine.shift, rtol=0, atol=1e-14)
+
+
+def test_prefix_pass_factors_long_trains():
+    """Trains like the long ones the benchmark runs (11 kicks 0.1 to 1 apart,
+    nbar up to 2, weights up to 1.5) stay within the range bound: every
+    tiled level is one product with the base block."""
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        env = SingleModeThermal(omega=rng.uniform(0.5, 2.0), nbar=rng.uniform(0.0, 2.0))
+        times = rng.uniform(0.0, 0.5) + np.cumsum(rng.uniform(0.1, 1.0, size=11))
+        sched = KickSchedule(times, rng.uniform(0.5, 1.5, size=11))
+        prefixes = build_prefix_channels(env, random_geometry(rng), sched, max_kicks=11)
+        assert (prefixes[11].meta["factored_levels"], prefixes[11].meta["summed_levels"]) == (5, 0)
+
+
 def test_prefix_pass_builds_a_chi_basis_only_for_read_prefixes(vacuum, standard_geometry, monkeypatch):
     """The pass carries (A, b) alone: reading one prefix of a 10-kick pass
     builds one chi basis."""
@@ -590,7 +633,9 @@ def test_prefix_pass_builds_a_chi_basis_only_for_read_prefixes(vacuum, standard_
 def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.4, 0.9])
     assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3
-    assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == 72 * 4**2 + 384 * 4 + 16 * 4**2
+    assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == (
+        4096 + 1536 * 3 + 240 * 4 + 72 * 4**2 + 16 * 4**2
+    )
 
 
 def test_budget_refusal_names_the_bytes(vacuum, standard_geometry):

@@ -126,6 +126,26 @@ def test_missing_config(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg"), "simulate"]) == EXIT_CONFIG
 
 
+def test_bad_arguments_exit_2_with_the_parser_built_once(tmp_path, capsys):
+    """The parser is built once per process; parsing leaves it unchanged, so
+    a bad argument exits 2 with argparse's message on every call, and a good
+    call after it still runs."""
+    from spinkick.cli import build_parser
+
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", "run.cfg", "frobnicate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path / "out"))
+    assert main(["--config", cfg, "simulate"]) == EXIT_OK
+
+
 def test_divisibility_two_kick(tmp_path, capsys):
     out = tmp_path / "out"
     body = BASE_CFG.format(out=out).replace("times = 0.0", "times = 0.0 0.7")
@@ -445,7 +465,7 @@ def test_max_kicks_flag_zero_is_a_budget(tmp_path, times, code):
 
 def test_simulate_beyond_memory_exits_4(tmp_path, capsys):
     """24 kicks within a raised budget: the pass cannot allocate its 24 TiB
-    of coefficients, and the run exits 4 naming the bytes, not with a
+    of tile shifts, and the run exits 4 naming the bytes, not with a
     traceback."""
     times = " ".join(str(0.1 * i) for i in range(24))
     body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", f"times = {times}")

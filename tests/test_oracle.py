@@ -27,7 +27,7 @@ from spinkick import (
     single_kick_channel,
     two_kick_closed_form,
 )
-from spinkick.errors import InvalidMap, LengthMismatch
+from spinkick.errors import InvalidMap, InvalidTruncation, LengthMismatch, SpinKickError, UnknownPulseShape
 from spinkick.kicks import r_of_t
 from spinkick.oracle import _channel_at_dim, _evolve, _level_phases, annihilation, environment_state
 from spinkick.pauli import I2, PAULI, PAULI_BASIS, density_to_bloch, dot_sigma
@@ -406,6 +406,18 @@ def test_nascent_with_precession_still_converges(vacuum, standard_geometry):
         for dt in (0.08, 0.04, 0.02)
     ]
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
+
+
+def test_domain_errors_are_spinkick_errors(vacuum, standard_geometry):
+    """A truncation below two levels and an unknown pulse shape raise
+    SpinKickErrors that are also ValueErrors."""
+    with pytest.raises(InvalidTruncation, match="dim must be at least 2, got 1") as exc:
+        FockSpec(vacuum, dim=1)
+    assert isinstance(exc.value, SpinKickError) and isinstance(exc.value, ValueError)
+    spec = FockSpec(vacuum, dim=20)
+    with pytest.raises(UnknownPulseShape, match="unknown pulse shape 'sawtooth'") as exc:
+        nascent_delta_channel(spec, standard_geometry, [1.0], 0.01, shape="sawtooth")
+    assert isinstance(exc.value, SpinKickError) and isinstance(exc.value, ValueError)
 
 
 def test_nascent_rectangular_shape(vacuum):

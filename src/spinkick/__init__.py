@@ -73,6 +73,7 @@ from .oracle import (
     coupling_spectrum,
     fock_spec_for,
     nascent_delta_channel,
+    nascent_delta_channels,
     oracle_channel,
     quadrature_heisenberg,
 )

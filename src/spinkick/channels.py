@@ -254,10 +254,17 @@ class QubitMap:
 
 
 def validate_map(m, herm_tol: float = 1e-10, tp_tol: float = 1e-10) -> None:
-    """Check Hermiticity of chi and trace preservation; raises InvalidMap."""
+    """Check Hermiticity of chi and trace preservation; raises InvalidMap.
+
+    chi is linear in (A, b), so a NaN or inf there makes the Hermiticity
+    deviation NaN or inf, and a map that is not finite is refused as such
+    (a test written herm > herm_tol would pass NaN).
+    """
     chi, basis = m.chi, m.basis
     herm = np.max(np.abs(chi - chi.conj().T))
-    if herm > herm_tol:
+    if not herm <= herm_tol:
+        if not np.isfinite(chi).all():
+            raise InvalidMap("map is not finite: its affine action (A, b) holds NaN or inf")
         raise InvalidMap(f"chi not Hermitian: deviation {herm:.3e} > {herm_tol}")
     b = basis.ops
     tp = np.einsum("ab,bkl,aki->li", chi, b.conj(), b)

@@ -550,12 +550,12 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
             base_dt = cfg["oracle", "delta_t"]
             deltas = [base_dt, base_dt / 2, base_dt / 4, base_dt / 8]
         steps, shape = cfg["oracle", "steps_per_kick"], cfg["oracle", "shape"]
+        chans = oracle.nascent_delta_channels(
+            spec, geom, sched.times, deltas, steps_per_kick=steps, shape=shape, weights=sched.weights
+        )
         rows = ["delta_t,distance"]
         dists = []
-        for dt in deltas:
-            ch = oracle.nascent_delta_channel(
-                spec, geom, sched.times, dt, steps_per_kick=steps, shape=shape, weights=sched.weights
-            )
+        for dt, ch in zip(deltas, chans):
             d = oracle.channel_distance(analytic, ch)
             dists.append(d)
             rows.append(f"{_fmt(dt)},{_fmt(d)}")

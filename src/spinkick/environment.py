@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, TimeNotInTable
+from .errors import LengthMismatch, SpinKickError, TimeNotInTable
 
 _TIME_ATOL = 1e-9
 _PSD_TOL = -1e-10
@@ -62,11 +62,14 @@ def gram_matrix(env: GaussianEnvironment, times, weights=None) -> np.ndarray:
     """Hermitian Gram matrix M_ij = w_i w_j K(t_i, t_j).
 
     Positive semi-definite for any finite time set when the environment is a
-    valid quantum state.
+    valid quantum state.  Weights so large that an entry overflows are
+    refused with SpinKickError: inf - inf would turn the channel into NaN.
     """
     times = np.asarray(times, dtype=float)
     n = len(times)
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    # Python floats: the same products, and an overflow to inf, refused
+    # below, raises no numpy warning
+    w = [1.0] * n if weights is None else np.asarray(weights, dtype=float).tolist()
     if len(w) != n:
         raise LengthMismatch(f"{n} times but {len(w)} weights")
     m = np.empty((n, n), dtype=complex)
@@ -74,14 +77,21 @@ def gram_matrix(env: GaussianEnvironment, times, weights=None) -> np.ndarray:
         for j in range(i + 1):
             m[i, j] = w[i] * w[j] * env.covariance(times[i], times[j])
             m[j, i] = np.conj(m[i, j])
+    if not np.isfinite(m).all():
+        raise SpinKickError(f"weights {_numbers(w)} overflow the Gram matrix w_i w_j K(t_i, t_j)")
     return m
+
+
+def _numbers(values) -> str:
+    return " ".join(f"{x:g}" for x in values)
 
 
 def gaussian_char(env: GaussianEnvironment, times, coeffs) -> complex:
     """Characteristic function <exp(-i sum_k c_k O(t_k))>.
 
     Equals exp(-i c.m) exp(-c^T Re(K) c / 2) with the full Hermitian Gram of
-    centered operators; the magnitude never exceeds 1.
+    centered operators; the magnitude never exceeds 1.  Coefficients so
+    large that the exponent overflows are refused with SpinKickError.
     """
     times = np.asarray(times, dtype=float)
     c = np.asarray(coeffs, dtype=float)
@@ -91,7 +101,11 @@ def gaussian_char(env: GaussianEnvironment, times, coeffs) -> complex:
         return 1.0 + 0.0j
     mu = np.array([env.mean(t) for t in times])
     gram = gram_matrix(env, times)
-    return complex(np.exp(-1j * (c @ mu) - 0.5 * np.real(c @ gram @ c)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        exponent = -1j * (c @ mu) - 0.5 * np.real(c @ gram @ c)
+    if not np.isfinite(exponent):
+        raise SpinKickError(f"coefficients {_numbers(c)} overflow the characteristic function's exponent")
+    return complex(np.exp(exponent))
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,19 @@ def r_of_t(geom: InteractionGeometry, t: float) -> np.ndarray:
     return ha * h + np.cos(wt) * (a - ha * h) - np.sin(wt) * geom.h_cross_alpha
 
 
+def r_of_times(geom: InteractionGeometry, times) -> np.ndarray:
+    """r(t) of ``r_of_t`` for an array of times, shape times.shape + (3,).
+
+    The Fock oracle's form, which takes a whole pulse grid at once; the
+    exact builders keep the scalar ``r_of_t``, so their rounding does not
+    depend on how many times are asked for together.
+    """
+    h, a = geom.h, geom.alpha
+    ha = float(h @ a)
+    wt = geom.omega * np.asarray(times, dtype=float)[..., None]
+    return ha * h + np.cos(wt) * (a - ha * h) - np.sin(wt) * geom.h_cross_alpha
+
+
 def is_commuting_schedule(geom: InteractionGeometry, sched: KickSchedule):
     """Whether all kick axes r(t_i) are collinear, and the signs if so.
 

@@ -11,7 +11,10 @@ evolution is unitary on the truncated space up to rounding.  The coupling
 at time t is a diagonal phase rotation of the coupling at time 0, so one
 eigendecomposition per truncation serves every step, and in its eigenbasis
 a kick is a diagonal phase; the channel is read from the evolved columns
-of a square root of the environment state.
+of a square root of the environment state.  One loop evolves W step
+sequences of equal length together: the W = 1 kick train, or every pulse
+width of a nascent-delta command, whose steps inside a pulse share one
+free-evolution matrix per width.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     TruncationNotConverged,
     UnknownPulseShape,
 )
-from .kicks import InteractionGeometry, KickSchedule, r_of_t
+from .kicks import InteractionGeometry, KickSchedule, r_of_t, r_of_times
 from .pauli import I2, PAULI, AffineBlochMap, OperatorBasis, density_to_bloch, max_image_norm
 
 TAIL_TOL = 1e-12
@@ -130,99 +133,158 @@ def coupling_spectrum(o_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(o_matrix)
 
 
-def _level_phases(dim: int, turn: complex) -> np.ndarray:
-    """1, turn, ..., turn^(dim - 1), for turn = e^{iwt} the diagonal of D(t),
-    O(t) = D(t) O(0) D(t)^dag: a cumulative product, so adjacent levels keep
-    their relative phase to rounding, whatever the size of wtn."""
-    phases = np.ones(dim, dtype=complex)
-    phases[1:] = np.cumprod(np.full(dim - 1, turn))
+def _level_phases(dim: int, turn) -> np.ndarray:
+    """1, turn, ..., turn^(dim - 1) along a new last axis, for each turn =
+    e^{iwt} the diagonal of D(t), O(t) = D(t) O(0) D(t)^dag: a cumulative
+    product, so adjacent levels keep their relative phase to rounding,
+    whatever the size of wtn."""
+    turn = np.asarray(turn, dtype=complex)
+    phases = np.ones(turn.shape + (dim,), dtype=complex)
+    phases[..., 1:] = np.cumprod(np.broadcast_to(turn[..., None], turn.shape + (dim - 1,)), axis=-1)
     return phases
 
 
-def _spin_frame(r) -> np.ndarray:
-    """Unitary 2 x 2 frame whose columns are the +1 and -1 eigenvectors of r.sigma.
+def _spin_frames(axes) -> np.ndarray:
+    """Unitary 2 x 2 frames, one per axis r along the last axis of ``axes``,
+    whose columns are the +1 and -1 eigenvectors of r.sigma.
 
     The +1 eigenvector e is along (1 + z, x + iy) for z >= 0 and along
     (x - iy, 1 - z) for z < 0, so its norm never comes from a vanishing
     1 +- z and r = -z is as well defined as r = +z.  The -1 eigenvector is
-    f = (-conj(e1), conj(e0)).  r must be a unit axis to 1e-10.
+    f = (-conj(e1), conj(e0)).  Every r must be a unit axis to 1e-10.
     """
-    x, y, z = (float(c) for c in r)
-    if abs(x * x + y * y + z * z - 1.0) > 1e-10:
-        raise NonUnitVector(f"kick axis |r| = {math.sqrt(x * x + y * y + z * z)} is not 1 within 1e-10")
-    e0, e1 = (complex(1.0 + z), complex(x, y)) if z >= 0.0 else (complex(x, -y), complex(1.0 - z))
-    norm = math.sqrt(abs(e0) ** 2 + abs(e1) ** 2)
-    e0, e1 = e0 / norm, e1 / norm
-    return np.array([[e0, -e1.conjugate()], [e1, e0.conjugate()]])
+    x, y, z = np.moveaxis(np.asarray(axes, dtype=float), -1, 0)
+    sq = x * x + y * y + z * z
+    off = np.abs(sq - 1.0) > 1e-10
+    if off.any():
+        raise NonUnitVector(f"kick axis |r| = {math.sqrt(sq[off].flat[0])} is not 1 within 1e-10")
+    up = z >= 0.0
+    parts = (np.where(up, 1.0 + z, x), np.where(up, 0.0, -y), np.where(up, x, 1.0 - z), np.where(up, y, 0.0))
+    norm = np.sqrt(sum(p * p for p in parts))
+    e0, e1 = (parts[0] + 1j * parts[1]) / norm, (parts[2] + 1j * parts[3]) / norm
+    frames = np.empty(x.shape + (2, 2), dtype=complex)
+    frames[..., 0, 0], frames[..., 1, 0] = e0, e1
+    frames[..., 0, 1], frames[..., 1, 1] = -e1.conj(), e0.conj()
+    return frames
 
 
-def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray) -> np.ndarray:
-    """Y[i, a, l, c] (output spin, input spin, eigenlevel, column) with
-    U (I2 (x) C) = (I2 (x) D(t_n) V) Y, for U the product of the steps
-    exp(-i w r.sigma (x) O(t)), (t, w, r) in time order, C a d x K block of
-    environment columns and (lambda, V) = ``spectrum``, O(0) = V diag(lambda)
-    V^dag.  With W_k = D(t_k) V and F_k the frame of r_k.sigma, step k is
+def _scaled_adjoint(vecs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """V^dag diag(p) for each row p of ``phases``, formed in place as
+    conj(V^T diag(conj p)), so that no copy of V^dag is held."""
+    scaled = vecs.T * phases.conj()[..., None, :]
+    return np.conj(scaled, out=scaled)
+
+
+def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> np.ndarray:
+    """Y[s, i, a, l, c] (sequence, output spin, input spin, eigenlevel,
+    column) for W step sequences of S steps each, evolved together, with
+    U_s (I2 (x) C) = (I2 (x) D(t_{s,S}) V) Y[s], for U_s the product of the
+    steps exp(-i w r.sigma (x) O(t)) of sequence s in time order, C a d x K
+    block of environment columns and (lambda, V) = ``spectrum``, O(0) =
+    V diag(lambda) V^dag.  ``steps`` is (times, weights, axes), shaped
+    (W, S), (W, S) and (W, S, 3).
+
+    With W_k = D(t_k) V and F_k the frame of r_k.sigma, step k is
     (F_k (x) W_k) B_k (F_k (x) W_k)^dag, B_k = e^{-+iw_k lambda} on the +-1
     eigenvector, so the evolution is carried in the latest step's frames and
-    between steps only F_{k+1}^dag F_k and G_k = W_{k+1}^dag W_k act (its
-    phases are powers of e^{-iwt_{k+1}} e^{iwt_k}, each taken at its own time
-    as in O(t)).  V must be orthonormal to 1e-10, else InvalidMap: every G_k
-    and B_k is unitary exactly when V is.
+    between steps k and k + 1 only F_{k+1}^dag F_k and G_k B_k act, with
+    G_k = W_{k+1}^dag W_k: the kick scales the columns of G_k, once for
+    each output spin, and each G_k B_k multiplies the d x K blocks of that
+    spin (one d x 2K product would pack a BLAS panel twice as wide, whose
+    work space stays resident); the last kick is applied on its own.  G_k's
+    phases are powers of e^{-iwt_{k+1}} e^{iwt_k}, each taken at its own
+    time as in O(t), except where ``grid`` = (h, on_grid) marks step k + 1
+    (on_grid, a bool per step) as the next point of a uniform grid of
+    spacing h[s]: all such steps of sequence s share G = V^dag
+    diag(e^{-iwh[s]n}) V, formed once.  V must be orthonormal to 1e-10,
+    else InvalidMap: every G_k and B_k is unitary exactly when V is.
     """
     evals, vecs = spectrum
     d, width = columns.shape
     defect = np.max(np.abs(vecs.conj().T @ vecs - np.eye(d)))
     if defect > 1e-10:
         raise InvalidMap(f"coupling eigenbasis failed unitarity check ({defect:.3e})")
-    y, other = np.zeros((2, 2, d, width), dtype=complex), np.empty((2, 2, d, width), dtype=complex)
-    y[0, 0] = y[1, 1] = columns
-    vecs_h, frame = vecs.conj().T, I2
-    for k, (t, w, r) in enumerate(steps):
-        step_frame, step_turn = _spin_frame(r), np.exp(1j * spec.env.omega * t)
-        if k == 0:  # F_1^dag (x) W_1^dag C
-            phases = _level_phases(d, step_turn.conjugate())[:, None]
-            np.multiply(step_frame.conj().T[:, :, None, None], vecs_h @ (phases * columns), out=y)
-        else:
-            np.matmul((vecs_h * _level_phases(d, step_turn.conjugate() * turn)) @ vecs, y, out=other)
-            np.matmul(step_frame.conj().T @ frame, other.reshape(2, -1), out=y.reshape(2, -1))
-        minus = np.exp(-1j * w * evals)
-        y *= np.stack((minus, minus.conj()))[:, None, :, None]
-        frame, turn = step_frame, step_turn
-    np.matmul(frame, y.reshape(2, -1), out=other.reshape(2, -1))
+    times, weights, axes = steps
+    n_seq, n_steps = np.shape(weights)
+    omega = spec.env.omega
+    frames = _spin_frames(axes)
+    # F_1^dag, then the frame changes F_{k+1}^dag F_k
+    changes = frames.conj().swapaxes(-1, -2)
+    changes[:, 1:] = changes[:, 1:] @ frames[:, :-1]
+    turns = np.exp(1j * omega * np.asarray(times, dtype=float))
+    kicks = np.exp(-1j * np.asarray(weights, dtype=float)[..., None] * evals)  # e^{-iw lambda} on e
+    if grid is not None:
+        h, on_grid = grid
+        grid_g = _scaled_adjoint(vecs, np.exp(-1j * omega * np.multiply.outer(h, np.arange(d)))) @ vecs
+    y = np.zeros((n_seq, 2, 2, d, width), dtype=complex)
+    other = np.zeros_like(y)
+    y[:, 0, 0] = y[:, 1, 1] = columns
+    halves = (n_seq, 2, 2 * d * width)  # the output-spin halves, for the frames
+    for k in range(n_steps):
+        if k == 0:  # I2 (x) W_1^dag C
+            other[:, 0, 0] = other[:, 1, 1] = (
+                _scaled_adjoint(vecs, _level_phases(d, turns[:, 0].conj())) @ columns
+            )
+        else:  # the kick before scales the columns of G, by e^{-iw lambda} on e
+            if grid is not None and on_grid[k]:
+                g = grid_g * kicks[:, k - 1, None, :]
+            else:
+                g = _scaled_adjoint(vecs, _level_phases(d, turns[:, k].conj() * turns[:, k - 1])) @ vecs
+                g *= kicks[:, k - 1, None, :]
+            np.matmul(g[:, None], y[:, 0], out=other[:, 0])
+            g *= kicks[:, k - 1, None, :].conj() ** 2  # and by e^{+iw lambda} on f
+            np.matmul(g[:, None], y[:, 1], out=other[:, 1])
+            del g  # a step's own G is not held while the next one is formed
+        np.matmul(changes[:, k], other.reshape(halves), out=y.reshape(halves))
+    if n_steps:  # the last kick
+        y[:, 0] *= kicks[:, -1, None, :, None]
+        y[:, 1] *= kicks[:, -1, None, :, None].conj()
+    frame = frames[:, -1] if n_steps else np.broadcast_to(I2, (n_seq, 2, 2))
+    np.matmul(frame, y.reshape(halves), out=other.reshape(halves))
     return other
 
 
-def _channel_at_dim(spec: FockSpec, steps, basis: OperatorBasis, meta: dict) -> QubitMap:
-    """Reduced channel of the joint steps (t, w, r), in time order, at spec.dim.
+def _channels_at_dim(spec: FockSpec, steps, basis: OperatorBasis, metas, grid=None) -> list[QubitMap]:
+    """Reduced channels of W joint step sequences at spec.dim, one per entry
+    of ``metas``; ``steps`` = (times, weights, axes) and ``grid`` as in
+    ``_evolve``.
 
     With Y the evolved columns of S, rho_env = S S^dag, m[i, a, j, b] =
     tr(U_ia rho_env U_jb^dag) = sum_{l, c} Y[i, a, l, c] conj(Y[j, b, l, c])
     (D(t_n) V cancels in the trace); a probe's output is sum_ab rho_q[a, b]
-    m[:, a, :, b].  meta gains the dimension, tail mass, work and peak
+    m[:, a, :, b].  Each meta gains the dimension, tail mass, the sequence's
+    ``kick_steps``, the one eigendecomposition and the build's peak
     ``bytes``; a build that cannot be allocated raises SpinKickError.
     """
-    # Y and its step buffer (64 d^2 bytes each); V, V^dag, S, G_k and the scaled
-    # V^dag that forms it (16 d^2 each); numpy's iteration buffers add <= 128 KiB
-    nbytes = 208 * spec.dim**2
+    d, (n_seq, n_steps) = spec.dim, np.shape(steps[1])
+    # y and its step buffer (64 W d^2 bytes each); a G being formed and the
+    # scaled V^dag it comes from, or at the first step the scaled V^dag and
+    # its product with S (16 W d^2 each); the pulse grid's G (16 W d^2); V
+    # and S (16 d^2 each); the kick phases (16 W S d).  The per-step frames
+    # and turns (O(W S)) and numpy's iteration buffers (<= 128 KiB) come on top.
+    nbytes = 16 * ((10 * n_seq + (n_seq if grid is not None else 0) + 2) * d * d + n_seq * n_steps * d)
     try:
         spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
         factor, tail = _environment_factor(spec)
-        y = _evolve(spec, spectrum, steps, factor).reshape(4, -1)
-        m = (y @ y.conj().T).reshape(2, 2, 2, 2)
+        y = _evolve(spec, spectrum, steps, factor, grid).reshape(n_seq, 4, d * d)
+        m = (y @ y.conj().swapaxes(1, 2)).reshape(n_seq, 2, 2, 2, 2)
     except MemoryError as exc:
         raise SpinKickError(
-            f"oracle truncation at dim {spec.dim} needs {_byte_text(nbytes)}, more than could be allocated"
+            f"oracle truncation at dim {d} needs {_byte_text(nbytes)}, more than could be allocated"
         ) from exc
     inputs = [I2 / 2.0] + [(I2 + sig) / 2.0 for sig in PAULI]
-    blochs = [density_to_bloch(np.einsum("ab,iajb->ij", rho_q, m), tol=1e-8) for rho_q in inputs]
-    b = blochs[0]
-    a = np.column_stack([v - b for v in blochs[1:]])
-    meta = {**meta, "dim": spec.dim, "tail": tail, "kick_steps": len(steps), "eigendecompositions": 1, "bytes": nbytes}
-    ch = QubitMap(AffineBlochMap(a, b), basis, meta)
-    # truncation error can leave tiny PSD defects, so only the structural
-    # invariants are enforced here; CP-ness is what the comparison tests
-    validate_map(ch, herm_tol=1e-8, tp_tol=1e-8)
-    return ch
+    work = {"dim": d, "tail": tail, "kick_steps": n_steps, "eigendecompositions": 1, "bytes": nbytes}
+    channels = []
+    for m_s, meta in zip(m, metas):
+        blochs = [density_to_bloch(np.einsum("ab,iajb->ij", rho_q, m_s), tol=1e-8) for rho_q in inputs]
+        b = blochs[0]
+        a = np.column_stack([v - b for v in blochs[1:]])
+        ch = QubitMap(AffineBlochMap(a, b), basis, {**meta, **work})
+        # truncation error can leave tiny PSD defects, so only the structural
+        # invariants are enforced here; CP-ness is what the comparison tests
+        validate_map(ch, herm_tol=1e-8, tp_tol=1e-8)
+        channels.append(ch)
+    return channels
 
 
 def oracle_channel(
@@ -247,13 +309,14 @@ def oracle_channel(
     unstable = f"no stable channel up to dim {max_dim} (tol {stability_tol})"
     if len(dims) < 2:
         raise TruncationNotConverged(unstable)
-    steps = [(t, w, r_of_t(geom, t)) for t, w in zip(sched.times, sched.weights)]
-    basis = default_chi_basis([r for _, _, r in steps])
-    current = _channel_at_dim(replace(spec, dim=dims[0]), steps, basis, {"kind": "oracle"})
+    times = sched.times[None]
+    steps = (times, sched.weights[None], r_of_times(geom, times))
+    basis = default_chi_basis(steps[2][0])
+    current = _channels_at_dim(replace(spec, dim=dims[0]), steps, basis, [{"kind": "oracle"}])[0]
     work = {key: current.meta[key] for key in ("kick_steps", "eigendecompositions")}
     history = []
     for dim in dims[1:]:
-        finer = _channel_at_dim(replace(spec, dim=dim), steps, basis, {"kind": "oracle"})
+        finer = _channels_at_dim(replace(spec, dim=dim), steps, basis, [{"kind": "oracle"}])[0]
         dist = channel_distance(current, finer)
         history.append((dim, dist))
         for key in work:
@@ -271,6 +334,75 @@ PULSE_SHAPES = {
 }
 
 
+def nascent_delta_channels(
+    spec: FockSpec,
+    geom: InteractionGeometry,
+    kick_times,
+    deltas,
+    steps_per_kick: int = 48,
+    shape: str = "gaussian",
+    weights=None,
+) -> list[QubitMap]:
+    """Channels from smooth switchings of each width in ``deltas`` replacing
+    each delta, one channel per width.
+
+    Each kick becomes a pulse of area w_k; the joint evolution is the
+    time-ordered product of narrow-step unitaries on a midpoint grid across
+    each pulse.  As delta_t -> 0 this converges to the delta-kick channel on
+    the same schedule.  Zero weights are allowed (identity contribution).
+    Every width is checked (shape, lengths, StepTooCoarse) before any is
+    evolved; then all widths are evolved together, from one
+    eigendecomposition of the coupling, and inside a pulse every step of a
+    width shares one free-evolution matrix.  Each channel's meta counts its
+    ``kick_steps`` and the one eigendecomposition.  The chi basis comes from
+    the kick axes, not from the pulse grid.
+    """
+    times = np.asarray(kick_times, dtype=float)
+    w = np.ones(len(times)) if weights is None else np.asarray(weights, dtype=float)
+    deltas = np.asarray(deltas, dtype=float).reshape(-1)
+    if len(w) != len(times):
+        raise LengthMismatch(f"{len(times)} kick times but {len(w)} weights")
+    if shape not in PULSE_SHAPES:
+        raise UnknownPulseShape(f"unknown pulse shape {shape!r}; available: {', '.join(PULSE_SHAPES)}")
+    profile, half = PULSE_SHAPES[shape]
+    min_gap = float(np.min(np.diff(np.sort(times)))) if len(times) > 1 else math.inf
+    fastest = max(geom.omega, spec.env.omega)
+    for delta_t in deltas:
+        if 2.0 * half * delta_t >= min_gap:
+            raise StepTooCoarse(
+                f"pulse width {2 * half * delta_t:.3g} overlaps kick gap {min_gap:.3g}"
+            )
+        if fastest > 0 and half * delta_t >= 0.5 * math.pi / fastest:
+            raise StepTooCoarse(
+                f"pulse half-width {half * delta_t:.3g} is not small against the"
+                f" fastest period {2 * math.pi / fastest:.3g}"
+            )
+
+    # midpoint grid over each pulse, discrete profile renormalized to unit area
+    xs = (np.arange(steps_per_kick) + 0.5) / steps_per_kick * 2.0 * half - half
+    vals = profile(xs)
+    vals = vals / vals.sum()
+
+    # steps in time order, zero steps skipped; a step is on its pulse's grid
+    # when it is the next grid point of the same pulse as the step before
+    order = np.argsort(times)
+    step_w = (w[order][:, None] * vals).reshape(-1)
+    kept = step_w != 0.0
+    kick, point = np.divmod(np.arange(len(step_w)), steps_per_kick)
+    kick, point = kick[kept], point[kept]
+    on_grid = np.zeros(len(kick), dtype=bool)
+    on_grid[1:] = (kick[1:] == kick[:-1]) & (point[1:] == point[:-1] + 1)
+    step_t = (times[order][:, None] + deltas[:, None, None] * xs).reshape(len(deltas), len(step_w))[:, kept]
+    steps = (step_t, np.broadcast_to(step_w[kept], step_t.shape), r_of_times(geom, step_t))
+    grid = (2.0 * half * deltas / steps_per_kick, on_grid)
+    basis = default_chi_basis([r_of_t(geom, t) for t in times])
+    metas = [
+        {"kind": "nascent_delta", "delta_t": float(dt), "shape": shape, "steps_per_kick": int(steps_per_kick)}
+        for dt in deltas
+    ]
+    return _channels_at_dim(spec, steps, basis, metas, grid)
+
+
 def nascent_delta_channel(
     spec: FockSpec,
     geom: InteractionGeometry,
@@ -280,50 +412,8 @@ def nascent_delta_channel(
     shape: str = "gaussian",
     weights=None,
 ) -> QubitMap:
-    """Channel from smooth switchings of width delta_t replacing each delta.
-
-    Each kick becomes a pulse of area w_k; the joint evolution is the
-    time-ordered product of narrow-step unitaries on a midpoint grid across
-    each pulse.  As delta_t -> 0 this converges to the delta-kick channel on
-    the same schedule.  Zero weights are allowed (identity contribution).
-    meta counts the ``kick_steps`` taken and the one eigendecomposition of
-    the coupling they share.  The chi basis comes from the kick axes, not
-    from the pulse grid.
-    """
-    times = np.asarray(kick_times, dtype=float)
-    w = np.ones(len(times)) if weights is None else np.asarray(weights, dtype=float)
-    if len(w) != len(times):
-        raise LengthMismatch(f"{len(times)} kick times but {len(w)} weights")
-    if shape not in PULSE_SHAPES:
-        raise UnknownPulseShape(f"unknown pulse shape {shape!r}; available: {', '.join(PULSE_SHAPES)}")
-    profile, half = PULSE_SHAPES[shape]
-    if len(times) > 1:
-        min_gap = float(np.min(np.diff(np.sort(times))))
-        if 2.0 * half * delta_t >= min_gap:
-            raise StepTooCoarse(
-                f"pulse width {2 * half * delta_t:.3g} overlaps kick gap {min_gap:.3g}"
-            )
-    fastest = max(geom.omega, spec.env.omega)
-    if fastest > 0 and half * delta_t >= 0.5 * math.pi / fastest:
-        raise StepTooCoarse(
-            f"pulse half-width {half * delta_t:.3g} is not small against the"
-            f" fastest period {2 * math.pi / fastest:.3g}"
-        )
-
-    # midpoint grid over each pulse, discrete profile renormalized to unit area
-    xs = (np.arange(steps_per_kick) + 0.5) / steps_per_kick * 2.0 * half - half
-    vals = profile(xs)
-    vals = vals / vals.sum()
-
-    steps = [
-        (t, wt, r_of_t(geom, t))
-        for idx in np.argsort(times)
-        for t, wt in zip(times[idx] + delta_t * xs, w[idx] * vals)
-        if wt != 0.0
-    ]
-    basis = default_chi_basis([r_of_t(geom, t) for t in times])
-    meta = {"kind": "nascent_delta", "delta_t": float(delta_t), "shape": shape, "steps_per_kick": int(steps_per_kick)}
-    return _channel_at_dim(spec, steps, basis, meta)
+    """The channel of ``nascent_delta_channels`` for the one width delta_t."""
+    return nascent_delta_channels(spec, geom, kick_times, [delta_t], steps_per_kick, shape, weights)[0]
 
 
 def channel_distance(c1, c2) -> float:

@@ -15,6 +15,7 @@ from spinkick import (
     KickSchedule,
     NonCommutingSchedule,
     NonEvenEnvironment,
+    QubitMap,
     SingleModeThermal,
     SingularChannel,
     TabulatedKernel,
@@ -902,6 +903,22 @@ def test_invalid_map_is_a_domain_error(vacuum, standard_geometry):
     with pytest.raises(InvalidMap):
         validate_map(bad)
     assert issubclass(InvalidMap, SpinKickError)
+
+
+@pytest.mark.parametrize("where", ["A", "b"])
+def test_non_finite_map_is_refused(where):
+    """A NaN in A or b would pass every tolerance comparison (each is false
+    with NaN); the map is refused as InvalidMap instead, and so is a channel
+    holding it."""
+    a, b = np.eye(3), np.zeros(3)
+    if where == "A":
+        a[0, 1] = np.nan
+    else:
+        b[2] = np.nan
+    m = QubitMap(AffineBlochMap(a, b), PAULI_BASIS, {}, cp=False)
+    for check in (validate_map, validate_channel):
+        with pytest.raises(InvalidMap, match="map is not finite"):
+            check(m)
 
 
 def test_compose_is_channel_only_for_channel_pairs(vacuum, standard_geometry):

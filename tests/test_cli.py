@@ -513,7 +513,8 @@ def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
 
 def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     """An oracle truncation whose arrays cannot be allocated ends the run
-    with exit 4, naming the dimension and the bytes of the build."""
+    with exit 4, naming the dimension and the bytes of the build (192 d^2,
+    and 16 d for the phases of the one kick)."""
     from spinkick import oracle
 
     def no_memory(*args):
@@ -522,7 +523,7 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(oracle, "_evolve", no_memory)
     body = BASE_CFG.format(out=tmp_path / "out") + "\n[oracle]\ndim = 30\n"
     assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_DOMAIN
-    assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {208 * 30**2} bytes")
+    assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {192 * 30**2 + 16 * 30} bytes")
     assert not (tmp_path / "out").exists()
 
 
@@ -835,3 +836,27 @@ def test_example_config_with_empty_schedule(tmp_path, command, oracle_mode, code
     body = body.replace("mode = kicks", f"mode = {oracle_mode}")
     cfg = write_cfg(tmp_path, body)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == code
+
+
+@pytest.mark.parametrize("command", ["simulate", "divisibility", "fixed-point", "oracle-check"])
+def test_overflowing_weights_exit_4(tmp_path, capsys, command):
+    """Weights whose products overflow the Gram matrix end in exit 4 with a
+    message naming them, not in a traceback from NaN further on."""
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        body = re.sub(r"^weights = .*$", "weights = 1e160 1e160", fh.read(), flags=re.M)
+    cfg = write_cfg(tmp_path, body)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error: weights 1e+160 1e+160 overflow the Gram matrix")
+
+
+def test_nascent_refusal_comes_before_any_output(tmp_path, capsys):
+    """A pulse width that overlaps the kick gap is refused before any width
+    is evolved: no distance line is printed and no nascent file is written."""
+    out = tmp_path / "out"
+    body = BASE_CFG.format(out=out).replace("Omega = 1.0", "Omega = 0.0").replace("times = 0.0", "times = 0.0 0.7")
+    body += "\n[oracle]\nmode = nascent\ndeltas = 0.008 0.02 0.1\n"
+    assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert "distance" not in captured.out
+    assert captured.err.startswith("error: pulse width 1 overlaps kick gap 0.7")
+    assert not (out / "run_nascent.csv").exists()

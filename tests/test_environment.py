@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from spinkick import (
     LengthMismatch,
     SingleModeThermal,
+    SpinKickError,
     TabulatedKernel,
     TimeNotInTable,
     WhiteKickKernel,
@@ -138,3 +139,14 @@ def test_complex_token_format():
     for z in (0.5 - 0.25j, 1.0 + 0j, -2e-3 + 1e-17j):
         assert parse_complex(format_complex(z)) == pytest.approx(z, abs=0)
     assert parse_complex("0.5-0.5i") == 0.5 - 0.5j
+
+
+def test_overflowing_weights_and_coefficients_are_refused():
+    """w_i w_j K or c^T Re(K) c beyond the float range is refused, naming the
+    weights or coefficients; inf - inf would otherwise give NaN downstream."""
+    env = SingleModeThermal(omega=1.0, nbar=0.5)
+    with pytest.raises(SpinKickError, match="weights 1e\\+160 1e\\+160 overflow the Gram matrix"):
+        gram_matrix(env, [0.0, 0.7], [1e160, 1e160])
+    with pytest.raises(SpinKickError, match="coefficients 2e\\+160 overflow"):
+        gaussian_char(env, [0.0], [2e160])
+    assert np.isfinite(gram_matrix(env, [0.0, 0.7], [1e150, 1e150])).all()

@@ -22,6 +22,7 @@ from spinkick import (
     fock_spec_for,
     identity_channel,
     nascent_delta_channel,
+    nascent_delta_channels,
     oracle_channel,
     quadrature_heisenberg,
     single_kick_channel,
@@ -29,7 +30,7 @@ from spinkick import (
 )
 from spinkick.errors import InvalidMap, InvalidTruncation, LengthMismatch, SpinKickError, UnknownPulseShape
 from spinkick.kicks import r_of_t
-from spinkick.oracle import _channel_at_dim, _evolve, _level_phases, annihilation, environment_state
+from spinkick.oracle import PULSE_SHAPES, _channels_at_dim, _evolve, _level_phases, annihilation, environment_state
 from spinkick.pauli import I2, PAULI, PAULI_BASIS, density_to_bloch, dot_sigma
 from conftest import random_geometry, random_schedule
 
@@ -103,10 +104,15 @@ def test_displaced_state_mean_matches_env():
         assert np.trace(rho @ o).real == pytest.approx(env.mean(t), abs=1e-10)
 
 
+def _sequence(steps):
+    """Steps (t, w, r) as the (times, weights, axes) arrays of one sequence."""
+    return tuple(np.array([[step[i] for step in steps]], dtype=float) for i in range(3))
+
+
 def _joint(spec, spectrum, steps, columns):
     """U (I2 (x) C) rebuilt from the oracle's evolution of steps (t, w, r) as
     (I2 (x) D(t_n) V) Y."""
-    y = _evolve(spec, spectrum, steps, columns)
+    y = _evolve(spec, spectrum, _sequence(steps), columns)[0]
     dim, width = columns.shape
     basis = _level_phases(dim, np.exp(1j * spec.env.omega * steps[-1][0]))[:, None] * spectrum[1]
     return np.kron(I2, basis) @ y.transpose(0, 2, 1, 3).reshape(2 * dim, 2 * width)
@@ -192,14 +198,14 @@ def test_non_orthonormal_eigenbasis_fails_unitarity():
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     evals, vecs = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
     with pytest.raises(InvalidMap, match="unitarity"):
-        _evolve(spec, (evals, 1.001 * vecs), [(0.0, 0.5, [0, 0, 1])], np.eye(20))
+        _evolve(spec, (evals, 1.001 * vecs), _sequence([(0.0, 0.5, [0, 0, 1])]), np.eye(20))
 
 
 def test_non_unit_kick_axis_rejected():
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
     with pytest.raises(NonUnitVector):
-        _evolve(spec, spectrum, [(0.0, 0.5, [0.0, 0.0, 1.001])], np.eye(20))
+        _evolve(spec, spectrum, _sequence([(0.0, 0.5, [0.0, 0.0, 1.001])]), np.eye(20))
 
 
 def _kron_readout(u, rho_env):
@@ -212,18 +218,23 @@ def _kron_readout(u, rho_env):
     return blochs
 
 
-def _assert_channel_is_kron_readout(spec, steps):
-    """The oracle's channel at spec.dim, read from the evolved square root of
-    the environment state, against explicit joint states of the product of
-    kron-assembled steps, partial-traced."""
+def _assert_is_kron_readout(spec, steps, ch):
+    """The channel ch at spec.dim against explicit joint states of the
+    product of kron-assembled steps (t, w, r), partial-traced."""
     u = np.eye(2 * spec.dim, dtype=complex)
     for t, w, r in steps:
         u = _direct_step(r, quadrature_heisenberg(spec, t), w) @ u
     rho_env, _ = environment_state(spec)
-    ch = _channel_at_dim(spec, steps, PAULI_BASIS, {})
     b, *cols = _kron_readout(u, rho_env)
     np.testing.assert_allclose(ch.affine.shift, b, rtol=0, atol=1e-13)
     np.testing.assert_allclose(ch.affine.matrix, np.column_stack([c - b for c in cols]), rtol=0, atol=1e-13)
+
+
+def _assert_channel_is_kron_readout(spec, steps):
+    """The oracle's channel at spec.dim, read from the evolved square root of
+    the environment state, against the kron product's partial trace."""
+    (ch,) = _channels_at_dim(spec, _sequence(steps), PAULI_BASIS, [{}])
+    _assert_is_kron_readout(spec, steps, ch)
 
 
 def test_block_readout_matches_kron_partial_trace(standard_geometry):
@@ -245,20 +256,94 @@ def test_channel_matches_kron_partial_trace_at_fixed_dim(dim):
     _assert_channel_is_kron_readout(FockSpec(env, dim=dim), steps)
 
 
-def test_oracle_build_peak_memory_is_its_stated_bytes(standard_geometry):
-    """One build holds its evolution, a step buffer and five d x d arrays:
-    meta["bytes"] is 208 d^2, and the traced peak is that and little more."""
-    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=100)
-    steps = [(t, 1.0, r_of_t(standard_geometry, t)) for t in (0.0, 0.7, 1.9, 2.4)]
-    _channel_at_dim(spec, steps, PAULI_BASIS, {})  # warm caches and imports
+@pytest.mark.parametrize("shape", list(PULSE_SHAPES))
+def test_nascent_pulse_grid_matches_kron_product(shape, standard_geometry):
+    """The steps inside a pulse share one free-evolution matrix per width,
+    and the kick before each step scales its columns; the channel equals the
+    kron product of every grid step, precessing axes included."""
+    spec = FockSpec(SingleModeThermal(omega=1.1, nbar=0.6, displacement=0.2 + 0.1j), dim=12)
+    times, weights, delta, per = [0.3, 1.4], [0.9, 1.3], 0.02, 6
+    profile, half = PULSE_SHAPES[shape]
+    xs = (np.arange(per) + 0.5) / per * 2.0 * half - half
+    vals = profile(xs) / profile(xs).sum()
+    steps = [
+        (t + delta * x, w * v, r_of_t(standard_geometry, t + delta * x))
+        for t, w in zip(times, weights)
+        for x, v in zip(xs, vals)
+    ]
+    ch = nascent_delta_channel(spec, standard_geometry, times, delta, steps_per_kick=per, shape=shape, weights=weights)
+    _assert_is_kron_readout(spec, steps, ch)
+
+
+@pytest.mark.parametrize("shape", list(PULSE_SHAPES))
+@pytest.mark.parametrize("gap", [0.0, 1.3])
+def test_batched_widths_match_single_width_builds(shape, gap):
+    """All widths evolved together give each width the channel of its own
+    W = 1 build, to 1e-13, with frozen or precessing axes and a zero weight;
+    only the build's stated bytes differ."""
+    geom = InteractionGeometry(h=[0, 0.8, 0.6], alpha=[1, 0, 0], omega=gap)
+    spec = FockSpec(SingleModeThermal(omega=1.1, nbar=0.4, displacement=0.3 - 0.2j), dim=30)
+    times, weights, deltas = [0.0, 1.1, 2.3], [0.8, 0.0, 1.2], [0.04, 0.02, 0.01, 0.005]
+    batched = nascent_delta_channels(spec, geom, times, deltas, steps_per_kick=16, shape=shape, weights=weights)
+    assert len(batched) == len(deltas)
+    for delta, ch in zip(deltas, batched):
+        single = nascent_delta_channel(spec, geom, times, delta, steps_per_kick=16, shape=shape, weights=weights)
+        assert {**ch.meta, "bytes": 0} == {**single.meta, "bytes": 0}
+        assert ch.meta["kick_steps"] == 32 and ch.meta["eigendecompositions"] == 1
+        assert channel_distance(ch, single) < 1e-13
+
+
+def test_batched_widths_are_all_checked_before_any_is_evolved(standard_geometry, monkeypatch):
+    """A width that overlaps the kick gap, or is wide against the fastest
+    period, is refused before any width is evolved."""
+    from spinkick import oracle
+
+    evolved = []
+    monkeypatch.setattr(oracle, "_evolve", lambda *args, **kwargs: evolved.append(args))
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
+    with pytest.raises(StepTooCoarse, match="pulse width 1 overlaps kick gap 0.7"):
+        nascent_delta_channels(spec, standard_geometry, [0.0, 0.7], [0.008, 0.02, 0.1])
+    with pytest.raises(StepTooCoarse, match="fastest period"):
+        nascent_delta_channels(spec, standard_geometry, [0.0], [0.01, 0.5])
+    assert evolved == []
+
+
+def _traced_peak(build):
+    """The build's result and its traced peak, after a warm-up build."""
+    build()  # warm caches and imports
     tracemalloc.start()
     try:
-        ch = _channel_at_dim(spec, steps, PAULI_BASIS, {})
+        result = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ch.meta["bytes"] == 208 * 100**2
+    return result, peak
+
+
+def test_oracle_build_peak_memory_is_its_stated_bytes(standard_geometry):
+    """One build holds its evolution, a step buffer and four d x d arrays,
+    and the phases of its S kicks: meta["bytes"] is 192 d^2 + 16 S d, and
+    the traced peak is that and little more."""
+    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=100)
+    steps = _sequence([(t, 1.0, r_of_t(standard_geometry, t)) for t in (0.0, 0.7, 1.9, 2.4)])
+    (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, PAULI_BASIS, [{}]))
+    assert ch.meta["bytes"] == 192 * 100**2 + 16 * 4 * 100
     assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
+
+
+def test_batched_nascent_peak_memory_is_its_stated_bytes(standard_geometry):
+    """W = 4 widths evolved together hold, per width, the evolution, its
+    step buffer, a G being formed with its scaled V^dag and the pulse grid's
+    G, then V and S once, and the (W, S, d) kick phases: meta["bytes"] is
+    (176 W + 32) d^2 + 16 W S d, and the traced peak is that and little
+    more."""
+    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=60)
+    deltas = [0.04, 0.02, 0.01, 0.005]
+    chans, peak = _traced_peak(
+        lambda: nascent_delta_channels(spec, standard_geometry, [0.0, 1.5], deltas, steps_per_kick=12)
+    )
+    assert [ch.meta["bytes"] for ch in chans] == [(176 * 4 + 32) * 60**2 + 16 * 4 * 24 * 60] * 4
+    assert 1.0 <= peak / chans[0].meta["bytes"] <= 1.25
 
 
 def test_oracle_records_its_work(standard_geometry):
@@ -353,7 +438,7 @@ def test_oracle_refuses_a_start_past_max_dim_before_building(dim, vacuum, standa
     from spinkick import oracle
 
     builds = []
-    monkeypatch.setattr(oracle, "_channel_at_dim", lambda spec, *args: builds.append(spec.dim))
+    monkeypatch.setattr(oracle, "_channels_at_dim", lambda spec, *args: builds.append(spec.dim))
     with pytest.raises(TruncationNotConverged, match="no stable channel up to dim 300"):
         oracle_channel(FockSpec(vacuum, dim=dim), standard_geometry, KickSchedule([0.0, 0.7]), max_dim=300)
     assert builds == []

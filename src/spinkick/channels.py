@@ -58,6 +58,7 @@ from .errors import (
     NonEvenEnvironment,
     ParallelAxes,
     SingularChannel,
+    SpinKickError,
     TooManyKicks,
 )
 from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
@@ -87,6 +88,10 @@ _BASE = 64
 # contracted in factored form (``build_prefix_channels``): its factors then
 # lie within [e^-600, e^600], inside float64's normal range [e^-708, e^709].
 _FACTOR_RANGE = 600.0
+
+# ln of float64's largest value: e^x is finite up to here, and so are
+# cosh(x + iy), sinh(x + iy) and cosh - a sinh for |a| <= 1.
+_EXP_MAX = float(np.log(np.finfo(float).max))
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +685,10 @@ def two_kick_params(
 
     alpha = r(t1).r(t0), g = exp(-2 Var(t0)), and h, k combine the damping at
     t1 with hyperbolic functions of the cross correlator K(t1, t0).  Requires
-    an even environment and non-parallel axes.
+    an even environment and non-parallel axes.  Weights whose cross
+    correlator would take cosh and sinh out of float64's range,
+    |2 Re w1 w0 K(t1, t0)| > ln(float max) = 709.78, are refused with
+    SpinKickError before either is evaluated.
     """
     if not env.is_even:
         raise NonEvenEnvironment("two-kick closed form assumes a vanishing mean")
@@ -692,6 +700,11 @@ def two_kick_params(
     v0 = w0 * w0 * env.covariance(t0, t0).real
     v1 = w1 * w1 * env.covariance(t1, t1).real
     corr = w1 * w0 * env.covariance(t1, t0)
+    if not abs(2.0 * corr.real) <= _EXP_MAX:  # a NaN is refused too
+        raise SpinKickError(
+            f"weights {w0:g} {w1:g} overflow the two-kick closed form:"
+            f" |2 Re w1 w0 K(t1, t0)| = {abs(2.0 * corr.real):.3g} > {_EXP_MAX:.2f}"
+        )
     g = float(np.exp(-2.0 * v0))
     h = np.exp(-v1) * (np.cosh(2.0 * corr) - alpha * np.sinh(2.0 * corr))
     k = np.linalg.norm(cross3(r1, r0)) * np.exp(-v1) * np.sinh(2.0 * corr)

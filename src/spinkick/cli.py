@@ -42,7 +42,7 @@ import numpy as np
 
 from . import analysis, channels, oracle
 from .environment import SingleModeThermal, TabulatedKernel, WhiteKickKernel, parse_complex
-from .errors import ConfigError, LengthMismatch, NonUnitVector, ParallelAxes, SpinKickError, TruncationNotConverged
+from .errors import ConfigError, LengthMismatch, NonUnitVector, SpinKickError, TruncationNotConverged
 from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule
 from .pauli import is_physical_bloch
 
@@ -420,8 +420,9 @@ def cmd_divisibility(cfg: RunConfig, train: _Train) -> int:
             raise ConfigError("divisibility needs a schedule with at least 2 kicks")
         longer = train.channel()
         if len(sched) == 2 and env.is_even:
-            # report lines only, wherever the closed form is defined; the channels stay the pass's
-            with contextlib.suppress(ParallelAxes):
+            # report lines only, wherever the closed form is defined (axes not
+            # parallel, cosh and sinh in range); the channels stay the pass's
+            with contextlib.suppress(SpinKickError):
                 params = channels.two_kick_params(env, geom, *sched.times, sched.weights)
                 longer = dataclasses.replace(longer, meta={**longer.meta, "closed_form": params})
         shorter = train.channel(len(sched) - 1)

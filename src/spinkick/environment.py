@@ -16,6 +16,7 @@ user-tabulated kernels.
 from __future__ import annotations
 
 import abc
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -192,7 +193,7 @@ class TabulatedKernel(GaussianEnvironment):
                 f"{n} times need mean shape ({n},) and covariance ({n},{n}); "
                 f"got {means.shape} and {cov.shape}"
             )
-        if n > 1 and np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):  # a NaN time is refused too
             raise ValueError("times must be strictly increasing")
         if np.max(np.abs(cov - cov.conj().T)) > 1e-10:
             raise ValueError("covariance matrix is not Hermitian within 1e-10")
@@ -204,6 +205,7 @@ class TabulatedKernel(GaussianEnvironment):
         for a in (times, means, cov):
             a.setflags(write=False)
         self._times = times
+        self._grid = times.tolist()  # Python floats, for the bisection in _index
         self._means = means
         self._cov = cov
 
@@ -212,10 +214,19 @@ class TabulatedKernel(GaussianEnvironment):
         return self._times
 
     def _index(self, t: float) -> int:
-        hits = np.nonzero(np.isclose(self._times, t, rtol=0.0, atol=_TIME_ATOL))[0]
-        if len(hits) == 0:
+        """The first grid time within _TIME_ATOL of t, by np.isclose's rule
+        with rtol = 0 (|t_i - t| <= atol; a non-finite t matches only an
+        equal grid time), found by bisection: t_i - t rises with i."""
+        grid, t = self._grid, float(t)
+        if math.isfinite(t):
+            i = bisect.bisect_left(grid, -_TIME_ATOL, key=lambda x: x - t)
+            hit = i < len(grid) and abs(grid[i] - t) <= _TIME_ATOL
+        else:
+            i = bisect.bisect_left(grid, t)
+            hit = i < len(grid) and grid[i] == t
+        if not hit:
             raise TimeNotInTable(f"t = {t} not on the tabulated grid")
-        return int(hits[0])
+        return i
 
     def mean(self, t: float) -> float:
         return float(self._means[self._index(t)])

@@ -6,15 +6,18 @@ so agreement with the analytic constructions is a genuine cross-check.  Also
 provides the nascent-delta (smooth switching) limit as a time-ordered
 product of narrow pulses.
 
-All matrix exponentials go through Hermitian eigendecompositions, so the
+All matrix exponentials go through the one real symmetric
+eigendecomposition X = V diag(lambda) V^T of the coupling at time 0, so the
 evolution is unitary on the truncated space up to rounding.  The coupling
-at time t is a diagonal phase rotation of the coupling at time 0, so one
-eigendecomposition per truncation serves every step, and in its eigenbasis
-a kick is a diagonal phase; the channel is read from the evolved columns
-of a square root of the environment state.  One loop evolves W step
-sequences of equal length together: the W = 1 kick train, or every pulse
-width of a nascent-delta command, whose steps inside a pulse share one
-free-evolution matrix per width.
+at time t is a diagonal phase rotation of X, and so is the generator of a
+coherent displacement, so that one decomposition per truncation serves
+every step and the displaced environment state; in its eigenbasis a kick
+is a diagonal phase, and the free evolution between kicks is two real
+products with V around a diagonal phase.  The channel is read from the
+evolved columns of a square root of the environment state.  One loop
+evolves W step sequences of equal length together: the W = 1 kick train,
+or every pulse width of a nascent-delta command, whose steps inside a
+pulse share one free-evolution matrix per width.
 """
 
 from __future__ import annotations
@@ -87,50 +90,59 @@ def quadrature_heisenberg(spec: FockSpec, t: float) -> np.ndarray:
     return (a * phase + a.conj().T * np.conj(phase)) / math.sqrt(2.0)
 
 
-def _expm_i_hermitian(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(i * scale * h) for Hermitian h, via eigendecomposition."""
-    evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * scale * evals)) @ vecs.conj().T
+def _environment_factor(spec: FockSpec, spectrum):
+    """A square root S of the truncated Gibbs state, S S^dag (p renormalized
+    on the truncated space), and the occupation of its highest level, which
+    bounds the renormalization error.
 
-
-def _environment_factor(spec: FockSpec):
-    """S = diag(sqrt(p)), or D(alpha0) diag(sqrt(p)) when displaced, with
-    S S^dag the truncated Gibbs state (p renormalized on the truncated
-    space), and the occupation of its highest level, which bounds the
-    renormalization error."""
+    Undisplaced, S = diag(sqrt(p)), returned as its diagonal.  Displaced,
+    S = D(alpha) diag(sqrt(p)) as a d x d matrix, with D(alpha) =
+    e^{i psi N} V e^{-i sqrt2 |alpha| Lambda} V^T e^{-i psi N}, psi =
+    arg(alpha) + pi/2, from the coupling's spectrum (Lambda, V) =
+    ``spectrum``: alpha a^dag - conj(alpha) a is -i sqrt2 |alpha| times the
+    phase rotation e^{i psi N} X e^{-i psi N} of X = O(0), exactly in the
+    truncated space, so no second decomposition is needed.
+    """
     nbar, displacement = spec.env.nbar, spec.env.displacement
-    n = np.arange(spec.dim)
     if nbar == 0:
         p = np.zeros(spec.dim)
         p[0] = 1.0
     else:
-        q = nbar / (nbar + 1.0)
-        p = q**n
+        p = (nbar / (nbar + 1.0)) ** np.arange(spec.dim)
         p /= p.sum()
-    factor = np.diag(np.sqrt(p)).astype(complex)
+    factor = np.sqrt(p)
     if displacement != 0:
-        a = annihilation(spec.dim)
-        gen = displacement * a.conj().T - np.conj(displacement) * a
-        factor = _expm_i_hermitian(-1j * gen) * np.sqrt(p)  # exp(gen), gen anti-Hermitian
-    return factor, float(np.vdot(factor[-1], factor[-1]).real)
+        evals, vecs = spectrum
+        turn = _level_phases(spec.dim, np.exp(1j * (np.angle(displacement) + 0.5 * math.pi)))  # e^{i psi N}
+        inner = np.multiply(vecs.T, turn.conj() * factor, order="C")  # V^T e^{-i psi N} diag(sqrt p)
+        inner *= np.exp(-1j * math.sqrt(2.0) * abs(displacement) * evals)[:, None]
+        factor = np.matmul(vecs, inner.view(float)).view(complex)
+        factor *= turn[:, None]
+    return factor, float(np.sum(np.abs(factor[-1]) ** 2))
 
 
 def environment_state(spec: FockSpec):
     """Truncated (displaced) Gibbs state S S^dag and its top-level occupation."""
-    factor, tail = _environment_factor(spec)
+    factor, tail = _environment_factor(spec, coupling_spectrum(quadrature_heisenberg(spec, 0.0)))
+    if factor.ndim == 1:
+        return np.diag(factor * factor).astype(complex), tail
     return factor @ factor.conj().T, tail
 
 
 def coupling_spectrum(o_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of a Hermitian coupling O.
+    """Eigenvalues and real orthonormal eigenvectors of the real symmetric
+    coupling X = O(0).
 
-    The one place the coupling is checked for Hermiticity (to 1e-12): every
-    spectrum the oracle evolves with comes from here.
+    The one place the coupling is checked (to 1e-12): every spectrum the
+    oracle evolves with comes from here, and a complex Hermitian matrix,
+    which has no real eigenbasis, is refused with the non-Hermitian ones.
     """
-    o_matrix = np.asarray(o_matrix, dtype=complex)
+    o_matrix = np.asarray(o_matrix)
     if np.max(np.abs(o_matrix - o_matrix.conj().T)) > 1e-12:
         raise NonHermitian("coupling observable must be Hermitian")
-    return np.linalg.eigh(o_matrix)
+    if np.iscomplexobj(o_matrix) and np.max(np.abs(o_matrix.imag)) > 1e-12:
+        raise NonHermitian("coupling observable must be real symmetric")
+    return np.linalg.eigh(o_matrix.real)
 
 
 def _level_phases(dim: int, turn) -> np.ndarray:
@@ -168,40 +180,34 @@ def _spin_frames(axes) -> np.ndarray:
     return frames
 
 
-def _scaled_adjoint(vecs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """V^dag diag(p) for each row p of ``phases``, formed in place as
-    conj(V^T diag(conj p)), so that no copy of V^dag is held."""
-    scaled = vecs.T * phases.conj()[..., None, :]
-    return np.conj(scaled, out=scaled)
-
-
 def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> np.ndarray:
     """Y[s, i, a, l, c] (sequence, output spin, input spin, eigenlevel,
     column) for W step sequences of S steps each, evolved together, with
     U_s (I2 (x) C) = (I2 (x) D(t_{s,S}) V) Y[s], for U_s the product of the
     steps exp(-i w r.sigma (x) O(t)) of sequence s in time order, C a d x K
-    block of environment columns and (lambda, V) = ``spectrum``, O(0) =
-    V diag(lambda) V^dag.  ``steps`` is (times, weights, axes), shaped
-    (W, S), (W, S) and (W, S, 3).
+    block of environment columns (or a length-d vector for the diagonal
+    block diag(C)) and (lambda, V) = ``spectrum``, X = O(0) =
+    V diag(lambda) V^T with V real.  ``steps`` is (times, weights, axes),
+    shaped (W, S), (W, S) and (W, S, 3).
 
     With W_k = D(t_k) V and F_k the frame of r_k.sigma, step k is
     (F_k (x) W_k) B_k (F_k (x) W_k)^dag, B_k = e^{-+iw_k lambda} on the +-1
     eigenvector, so the evolution is carried in the latest step's frames and
     between steps k and k + 1 only F_{k+1}^dag F_k and G_k B_k act, with
-    G_k = W_{k+1}^dag W_k: the kick scales the columns of G_k, once for
-    each output spin, and each G_k B_k multiplies the d x K blocks of that
-    spin (one d x 2K product would pack a BLAS panel twice as wide, whose
-    work space stays resident); the last kick is applied on its own.  G_k's
-    phases are powers of e^{-iwt_{k+1}} e^{iwt_k}, each taken at its own
-    time as in O(t), except where ``grid`` = (h, on_grid) marks step k + 1
-    (on_grid, a bool per step) as the next point of a uniform grid of
-    spacing h[s]: all such steps of sequence s share G = V^dag
-    diag(e^{-iwh[s]n}) V, formed once.  V must be orthonormal to 1e-10,
+    G_k = W_{k+1}^dag W_k = V^T diag(P_k) V, P_k = D(t_{k+1})^* D(t_k): the
+    kick scales the levels of Y, and G_k is never formed but applied as two
+    real products, V then V^T, on Y viewed as float64 with the phases P_k
+    between them; the last kick is applied on its own.  P_k's entries are
+    powers of e^{-iwt_{k+1}} e^{iwt_k}, each taken at its own time as in
+    O(t), except where ``grid`` = (h, on_grid) marks step k + 1 (on_grid, a
+    bool per step) as the next point of a uniform grid of spacing h[s]: all
+    such steps of sequence s share G = V^T diag(e^{-iwh[s]n}) V, formed once
+    and applied as one complex product.  V must be orthonormal to 1e-10,
     else InvalidMap: every G_k and B_k is unitary exactly when V is.
     """
     evals, vecs = spectrum
-    d, width = columns.shape
-    defect = np.max(np.abs(vecs.conj().T @ vecs - np.eye(d)))
+    d = len(evals)
+    defect = np.max(np.abs(vecs.T @ vecs - np.eye(d)))
     if defect > 1e-10:
         raise InvalidMap(f"coupling eigenbasis failed unitarity check ({defect:.3e})")
     times, weights, axes = steps
@@ -212,35 +218,49 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     changes = frames.conj().swapaxes(-1, -2)
     changes[:, 1:] = changes[:, 1:] @ frames[:, :-1]
     turns = np.exp(1j * omega * np.asarray(times, dtype=float))
-    kicks = np.exp(-1j * np.asarray(weights, dtype=float)[..., None] * evals)  # e^{-iw lambda} on e
+    # e^{-iw lambda} on e and e^{+iw lambda} on f, per step and level: both
+    # held, so that one contiguous product scales all four spin blocks (a
+    # product on one output spin's blocks of a W > 1 stack makes numpy copy them)
+    kicks = np.exp(np.multiply.outer(np.asarray(weights, dtype=float), [-1j, 1j])[..., None] * evals)
     if grid is not None:
         h, on_grid = grid
-        grid_g = _scaled_adjoint(vecs, np.exp(-1j * omega * np.multiply.outer(h, np.arange(d)))) @ vecs
+        grid_g = np.multiply(np.exp(-1j * omega * np.multiply.outer(h, np.arange(d)))[:, :, None], vecs, order="C")
+        grid_g = np.matmul(vecs.T, grid_g.view(float)).view(complex)
+        kicked = np.empty((n_seq, 2, d, d), dtype=complex)  # G B_k, one per output spin
+    width = d if columns.ndim == 1 else columns.shape[1]
     y = np.zeros((n_seq, 2, 2, d, width), dtype=complex)
-    other = np.zeros_like(y)
-    y[:, 0, 0] = y[:, 1, 1] = columns
+    if not n_steps:  # I2 (x) C
+        y[:, 0, 0] = y[:, 1, 1] = columns if columns.ndim == 2 else np.diag(columns)
+        return y
+    other = np.empty_like(y)
     halves = (n_seq, 2, 2 * d * width)  # the output-spin halves, for the frames
-    for k in range(n_steps):
-        if k == 0:  # I2 (x) W_1^dag C
-            other[:, 0, 0] = other[:, 1, 1] = (
-                _scaled_adjoint(vecs, _level_phases(d, turns[:, 0].conj())) @ columns
-            )
-        else:  # the kick before scales the columns of G, by e^{-iw lambda} on e
-            if grid is not None and on_grid[k]:
-                g = grid_g * kicks[:, k - 1, None, :]
-            else:
-                g = _scaled_adjoint(vecs, _level_phases(d, turns[:, k].conj() * turns[:, k - 1])) @ vecs
-                g *= kicks[:, k - 1, None, :]
-            np.matmul(g[:, None], y[:, 0], out=other[:, 0])
-            g *= kicks[:, k - 1, None, :].conj() ** 2  # and by e^{+iw lambda} on f
-            np.matmul(g[:, None], y[:, 1], out=other[:, 1])
-            del g  # a step's own G is not held while the next one is formed
-        np.matmul(changes[:, k], other.reshape(halves), out=y.reshape(halves))
-    if n_steps:  # the last kick
-        y[:, 0] *= kicks[:, -1, None, :, None]
-        y[:, 1] *= kicks[:, -1, None, :, None].conj()
-    frame = frames[:, -1] if n_steps else np.broadcast_to(I2, (n_seq, 2, 2))
-    np.matmul(frame, y.reshape(halves), out=other.reshape(halves))
+    # the first step, I2 (x) Z with Z = W_1^dag C = V^T D(t_1)^* C, and its
+    # frame: F_1^dag (x) Z; a diagonal C makes Z a column scaling of V^T
+    z, first = y[:, 0, 0], _level_phases(d, turns[:, 0].conj())
+    if columns.ndim == 1:  # real and imaginary parts apart: no float-to-complex cast buffers
+        scale = first[:, None, :] * columns
+        np.multiply(vecs.T, scale.real, out=z.real)
+        np.multiply(vecs.T, scale.imag, out=z.imag)
+    else:
+        np.multiply(first[:, :, None], columns, out=other[:, 0, 0])
+        np.matmul(vecs.T, other[:, 0, 0].view(float), out=z.view(float))
+    np.multiply(changes[:, 0, :, :, None, None], z[:, None, None], out=other)
+    y, other = other, y
+    for k in range(1, n_steps):
+        kick = kicks[:, k - 1, :, None, :]  # of the step before
+        if grid is not None and on_grid[k]:  # the kick scales G's columns
+            np.multiply(grid_g[:, None], kick, out=kicked)
+            np.matmul(kicked[:, :, None], y, out=other)
+            np.matmul(changes[:, k], other.reshape(halves), out=y.reshape(halves))
+        else:  # the kick scales the levels of Y
+            y *= kick[..., None]
+            np.matmul(vecs, y.view(float), out=other.view(float))
+            other *= _level_phases(d, turns[:, k].conj() * turns[:, k - 1])[:, None, None, :, None]  # P_k
+            np.matmul(vecs.T, other.view(float), out=y.view(float))
+            np.matmul(changes[:, k], y.reshape(halves), out=other.reshape(halves))
+            y, other = other, y
+    y *= kicks[:, -1, :, None, :, None]  # the last kick
+    np.matmul(frames[:, -1], y.reshape(halves), out=other.reshape(halves))
     return other
 
 
@@ -257,15 +277,21 @@ def _channels_at_dim(spec: FockSpec, steps, basis: OperatorBasis, metas, grid=No
     ``bytes``; a build that cannot be allocated raises SpinKickError.
     """
     d, (n_seq, n_steps) = spec.dim, np.shape(steps[1])
-    # y and its step buffer (64 W d^2 bytes each); a G being formed and the
-    # scaled V^dag it comes from, or at the first step the scaled V^dag and
-    # its product with S (16 W d^2 each); the pulse grid's G (16 W d^2); V
-    # and S (16 d^2 each); the kick phases (16 W S d).  The per-step frames
-    # and turns (O(W S)) and numpy's iteration buffers (<= 128 KiB) come on top.
-    nbytes = 16 * ((10 * n_seq + (n_seq if grid is not None else 0) + 2) * d * d + n_seq * n_steps * d)
+    # y and its step buffer (64 W d^2 bytes each); on a pulse grid, G and
+    # G B_k for both output spins (48 W d^2); V (8 d^2); S (16 d^2, or its
+    # diagonal, 8 d, undisplaced); the kick phases on both spins (32 W S d);
+    # and numpy's iteration buffer for the broadcast phase products (16
+    # bytes an entry of y, at most np.getbufsize() entries).  The per-step
+    # frames, turns and gap phases (O(W S) and O(W d)) come on top.
+    grid_bytes = 48 * n_seq * d * d if grid is not None else 0
+    s_bytes = 16 * d * d if spec.env.displacement != 0 else 8 * d
+    nbytes = (
+        128 * n_seq * d * d + grid_bytes + 8 * d * d + s_bytes + 32 * n_seq * n_steps * d
+        + 16 * min(np.getbufsize(), 4 * n_seq * d * d)
+    )
     try:
         spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
-        factor, tail = _environment_factor(spec)
+        factor, tail = _environment_factor(spec, spectrum)
         y = _evolve(spec, spectrum, steps, factor, grid).reshape(n_seq, 4, d * d)
         m = (y @ y.conj().swapaxes(1, 2)).reshape(n_seq, 2, 2, 2, 2)
     except MemoryError as exc:

@@ -18,6 +18,7 @@ from spinkick import (
     QubitMap,
     SingleModeThermal,
     SingularChannel,
+    SpinKickError,
     TabulatedKernel,
     TooManyKicks,
     WhiteKickKernel,
@@ -41,6 +42,7 @@ from spinkick import (
 )
 from spinkick.analysis import dephasing_divisibility, fixed_point
 from spinkick.channels import (
+    _EXP_MAX,
     PARALLEL_BASIS_TOL,
     _gamma_matrix,
     _map,
@@ -698,6 +700,27 @@ def test_two_kick_rejects_displaced(standard_geometry):
         two_kick_closed_form(env, standard_geometry, 0.0, 0.7)
     with pytest.raises(NonEvenEnvironment):
         two_kick_params(env, standard_geometry, 0.0, 0.7)
+
+
+def test_two_kick_params_refuse_weights_beyond_cosh_range(standard_geometry):
+    """Weights that take cosh and sinh of 2 w1 w0 K(t1, t0) out of float64's
+    range (|2 Re w1 w0 K| > ln(float max)) are refused before either is
+    evaluated, NaN weights too; just inside that edge the parameters are the
+    formula's, finite and without a warning."""
+    env = SingleModeThermal(omega=1.0, nbar=0.5)
+    t0, t1 = 0.0, 0.7
+    edge = np.sqrt(_EXP_MAX / abs(2.0 * env.covariance(t1, t0).real))
+    for w in (edge * (1 + 1e-6), 1e30):
+        with pytest.raises(SpinKickError, match="overflow the two-kick closed form"):
+            two_kick_params(env, standard_geometry, t0, t1, (w, w))
+    with pytest.raises(SpinKickError, match="overflow the two-kick closed form"):
+        two_kick_params(env, standard_geometry, t0, t1, (np.nan, 1.0))
+    w = edge * (1 - 1e-6)
+    params = two_kick_params(env, standard_geometry, t0, t1, (w, w))
+    corr = w * w * env.covariance(t1, t0)
+    damping = np.exp(-w * w * env.covariance(t1, t1).real)
+    assert params.h == damping * (np.cosh(2.0 * corr) - params.alpha * np.sinh(2.0 * corr))
+    assert np.isfinite(params.h) and np.isfinite(params.k) and abs(params.k) > 0
 
 
 def test_two_kick_parallel_falls_back_to_dephasing(vacuum, standard_geometry):

@@ -513,8 +513,10 @@ def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
 
 def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     """An oracle truncation whose arrays cannot be allocated ends the run
-    with exit 4, naming the dimension and the bytes of the build (192 d^2,
-    and 16 d for the phases of the one kick)."""
+    with exit 4, naming the dimension and the bytes of the build (136 d^2
+    for the evolution, its step buffer and V, 8 d for S's diagonal, 32 d for
+    the phases of the one kick, and numpy's iteration buffer of 4 d^2
+    entries, at most np.getbufsize())."""
     from spinkick import oracle
 
     def no_memory(*args):
@@ -523,7 +525,8 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(oracle, "_evolve", no_memory)
     body = BASE_CFG.format(out=tmp_path / "out") + "\n[oracle]\ndim = 30\n"
     assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_DOMAIN
-    assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {192 * 30**2 + 16 * 30} bytes")
+    nbytes = 136 * 30**2 + 8 * 30 + 32 * 30 + 16 * min(np.getbufsize(), 4 * 30**2)
+    assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {nbytes} bytes")
     assert not (tmp_path / "out").exists()
 
 
@@ -847,6 +850,30 @@ def test_overflowing_weights_exit_4(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, body)
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == EXIT_DOMAIN
     assert capsys.readouterr().err.startswith("error: weights 1e+160 1e+160 overflow the Gram matrix")
+
+
+@pytest.mark.parametrize("command", ["divisibility", "sweep"])
+def test_weights_beyond_the_closed_form_range_are_refused(tmp_path, capsys, command):
+    """Weights of 1e30 keep the Gram matrix finite but take the two-kick
+    closed form's cosh and sinh out of float64's range.  divisibility leaves
+    out the closed-form lines and exits 4 on its singular pass channel;
+    sweep's lambda_min cells are nan.  Neither warns (warnings are errors
+    under pytest)."""
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        body = re.sub(r"^weights = .*$", "weights = 1e30 1e30", fh.read(), flags=re.M)
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    code = main(["--config", cfg, "--out", str(out), command])
+    captured = capsys.readouterr()
+    if command == "divisibility":
+        assert code == EXIT_DOMAIN
+        assert captured.err.startswith("error: affine matrix singular")
+        assert "closed" not in captured.out
+    else:
+        assert code == EXIT_OK
+        lines = (out / "spinkick_sweep.csv").read_text().strip().splitlines()
+        column = lines[0].split(",").index("lambda_min")
+        assert all(line.split(",")[column] == "nan" for line in lines[1:])
 
 
 def test_nascent_refusal_comes_before_any_output(tmp_path, capsys):

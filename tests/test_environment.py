@@ -13,7 +13,7 @@ from spinkick import (
     gaussian_char,
     gram_matrix,
 )
-from spinkick.environment import format_complex, parse_complex
+from spinkick.environment import _TIME_ATOL, format_complex, parse_complex
 
 time_sets = st.lists(
     st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=8, unique=True
@@ -130,9 +130,39 @@ def test_tabulated_kernel_validation():
         TabulatedKernel([0.0, 1.0], [0, 0], [[0.5, 0.9], [0.9, 0.5]])  # not PSD
     with pytest.raises(ValueError):
         TabulatedKernel([0.0, 1.0], [0, 0], [[0.5, 0.1j], [0.1j, 0.5]])  # not Hermitian
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TabulatedKernel([0.0, np.nan, 1.0], [0, 0, 0], np.eye(3))
     kernel = TabulatedKernel([0.0, 1.0], [0, 0], [[0.5, 0.2], [0.2, 0.5]])
     with pytest.raises(TimeNotInTable):
         kernel.covariance(0.0, 0.5)
+
+
+def test_tabulated_lookup_is_the_isclose_rule():
+    """The bisection in _index finds the index np.isclose (rtol 0, atol
+    _TIME_ATOL) finds, the first grid time within the tolerance: on the
+    grid, within +-atol/2 of it, at +-atol and just beyond, off it, and on a
+    run of grid times closer together than the tolerance; TimeNotInTable
+    where there is none."""
+    rng = np.random.default_rng(7)
+    run = 6.0 + 0.6 * _TIME_ATOL * np.arange(4)
+    times = np.concatenate([np.sort(rng.uniform(-5.0, 5.0, 40)), run])
+    kernel = TabulatedKernel(times, np.zeros(len(times)), np.eye(len(times)))
+    beyond = np.nextafter(times + _TIME_ATOL, np.inf)
+    queries = np.concatenate(
+        [times, times + 0.5 * _TIME_ATOL, times - 0.5 * _TIME_ATOL, times + _TIME_ATOL, times - _TIME_ATOL,
+         beyond, rng.uniform(-6.0, 7.0, 200), [np.inf, -np.inf, np.nan]]
+    )
+    found = missed = 0
+    for t in queries:
+        hits = np.nonzero(np.isclose(times, t, rtol=0.0, atol=_TIME_ATOL))[0]
+        if len(hits):
+            assert kernel._index(t) == hits[0]
+            found += 1
+        else:
+            with pytest.raises(TimeNotInTable):
+                kernel._index(t)
+            missed += 1
+    assert found >= 3 * len(times) and missed > 200
 
 
 def test_complex_token_format():

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,15 @@ from spinkick import (
 )
 from spinkick.errors import InvalidMap, InvalidTruncation, LengthMismatch, SpinKickError, UnknownPulseShape
 from spinkick.kicks import r_of_t
-from spinkick.oracle import PULSE_SHAPES, _channels_at_dim, _evolve, _level_phases, annihilation, environment_state
+from spinkick.oracle import (
+    PULSE_SHAPES,
+    _channels_at_dim,
+    _environment_factor,
+    _evolve,
+    _level_phases,
+    annihilation,
+    environment_state,
+)
 from spinkick.pauli import I2, PAULI, PAULI_BASIS, density_to_bloch, dot_sigma
 from conftest import random_geometry, random_schedule
 
@@ -134,6 +143,41 @@ def test_non_hermitian_coupling_rejected():
     o = quadrature_heisenberg(FockSpec(SingleModeThermal(omega=1.0), dim=25), 0.4)
     with pytest.raises(NonHermitian):
         coupling_spectrum(o + 1e-3j * np.eye(25))
+
+
+@pytest.mark.parametrize("dim", [2, 20, 60, 150])
+def test_coupling_spectrum_is_real_and_orthonormal(dim):
+    """X = O(0) is real symmetric: its spectrum is float64, V^T V = 1 and
+    X V = V Lambda to 1e-13; a complex Hermitian coupling, which has no real
+    eigenbasis, is refused."""
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=dim)
+    x = quadrature_heisenberg(spec, 0.0)
+    evals, vecs = coupling_spectrum(x)
+    assert evals.dtype == vecs.dtype == np.float64
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(dim))) < 1e-13
+    assert np.max(np.abs(x.real @ vecs - vecs * evals)) < 1e-13
+    with pytest.raises(NonHermitian, match="real symmetric"):
+        coupling_spectrum(quadrature_heisenberg(spec, 0.4))
+
+
+@pytest.mark.parametrize("dim", [2, 20, 60, 150])
+def test_displaced_factor_comes_from_the_coupling_spectrum(dim):
+    """D(alpha) = e^{i psi N} V e^{-i sqrt2 |alpha| Lambda} V^T e^{-i psi N},
+    psi = arg(alpha) + pi/2, taken from the coupling's spectrum, equals
+    exp(alpha a^dag - conj(alpha) a) from a direct decomposition of the
+    Hermitian generator -i(alpha a^dag - conj(alpha) a), to 1e-13, in every
+    quadrant and on both axes; so does the factor's top-level occupation."""
+    a = annihilation(dim)
+    nbar = 0.6
+    p = (nbar / (nbar + 1.0)) ** np.arange(dim)
+    p /= p.sum()
+    for alpha in (0.7 + 0.4j, -0.5 + 0.9j, -0.8 - 0.3j, 0.2 - 1.1j, 0.9, -0.6, 1.2j, -0.4j):
+        spec = FockSpec(SingleModeThermal(omega=1.3, nbar=nbar, displacement=alpha), dim=dim)
+        factor, tail = _environment_factor(spec, coupling_spectrum(quadrature_heisenberg(spec, 0.0)))
+        evals, vecs = np.linalg.eigh(-1j * (alpha * a.conj().T - np.conj(alpha) * a))
+        direct = ((vecs * np.exp(1j * evals)) @ vecs.conj().T) * np.sqrt(p)
+        assert np.max(np.abs(factor - direct)) < 1e-13
+        assert tail == pytest.approx(np.sum(np.abs(direct[-1]) ** 2), rel=0, abs=1e-13)
 
 
 def _direct_step(r, o, weight):
@@ -321,28 +365,33 @@ def _traced_peak(build):
 
 
 def test_oracle_build_peak_memory_is_its_stated_bytes(standard_geometry):
-    """One build holds its evolution, a step buffer and four d x d arrays,
-    and the phases of its S kicks: meta["bytes"] is 192 d^2 + 16 S d, and
-    the traced peak is that and little more."""
-    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=100)
+    """One build holds its evolution and a step buffer (128 d^2), V (8 d^2),
+    S (its diagonal, 8 d, or 16 d^2 displaced), the kick phases of its S
+    steps on both spins (32 S d) and numpy's iteration buffer: meta["bytes"]
+    is their sum, and the traced peak is that and little more."""
+    buffer = 16 * min(np.getbufsize(), 4 * 100**2)
     steps = _sequence([(t, 1.0, r_of_t(standard_geometry, t)) for t in (0.0, 0.7, 1.9, 2.4)])
-    (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, PAULI_BASIS, [{}]))
-    assert ch.meta["bytes"] == 192 * 100**2 + 16 * 4 * 100
-    assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
+    for displacement, s_bytes in ((0.0, 8 * 100), (0.3 - 0.4j, 16 * 100**2)):
+        spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=100)
+        (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, PAULI_BASIS, [{}]))
+        assert ch.meta["bytes"] == 136 * 100**2 + s_bytes + 32 * 4 * 100 + buffer
+        assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
 
 
 def test_batched_nascent_peak_memory_is_its_stated_bytes(standard_geometry):
     """W = 4 widths evolved together hold, per width, the evolution, its
-    step buffer, a G being formed with its scaled V^dag and the pulse grid's
-    G, then V and S once, and the (W, S, d) kick phases: meta["bytes"] is
-    (176 W + 32) d^2 + 16 W S d, and the traced peak is that and little
+    step buffer, the pulse grid's G and G B_k for both output spins
+    (176 W d^2 in all), then V once (8 d^2), S's diagonal (8 d), the kick
+    phases on both spins (32 W S d) and numpy's iteration buffer:
+    meta["bytes"] is their sum, and the traced peak is that and little
     more."""
     spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=60)
     deltas = [0.04, 0.02, 0.01, 0.005]
     chans, peak = _traced_peak(
         lambda: nascent_delta_channels(spec, standard_geometry, [0.0, 1.5], deltas, steps_per_kick=12)
     )
-    assert [ch.meta["bytes"] for ch in chans] == [(176 * 4 + 32) * 60**2 + 16 * 4 * 24 * 60] * 4
+    buffer = 16 * min(np.getbufsize(), 4 * 4 * 60**2)
+    assert [ch.meta["bytes"] for ch in chans] == [(176 * 4 + 8) * 60**2 + 8 * 60 + 32 * 4 * 24 * 60 + buffer] * 4
     assert 1.0 <= peak / chans[0].meta["bytes"] <= 1.25
 
 
@@ -358,6 +407,36 @@ def test_oracle_records_its_work(standard_geometry):
     ch = nascent_delta_channel(spec, standard_geometry, [0.0, 1.5], 0.02, steps_per_kick=12)
     assert ch.meta["eigendecompositions"] == 1
     assert ch.meta["kick_steps"] == 24
+
+
+def test_each_build_makes_the_one_decomposition_it_records(standard_geometry, monkeypatch):
+    """np.linalg.eigh, counted in the oracle's namespace, runs exactly as
+    often as the builds' summed meta["eigendecompositions"] say: over a
+    displaced truncation search, and once for a displaced nascent command of
+    four widths, whose displacement comes from the same spectrum."""
+    from spinkick import oracle
+
+    calls = []
+
+    def eigh(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return np.linalg.eigh(matrix, *args, **kwargs)
+
+    class CountingNumpy:
+        linalg = SimpleNamespace(eigh=eigh)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(oracle, "np", CountingNumpy())
+    env = SingleModeThermal(omega=1.2, nbar=0.4, displacement=0.5 - 0.3j)
+    orc = oracle_channel(fock_spec_for(env), standard_geometry, KickSchedule([0.0, 0.7, 1.9]))
+    assert len(orc.meta["history"]) + 1 > 1
+    assert len(calls) == orc.meta["eigendecompositions"] == len(orc.meta["history"]) + 1
+    calls.clear()
+    frozen = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
+    chans = nascent_delta_channels(FockSpec(env, dim=30), frozen, [0.0, 1.5], [0.04, 0.02, 0.01, 0.005])
+    assert len(calls) == 1 and all(ch.meta["eigendecompositions"] == 1 for ch in chans)
 
 
 def test_oracle_single_kick_vacuum(vacuum, standard_geometry):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import QubitMap, TwoKickParams, transition_map
+from .channels import QubitMap, TwoKickParams, choi_eigenvalues, transition_map
 from .environment import GaussianEnvironment
 from .errors import NonContractive, NonEvenEnvironment, NonPureInput, SingularChannel
 from .kicks import InteractionGeometry, r_of_t
@@ -161,8 +161,8 @@ def chi_eigenvalues_two_kick(h: complex, k: complex) -> np.ndarray:
 
 
 def is_cp(m, tol: float = PSD_TOL) -> bool:
-    """Complete positivity: the chi matrix is PSD (min eigenvalue >= -tol)."""
-    return bool(np.linalg.eigvalsh(m.chi).min() >= -tol)
+    """Complete positivity: the Choi matrix is PSD (min eigenvalue >= -tol)."""
+    return bool(choi_eigenvalues(m)[0] >= -tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +226,7 @@ def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TO
     later kick axis) when its image leaves the ball, else the maximizer.
     """
     theta = transition_map(longer, shorter)
-    eigs = np.sort(np.linalg.eigvalsh(theta.chi))[::-1]
+    eigs = choi_eigenvalues(theta)[::-1]
     cp = bool(eigs.min() >= -tol)
     norm, u = max_image_norm(theta.affine)
     pos = cp or norm <= 1.0 + tol

@@ -34,20 +34,20 @@ needs; each channel records them in ``meta["bytes"]``.  Construction is
 deterministic: a fixed order of accumulation gives bit-reproducible output.
 
 Channels and the transition maps between kick counts are one type,
-QubitMap.  Its record is the affine Bloch action (A, b) and a declared
-operator basis; its chi matrix in that basis is derived from (A, b) by one
-fixed linear map (``chi_from_affine``).  A flag ``cp`` says whether the map
-is validated as completely positive.  The enumeration, which sums the chi
-matrix directly, keeps only the affine action it reads from it; the
-prefix pass never forms a chi, and each prefix's basis and chi are built
-when the prefix is read.  The constructed objects are immutable and safe
-to share between threads.
+QubitMap, recorded by the affine Bloch action (A, b) and its kick axes,
+and judged by (A, b) alone: a map must be finite, a channel (flag ``cp``)
+must have a PSD Choi matrix in the normalized Pauli basis
+(``choi_eigenvalues``), and ``invert_channel`` refuses an A whose
+condition number exceeds ``KAPPA_MAX``.  The chi basis of the axes and the
+chi in it (``chi_from_affine``) are built only when read, for output.  The
+constructed objects are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +88,12 @@ _BASE = 64
 # contracted in factored form (``build_prefix_channels``): its factors then
 # lie within [e^-600, e^600], inside float64's normal range [e^-708, e^709].
 _FACTOR_RANGE = 600.0
+
+# Largest condition number max(sigma_max, 1) / sigma_min of A that
+# ``invert_channel`` accepts: there kappa * eps = 2.2e-10 reaches the scale
+# of the PSD tolerance 1e-10, so past it rounding would decide the CP
+# verdict of the inverse and of every transition map built from it.
+KAPPA_MAX = 1e6
 
 # ln of float64's largest value: e^x is finite up to here, and so are
 # cosh(x + iy), sinh(x + iy) and cosh - a sinh for |a| <= 1.
@@ -206,22 +212,27 @@ _PAULI_LEFT = np.einsum("ayx,iyz,bzx->iab", PAULI_BASIS.ops.conj(), PAULI, PAULI
 _ID3, _ID4 = np.eye(3), np.eye(4)
 
 
+def _pauli_chi(affine: AffineBlochMap) -> np.ndarray:
+    """chi_P = unvec(T_P^{-1} vec S), the chi matrix in the normalized Pauli
+    basis of the map whose superoperator there is S = [[1, 0], [b, A]]."""
+    s = np.vstack([(1.0, 0.0, 0.0, 0.0), np.column_stack([affine.shift, affine.matrix])])
+    return (_PAULI_TENSOR_INV @ s.reshape(16)).reshape(4, 4)
+
+
 def chi_from_affine(affine: AffineBlochMap, basis: OperatorBasis) -> np.ndarray:
     """chi matrix, in ``basis``, of the trace-preserving map with the given
-    affine action: one fixed linear map of (A, b).
-
-    In the normalized Pauli basis the superoperator is S = [[1, 0], [b, A]]
-    and chi_P = unvec(T_P^{-1} vec S), with T_P the (invertible) basis tensor
-    of ``_basis_tensor``.  The change of basis gives chi = C chi_P C^dag,
-    C_a,mu = tr(B_a^dag sigma_mu)/sqrt(2).
-    """
-    s = np.zeros((4, 4))
-    s[0, 0] = 1.0
-    s[1:, 0] = affine.shift
-    s[1:, 1:] = affine.matrix
-    chi_p = (_PAULI_TENSOR_INV @ s.reshape(16)).reshape(4, 4)
+    affine action: chi = C chi_P C^dag, C_a,mu = tr(B_a^dag sigma_mu)/sqrt(2),
+    one fixed linear map of (A, b)."""
     c = np.einsum("ayx,myx->am", basis.ops.conj(), PAULI_BASIS.ops)
-    return c @ chi_p @ c.conj().T
+    return c @ _pauli_chi(affine) @ c.conj().T
+
+
+def choi_eigenvalues(m) -> np.ndarray:
+    """Eigenvalues, ascending, of the map's Choi matrix chi_P in the
+    normalized Pauli basis.  C is unitary for an orthonormal basis, so they
+    are chi's eigenvalues in every such basis; every CP verdict reads them,
+    and none builds a basis."""
+    return np.linalg.eigvalsh(_pauli_chi(m.affine))
 
 
 def affine_from_chi(chi: np.ndarray, basis: OperatorBasis) -> AffineBlochMap:
@@ -238,65 +249,58 @@ def affine_from_chi(chi: np.ndarray, basis: OperatorBasis) -> AffineBlochMap:
 @dataclass(frozen=True, eq=False)
 class QubitMap:
     """A trace- and Hermiticity-preserving qubit map, recorded by its affine
-    Bloch action in a declared chi basis.  The read-only ``chi`` is derived
-    from the action (``chi_from_affine``).  cp=True marks a channel (CPTP,
-    chi validated PSD); transition maps, which need not be CP, carry
-    cp=False."""
+    Bloch action and its kick axes in time order.  The read-only ``basis``
+    (``default_chi_basis`` of the axes) and ``chi`` in it
+    (``chi_from_affine``) are derived on first read and cached.  cp=True
+    marks a channel (CPTP, Choi matrix validated PSD); transition maps,
+    which need not be CP, carry cp=False."""
 
     affine: AffineBlochMap
-    basis: OperatorBasis
+    axes: tuple = ()
     meta: dict = field(default_factory=dict)
     cp: bool = True
-    chi: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    @cached_property
+    def basis(self) -> OperatorBasis:
+        return default_chi_basis(self.axes)
+
+    @cached_property
+    def chi(self) -> np.ndarray:
         chi = chi_from_affine(self.affine, self.basis)
         chi.setflags(write=False)
-        object.__setattr__(self, "chi", chi)
+        return chi
 
     def __call__(self, u) -> np.ndarray:
         return apply_affine(self.affine, u)
 
 
-def validate_map(m, herm_tol: float = 1e-10, tp_tol: float = 1e-10) -> None:
-    """Check Hermiticity of chi and trace preservation; raises InvalidMap.
-
-    chi is linear in (A, b), so a NaN or inf there makes the Hermiticity
-    deviation NaN or inf, and a map that is not finite is refused as such
-    (a test written herm > herm_tol would pass NaN).
-    """
-    chi, basis = m.chi, m.basis
-    herm = np.max(np.abs(chi - chi.conj().T))
-    if not herm <= herm_tol:
-        if not np.isfinite(chi).all():
-            raise InvalidMap("map is not finite: its affine action (A, b) holds NaN or inf")
-        raise InvalidMap(f"chi not Hermitian: deviation {herm:.3e} > {herm_tol}")
-    b = basis.ops
-    tp = np.einsum("ab,bkl,aki->li", chi, b.conj(), b)
-    dev = np.max(np.abs(tp - I2))
-    if dev > tp_tol:
-        raise InvalidMap(f"not trace preserving: sum chi B^dag B deviates by {dev:.3e}")
+def validate_map(m) -> None:
+    """Refuse, with InvalidMap, a map whose affine action (A, b) is not
+    finite.  Its chi is Hermitian and trace-preserving by construction, so
+    finiteness is the whole check (a NaN would pass every tolerance test)."""
+    if not (np.isfinite(m.affine.matrix).all() and np.isfinite(m.affine.shift).all()):
+        raise InvalidMap("map is not finite: its affine action (A, b) holds NaN or inf")
 
 
 def validate_channel(ch: QubitMap) -> None:
-    """Channel invariants: Hermitian chi, trace preservation, chi PSD (min
-    eigenvalue >= -1e-10)."""
+    """Channel invariants: a finite map whose Choi matrix is PSD (min
+    eigenvalue >= -1e-10, ``choi_eigenvalues``)."""
     validate_map(ch)
-    lo = np.linalg.eigvalsh(ch.chi).min()
+    lo = choi_eigenvalues(ch)[0]
     if lo < -1e-10:
         raise InvalidMap(f"chi not PSD: min eigenvalue {lo:.3e} < -1e-10")
 
 
-def _map(affine, basis, meta, cp=True) -> QubitMap:
+def _map(affine, axes, meta, cp=True) -> QubitMap:
     """Construct and validate a map."""
-    m = QubitMap(affine, basis, meta, cp)
+    m = QubitMap(affine, axes, meta, cp)
     (validate_channel if cp else validate_map)(m)
     return m
 
 
 def identity_channel() -> QubitMap:
     """The channel of an empty schedule, in the Pauli basis."""
-    return _map(AffineBlochMap.identity(), default_chi_basis(()), {"kind": "identity"})
+    return _map(AffineBlochMap.identity(), (), {"kind": "identity"})
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def phase_damping_channel(r_axis, gamma: complex, meta: dict | None = None) -> Q
     a = rr + g.real * (np.eye(3) - rr) - g.imag * np.cross(r, np.eye(3)).T
     md = {"kind": "phase_damping", "gamma": g, "r_last": tuple(r)}
     md.update(meta or {})
-    return _map(AffineBlochMap(a, np.zeros(3)), default_chi_basis([r]), md)
+    return _map(AffineBlochMap(a, np.zeros(3)), (r,), md)
 
 
 def single_kick_channel(
@@ -378,7 +382,7 @@ def build_n_kick_channel(
         chi = coeff.T @ gammas @ coeff.conj()
 
     meta = _n_kick_meta(env, times, sched.weights, rs[-1], "enumeration", 4**n, nbytes)
-    return _map(affine_from_chi(chi, basis), basis, meta)
+    return _map(affine_from_chi(chi, basis), rs, meta)
 
 
 def _byte_text(nbytes: int) -> str:
@@ -505,9 +509,9 @@ class PrefixChannels:
     one ``build_prefix_channels`` pass.
 
     ``prefixes[k]`` is a validated channel.  The pass records each prefix's
-    affine action (A, b) and kick axes; a prefix's chi basis and chi are
-    built, and the channel validated, when it is first read, so a caller
-    pays only for the prefixes it reads.
+    affine action (A, b) and kick axes; a prefix is validated when it is
+    first read, so a caller pays only for the prefixes it reads, and its
+    chi basis and chi only when they are read in turn.
     """
 
     def __init__(self, parts):
@@ -524,7 +528,7 @@ class PrefixChannels:
                 self._maps[k] = identity_channel()
             else:
                 affine, axes, meta = self._parts[k - 1]
-                self._maps[k] = _map(affine, default_chi_basis(axes), meta)
+                self._maps[k] = _map(affine, axes, meta)
         return self._maps[k]
 
 
@@ -764,7 +768,7 @@ def two_kick_closed_form(
         "r_last": tuple(r1),
         "closed_form": params,
     }
-    return _map(_two_kick_affine(params), default_chi_basis([r_of_t(geom, t0), r1]), meta)
+    return _map(_two_kick_affine(params), (r_of_t(geom, t0), r1), meta)
 
 
 def dephasing_gamma(env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> complex:
@@ -804,34 +808,36 @@ def _composed_affine(later: QubitMap, earlier: QubitMap) -> AffineBlochMap:
 
 
 def compose(later: QubitMap, earlier: QubitMap) -> QubitMap:
-    """Composition later o earlier in the later map's basis; the affine
+    """Composition later o earlier, with the later map's axes; the affine
     parts multiply.  The result is a channel only when both factors are."""
     meta = {
         "kind": "composition",
         "parents": (later.meta.get("kind"), earlier.meta.get("kind")),
         "r_last": later.meta.get("r_last"),
     }
-    return _map(_composed_affine(later, earlier), later.basis, meta, cp=later.cp and earlier.cp)
+    return _map(_composed_affine(later, earlier), later.axes, meta, cp=later.cp and earlier.cp)
 
 
 def invert_channel(ch: QubitMap) -> QubitMap:
     """Inverse map (A^{-1}, -A^{-1} b); generally not completely positive.
 
-    Raises SingularChannel when A is singular (for dephasing that is the
-    gamma -> 0 limit).  The condition number is recorded in meta.
+    Raises SingularChannel when the condition number
+    kappa = max(sigma_max, 1) / sigma_min of A exceeds ``KAPPA_MAX`` (for
+    dephasing, gamma -> 0 is the singular limit).  kappa is recorded in meta.
     """
     a = ch.affine.matrix
     svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= 1e-14 * max(svals[0], 1.0):
-        raise SingularChannel(f"affine matrix singular (singular values {svals})")
+    kappa = max(svals[0], 1.0) / svals[-1] if svals[-1] > 0 else np.inf
+    if not kappa <= KAPPA_MAX:
+        raise SingularChannel(f"affine matrix singular: condition number {kappa:.4g} > KAPPA_MAX = {KAPPA_MAX:g}")
     a_inv = np.linalg.inv(a)
     affine = AffineBlochMap(a_inv, -a_inv @ ch.affine.shift)
     meta = {
         "kind": "inverse",
         "parent": ch.meta.get("kind"),
-        "condition_number": float(svals[0] / svals[-1]),
+        "condition_number": float(kappa),
     }
-    return _map(affine, ch.basis, meta, cp=False)
+    return _map(affine, ch.axes, meta, cp=False)
 
 
 def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
@@ -848,7 +854,7 @@ def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
         "longer": longer.meta.get("times"),
         "shorter": shorter.meta.get("times"),
     }
-    return _map(_composed_affine(longer, inverse), longer.basis, meta, cp=False)
+    return _map(_composed_affine(longer, inverse), longer.axes, meta, cp=False)
 
 
 def two_kick_transition_map(
@@ -867,8 +873,7 @@ def two_kick_transition_map(
         "r_last": tuple(params.frame[0]),
         "closed_form": params,
     }
-    basis = default_chi_basis([r_of_t(geom, t0), params.frame[0]])
-    return _map(_two_kick_affine(params, unit_g=True), basis, meta, cp=False)
+    return _map(_two_kick_affine(params, unit_g=True), (r_of_t(geom, t0), params.frame[0]), meta, cp=False)
 
 
 # ---------------------------------------------------------------------------
@@ -912,10 +917,10 @@ def _read_section(lines, i: int, name: str, rows: int, parse):
 def load_channel(path) -> QubitMap:
     """Read back a map written by save_channel.
 
-    The map is rebuilt from the file's basis, A and b, and its chi derived
-    from them; the file's chi section must agree with the derived chi to
-    1e-10 max(1, max|chi|).  A malformed file, or one whose chi disagrees,
-    raises InvalidMap.
+    The map is rebuilt from A and b and validated; it keeps the file's
+    basis, and its chi derived in that basis must agree with the file's chi
+    section to 1e-10 max(1, max|chi|).  A malformed file, or one whose chi
+    disagrees, raises InvalidMap.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -937,7 +942,8 @@ def load_channel(path) -> QubitMap:
         raise InvalidMap(f"malformed channel file {path}: a line is missing or cut short") from exc
     except ValueError as exc:
         raise InvalidMap(f"malformed channel file {path}: {exc}") from exc
-    m = _map(affine, basis, meta, cp=kind == "channel")
+    m = _map(affine, (), meta, cp=kind == "channel")
+    object.__setattr__(m, "basis", basis)  # the file's, in place of the cached default
     dev = np.max(np.abs(chi - m.chi))
     if not dev <= 1e-10 * max(1.0, np.max(np.abs(m.chi))):
         raise InvalidMap(f"chi section of {path} differs from the chi of its A and b by {dev:.3e}")

@@ -475,18 +475,12 @@ def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted):
     def lambda_min():
         if len(sched) < 2:
             return np.nan
-        if len(sched) == 2 and env.is_even:
-            try:
-                params = channels.two_kick_params(env, geom, sched.times[0], sched.times[1], sched.weights)
-            except SpinKickError:
-                return np.nan
-            return float(analysis.chi_eigenvalues_two_kick(params.h, params.k).min())
         shorter = channels.build_n_kick_channel(env, geom, _head(sched, len(sched) - 1), max_kicks=max_kicks)
         try:
             theta = channels.transition_map(ch, shorter)
         except SpinKickError:
             return np.nan
-        return float(np.linalg.eigvalsh(theta.chi).min())
+        return float(channels.choi_eigenvalues(theta)[0])
 
     formulas = {
         "purity_final": lambda: analysis.purity(ch(u0)),

@@ -47,14 +47,14 @@ class NonCommutingSchedule(SpinKickError):
 
 
 class SingularChannel(SpinKickError):
-    """The affine part of a map is not invertible."""
+    """The affine part of a map is not invertible: its condition number
+    max(sigma_max, 1) / sigma_min exceeds ``channels.KAPPA_MAX`` = 1e6."""
 
 
 class InvalidMap(SpinKickError, ValueError):
-    """A constructed map fails its invariants (Hermitian chi, trace
-    preservation, or chi PSD for a channel), e.g. after an ill-conditioned
-    inversion; or a channel file is malformed or its chi section disagrees
-    with its affine action."""
+    """A constructed map fails its invariants (a finite affine action, and
+    a PSD Choi matrix for a channel); or a channel file is malformed or its
+    chi section disagrees with its affine action."""
 
 
 class NonContractive(SpinKickError):

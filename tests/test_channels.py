@@ -1,6 +1,5 @@
 import tracemalloc
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +51,7 @@ from spinkick.channels import (
     apply_chi,
     basis_from_frame,
     chi_from_affine,
+    choi_eigenvalues,
     default_chi_basis,
     format_channel,
     phase_damping_channel,
@@ -613,10 +613,13 @@ def test_prefix_pass_factors_long_trains():
         assert (prefixes[11].meta["factored_levels"], prefixes[11].meta["summed_levels"]) == (5, 0)
 
 
-def test_prefix_pass_builds_a_chi_basis_only_for_read_prefixes(vacuum, standard_geometry, monkeypatch):
-    """The pass carries (A, b) alone: reading one prefix of a 10-kick pass
-    builds one chi basis."""
+def test_prefix_pass_builds_a_chi_basis_only_for_read_prefixes(vacuum, standard_geometry, monkeypatch, tmp_path):
+    """The pass carries (A, b) alone, and a map builds its chi basis only
+    when its chi is read: reading a prefix of a 10-kick pass builds none,
+    reading its chi builds one, once, and simulate builds exactly one, for
+    its channel file."""
     from spinkick import channels
+    from spinkick.cli import main
 
     calls = []
     basis_rule = channels.default_chi_basis
@@ -627,10 +630,21 @@ def test_prefix_pass_builds_a_chi_basis_only_for_read_prefixes(vacuum, standard_
 
     monkeypatch.setattr(channels, "default_chi_basis", counting_rule)
     prefixes = build_prefix_channels(vacuum, standard_geometry, KickSchedule(np.linspace(0, 4, 10)))
-    assert calls == []
     channel = prefixes[10]
+    assert calls == []
+    chi = channel.chi
     assert calls == [10]
-    assert prefixes[10] is channel and calls == [10]
+    assert prefixes[10] is channel and channel.chi is chi and calls == [10]
+
+    calls.clear()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[environment]\nmodel = single_mode_thermal\nomega = 1\n"
+        "[geometry]\nh = 0 0 1\nalpha = 1 0 0\nOmega = 1\n"
+        f"[schedule]\ntimes = 0 0.7 1.3\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert main(["--config", str(cfg), "simulate"]) == 0
+    assert calls == [3]
 
 
 def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
@@ -811,6 +825,34 @@ def test_invert_singular(standard_geometry):
         invert_channel(ch)
 
 
+@pytest.mark.parametrize("kappa, refused", [(0.999e6, False), (1.001e6, True)])
+def test_inversion_is_refused_past_kappa_max(kappa, refused):
+    """A diagonal A with condition number just under KAPPA_MAX = 1e6
+    inverts; just over it, the inverse is refused as singular, naming kappa."""
+    m = QubitMap(AffineBlochMap(np.diag([1.0, 0.5, 1.0 / kappa]), np.zeros(3)), (), {}, cp=False)
+    if not refused:
+        assert invert_channel(m).meta["condition_number"] == pytest.approx(kappa, rel=1e-12)
+    else:
+        with pytest.raises(SingularChannel, match=r"^affine matrix singular: condition number 1\.001e\+06 > KAPPA_MAX"):
+            invert_channel(m)
+
+
+def test_choi_eigenvalues_are_the_chi_eigenvalues():
+    """The Pauli-basis Choi eigenvalues equal chi's eigenvalues in the
+    frame basis, on prefixes of random trains and on the transition maps
+    between them."""
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        env = SingleModeThermal(omega=rng.uniform(0.5, 2.0), nbar=rng.uniform(0.0, 1.5))
+        geom = random_geometry(rng)
+        sched = KickSchedule(np.sort(rng.uniform(0.0, 3.0, 4)), rng.uniform(0.5, 1.2, 4))
+        prefixes = build_prefix_channels(env, geom, sched)
+        maps = [prefixes[k] for k in range(2, 5)] + [transition_map(prefixes[k + 1], prefixes[k]) for k in range(1, 4)]
+        for m in maps:
+            assert m.basis is not PAULI_BASIS
+            np.testing.assert_allclose(choi_eigenvalues(m), np.linalg.eigvalsh(m.chi), rtol=0, atol=1e-13)
+
+
 def test_transition_map_consistency(vacuum, standard_geometry):
     longer = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
@@ -905,8 +947,11 @@ def test_mean_shift_invariance_has_a_boundary():
 
 
 def test_channel_validation_catches_bad_chi(vacuum, standard_geometry):
+    """A chi derived from real (A, b) is Hermitian and trace-preserving by
+    construction, so the chi validation can catch is one that is not PSD:
+    here the single-kick channel with its kick axis mapped to 1.5 r."""
     ch = single_kick_channel(vacuum, standard_geometry, 0.0)
-    bad = SimpleNamespace(chi=ch.chi + 1e-3 * np.eye(4) * 1j, basis=ch.basis)
+    bad = QubitMap(AffineBlochMap(ch.affine.matrix, 0.5 * ch.axes[0]), ch.axes, {}, cp=False)
     with pytest.raises(ValueError):
         validate_channel(bad)
 
@@ -915,14 +960,14 @@ def test_channel_validation_refuses_a_non_psd_chi():
     """A = 2 I is trace- and Hermiticity-preserving but not CP: its chi has
     eigenvalue -1/2, and building it as a channel is refused."""
     with pytest.raises(InvalidMap, match=r"chi not PSD: min eigenvalue -5\.000e-01"):
-        _map(AffineBlochMap(2.0 * np.eye(3), np.zeros(3)), PAULI_BASIS, {})
+        _map(AffineBlochMap(2.0 * np.eye(3), np.zeros(3)), (), {})
 
 
 def test_invalid_map_is_a_domain_error(vacuum, standard_geometry):
     from spinkick import SpinKickError
 
     ch = single_kick_channel(vacuum, standard_geometry, 0.0)
-    bad = SimpleNamespace(chi=ch.chi + 1e-3j * np.eye(4), basis=ch.basis)
+    bad = QubitMap(AffineBlochMap(ch.affine.matrix, np.full(3, np.inf)), ch.axes, {}, cp=False)
     with pytest.raises(InvalidMap):
         validate_map(bad)
     assert issubclass(InvalidMap, SpinKickError)
@@ -938,7 +983,7 @@ def test_non_finite_map_is_refused(where):
         a[0, 1] = np.nan
     else:
         b[2] = np.nan
-    m = QubitMap(AffineBlochMap(a, b), PAULI_BASIS, {}, cp=False)
+    m = QubitMap(AffineBlochMap(a, b), (), {}, cp=False)
     for check in (validate_map, validate_channel):
         with pytest.raises(InvalidMap, match="map is not finite"):
             check(m)

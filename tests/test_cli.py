@@ -721,11 +721,12 @@ prefix = run
 
 
 def test_invalid_transition_map_exits_4(tmp_path, capsys):
-    """The inverse of the ill-conditioned 2-kick channel (condition number
-    ~1e6) fails its Hermiticity check: a domain error, not a traceback."""
+    """The 2-kick channel's A has condition number 8.46e6, past KAPPA_MAX:
+    its inverse is refused as singular, a domain error naming kappa, not a
+    traceback."""
     cfg = write_cfg(tmp_path, ILL_CONDITIONED_CFG.format(out=tmp_path / "out"))
     assert main(["--config", cfg, "divisibility"]) == EXIT_DOMAIN
-    assert capsys.readouterr().err.startswith("error: chi not Hermitian")
+    assert capsys.readouterr().err.startswith("error: affine matrix singular: condition number 8.46e+06 > KAPPA_MAX")
 
 
 def test_sweep_invalid_transition_map_is_nan(tmp_path):

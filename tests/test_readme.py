@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import spinkick as sk
+from spinkick.channels import KAPPA_MAX
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +16,9 @@ def test_readme_library_tour_runs():
     assert not sk.is_cp(ns["theta"])
     assert sk.max_image_norm(ns["theta"].affine)[0] > 1.0
     assert sk.channel_distance(ns["ch"], ns["orc"]) < 1e-12
+
+
+def test_readme_states_kappa_max():
+    """The README states the inversion bound the code enforces."""
+    stated = re.search(r"`KAPPA_MAX = ([0-9.e+-]+)`", README.read_text(encoding="utf-8"))
+    assert stated is not None and float(stated.group(1)) == KAPPA_MAX == 1e6

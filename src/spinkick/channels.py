@@ -18,20 +18,20 @@ entries and holds the whole gamma matrix, 16 * 4^n bytes.
 from one exact recursion on the affine action.  The sign pairs that agree
 on a new kick repeat the previous coefficients, so their part of the new
 channel is the previous prefix dephased along the kick axis r,
-(A, b) -> (r r^T A, r r^T b); the pass adds the Bloch action of the one new
-coherence block, read in the normalized Pauli basis.  Every 64 x 64 tile
-of the new coefficients (4^k at kick k, about 4^n/3 in all) is one base
-block Gamma_J between a diagonal row and column scaling, so the pass never
-holds an array of 4^(n-1) coefficients.  A tiled level is contracted as
-one matrix product with Gamma_J, and exponentiates only its O(4^k / 64)
-scalings.  Where those would leave float64's range (at high occupation)
-the level instead sums the real exponent of its 4^k entries before it
-exponentiates them, a row of tiles at a time.  The pass holds 3.5 MiB at
-11 kicks.  The two agree to rounding (1e-12 in the tests for
-n <= 10).  A build past the ``max_kicks`` budget, or one whose
-coefficients cannot be allocated, raises TooManyKicks naming the bytes it
-needs; each channel records them in ``meta["bytes"]``.  Construction is
-deterministic: a fixed order of accumulation gives bit-reproducible output.
+(A, b) -> (r r^T A, r r^T b).  Every projector string has rank one,
+P_sigma(r_k) P(s) = g_sigma(s) |e_sigma(r_k)><e_(s_0)(r_0)|, so the pass
+carries one complex amplitude g per sign vector, contracts the one new
+coherence block X to a 2 x 2 matrix T_k over (s_0, s'_0), and adds
+Re(q_k (x) M.T_k) to A and Re(q_k tr T_k) to b.  Every 64 x 64 tile of X
+is one base block Gamma_J between a diagonal row and column scaling, so a
+level is one matrix product with Gamma_J (summed a row of tiles at a time
+where the scalings would leave float64's range, at high occupation), and
+no array of 4^(n-1) coefficients is held: 2.8 MiB at 11 kicks.  The two
+builders agree to rounding (1e-12 in the tests for n <= 10).  A build
+past the ``max_kicks`` budget, or one whose coefficients cannot be
+allocated, raises TooManyKicks naming the bytes it needs; each channel
+records them in ``meta["bytes"]``.  Construction is deterministic: a
+fixed order of accumulation gives bit-reproducible output.
 
 Channels and the transition maps between kick counts are one type,
 QubitMap, recorded by the affine Bloch action (A, b) and its kick axes,
@@ -72,6 +72,7 @@ from .pauli import (
     cross3,
     density_to_bloch,
     dot_sigma,
+    spin_frames,
 )
 
 MAX_KICKS_DEFAULT = 10
@@ -200,16 +201,13 @@ def _basis_tensor(basis: OperatorBasis) -> np.ndarray:
     return t.reshape(16, 16)
 
 
-# T_P and T_P^{-1}, for the normalized Pauli basis P_mu = sigma_mu/sqrt(2) (sigma_0 = 1)
-_PAULI_TENSOR = _basis_tensor(PAULI_BASIS)
-_PAULI_TENSOR_INV = np.linalg.inv(_PAULI_TENSOR)
-
-# L_i, left multiplication by sigma_i in the normalized Pauli basis:
-# (L_i)_ab = tr(P_a^dag sigma_i P_b), so the coefficients of sigma_i S are L_i c(S)
-_PAULI_LEFT = np.einsum("ayx,iyz,bzx->iab", PAULI_BASIS.ops.conj(), PAULI, PAULI_BASIS.ops)
+# T_P^{-1}, for the normalized Pauli basis P_mu = sigma_mu/sqrt(2) (sigma_0 = 1)
+_PAULI_TENSOR_INV = np.linalg.inv(_basis_tensor(PAULI_BASIS))
+# the amplitudes of P_sigma(r_0) = |e_sigma><e_sigma|: 1 in column sigma
+_FIRST_AMPLITUDES = np.eye(2, dtype=complex)[:, None, :]
 # taken once: each np.eye call allocates a 5 KiB flat iterator, the largest
 # fixed cost of a short prefix pass
-_ID3, _ID4 = np.eye(3), np.eye(4)
+_ID3 = np.eye(3)
 
 
 def _pauli_chi(affine: AffineBlochMap) -> np.ndarray:
@@ -363,7 +361,7 @@ def build_n_kick_channel(
     complex matrix (16 * 4^n bytes, ``meta["bytes"]``; 67 MB at 11 kicks).
     For the channels after every kick of a train, ``build_prefix_channels``
     takes about a third of those coefficients in one pass, in under a
-    fifteenth of the memory at 11 kicks (3.5 MiB).  Schedules longer than
+    twentieth of the memory at 11 kicks (2.8 MiB).  Schedules longer than
     ``max_kicks`` are refused (raise the budget explicitly if you really
     mean it), and so is a build whose gamma matrix cannot be allocated.
     """
@@ -423,41 +421,40 @@ def _n_kick_meta(env, times, weights, r_last, path: str, terms: int, nbytes: int
 
 def _pass_bytes(n: int) -> int:
     """Peak storage of an n-kick pass, m = 2^(n-1) sign vectors at its last
-    kick.  Whatever its length, 4 KiB of small arrays and objects (the Gram
-    matrix, the axes, the 3 x 3 and 4 x 4 maps), and 1.5 KiB per prefix for
-    its record (affine action, axes and meta).  Per sign vector 240 bytes:
-    the Pauli coefficients of both signs and the conjugate of one (192), and
-    f, Re a, Re b and p (48).  Below the base side: the base block, which is
-    the whole last level (24 bytes an entry), its x_re, x_ph, exponential
-    and product (48 an entry), and numpy's buffer casting the exponential to
-    complex (16 an entry, at most ``np.getbufsize()`` entries).  From it on,
-    with T tiles a side: the base block and Gamma_J (40 bytes an entry); per
-    tile and base row, the row shifts u and pi (24), the real shifts U and V
-    and the scaled column factors (32); the work space, which holds either
-    the factored level's scaled columns and their product with Gamma_J (128
-    per tile and base row) or one row of tiles of a summed level (24 an
-    entry), whichever is larger; and numpy's iteration buffers for the two
-    broadcast operands of the scaled columns (32 bytes an entry of the
-    columns, at most ``np.getbufsize()`` entries each)."""
+    kick.  Whatever its length, 4.5 KiB of small arrays and objects (Gram
+    matrix, axes, frames, 3 x 3 maps), and 1.5 KiB per prefix for its record
+    (affine action, axes and meta).  Per sign vector 144 bytes: f, Re a,
+    Re b and p (48), the amplitudes of both signs and the conjugate of one
+    (96).  Below the base side: the base block, which is the whole last
+    level (24 bytes an entry), its x_re, x_ph, exponential and product (48),
+    and numpy's buffer casting the exponential to complex (16, at most
+    ``np.getbufsize()`` entries).  From it on, with T tiles a side: the base
+    block and Gamma_J's parity halves (40 bytes an entry); per tile and base
+    row, the row shifts u and pi (24), the real shifts U and V (16) and the
+    column, then row, scalings (16); the work space, the larger of a
+    factored level's scaled columns, one parity half, and their product
+    (16 + 32 per tile and base row) and one row of tiles of a summed level
+    (24 an entry); and numpy's buffer casting the exponentials to complex
+    in the scalings (16 bytes an entry, at most ``np.getbufsize()``)."""
     m = 2 ** (n - 1) if n else 0
-    fixed = 4096 + 1536 * n + 240 * m
+    fixed = 4608 + 1536 * n + 144 * m
     if m < _BASE:
         return fixed + 72 * m * m + 16 * min(np.getbufsize(), m * m)
     rows = m * m // _BASE  # tile-and-base-row pairs, T^2 * _BASE
-    work = max(128 * rows, 24 * m * _BASE)
-    return fixed + 40 * _BASE * _BASE + 56 * rows + work + 32 * min(np.getbufsize(), 4 * rows)
+    work = max(48 * rows, 24 * m * _BASE)
+    return fixed + 40 * _BASE * _BASE + 56 * rows + work + 16 * min(np.getbufsize(), rows)
 
 
-def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, c_plus, c_minus_conj, work) -> np.ndarray:
-    """Y = c_+^T X c_-* for a level of t x t tiles, summed a row of tiles at a
-    time: tile (i, j) of X is exp(R_J + u' (+) v') * P_J * (pi' (x) rho'),
+def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, g_plus, g_minus_conj, work) -> np.ndarray:
+    """T = g_+^T X g_-* for a level of t x t tiles, summed a row of tiles at
+    a time: tile (i, j) of X is exp(R_J + u' (+) v') * P_J * (pi' (x) rho'),
     the row shifts u_ij, pi_ij moved by Re a and p and the column shifts
     v_ij = u_ji, rho_ij = conj pi_ji by Re b and p; the phases are folded
-    into c_+, c_-*.  One row of tiles is held in ``work``."""
+    into g_+, g_-*.  One row of tiles is held in ``work``."""
     t, side = len(u), _BASE * _BASE
     x_re = work[: t * side].reshape(t, _BASE, _BASE)
     x = work[t * side : 3 * t * side].view(complex).reshape(t, _BASE, _BASE)
-    y = np.zeros((4, 4), dtype=complex)
+    t_mat = np.zeros((2, 2), dtype=complex)
     for i in range(t):
         np.copyto(x_re, (u[i] + re_a[i])[:, :, None])  # unlike np.add, allocates no ufunc buffers
         x_re += re_l
@@ -465,32 +462,40 @@ def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, c_plus, c_minus_conj, work) ->
         np.exp(x_re, out=x_re)
         np.multiply(x_re, phase.real, out=x.real)
         np.multiply(x_re, phase.imag, out=x.imag)
-        z = x @ ((pi[:, i].conj() * p)[:, :, None] * c_minus_conj.reshape(-1, _BASE, 4))
-        y += c_plus[i * _BASE : (i + 1) * _BASE].T @ np.einsum("tj,tjc->jc", pi[i] * p[i], z)
-    return y
+        z = x @ ((pi[:, i].conj() * p)[:, :, None] * g_minus_conj.reshape(-1, _BASE, 2))
+        t_mat += g_plus[i * _BASE : (i + 1) * _BASE].T @ np.einsum("tj,tjc->jc", pi[i] * p[i], z)
+    return t_mat
 
 
-def _factored_level(gamma_base, shift_u, shift_v, top_v, pi, p, c_plus, c_minus_conj, work) -> np.ndarray:
-    """Y = c_+^T X c_-* for a level of t x t tiles as one product with the
+def _parity_halves() -> tuple:
+    """The base block's columns by s'_0: even and odd ones, or for
+    ``_BASE`` = 1, where the tile decides, the one column for both."""
+    return (slice(None), slice(None)) if _BASE % 2 else (slice(0, None, 2), slice(1, None, 2))
+
+
+def _factored_level(gamma_halves, shift_u, shift_v, top_v, pi, p, g_plus, g_minus_conj, work) -> np.ndarray:
+    """T = g_+^T X g_-* for a level of t x t tiles as one product with the
     base block Gamma_J = exp(R_J) * P_J: tile (i, j) of X is
     diag(e^(U_ij + max V_ij) pi_ij p_i) Gamma_J diag(e^(V_ij - max V_ij)
-    conj(pi_ji) p_j), U and V its real row and column shifts.  The scaled
-    columns of c_-* for every tile, and their product with Gamma_J, are
-    held in ``work``; ``shift_u`` and ``shift_v`` are overwritten."""
-    t, size = len(pi), 8 * len(pi) ** 2 * _BASE
-    cols = work[:size].view(complex).reshape(t, t, 4, _BASE)
-    prod = work[size : 2 * size].view(complex).reshape(t, t, 4, _BASE)
+    conj(pi_ji) p_j), U and V its real row and column shifts.  Column s'
+    of X meets only column s'_0 of g_-*, so each parity half of the scaled
+    columns multiplies that half of Gamma_J's columns (``gamma_halves``),
+    (t^2 x _BASE/2) @ (_BASE/2 x _BASE), held in ``work`` with its product;
+    ``shift_u`` and ``shift_v`` are overwritten."""
+    t, half = len(pi), gamma_halves.shape[2]
+    lhs = work[: 4 * t * t * half].view(complex).reshape(2, t, t, half)
+    prod = work[4 * t * t * half : 4 * t * t * (half + _BASE)].view(complex).reshape(2, t, t, _BASE)
+    scale = np.conjugate(pi.transpose(1, 0, 2), order="C")  # in pi's transposed layout the products take twice as long
     shift_v -= top_v
-    col = np.exp(shift_v, out=shift_v) * pi.transpose(1, 0, 2).conj()
-    col *= p
-    np.multiply(col[:, :, None, :], c_minus_conj.reshape(t, _BASE, 4).transpose(0, 2, 1), out=cols)
-    del col
-    np.matmul(cols.reshape(-1, _BASE), gamma_base.T, out=prod.reshape(-1, _BASE))
+    scale *= np.exp(shift_v, out=shift_v)
+    for tau, cols in enumerate(_parity_halves()):
+        np.multiply(scale[..., cols], (p * g_minus_conj[:, tau].reshape(t, _BASE))[:, cols], out=lhs[tau])
+    np.matmul(lhs.reshape(2, t * t, half), gamma_halves.transpose(0, 2, 1), out=prod.reshape(2, t * t, _BASE))
     shift_u += top_v
-    row = np.exp(shift_u, out=shift_u) * pi
-    row *= p[:, None]
-    prod *= row[:, :, None, :]
-    return (prod.sum(1) @ c_plus.reshape(t, _BASE, 4)).sum(0).T
+    np.multiply(pi, p[:, None], out=scale)
+    scale *= np.exp(shift_u, out=shift_u)
+    prod *= scale
+    return g_plus.T @ prod.sum(2).reshape(2, -1).T
 
 
 def _double_tiles(u, pi, t, re_a, re_b, p) -> None:
@@ -502,6 +507,20 @@ def _double_tiles(u, pi, t, re_a, re_b, p) -> None:
         op(grid[:t, :t], upper[:, None], out=grid[:t, t : 2 * t])
         op(grid[:t, :t], lower[:, None], out=grid[t : 2 * t, :t])
         grid[t : 2 * t, t : 2 * t] = grid[:t, :t]
+
+
+def _string_amplitudes(frames):
+    """Per kick k, a[sigma, s, tau] with P_sigma(r_k) P(s) = sum_tau
+    a[sigma, s, tau] |e_sigma(r_k)><e_tau(r_0)| over the earlier kicks' sign
+    vectors s: g_sigma(s) in column s_0 (sigma at kick 0) and 0 in the
+    other.  Kick k multiplies by the overlap O_k = F_k^dag F_(k-1) of the
+    ``spin_frames``: g_sigma(s) = h(s) O_k[sigma, s_(k-1)], h(s) the
+    amplitude of s at kick k - 1."""
+    amps = _FIRST_AMPLITUDES
+    yield amps
+    for later, earlier in zip(frames[1:], frames[:-1]):
+        amps = ((later.conj().T @ earlier)[:, :, None, None] * amps).reshape(2, -1, 2)
+        yield amps
 
 
 class PrefixChannels:
@@ -546,11 +565,16 @@ def build_prefix_channels(
     sum_sigma P_sigma(r_k) E_k[rho] P_sigma(r_k): the previous prefix
     dephased along r_k, (A, b) -> (r_k r_k^T A, r_k r_k^T b).  The block with
     s_k = +1, s'_k = -1 is the one new coherence block X, and the fourth is
-    its adjoint; they add the map Y + Y^dag, Y = c_+^T X c_-*, where c_+ and
-    c_- are the coefficients of P_+(r_k) P(s) and P_-(r_k) P(s) in the
-    normalized Pauli basis.  Its Bloch action is read by the fixed linear
-    map S = unvec(T_P vec chi_P), the inverse of ``chi_from_affine``.  So the
-    pass carries (A, b), the record of every map, and never forms a chi.
+    its adjoint.  P_sigma(r) = |e_sigma(r)><e_sigma(r)| has rank one, so
+    P_sigma(r_k) P(s) = g_sigma(s) |e_sigma(r_k)><e_(s_0)(r_0)| with one
+    amplitude g_sigma(s) per sign vector (``_string_amplitudes``), and X
+    adds rho -> sum T_k[tau, tau'] <e_tau(r_0)|rho|e_tau'(r_0)>
+    |e_+(r_k)><e_-(r_k)| + h.c. with the 2 x 2 block
+    T_k[tau, tau'] = sum_(s_0 = tau, s'_0 = tau') g_+(s) X[s, s'] conj(g_-(s'))
+    (T_0 = [[0, X_00], [0, 0]]).  Its Bloch action is A += Re(q_k (x) M.T_k)
+    and b += Re(q_k tr T_k), q_k,i = <e_-(r_k)|sigma_i|e_+(r_k)> and
+    M_j[tau, tau'] = <e_tau(r_0)|sigma_j|e_tau'(r_0)>.  So the pass carries
+    (A, b), the record of every map, and never forms a chi.
 
     The coefficients are exp(L) entrywise.  The pass carries the exponent
     of Gamma_k split in two: the real part R_k = Re L_k, and the phase
@@ -569,8 +593,9 @@ def build_prefix_channels(
     U_ij = u_ij + Re a_i and column shift V_ij = u_ji + Re b_j, so it is
     diag(e^(U_ij + max V_ij) pi_ij p_i) Gamma_J diag(e^(V_ij - max V_ij)
     conj(pi_ji) p_j) with Gamma_J = exp(R_J) * P_J, and the level is one
-    matrix product of Gamma_J with the scaled columns of c_-* for every
-    tile (``_factored_level``).
+    matrix product of Gamma_J with the scaled columns of g_-* for every
+    tile, split over the parity halves of Gamma_J's columns
+    (``_factored_level``).
 
     Those factors can leave float64's range where the coefficients do not,
     at high occupation.  So a tiled level is factored only when -min R_J and
@@ -584,53 +609,55 @@ def build_prefix_channels(
     Each prefix's meta counts its tiled levels in ``factored_levels`` and
     ``summed_levels``.
 
-    The pass carries the Pauli coefficients of the projector strings, not
-    the strings: kick k multiplies them by M_+-(r_k) = (1 +- sum_i r_ki
-    L_i)/2, with L_i left multiplication by sigma_i in the normalized Pauli
-    basis.  The base block, the tile shifts and the work space of a level
-    are allocated at their final size first, so a pass that cannot be held
-    (``_pass_bytes``: 3.5 MiB at 11 kicks, 184 TiB at 24) is refused before
-    any level runs, as is one past ``max_kicks``.
+    The base block, the tile shifts, the buffer in which f doubles and the
+    work space of a level are allocated at their final size first, so a
+    pass that cannot be held (``_pass_bytes``: 2.8 MiB at 11 kicks, 104 TiB
+    at 24) is refused before any level runs, as is one past ``max_kicks``.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
     with _coefficient_budget(n, max_kicks, nbytes):
-        size = 2 ** max(n - 1, 0)
+        if n == 0:
+            return PrefixChannels([])
+        size = 2 ** (n - 1)
         side, tiles = min(size, _BASE), size // _BASE
         re_l, phase = np.empty((side, side)), np.empty((side, side), dtype=complex)
         re_l[0, 0], phase[0, 0] = 0.0, 1.0
         u, pi = np.empty((tiles, tiles, _BASE)), np.empty((tiles, tiles, _BASE), dtype=complex)
         u[:1, :1], pi[:1, :1] = 0.0, 1.0
-        work = np.empty(max(16 * tiles * tiles * _BASE, 3 * tiles * _BASE * _BASE))  # see _pass_bytes
-        gamma_base = None
+        half = (_BASE + 1) // 2
+        work = np.empty(max(4 * tiles * tiles * (half + _BASE), 3 * tiles * _BASE * _BASE))  # see _pass_bytes
+        f_all = np.empty(size, dtype=complex)
+        gamma_halves = None
 
         times = sched.times
         rs = [r_of_t(geom, t) for t in times]
         mu = sched.weights * np.array([env.mean(t) for t in times])
         gram = gram_matrix(env, times, sched.weights)
         var = np.diag(gram).real
-        left = np.einsum("ki,iab->kab", np.reshape(rs, (n, 3)), _PAULI_LEFT)  # r_k . L for every kick
-        coeffs = np.array([[np.sqrt(2.0), 0.0, 0.0, 0.0]], dtype=complex)  # the empty string's, 1 = sqrt(2) P_0
+        frames = spin_frames(np.reshape(rs, (n, 3)))
+        q = np.einsum("ka,iab,kb->ki", frames[:, :, 1].conj(), PAULI, frames[:, :, 0])  # <e_-(r_k)|sigma_i|e_+(r_k)>
+        m_first = np.einsum("ax,jab,by->jxy", frames[0].conj(), PAULI, frames[0]).reshape(3, 4)  # M_j[tau, tau']
         a_mat, shift = _ID3, np.zeros(3)
         levels = {"factored_levels": 0, "summed_levels": 0}
         parts = []
-        for k in range(n):
+        for k, amps in enumerate(_string_amplitudes(frames)):
             m = 2**k
-            f = np.zeros(1, dtype=complex)  # f(s) = sum_j G_kj s_j, bit j of the index clear for s_j = +1
-            for g in gram[k, :k]:
-                f = np.concatenate([f + g, f - g])
+            f = f_all[:m]  # f(s) = sum_j G_kj s_j, bit j of the index clear for s_j = +1, doubled in place
+            f[0] = 0.0
+            for j, g in enumerate(gram[k, :k]):
+                np.subtract(f[: 2**j], g, out=f[2**j : 2 ** (j + 1)])
+                f[: 2**j] += g
             re_a, re_b = -2.0 * f.real, 2.0 * f.real - 2.0 * var[k]
             p = np.exp(-1j * (2.0 * f.imag + mu[k]))
 
-            coeffs = np.concatenate([coeffs @ ((_ID4 + left[k]) / 2.0).T, coeffs @ ((_ID4 - left[k]) / 2.0).T])
-            c_plus, c_minus_conj = coeffs[:m], coeffs[m:].conj()
+            g_plus, g_minus_conj = amps[0], amps[1].conj()
             if m < _BASE:
-                y = np.zeros((4, 4), dtype=complex)
                 x_re = re_l[:m, :m] + re_a[:, None]
                 x_re += re_b
                 x_ph = phase[:m, :m] * p[:, None]
                 x_ph *= p
-                y += c_plus.T @ ((np.exp(x_re) * x_ph) @ c_minus_conj)
+                t_mat = g_plus.T @ ((np.exp(x_re) * x_ph) @ g_minus_conj)
                 if k + 1 < n:
                     re_l[:m, m : 2 * m], re_l[m : 2 * m, :m] = x_re, x_re.T
                     phase[:m, m : 2 * m], phase[m : 2 * m, :m] = x_ph, x_ph.conj().T
@@ -640,26 +667,30 @@ def build_prefix_channels(
             else:
                 t = m // _BASE
                 if t == 1 and -re_l.min() <= _FACTOR_RANGE:  # the base block is complete
-                    gamma_base = re_l.astype(complex)  # exp in place: a real exp times P_J would need a cast buffer
-                    np.exp(gamma_base, out=gamma_base)
-                    gamma_base *= phase
+                    gamma_halves = np.empty((2, _BASE, half), dtype=complex)  # Gamma_J's columns by parity
+                    for tau, cols in enumerate(_parity_halves()):
+                        gamma_halves[tau] = re_l[:, cols]  # a complex exp in place: a real one would need a cast buffer
+                        np.exp(gamma_halves[tau], out=gamma_halves[tau])
+                        gamma_halves[tau] *= phase[:, cols]
                 re_a, re_b, p = re_a.reshape(t, _BASE), re_b.reshape(t, _BASE), p.reshape(t, _BASE)
                 shift_u = u[:t, :t] + re_a[:, None]
                 shift_v = u[:t, :t].transpose(1, 0, 2) + re_b
                 top_v = shift_v.max(2, keepdims=True)
-                if gamma_base is not None and (shift_u.max(2, keepdims=True) + top_v).max() <= _FACTOR_RANGE:
-                    y = _factored_level(gamma_base, shift_u, shift_v, top_v, pi[:t, :t], p, c_plus, c_minus_conj, work)
+                if gamma_halves is not None and (shift_u.max(2, keepdims=True) + top_v).max() <= _FACTOR_RANGE:
+                    t_mat = _factored_level(
+                        gamma_halves, shift_u, shift_v, top_v, pi[:t, :t], p, g_plus, g_minus_conj, work
+                    )
                     levels["factored_levels"] += 1
                 else:
-                    y = _tile_rows(re_l, phase, u[:t, :t], pi[:t, :t], re_a, re_b, p, c_plus, c_minus_conj, work)
+                    t_mat = _tile_rows(re_l, phase, u[:t, :t], pi[:t, :t], re_a, re_b, p, g_plus, g_minus_conj, work)
                     levels["summed_levels"] += 1
                 del shift_u, shift_v
                 if k + 1 < n:
                     _double_tiles(u, pi, t, re_a, re_b, p)
 
-            s = (_PAULI_TENSOR @ (y + y.conj().T).reshape(16)).reshape(4, 4).real
             dephase = np.outer(rs[k], rs[k])
-            a_mat, shift = dephase @ a_mat + s[1:, 1:], dephase @ shift + s[1:, 0]
+            a_mat = dephase @ a_mat + np.outer(q[k], m_first @ t_mat.reshape(4)).real
+            shift = dephase @ shift + (q[k] * np.trace(t_mat)).real
             terms = (4 ** (k + 1) - 1) // 3  # 1 + 4 + ... + 4^k
             meta = _n_kick_meta(env, times[: k + 1], sched.weights[: k + 1], rs[k], "kick_by_kick", terms, nbytes)
             meta.update(levels)

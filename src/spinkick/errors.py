@@ -31,7 +31,7 @@ class LengthMismatch(SpinKickError):
 
 class TooManyKicks(SpinKickError):
     """Schedule exceeds the kick budget of the exact builders, or their coefficient
-    storage (16 * 4^n bytes, or about 0.72 * 4^n in the prefix pass) cannot be allocated."""
+    storage (16 * 4^n bytes, or about 0.41 * 4^n in the prefix pass) cannot be allocated."""
 
 
 class NonEvenEnvironment(SpinKickError):

@@ -34,14 +34,13 @@ from .errors import (
     InvalidTruncation,
     LengthMismatch,
     NonHermitian,
-    NonUnitVector,
     SpinKickError,
     StepTooCoarse,
     TruncationNotConverged,
     UnknownPulseShape,
 )
 from .kicks import InteractionGeometry, KickSchedule, r_of_t, r_of_times
-from .pauli import I2, PAULI, AffineBlochMap, density_to_bloch, max_image_norm
+from .pauli import I2, PAULI, AffineBlochMap, density_to_bloch, max_image_norm, spin_frames
 
 TAIL_TOL = 1e-12
 DIM_STEP = 10  # Fock levels added per truncation step of oracle_channel
@@ -156,30 +155,6 @@ def _level_phases(dim: int, turn) -> np.ndarray:
     return phases
 
 
-def _spin_frames(axes) -> np.ndarray:
-    """Unitary 2 x 2 frames, one per axis r along the last axis of ``axes``,
-    whose columns are the +1 and -1 eigenvectors of r.sigma.
-
-    The +1 eigenvector e is along (1 + z, x + iy) for z >= 0 and along
-    (x - iy, 1 - z) for z < 0, so its norm never comes from a vanishing
-    1 +- z and r = -z is as well defined as r = +z.  The -1 eigenvector is
-    f = (-conj(e1), conj(e0)).  Every r must be a unit axis to 1e-10.
-    """
-    x, y, z = np.moveaxis(np.asarray(axes, dtype=float), -1, 0)
-    sq = x * x + y * y + z * z
-    off = np.abs(sq - 1.0) > 1e-10
-    if off.any():
-        raise NonUnitVector(f"kick axis |r| = {math.sqrt(sq[off].flat[0])} is not 1 within 1e-10")
-    up = z >= 0.0
-    parts = (np.where(up, 1.0 + z, x), np.where(up, 0.0, -y), np.where(up, x, 1.0 - z), np.where(up, y, 0.0))
-    norm = np.sqrt(sum(p * p for p in parts))
-    e0, e1 = (parts[0] + 1j * parts[1]) / norm, (parts[2] + 1j * parts[3]) / norm
-    frames = np.empty(x.shape + (2, 2), dtype=complex)
-    frames[..., 0, 0], frames[..., 1, 0] = e0, e1
-    frames[..., 0, 1], frames[..., 1, 1] = -e1.conj(), e0.conj()
-    return frames
-
-
 def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> np.ndarray:
     """Y[s, i, a, l, c] (sequence, output spin, input spin, eigenlevel,
     column) for W step sequences of S steps each, evolved together, with
@@ -213,7 +188,7 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     times, weights, axes = steps
     n_seq, n_steps = np.shape(weights)
     omega = spec.env.omega
-    frames = _spin_frames(axes)
+    frames = spin_frames(axes)
     # F_1^dag, then the frame changes F_{k+1}^dag F_k
     changes = frames.conj().swapaxes(-1, -2)
     changes[:, 1:] = changes[:, 1:] @ frames[:, :-1]

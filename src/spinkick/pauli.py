@@ -84,6 +84,30 @@ def projector(r, s: int) -> np.ndarray:
     return (I2 + s * dot_sigma(r)) / 2.0
 
 
+def spin_frames(axes) -> np.ndarray:
+    """Unitary 2 x 2 frames, one per axis r along the last axis of ``axes``,
+    whose columns are the +1 and -1 eigenvectors of r.sigma.
+
+    The +1 eigenvector e is along (1 + z, x + iy) for z >= 0 and along
+    (x - iy, 1 - z) for z < 0, so its norm never comes from a vanishing
+    1 +- z and r = -z is as well defined as r = +z.  The -1 eigenvector is
+    f = (-conj(e1), conj(e0)).  Every r must be a unit axis to 1e-10.
+    """
+    x, y, z = np.moveaxis(np.asarray(axes, dtype=float), -1, 0)
+    sq = x * x + y * y + z * z
+    off = np.abs(sq - 1.0) > 1e-10
+    if off.any():
+        raise NonUnitVector(f"kick axis |r| = {np.sqrt(sq[off].flat[0])} is not 1 within 1e-10")
+    up = z >= 0.0
+    parts = (np.where(up, 1.0 + z, x), np.where(up, 0.0, -y), np.where(up, x, 1.0 - z), np.where(up, y, 0.0))
+    norm = np.sqrt(sum(p * p for p in parts))
+    e0, e1 = (parts[0] + 1j * parts[1]) / norm, (parts[2] + 1j * parts[3]) / norm
+    frames = np.empty(x.shape + (2, 2), dtype=complex)
+    frames[..., 0, 0], frames[..., 1, 0] = e0, e1
+    frames[..., 0, 1], frames[..., 1, 1] = -e1.conj(), e0.conj()
+    return frames
+
+
 @dataclass(frozen=True, eq=False)
 class AffineBlochMap:
     """Affine action u -> A u + b on Bloch vectors.

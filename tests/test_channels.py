@@ -43,10 +43,14 @@ from spinkick.analysis import dephasing_divisibility, fixed_point
 from spinkick.channels import (
     _EXP_MAX,
     PARALLEL_BASIS_TOL,
+    _factored_level,
     _gamma_matrix,
     _map,
+    _parity_halves,
     _projector_strings,
     _sign_matrix,
+    _string_amplitudes,
+    _tile_rows,
     affine_from_chi,
     apply_chi,
     basis_from_frame,
@@ -61,7 +65,7 @@ from spinkick.channels import (
 )
 from spinkick.environment import format_complex, parse_complex
 from spinkick.oracle import fock_spec_for, nascent_delta_channel, oracle_channel
-from spinkick.pauli import I2, PAULI, OperatorBasis, bloch_to_density, dot_sigma
+from spinkick.pauli import I2, PAULI, OperatorBasis, bloch_to_density, dot_sigma, spin_frames
 from conftest import random_geometry, random_schedule, random_unit
 
 
@@ -497,7 +501,7 @@ def test_prefix_pass_is_independent_of_its_length():
 
 def test_prefix_pass_peak_memory_is_its_stated_bytes(vacuum, standard_geometry):
     """The traced peak of a 9-kick pass is its meta["bytes"] and little more:
-    the Pauli coefficients and row vectors grow as 2^n, not 4^n.  Every
+    the string amplitudes and row vectors grow as 2^n, not 4^n.  Every
     prefix records the figure of the pass that built it."""
     sched = KickSchedule(np.linspace(0, 4, 9))
     build_prefix_channels(vacuum, standard_geometry, sched)  # warm caches and imports
@@ -613,6 +617,86 @@ def test_prefix_pass_factors_long_trains():
         assert (prefixes[11].meta["factored_levels"], prefixes[11].meta["summed_levels"]) == (5, 0)
 
 
+@pytest.mark.parametrize("kind", ["random", "synchronized", "antiparallel", "minus_z"])
+def test_string_amplitudes_are_the_rank_one_projector_strings(kind):
+    """P_sigma(r_k) P(s) = g_sigma(s) |e_sigma(r_k)><e_(s_0)(r_0)|: the Pauli
+    coefficients of every string of the enumeration (``_projector_strings``)
+    equal g_sigma(s) times those of the rank-one operator w(sigma, s_0), to
+    1e-14, and each amplitude sits in column s_0 alone (sigma at kick 0).
+    Synchronized and antiparallel axes (r_k = +-r_(k-1)) make half the
+    overlaps vanish; r = -z takes the frames' z < 0 branch."""
+    rng = np.random.default_rng(31)
+    z = np.array([0.0, 0.0, 1.0])
+    axis = random_unit(rng)
+    rs = np.array(
+        {
+            "random": lambda: [random_unit(rng) for _ in range(7)],
+            "synchronized": lambda: [axis] * 7,
+            "antiparallel": lambda: [axis * (-1) ** k for k in range(7)],
+            "minus_z": lambda: [-z, random_unit(rng), -z, z, -z, random_unit(rng), -z],
+        }[kind]()
+    )
+    frames = spin_frames(rs)
+    for k, amps in enumerate(_string_amplitudes(frames)):
+        m = 2**k
+        strings = _projector_strings(rs[: k + 1], _sign_matrix(k + 1)).reshape(2, m, 2, 2)  # [sigma, s]
+        rank_one = np.einsum("xa,yb->abxy", frames[k], frames[0].conj())  # w(sigma, tau) = |e_sigma(r_k)><e_tau(r_0)|
+        for sigma in (0, 1):
+            tau = np.arange(m) & 1 if k else np.full(m, sigma)  # s_0, or sigma itself at kick 0
+            g = amps[sigma, np.arange(m), tau]
+            np.testing.assert_array_equal(amps[sigma, np.arange(m), 1 - tau], 0.0)
+            got = np.einsum("ayx,syx->sa", PAULI_BASIS.ops.conj(), g[:, None, None] * rank_one[sigma, tau])
+            want = np.einsum("ayx,syx->sa", PAULI_BASIS.ops.conj(), strings[sigma])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+def test_level_contractions_match_brute_force(t):
+    """Both contractions of a level of t x t tiles equal the brute-force
+    T[tau, tau'] = sum over s_0 = tau, s'_0 = tau' of g_+(s) X[s, s'] conj(g_-(s')),
+    with X written out tile by tile.  The row phases pi are a view into a
+    larger grid, as in the pass; at t = 1 a contiguous view of their
+    transpose aliases them, and they must come out unchanged."""
+    from spinkick import channels
+
+    rng = np.random.default_rng(t)
+    base = channels._BASE
+    m = t * base
+    re_l = rng.uniform(-0.5, 0.1, size=(base, base))
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(base, base)))
+    grid = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(4, 4, base)))
+    pi = grid[:t, :t]
+    u = rng.uniform(-0.5, 0.5, size=(t, t, base))
+    re_a, re_b = rng.uniform(-0.5, 0.5, size=(2, t, base))
+    p = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(t, base)))
+    g = (rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))) / m
+    parity = np.arange(m) & 1
+    amps = np.zeros((2, m, 2), dtype=complex)
+    amps[:, np.arange(m), parity] = g
+
+    x = np.exp(re_l + u[:, :, :, None] + re_a[:, None, :, None] + (u.transpose(1, 0, 2) + re_b)[:, :, None, :])
+    x = x * phase * (pi * p[:, None])[:, :, :, None] * (pi.transpose(1, 0, 2).conj() * p)[:, :, None, :]
+    x = x.transpose(0, 2, 1, 3).reshape(m, m)  # X[s, s'] with s = i * base + a
+    want = np.array(
+        [[g[0, parity == tau] @ x[np.ix_(parity == tau, parity == tau_)] @ g[1, parity == tau_].conj()
+          for tau_ in (0, 1)] for tau in (0, 1)]
+    )
+
+    before = grid.copy()
+    half = (base + 1) // 2
+    work = np.empty(max(4 * t * t * (half + base), 3 * t * base * base))
+    gamma = np.exp(re_l) * phase
+    gamma_halves = np.stack([gamma[:, cols] for cols in _parity_halves()])
+    shift_u = u + re_a[:, None]
+    shift_v = u.transpose(1, 0, 2) + re_b
+    top_v = shift_v.max(2, keepdims=True)
+    factored = _factored_level(gamma_halves, shift_u, shift_v, top_v, pi, p, amps[0], amps[1].conj(), work)
+    summed = _tile_rows(re_l, phase, u, pi, re_a, re_b, p, amps[0], amps[1].conj(), work)
+    np.testing.assert_array_equal(grid, before)
+    np.testing.assert_allclose(factored, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(summed, want, rtol=0, atol=1e-14)
+
+
 def test_prefix_pass_builds_a_chi_basis_only_for_read_prefixes(vacuum, standard_geometry, monkeypatch, tmp_path):
     """The pass carries (A, b) alone, and a map builds its chi basis only
     when its chi is read: reading a prefix of a 10-kick pass builds none,
@@ -651,7 +735,7 @@ def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.4, 0.9])
     assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3
     assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == (
-        4096 + 1536 * 3 + 240 * 4 + 72 * 4**2 + 16 * 4**2
+        4608 + 1536 * 3 + 144 * 4 + 72 * 4**2 + 16 * 4**2
     )
 
 

@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import QubitMap, TwoKickParams, choi_eigenvalues, transition_map
+from .channels import PSD_TOL, QubitMap, TwoKickParams, choi_eigenvalues, transition_map
 from .environment import GaussianEnvironment
 from .errors import NonContractive, NonEvenEnvironment, NonPureInput, SingularChannel
 from .kicks import InteractionGeometry, r_of_t
 from .pauli import apply_affine, cross3, max_image_norm
-
-PSD_TOL = 1e-10
 
 
 def purity(u) -> float:
@@ -78,18 +76,18 @@ def entanglement_entropy(
     t0: float,
     base=None,
     weight: float = 1.0,
-    tol: float = 1e-10,
 ) -> float:
     """Entropy of the spin after one kick on a pure input state.
 
     When the environment state is pure as well (vacuum or coherent) this is
     the entanglement entropy generated by the kick.  It grows with the
     environment variance and with |u x r(t0)|, the degree of non-commutation
-    of the state with the coupling observable.
+    of the state with the coupling observable.  u must be a unit vector to
+    1e-10.
     """
     u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > tol:
-        raise NonPureInput(f"|u| = {np.linalg.norm(u)} is not 1 within {tol}")
+    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+        raise NonPureInput(f"|u| = {np.linalg.norm(u)} is not 1 within 1e-10")
     var = weight * weight * env.covariance(t0, t0).real
     cross = cross3(u, r_of_t(geom, t0))
     length_sq = 1.0 + (math.exp(-4.0 * var) - 1.0) * float(cross @ cross)
@@ -160,9 +158,9 @@ def chi_eigenvalues_two_kick(h: complex, k: complex) -> np.ndarray:
     return np.array([m + s1, m - s1, p + s2, p - s2])
 
 
-def is_cp(m, tol: float = PSD_TOL) -> bool:
-    """Complete positivity: the Choi matrix is PSD (min eigenvalue >= -tol)."""
-    return bool(choi_eigenvalues(m)[0] >= -tol)
+def is_cp(m) -> bool:
+    """Complete positivity: the Choi matrix is PSD (min eigenvalue >= -PSD_TOL)."""
+    return bool(choi_eigenvalues(m)[0] >= -PSD_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +220,8 @@ def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TO
     P (positivity) holds when Theta keeps every pure state in the ball,
     judged exactly by ``max_image_norm``; CP implies P, so a CP step is
     reported positive even when rounding lifts the maximum just past 1 + tol.
-    The witness of a non-positive step is the analytic hint r_last (the
-    later kick axis) when its image leaves the ball, else the maximizer.
+    The witness of a non-positive step is the analytic hint, the map's last
+    kick axis, when its image leaves the ball, else the maximizer.
     """
     theta = transition_map(longer, shorter)
     eigs = choi_eigenvalues(theta)[::-1]
@@ -232,9 +230,9 @@ def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TO
     pos = cp or norm <= 1.0 + tol
     witness = None
     if not pos:
-        hint = theta.meta.get("r_last")
+        hint = theta.axes[-1] if len(theta.axes) else None
         hint_leaves = hint is not None and np.linalg.norm(apply_affine(theta.affine, hint)) > 1.0 + tol
-        witness = np.asarray(hint, dtype=float) if hint_leaves else u
+        witness = np.array(hint, dtype=float) if hint_leaves else u
     return DivisibilityReport(
         chi_eigenvalues=eigs,
         cp_divisible=cp,

@@ -26,9 +26,9 @@ Re(q_k (x) M.T_k) to A and Re(q_k tr T_k) to b.  Every 64 x 64 tile of X
 is one base block Gamma_J between a diagonal row and column scaling, so a
 level is one matrix product with Gamma_J (summed a row of tiles at a time
 where the scalings would leave float64's range, at high occupation), and
-no array of 4^(n-1) coefficients is held: 2.8 MiB at 11 kicks.  The two
-builders agree to rounding (1e-12 in the tests for n <= 10).  A build
-past the ``max_kicks`` budget, or one whose coefficients cannot be
+no array of 4^(n-1) coefficients is held (its bytes: ``_pass_bytes``).
+The two builders agree to rounding (1e-12 in the tests for n <= 10).  A
+build past the ``max_kicks`` budget, or one whose coefficients cannot be
 allocated, raises TooManyKicks naming the bytes it needs; each channel
 records them in ``meta["bytes"]``.  Construction is deterministic: a
 fixed order of accumulation gives bit-reproducible output.
@@ -90,10 +90,14 @@ _BASE = 64
 # lie within [e^-600, e^600], inside float64's normal range [e^-708, e^709].
 _FACTOR_RANGE = 600.0
 
+# The one PSD bound: a channel's Choi matrix may have eigenvalues down to
+# -PSD_TOL (``validate_channel``), and ``analysis`` judges CP by it.
+PSD_TOL = 1e-10
+
 # Largest condition number max(sigma_max, 1) / sigma_min of A that
 # ``invert_channel`` accepts: there kappa * eps = 2.2e-10 reaches the scale
-# of the PSD tolerance 1e-10, so past it rounding would decide the CP
-# verdict of the inverse and of every transition map built from it.
+# of PSD_TOL, so past it rounding would decide the CP verdict of the
+# inverse and of every transition map built from it.
 KAPPA_MAX = 1e6
 
 # ln of float64's largest value: e^x is finite up to here, and so are
@@ -282,11 +286,11 @@ def validate_map(m) -> None:
 
 def validate_channel(ch: QubitMap) -> None:
     """Channel invariants: a finite map whose Choi matrix is PSD (min
-    eigenvalue >= -1e-10, ``choi_eigenvalues``)."""
+    eigenvalue >= -PSD_TOL, ``choi_eigenvalues``)."""
     validate_map(ch)
     lo = choi_eigenvalues(ch)[0]
-    if lo < -1e-10:
-        raise InvalidMap(f"chi not PSD: min eigenvalue {lo:.3e} < -1e-10")
+    if lo < -PSD_TOL:
+        raise InvalidMap(f"chi not PSD: min eigenvalue {lo:.3e} < {-PSD_TOL:g}")
 
 
 def _map(affine, axes, meta, cp=True) -> QubitMap:
@@ -317,7 +321,7 @@ def phase_damping_channel(r_axis, gamma: complex, meta: dict | None = None) -> Q
     g = complex(gamma)
     rr = np.outer(r, r)
     a = rr + g.real * (np.eye(3) - rr) - g.imag * np.cross(r, np.eye(3)).T
-    md = {"kind": "phase_damping", "gamma": g, "r_last": tuple(r)}
+    md = {"kind": "phase_damping", "gamma": g}
     md.update(meta or {})
     return _map(AffineBlochMap(a, np.zeros(3)), (r,), md)
 
@@ -335,15 +339,8 @@ def single_kick_channel(
     u -> gamma u + (1 - gamma)(u.r) r; a nonzero mean only adds a rotation
     about r(t0).
     """
-    r = r_of_t(geom, t0)
     gamma = gaussian_char(env, [t0], [2.0 * weight])
-    meta = {
-        "kind": "single_kick",
-        "times": (float(t0),),
-        "weights": (float(weight),),
-        "environment": repr(env),
-    }
-    return phase_damping_channel(r, gamma, meta=meta)
+    return phase_damping_channel(r_of_t(geom, t0), gamma, meta=_provenance("single_kick", env, [t0], [weight]))
 
 
 def build_n_kick_channel(
@@ -361,9 +358,10 @@ def build_n_kick_channel(
     complex matrix (16 * 4^n bytes, ``meta["bytes"]``; 67 MB at 11 kicks).
     For the channels after every kick of a train, ``build_prefix_channels``
     takes about a third of those coefficients in one pass, in under a
-    twentieth of the memory at 11 kicks (2.8 MiB).  Schedules longer than
-    ``max_kicks`` are refused (raise the budget explicitly if you really
-    mean it), and so is a build whose gamma matrix cannot be allocated.
+    twentieth of the memory at 11 kicks (``_pass_bytes``).  Schedules
+    longer than ``max_kicks`` are refused (raise the budget explicitly if
+    you really mean it), and so is a build whose gamma matrix cannot be
+    allocated.
     """
     n = len(sched)
     if n == 0:
@@ -371,7 +369,7 @@ def build_n_kick_channel(
     nbytes = 16 * 4**n
     with _coefficient_budget(n, max_kicks, nbytes):
         times = sched.times
-        rs = np.stack([r_of_t(geom, t) for t in times])
+        rs = r_of_t(geom, times)
         basis = default_chi_basis(rs)
 
         signs = _sign_matrix(n)
@@ -379,7 +377,7 @@ def build_n_kick_channel(
         gammas = _gamma_matrix(env, times, sched.weights, signs)
         chi = coeff.T @ gammas @ coeff.conj()
 
-    meta = _n_kick_meta(env, times, sched.weights, rs[-1], "enumeration", 4**n, nbytes)
+    meta = _n_kick_meta(env, times, sched.weights, "enumeration", 4**n, nbytes)
     return _map(affine_from_chi(chi, basis), rs, meta)
 
 
@@ -403,20 +401,22 @@ def _coefficient_budget(n: int, max_kicks: int, nbytes: int):
         raise TooManyKicks(f"{n} kicks need {need} of coefficients, more than could be allocated") from exc
 
 
-def _n_kick_meta(env, times, weights, r_last, path: str, terms: int, nbytes: int) -> dict:
-    """Provenance of an exact n-kick channel: ``path`` names the builder,
-    ``terms`` counts the gamma entries it contracted and ``bytes`` is the
-    storage it held at its peak, by formula."""
+def _provenance(kind: str, env, times, weights) -> dict:
+    """The meta of a constructed channel: its ``kind``, kick ``times`` and
+    ``weights``, and the ``environment``'s repr."""
     return {
-        "kind": "n_kick",
+        "kind": kind,
         "times": tuple(float(t) for t in times),
         "weights": tuple(float(w) for w in weights),
         "environment": repr(env),
-        "r_last": tuple(r_last),
-        "path": path,
-        "terms": terms,
-        "bytes": nbytes,
     }
+
+
+def _n_kick_meta(env, times, weights, path: str, terms: int, nbytes: int) -> dict:
+    """Provenance of an exact n-kick channel: ``path`` names the builder,
+    ``terms`` counts the gamma entries it contracted and ``bytes`` is the
+    storage it held at its peak, by formula."""
+    return {**_provenance("n_kick", env, times, weights), "path": path, "terms": terms, "bytes": nbytes}
 
 
 def _pass_bytes(n: int) -> int:
@@ -435,7 +435,11 @@ def _pass_bytes(n: int) -> int:
     factored level's scaled columns, one parity half, and their product
     (16 + 32 per tile and base row) and one row of tiles of a summed level
     (24 an entry); and numpy's buffer casting the exponentials to complex
-    in the scalings (16 bytes an entry, at most ``np.getbufsize()``)."""
+    in the scalings (16 bytes an entry, at most ``np.getbufsize()``).
+
+    The figures: 2.8 MiB (0.70 * 4^n bytes) at 11 kicks; 7.1, 26.9 and 105
+    MiB at 12, 13 and 14; 104 TiB at 24.  Per kick they tend to 4x, and the
+    total to 104 bytes per tile and base row, 13/32 * 4^n = 0.41 * 4^n."""
     m = 2 ** (n - 1) if n else 0
     fixed = 4608 + 1536 * n + 144 * m
     if m < _BASE:
@@ -611,8 +615,8 @@ def build_prefix_channels(
 
     The base block, the tile shifts, the buffer in which f doubles and the
     work space of a level are allocated at their final size first, so a
-    pass that cannot be held (``_pass_bytes``: 2.8 MiB at 11 kicks, 104 TiB
-    at 24) is refused before any level runs, as is one past ``max_kicks``.
+    pass that cannot be held (``_pass_bytes``) is refused before any level
+    runs, as is one past ``max_kicks``.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
@@ -631,11 +635,11 @@ def build_prefix_channels(
         gamma_halves = None
 
         times = sched.times
-        rs = [r_of_t(geom, t) for t in times]
+        rs = r_of_t(geom, times)
         mu = sched.weights * np.array([env.mean(t) for t in times])
         gram = gram_matrix(env, times, sched.weights)
         var = np.diag(gram).real
-        frames = spin_frames(np.reshape(rs, (n, 3)))
+        frames = spin_frames(rs)
         q = np.einsum("ka,iab,kb->ki", frames[:, :, 1].conj(), PAULI, frames[:, :, 0])  # <e_-(r_k)|sigma_i|e_+(r_k)>
         m_first = np.einsum("ax,jab,by->jxy", frames[0].conj(), PAULI, frames[0]).reshape(3, 4)  # M_j[tau, tau']
         a_mat, shift = _ID3, np.zeros(3)
@@ -692,7 +696,7 @@ def build_prefix_channels(
             a_mat = dephase @ a_mat + np.outer(q[k], m_first @ t_mat.reshape(4)).real
             shift = dephase @ shift + (q[k] * np.trace(t_mat)).real
             terms = (4 ** (k + 1) - 1) // 3  # 1 + 4 + ... + 4^k
-            meta = _n_kick_meta(env, times[: k + 1], sched.weights[: k + 1], rs[k], "kick_by_kick", terms, nbytes)
+            meta = _n_kick_meta(env, times[: k + 1], sched.weights[: k + 1], "kick_by_kick", terms, nbytes)
             meta.update(levels)
             parts.append((AffineBlochMap(a_mat, shift), rs[: k + 1], meta))
     return PrefixChannels(parts)
@@ -790,16 +794,8 @@ def two_kick_closed_form(
         params = two_kick_params(env, geom, t0, t1, weights)
     except ParallelAxes:
         return dephasing_channel(env, geom, KickSchedule([t0, t1], list(weights)))
-    r1 = params.frame[0]
-    meta = {
-        "kind": "two_kick_closed_form",
-        "times": (float(t0), float(t1)),
-        "weights": (float(weights[0]), float(weights[1])),
-        "environment": repr(env),
-        "r_last": tuple(r1),
-        "closed_form": params,
-    }
-    return _map(_two_kick_affine(params), (r_of_t(geom, t0), r1), meta)
+    meta = {**_provenance("two_kick_closed_form", env, (t0, t1), weights[:2]), "closed_form": params}
+    return _map(_two_kick_affine(params), (r_of_t(geom, t0), params.frame[0]), meta)
 
 
 def dephasing_gamma(env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> complex:
@@ -819,12 +815,7 @@ def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched
     double sum.  Time ordering contributes only a global phase and drops out.
     """
     gamma = dephasing_gamma(env, geom, sched)
-    meta = {
-        "kind": "dephasing",
-        "times": tuple(float(t) for t in sched.times),
-        "weights": tuple(float(w) for w in sched.weights),
-        "environment": repr(env),
-    }
+    meta = _provenance("dephasing", env, sched.times, sched.weights)
     return phase_damping_channel(r_of_t(geom, sched.times[0]), gamma, meta=meta)
 
 
@@ -841,11 +832,7 @@ def _composed_affine(later: QubitMap, earlier: QubitMap) -> AffineBlochMap:
 def compose(later: QubitMap, earlier: QubitMap) -> QubitMap:
     """Composition later o earlier, with the later map's axes; the affine
     parts multiply.  The result is a channel only when both factors are."""
-    meta = {
-        "kind": "composition",
-        "parents": (later.meta.get("kind"), earlier.meta.get("kind")),
-        "r_last": later.meta.get("r_last"),
-    }
+    meta = {"kind": "composition", "parents": (later.meta.get("kind"), earlier.meta.get("kind"))}
     return _map(_composed_affine(later, earlier), later.axes, meta, cp=later.cp and earlier.cp)
 
 
@@ -881,7 +868,6 @@ def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
     meta = {
         "kind": "transition",
         "parents": (longer.meta.get("kind"), inverse.meta.get("kind")),
-        "r_last": longer.meta.get("r_last"),
         "longer": longer.meta.get("times"),
         "shorter": shorter.meta.get("times"),
     }
@@ -898,12 +884,7 @@ def two_kick_transition_map(
     """Closed-form transition map of the two-kick process: the two-kick
     affine action with g set to 1."""
     params = two_kick_params(env, geom, t0, t1, weights)
-    meta = {
-        "kind": "transition_closed_form",
-        "times": (float(t0), float(t1)),
-        "r_last": tuple(params.frame[0]),
-        "closed_form": params,
-    }
+    meta = {"kind": "transition_closed_form", "times": (float(t0), float(t1)), "closed_form": params}
     return _map(_two_kick_affine(params, unit_g=True), (r_of_t(geom, t0), params.frame[0]), meta, cp=False)
 
 
@@ -948,7 +929,8 @@ def _read_section(lines, i: int, name: str, rows: int, parse):
 def load_channel(path) -> QubitMap:
     """Read back a map written by save_channel.
 
-    The map is rebuilt from A and b and validated; it keeps the file's
+    The map is rebuilt from A and b and validated as a channel or a
+    transition map by the file's ``kind``; it keeps the file's
     basis, and its chi derived in that basis must agree with the file's chi
     section to 1e-10 max(1, max|chi|).  A malformed file, or one whose chi
     disagrees, raises InvalidMap.
@@ -958,7 +940,9 @@ def load_channel(path) -> QubitMap:
             lines = [ln.strip() for ln in fh if ln.strip()]
         if lines[0] != "spinkick-map v1":
             raise ValueError(f"unrecognized header {lines[0]!r}")
-        kind = lines[1].split(":", 1)[1].strip()
+        key, _, kind = (part.strip() for part in lines[1].partition(":"))
+        if key != "kind" or kind not in ("channel", "transition"):
+            raise ValueError(f"unknown kind line {lines[1]!r}: expected 'kind: channel' or 'kind: transition'")
         meta = {}
         i = 2
         if lines[i].startswith("times:"):

@@ -180,7 +180,7 @@ _SCHEMA = {
         "oracle_check": (_bool, "false"),
         "entropy": (_bool, "true"),
         "log_base": (_choice({"e": None, "2": 2.0}), "e"),
-        "tol": (_positive_real, repr(analysis.PSD_TOL)),
+        "tol": (_positive_real, repr(channels.PSD_TOL)),
         "max_kicks": (_at_least(_integer, 0), str(channels.MAX_KICKS_DEFAULT)),
         "sphere_samples": (str, None),  # accepted, unused: positivity is exact
         "seed": (str, None),  # accepted, unused: nothing is sampled

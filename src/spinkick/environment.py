@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import bisect
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -125,14 +126,17 @@ class SingleModeThermal(GaussianEnvironment):
     displacement: complex = 0.0j
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        # each check written so that a NaN fails it
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
         if self.beta is not None:
-            if self.beta <= 0:
-                raise ValueError("beta must be positive")
+            if not 0 < self.beta < math.inf:
+                raise ValueError("beta must be positive and finite")
             object.__setattr__(self, "nbar", 1.0 / math.expm1(self.beta * self.omega))
-        if self.nbar < 0:
-            raise ValueError("nbar must be non-negative")
+        if not 0 <= self.nbar < math.inf:
+            raise ValueError("nbar must be non-negative and finite")
+        if not cmath.isfinite(self.displacement):
+            raise ValueError("displacement must be finite")
         object.__setattr__(self, "displacement", complex(self.displacement))
 
     def mean(self, t: float) -> float:
@@ -161,8 +165,8 @@ class WhiteKickKernel(GaussianEnvironment):
     variance: float
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be non-negative")
+        if not 0 <= self.variance < math.inf:
+            raise ValueError("variance must be non-negative and finite")
 
     def mean(self, t: float) -> float:
         return 0.0
@@ -179,8 +183,9 @@ class TabulatedKernel(GaussianEnvironment):
     """Mean and covariance supplied on a fixed time grid.
 
     Lets users plug in arbitrary correlators (e.g. multimode fields).  The
-    matrix is validated eagerly: Hermitian to 1e-10, eigenvalues >= -1e-10,
-    real non-negative diagonal.  Queries off the grid raise TimeNotInTable.
+    table is validated eagerly: finite entries, and a matrix Hermitian to
+    1e-10 with eigenvalues >= -1e-10, real non-negative diagonal.  Queries
+    off the grid raise TimeNotInTable.
     """
 
     def __init__(self, times, mean_values, covariance_matrix):
@@ -195,6 +200,8 @@ class TabulatedKernel(GaussianEnvironment):
             )
         if not np.all(np.diff(times) > 0):  # a NaN time is refused too
             raise ValueError("times must be strictly increasing")
+        if not all(np.isfinite(a).all() for a in (times, means, cov)):
+            raise ValueError("times, mean and covariance must be finite")
         if np.max(np.abs(cov - cov.conj().T)) > 1e-10:
             raise ValueError("covariance matrix is not Hermitian within 1e-10")
         evals = np.linalg.eigvalsh(cov)

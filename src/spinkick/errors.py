@@ -31,7 +31,8 @@ class LengthMismatch(SpinKickError):
 
 class TooManyKicks(SpinKickError):
     """Schedule exceeds the kick budget of the exact builders, or their coefficient
-    storage (16 * 4^n bytes, or about 0.41 * 4^n in the prefix pass) cannot be allocated."""
+    storage (16 * 4^n bytes in the enumeration, ``channels._pass_bytes`` in the
+    prefix pass) cannot be allocated."""
 
 
 class NonEvenEnvironment(SpinKickError):

@@ -15,7 +15,7 @@ COMMUTE_TOL = 1e-10
 
 def _unit(v, name: str) -> np.ndarray:
     v = np.array(v, dtype=float).reshape(3)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # a NaN is refused too
         raise NonUnitVector(f"|{name}| = {np.linalg.norm(v)} is not 1 within 1e-12")
     v.setflags(write=False)
     return v
@@ -42,20 +42,23 @@ class InteractionGeometry:
         cross = cross3(self.h, self.alpha)
         cross.setflags(write=False)
         object.__setattr__(self, "h_cross_alpha", cross)
-        if self.omega < 0:
-            raise ValueError("omega (qubit gap) must be >= 0")
+        if not 0 <= self.omega < np.inf:
+            raise ValueError("omega (qubit gap) must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
 class KickSchedule:
-    """Strictly increasing kick times with positive per-kick weights."""
+    """Strictly increasing finite kick times with positive finite per-kick
+    weights."""
 
     times: np.ndarray
     weights: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float).reshape(-1)
-        if len(t) > 1 and np.any(np.diff(t) <= 0):
+        if not np.isfinite(t).all():
+            raise ValueError("kick times must be finite")
+        if np.any(np.diff(t) <= 0):
             raise ValueError("kick times must be strictly increasing")
         w = (
             np.ones(len(t))
@@ -64,8 +67,8 @@ class KickSchedule:
         )
         if len(w) != len(t):
             raise ValueError(f"{len(t)} times but {len(w)} weights")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all((w > 0) & (w < np.inf)):  # a NaN is refused too
+            raise ValueError("weights must be positive and finite")
         t.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -75,28 +78,16 @@ class KickSchedule:
         return len(self.times)
 
 
-def r_of_t(geom: InteractionGeometry, t: float) -> np.ndarray:
-    """Interaction-picture coupling axis at time t.
+def r_of_t(geom: InteractionGeometry, t) -> np.ndarray:
+    """Interaction-picture coupling axis at time t, or at each of an array
+    of times: shape t.shape + (3,).
 
     r(t) = (h.a)h + cos(Omega t)(a - (h.a)h) - sin(Omega t)(h x a); a rigid
     rotation of alpha about h, so |r(t)| = 1 for all t.
     """
     h, a = geom.h, geom.alpha
     ha = float(h @ a)
-    wt = geom.omega * t
-    return ha * h + np.cos(wt) * (a - ha * h) - np.sin(wt) * geom.h_cross_alpha
-
-
-def r_of_times(geom: InteractionGeometry, times) -> np.ndarray:
-    """r(t) of ``r_of_t`` for an array of times, shape times.shape + (3,).
-
-    The Fock oracle's form, which takes a whole pulse grid at once; the
-    exact builders keep the scalar ``r_of_t``, so their rounding does not
-    depend on how many times are asked for together.
-    """
-    h, a = geom.h, geom.alpha
-    ha = float(h @ a)
-    wt = geom.omega * np.asarray(times, dtype=float)[..., None]
+    wt = geom.omega * np.asarray(t, dtype=float)[..., None]
     return ha * h + np.cos(wt) * (a - ha * h) - np.sin(wt) * geom.h_cross_alpha
 
 
@@ -110,7 +101,7 @@ def is_commuting_schedule(geom: InteractionGeometry, sched: KickSchedule):
     """
     if len(sched) == 0:
         return True, np.array([], dtype=int)
-    rs = np.stack([r_of_t(geom, t) for t in sched.times])
+    rs = r_of_t(geom, sched.times)
     n = len(rs)
     for i in range(n):
         for j in range(i):

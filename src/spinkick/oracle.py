@@ -34,16 +34,18 @@ from .errors import (
     InvalidTruncation,
     LengthMismatch,
     NonHermitian,
+    NonUnitTrace,
     SpinKickError,
     StepTooCoarse,
     TruncationNotConverged,
     UnknownPulseShape,
 )
-from .kicks import InteractionGeometry, KickSchedule, r_of_t, r_of_times
-from .pauli import I2, PAULI, AffineBlochMap, density_to_bloch, max_image_norm, spin_frames
+from .kicks import InteractionGeometry, KickSchedule, r_of_t
+from .pauli import I2, PAULI, AffineBlochMap, max_image_norm, spin_frames
 
 TAIL_TOL = 1e-12
 DIM_STEP = 10  # Fock levels added per truncation step of oracle_channel
+_SIGMAS = np.concatenate([I2[None], PAULI])  # sigma_0 = 1, sigma_x, sigma_y, sigma_z
 
 
 @dataclass(frozen=True)
@@ -244,12 +246,18 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     of ``metas``, each recorded with the kick axes ``axes``; ``steps`` =
     (times, weights, axes of every step) and ``grid`` as in ``_evolve``.
 
-    With Y the evolved columns of S, rho_env = S S^dag, m[i, a, j, b] =
+    With Y the evolved columns C of a square root of the environment state,
+    rho_env = C C^dag, m[i, a, j, b] =
     tr(U_ia rho_env U_jb^dag) = sum_{l, c} Y[i, a, l, c] conj(Y[j, b, l, c])
-    (D(t_n) V cancels in the trace); a probe's output is sum_ab rho_q[a, b]
-    m[:, a, :, b].  Each meta gains the dimension, tail mass, the sequence's
-    ``kick_steps``, the one eigendecomposition and the build's peak
-    ``bytes``; a build that cannot be allocated raises SpinKickError.
+    (D(t_n) V cancels in the trace), so E(rho)[i, j] = sum_ab rho[a, b]
+    m[i, a, j, b].  The channel is read from the one contraction
+    S_mu,nu = tr(sigma_mu E(sigma_nu)) / 2 (sigma_0 = 1): b = Re S[1:, 0]
+    and A = Re S[1:, 1:].  A map whose max |Im S| exceeds 1e-8, or is NaN,
+    does not preserve Hermiticity (NonHermitian), and one whose first row S[0]
+    differs from (1, 0, 0, 0) by more than 1e-8 does not preserve the trace
+    (NonUnitTrace).  Each meta gains the dimension, tail mass, the
+    sequence's ``kick_steps``, the one eigendecomposition and the build's
+    peak ``bytes``; a build that cannot be allocated raises SpinKickError.
     """
     d, (n_seq, n_steps) = spec.dim, np.shape(steps[1])
     # y and its step buffer (64 W d^2 bytes each); on a pulse grid, G and
@@ -273,17 +281,17 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
         raise SpinKickError(
             f"oracle truncation at dim {d} needs {_byte_text(nbytes)}, more than could be allocated"
         ) from exc
-    inputs = [I2 / 2.0] + [(I2 + sig) / 2.0 for sig in PAULI]
+    s = 0.5 * np.einsum("mji,nab,wiajb->wmn", _SIGMAS, _SIGMAS, m)
+    imag = np.max(np.abs(s.imag))
+    if not imag <= 1e-8:  # a NaN is refused too
+        raise NonHermitian(f"oracle map does not preserve Hermiticity: max |Im S| = {imag:.3e} > 1e-8")
+    trace = np.max(np.abs(s[:, 0] - (1.0, 0.0, 0.0, 0.0)))
+    if not trace <= 1e-8:
+        raise NonUnitTrace(f"oracle map does not preserve the trace: S[0] is off (1, 0, 0, 0) by {trace:.3e} > 1e-8")
     work = {"dim": d, "tail": tail, "kick_steps": n_steps, "eigendecompositions": 1, "bytes": nbytes}
-    channels = []
-    for m_s, meta in zip(m, metas):
-        blochs = [density_to_bloch(np.einsum("ab,iajb->ij", rho_q, m_s), tol=1e-8) for rho_q in inputs]
-        b = blochs[0]
-        a = np.column_stack([v - b for v in blochs[1:]])
-        # truncation error can leave tiny PSD defects, so CP is not enforced
-        # here: it is what the comparison tests
-        channels.append(QubitMap(AffineBlochMap(a, b), axes, {**meta, **work}))
-    return channels
+    # truncation error can leave tiny PSD defects, so CP is not enforced
+    # here: it is what the comparison tests
+    return [QubitMap(AffineBlochMap(sw[1:, 1:], sw[1:, 0]), axes, {**meta, **work}) for sw, meta in zip(s.real, metas)]
 
 
 def oracle_channel(
@@ -309,7 +317,7 @@ def oracle_channel(
     if len(dims) < 2:
         raise TruncationNotConverged(unstable)
     times = sched.times[None]
-    steps = (times, sched.weights[None], r_of_times(geom, times))
+    steps = (times, sched.weights[None], r_of_t(geom, times))
     axes = steps[2][0]
     current = _channels_at_dim(replace(spec, dim=dims[0]), steps, axes, [{"kind": "oracle"}])[0]
     work = {key: current.meta[key] for key in ("kick_steps", "eigendecompositions")}
@@ -354,7 +362,8 @@ def nascent_delta_channels(
     eigendecomposition of the coupling, and inside a pulse every step of a
     width shares one free-evolution matrix.  Each channel's meta counts its
     ``kick_steps`` and the one eigendecomposition.  Each channel records the
-    kick axes, not the pulse grid's, so its chi basis comes from them.
+    kick axes in time order, not the pulse grid's, so its chi basis comes
+    from them.
     """
     times = np.asarray(kick_times, dtype=float)
     w = np.ones(len(times)) if weights is None else np.asarray(weights, dtype=float)
@@ -392,9 +401,9 @@ def nascent_delta_channels(
     on_grid = np.zeros(len(kick), dtype=bool)
     on_grid[1:] = (kick[1:] == kick[:-1]) & (point[1:] == point[:-1] + 1)
     step_t = (times[order][:, None] + deltas[:, None, None] * xs).reshape(len(deltas), len(step_w))[:, kept]
-    steps = (step_t, np.broadcast_to(step_w[kept], step_t.shape), r_of_times(geom, step_t))
+    steps = (step_t, np.broadcast_to(step_w[kept], step_t.shape), r_of_t(geom, step_t))
     grid = (2.0 * half * deltas / steps_per_kick, on_grid)
-    axes = [r_of_t(geom, t) for t in times]
+    axes = r_of_t(geom, times[order])
     metas = [
         {"kind": "nascent_delta", "delta_t": float(dt), "shape": shape, "steps_per_kick": int(steps_per_kick)}
         for dt in deltas

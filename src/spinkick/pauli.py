@@ -40,11 +40,6 @@ def dot_sigma(v) -> np.ndarray:
     return np.einsum("i,ijk->jk", v, PAULI)
 
 
-def is_hermitian(m, tol: float = 1e-10) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def bloch_to_density(u) -> np.ndarray:
     """Density matrix (1 + u.sigma)/2 for Bloch vector u.
 
@@ -54,20 +49,21 @@ def bloch_to_density(u) -> np.ndarray:
     return (I2 + dot_sigma(u)) / 2.0
 
 
-def density_to_bloch(rho, tol: float = 1e-10) -> np.ndarray:
-    """Bloch vector u_i = tr(rho sigma_i) of a Hermitian unit-trace matrix."""
+def density_to_bloch(rho) -> np.ndarray:
+    """Bloch vector u_i = tr(rho sigma_i) of a matrix Hermitian and of unit
+    trace to 1e-10."""
     rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho, tol):
-        raise NonHermitian(f"density matrix not Hermitian within {tol}")
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:  # a NaN is refused too
+        raise NonHermitian("density matrix not Hermitian within 1e-10")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > tol:
-        raise NonUnitTrace(f"trace {tr} differs from 1 by more than {tol}")
+    if abs(tr - 1.0) > 1e-10:
+        raise NonUnitTrace(f"trace {tr} differs from 1 by more than 1e-10")
     return np.einsum("ijk,kj->i", PAULI, rho).real
 
 
-def is_physical_bloch(u, tol: float = 1e-12) -> bool:
-    """Whether u lies in the closed Bloch ball (up to tol)."""
-    return bool(np.linalg.norm(np.asarray(u, dtype=float)) <= 1.0 + tol)
+def is_physical_bloch(u) -> bool:
+    """Whether u lies in the closed Bloch ball, to UNIT_TOL."""
+    return bool(np.linalg.norm(np.asarray(u, dtype=float)) <= 1.0 + UNIT_TOL)
 
 
 def projector(r, s: int) -> np.ndarray:

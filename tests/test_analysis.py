@@ -215,7 +215,7 @@ def test_is_positive_witness(vacuum, standard_geometry):
     report = divisibility_report(longer, shorter)
     assert not report.p_divisible
     witness = report.witness
-    np.testing.assert_allclose(witness, theta.meta["r_last"], atol=1e-12)
+    np.testing.assert_allclose(witness, theta.axes[-1], atol=1e-12)
     params = two_kick_params(vacuum, standard_geometry, 0.0, 0.7)
     out = apply_affine(theta.affine, witness)
     assert np.linalg.norm(out) ** 2 == pytest.approx(

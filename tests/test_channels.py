@@ -1122,6 +1122,18 @@ def test_load_rejects_an_edited_chi_entry(tmp_path, vacuum, standard_geometry):
         load_channel(path)
 
 
+@pytest.mark.parametrize("line", ["kind: chanel", "kind chanel", "kind:", "type: channel"])
+def test_load_refuses_an_unknown_kind(tmp_path, vacuum, standard_geometry, line):
+    """Only 'channel' and 'transition' are kinds: any other kind line is
+    refused, naming it, so a mistyped channel cannot load as a transition
+    map and skip its CP check."""
+    ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
+    path = tmp_path / "channel.txt"
+    path.write_text(format_channel(ch).replace("kind: channel", line))
+    with pytest.raises(InvalidMap, match=f"unknown kind line '{line}'"):
+        load_channel(path)
+
+
 @pytest.mark.parametrize("cut", ["empty", "after_chi", "bad_header"])
 def test_load_rejects_a_malformed_file(tmp_path, vacuum, standard_geometry, cut):
     ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))

@@ -535,6 +535,8 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     [
         "times:\n0 1\nmean:\n0 0\ncovariance:\n1 0\n0.5 1\n",  # not Hermitian
         "times:\n0 1\nmean:\n0\ncovariance:\n1 0\n0 1\n",  # mean too short
+        "times:\n0 1\nmean:\n0 nan\ncovariance:\n1 0\n0 1\n",  # a NaN mean
+        "times:\n0 1\nmean:\n0 0\ncovariance:\n1 nan\nnan 1\n",  # a NaN covariance
     ],
 )
 def test_malformed_tabulated_kernel_exits_2(tmp_path, capsys, kernel):

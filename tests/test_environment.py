@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinkick import (
+    InteractionGeometry,
+    KickSchedule,
     LengthMismatch,
+    NonUnitVector,
     SingleModeThermal,
     SpinKickError,
     TabulatedKernel,
@@ -180,3 +183,35 @@ def test_overflowing_weights_and_coefficients_are_refused():
     with pytest.raises(SpinKickError, match="coefficients 2e\\+160 overflow"):
         gaussian_char(env, [0.0], [2e160])
     assert np.isfinite(gram_matrix(env, [0.0, 0.7], [1e150, 1e150])).all()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: KickSchedule([0.0, NAN]), ValueError, "kick times must be finite"),
+        (lambda: KickSchedule([0.0, np.inf]), ValueError, "kick times must be finite"),
+        (lambda: KickSchedule([NAN]), ValueError, "kick times must be finite"),
+        (lambda: KickSchedule([0.0, 1.0], [1.0, NAN]), ValueError, "weights must be positive and finite"),
+        (lambda: KickSchedule([0.0, 1.0], [np.inf, 1.0]), ValueError, "weights must be positive and finite"),
+        (lambda: InteractionGeometry([NAN, 0, 1], [1, 0, 0], 1.0), NonUnitVector, "|h| = nan"),
+        (lambda: InteractionGeometry([0, 0, 1], [1, 0, NAN], 1.0), NonUnitVector, "|alpha| = nan"),
+        (lambda: InteractionGeometry([0, 0, 1], [1, 0, 0], NAN), ValueError, "omega .qubit gap. must be finite"),
+        (lambda: SingleModeThermal(omega=NAN), ValueError, "omega must be positive and finite"),
+        (lambda: SingleModeThermal(omega=1.0, nbar=NAN), ValueError, "nbar must be non-negative and finite"),
+        (lambda: SingleModeThermal(omega=1.0, beta=NAN), ValueError, "beta must be positive and finite"),
+        (lambda: SingleModeThermal(omega=1.0, displacement=complex(0.0, NAN)), ValueError, "displacement"),
+        (lambda: WhiteKickKernel(NAN), ValueError, "variance must be non-negative and finite"),
+        (lambda: TabulatedKernel([0.0, 1.0], [0.0, NAN], np.eye(2)), ValueError, "mean and covariance must be"),
+        (lambda: TabulatedKernel([0.0, 1.0], [0.0, 0.0], [[1, NAN], [NAN, 1]]), ValueError, "must be finite"),
+        (lambda: TabulatedKernel([NAN], [0.0], [[1.0]]), ValueError, "must be finite"),
+    ],
+)
+def test_model_range_checks_refuse_nan(build, error, message):
+    """Every range check of the models is written so that a NaN (or an
+    infinite time, weight or parameter) fails it, naming the quantity,
+    instead of passing it on to the builders."""
+    with pytest.raises(error, match=message):
+        build()

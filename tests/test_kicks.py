@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinkick import InteractionGeometry, KickSchedule, NonUnitVector, is_commuting_schedule, r_of_t
+from conftest import random_geometry
 
 
 def test_r_of_t_examples(standard_geometry):
@@ -101,3 +102,22 @@ def test_cached_cross_product_keeps_r_of_t_bits():
             cross = np.cross(geom.h, geom.alpha)
             direct = ha * geom.h + np.cos(wt) * (geom.alpha - ha * geom.h) - np.sin(wt) * cross
             assert np.array_equal(r_of_t(geom, t), direct)
+
+
+def test_r_of_t_over_arrays_is_the_scalar_call_bit_for_bit():
+    """r(t) of an array of times, shaped (n,) or (W, S), equals the scalar
+    call at each time bit for bit: on random geometries, on a zero gap, and
+    for |t| up to 1e4.  The exact builders take their axes this way, so
+    their rounding does not depend on how many times are asked for together."""
+    rng = np.random.default_rng(20)
+    geoms = [random_geometry(rng) for _ in range(40)]
+    geoms.append(InteractionGeometry(h=[0, 0.6, 0.8], alpha=[1, 0, 0], omega=0.0))
+    for geom in geoms:
+        times = rng.uniform(-1.0, 1.0, size=(4, 9)) * 10.0 ** rng.uniform(-3.0, 4.0, size=(4, 9))
+        grid = r_of_t(geom, times)
+        flat = r_of_t(geom, times.reshape(-1))
+        assert grid.shape == (4, 9, 3) and flat.shape == (36, 3)
+        for t, r_flat, r_grid in zip(times.reshape(-1), flat, grid.reshape(-1, 3)):
+            scalar = r_of_t(geom, float(t))
+            assert scalar.shape == (3,)
+            assert np.array_equal(r_flat, scalar) and np.array_equal(r_grid, scalar)

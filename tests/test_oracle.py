@@ -9,6 +9,7 @@ from spinkick import (
     InteractionGeometry,
     KickSchedule,
     NonHermitian,
+    NonUnitTrace,
     NonUnitVector,
     SingleModeThermal,
     StepTooCoarse,
@@ -40,7 +41,7 @@ from spinkick.oracle import (
     annihilation,
     environment_state,
 )
-from spinkick.pauli import I2, PAULI, PAULI_BASIS, density_to_bloch, dot_sigma
+from spinkick.pauli import I2, PAULI, density_to_bloch, dot_sigma
 from conftest import random_geometry, random_schedule
 
 
@@ -277,8 +278,37 @@ def _assert_is_kron_readout(spec, steps, ch):
 def _assert_channel_is_kron_readout(spec, steps):
     """The oracle's channel at spec.dim, read from the evolved square root of
     the environment state, against the kron product's partial trace."""
-    (ch,) = _channels_at_dim(spec, _sequence(steps), PAULI_BASIS, [{}])
+    (ch,) = _channels_at_dim(spec, _sequence(steps), (), [{}])
     _assert_is_kron_readout(spec, steps, ch)
+
+
+@pytest.mark.parametrize(
+    "defect, error",
+    [("scale", NonUnitTrace), ("block", NonUnitTrace), ("nan", NonHermitian)],
+)
+def test_readout_refuses_a_map_that_breaks_trace_or_hermiticity(defect, error, standard_geometry, monkeypatch):
+    """The one Pauli readout S keeps the checks the probe states made: an
+    evolution scaled by 1.01, or with one spin block times 1j, does not
+    preserve the trace (S[0] off (1, 0, 0, 0)); a NaN fails the
+    Hermiticity check (max |Im S| <= 1e-8).  The environment is displaced:
+    on an even one, parity makes the blocks' cross terms vanish, and a
+    phase on one block keeps the trace."""
+    from spinkick import oracle
+
+    def broken(*args, **kwargs):
+        y = _evolve(*args, **kwargs)
+        if defect == "scale":
+            y *= 1.01
+        elif defect == "block":
+            y[:, 0, 0] *= 1j
+        else:
+            y[0, 0, 0, 0, 0] = np.nan
+        return y
+
+    monkeypatch.setattr(oracle, "_evolve", broken)
+    with pytest.raises(error):
+        env = SingleModeThermal(omega=1.0, nbar=0.3, displacement=0.4 + 0.2j)
+        oracle_channel(fock_spec_for(env), standard_geometry, KickSchedule([0.0, 0.7]))
 
 
 def test_block_readout_matches_kron_partial_trace(standard_geometry):
@@ -373,7 +403,7 @@ def test_oracle_build_peak_memory_is_its_stated_bytes(standard_geometry):
     steps = _sequence([(t, 1.0, r_of_t(standard_geometry, t)) for t in (0.0, 0.7, 1.9, 2.4)])
     for displacement, s_bytes in ((0.0, 8 * 100), (0.3 - 0.4j, 16 * 100**2)):
         spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=100)
-        (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, PAULI_BASIS, [{}]))
+        (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, (), [{}]))
         assert ch.meta["bytes"] == 136 * 100**2 + s_bytes + 32 * 4 * 100 + buffer
         assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
 
@@ -605,6 +635,17 @@ def test_nascent_two_kicks(vacuum, standard_geometry):
         analytic, nascent_delta_channel(spec, standard_geometry, [0.0, 1.5], 0.02)
     )
     assert d2 < d1
+
+
+def test_nascent_axes_are_in_time_order(standard_geometry):
+    """Kick times given out of order give the channel of the sorted train,
+    its kick axes and so its chi basis and chi included."""
+    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.3), dim=20)
+    ordered = nascent_delta_channel(spec, standard_geometry, [0.5, 2.0], 0.02, steps_per_kick=8, weights=[0.8, 1.3])
+    swapped = nascent_delta_channel(spec, standard_geometry, [2.0, 0.5], 0.02, steps_per_kick=8, weights=[1.3, 0.8])
+    np.testing.assert_array_equal(np.asarray(swapped.axes), np.asarray(ordered.axes))
+    np.testing.assert_allclose(swapped.affine.matrix, ordered.affine.matrix, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(swapped.chi, ordered.chi, rtol=0, atol=1e-14)
 
 
 def test_nascent_step_too_coarse(vacuum, standard_geometry):

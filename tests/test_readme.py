@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import spinkick as sk
-from spinkick.channels import KAPPA_MAX
+from spinkick.channels import KAPPA_MAX, PSD_TOL
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +22,9 @@ def test_readme_states_kappa_max():
     """The README states the inversion bound the code enforces."""
     stated = re.search(r"`KAPPA_MAX = ([0-9.e+-]+)`", README.read_text(encoding="utf-8"))
     assert stated is not None and float(stated.group(1)) == KAPPA_MAX == 1e6
+
+
+def test_readme_states_psd_tol():
+    """The README states the PSD bound every channel is validated by."""
+    stated = re.search(r"`channels\.PSD_TOL = ([0-9.e+-]+)`", README.read_text(encoding="utf-8"))
+    assert stated is not None and float(stated.group(1)) == PSD_TOL

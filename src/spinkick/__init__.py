@@ -8,14 +8,11 @@ from .analysis import (
     chi_eigenvalues_two_kick,
     dephasing_divisibility,
     divisibility_report,
-    entanglement_entropy,
     entropy,
     fixed_point,
     is_cp,
-    post_kick_purity,
     purity,
     trace_distance,
-    two_kick_divisibility,
 )
 from .channels import (
     QubitMap,
@@ -34,7 +31,6 @@ from .channels import (
     transition_map,
     two_kick_closed_form,
     two_kick_params,
-    two_kick_transition_map,
 )
 from .environment import (
     GaussianEnvironment,
@@ -70,23 +66,18 @@ from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule, r_o
 from .oracle import (
     FockSpec,
     channel_distance,
-    coupling_spectrum,
     fock_spec_for,
-    nascent_delta_channel,
     nascent_delta_channels,
     oracle_channel,
-    quadrature_heisenberg,
 )
 from .pauli import (
     PAULI_BASIS,
     AffineBlochMap,
     OperatorBasis,
     apply_affine,
-    bloch_to_density,
     density_to_bloch,
     is_physical_bloch,
     max_image_norm,
-    projector,
 )
 
 __version__ = "0.1.0"

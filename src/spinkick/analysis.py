@@ -1,9 +1,9 @@
 """Scalar diagnostics and divisibility analysis.
 
-Purity, entropy and entanglement entropy of kicked states; fixed points of
-repeated rounds; closed-form chi eigenvalues of the two-kick transition map;
-and CP/P-divisibility verdicts with explicit witnesses, P judged by the
-exact maximum of |A u + b| over pure states.
+Purity and entropy of kicked states; fixed points of repeated rounds;
+closed-form chi eigenvalues of the two-kick transition map; and
+CP/P-divisibility verdicts with explicit witnesses, P judged by the exact
+maximum of |A u + b| over pure states.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import PSD_TOL, QubitMap, TwoKickParams, choi_eigenvalues, transition_map
-from .environment import GaussianEnvironment
-from .errors import NonContractive, NonEvenEnvironment, NonPureInput, SingularChannel
-from .kicks import InteractionGeometry, r_of_t
-from .pauli import apply_affine, cross3, max_image_norm
+from .errors import NonContractive, SingularChannel
+from .pauli import apply_affine, max_image_norm
 
 
 def purity(u) -> float:
@@ -45,53 +43,6 @@ def entropy(u, base=None) -> float:
     """
     r = float(np.linalg.norm(np.asarray(u, dtype=float)))
     return _h2((1.0 + r) / 2.0, base)
-
-
-def entropy_from_purity(p: float, base=None) -> float:
-    """Entropy as a function of purity, via |u| = sqrt(2p - 1)."""
-    r = math.sqrt(max(0.0, 2.0 * p - 1.0))
-    return _h2((1.0 + r) / 2.0, base)
-
-
-def post_kick_purity(
-    u, env: GaussianEnvironment, geom: InteractionGeometry, t0: float, weight: float = 1.0
-) -> float:
-    """Purity after a single kick on an even environment.
-
-    (1 + |u|^2 + (e^{-4 Var} - 1)|u x r(t0)|^2) / 2: only the component of u
-    perpendicular to the kick axis is degraded.
-    """
-    if not env.is_even:
-        raise NonEvenEnvironment("closed-form purity assumes a vanishing mean")
-    u = np.asarray(u, dtype=float)
-    var = weight * weight * env.covariance(t0, t0).real
-    cross = cross3(u, r_of_t(geom, t0))
-    return 0.5 * (1.0 + float(u @ u) + (math.exp(-4.0 * var) - 1.0) * float(cross @ cross))
-
-
-def entanglement_entropy(
-    u,
-    env: GaussianEnvironment,
-    geom: InteractionGeometry,
-    t0: float,
-    base=None,
-    weight: float = 1.0,
-) -> float:
-    """Entropy of the spin after one kick on a pure input state.
-
-    When the environment state is pure as well (vacuum or coherent) this is
-    the entanglement entropy generated by the kick.  It grows with the
-    environment variance and with |u x r(t0)|, the degree of non-commutation
-    of the state with the coupling observable.  u must be a unit vector to
-    1e-10.
-    """
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
-        raise NonPureInput(f"|u| = {np.linalg.norm(u)} is not 1 within 1e-10")
-    var = weight * weight * env.covariance(t0, t0).real
-    cross = cross3(u, r_of_t(geom, t0))
-    length_sq = 1.0 + (math.exp(-4.0 * var) - 1.0) * float(cross @ cross)
-    return _h2((1.0 + math.sqrt(max(0.0, length_sq))) / 2.0, base)
 
 
 def trace_distance(u1, u2) -> float:
@@ -240,22 +191,6 @@ def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TO
         witness=witness,
         closed_form_params=longer.meta.get("closed_form"),
         meta={"longer": theta.meta.get("longer"), "shorter": theta.meta.get("shorter")},
-    )
-
-
-def two_kick_divisibility(params: TwoKickParams) -> DivisibilityReport:
-    """Closed-form verdict from the two-kick parameters alone."""
-    eigs = np.sort(chi_eigenvalues_two_kick(params.h, params.k))[::-1]
-    cp = bool(eigs.min() >= -PSD_TOL)
-    # P <=> CP at two kicks: not positive unless k = 0, then |h| <= 1 decides.
-    pos = cp
-    witness = None if pos else params.frame[0].copy()
-    return DivisibilityReport(
-        chi_eigenvalues=eigs,
-        cp_divisible=cp,
-        p_divisible=pos,
-        witness=witness,
-        closed_form_params=params,
     )
 
 

@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .environment import GaussianEnvironment, format_complex, gaussian_char, gram_matrix, parse_complex
+from .environment import GaussianEnvironment, _kick_means, format_complex, gaussian_char, gram_matrix, parse_complex
 from .errors import (
     InvalidMap,
     NonCommutingSchedule,
@@ -134,15 +134,21 @@ def _gamma_matrix(env, times, weights, signs: np.ndarray) -> np.ndarray:
     kick to all earlier ones through the centered correlator; gamma(s, s) is
     1.  The separable split exp(phi(s) + conj(phi(s')) + s K^T s') keeps the
     4^n sweep in dense linear algebra (the tests keep the pairwise formula as
-    the reference it must match).
+    the reference it must match).  Its terms cancel to within rounding of
+    the largest Gram entry, so a Gram matrix so large that the exponent's
+    rounding overflows exp is refused with SpinKickError.
     """
     lam = np.asarray(weights, dtype=float)
-    mu = lam * np.array([env.mean(t) for t in times])
+    mu = _kick_means(env, times, lam)
     gram = gram_matrix(env, times, lam)
     var = np.diag(gram).real
     s = signs.astype(float)
-    phi = -1j * (s @ mu) - np.einsum("mi,ij,mj->m", s, np.tril(gram, -1), s) - 0.5 * var.sum()
-    return np.exp(phi[:, None] + phi.conj()[None, :] + s @ gram.T @ s.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        phi = -1j * (s @ mu) - np.einsum("mi,ij,mj->m", s, np.tril(gram, -1), s) - 0.5 * var.sum()
+        gammas = np.exp(phi[:, None] + phi.conj()[None, :] + s @ gram.T @ s.T)
+    if not np.isfinite(gammas).all():
+        raise SpinKickError("the Gram matrix is too large for the enumeration: its gamma coefficients overflow")
+    return gammas
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +642,7 @@ def build_prefix_channels(
 
         times = sched.times
         rs = r_of_t(geom, times)
-        mu = sched.weights * np.array([env.mean(t) for t in times])
+        mu = _kick_means(env, times, sched.weights)
         gram = gram_matrix(env, times, sched.weights)
         var = np.diag(gram).real
         frames = spin_frames(rs)
@@ -750,12 +756,9 @@ def two_kick_params(
     return TwoKickParams(alpha, g, complex(h), complex(k), frame)
 
 
-def _two_kick_affine(params: TwoKickParams, unit_g: bool = False) -> AffineBlochMap:
-    """Affine action B C u + b in the lab frame; unit_g builds the
-    transition map (g set to 1)."""
+def _two_kick_affine(params: TwoKickParams) -> AffineBlochMap:
+    """Affine action B C u + b in the lab frame."""
     alpha, g, h, k = params.alpha, params.g, params.h, params.k
-    if unit_g:
-        g = 1.0
     s = float(np.sqrt(max(0.0, 1.0 - alpha * alpha)))
     b_mat = np.array(
         [
@@ -804,7 +807,9 @@ def dephasing_gamma(env: GaussianEnvironment, geom: InteractionGeometry, sched: 
     ok, signs = is_commuting_schedule(geom, sched)
     if not ok:
         raise NonCommutingSchedule("kick axes are not collinear within tolerance")
-    return gaussian_char(env, sched.times, 2.0 * signs * sched.weights)
+    with np.errstate(over="ignore"):  # gaussian_char refuses an infinite coefficient
+        coeffs = 2.0 * signs * sched.weights
+    return gaussian_char(env, sched.times, coeffs)
 
 
 def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> QubitMap:
@@ -872,20 +877,6 @@ def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
         "shorter": shorter.meta.get("times"),
     }
     return _map(_composed_affine(longer, inverse), longer.axes, meta, cp=False)
-
-
-def two_kick_transition_map(
-    env: GaussianEnvironment,
-    geom: InteractionGeometry,
-    t0: float,
-    t1: float,
-    weights=(1.0, 1.0),
-) -> QubitMap:
-    """Closed-form transition map of the two-kick process: the two-kick
-    affine action with g set to 1."""
-    params = two_kick_params(env, geom, t0, t1, weights)
-    meta = {"kind": "transition_closed_form", "times": (float(t0), float(t1)), "closed_form": params}
-    return _map(_two_kick_affine(params, unit_g=True), (r_of_t(geom, t0), params.frame[0]), meta, cp=False)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import configparser
 import contextlib
 import dataclasses
 import functools
+import math
 import os
 import sys
 import tempfile
@@ -105,7 +106,7 @@ def _bloch_vector(raw: str) -> np.ndarray:
     if u.shape != (3,):
         raise ValueError(f"needs 3 components, got {len(u)}")
     if not is_physical_bloch(u):
-        raise ValueError(f"|u| = {np.linalg.norm(u):.17g} lies outside the Bloch ball")
+        raise ValueError(f"|u| = {math.hypot(*u):.17g} lies outside the Bloch ball")
     return u
 
 
@@ -442,7 +443,8 @@ def _apply_sweep_value(env, geom, sched, parameter, value):
         raise ConfigError("sweep parameter 'variance' needs the white_kick model")
     if parameter in ("gap", "scale") and len(sched) == 0:
         raise ConfigError(f"sweep parameter {parameter!r} needs a non-empty schedule")
-    with _bad_values("sweep"):
+    # a time or weight that overflows to inf is refused by KickSchedule
+    with _bad_values("sweep"), np.errstate(over="ignore"):
         if parameter == "nbar":
             env = SingleModeThermal(env.omega, nbar=value, displacement=env.displacement)
         elif parameter == "omega":
@@ -540,6 +542,9 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
     analytic = train.channel()
 
     if cfg["oracle", "mode"] == "nascent":
+        dim_max = cfg["oracle", "dim_max"]
+        if spec.dim > dim_max:
+            raise TruncationNotConverged(f"nascent truncation dim {spec.dim} exceeds dim_max {dim_max}")
         deltas = cfg["oracle", "deltas"]
         if deltas is None or len(deltas) == 0:
             base_dt = cfg["oracle", "delta_t"]

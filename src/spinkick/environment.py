@@ -84,8 +84,27 @@ def gram_matrix(env: GaussianEnvironment, times, weights=None) -> np.ndarray:
     return m
 
 
+def _kick_means(env: GaussianEnvironment, times, weights) -> np.ndarray:
+    """The kicks' weighted means w_k m(t_k), refused with SpinKickError like
+    the Gram matrix when a product overflows."""
+    w = np.asarray(weights, dtype=float).tolist()  # Python floats: an overflow raises no numpy warning
+    mu = [w_k * env.mean(t) for w_k, t in zip(w, times)]
+    if not all(map(math.isfinite, mu)):
+        raise SpinKickError(f"weights {_numbers(w)} overflow the kick means w_k m(t_k)")
+    return np.array(mu, dtype=float)
+
+
 def _numbers(values) -> str:
     return " ".join(f"{x:g}" for x in values)
+
+
+def _phase(omega: float, t) -> float:
+    """omega t as a Python float, refused with SpinKickError when it
+    overflows float64: its cosine would be undefined."""
+    x = omega * float(t)
+    if not math.isfinite(x):
+        raise SpinKickError(f"phase {omega:g} * {float(t):g} overflows")
+    return x
 
 
 def gaussian_char(env: GaussianEnvironment, times, coeffs) -> complex:
@@ -116,8 +135,10 @@ class SingleModeThermal(GaussianEnvironment):
 
     The coupling observable is the quadrature O(t) = (a e^{-iwt} + a^dag
     e^{iwt})/sqrt(2), normalized so that the vacuum variance is 1/2.  Either
-    nbar or beta may be given; beta is converted via nbar = 1/(e^{beta w}-1).
-    A nonzero displacement makes the state non-even (coherent/displaced).
+    nbar or beta may be given; beta is converted via nbar = 1/(e^{beta w}-1),
+    formed as e^{-beta w}/(1 - e^{-beta w}) so that a large beta w gives
+    nbar = 0 rather than an overflow.  A nonzero displacement makes the
+    state non-even (coherent/displaced).
     """
 
     omega: float
@@ -126,15 +147,20 @@ class SingleModeThermal(GaussianEnvironment):
     displacement: complex = 0.0j
 
     def __post_init__(self):
-        # each check written so that a NaN fails it
+        # each check written so that a NaN fails it; the values are kept as
+        # Python floats, whose arithmetic overflows to inf without a numpy
+        # warning, and each overflow is refused where it arises
         if not 0 < self.omega < math.inf:
             raise ValueError("omega must be positive and finite")
+        object.__setattr__(self, "omega", float(self.omega))
         if self.beta is not None:
             if not 0 < self.beta < math.inf:
                 raise ValueError("beta must be positive and finite")
-            object.__setattr__(self, "nbar", 1.0 / math.expm1(self.beta * self.omega))
+            x = float(self.beta) * self.omega  # 0 only when the product underflows
+            object.__setattr__(self, "nbar", math.exp(-x) / -math.expm1(-x) if x > 0 else math.inf)
         if not 0 <= self.nbar < math.inf:
             raise ValueError("nbar must be non-negative and finite")
+        object.__setattr__(self, "nbar", float(self.nbar))
         if not cmath.isfinite(self.displacement):
             raise ValueError("displacement must be finite")
         object.__setattr__(self, "displacement", complex(self.displacement))
@@ -143,10 +169,10 @@ class SingleModeThermal(GaussianEnvironment):
         a0 = self.displacement
         if a0 == 0:
             return 0.0
-        return math.sqrt(2.0) * abs(a0) * math.cos(self.omega * t - np.angle(a0))
+        return math.sqrt(2.0) * abs(a0) * math.cos(_phase(self.omega, t) - np.angle(a0))
 
     def covariance(self, t: float, t_prime: float) -> complex:
-        d = self.omega * (t - t_prime)
+        d = _phase(self.omega, float(t) - float(t_prime))
         return 0.5 * ((2.0 * self.nbar + 1.0) * math.cos(d) - 1j * math.sin(d))
 
     @property
@@ -172,7 +198,7 @@ class WhiteKickKernel(GaussianEnvironment):
         return 0.0
 
     def covariance(self, t: float, t_prime: float) -> complex:
-        return complex(self.variance) if abs(t - t_prime) <= 1e-12 else 0.0j
+        return complex(self.variance) if abs(float(t) - float(t_prime)) <= 1e-12 else 0.0j
 
     @property
     def is_even(self) -> bool:
@@ -265,14 +291,6 @@ class TabulatedKernel(GaussianEnvironment):
         means = [float(x) for ln in lines[i_m + 1 : i_c] for x in ln.split()]
         rows = [[parse_complex(x) for x in ln.split()] for ln in lines[i_c + 1 :]]
         return cls(times, means, rows)
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("times:\n" + " ".join(f"{t:.17g}" for t in self._times) + "\n")
-            fh.write("mean:\n" + " ".join(f"{m:.17g}" for m in self._means) + "\n")
-            fh.write("covariance:\n")
-            for row in self._cov:
-                fh.write(" ".join(format_complex(z) for z in row) + "\n")
 
 
 def parse_complex(token: str) -> complex:

@@ -3,10 +3,12 @@ detection of synchronized (commuting) schedules."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .environment import _phase
 from .errors import NonUnitVector
 from .pauli import cross3
 
@@ -15,8 +17,9 @@ COMMUTE_TOL = 1e-10
 
 def _unit(v, name: str) -> np.ndarray:
     v = np.array(v, dtype=float).reshape(3)
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # a NaN is refused too
-        raise NonUnitVector(f"|{name}| = {np.linalg.norm(v)} is not 1 within 1e-12")
+    norm = math.hypot(*v)  # no overflow for finite entries
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN is refused too
+        raise NonUnitVector(f"|{name}| = {norm} is not 1 within 1e-12")
     v.setflags(write=False)
     return v
 
@@ -78,6 +81,14 @@ class KickSchedule:
         return len(self.times)
 
 
+def _phases(omega, t) -> np.ndarray:
+    """omega t for a time or an array of times, refused by ``_phase`` (with
+    SpinKickError) when the largest product overflows float64."""
+    t = np.asarray(t, dtype=float)
+    _phase(float(omega), max(map(abs, t.ravel().tolist()), default=0.0))
+    return omega * t
+
+
 def r_of_t(geom: InteractionGeometry, t) -> np.ndarray:
     """Interaction-picture coupling axis at time t, or at each of an array
     of times: shape t.shape + (3,).
@@ -87,7 +98,7 @@ def r_of_t(geom: InteractionGeometry, t) -> np.ndarray:
     """
     h, a = geom.h, geom.alpha
     ha = float(h @ a)
-    wt = geom.omega * np.asarray(t, dtype=float)[..., None]
+    wt = _phases(geom.omega, t)[..., None]
     return ha * h + np.cos(wt) * (a - ha * h) - np.sin(wt) * geom.h_cross_alpha
 
 

@@ -40,7 +40,7 @@ from .errors import (
     TruncationNotConverged,
     UnknownPulseShape,
 )
-from .kicks import InteractionGeometry, KickSchedule, r_of_t
+from .kicks import InteractionGeometry, KickSchedule, _phases, r_of_t
 from .pauli import I2, PAULI, AffineBlochMap, max_image_norm, spin_frames
 
 TAIL_TOL = 1e-12
@@ -69,10 +69,15 @@ def fock_spec_for(env: SingleModeThermal, dim: int | None = None) -> FockSpec:
     """A reasonable starting truncation for a given analytic environment.
 
     Thermal tails need roughly 10 extra levels per unit of nbar; coherent
-    displacement pushes the occupation up by |alpha0|^2.
+    displacement pushes the occupation up by |alpha0|^2.  An estimate past
+    float64's range fits no truncation: TruncationNotConverged.
     """
     if dim is None:
-        dim = 20 + math.ceil(10.0 * env.nbar + 8.0 * abs(env.displacement) ** 2)
+        a = abs(env.displacement)
+        levels = 10.0 * env.nbar + 8.0 * (a * a)
+        if levels == math.inf:
+            raise TruncationNotConverged(f"no Fock truncation holds nbar = {env.nbar:g} and |displacement| = {a:g}")
+        dim = 20 + math.ceil(levels)
     return FockSpec(env, dim)
 
 
@@ -120,14 +125,6 @@ def _environment_factor(spec: FockSpec, spectrum):
         factor = np.matmul(vecs, inner.view(float)).view(complex)
         factor *= turn[:, None]
     return factor, float(np.sum(np.abs(factor[-1]) ** 2))
-
-
-def environment_state(spec: FockSpec):
-    """Truncated (displaced) Gibbs state S S^dag and its top-level occupation."""
-    factor, tail = _environment_factor(spec, coupling_spectrum(quadrature_heisenberg(spec, 0.0)))
-    if factor.ndim == 1:
-        return np.diag(factor * factor).astype(complex), tail
-    return factor @ factor.conj().T, tail
 
 
 def coupling_spectrum(o_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +191,7 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     # F_1^dag, then the frame changes F_{k+1}^dag F_k
     changes = frames.conj().swapaxes(-1, -2)
     changes[:, 1:] = changes[:, 1:] @ frames[:, :-1]
-    turns = np.exp(1j * omega * np.asarray(times, dtype=float))
+    turns = np.exp(1j * _phases(omega, times))
     # e^{-iw lambda} on e and e^{+iw lambda} on f, per step and level: both
     # held, so that one contiguous product scales all four spin blocks (a
     # product on one output spin's blocks of a W > 1 stack makes numpy copy them)
@@ -375,7 +372,7 @@ def nascent_delta_channels(
     profile, half = PULSE_SHAPES[shape]
     min_gap = float(np.min(np.diff(np.sort(times)))) if len(times) > 1 else math.inf
     fastest = max(geom.omega, spec.env.omega)
-    for delta_t in deltas:
+    for delta_t in deltas.tolist():  # Python floats: an overflowing width is refused, not warned of
         if 2.0 * half * delta_t >= min_gap:
             raise StepTooCoarse(
                 f"pulse width {2 * half * delta_t:.3g} overlaps kick gap {min_gap:.3g}"
@@ -409,19 +406,6 @@ def nascent_delta_channels(
         for dt in deltas
     ]
     return _channels_at_dim(spec, steps, axes, metas, grid)
-
-
-def nascent_delta_channel(
-    spec: FockSpec,
-    geom: InteractionGeometry,
-    kick_times,
-    delta_t: float,
-    steps_per_kick: int = 48,
-    shape: str = "gaussian",
-    weights=None,
-) -> QubitMap:
-    """The channel of ``nascent_delta_channels`` for the one width delta_t."""
-    return nascent_delta_channels(spec, geom, kick_times, [delta_t], steps_per_kick, shape, weights)[0]
 
 
 def channel_distance(c1, c2) -> float:

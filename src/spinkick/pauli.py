@@ -7,6 +7,7 @@ here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,6 @@ def dot_sigma(v) -> np.ndarray:
     return np.einsum("i,ijk->jk", v, PAULI)
 
 
-def bloch_to_density(u) -> np.ndarray:
-    """Density matrix (1 + u.sigma)/2 for Bloch vector u.
-
-    Vectors with |u| > 1 are accepted on purpose: transition maps can send
-    physical states outside the ball and we need to represent the result.
-    """
-    return (I2 + dot_sigma(u)) / 2.0
-
-
 def density_to_bloch(rho) -> np.ndarray:
     """Bloch vector u_i = tr(rho sigma_i) of a matrix Hermitian and of unit
     trace to 1e-10."""
@@ -62,22 +54,9 @@ def density_to_bloch(rho) -> np.ndarray:
 
 
 def is_physical_bloch(u) -> bool:
-    """Whether u lies in the closed Bloch ball, to UNIT_TOL."""
-    return bool(np.linalg.norm(np.asarray(u, dtype=float)) <= 1.0 + UNIT_TOL)
-
-
-def projector(r, s: int) -> np.ndarray:
-    """Eigenprojector (1 + s r.sigma)/2 of the Pauli observable r.sigma.
-
-    r must be a unit vector to within 1e-12; out-of-tolerance input is an
-    error rather than being silently normalized.
-    """
-    r = np.asarray(r, dtype=float)
-    if abs(np.linalg.norm(r) - 1.0) > UNIT_TOL:
-        raise NonUnitVector(f"|r| = {np.linalg.norm(r)} is not 1 within {UNIT_TOL}")
-    if s not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return (I2 + s * dot_sigma(r)) / 2.0
+    """Whether u lies in the closed Bloch ball, to UNIT_TOL.  The norm is
+    taken by math.hypot, which cannot overflow for finite entries."""
+    return math.hypot(*np.asarray(u, dtype=float)) <= 1.0 + UNIT_TOL
 
 
 def spin_frames(axes) -> np.ndarray:

@@ -17,26 +17,24 @@ from spinkick import (
     dephasing_divisibility,
     dephasing_gamma,
     divisibility_report,
-    entanglement_entropy,
     entropy,
     fixed_point,
     identity_channel,
     is_cp,
     max_image_norm,
-    post_kick_purity,
     purity,
     single_kick_channel,
     trace_distance,
     transition_map,
     two_kick_closed_form,
-    two_kick_divisibility,
     two_kick_params,
     apply_affine,
 )
-from spinkick.analysis import PSD_TOL, entropy_from_purity
+from spinkick.analysis import PSD_TOL
 from spinkick.channels import QubitMap
 from spinkick.pauli import PAULI_BASIS, AffineBlochMap
 from conftest import fibonacci_sphere, random_geometry, random_schedule
+from reference import entanglement_entropy, entropy_from_purity, post_kick_purity, two_kick_divisibility
 
 
 def test_purity_examples():

@@ -36,7 +36,6 @@ from spinkick import (
     transition_map,
     two_kick_closed_form,
     two_kick_params,
-    two_kick_transition_map,
     r_of_t,
 )
 from spinkick.analysis import dephasing_divisibility, fixed_point
@@ -64,9 +63,10 @@ from spinkick.channels import (
     validate_map,
 )
 from spinkick.environment import format_complex, parse_complex
-from spinkick.oracle import fock_spec_for, nascent_delta_channel, oracle_channel
-from spinkick.pauli import I2, PAULI, OperatorBasis, bloch_to_density, dot_sigma, spin_frames
+from spinkick.oracle import fock_spec_for, nascent_delta_channels, oracle_channel
+from spinkick.pauli import I2, PAULI, OperatorBasis, dot_sigma, spin_frames
 from conftest import random_geometry, random_schedule, random_unit
+from reference import bloch_to_density, two_kick_transition_map
 
 
 # ---------------------------------------------------------------------------
@@ -1188,7 +1188,7 @@ def test_every_constructor_reads_chi_in_the_default_basis():
     framed = [
         build_n_kick_channel(env, geom, KickSchedule(times)),
         oracle_channel(spec, geom, KickSchedule(times), stability_tol=1.0),
-        nascent_delta_channel(spec, geom, times, 0.01, steps_per_kick=4),
+        nascent_delta_channels(spec, geom, times, [0.01], steps_per_kick=4)[0],
     ]
     for m in framed:
         np.testing.assert_array_equal(m.basis.ops, frame)
@@ -1202,7 +1202,7 @@ def test_every_constructor_reads_chi_in_the_default_basis():
         identity_channel(),
         build_n_kick_channel(env, geom, empty),
         oracle_channel(spec, geom, empty, stability_tol=1.0),
-        nascent_delta_channel(spec, geom, [], 0.01),
+        nascent_delta_channels(spec, geom, [], [0.01])[0],
         single_kick_channel(env, geom, 0.3),
         dephasing_channel(env, synced, KickSchedule([0.0, np.pi])),
         two_kick_closed_form(env, synced, 0.0, np.pi),
@@ -1242,3 +1242,35 @@ def test_equality_is_identity(make):
     a, b = make(), make()
     assert (a == a) is True
     assert (a == b) is False
+
+
+def test_enumeration_refuses_gamma_coefficients_that_overflow():
+    """At nbar = 1e250 the exponents of the 4^n gamma coefficients cancel
+    only to within rounding of the Gram entries, which overflows exp: the
+    enumeration refuses with SpinKickError, before numpy could warn, while
+    the pass, which never forms those sums, still builds the channel."""
+    env = SingleModeThermal(omega=1.0, nbar=1e250)
+    geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0)
+    sched = KickSchedule([0.0, 0.7, 1.3])
+    with pytest.raises(SpinKickError, match="gamma coefficients overflow"):
+        build_n_kick_channel(env, geom, sched)
+    assert np.isfinite(build_prefix_channels(env, geom, sched)[3].affine.matrix).all()
+
+
+@pytest.mark.parametrize("build", [build_n_kick_channel, lambda *a: build_prefix_channels(*a)[1]])
+def test_kick_means_that_overflow_are_refused(build):
+    """A weight times a displaced mean past float64's range is refused like
+    an overflowing Gram entry, with no numpy warning first."""
+    env = SingleModeThermal(omega=1.0, displacement=1e300)
+    geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0)
+    with pytest.raises(SpinKickError, match=r"weights 1e\+10 overflow the kick means"):
+        build(env, geom, KickSchedule([0.0], [1e10]))
+
+
+def test_dephasing_coefficient_of_overflowing_weights_is_refused():
+    """2 w past float64's range is refused by the characteristic function,
+    not warned of."""
+    env = SingleModeThermal(omega=1.0)
+    geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
+    with pytest.raises(SpinKickError, match="overflow"):
+        dephasing_gamma(env, geom, KickSchedule([0.0, 1.0], [1e308, 1.0]))

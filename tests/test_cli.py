@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinkick import (
@@ -16,7 +16,19 @@ from spinkick import (
     load_channel,
     two_kick_params,
 )
-from spinkick.cli import _SCHEMA, EXIT_CHECK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_IO, EXIT_OK, RunConfig, _apply_sweep_value, main
+from spinkick.cli import (
+    _SCHEMA,
+    _SWEEP_QUANTITIES,
+    _SWEEPABLE,
+    EXIT_CHECK,
+    EXIT_CONFIG,
+    EXIT_DOMAIN,
+    EXIT_IO,
+    EXIT_OK,
+    RunConfig,
+    _apply_sweep_value,
+    main,
+)
 
 BASE_CFG = """
 [environment]
@@ -455,6 +467,66 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, old, new):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("h = 0 0 1", "h = 0 0 1e300", "config error: [geometry] |h| = 1e+300 is not 1 within 1e-12\n"),
+        (
+            "u = 1 0 0",
+            "u = 1e300 0 0",
+            "config error: [initial_state] u: |u| = 1.0000000000000001e+300 lies outside the Bloch ball\n",
+        ),
+    ],
+    ids=["h", "u"],
+)
+def test_huge_vector_entry_exits_2(tmp_path, capsys, old, new, message):
+    """An entry of 1e300 in an axis or the initial state is refused with
+    exit 2 and its true norm; the norm is taken without overflow, so no
+    warning (an error under pytest) comes first."""
+    body = BASE_CFG.format(out=tmp_path / "out").replace(old, new)
+    assert main(["--config", write_cfg(tmp_path, body), "simulate"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+
+
+def test_beta_past_float_range_runs_as_the_ground_state(tmp_path):
+    """beta omega = 3e300 is the ground state: simulate exits 0 and writes
+    what nbar = 0 writes."""
+    outputs = []
+    for name, env in [("beta", "omega = 3.0\nbeta = 1e300"), ("nbar", "omega = 3.0\nnbar = 0.0")]:
+        out = tmp_path / name
+        body = BASE_CFG.format(out=out).replace("omega = 1.0\nnbar = 0.0", env)
+        assert main(["--config", write_cfg(tmp_path, body, f"{name}.cfg"), "simulate"]) == EXIT_OK
+        outputs.append([(out / f"run_{kind}").read_bytes() for kind in ("trajectory.csv", "channel.txt")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "environment, oracle, message",
+    [
+        ("nbar = 1e300", "mode = nascent", "oracle failure: nascent truncation dim "),
+        ("nbar = 0.0\ndisplacement = 1e300", "mode = kicks", "oracle failure: no Fock truncation holds "),
+    ],
+    ids=["nascent_dim", "displacement"],
+)
+def test_oracle_of_an_unholdable_state_exits_5(tmp_path, capsys, environment, oracle, message):
+    """An occupation no truncation up to dim_max can hold ends oracle-check
+    with exit 5 in either mode, before a Fock matrix is allocated."""
+    body = BASE_CFG.format(out=tmp_path / "out").replace("nbar = 0.0", environment)
+    body += f"\n[oracle]\n{oracle}\ntol = 1e-2\n"
+    assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_CHECK
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("parameter", ["gap", "scale"])
+def test_sweep_value_that_overflows_the_schedule_exits_2(tmp_path, capsys, parameter):
+    """A gap or scale whose times or weights overflow to inf is refused by
+    the schedule's range check, not warned of."""
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", "times = 0.0 0.7 1.4\nweights = 2 2 2")
+    body += f"\n[sweep]\nparameter = {parameter}\nstart = 1e308\nstop = 1e308\ncount = 2\n"
+    assert main(["--config", write_cfg(tmp_path, body), "sweep"]) == EXIT_CONFIG
+    assert "must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("times, code", [("0.0", EXIT_DOMAIN), ("", EXIT_OK)])
 def test_max_kicks_flag_zero_is_a_budget(tmp_path, times, code):
     """--max-kicks 0 is honoured like max_kicks = 0 in the config: only the
@@ -741,37 +813,102 @@ def test_sweep_invalid_transition_map_is_nan(tmp_path):
     assert [r.split(",")[1] for r in rows] == ["nan", "nan"]
 
 
-def _vec(v):
-    return " ".join(repr(float(x)) for x in v)
+# numbers every numeric key is sometimes given: non-finite, zero, huge and
+# subnormal
+SPECIAL_NUMBERS = ("nan", "inf", "-inf", "0", "1e300", "5e-324")
+
+
+def _number(draw, lo, hi):
+    """The text of a float in [lo, hi], or of a special number one time in ten."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from(SPECIAL_NUMBERS))
+    return repr(draw(st.floats(lo, hi)))
+
+
+def _vector(draw, choices):
+    """One of ``choices``, one time in ten with an entry a special number."""
+    entries = [repr(float(x)) for x in draw(st.sampled_from(choices))]
+    if draw(st.integers(0, 9)) == 9:
+        entries[draw(st.integers(0, 2))] = draw(st.sampled_from(SPECIAL_NUMBERS))
+    return " ".join(entries)
 
 
 @st.composite
 def cli_runs(draw):
-    """simulate/divisibility runs on up to 3 kicks, some inputs out of range."""
-    command = draw(st.sampled_from(["simulate", "divisibility"]))
-    n = draw(st.integers(0 if command == "simulate" else 2, 3))
-    times = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    """Runs of every command on up to 3 kicks, some inputs out of range and
+    some numbers special.  Sweeps have at most 3 points an axis, and the
+    oracle at most 40 Fock levels and 8 steps a pulse.  Each run gives only
+    the sections its command reads, so that fewer runs end at the parse."""
+    command = draw(st.sampled_from(["simulate", "divisibility", "sweep", "oracle-check", "fixed-point"]))
+    n = draw(st.integers(0, 3))
+    times = [_number(draw, 0.0, 3.0) for _ in range(n)]
     if draw(st.integers(0, 3)):
-        times = sorted(times)
-    weights = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
-    h = draw(st.sampled_from([(0, 0, 1), (1, 0, 0), (0.6, 0, 0.8), (0, 0.8, 0.6), (0, 0, 2)]))
-    alpha = draw(st.sampled_from([(1, 0, 0), (0, 1, 0), (0.6, 0.8, 0)]))
-    nbar = draw(st.floats(-0.5, 3.0))
+        times.sort(key=float)
+    schedule = "times = " + " ".join(times)
     if draw(st.booleans()):
-        env = f"model = single_mode_thermal\nomega = {draw(st.floats(0.1, 2.0))!r}\nnbar = {nbar!r}"
+        schedule += "\nweights = " + " ".join(_number(draw, 0.0, 3.0) for _ in range(n))
+    thermal = draw(st.integers(0, 3)) > 0
+    if thermal:
+        env = f"model = single_mode_thermal\nomega = {_number(draw, 0.1, 2.0)}"
+        env += f"\nnbar = {_number(draw, -0.5, 3.0)}" if draw(st.booleans()) else f"\nbeta = {_number(draw, 0.1, 5.0)}"
+        if draw(st.booleans()):
+            env += f"\ndisplacement = {_number(draw, -1.0, 1.0)}"
     else:
-        env = f"model = white_kick\nvariance = {nbar!r}"
-    body = (
-        f"[environment]\n{env}\n\n[geometry]\nh = {_vec(h)}\nalpha = {_vec(alpha)}\n"
-        f"Omega = {draw(st.floats(0.0, 2.0))!r}\n\n[schedule]\ntimes = {_vec(times)}\n"
-        f"weights = {_vec(weights)}\n"
-    )
-    return command, body
+        env = f"model = white_kick\nvariance = {_number(draw, -0.5, 3.0)}"
+    h = _vector(draw, [(0, 0, 1), (1, 0, 0), (0.6, 0, 0.8), (0, 0.8, 0.6), (0, 0, 2)])
+    alpha = _vector(draw, [(1, 0, 0), (0, 1, 0), (0.6, 0.8, 0)])
+    u = _vector(draw, [(0, 0, 1), (1, 0, 0), (0, 0, 0), (0.5, 0.5, 0.5), (0, 2, 0)])
+    toggles = ("divisibility", "fixed_point", "oracle_check")
+    analysis = "\n".join(f"{key} = {str(draw(st.booleans())).lower()}" for key in toggles)
+    analysis += f"\ntol = {_number(draw, 1e-12, 1e-6)}"
+    sweep = []
+    sweepable = [p for p in _SWEEPABLE if (p == "variance") != thermal]
+    for suffix in ("", "2")[: draw(st.integers(1, 2))]:
+        sweep += [
+            f"parameter{suffix} = {draw(st.sampled_from(sweepable))}",
+            f"start{suffix} = {_number(draw, 0.0, 3.0)}",
+            f"stop{suffix} = {_number(draw, 0.0, 3.0)}",
+            f"count{suffix} = {draw(st.integers(2, 3))}",
+        ]
+    oracle = [
+        f"mode = {draw(st.sampled_from(['kicks', 'nascent']))}",
+        f"dim_max = {draw(st.integers(2, 40))}",
+        f"tol = {_number(draw, 1e-10, 1e-1)}",
+        f"delta_t = {_number(draw, 1e-3, 0.1)}",
+        f"steps_per_kick = {draw(st.integers(1, 8))}",
+        f"shape = {draw(st.sampled_from(['gaussian', 'rectangular']))}",
+    ]
+    if draw(st.booleans()):
+        oracle.append(f"dim = {draw(st.integers(2, 30))}")
+    divisibility = f"mode = {draw(st.sampled_from(['auto', 'two_kick', 'dephasing']))}\nn = {draw(st.integers(1, 3))}"
+    sections = {
+        "environment": env,
+        "geometry": f"h = {h}\nalpha = {alpha}\nOmega = {_number(draw, 0.0, 2.0)}",
+        "schedule": schedule,
+        "initial_state": f"u = {u}",
+        "analysis": analysis,
+        "divisibility": divisibility,
+        "sweep": "\n".join(sweep) + "\nquantities = " + " ".join(_SWEEP_QUANTITIES),
+        "oracle": "\n".join(oracle),
+    }
+    reads = {
+        "simulate": ("initial_state", "analysis", "divisibility", "oracle"),
+        "divisibility": ("analysis", "divisibility"),
+        "sweep": ("initial_state", "sweep"),
+        "oracle-check": ("oracle",),
+        "fixed-point": (),
+    }[command]
+    given = ("environment", "geometry", "schedule") + reads
+    return command, "".join(f"[{name}]\n{sections[name]}\n\n" for name in given)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(cli_runs())
+@example(("simulate", BASE_CFG.format(out="out").replace("nbar = 0.0", "beta = 1e300")))
+@example(("simulate", BASE_CFG.format(out="out").replace("h = 0 0 1", "h = 0 0 1e300")))
 def test_exit_codes_stay_in_contract(run):
+    """Every command ends in a documented exit code, never in a traceback or
+    a warning (an error under pytest), whatever the numbers it is given."""
     command, body = run
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")

@@ -46,6 +46,43 @@ def test_beta_to_nbar():
     assert env.nbar == pytest.approx(1.0 / np.expm1(2.0))
 
 
+def test_beta_past_float_range_is_the_ground_state():
+    """beta omega past e^-x's range is nbar = 0, not an overflow, also when
+    the product itself overflows; below it the formula still follows
+    1/(e^x - 1) to rounding."""
+    assert SingleModeThermal(omega=3.0, beta=1e300).nbar == 0.0
+    assert SingleModeThermal(omega=1e10, beta=1e300).nbar == 0.0
+    assert SingleModeThermal(omega=1.0, beta=700.0).nbar == pytest.approx(1.0 / np.expm1(700.0), rel=1e-15)
+
+
+def test_beta_whose_product_underflows_is_refused():
+    """beta omega = 0 in float64 would be an infinite occupation: refused as
+    such, not a division by zero."""
+    with pytest.raises(ValueError, match="nbar must be non-negative and finite"):
+        SingleModeThermal(omega=0.5, beta=5e-324)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda: SingleModeThermal(omega=1e300).covariance(np.float64(1e10), np.float64(0.0)),
+        lambda: SingleModeThermal(omega=1.0).covariance(np.float64(-1e308), np.float64(1e308)),
+        lambda: SingleModeThermal(omega=1e300, displacement=0.5).mean(np.float64(1e300)),
+    ],
+    ids=["covariance", "time_difference", "mean"],
+)
+def test_phase_past_float_range_is_refused(query):
+    """A phase omega t that overflows float64 has no cosine: SpinKickError,
+    with no numpy warning first (warnings are errors under pytest)."""
+    with pytest.raises(SpinKickError, match="overflows"):
+        query()
+
+
+def test_white_kernel_takes_far_apart_times():
+    """Times of opposite sign near float64's limit are simply distinct."""
+    assert WhiteKickKernel(0.3).covariance(np.float64(-1e308), np.float64(1e308)) == 0.0
+
+
 def test_displaced_mean():
     a0 = 0.7 * np.exp(0.3j)
     env = SingleModeThermal(omega=1.2, displacement=a0)
@@ -119,7 +156,12 @@ def test_tabulated_kernel_roundtrip(tmp_path):
     assert not kernel.is_even
 
     path = tmp_path / "kernel.txt"
-    kernel.to_file(path)
+    rows = "\n".join(" ".join(format_complex(z) for z in row) for row in cov)
+    path.write_text(
+        "times:\n" + " ".join(f"{t:.17g}" for t in times) + "\nmean:\n"
+        + " ".join(f"{m:.17g}" for m in means) + "\ncovariance:\n" + rows + "\n",
+        encoding="utf-8",
+    )
     back = TabulatedKernel.from_file(path)
     np.testing.assert_allclose(back.times, times)
     for t in times:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinkick import InteractionGeometry, KickSchedule, NonUnitVector, is_commuting_schedule, r_of_t
+from spinkick import InteractionGeometry, KickSchedule, NonUnitVector, SpinKickError, is_commuting_schedule, r_of_t
 from conftest import random_geometry
 
 
@@ -121,3 +121,22 @@ def test_r_of_t_over_arrays_is_the_scalar_call_bit_for_bit():
             scalar = r_of_t(geom, float(t))
             assert scalar.shape == (3,)
             assert np.array_equal(r_flat, scalar) and np.array_equal(r_grid, scalar)
+
+
+@pytest.mark.parametrize("axis", ["h", "alpha"])
+def test_huge_axis_entry_is_refused_by_its_norm(axis):
+    """An entry of 1e300 gives |v| = 1e300, taken without overflow: the
+    refusal names the true norm and no numpy warning comes first."""
+    vectors = {"h": [0, 0, 1], "alpha": [1, 0, 0]}
+    vectors[axis] = [0, 1e300, 0]
+    with pytest.raises(NonUnitVector, match=rf"^\|{axis}\| = 1e\+300 is not 1 within 1e-12$"):
+        InteractionGeometry(omega=1.0, **vectors)
+
+
+def test_r_of_t_refuses_an_overflowing_phase():
+    """Omega t past float64's range has no cosine: SpinKickError, before
+    numpy could warn."""
+    geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1e300)
+    np.testing.assert_allclose(r_of_t(geom, [0.0, 0.0]), [[1, 0, 0], [1, 0, 0]])
+    with pytest.raises(SpinKickError, match="overflows"):
+        r_of_t(geom, [0.0, 1e300])

@@ -17,16 +17,12 @@ from spinkick import (
     build_n_kick_channel,
     channel_distance,
     commutator_C,
-    coupling_spectrum,
     dephasing_channel,
-    entanglement_entropy,
     entropy,
     fock_spec_for,
     identity_channel,
-    nascent_delta_channel,
     nascent_delta_channels,
     oracle_channel,
-    quadrature_heisenberg,
     single_kick_channel,
     two_kick_closed_form,
 )
@@ -39,10 +35,12 @@ from spinkick.oracle import (
     _evolve,
     _level_phases,
     annihilation,
-    environment_state,
+    coupling_spectrum,
+    quadrature_heisenberg,
 )
 from spinkick.pauli import I2, PAULI, density_to_bloch, dot_sigma
 from conftest import random_geometry, random_schedule
+from reference import entanglement_entropy, environment_state
 
 
 def test_quadrature_small():
@@ -345,7 +343,9 @@ def test_nascent_pulse_grid_matches_kron_product(shape, standard_geometry):
         for t, w in zip(times, weights)
         for x, v in zip(xs, vals)
     ]
-    ch = nascent_delta_channel(spec, standard_geometry, times, delta, steps_per_kick=per, shape=shape, weights=weights)
+    (ch,) = nascent_delta_channels(
+        spec, standard_geometry, times, [delta], steps_per_kick=per, shape=shape, weights=weights
+    )
     _assert_is_kron_readout(spec, steps, ch)
 
 
@@ -361,7 +361,7 @@ def test_batched_widths_match_single_width_builds(shape, gap):
     batched = nascent_delta_channels(spec, geom, times, deltas, steps_per_kick=16, shape=shape, weights=weights)
     assert len(batched) == len(deltas)
     for delta, ch in zip(deltas, batched):
-        single = nascent_delta_channel(spec, geom, times, delta, steps_per_kick=16, shape=shape, weights=weights)
+        single = nascent_delta_channels(spec, geom, times, [delta], steps_per_kick=16, shape=shape, weights=weights)[0]
         assert {**ch.meta, "bytes": 0} == {**single.meta, "bytes": 0}
         assert ch.meta["kick_steps"] == 32 and ch.meta["eigendecompositions"] == 1
         assert channel_distance(ch, single) < 1e-13
@@ -434,7 +434,7 @@ def test_oracle_records_its_work(standard_geometry):
     assert orc.meta["eigendecompositions"] == builds
     assert orc.meta["kick_steps"] == 3 * builds
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
-    ch = nascent_delta_channel(spec, standard_geometry, [0.0, 1.5], 0.02, steps_per_kick=12)
+    ch = nascent_delta_channels(spec, standard_geometry, [0.0, 1.5], [0.02], steps_per_kick=12)[0]
     assert ch.meta["eigendecompositions"] == 1
     assert ch.meta["kick_steps"] == 24
 
@@ -569,7 +569,7 @@ def test_oracle_random_matrix(standard_geometry):
 
 def test_nascent_zero_weight_is_identity(standard_geometry):
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
-    ch = nascent_delta_channel(spec, standard_geometry, [1.0], 0.05, weights=[0.0])
+    ch = nascent_delta_channels(spec, standard_geometry, [1.0], [0.05], weights=[0.0])[0]
     assert channel_distance(ch, identity_channel()) == 0.0
 
 
@@ -579,7 +579,7 @@ def test_nascent_converges_monotonically(vacuum):
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     dists = [
         channel_distance(
-            analytic, nascent_delta_channel(spec, geom, [1.0], dt, steps_per_kick=48)
+            analytic, nascent_delta_channels(spec, geom, [1.0], [dt], steps_per_kick=48)[0]
         )
         for dt in (0.064, 0.032, 0.016, 0.008)
     ]
@@ -595,7 +595,7 @@ def test_nascent_with_precession_still_converges(vacuum, standard_geometry):
     dists = [
         channel_distance(
             analytic,
-            nascent_delta_channel(spec, standard_geometry, [1.0], dt, steps_per_kick=32),
+            nascent_delta_channels(spec, standard_geometry, [1.0], [dt], steps_per_kick=32)[0],
         )
         for dt in (0.08, 0.04, 0.02)
     ]
@@ -610,7 +610,7 @@ def test_domain_errors_are_spinkick_errors(vacuum, standard_geometry):
     assert isinstance(exc.value, SpinKickError) and isinstance(exc.value, ValueError)
     spec = FockSpec(vacuum, dim=20)
     with pytest.raises(UnknownPulseShape, match="unknown pulse shape 'sawtooth'") as exc:
-        nascent_delta_channel(spec, standard_geometry, [1.0], 0.01, shape="sawtooth")
+        nascent_delta_channels(spec, standard_geometry, [1.0], [0.01], shape="sawtooth")
     assert isinstance(exc.value, SpinKickError) and isinstance(exc.value, ValueError)
 
 
@@ -620,7 +620,7 @@ def test_nascent_rectangular_shape(vacuum):
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     d = channel_distance(
         analytic,
-        nascent_delta_channel(spec, geom, [1.0], 0.01, steps_per_kick=64, shape="rectangular"),
+        nascent_delta_channels(spec, geom, [1.0], [0.01], steps_per_kick=64, shape="rectangular")[0],
     )
     assert d < 1e-3
 
@@ -629,10 +629,10 @@ def test_nascent_two_kicks(vacuum, standard_geometry):
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     analytic = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 1.5]))
     d1 = channel_distance(
-        analytic, nascent_delta_channel(spec, standard_geometry, [0.0, 1.5], 0.04)
+        analytic, nascent_delta_channels(spec, standard_geometry, [0.0, 1.5], [0.04])[0]
     )
     d2 = channel_distance(
-        analytic, nascent_delta_channel(spec, standard_geometry, [0.0, 1.5], 0.02)
+        analytic, nascent_delta_channels(spec, standard_geometry, [0.0, 1.5], [0.02])[0]
     )
     assert d2 < d1
 
@@ -641,8 +641,12 @@ def test_nascent_axes_are_in_time_order(standard_geometry):
     """Kick times given out of order give the channel of the sorted train,
     its kick axes and so its chi basis and chi included."""
     spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.3), dim=20)
-    ordered = nascent_delta_channel(spec, standard_geometry, [0.5, 2.0], 0.02, steps_per_kick=8, weights=[0.8, 1.3])
-    swapped = nascent_delta_channel(spec, standard_geometry, [2.0, 0.5], 0.02, steps_per_kick=8, weights=[1.3, 0.8])
+    (ordered,) = nascent_delta_channels(
+        spec, standard_geometry, [0.5, 2.0], [0.02], steps_per_kick=8, weights=[0.8, 1.3]
+    )
+    (swapped,) = nascent_delta_channels(
+        spec, standard_geometry, [2.0, 0.5], [0.02], steps_per_kick=8, weights=[1.3, 0.8]
+    )
     np.testing.assert_array_equal(np.asarray(swapped.axes), np.asarray(ordered.axes))
     np.testing.assert_allclose(swapped.affine.matrix, ordered.affine.matrix, rtol=0, atol=1e-15)
     np.testing.assert_allclose(swapped.chi, ordered.chi, rtol=0, atol=1e-14)
@@ -651,15 +655,15 @@ def test_nascent_axes_are_in_time_order(standard_geometry):
 def test_nascent_step_too_coarse(vacuum, standard_geometry):
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     with pytest.raises(StepTooCoarse):
-        nascent_delta_channel(spec, standard_geometry, [0.0, 0.3], 0.05)  # pulses overlap
+        nascent_delta_channels(spec, standard_geometry, [0.0, 0.3], [0.05])  # pulses overlap
     with pytest.raises(StepTooCoarse):
-        nascent_delta_channel(spec, standard_geometry, [0.0], 0.5)  # wide vs period
+        nascent_delta_channels(spec, standard_geometry, [0.0], [0.5])  # wide vs period
 
 
 def test_nascent_length_mismatch(standard_geometry):
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     with pytest.raises(LengthMismatch, match="2 kick times but 1 weights"):
-        nascent_delta_channel(spec, standard_geometry, [0.0, 1.5], 0.02, weights=[1.0])
+        nascent_delta_channels(spec, standard_geometry, [0.0, 1.5], [0.02], weights=[1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -685,3 +689,25 @@ def test_channel_distance_properties(vacuum, standard_geometry):
 def test_annihilation_matrix():
     a = annihilation(3)
     np.testing.assert_allclose(a, [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]])
+
+
+def test_occupation_past_float_range_fits_no_truncation():
+    """|displacement|^2 past float64's range is refused by the truncation
+    estimate itself, not by an OverflowError."""
+    with pytest.raises(TruncationNotConverged, match="no Fock truncation holds"):
+        fock_spec_for(SingleModeThermal(omega=1.0, displacement=1e300))
+
+
+def test_oracle_refuses_an_overflowing_mode_phase():
+    """A kick time whose mode phase omega t overflows is refused with
+    SpinKickError before the evolution, with no numpy warning first."""
+    geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
+    spec = FockSpec(SingleModeThermal(omega=1e300), dim=4)
+    with pytest.raises(SpinKickError, match="overflows"):
+        oracle_channel(spec, geom, KickSchedule([1e10]), max_dim=14)
+
+
+def test_nascent_refuses_an_overflowing_width_without_a_warning(vacuum, standard_geometry):
+    """A pulse width whose extent overflows is too coarse, not a warning."""
+    with pytest.raises(StepTooCoarse, match="pulse width inf"):
+        nascent_delta_channels(FockSpec(vacuum, dim=4), standard_geometry, [0.0, 1.0], [1e308])

@@ -8,19 +8,17 @@ from spinkick import (
     KickSchedule,
     NonHermitian,
     NonUnitTrace,
-    NonUnitVector,
     apply_affine,
-    bloch_to_density,
     density_to_bloch,
     WhiteKickKernel,
     build_n_kick_channel,
     is_physical_bloch,
     max_image_norm,
-    projector,
     transition_map,
 )
 from spinkick.pauli import I2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, cross3, dot_sigma
 from conftest import fibonacci_sphere
+from reference import bloch_to_density
 
 bloch_vectors = st.lists(
     st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3
@@ -52,29 +50,6 @@ def test_round_trip(u):
     np.testing.assert_allclose(density_to_bloch(bloch_to_density(u)), u, atol=1e-12)
 
 
-def test_projector_examples():
-    np.testing.assert_allclose(projector([0, 0, 1], +1), np.diag([1.0, 0.0]))
-    np.testing.assert_allclose(projector([0, 0, 1], -1), np.diag([0.0, 1.0]))
-    np.testing.assert_allclose(projector([1, 0, 0], +1), np.full((2, 2), 0.5))
-
-
-def test_projector_algebra():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        r = rng.normal(size=3)
-        r /= np.linalg.norm(r)
-        p, m = projector(r, +1), projector(r, -1)
-        assert np.max(np.abs(p @ p - p)) < 1e-14
-        assert np.max(np.abs(p - p.conj().T)) < 1e-14
-        assert np.max(np.abs(p @ m)) < 1e-14
-        np.testing.assert_allclose(p + m, I2, atol=1e-15)
-
-
-def test_projector_rejects_non_unit():
-    with pytest.raises(NonUnitVector):
-        projector([0, 0, 1.001], +1)
-
-
 def test_apply_affine_examples():
     ident = AffineBlochMap(np.eye(3), np.zeros(3))
     np.testing.assert_allclose(apply_affine(ident, [0.3, 0, 0]), [0.3, 0, 0])
@@ -94,6 +69,8 @@ def test_affine_outputs_unit_trace(u):
 def test_is_physical_bloch():
     assert is_physical_bloch([0, 0, 1])
     assert not is_physical_bloch([0, 0, 1.1])
+    assert not is_physical_bloch([1e300, 0, 0])  # no overflow warning on the way
+    assert is_physical_bloch([5e-324, 0, 0])
 
 
 def test_pauli_basis_orthonormal():

@@ -50,7 +50,6 @@ from .errors import (
     NonContractive,
     NonEvenEnvironment,
     NonHermitian,
-    NonPureInput,
     NonUnitTrace,
     NonUnitVector,
     ParallelAxes,
@@ -72,9 +71,7 @@ from .oracle import (
 )
 from .pauli import (
     PAULI_BASIS,
-    AffineBlochMap,
     OperatorBasis,
-    apply_affine,
     density_to_bloch,
     is_physical_bloch,
     max_image_norm,

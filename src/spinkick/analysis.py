@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import PSD_TOL, QubitMap, TwoKickParams, choi_eigenvalues, transition_map
 from .errors import NonContractive, SingularChannel
-from .pauli import apply_affine, max_image_norm
+from .pauli import max_image_norm
 
 
 def purity(u) -> float:
@@ -72,7 +72,7 @@ def fixed_point(round_map) -> FixedPointResult:
     no solution and NonContractive is raised.  converged indicates that
     iterating the round from any start reaches u_f (spectral radius < 1).
     """
-    a, b = round_map.affine.matrix, round_map.affine.shift
+    a, b = round_map.matrix, round_map.shift
     spectral_radius = float(np.max(np.abs(np.linalg.eigvals(a))))
     one_minus_a = np.eye(3) - a
     svals = np.linalg.svd(one_minus_a, compute_uv=False)
@@ -177,12 +177,12 @@ def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TO
     theta = transition_map(longer, shorter)
     eigs = choi_eigenvalues(theta)[::-1]
     cp = bool(eigs.min() >= -tol)
-    norm, u = max_image_norm(theta.affine)
+    norm, u = max_image_norm(theta.matrix, theta.shift)
     pos = cp or norm <= 1.0 + tol
     witness = None
     if not pos:
         hint = theta.axes[-1] if len(theta.axes) else None
-        hint_leaves = hint is not None and np.linalg.norm(apply_affine(theta.affine, hint)) > 1.0 + tol
+        hint_leaves = hint is not None and np.linalg.norm(theta(hint)) > 1.0 + tol
         witness = np.array(hint, dtype=float) if hint_leaves else u
     return DivisibilityReport(
         chi_eigenvalues=eigs,

@@ -14,8 +14,9 @@ their order is lexicographic with bit i of the index addressing kick i
 Two builders evaluate it exactly.  ``build_n_kick_channel`` enumerates the
 4^n coefficients of one schedule at once: it exponentiates 4^n complex
 entries and holds the whole gamma matrix, 16 * 4^n bytes.
-``build_prefix_channels`` gives the channel after every kick of a schedule
-from one exact recursion on the affine action.  The sign pairs that agree
+``build_prefix_channels`` gives the channel after every kick of a schedule,
+a tuple of prefixes validated together, from one exact recursion on the
+affine action.  The sign pairs that agree
 on a new kick repeat the previous coefficients, so their part of the new
 channel is the previous prefix dephased along the kick axis r,
 (A, b) -> (r r^T A, r r^T b).  Every projector string has rank one,
@@ -35,9 +36,10 @@ fixed order of accumulation gives bit-reproducible output.
 
 Channels and the transition maps between kick counts are one type,
 QubitMap, recorded by the affine Bloch action (A, b) and its kick axes,
-and judged by (A, b) alone: a map must be finite, a channel (flag ``cp``)
-must have a PSD Choi matrix in the normalized Pauli basis
-(``choi_eigenvalues``), and ``invert_channel`` refuses an A whose
+and judged by (A, b) alone, by one rule (``_validate``) for one map or a
+stack of them: a map must be finite, a channel (flag ``cp``) must have a
+PSD Choi matrix in the normalized Pauli basis (``choi_eigenvalues``, one
+kernel over leading axes), and ``invert_channel`` refuses an A whose
 condition number exceeds ``KAPPA_MAX``.  The chi basis of the axes and the
 chi in it (``chi_from_affine``) are built only when read, for output.  The
 constructed objects are immutable and safe to share between threads.
@@ -66,9 +68,8 @@ from .pauli import (
     I2,
     PAULI,
     PAULI_BASIS,
-    AffineBlochMap,
     OperatorBasis,
-    apply_affine,
+    _freeze,
     cross3,
     density_to_bloch,
     dot_sigma,
@@ -91,7 +92,7 @@ _BASE = 64
 _FACTOR_RANGE = 600.0
 
 # The one PSD bound: a channel's Choi matrix may have eigenvalues down to
-# -PSD_TOL (``validate_channel``), and ``analysis`` judges CP by it.
+# -PSD_TOL (``_validate``), and ``analysis`` judges CP by it.
 PSD_TOL = 1e-10
 
 # Largest condition number max(sigma_max, 1) / sigma_min of A that
@@ -220,19 +221,24 @@ _FIRST_AMPLITUDES = np.eye(2, dtype=complex)[:, None, :]
 _ID3 = np.eye(3)
 
 
-def _pauli_chi(affine: AffineBlochMap) -> np.ndarray:
+def _pauli_chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """chi_P = unvec(T_P^{-1} vec S), the chi matrix in the normalized Pauli
-    basis of the map whose superoperator there is S = [[1, 0], [b, A]]."""
-    s = np.vstack([(1.0, 0.0, 0.0, 0.0), np.column_stack([affine.shift, affine.matrix])])
-    return (_PAULI_TENSOR_INV @ s.reshape(16)).reshape(4, 4)
+    basis of the map whose superoperator there is S = [[1, 0], [b, A]].  A
+    and b may carry leading axes, (..., 3, 3) and (..., 3): chi_P then
+    carries them too, one matrix product for the whole stack."""
+    s = np.zeros(a.shape[:-2] + (4, 4))
+    s[..., 0, 0] = 1.0
+    s[..., 1:, 0] = b
+    s[..., 1:, 1:] = a
+    return np.matmul(_PAULI_TENSOR_INV, s.reshape(s.shape[:-2] + (16, 1))).reshape(s.shape)
 
 
-def chi_from_affine(affine: AffineBlochMap, basis: OperatorBasis) -> np.ndarray:
-    """chi matrix, in ``basis``, of the trace-preserving map with the given
-    affine action: chi = C chi_P C^dag, C_a,mu = tr(B_a^dag sigma_mu)/sqrt(2),
+def chi_from_affine(m, basis: OperatorBasis) -> np.ndarray:
+    """chi matrix, in ``basis``, of the trace-preserving map m with affine
+    action (A, b): chi = C chi_P C^dag, C_a,mu = tr(B_a^dag sigma_mu)/sqrt(2),
     one fixed linear map of (A, b)."""
     c = np.einsum("ayx,myx->am", basis.ops.conj(), PAULI_BASIS.ops)
-    return c @ _pauli_chi(affine) @ c.conj().T
+    return c @ _pauli_chi(m.matrix, m.shift) @ c.conj().T
 
 
 def choi_eigenvalues(m) -> np.ndarray:
@@ -240,14 +246,15 @@ def choi_eigenvalues(m) -> np.ndarray:
     normalized Pauli basis.  C is unitary for an orthonormal basis, so they
     are chi's eigenvalues in every such basis; every CP verdict reads them,
     and none builds a basis."""
-    return np.linalg.eigvalsh(_pauli_chi(m.affine))
+    return np.linalg.eigvalsh(_pauli_chi(m.matrix, m.shift))
 
 
-def affine_from_chi(chi: np.ndarray, basis: OperatorBasis) -> AffineBlochMap:
-    """Affine Bloch action of the map chi, from its action on {1/2, (1+sigma_i)/2}."""
+def affine_from_chi(chi: np.ndarray, basis: OperatorBasis) -> tuple:
+    """Affine Bloch action (A, b) of the map chi, from its action on
+    {1/2, (1+sigma_i)/2}."""
     b = density_to_bloch(apply_chi(chi, basis, I2 / 2.0))
     cols = [density_to_bloch(apply_chi(chi, basis, (I2 + sig) / 2.0)) - b for sig in PAULI]
-    return AffineBlochMap(np.column_stack(cols), b)
+    return np.column_stack(cols), b
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +264,27 @@ def affine_from_chi(chi: np.ndarray, basis: OperatorBasis) -> AffineBlochMap:
 @dataclass(frozen=True, eq=False)
 class QubitMap:
     """A trace- and Hermiticity-preserving qubit map, recorded by its affine
-    Bloch action and its kick axes in time order.  The read-only ``basis``
-    (``default_chi_basis`` of the axes) and ``chi`` in it
-    (``chi_from_affine``) are derived on first read and cached.  cp=True
-    marks a channel (CPTP, Choi matrix validated PSD); transition maps,
-    which need not be CP, carry cp=False."""
+    Bloch action u -> A u + b (``matrix`` A and ``shift`` b, read-only
+    copies) and its kick axes in time order.  Any affine Bloch action is
+    that of a trace-preserving map on operators, so trace preservation is
+    structural.  The read-only ``basis`` (``default_chi_basis`` of the
+    axes) and ``chi`` in it (``chi_from_affine``) are derived on first read
+    and cached.  cp=True marks a channel (CPTP, Choi matrix validated PSD);
+    transition maps, which need not be CP, carry cp=False."""
 
-    affine: AffineBlochMap
+    matrix: np.ndarray
+    shift: np.ndarray
     axes: tuple = ()
     meta: dict = field(default_factory=dict)
     cp: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _freeze(np.array(self.matrix, dtype=float).reshape(3, 3)))
+        object.__setattr__(self, "shift", _freeze(np.array(self.shift, dtype=float).reshape(3)))
+
+    @property
+    def is_unital(self) -> bool:
+        return bool(np.linalg.norm(self.shift) <= 1e-12)
 
     @cached_property
     def basis(self) -> OperatorBasis:
@@ -274,41 +292,41 @@ class QubitMap:
 
     @cached_property
     def chi(self) -> np.ndarray:
-        chi = chi_from_affine(self.affine, self.basis)
+        chi = chi_from_affine(self, self.basis)
         chi.setflags(write=False)
         return chi
 
     def __call__(self, u) -> np.ndarray:
-        return apply_affine(self.affine, u)
+        """A u + b."""
+        return self.matrix @ np.asarray(u, dtype=float) + self.shift
 
 
-def validate_map(m) -> None:
-    """Refuse, with InvalidMap, a map whose affine action (A, b) is not
-    finite.  Its chi is Hermitian and trace-preserving by construction, so
-    finiteness is the whole check (a NaN would pass every tolerance test)."""
-    if not (np.isfinite(m.affine.matrix).all() and np.isfinite(m.affine.shift).all()):
+def _validate(a: np.ndarray, b: np.ndarray, cp: bool) -> None:
+    """The one validity rule of a map (A, b), or of a stack of them along
+    leading axes: refuse, with InvalidMap, an affine action that is not
+    finite (a NaN would pass every tolerance test) and, for channels (cp),
+    one whose Choi matrix has an eigenvalue below -PSD_TOL
+    (``choi_eigenvalues``), all in one ``eigvalsh``.  Chi built from a real
+    (A, b) is Hermitian and trace-preserving by construction, so that is
+    the whole check."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidMap("map is not finite: its affine action (A, b) holds NaN or inf")
+    if cp:
+        lo = np.linalg.eigvalsh(_pauli_chi(a, b))[..., 0].min()
+        if lo < -PSD_TOL:
+            raise InvalidMap(f"chi not PSD: min eigenvalue {lo:.3e} < {-PSD_TOL:g}")
 
 
-def validate_channel(ch: QubitMap) -> None:
-    """Channel invariants: a finite map whose Choi matrix is PSD (min
-    eigenvalue >= -PSD_TOL, ``choi_eigenvalues``)."""
-    validate_map(ch)
-    lo = choi_eigenvalues(ch)[0]
-    if lo < -PSD_TOL:
-        raise InvalidMap(f"chi not PSD: min eigenvalue {lo:.3e} < {-PSD_TOL:g}")
-
-
-def _map(affine, axes, meta, cp=True) -> QubitMap:
+def _map(a, b, axes, meta, cp=True) -> QubitMap:
     """Construct and validate a map."""
-    m = QubitMap(affine, axes, meta, cp)
-    (validate_channel if cp else validate_map)(m)
+    m = QubitMap(a, b, axes, meta, cp)
+    _validate(m.matrix, m.shift, cp)
     return m
 
 
 def identity_channel() -> QubitMap:
     """The channel of an empty schedule, in the Pauli basis."""
-    return _map(AffineBlochMap.identity(), (), {"kind": "identity"})
+    return _map(_ID3, np.zeros(3), (), {"kind": "identity"})
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +347,7 @@ def phase_damping_channel(r_axis, gamma: complex, meta: dict | None = None) -> Q
     a = rr + g.real * (np.eye(3) - rr) - g.imag * np.cross(r, np.eye(3)).T
     md = {"kind": "phase_damping", "gamma": g}
     md.update(meta or {})
-    return _map(AffineBlochMap(a, np.zeros(3)), (r,), md)
+    return _map(a, np.zeros(3), (r,), md)
 
 
 def single_kick_channel(
@@ -383,8 +401,8 @@ def build_n_kick_channel(
         gammas = _gamma_matrix(env, times, sched.weights, signs)
         chi = coeff.T @ gammas @ coeff.conj()
 
-    meta = _n_kick_meta(env, times, sched.weights, "enumeration", 4**n, nbytes)
-    return _map(affine_from_chi(chi, basis), rs, meta)
+    meta = {**_provenance("n_kick", env, times, sched.weights), "path": "enumeration", "terms": 4**n, "bytes": nbytes}
+    return _map(*affine_from_chi(chi, basis), rs, meta)
 
 
 def _byte_text(nbytes: int) -> str:
@@ -418,41 +436,50 @@ def _provenance(kind: str, env, times, weights) -> dict:
     }
 
 
-def _n_kick_meta(env, times, weights, path: str, terms: int, nbytes: int) -> dict:
-    """Provenance of an exact n-kick channel: ``path`` names the builder,
-    ``terms`` counts the gamma entries it contracted and ``bytes`` is the
-    storage it held at its peak, by formula."""
-    return {**_provenance("n_kick", env, times, weights), "path": path, "terms": terms, "bytes": nbytes}
-
-
 def _pass_bytes(n: int) -> int:
     """Peak storage of an n-kick pass, m = 2^(n-1) sign vectors at its last
-    kick.  Whatever its length, 4.5 KiB of small arrays and objects (Gram
-    matrix, axes, frames, 3 x 3 maps), and 1.5 KiB per prefix for its record
-    (affine action, axes and meta).  Per sign vector 144 bytes: f, Re a,
-    Re b and p (48), the amplitudes of both signs and the conjugate of one
-    (96).  Below the base side: the base block, which is the whole last
-    level (24 bytes an entry), its x_re, x_ph, exponential and product (48),
-    and numpy's buffer casting the exponential to complex (16, at most
-    ``np.getbufsize()`` entries).  From it on, with T tiles a side: the base
-    block and Gamma_J's parity halves (40 bytes an entry); per tile and base
-    row, the row shifts u and pi (24), the real shifts U and V (16) and the
-    column, then row, scalings (16); the work space, the larger of a
-    factored level's scaled columns, one parity half, and their product
-    (16 + 32 per tile and base row) and one row of tiles of a summed level
-    (24 an entry); and numpy's buffer casting the exponentials to complex
-    in the scalings (16 bytes an entry, at most ``np.getbufsize()``).
+    kick: what it holds at its last level, plus the larger of that level's
+    transients and the prefix maps it builds after it.
+
+    Held, whatever its length: 4 KiB of array headers and small objects,
+    and the provenance all prefixes share (the environment's repr, the
+    times and weights tuples and the meta they seed); per kick 640 bytes
+    (its axis, frame, overlaps q and M, mean and variance, its row of the
+    (A, b) stack, 96, and its prefix's meta); the Gram matrix, 16 n^2.
+    Per sign vector 144 bytes: f, Re a, Re b and p (48), the amplitudes of
+    both signs and the conjugate of one (96).  Below the base side, the
+    base block, which is the whole last level (24 bytes an entry).  From it
+    on, with T tiles a side: the base block and Gamma_J's parity halves (40
+    bytes an entry); per tile and base row the row shifts u and pi (24);
+    and the work space, the larger of a factored level's scaled columns,
+    one parity half, and their product (16 + 32 per tile and base row) and
+    one row of tiles of a summed level (24 an entry).
+
+    Transient at the last level: 1 KiB of temporaries' headers; below the
+    base side its x_re, x_ph, exponential and product (48 an entry) and
+    numpy's buffer casting the exponential to complex (16, at most
+    ``np.getbufsize()`` entries); from it on, per tile and base row the
+    real shifts U and V (16) and the column, then row, scalings (16), and
+    numpy's buffer casting their exponentials to complex (16 an entry, at
+    most ``np.getbufsize()``).
+
+    After the last level, the maps: 2 KiB for the identity, the tuple of
+    prefixes and the generator building them, and 768 bytes a prefix for
+    its map (object, read-only A and b, axes view).  The stacked
+    validation's S, chi_P and eigenvalues (640 bytes a prefix) are freed
+    before the maps are built.
 
     The figures: 2.8 MiB (0.70 * 4^n bytes) at 11 kicks; 7.1, 26.9 and 105
     MiB at 12, 13 and 14; 104 TiB at 24.  Per kick they tend to 4x, and the
     total to 104 bytes per tile and base row, 13/32 * 4^n = 0.41 * 4^n."""
     m = 2 ** (n - 1) if n else 0
-    fixed = 4608 + 1536 * n + 144 * m
+    held = 4096 + 640 * n + 16 * n * n + 144 * m
+    maps = 2048 + 768 * n
     if m < _BASE:
-        return fixed + 72 * m * m + 16 * min(np.getbufsize(), m * m)
+        return held + 24 * m * m + max(1024 + 48 * m * m + 16 * min(np.getbufsize(), m * m), maps)
     rows = m * m // _BASE  # tile-and-base-row pairs, T^2 * _BASE
     work = max(48 * rows, 24 * m * _BASE)
-    return fixed + 40 * _BASE * _BASE + 56 * rows + work + 16 * min(np.getbufsize(), rows)
+    return held + 40 * _BASE * _BASE + 24 * rows + work + max(1024 + 32 * rows + 16 * min(np.getbufsize(), rows), maps)
 
 
 def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, g_plus, g_minus_conj, work) -> np.ndarray:
@@ -533,41 +560,15 @@ def _string_amplitudes(frames):
         yield amps
 
 
-class PrefixChannels:
-    """The exact channels of the first k kicks of a schedule, k = 0..n, from
-    one ``build_prefix_channels`` pass.
-
-    ``prefixes[k]`` is a validated channel.  The pass records each prefix's
-    affine action (A, b) and kick axes; a prefix is validated when it is
-    first read, so a caller pays only for the prefixes it reads, and its
-    chi basis and chi only when they are read in turn.
-    """
-
-    def __init__(self, parts):
-        self._parts = parts  # (affine, axes, meta) of prefixes 1..n
-        self._maps = {}
-
-    def __len__(self) -> int:
-        return len(self._parts) + 1
-
-    def __getitem__(self, k: int) -> QubitMap:
-        k = range(len(self))[k]
-        if k not in self._maps:
-            if k == 0:
-                self._maps[k] = identity_channel()
-            else:
-                affine, axes, meta = self._parts[k - 1]
-                self._maps[k] = _map(affine, axes, meta)
-        return self._maps[k]
-
-
 def build_prefix_channels(
     env: GaussianEnvironment,
     geom: InteractionGeometry,
     sched: KickSchedule,
     max_kicks: int = MAX_KICKS_DEFAULT,
-) -> PrefixChannels:
-    """Exact channel of every prefix of a schedule, in one kick-by-kick pass.
+) -> tuple:
+    """Exact channel of every prefix of a schedule, in one kick-by-kick pass:
+    a tuple of n + 1 validated channels, index k the channel of the first k
+    kicks (index 0 the identity).
 
     Appending kick k splits the sign pairs of the Weyl sum by (s_k, s'_k).
     The two blocks with s_k = s'_k repeat the coefficients Gamma_k of the
@@ -622,13 +623,22 @@ def build_prefix_channels(
     The base block, the tile shifts, the buffer in which f doubles and the
     work space of a level are allocated at their final size first, so a
     pass that cannot be held (``_pass_bytes``) is refused before any level
-    runs, as is one past ``max_kicks``.
+    runs, as is one past ``max_kicks``.  So is a Gram matrix whose exponent
+    sums could leave float64's range: |a_k| + |b_k| is at most
+    c_k = 4 sum_(j<k) |G_kj| + 2 |mu_k| + 2 |Var_k|, the carried R_k at
+    most sum_(j<k) c_j, and every sum the pass forms (R_k + Re a + Re b, a
+    tile's row plus column shift, their difference from its maximum) at
+    most twice T = sum_k c_k; a T above a quarter of float64's largest
+    value (a factor 2 to spare for rounding) raises SpinKickError.  The
+    prefixes are validated together, with one ``eigvalsh`` over their
+    stacked (A, b), and share one provenance: the environment's repr and
+    the kick times and weights are formed once.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
     with _coefficient_budget(n, max_kicks, nbytes):
         if n == 0:
-            return PrefixChannels([])
+            return (identity_channel(),)
         size = 2 ** (n - 1)
         side, tiles = min(size, _BASE), size // _BASE
         re_l, phase = np.empty((side, side)), np.empty((side, side), dtype=complex)
@@ -645,12 +655,20 @@ def build_prefix_channels(
         mu = _kick_means(env, times, sched.weights)
         gram = gram_matrix(env, times, sched.weights)
         var = np.diag(gram).real
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            reach = (4.0 * np.abs(np.tril(gram, -1)).sum(1) + 2.0 * np.abs(mu) + 2.0 * np.abs(var)).sum()
+        if not reach <= np.finfo(float).max / 4:  # a NaN is refused too
+            raise SpinKickError(
+                f"the Gram matrix is too large for the prefix pass: its exponent sums may reach 2 * {reach:.3g}"
+            )
         frames = spin_frames(rs)
         q = np.einsum("ka,iab,kb->ki", frames[:, :, 1].conj(), PAULI, frames[:, :, 0])  # <e_-(r_k)|sigma_i|e_+(r_k)>
         m_first = np.einsum("ax,jab,by->jxy", frames[0].conj(), PAULI, frames[0]).reshape(3, 4)  # M_j[tau, tau']
         a_mat, shift = _ID3, np.zeros(3)
+        a_all, b_all = np.empty((n, 3, 3)), np.empty((n, 3))
         levels = {"factored_levels": 0, "summed_levels": 0}
-        parts = []
+        shared = _provenance("n_kick", env, times, sched.weights)
+        metas = []
         for k, amps in enumerate(_string_amplitudes(frames)):
             m = 2**k
             f = f_all[:m]  # f(s) = sum_j G_kj s_j, bit j of the index clear for s_j = +1, doubled in place
@@ -701,11 +719,14 @@ def build_prefix_channels(
             dephase = np.outer(rs[k], rs[k])
             a_mat = dephase @ a_mat + np.outer(q[k], m_first @ t_mat.reshape(4)).real
             shift = dephase @ shift + (q[k] * np.trace(t_mat)).real
+            a_all[k], b_all[k] = a_mat, shift
+            head = {"times": shared["times"][: k + 1], "weights": shared["weights"][: k + 1], "path": "kick_by_kick"}
             terms = (4 ** (k + 1) - 1) // 3  # 1 + 4 + ... + 4^k
-            meta = _n_kick_meta(env, times[: k + 1], sched.weights[: k + 1], "kick_by_kick", terms, nbytes)
-            meta.update(levels)
-            parts.append((AffineBlochMap(a_mat, shift), rs[: k + 1], meta))
-    return PrefixChannels(parts)
+            metas.append({**shared, **head, "terms": terms, "bytes": nbytes, **levels})
+
+        _validate(a_all, b_all, cp=True)
+        maps = (QubitMap(a, b, rs[: k + 1], meta) for k, (a, b, meta) in enumerate(zip(a_all, b_all, metas)))
+        return (identity_channel(), *maps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -756,8 +777,8 @@ def two_kick_params(
     return TwoKickParams(alpha, g, complex(h), complex(k), frame)
 
 
-def _two_kick_affine(params: TwoKickParams) -> AffineBlochMap:
-    """Affine action B C u + b in the lab frame."""
+def _two_kick_affine(params: TwoKickParams) -> tuple:
+    """Affine action B C u + b in the lab frame, as (B C, b)."""
     alpha, g, h, k = params.alpha, params.g, params.h, params.k
     s = float(np.sqrt(max(0.0, 1.0 - alpha * alpha)))
     b_mat = np.array(
@@ -778,7 +799,7 @@ def _two_kick_affine(params: TwoKickParams) -> AffineBlochMap:
     # matching the channel's action on the identity (and the Fock oracle)
     b_vec = np.array([0.0, 0.0, 2.0 * np.imag(np.conj(h) * k)])
     rot = params.frame.T  # columns e1, e2, e3
-    return AffineBlochMap(rot @ (b_mat @ c_mat) @ rot.T, rot @ b_vec)
+    return rot @ (b_mat @ c_mat) @ rot.T, rot @ b_vec
 
 
 def two_kick_closed_form(
@@ -798,7 +819,7 @@ def two_kick_closed_form(
     except ParallelAxes:
         return dephasing_channel(env, geom, KickSchedule([t0, t1], list(weights)))
     meta = {**_provenance("two_kick_closed_form", env, (t0, t1), weights[:2]), "closed_form": params}
-    return _map(_two_kick_affine(params), (r_of_t(geom, t0), params.frame[0]), meta)
+    return _map(*_two_kick_affine(params), (r_of_t(geom, t0), params.frame[0]), meta)
 
 
 def dephasing_gamma(env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> complex:
@@ -828,17 +849,15 @@ def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched
 # map algebra
 
 
-def _composed_affine(later: QubitMap, earlier: QubitMap) -> AffineBlochMap:
-    a2, b2 = later.affine.matrix, later.affine.shift
-    a1, b1 = earlier.affine.matrix, earlier.affine.shift
-    return AffineBlochMap(a2 @ a1, a2 @ b1 + b2)
+def _composed_affine(later: QubitMap, earlier: QubitMap) -> tuple:
+    return later.matrix @ earlier.matrix, later.matrix @ earlier.shift + later.shift
 
 
 def compose(later: QubitMap, earlier: QubitMap) -> QubitMap:
     """Composition later o earlier, with the later map's axes; the affine
     parts multiply.  The result is a channel only when both factors are."""
     meta = {"kind": "composition", "parents": (later.meta.get("kind"), earlier.meta.get("kind"))}
-    return _map(_composed_affine(later, earlier), later.axes, meta, cp=later.cp and earlier.cp)
+    return _map(*_composed_affine(later, earlier), later.axes, meta, cp=later.cp and earlier.cp)
 
 
 def invert_channel(ch: QubitMap) -> QubitMap:
@@ -848,19 +867,18 @@ def invert_channel(ch: QubitMap) -> QubitMap:
     kappa = max(sigma_max, 1) / sigma_min of A exceeds ``KAPPA_MAX`` (for
     dephasing, gamma -> 0 is the singular limit).  kappa is recorded in meta.
     """
-    a = ch.affine.matrix
+    a = ch.matrix
     svals = np.linalg.svd(a, compute_uv=False)
     kappa = max(svals[0], 1.0) / svals[-1] if svals[-1] > 0 else np.inf
     if not kappa <= KAPPA_MAX:
         raise SingularChannel(f"affine matrix singular: condition number {kappa:.4g} > KAPPA_MAX = {KAPPA_MAX:g}")
     a_inv = np.linalg.inv(a)
-    affine = AffineBlochMap(a_inv, -a_inv @ ch.affine.shift)
     meta = {
         "kind": "inverse",
         "parent": ch.meta.get("kind"),
         "condition_number": float(kappa),
     }
-    return _map(affine, ch.axes, meta, cp=False)
+    return _map(a_inv, -a_inv @ ch.shift, ch.axes, meta, cp=False)
 
 
 def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
@@ -876,7 +894,7 @@ def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
         "longer": longer.meta.get("times"),
         "shorter": shorter.meta.get("times"),
     }
-    return _map(_composed_affine(longer, inverse), longer.axes, meta, cp=False)
+    return _map(*_composed_affine(longer, inverse), longer.axes, meta, cp=False)
 
 
 # ---------------------------------------------------------------------------
@@ -896,10 +914,10 @@ def format_channel(m: QubitMap) -> str:
     for row in m.chi:
         lines.append(" ".join(format_complex(z) for z in row))
     lines.append("A:")
-    for row in m.affine.matrix:
+    for row in m.matrix:
         lines.append(" ".join(f"{x:.17g}" for x in row))
     lines.append("b:")
-    lines.append(" ".join(f"{x:.17g}" for x in m.affine.shift))
+    lines.append(" ".join(f"{x:.17g}" for x in m.shift))
     return "\n".join(lines) + "\n"
 
 
@@ -943,12 +961,12 @@ def load_channel(path) -> QubitMap:
         chi, i = _read_section(lines, i, "chi", 4, parse_complex)
         a, i = _read_section(lines, i, "A", 3, float)
         b, i = _read_section(lines, i, "b", 1, float)
-        affine, basis, chi = AffineBlochMap(a, b), OperatorBasis(ops), chi.reshape(4, 4)
+        m, basis, chi = QubitMap(a, b, (), meta, cp=kind == "channel"), OperatorBasis(ops), chi.reshape(4, 4)
     except IndexError as exc:
         raise InvalidMap(f"malformed channel file {path}: a line is missing or cut short") from exc
     except ValueError as exc:
         raise InvalidMap(f"malformed channel file {path}: {exc}") from exc
-    m = _map(affine, (), meta, cp=kind == "channel")
+    _validate(m.matrix, m.shift, m.cp)
     object.__setattr__(m, "basis", basis)  # the file's, in place of the cached default
     dev = np.max(np.abs(chi - m.chi))
     if not dev <= 1e-10 * max(1.0, np.max(np.abs(m.chi))):

@@ -487,7 +487,7 @@ def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted):
     formulas = {
         "purity_final": lambda: analysis.purity(ch(u0)),
         "entropy_final": lambda: analysis.entropy(ch(u0), base),
-        "nonunital_shift": lambda: float(np.linalg.norm(ch.affine.shift)),
+        "nonunital_shift": lambda: float(np.linalg.norm(ch.shift)),
         "fixed_point_norm": fixed_point_norm,
         "commuting": lambda: 1.0 if commuting() else 0.0,
         "gamma_abs": lambda: abs(channels.dephasing_gamma(env, geom, sched)) if commuting() else np.nan,

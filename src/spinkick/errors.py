@@ -62,10 +62,6 @@ class NonContractive(SpinKickError):
     """Fixed-point equation is inconsistent (spectral radius >= 1, b != 0)."""
 
 
-class NonPureInput(SpinKickError):
-    """Operation requires a pure state (unit Bloch vector)."""
-
-
 class InvalidTruncation(SpinKickError, ValueError):
     """A Fock-space truncation keeps fewer than two levels."""
 

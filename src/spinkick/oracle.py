@@ -41,7 +41,7 @@ from .errors import (
     UnknownPulseShape,
 )
 from .kicks import InteractionGeometry, KickSchedule, _phases, r_of_t
-from .pauli import I2, PAULI, AffineBlochMap, max_image_norm, spin_frames
+from .pauli import I2, PAULI, max_image_norm, spin_frames
 
 TAIL_TOL = 1e-12
 DIM_STEP = 10  # Fock levels added per truncation step of oracle_channel
@@ -288,7 +288,7 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     work = {"dim": d, "tail": tail, "kick_steps": n_steps, "eigendecompositions": 1, "bytes": nbytes}
     # truncation error can leave tiny PSD defects, so CP is not enforced
     # here: it is what the comparison tests
-    return [QubitMap(AffineBlochMap(sw[1:, 1:], sw[1:, 0]), axes, {**meta, **work}) for sw, meta in zip(s.real, metas)]
+    return [QubitMap(sw[1:, 1:], sw[1:, 0], axes, {**meta, **work}) for sw, meta in zip(s.real, metas)]
 
 
 def oracle_channel(
@@ -414,5 +414,4 @@ def channel_distance(c1, c2) -> float:
     Half the exact maximum of |(A1 - A2) u + (b1 - b2)| over the Bloch ball
     (``max_image_norm``); zero exactly when the affine parts agree.
     """
-    diff = AffineBlochMap(c1.affine.matrix - c2.affine.matrix, c1.affine.shift - c2.affine.shift)
-    return 0.5 * max_image_norm(diff)[0]
+    return 0.5 * max_image_norm(c1.matrix - c2.matrix, c1.shift - c2.shift)[0]

@@ -83,38 +83,7 @@ def spin_frames(axes) -> np.ndarray:
     return frames
 
 
-@dataclass(frozen=True, eq=False)
-class AffineBlochMap:
-    """Affine action u -> A u + b on Bloch vectors.
-
-    Trace preservation is structural: any affine Bloch map corresponds to a
-    trace-preserving linear map on operators.
-    """
-
-    matrix: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        a = _freeze(np.array(self.matrix, dtype=float).reshape(3, 3))
-        b = _freeze(np.array(self.shift, dtype=float).reshape(3))
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "shift", b)
-
-    @classmethod
-    def identity(cls) -> "AffineBlochMap":
-        return cls(np.eye(3), np.zeros(3))
-
-    @property
-    def is_unital(self) -> bool:
-        return bool(np.linalg.norm(self.shift) <= 1e-12)
-
-
-def apply_affine(m: AffineBlochMap, u) -> np.ndarray:
-    """A u + b."""
-    return m.matrix @ np.asarray(u, dtype=float) + m.shift
-
-
-def max_image_norm(m: AffineBlochMap):
+def max_image_norm(a: np.ndarray, b: np.ndarray):
     """Largest |A u + b| over unit vectors u, and a unit u that attains it.
 
     Maximizing |A u + b|^2 = u.M u + 2 c.u + |b|^2 (M = A^T A, c = A^T b) on
@@ -132,7 +101,6 @@ def max_image_norm(m: AffineBlochMap):
     convexity of |A u + b| the value is also the maximum over the whole Bloch
     ball.
     """
-    a, b = m.matrix, m.shift
     lam, v = np.linalg.eigh(a.T @ a)
     d = v.T @ (a.T @ b)
     gap = lam[-1] - lam

@@ -17,7 +17,7 @@ import numpy as np
 from spinkick.analysis import DivisibilityReport, _h2, chi_eigenvalues_two_kick
 from spinkick.channels import PSD_TOL, QubitMap, TwoKickParams, _map, _two_kick_affine, two_kick_params
 from spinkick.environment import GaussianEnvironment
-from spinkick.errors import NonEvenEnvironment, NonPureInput
+from spinkick.errors import NonEvenEnvironment
 from spinkick.kicks import InteractionGeometry, r_of_t
 from spinkick.oracle import FockSpec, _environment_factor, coupling_spectrum, quadrature_heisenberg
 from spinkick.pauli import I2, cross3, dot_sigma
@@ -72,7 +72,7 @@ def entanglement_entropy(
     """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
-        raise NonPureInput(f"|u| = {np.linalg.norm(u)} is not 1 within 1e-10")
+        raise ValueError(f"|u| = {np.linalg.norm(u)} is not 1 within 1e-10")
     var = weight * weight * env.covariance(t0, t0).real
     cross = cross3(u, r_of_t(geom, t0))
     length_sq = 1.0 + (math.exp(-4.0 * var) - 1.0) * float(cross @ cross)
@@ -106,8 +106,8 @@ def two_kick_transition_map(
     affine action with g set to 1."""
     params = two_kick_params(env, geom, t0, t1, weights)
     meta = {"kind": "transition_closed_form", "times": (float(t0), float(t1)), "closed_form": params}
-    affine = _two_kick_affine(dataclasses.replace(params, g=1.0))
-    return _map(affine, (r_of_t(geom, t0), params.frame[0]), meta, cp=False)
+    a, b = _two_kick_affine(dataclasses.replace(params, g=1.0))
+    return _map(a, b, (r_of_t(geom, t0), params.frame[0]), meta, cp=False)
 
 
 def environment_state(spec: FockSpec):

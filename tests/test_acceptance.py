@@ -13,7 +13,6 @@ from spinkick import (
     KickSchedule,
     SingleModeThermal,
     WhiteKickKernel,
-    apply_affine,
     build_n_kick_channel,
     channel_distance,
     chi_eigenvalues_two_kick,
@@ -108,8 +107,8 @@ def test_criterion_2_closed_form_consistency():
         built = build_n_kick_channel(env, geom, KickSchedule([t0, t1]))
         closed = two_kick_closed_form(env, geom, t0, t1)
         for got, want in (
-            (built.affine.matrix, closed.affine.matrix),
-            (built.affine.shift, closed.affine.shift),
+            (built.matrix, closed.matrix),
+            (built.shift, closed.shift),
             (built.chi, closed.chi),
         ):
             diff = np.max(np.abs(got - want))
@@ -123,8 +122,8 @@ def test_criterion_2_closed_form_consistency():
         built = build_n_kick_channel(env, geom, KickSchedule([t0]))
         single = single_kick_channel(env, geom, t0)
         for got, want in (
-            (built.affine.matrix, single.affine.matrix),
-            (built.affine.shift, single.affine.shift),
+            (built.matrix, single.matrix),
+            (built.shift, single.shift),
             (built.chi, single.chi),
         ):
             diff = np.max(np.abs(got - want))
@@ -145,9 +144,9 @@ def test_criterion_3_white_kernel_factorization():
         comp = single_kick_channel(env, geom, sched.times[0])
         for t in sched.times[1:]:
             comp = compose(single_kick_channel(env, geom, t), comp)
-        diff_a = np.max(np.abs(built.affine.matrix - comp.affine.matrix))
-        diff_b = np.max(np.abs(built.affine.shift - comp.affine.shift))
-        diff_chi = np.max(np.abs(built.chi - chi_from_affine(comp.affine, built.basis)))
+        diff_a = np.max(np.abs(built.matrix - comp.matrix))
+        diff_b = np.max(np.abs(built.shift - comp.shift))
+        diff_chi = np.max(np.abs(built.chi - chi_from_affine(comp, built.basis)))
         assert max(diff_a, diff_b, diff_chi) <= 1e-12
         worst = max(worst, diff_a, diff_b, diff_chi)
     _report(3, f"N <= 5 composition, worst entry difference {worst:.2e}")
@@ -201,13 +200,13 @@ def test_criterion_5_divisibility_equivalence():
     cp_count = 0
     for params, theta, white in instances:
         cp = is_cp(theta)
-        norm, witness = max_image_norm(theta.affine)
+        norm, witness = max_image_norm(theta.matrix, theta.shift)
         positive = norm <= 1.0 + PSD_TOL
         assert cp == positive, f"CP={cp} but P={positive} (k={params.k}, h={params.h})"
         if cp:
             cp_count += 1
         else:
-            assert np.linalg.norm(apply_affine(theta.affine, witness)) > 1.0 + PSD_TOL
+            assert np.linalg.norm(theta(witness)) > 1.0 + PSD_TOL
     assert 0 < cp_count < len(instances)  # both verdicts exercised
     _report(5, f"{len(instances)} maps, zero CP/P disagreements ({cp_count} divisible)")
 
@@ -306,7 +305,7 @@ def test_criterion_8_unitality_and_entropy():
     rng = np.random.default_rng(88)
     states = np.vstack([np.zeros(3), _random_states(rng, 1000)])
     unital = [
-        (name, ch) for name, ch in _representative_channels(rng) if ch.affine.is_unital
+        (name, ch) for name, ch in _representative_channels(rng) if ch.is_unital
     ]
     assert len(unital) >= 4
     for name, ch in unital:
@@ -315,7 +314,7 @@ def test_criterion_8_unitality_and_entropy():
     nonunital = two_kick_closed_form(
         SingleModeThermal(omega=1.0), InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0), 0.0, 0.7
     )
-    assert not nonunital.affine.is_unital
+    assert not nonunital.is_unital
     drops = [u for u in states if entropy(nonunital(u)) < entropy(u) - 1e-9]
     assert drops, "non-unital channel should purify some state"
     _report(8, f"{len(unital)} unital channels never lowered S; non-unital lowered S for {len(drops)} states")
@@ -329,8 +328,8 @@ def test_criterion_9_contractivity():
     chans = _representative_channels(rng)
     for name, ch in chans:
         d_in = np.linalg.norm(pairs[0] - pairs[1], axis=1) / 2
-        out0 = pairs[0] @ ch.affine.matrix.T + ch.affine.shift
-        out1 = pairs[1] @ ch.affine.matrix.T + ch.affine.shift
+        out0 = pairs[0] @ ch.matrix.T + ch.shift
+        out1 = pairs[1] @ ch.matrix.T + ch.shift
         d_out = np.linalg.norm(out0 - out1, axis=1) / 2
         assert np.all(d_out <= d_in + 1e-12), name
         worst = max(worst, float(np.max(d_out - d_in)))
@@ -353,7 +352,7 @@ def test_criterion_10_fixed_point():
         u = rng.normal(size=3)
         u /= max(1.0, np.linalg.norm(u))
         for _ in range(1000):
-            u = apply_affine(ch.affine, u)
+            u = ch(u)
         assert np.linalg.norm(u - res.u_f) <= 1e-8
         checked += 1
     _report(10, f"{checked} contractive rounds: solve residual <= 1e-10, iteration agrees to 1e-8")
@@ -380,10 +379,10 @@ def test_criterion_11_mean_shift_covariance():
             even = SingleModeThermal(omega=omega, nbar=nbar)
             shifted = SingleModeThermal(omega=omega, nbar=nbar, displacement=amp)
             s_even = np.linalg.svd(
-                build_n_kick_channel(even, geom, sched).affine.matrix, compute_uv=False
+                build_n_kick_channel(even, geom, sched).matrix, compute_uv=False
             )
             s_shift = np.linalg.svd(
-                build_n_kick_channel(shifted, geom, sched).affine.matrix, compute_uv=False
+                build_n_kick_channel(shifted, geom, sched).matrix, compute_uv=False
             )
             diff = np.max(np.abs(s_even - s_shift))
             assert diff <= 1e-10
@@ -398,10 +397,10 @@ def test_criterion_11_mean_shift_covariance():
         even = SingleModeThermal(omega=omega, nbar=0.4)
         shifted = SingleModeThermal(omega=omega, nbar=0.4, displacement=amp)
         s_even = np.linalg.svd(
-            build_n_kick_channel(even, geom, sched).affine.matrix, compute_uv=False
+            build_n_kick_channel(even, geom, sched).matrix, compute_uv=False
         )
         s_shift = np.linalg.svd(
-            build_n_kick_channel(shifted, geom, sched).affine.matrix, compute_uv=False
+            build_n_kick_channel(shifted, geom, sched).matrix, compute_uv=False
         )
         diff = np.max(np.abs(s_even - s_shift))
         assert diff <= 1e-10

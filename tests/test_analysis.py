@@ -7,7 +7,6 @@ from spinkick import (
     KickSchedule,
     NonContractive,
     NonEvenEnvironment,
-    NonPureInput,
     SingleModeThermal,
     SingularChannel,
     WhiteKickKernel,
@@ -28,11 +27,10 @@ from spinkick import (
     transition_map,
     two_kick_closed_form,
     two_kick_params,
-    apply_affine,
 )
 from spinkick.analysis import PSD_TOL
 from spinkick.channels import QubitMap
-from spinkick.pauli import PAULI_BASIS, AffineBlochMap
+from spinkick.pauli import PAULI_BASIS
 from conftest import fibonacci_sphere, random_geometry, random_schedule
 from reference import entanglement_entropy, entropy_from_purity, post_kick_purity, two_kick_divisibility
 
@@ -101,7 +99,7 @@ def test_entanglement_entropy(vacuum, standard_geometry):
     assert entanglement_entropy([0, 0, 1], env, standard_geometry, 0.0) == pytest.approx(
         np.log(2), abs=1e-6
     )
-    with pytest.raises(NonPureInput):
+    with pytest.raises(ValueError, match="is not 1 within 1e-10"):
         entanglement_entropy([0.5, 0, 0], vacuum, standard_geometry, 0.0)
 
 
@@ -119,7 +117,7 @@ def test_fixed_point_unital_contractive():
     env = WhiteKickKernel(0.4)
     geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.7)
     ch = build_n_kick_channel(env, geom, KickSchedule([0.0, 0.5, 1.3]))
-    assert ch.affine.is_unital
+    assert ch.is_unital
     res = fixed_point(ch)
     np.testing.assert_allclose(res.u_f, 0.0, atol=1e-12)
 
@@ -131,7 +129,7 @@ def test_fixed_point_two_kick_nonunital(vacuum, standard_geometry):
     assert res.converged
     u = np.zeros(3)
     for _ in range(1000):
-        u = apply_affine(ch.affine, u)
+        u = ch(u)
     np.testing.assert_allclose(u, res.u_f, atol=1e-8)
 
 
@@ -143,8 +141,7 @@ def test_fixed_point_identity_flagged():
 
 
 def test_fixed_point_inconsistent_raises():
-    rot = AffineBlochMap(np.eye(3), [0, 0, 0.2])  # translation with A = 1
-    bad = QubitMap(rot, (), {}, cp=False)
+    bad = QubitMap(np.eye(3), [0, 0, 0.2], (), {}, cp=False)  # translation with A = 1
     with pytest.raises(NonContractive):
         fixed_point(bad)
 
@@ -201,7 +198,8 @@ def test_is_cp_examples(vacuum, standard_geometry):
 
 
 def test_is_positive_identity():
-    norm, _ = max_image_norm(identity_channel().affine)
+    ident = identity_channel()
+    norm, _ = max_image_norm(ident.matrix, ident.shift)
     assert norm <= 1.0 + PSD_TOL
 
 
@@ -209,13 +207,13 @@ def test_is_positive_witness(vacuum, standard_geometry):
     longer = two_kick_closed_form(vacuum, standard_geometry, 0.0, 0.7)
     shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
     theta = transition_map(longer, shorter)
-    assert max_image_norm(theta.affine)[0] > 1.0 + PSD_TOL
+    assert max_image_norm(theta.matrix, theta.shift)[0] > 1.0 + PSD_TOL
     report = divisibility_report(longer, shorter)
     assert not report.p_divisible
     witness = report.witness
     np.testing.assert_allclose(witness, theta.axes[-1], atol=1e-12)
     params = two_kick_params(vacuum, standard_geometry, 0.0, 0.7)
-    out = apply_affine(theta.affine, witness)
+    out = theta(witness)
     assert np.linalg.norm(out) ** 2 == pytest.approx(
         1 + 4 * abs(params.h * params.k) ** 2, abs=1e-12
     )
@@ -224,9 +222,8 @@ def test_is_positive_witness(vacuum, standard_geometry):
 def test_is_positive_synthetic_h():
     """k = 0: the transition map is diagonal and positive iff |h| <= 1."""
     for h_abs, expect in ((0.7, True), (1.0, True), (1.3, False)):
-        aff = AffineBlochMap(np.diag([1.0, h_abs**2, h_abs**2]), np.zeros(3))
-        tm = QubitMap(aff, (), {}, cp=False)
-        ok = max_image_norm(tm.affine)[0] <= 1.0 + PSD_TOL
+        tm = QubitMap(np.diag([1.0, h_abs**2, h_abs**2]), np.zeros(3), (), {}, cp=False)
+        ok = max_image_norm(tm.matrix, tm.shift)[0] <= 1.0 + PSD_TOL
         assert ok is expect
         assert is_cp(tm) is expect
 
@@ -249,7 +246,7 @@ def test_cp_equals_positive_two_kicks():
         except Exception:
             continue
         cp = is_cp(theta)
-        pos = max_image_norm(theta.affine)[0] <= 1.0 + PSD_TOL
+        pos = max_image_norm(theta.matrix, theta.shift)[0] <= 1.0 + PSD_TOL
         assert cp == pos
         if cp:
             assert pos  # CP implies P

@@ -6,7 +6,6 @@ import pytest
 
 from spinkick import (
     PAULI_BASIS,
-    AffineBlochMap,
     GaussianEnvironment,
     InteractionGeometry,
     InvalidMap,
@@ -50,6 +49,7 @@ from spinkick.channels import (
     _sign_matrix,
     _string_amplitudes,
     _tile_rows,
+    _validate,
     affine_from_chi,
     apply_chi,
     basis_from_frame,
@@ -59,8 +59,6 @@ from spinkick.channels import (
     format_channel,
     phase_damping_channel,
     two_kick_frame,
-    validate_channel,
-    validate_map,
 )
 from spinkick.environment import format_complex, parse_complex
 from spinkick.oracle import fock_spec_for, nascent_delta_channels, oracle_channel
@@ -175,8 +173,8 @@ def test_projector_strings_match_loop(n):
 def test_single_kick_vacuum_affine(vacuum, standard_geometry):
     ch = single_kick_channel(vacuum, standard_geometry, 0.0)
     g = np.exp(-1.0)
-    np.testing.assert_allclose(ch.affine.matrix, np.diag([1.0, g, g]), atol=1e-14)
-    np.testing.assert_allclose(ch.affine.shift, 0.0, atol=1e-15)
+    np.testing.assert_allclose(ch.matrix, np.diag([1.0, g, g]), atol=1e-14)
+    np.testing.assert_allclose(ch.shift, 0.0, atol=1e-15)
 
 
 def test_single_kick_fixed_direction(vacuum, standard_geometry):
@@ -189,16 +187,16 @@ def test_single_kick_strong_damping_limit(standard_geometry):
     env = SingleModeThermal(omega=1.0, nbar=400.0)  # Var >> 1, gamma ~ 0
     ch = single_kick_channel(env, standard_geometry, 0.0)
     r = r_of_t(standard_geometry, 0.0)
-    np.testing.assert_allclose(ch.affine.matrix, np.outer(r, r), atol=1e-12)
-    np.testing.assert_allclose(ch.affine.shift, 0.0, atol=1e-14)
+    np.testing.assert_allclose(ch.matrix, np.outer(r, r), atol=1e-12)
+    np.testing.assert_allclose(ch.shift, 0.0, atol=1e-14)
 
 
 def test_single_kick_displaced_rotation(standard_geometry):
     """A mean adds a rotation about r: singular values of A are unchanged."""
     even = SingleModeThermal(omega=1.0)
     disp = SingleModeThermal(omega=1.0, displacement=0.8 + 0.1j)
-    a_even = single_kick_channel(even, standard_geometry, 0.3).affine.matrix
-    a_disp = single_kick_channel(disp, standard_geometry, 0.3).affine.matrix
+    a_even = single_kick_channel(even, standard_geometry, 0.3).matrix
+    a_disp = single_kick_channel(disp, standard_geometry, 0.3).matrix
     np.testing.assert_allclose(
         np.linalg.svd(a_even, compute_uv=False),
         np.linalg.svd(a_disp, compute_uv=False),
@@ -240,12 +238,12 @@ def test_phase_damping_matches_operator_form():
 # chi <-> affine conversion: the closed form against its definition
 
 
-def _affine_on_operator(affine, x):
+def _affine_on_operator(m, x):
     """The complex-linear extension of u -> A u + b to a 2x2 operator:
     1 -> 1 + b.sigma, sigma_j -> sum_i A_ij sigma_i."""
     x0 = np.trace(x) / 2.0
     xvec = np.einsum("ijk,kj->i", PAULI, x) / 2.0
-    out = affine.matrix @ xvec + x0 * affine.shift
+    out = m.matrix @ xvec + x0 * m.shift
     return x0 * I2 + np.einsum("i,ijk->jk", out, PAULI)
 
 
@@ -267,16 +265,16 @@ def test_chi_from_affine_matches_definition():
     ]
     for basis in bases:
         for _ in range(10):
-            affine = AffineBlochMap(rng.normal(size=(3, 3)), rng.normal(size=3))
+            affine = QubitMap(rng.normal(size=(3, 3)), rng.normal(size=3), cp=False)
             chi = chi_from_affine(affine, basis)
             for c, bc in enumerate(basis.ops):
                 for d, bd in enumerate(basis.ops):
                     want = np.trace(bc.conj().T @ _affine_on_operator(affine, bd))
                     got = np.trace(bc.conj().T @ apply_chi(chi, basis, bd))
                     assert abs(got - want) <= 1e-13, (c, d, abs(got - want))
-            back = affine_from_chi(chi, basis)
-            np.testing.assert_allclose(back.matrix, affine.matrix, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(back.shift, affine.shift, rtol=0, atol=1e-13)
+            back_a, back_b = affine_from_chi(chi, basis)
+            np.testing.assert_allclose(back_a, affine.matrix, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(back_b, affine.shift, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +284,8 @@ def test_chi_from_affine_matches_definition():
 def test_n_kick_reduces_to_single(vacuum, standard_geometry):
     single = single_kick_channel(vacuum, standard_geometry, 0.4)
     built = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.4]))
-    np.testing.assert_allclose(built.affine.matrix, single.affine.matrix, atol=1e-12)
-    np.testing.assert_allclose(built.affine.shift, single.affine.shift, atol=1e-12)
+    np.testing.assert_allclose(built.matrix, single.matrix, atol=1e-12)
+    np.testing.assert_allclose(built.shift, single.shift, atol=1e-12)
     np.testing.assert_allclose(built.chi, single.chi, atol=1e-12)
 
 
@@ -301,8 +299,8 @@ def test_n_kick_matches_closed_form_two_kicks():
             continue
         built = build_n_kick_channel(env, geom, KickSchedule([t0, t1]))
         closed = two_kick_closed_form(env, geom, t0, t1)
-        np.testing.assert_allclose(built.affine.matrix, closed.affine.matrix, atol=1e-12)
-        np.testing.assert_allclose(built.affine.shift, closed.affine.shift, atol=1e-12)
+        np.testing.assert_allclose(built.matrix, closed.matrix, atol=1e-12)
+        np.testing.assert_allclose(built.shift, closed.shift, atol=1e-12)
         np.testing.assert_allclose(built.chi, closed.chi, atol=1e-12)
 
 
@@ -313,8 +311,8 @@ def test_n_kick_white_kernel_is_composition(standard_geometry):
     comp = single_kick_channel(env, standard_geometry, times[0])
     for t in times[1:]:
         comp = compose(single_kick_channel(env, standard_geometry, t), comp)
-    np.testing.assert_allclose(built.affine.matrix, comp.affine.matrix, atol=1e-12)
-    chi_comp = chi_from_affine(comp.affine, built.basis)
+    np.testing.assert_allclose(built.matrix, comp.matrix, atol=1e-12)
+    chi_comp = chi_from_affine(comp, built.basis)
     np.testing.assert_allclose(built.chi, chi_comp, atol=1e-12)
 
 
@@ -331,7 +329,7 @@ def test_n_kick_chi_consistent_with_affine():
     coeff = np.einsum("ayx,myx->ma", ch.basis.ops.conj(), _projector_strings(rs, signs))
     gammas = _gamma_matrix(env, sched.times, sched.weights, signs)
     double_trace = coeff.T @ gammas @ coeff.conj()
-    np.testing.assert_allclose(double_trace, chi_from_affine(ch.affine, ch.basis), atol=1e-12)
+    np.testing.assert_allclose(double_trace, chi_from_affine(ch, ch.basis), atol=1e-12)
 
 
 def test_n_kick_budget(vacuum, standard_geometry):
@@ -348,7 +346,7 @@ def test_n_kick_ball_contraction():
     ch = build_n_kick_channel(env, geom, random_schedule(rng, 3))
     pts = rng.normal(size=(10_000, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    out = pts @ ch.affine.matrix.T + ch.affine.shift
+    out = pts @ ch.matrix.T + ch.shift
     assert np.linalg.norm(out, axis=1).max() <= 1 + 1e-10
 
 
@@ -357,7 +355,7 @@ def test_n_kick_deterministic(vacuum, standard_geometry):
     a = build_n_kick_channel(vacuum, standard_geometry, sched)
     b = build_n_kick_channel(vacuum, standard_geometry, sched)
     assert np.array_equal(a.chi, b.chi)
-    assert np.array_equal(a.affine.matrix, b.affine.matrix)
+    assert np.array_equal(a.matrix, b.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +401,15 @@ def test_prefix_pass_matches_enumeration(kind, n):
         ref = build_n_kick_channel(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
         np.testing.assert_array_equal(got.basis.ops, ref.basis.ops)
         np.testing.assert_allclose(got.chi, ref.chi, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.affine.matrix, ref.affine.matrix, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.affine.shift, ref.affine.shift, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.matrix, ref.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.shift, ref.shift, rtol=0, atol=1e-12)
         if k:
             assert got.meta["times"] == ref.meta["times"]
             assert (got.meta["path"], got.meta["terms"]) == ("kick_by_kick", (4**k - 1) // 3)
             assert (ref.meta["path"], ref.meta["terms"]) == ("enumeration", 4**k)
         if kind == "parallel_axes":
             assert got.basis is PAULI_BASIS
-    assert prefixes[-1] is prefixes[n]  # read once, then reused
+    assert prefixes[-1] is prefixes[n]  # one map per prefix
 
 
 def _extended_chi(env, geom, sched) -> np.ndarray:
@@ -439,7 +437,7 @@ def _extended_chi(env, geom, sched) -> np.ndarray:
 @pytest.mark.parametrize("nbar, enumeration_tol", [(500, 1e-11), (5000, 3e-11)])
 def test_prefix_pass_at_high_occupation(nbar, enumeration_tol, standard_geometry):
     """Nine kicks on a strongly occupied mode: no overflow (pytest turns a
-    RuntimeWarning into an error), every prefix validates when read, and
+    RuntimeWarning into an error), every prefix is validated, and
     every prefix matches the enumeration and the extended-precision sum."""
     env = SingleModeThermal(omega=1.0, nbar=nbar)
     sched = KickSchedule(0.5 * np.arange(9))
@@ -450,8 +448,8 @@ def test_prefix_pass_at_high_occupation(nbar, enumeration_tol, standard_geometry
         head = KickSchedule(sched.times[:k])
         got, ref = prefixes[k], build_n_kick_channel(env, standard_geometry, head)
         np.testing.assert_allclose(got.chi, ref.chi, rtol=0, atol=enumeration_tol)
-        np.testing.assert_allclose(got.affine.matrix, ref.affine.matrix, rtol=0, atol=enumeration_tol)
-        np.testing.assert_allclose(got.affine.shift, ref.affine.shift, rtol=0, atol=enumeration_tol)
+        np.testing.assert_allclose(got.matrix, ref.matrix, rtol=0, atol=enumeration_tol)
+        np.testing.assert_allclose(got.shift, ref.shift, rtol=0, atol=enumeration_tol)
         if extended:
             np.testing.assert_allclose(got.chi, _extended_chi(env, standard_geometry, head), rtol=0, atol=1e-13)
 
@@ -495,8 +493,8 @@ def test_prefix_pass_is_independent_of_its_length():
         short = build_prefix_channels(env, geom, KickSchedule(sched.times[:m], sched.weights[:m]))
         for k in range(m + 1):
             assert np.array_equal(short[k].chi, full[k].chi)
-            assert np.array_equal(short[k].affine.matrix, full[k].affine.matrix)
-            assert np.array_equal(short[k].affine.shift, full[k].affine.shift)
+            assert np.array_equal(short[k].matrix, full[k].matrix)
+            assert np.array_equal(short[k].shift, full[k].shift)
 
 
 def test_prefix_pass_peak_memory_is_its_stated_bytes(vacuum, standard_geometry):
@@ -600,8 +598,8 @@ def test_prefix_pass_contractions_agree(monkeypatch):
             assert (factored[k].meta["factored_levels"], factored[k].meta["summed_levels"]) == (tiled, 0)
             assert (summed[k].meta["factored_levels"], summed[k].meta["summed_levels"]) == (0, tiled)
         np.testing.assert_allclose(factored[k].chi, summed[k].chi, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(factored[k].affine.matrix, summed[k].affine.matrix, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(factored[k].affine.shift, summed[k].affine.shift, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(factored[k].matrix, summed[k].matrix, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(factored[k].shift, summed[k].shift, rtol=0, atol=1e-14)
 
 
 def test_prefix_pass_factors_long_trains():
@@ -735,7 +733,7 @@ def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.4, 0.9])
     assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3
     assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == (
-        4608 + 1536 * 3 + 144 * 4 + 72 * 4**2 + 16 * 4**2
+        4096 + 640 * 3 + 16 * 3**2 + 144 * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 2048 + 768 * 3)
     )
 
 
@@ -767,15 +765,15 @@ def test_two_kick_uncorrelated_composes(standard_geometry):
         single_kick_channel(env, standard_geometry, 0.8),
         single_kick_channel(env, standard_geometry, 0.0),
     )
-    np.testing.assert_allclose(closed.affine.matrix, comp.affine.matrix, atol=1e-12)
-    np.testing.assert_allclose(closed.affine.shift, comp.affine.shift, atol=1e-12)
+    np.testing.assert_allclose(closed.matrix, comp.matrix, atol=1e-12)
+    np.testing.assert_allclose(closed.shift, comp.shift, atol=1e-12)
 
 
 def test_two_kick_real_kernel_unital(standard_geometry):
     # kernel real at these times: omega (t1 - t0) = pi gives Im K = 0
     env = SingleModeThermal(omega=1.0, nbar=0.5)
     closed = two_kick_closed_form(env, standard_geometry, 0.0, np.pi)
-    np.testing.assert_allclose(closed.affine.shift, 0.0, atol=1e-14)
+    np.testing.assert_allclose(closed.shift, 0.0, atol=1e-14)
 
 
 def test_two_kick_nonunital_shift(vacuum, standard_geometry):
@@ -788,8 +786,8 @@ def test_two_kick_nonunital_shift(vacuum, standard_geometry):
         * np.sin(4 * corr.imag)
         * np.cross(r1, r0)
     )
-    np.testing.assert_allclose(closed.affine.shift, expected, atol=1e-13)
-    assert np.linalg.norm(closed.affine.shift) > 1e-2  # genuinely non-unital
+    np.testing.assert_allclose(closed.shift, expected, atol=1e-13)
+    assert np.linalg.norm(closed.shift) > 1e-2  # genuinely non-unital
 
 
 def test_two_kick_rejects_displaced(standard_geometry):
@@ -824,7 +822,7 @@ def test_two_kick_params_refuse_weights_beyond_cosh_range(standard_geometry):
 def test_two_kick_parallel_falls_back_to_dephasing(vacuum, standard_geometry):
     closed = two_kick_closed_form(vacuum, standard_geometry, 0.0, 2 * np.pi)
     deph = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0, 2 * np.pi]))
-    np.testing.assert_allclose(closed.affine.matrix, deph.affine.matrix, atol=1e-12)
+    np.testing.assert_allclose(closed.matrix, deph.matrix, atol=1e-12)
     assert closed.meta["kind"] == "dephasing"
 
 
@@ -835,7 +833,7 @@ def test_two_kick_parallel_falls_back_to_dephasing(vacuum, standard_geometry):
 def test_dephasing_reduces_to_single_kick(vacuum, standard_geometry):
     deph = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.3]))
     single = single_kick_channel(vacuum, standard_geometry, 0.3)
-    np.testing.assert_allclose(deph.affine.matrix, single.affine.matrix, atol=1e-14)
+    np.testing.assert_allclose(deph.matrix, single.matrix, atol=1e-14)
 
 
 def test_dephasing_white_kernel_gamma(standard_geometry):
@@ -879,7 +877,7 @@ def test_compose_identity(vacuum, standard_geometry):
     ch = single_kick_channel(vacuum, standard_geometry, 0.2)
     ident = identity_channel()
     out = compose(ident, ch)
-    np.testing.assert_allclose(out.affine.matrix, ch.affine.matrix, atol=1e-14)
+    np.testing.assert_allclose(out.matrix, ch.matrix, atol=1e-14)
 
 
 def test_invert_roundtrip(vacuum, standard_geometry):
@@ -887,10 +885,10 @@ def test_invert_roundtrip(vacuum, standard_geometry):
     inv = invert_channel(ch)
     assert not inv.cp
     round_trip = compose(inv, ch)
-    np.testing.assert_allclose(round_trip.affine.matrix, np.eye(3), atol=1e-10)
-    np.testing.assert_allclose(round_trip.affine.shift, 0.0, atol=1e-10)
+    np.testing.assert_allclose(round_trip.matrix, np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(round_trip.shift, 0.0, atol=1e-10)
     np.testing.assert_allclose(
-        inv.affine.matrix @ ch.affine.matrix, np.eye(3), atol=1e-12
+        inv.matrix @ ch.matrix, np.eye(3), atol=1e-12
     )
 
 
@@ -898,7 +896,7 @@ def test_invert_single_kick_diagonal(vacuum, standard_geometry):
     ch = single_kick_channel(vacuum, standard_geometry, 0.0)  # r = x, gamma = 1/e
     inv = invert_channel(ch)
     np.testing.assert_allclose(
-        inv.affine.matrix, np.diag([1.0, np.e, np.e]), atol=1e-12
+        inv.matrix, np.diag([1.0, np.e, np.e]), atol=1e-12
     )
     assert inv.meta["condition_number"] == pytest.approx(np.e, rel=1e-12)
 
@@ -913,7 +911,7 @@ def test_invert_singular(standard_geometry):
 def test_inversion_is_refused_past_kappa_max(kappa, refused):
     """A diagonal A with condition number just under KAPPA_MAX = 1e6
     inverts; just over it, the inverse is refused as singular, naming kappa."""
-    m = QubitMap(AffineBlochMap(np.diag([1.0, 0.5, 1.0 / kappa]), np.zeros(3)), (), {}, cp=False)
+    m = QubitMap(np.diag([1.0, 0.5, 1.0 / kappa]), np.zeros(3), (), {}, cp=False)
     if not refused:
         assert invert_channel(m).meta["condition_number"] == pytest.approx(kappa, rel=1e-12)
     else:
@@ -942,16 +940,16 @@ def test_transition_map_consistency(vacuum, standard_geometry):
     shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
     theta = transition_map(longer, shorter)
     recomposed = compose(theta, shorter)
-    np.testing.assert_allclose(recomposed.affine.matrix, longer.affine.matrix, atol=1e-10)
-    np.testing.assert_allclose(recomposed.affine.shift, longer.affine.shift, atol=1e-10)
-    validate_map(theta)
+    np.testing.assert_allclose(recomposed.matrix, longer.matrix, atol=1e-10)
+    np.testing.assert_allclose(recomposed.shift, longer.shift, atol=1e-10)
+    _validate(theta.matrix, theta.shift, cp=False)
 
 
 def test_transition_identity(vacuum, standard_geometry):
     ch = single_kick_channel(vacuum, standard_geometry, 0.2)
     theta = transition_map(ch, ch)
-    np.testing.assert_allclose(theta.affine.matrix, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(theta.affine.shift, 0.0, atol=1e-12)
+    np.testing.assert_allclose(theta.matrix, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(theta.shift, 0.0, atol=1e-12)
 
 
 def test_transition_uncorrelated_is_later_kick(standard_geometry):
@@ -960,7 +958,7 @@ def test_transition_uncorrelated_is_later_kick(standard_geometry):
     shorter = single_kick_channel(env, standard_geometry, 0.0)
     theta = transition_map(longer, shorter)
     later = single_kick_channel(env, standard_geometry, 0.9)
-    np.testing.assert_allclose(theta.affine.matrix, later.affine.matrix, atol=1e-12)
+    np.testing.assert_allclose(theta.matrix, later.matrix, atol=1e-12)
     assert np.linalg.eigvalsh(theta.chi).min() >= -1e-10  # completely positive
 
 
@@ -983,7 +981,7 @@ def test_unital_entropy_never_decreases(vacuum):
         build_n_kick_channel(WhiteKickKernel(0.3), geom, random_schedule(rng, 3)),
     ]
     for ch in channels_under_test:
-        assert ch.affine.is_unital
+        assert ch.is_unital
         for _ in range(200):
             u = rng.normal(size=3)
             u = u / np.linalg.norm(u) * rng.uniform(0, 1)
@@ -1002,8 +1000,8 @@ def test_mean_shift_preserves_singular_values():
             disp = SingleModeThermal(
                 omega=1.3, nbar=0.4, displacement=rng.normal() + 1j * rng.normal()
             )
-            a_even = build_n_kick_channel(even, geom, sched).affine.matrix
-            a_disp = build_n_kick_channel(disp, geom, sched).affine.matrix
+            a_even = build_n_kick_channel(even, geom, sched).matrix
+            a_disp = build_n_kick_channel(disp, geom, sched).matrix
             np.testing.assert_allclose(
                 np.linalg.svd(a_even, compute_uv=False),
                 np.linalg.svd(a_disp, compute_uv=False),
@@ -1022,10 +1020,10 @@ def test_mean_shift_invariance_has_a_boundary():
     even = SingleModeThermal(omega=1.3, nbar=0.3)
     disp = SingleModeThermal(omega=1.3, nbar=0.3, displacement=0.6 + 0.8j)
     s_even = np.linalg.svd(
-        build_n_kick_channel(even, geom, sched).affine.matrix, compute_uv=False
+        build_n_kick_channel(even, geom, sched).matrix, compute_uv=False
     )
     s_disp = np.linalg.svd(
-        build_n_kick_channel(disp, geom, sched).affine.matrix, compute_uv=False
+        build_n_kick_channel(disp, geom, sched).matrix, compute_uv=False
     )
     assert np.max(np.abs(s_even - s_disp)) > 1e-6
 
@@ -1035,25 +1033,23 @@ def test_channel_validation_catches_bad_chi(vacuum, standard_geometry):
     construction, so the chi validation can catch is one that is not PSD:
     here the single-kick channel with its kick axis mapped to 1.5 r."""
     ch = single_kick_channel(vacuum, standard_geometry, 0.0)
-    bad = QubitMap(AffineBlochMap(ch.affine.matrix, 0.5 * ch.axes[0]), ch.axes, {}, cp=False)
     with pytest.raises(ValueError):
-        validate_channel(bad)
+        _map(ch.matrix, 0.5 * ch.axes[0], ch.axes, {})
 
 
 def test_channel_validation_refuses_a_non_psd_chi():
     """A = 2 I is trace- and Hermiticity-preserving but not CP: its chi has
     eigenvalue -1/2, and building it as a channel is refused."""
     with pytest.raises(InvalidMap, match=r"chi not PSD: min eigenvalue -5\.000e-01"):
-        _map(AffineBlochMap(2.0 * np.eye(3), np.zeros(3)), (), {})
+        _map(2.0 * np.eye(3), np.zeros(3), (), {})
 
 
 def test_invalid_map_is_a_domain_error(vacuum, standard_geometry):
     from spinkick import SpinKickError
 
     ch = single_kick_channel(vacuum, standard_geometry, 0.0)
-    bad = QubitMap(AffineBlochMap(ch.affine.matrix, np.full(3, np.inf)), ch.axes, {}, cp=False)
     with pytest.raises(InvalidMap):
-        validate_map(bad)
+        _map(ch.matrix, np.full(3, np.inf), ch.axes, {}, cp=False)
     assert issubclass(InvalidMap, SpinKickError)
 
 
@@ -1067,10 +1063,35 @@ def test_non_finite_map_is_refused(where):
         a[0, 1] = np.nan
     else:
         b[2] = np.nan
-    m = QubitMap(AffineBlochMap(a, b), (), {}, cp=False)
-    for check in (validate_map, validate_channel):
+    for cp in (False, True):
         with pytest.raises(InvalidMap, match="map is not finite"):
-            check(m)
+            _map(a, b, (), {}, cp)
+
+
+def test_one_rule_refuses_a_bad_map_and_a_bad_stack_entry(vacuum, standard_geometry):
+    """One rule judges a single map and every entry of a stack of maps
+    alike, with one Choi kernel whose stacked chi_P equals each map's bit
+    for bit: a non-PSD or non-finite entry anywhere in a stack of prefixes
+    is refused with the InvalidMap a single map gets."""
+    from spinkick.channels import _pauli_chi
+
+    prefixes = build_prefix_channels(vacuum, standard_geometry, KickSchedule([0.0, 0.7, 1.3]))
+    a, b = np.stack([m.matrix for m in prefixes]), np.stack([m.shift for m in prefixes])
+    stacked = _pauli_chi(a, b)
+    for k, m in enumerate(prefixes):
+        assert np.array_equal(stacked[k], _pauli_chi(m.matrix, m.shift))
+    _validate(a, b, cp=True)
+    with pytest.raises(InvalidMap, match=r"chi not PSD: min eigenvalue -5\.000e-01"):
+        _map(2.0 * np.eye(3), np.zeros(3), (), {})
+    for k in range(len(prefixes)):
+        not_cp_a, not_cp_b, nan_b = a.copy(), b.copy(), b.copy()
+        not_cp_a[k], not_cp_b[k], nan_b[k, 1] = 2.0 * np.eye(3), 0.0, np.nan
+        with pytest.raises(InvalidMap, match=r"chi not PSD: min eigenvalue -5\.000e-01"):
+            _validate(not_cp_a, not_cp_b, cp=True)
+        _validate(not_cp_a, not_cp_b, cp=False)  # A = 2 I is a map, just not a channel
+        for cp in (False, True):
+            with pytest.raises(InvalidMap, match="map is not finite"):
+                _validate(a, nan_b, cp)
 
 
 def test_compose_is_channel_only_for_channel_pairs(vacuum, standard_geometry):
@@ -1089,8 +1110,8 @@ def test_channel_roundtrip(tmp_path, vacuum, standard_geometry):
     path = tmp_path / "channel.txt"
     save_channel(ch, path)
     back = load_channel(path)
-    np.testing.assert_array_equal(back.affine.matrix, ch.affine.matrix)
-    np.testing.assert_array_equal(back.affine.shift, ch.affine.shift)
+    np.testing.assert_array_equal(back.matrix, ch.matrix)
+    np.testing.assert_array_equal(back.shift, ch.shift)
     np.testing.assert_array_equal(back.chi, ch.chi)
     np.testing.assert_array_equal(back.basis.ops, ch.basis.ops)
     assert back.meta["times"] == ch.meta["times"]
@@ -1169,8 +1190,8 @@ def test_two_kick_transition_map_matches_inverted_composition():
             single_kick_channel(env, geom, t0, w[0]),
         )
         assert not closed.cp
-        np.testing.assert_allclose(closed.affine.matrix, exact.affine.matrix, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(closed.affine.shift, exact.affine.shift, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(closed.matrix, exact.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(closed.shift, exact.shift, rtol=0, atol=1e-12)
 
 
 def test_every_constructor_reads_chi_in_the_default_basis():
@@ -1218,7 +1239,7 @@ def _geometry():
 @pytest.mark.parametrize(
     "make",
     [
-        AffineBlochMap.identity,
+        identity_channel,
         lambda: OperatorBasis(PAULI_BASIS.ops),
         _geometry,
         lambda: KickSchedule([0.0, 1.0]),
@@ -1227,7 +1248,7 @@ def _geometry():
         lambda: dephasing_divisibility(0.5, 0.8),
     ],
     ids=[
-        "AffineBlochMap",
+        "QubitMap",
         "OperatorBasis",
         "InteractionGeometry",
         "KickSchedule",
@@ -1254,7 +1275,7 @@ def test_enumeration_refuses_gamma_coefficients_that_overflow():
     sched = KickSchedule([0.0, 0.7, 1.3])
     with pytest.raises(SpinKickError, match="gamma coefficients overflow"):
         build_n_kick_channel(env, geom, sched)
-    assert np.isfinite(build_prefix_channels(env, geom, sched)[3].affine.matrix).all()
+    assert np.isfinite(build_prefix_channels(env, geom, sched)[3].matrix).all()
 
 
 @pytest.mark.parametrize("build", [build_n_kick_channel, lambda *a: build_prefix_channels(*a)[1]])

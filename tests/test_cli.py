@@ -80,7 +80,7 @@ def test_simulate_empty_schedule(tmp_path):
     lines = (out / "run_trajectory.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header + initial state only
     ch = load_channel(out / "run_channel.txt")
-    np.testing.assert_allclose(ch.affine.matrix, np.eye(3))
+    np.testing.assert_allclose(ch.matrix, np.eye(3))
 
 
 def test_simulate_white_purity_monotone(tmp_path):
@@ -403,41 +403,43 @@ def test_log_base_flag(tmp_path):
 
 
 def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
-    """n kicks take one pass, and each prefix channel is built and validated
-    once, straight from the affine action the pass carries: the channel
-    file reuses the last prefix channel."""
+    """n kicks take one pass, and its prefix channels are built and
+    validated together, in one stacked validation, straight from the affine
+    action the pass carries: the channel file reuses the last prefix
+    channel."""
     from spinkick import channels
 
-    passes, validated, conversions = [], [], []
-    build, validate = channels.build_prefix_channels, channels.validate_channel
+    passes, stacks, conversions = [], [], []
+    build, validate = channels.build_prefix_channels, channels._validate
 
     def counting_build(*args, **kwargs):
         passes.append(len(args[2]))
         return build(*args, **kwargs)
 
-    def counting_validate(m):
-        validated.append(m.meta.get("times"))
-        return validate(m)
+    def counting_validate(a, b, cp):
+        if a.ndim == 3:
+            stacks.append((a.shape, b.shape, cp))
+        return validate(a, b, cp)
 
     monkeypatch.setattr(channels, "build_prefix_channels", counting_build)
-    monkeypatch.setattr(channels, "validate_channel", counting_validate)
+    monkeypatch.setattr(channels, "_validate", counting_validate)
     monkeypatch.setattr(channels, "affine_from_chi", lambda *args: conversions.append(args))
     out = tmp_path / "out"
     body = BASE_CFG.format(out=out).replace("times = 0.0", "times = 0.0 0.7 1.3")
     assert main(["--config", write_cfg(tmp_path, body), "simulate"]) == EXIT_OK
     assert passes == [3]
-    assert validated == [(0.0,), (0.0, 0.7), (0.0, 0.7, 1.3)]
+    assert stacks == [((3, 3, 3), (3, 3), True)]
     ch = load_channel(out / "run_channel.txt")
     assert ch.meta["times"] == (0.0, 0.7, 1.3)
     assert sorted(p.name for p in out.iterdir()) == ["run_channel.txt", "run_trajectory.csv"]
 
     # the reports simulate toggles on reuse those channels
     passes.clear()
-    validated.clear()
+    stacks.clear()
     toggled = body + "\n[analysis]\ndivisibility = true\nfixed_point = true\noracle_check = true\n"
     assert main(["--config", write_cfg(tmp_path, toggled, "toggled.cfg"), "simulate"]) == EXIT_OK
     assert passes == [3]
-    assert len(validated) == 3
+    assert len(stacks) == 1
     assert conversions == []
     assert len(list(out.iterdir())) == 6
 
@@ -686,8 +688,8 @@ def test_divisibility_leaves_ill_conditioned_closed_form(tmp_path, body):
     for k in (1, 2):
         ref = build_n_kick_channel(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
         np.testing.assert_allclose(prefixes[k].chi, ref.chi, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(prefixes[k].affine.matrix, ref.affine.matrix, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(prefixes[k].affine.shift, ref.affine.shift, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prefixes[k].matrix, ref.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prefixes[k].shift, ref.shift, rtol=0, atol=1e-12)
     ref = divisibility_report(prefixes[2], prefixes[1])
     got = [float(kv[f"lambda_{i}"]) for i in range(1, 5)]
     np.testing.assert_allclose(got, ref.chi_eigenvalues, rtol=0, atol=1e-9)
@@ -906,6 +908,8 @@ def cli_runs(draw):
 @given(cli_runs())
 @example(("simulate", BASE_CFG.format(out="out").replace("nbar = 0.0", "beta = 1e300")))
 @example(("simulate", BASE_CFG.format(out="out").replace("h = 0 0 1", "h = 0 0 1e300")))
+@example(("simulate", BASE_CFG.format(out="out").replace(
+    "single_mode_thermal\nomega = 1.0\nnbar = 0.0", "white_kick\nvariance = 1e308")))
 def test_exit_codes_stay_in_contract(run):
     """Every command ends in a documented exit code, never in a traceback or
     a warning (an error under pytest), whatever the numbers it is given."""

@@ -269,8 +269,8 @@ def _assert_is_kron_readout(spec, steps, ch):
         u = _direct_step(r, quadrature_heisenberg(spec, t), w) @ u
     rho_env, _ = environment_state(spec)
     b, *cols = _kron_readout(u, rho_env)
-    np.testing.assert_allclose(ch.affine.shift, b, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(ch.affine.matrix, np.column_stack([c - b for c in cols]), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(ch.shift, b, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(ch.matrix, np.column_stack([c - b for c in cols]), rtol=0, atol=1e-13)
 
 
 def _assert_channel_is_kron_readout(spec, steps):
@@ -648,7 +648,7 @@ def test_nascent_axes_are_in_time_order(standard_geometry):
         spec, standard_geometry, [2.0, 0.5], [0.02], steps_per_kick=8, weights=[1.3, 0.8]
     )
     np.testing.assert_array_equal(np.asarray(swapped.axes), np.asarray(ordered.axes))
-    np.testing.assert_allclose(swapped.affine.matrix, ordered.affine.matrix, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(swapped.matrix, ordered.matrix, rtol=0, atol=1e-15)
     np.testing.assert_allclose(swapped.chi, ordered.chi, rtol=0, atol=1e-14)
 
 

@@ -14,7 +14,7 @@ def test_readme_library_tour_runs():
     ns = {}
     exec(compile(tour, str(README), "exec"), ns)
     assert not sk.is_cp(ns["theta"])
-    assert sk.max_image_norm(ns["theta"].affine)[0] > 1.0
+    assert sk.max_image_norm(ns["theta"].matrix, ns["theta"].shift)[0] > 1.0
     assert sk.channel_distance(ns["ch"], ns["orc"]) < 1e-12
 
 

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .environment import GaussianEnvironment, _kick_means, format_complex, gaussian_char, gram_matrix, parse_complex
+from .environment import PSD_TOL, GaussianEnvironment, _kick_means, format_complex, gaussian_char, gram_matrix, parse_complex
 from .errors import (
     InvalidMap,
     NonCommutingSchedule,
@@ -63,7 +63,7 @@ from .errors import (
     SpinKickError,
     TooManyKicks,
 )
-from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
+from .kicks import COMMUTE_TOL, InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
 from .pauli import (
     I2,
     PAULI,
@@ -90,10 +90,6 @@ _BASE = 64
 # contracted in factored form (``build_prefix_channels``): its factors then
 # lie within [e^-600, e^600], inside float64's normal range [e^-708, e^709].
 _FACTOR_RANGE = 600.0
-
-# The one PSD bound: a channel's Choi matrix may have eigenvalues down to
-# -PSD_TOL (``_validate``), and ``analysis`` judges CP by it.
-PSD_TOL = 1e-10
 
 # Largest condition number max(sigma_max, 1) / sigma_min of A that
 # ``invert_channel`` accepts: there kappa * eps = 2.2e-10 reaches the scale
@@ -161,14 +157,14 @@ def two_kick_frame(r_later, r_earlier) -> np.ndarray:
 
     e1 = r_later, e2 completes r_earlier in the (r_later, r_earlier) plane,
     e3 is along r_later x r_earlier.  Raises ParallelAxes when the plane is
-    degenerate (|r_later x r_earlier| <= 1e-10).
+    degenerate (|r_later x r_earlier| <= COMMUTE_TOL).
     """
     r1 = np.asarray(r_later, dtype=float)
     r0 = np.asarray(r_earlier, dtype=float)
     cross = cross3(r1, r0)
     nc = np.linalg.norm(cross)
-    if nc <= 1e-10:
-        raise ParallelAxes(f"|r_later x r_earlier| = {nc:.3e} <= 1e-10")
+    if nc <= COMMUTE_TOL:
+        raise ParallelAxes(f"|r_later x r_earlier| = {nc:.3e} <= {COMMUTE_TOL:g}")
     alpha = float(r1 @ r0)
     e2 = (r0 - alpha * r1) / nc
     return np.stack([r1, e2, cross / nc])

@@ -14,7 +14,7 @@ partial outputs), and every failure class maps to a documented exit code:
        any section or flag)
     3  I/O error
     4  domain error (library exceptions: TooManyKicks, SingularChannel,
-       InvalidMap, ...)
+       InvalidMap, ..., and an array too large to allocate)
     5  verification failure (oracle distance above tolerance, truncation
        not converged)
 
@@ -71,6 +71,11 @@ def write_text_atomic(path: str, content: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write(cfg: RunConfig, suffix: str, text: str) -> None:
+    """Write a command's output file <[output] dir>/<[output] prefix>_<suffix>."""
+    write_text_atomic(os.path.join(cfg["output", "dir"], f"{cfg['output', 'prefix']}_{suffix}"), text)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +374,8 @@ def cmd_simulate(cfg: RunConfig, train: _Train) -> int:
     rows = ["kick_index,t,u_x,u_y,u_z,purity,entropy", row(0, sched.times[0] if len(sched) else 0.0, u0)]
     for k in range(1, len(sched) + 1):
         rows.append(row(k, sched.times[k - 1], train.channel(k)(u0)))
-    write_text_atomic(os.path.join(out, f"{prefix}_trajectory.csv"), "\n".join(rows) + "\n")
-    write_text_atomic(os.path.join(out, f"{prefix}_channel.txt"), channels.format_channel(train.channel()))
+    _write(cfg, "trajectory.csv", "\n".join(rows) + "\n")
+    _write(cfg, "channel.txt", channels.format_channel(train.channel()))
     print(f"wrote {prefix}_trajectory.csv and {prefix}_channel.txt in {out}")
 
     # optional follow-on analyses, toggled in [analysis]
@@ -393,8 +398,7 @@ def cmd_fixed_point(cfg: RunConfig, train: _Train) -> int:
         f"unique={str(res.unique).lower()}",
         f"residual={_fmt(res.residual)}",
     ]
-    out, prefix = cfg["output", "dir"], cfg["output", "prefix"]
-    write_text_atomic(os.path.join(out, f"{prefix}_fixed_point.txt"), "\n".join(lines) + "\n")
+    _write(cfg, "fixed_point.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -429,9 +433,8 @@ def cmd_divisibility(cfg: RunConfig, train: _Train) -> int:
         shorter = train.channel(len(sched) - 1)
         report = analysis.divisibility_report(longer, shorter, tol=cfg["analysis", "tol"])
 
-    out, prefix = cfg["output", "dir"], cfg["output", "prefix"]
-    write_text_atomic(os.path.join(out, f"{prefix}_divisibility.txt"), report.to_text())
-    write_text_atomic(os.path.join(out, f"{prefix}_divisibility.kv"), report.to_kv())
+    _write(cfg, "divisibility.txt", report.to_text())
+    _write(cfg, "divisibility.kv", report.to_kv())
     print(report.to_text(), end="")
     return EXIT_OK
 
@@ -527,7 +530,7 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> int:
                 cells.append(_fmt(value2))
             quantities = _sweep_quantities(env_v, geom_v, sched_v, u0, base, max_kicks, wanted)
             rows.append(",".join(cells + [_fmt(quantities[q]) for q in wanted]))
-    write_text_atomic(os.path.join(out_dir, f"{prefix}_sweep.csv"), "\n".join(rows) + "\n")
+    _write(cfg, "sweep.csv", "\n".join(rows) + "\n")
     print(f"wrote {prefix}_sweep.csv ({len(rows) - 1} rows) in {out_dir}")
     return EXIT_OK
 
@@ -537,7 +540,6 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
     if not isinstance(env, SingleModeThermal):
         raise ConfigError("oracle-check requires the single_mode_thermal environment")
     tol = cfg["oracle", "tol"]
-    out_dir, prefix = cfg["output", "dir"], cfg["output", "prefix"]
     spec = oracle.fock_spec_for(env, cfg["oracle", "dim"])
     analytic = train.channel()
 
@@ -550,9 +552,7 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
             base_dt = cfg["oracle", "delta_t"]
             deltas = [base_dt, base_dt / 2, base_dt / 4, base_dt / 8]
         steps, shape = cfg["oracle", "steps_per_kick"], cfg["oracle", "shape"]
-        chans = oracle.nascent_delta_channels(
-            spec, geom, sched.times, deltas, steps_per_kick=steps, shape=shape, weights=sched.weights
-        )
+        chans = oracle.nascent_delta_channels(spec, geom, sched, deltas, steps_per_kick=steps, shape=shape)
         rows = ["delta_t,distance"]
         dists = []
         for dt, ch in zip(deltas, chans):
@@ -560,7 +560,7 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
             dists.append(d)
             rows.append(f"{_fmt(dt)},{_fmt(d)}")
             print(f"delta_t={dt:g}  distance={d:.3e}")
-        write_text_atomic(os.path.join(out_dir, f"{prefix}_nascent.csv"), "\n".join(rows) + "\n")
+        _write(cfg, "nascent.csv", "\n".join(rows) + "\n")
         final = dists[-1]
         if final > tol:
             print(f"FAIL: finest distance {final:.3e} > tolerance {tol:g}")
@@ -576,7 +576,7 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
     for step_dim, step_dist in orc.meta["history"]:
         rows.append(f"{step_dim},{_fmt(step_dist)},")
     rows.append(f"{orc.meta['dim']},{_fmt(orc.meta['stability'])},{_fmt(dist)}")
-    write_text_atomic(os.path.join(out_dir, f"{prefix}_oracle.csv"), "\n".join(rows) + "\n")
+    _write(cfg, "oracle.csv", "\n".join(rows) + "\n")
     for step_dim, step_dist in orc.meta["history"]:
         print(f"dim={step_dim}  change={step_dist:.3e}")
     print(
@@ -643,6 +643,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK
     except SpinKickError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

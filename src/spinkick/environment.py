@@ -26,7 +26,11 @@ import numpy as np
 from .errors import LengthMismatch, SpinKickError, TimeNotInTable
 
 _TIME_ATOL = 1e-9
-_PSD_TOL = -1e-10
+
+# The one PSD bound: a tabulated covariance, and a channel's Choi matrix
+# (``channels._validate``), may have eigenvalues down to -PSD_TOL, and
+# ``analysis`` judges CP by it.
+PSD_TOL = 1e-10
 
 
 class GaussianEnvironment(abc.ABC):
@@ -210,7 +214,7 @@ class TabulatedKernel(GaussianEnvironment):
 
     Lets users plug in arbitrary correlators (e.g. multimode fields).  The
     table is validated eagerly: finite entries, and a matrix Hermitian to
-    1e-10 with eigenvalues >= -1e-10, real non-negative diagonal.  Queries
+    1e-10 with eigenvalues >= -PSD_TOL, real non-negative diagonal.  Queries
     off the grid raise TimeNotInTable.
     """
 
@@ -231,7 +235,7 @@ class TabulatedKernel(GaussianEnvironment):
         if np.max(np.abs(cov - cov.conj().T)) > 1e-10:
             raise ValueError("covariance matrix is not Hermitian within 1e-10")
         evals = np.linalg.eigvalsh(cov)
-        if evals.min() < _PSD_TOL:
+        if evals.min() < -PSD_TOL:
             raise ValueError(
                 f"covariance matrix not PSD: min eigenvalue {evals.min():.3e}"
             )
@@ -248,16 +252,11 @@ class TabulatedKernel(GaussianEnvironment):
 
     def _index(self, t: float) -> int:
         """The first grid time within _TIME_ATOL of t, by np.isclose's rule
-        with rtol = 0 (|t_i - t| <= atol; a non-finite t matches only an
-        equal grid time), found by bisection: t_i - t rises with i."""
+        with rtol = 0 (|t_i - t| <= atol, which a non-finite t never meets
+        on the finite grid), found by bisection: t_i - t rises with i."""
         grid, t = self._grid, float(t)
-        if math.isfinite(t):
-            i = bisect.bisect_left(grid, -_TIME_ATOL, key=lambda x: x - t)
-            hit = i < len(grid) and abs(grid[i] - t) <= _TIME_ATOL
-        else:
-            i = bisect.bisect_left(grid, t)
-            hit = i < len(grid) and grid[i] == t
-        if not hit:
+        i = bisect.bisect_left(grid, -_TIME_ATOL, key=lambda x: x - t)
+        if not (i < len(grid) and abs(grid[i] - t) <= _TIME_ATOL):
             raise TimeNotInTable(f"t = {t} not on the tabulated grid")
         return i
 

@@ -7,7 +7,8 @@ provides the nascent-delta (smooth switching) limit as a time-ordered
 product of narrow pulses.
 
 All matrix exponentials go through the one real symmetric
-eigendecomposition X = V diag(lambda) V^T of the coupling at time 0, so the
+eigendecomposition X = V diag(lambda) V^T of the coupling at time 0, built
+as the real tridiagonal matrix (a + a^dag) / sqrt2 of the truncation, so the
 evolution is unitary on the truncated space up to rounding.  The coupling
 at time t is a diagonal phase rotation of X, and so is the generator of a
 coherent displacement, so that one decomposition per truncation serves
@@ -17,7 +18,9 @@ products with V around a diagonal phase.  The channel is read from the
 evolved columns of a square root of the environment state.  One loop
 evolves W step sequences of equal length together: the W = 1 kick train,
 or every pulse width of a nascent-delta command, whose steps inside a
-pulse share one free-evolution matrix per width.
+pulse share one free-evolution matrix per width.  ``oracle_channel`` and
+``nascent_delta_channels`` both take the train as a ``KickSchedule``, which
+has already checked its times and weights.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .environment import SingleModeThermal
 from .errors import (
     InvalidMap,
     InvalidTruncation,
-    LengthMismatch,
     NonHermitian,
     NonUnitTrace,
     SpinKickError,
@@ -81,21 +83,6 @@ def fock_spec_for(env: SingleModeThermal, dim: int | None = None) -> FockSpec:
     return FockSpec(env, dim)
 
 
-def annihilation(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-
-
-def quadrature_heisenberg(spec: FockSpec, t: float) -> np.ndarray:
-    """O(t) = (a e^{-iwt} + a^dag e^{iwt}) / sqrt(2), truncated.
-
-    Hermitian by construction; the vacuum second moment tends to 1/2 as the
-    truncation grows.
-    """
-    a = annihilation(spec.dim)
-    phase = np.exp(-1j * spec.env.omega * t)
-    return (a * phase + a.conj().T * np.conj(phase)) / math.sqrt(2.0)
-
-
 def _environment_factor(spec: FockSpec, spectrum):
     """A square root S of the truncated Gibbs state, S S^dag (p renormalized
     on the truncated space), and the occupation of its highest level, which
@@ -110,12 +97,8 @@ def _environment_factor(spec: FockSpec, spectrum):
     truncated space, so no second decomposition is needed.
     """
     nbar, displacement = spec.env.nbar, spec.env.displacement
-    if nbar == 0:
-        p = np.zeros(spec.dim)
-        p[0] = 1.0
-    else:
-        p = (nbar / (nbar + 1.0)) ** np.arange(spec.dim)
-        p /= p.sum()
+    p = (nbar / (nbar + 1.0)) ** np.arange(spec.dim)  # [1, 0, ..., 0] exactly in the vacuum
+    p /= p.sum()
     factor = np.sqrt(p)
     if displacement != 0:
         evals, vecs = spectrum
@@ -127,20 +110,14 @@ def _environment_factor(spec: FockSpec, spectrum):
     return factor, float(np.sum(np.abs(factor[-1]) ** 2))
 
 
-def coupling_spectrum(o_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and real orthonormal eigenvectors of the real symmetric
-    coupling X = O(0).
-
-    The one place the coupling is checked (to 1e-12): every spectrum the
-    oracle evolves with comes from here, and a complex Hermitian matrix,
-    which has no real eigenbasis, is refused with the non-Hermitian ones.
-    """
-    o_matrix = np.asarray(o_matrix)
-    if np.max(np.abs(o_matrix - o_matrix.conj().T)) > 1e-12:
-        raise NonHermitian("coupling observable must be Hermitian")
-    if np.iscomplexobj(o_matrix) and np.max(np.abs(o_matrix.imag)) > 1e-12:
-        raise NonHermitian("coupling observable must be real symmetric")
-    return np.linalg.eigh(o_matrix.real)
+def coupling_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and real orthonormal eigenvectors of the coupling at time
+    0 on ``dim`` Fock levels, X = O(0) = (a + a^dag) / sqrt2: the real
+    symmetric tridiagonal matrix with X[n - 1, n] = X[n, n - 1] =
+    sqrt(n / 2)."""
+    # sqrt(n) times 1/sqrt2, as numpy rounds (a + a^dag) / sqrt2 in complex
+    beside = np.sqrt(np.arange(1.0, dim)) * (1.0 / math.sqrt(2.0))
+    return np.linalg.eigh(np.diag(beside, 1) + np.diag(beside, -1))
 
 
 def _level_phases(dim: int, turn) -> np.ndarray:
@@ -270,7 +247,7 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
         + 16 * min(np.getbufsize(), 4 * n_seq * d * d)
     )
     try:
-        spectrum = coupling_spectrum(quadrature_heisenberg(spec, 0.0))
+        spectrum = coupling_spectrum(d)
         factor, tail = _environment_factor(spec, spectrum)
         y = _evolve(spec, spectrum, steps, factor, grid).reshape(n_seq, 4, d * d)
         m = (y @ y.conj().swapaxes(1, 2)).reshape(n_seq, 2, 2, 2, 2)
@@ -341,36 +318,31 @@ PULSE_SHAPES = {
 def nascent_delta_channels(
     spec: FockSpec,
     geom: InteractionGeometry,
-    kick_times,
+    sched: KickSchedule,
     deltas,
     steps_per_kick: int = 48,
     shape: str = "gaussian",
-    weights=None,
 ) -> list[QubitMap]:
     """Channels from smooth switchings of each width in ``deltas`` replacing
-    each delta, one channel per width.
+    each delta kick of ``sched``, one channel per width.
 
     Each kick becomes a pulse of area w_k; the joint evolution is the
     time-ordered product of narrow-step unitaries on a midpoint grid across
     each pulse.  As delta_t -> 0 this converges to the delta-kick channel on
-    the same schedule.  Zero weights are allowed (identity contribution).
-    Every width is checked (shape, lengths, StepTooCoarse) before any is
-    evolved; then all widths are evolved together, from one
+    the same schedule.  Every width is checked (shape, StepTooCoarse) before
+    any is evolved; then all widths are evolved together, from one
     eigendecomposition of the coupling, and inside a pulse every step of a
     width shares one free-evolution matrix.  Each channel's meta counts its
     ``kick_steps`` and the one eigendecomposition.  Each channel records the
-    kick axes in time order, not the pulse grid's, so its chi basis comes
-    from them.
+    schedule's kick axes, not the pulse grid's, so its chi basis comes from
+    them.
     """
-    times = np.asarray(kick_times, dtype=float)
-    w = np.ones(len(times)) if weights is None else np.asarray(weights, dtype=float)
+    times = sched.times
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
-    if len(w) != len(times):
-        raise LengthMismatch(f"{len(times)} kick times but {len(w)} weights")
     if shape not in PULSE_SHAPES:
         raise UnknownPulseShape(f"unknown pulse shape {shape!r}; available: {', '.join(PULSE_SHAPES)}")
     profile, half = PULSE_SHAPES[shape]
-    min_gap = float(np.min(np.diff(np.sort(times)))) if len(times) > 1 else math.inf
+    min_gap = float(np.min(np.diff(times))) if len(times) > 1 else math.inf
     fastest = max(geom.omega, spec.env.omega)
     for delta_t in deltas.tolist():  # Python floats: an overflowing width is refused, not warned of
         if 2.0 * half * delta_t >= min_gap:
@@ -388,24 +360,18 @@ def nascent_delta_channels(
     vals = profile(xs)
     vals = vals / vals.sum()
 
-    # steps in time order, zero steps skipped; a step is on its pulse's grid
-    # when it is the next grid point of the same pulse as the step before
-    order = np.argsort(times)
-    step_w = (w[order][:, None] * vals).reshape(-1)
-    kept = step_w != 0.0
-    kick, point = np.divmod(np.arange(len(step_w)), steps_per_kick)
-    kick, point = kick[kept], point[kept]
-    on_grid = np.zeros(len(kick), dtype=bool)
-    on_grid[1:] = (kick[1:] == kick[:-1]) & (point[1:] == point[:-1] + 1)
-    step_t = (times[order][:, None] + deltas[:, None, None] * xs).reshape(len(deltas), len(step_w))[:, kept]
-    steps = (step_t, np.broadcast_to(step_w[kept], step_t.shape), r_of_t(geom, step_t))
+    # steps in time order; every step but a pulse's first is the next point
+    # of its pulse's grid
+    step_w = (sched.weights[:, None] * vals).reshape(-1)
+    on_grid = np.arange(len(step_w)) % steps_per_kick != 0
+    step_t = (times[:, None] + deltas[:, None, None] * xs).reshape(len(deltas), len(step_w))
+    steps = (step_t, np.broadcast_to(step_w, step_t.shape), r_of_t(geom, step_t))
     grid = (2.0 * half * deltas / steps_per_kick, on_grid)
-    axes = r_of_t(geom, times[order])
     metas = [
         {"kind": "nascent_delta", "delta_t": float(dt), "shape": shape, "steps_per_kick": int(steps_per_kick)}
         for dt in deltas
     ]
-    return _channels_at_dim(spec, steps, axes, metas, grid)
+    return _channels_at_dim(spec, steps, r_of_t(geom, times), metas, grid)
 
 
 def channel_distance(c1, c2) -> float:

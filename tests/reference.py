@@ -3,8 +3,10 @@
 None of these is reached from a command or from the acceptance suite, so
 they live here rather than in ``spinkick``: closed forms of single-kick
 purity and entropy, the two-kick transition map and its divisibility
-verdict, the truncated environment state of the Fock oracle, and the
-density matrix of a Bloch vector.
+verdict, the truncated environment state of the Fock oracle, the truncated
+annihilation operator and Heisenberg-picture quadrature O(t) that the
+oracle's direct-exponential cross-checks decompose, and the density matrix
+of a Bloch vector.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from spinkick.channels import PSD_TOL, QubitMap, TwoKickParams, _map, _two_kick_
 from spinkick.environment import GaussianEnvironment
 from spinkick.errors import NonEvenEnvironment
 from spinkick.kicks import InteractionGeometry, r_of_t
-from spinkick.oracle import FockSpec, _environment_factor, coupling_spectrum, quadrature_heisenberg
+from spinkick.oracle import FockSpec, _environment_factor, coupling_spectrum
 from spinkick.pauli import I2, cross3, dot_sigma
 
 
@@ -110,9 +112,24 @@ def two_kick_transition_map(
     return _map(a, b, (r_of_t(geom, t0), params.frame[0]), meta, cp=False)
 
 
+def annihilation(dim: int) -> np.ndarray:
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
+
+
+def quadrature_heisenberg(spec: FockSpec, t: float) -> np.ndarray:
+    """O(t) = (a e^{-iwt} + a^dag e^{iwt}) / sqrt(2), truncated.
+
+    Hermitian by construction; the vacuum second moment tends to 1/2 as the
+    truncation grows.
+    """
+    a = annihilation(spec.dim)
+    phase = np.exp(-1j * spec.env.omega * t)
+    return (a * phase + a.conj().T * np.conj(phase)) / math.sqrt(2.0)
+
+
 def environment_state(spec: FockSpec):
     """Truncated (displaced) Gibbs state S S^dag and its top-level occupation."""
-    factor, tail = _environment_factor(spec, coupling_spectrum(quadrature_heisenberg(spec, 0.0)))
+    factor, tail = _environment_factor(spec, coupling_spectrum(spec.dim))
     if factor.ndim == 1:
         return np.diag(factor * factor).astype(complex), tail
     return factor @ factor.conj().T, tail

@@ -253,7 +253,7 @@ def test_criterion_7_nascent_delta_convergence():
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     dists = []
     for dt in (0.064, 0.032, 0.016, 0.008):
-        ch = nascent_delta_channels(spec, geom, [1.0], [dt], steps_per_kick=48)[0]
+        ch = nascent_delta_channels(spec, geom, KickSchedule([1.0]), [dt], steps_per_kick=48)[0]
         dists.append(channel_distance(analytic, ch))
     elapsed = time.time() - start
     assert all(b < a for a, b in zip(dists, dists[1:])), f"not monotone: {dists}"

@@ -1209,7 +1209,7 @@ def test_every_constructor_reads_chi_in_the_default_basis():
     framed = [
         build_n_kick_channel(env, geom, KickSchedule(times)),
         oracle_channel(spec, geom, KickSchedule(times), stability_tol=1.0),
-        nascent_delta_channels(spec, geom, times, [0.01], steps_per_kick=4)[0],
+        nascent_delta_channels(spec, geom, KickSchedule(times), [0.01], steps_per_kick=4)[0],
     ]
     for m in framed:
         np.testing.assert_array_equal(m.basis.ops, frame)
@@ -1223,7 +1223,7 @@ def test_every_constructor_reads_chi_in_the_default_basis():
         identity_channel(),
         build_n_kick_channel(env, geom, empty),
         oracle_channel(spec, geom, empty, stability_tol=1.0),
-        nascent_delta_channels(spec, geom, [], [0.01])[0],
+        nascent_delta_channels(spec, geom, empty, [0.01])[0],
         single_kick_channel(env, geom, 0.3),
         dephasing_channel(env, synced, KickSchedule([0.0, np.pi])),
         two_kick_closed_form(env, synced, 0.0, np.pi),

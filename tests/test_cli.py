@@ -604,6 +604,33 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_BEYOND_ANY_ADDRESS_SPACE = 10**18  # points: 8 EB of float64, past the 2^57 bytes of 5-level paging
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("sweep", f"[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = {_BEYOND_ANY_ADDRESS_SPACE}\n"),
+        (
+            "sweep",
+            "[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = 2\n"
+            f"parameter2 = gap\nstart2 = 0.4\nstop2 = 1.2\ncount2 = {_BEYOND_ANY_ADDRESS_SPACE}\n",
+        ),
+        ("oracle-check", f"[oracle]\nmode = nascent\nsteps_per_kick = {_BEYOND_ANY_ADDRESS_SPACE}\n"),
+    ],
+    ids=["count", "count2", "steps_per_kick"],
+)
+def test_a_grid_beyond_any_address_space_exits_4(tmp_path, capsys, command, section):
+    """A sweep grid or a nascent pulse grid of 10^18 points, which no
+    machine can map, so that numpy's allocation fails at once and touches
+    no page, ends the run with exit 4 and numpy's message, not with a
+    traceback."""
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", "times = 0.0 0.7") + "\n" + section
+    assert main(["--config", write_cfg(tmp_path, body), command]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "kernel",
     [

@@ -59,6 +59,8 @@ def test_schedule_validation():
         KickSchedule([0.0, 0.0])
     with pytest.raises(ValueError):
         KickSchedule([0.0, 1.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="2 times but 1 weights"):
+        KickSchedule([0.0, 1.0], [1.0])
     sched = KickSchedule([0.0, 1.0])
     np.testing.assert_allclose(sched.weights, [1.0, 1.0])
 

@@ -7,14 +7,15 @@ provides the nascent-delta (smooth switching) limit as a time-ordered
 product of narrow pulses.
 
 All matrix exponentials go through the one real symmetric
-eigendecomposition X = V diag(lambda) V^T of the coupling at time 0, built
-as the real tridiagonal matrix (a + a^dag) / sqrt2 of the truncation, so the
-evolution is unitary on the truncated space up to rounding.  The coupling
-at time t is a diagonal phase rotation of X, and so is the generator of a
-coherent displacement, so that one decomposition per truncation serves
-every step and the displaced environment state; in its eigenbasis a kick
-is a diagonal phase, and the free evolution between kicks is two real
-products with V around a diagonal phase.  The channel is read from the
+eigendecomposition X = V diag(lambda) V^T of the coupling at time 0, the
+real tridiagonal (a + a^dag) / sqrt2 of the truncation, taken from one SVD
+of its half-size even-to-odd block, so the evolution is unitary on the
+truncated space up to rounding.  The coupling at time t is a diagonal phase
+rotation of X, and so is the generator of a coherent displacement, so that
+one decomposition per truncation serves every step and the displaced
+environment state; in its eigenbasis a kick is a diagonal phase, and the
+free evolution between kicks is V and V^T around a diagonal phase, each a
++- butterfly and two half-size real products.  The channel is read from the
 evolved columns of a square root of the environment state.  One loop
 evolves W step sequences of equal length together: the W = 1 kick train,
 or every pulse width of a nascent-delta command, whose steps inside a
@@ -48,6 +49,7 @@ from .pauli import I2, PAULI, max_image_norm, spin_frames
 TAIL_TOL = 1e-12
 DIM_STEP = 10  # Fock levels added per truncation step of oracle_channel
 _SIGMAS = np.concatenate([I2[None], PAULI])  # sigma_0 = 1, sigma_x, sigma_y, sigma_z
+_PAIRS = np.array([[1.0, 1.0], [1.0, -1.0]])  # the +- butterfly of an eigenlevel pair
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,24 @@ def coupling_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and real orthonormal eigenvectors of the coupling at time
     0 on ``dim`` Fock levels, X = O(0) = (a + a^dag) / sqrt2: the real
     symmetric tridiagonal matrix with X[n - 1, n] = X[n, n - 1] =
-    sqrt(n / 2)."""
+    sqrt(n / 2).  X maps even levels to odd ones and back, so one SVD of
+    its ceil(d/2) x floor(d/2) even-to-odd block X[0::2, 1::2] =
+    U diag(s) W^T gives it all: the eigenvalues +-s_j, with eigenvectors
+    [u_j; +-w_j] / sqrt2 on the (even; odd) levels, and for odd d a 0, with
+    U's last column on the even levels.  The columns come in the order
+    (0, +s, -s), so V's even and odd blocks are V[0::2, :ceil(d/2)] and
+    V[1::2, d mod 2:ceil(d/2)]."""
+    zero, odd = dim % 2, dim // 2
+    even = zero + odd
     # sqrt(n) times 1/sqrt2, as numpy rounds (a + a^dag) / sqrt2 in complex
     beside = np.sqrt(np.arange(1.0, dim)) * (1.0 / math.sqrt(2.0))
-    return np.linalg.eigh(np.diag(beside, 1) + np.diag(beside, -1))
+    u, s, wt = np.linalg.svd((np.diag(beside, 1) + np.diag(beside, -1))[0::2, 1::2])
+    vecs = np.zeros((dim, dim))
+    vecs[0::2, :zero] = u[:, odd:]
+    vecs[0::2, zero:even] = vecs[0::2, even:] = u[:, :odd] * math.sqrt(0.5)
+    vecs[1::2, zero:even] = wt.T * math.sqrt(0.5)
+    vecs[1::2, even:] = -vecs[1::2, zero:even]
+    return np.concatenate([np.zeros(zero), s, -s]), vecs
 
 
 def _level_phases(dim: int, turn) -> np.ndarray:
@@ -126,9 +142,9 @@ def _level_phases(dim: int, turn) -> np.ndarray:
     product, so adjacent levels keep their relative phase to rounding,
     whatever the size of wtn."""
     turn = np.asarray(turn, dtype=complex)
-    phases = np.ones(turn.shape + (dim,), dtype=complex)
-    phases[..., 1:] = np.cumprod(np.broadcast_to(turn[..., None], turn.shape + (dim - 1,)), axis=-1)
-    return phases
+    phases = np.empty(turn.shape + (dim,), dtype=complex)
+    phases[..., 0], phases[..., 1:] = 1.0, turn[..., None]
+    return np.cumprod(phases, axis=-1, out=phases)
 
 
 def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> np.ndarray:
@@ -146,15 +162,20 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     eigenvector, so the evolution is carried in the latest step's frames and
     between steps k and k + 1 only F_{k+1}^dag F_k and G_k B_k act, with
     G_k = W_{k+1}^dag W_k = V^T diag(P_k) V, P_k = D(t_{k+1})^* D(t_k): the
-    kick scales the levels of Y, and G_k is never formed but applied as two
-    real products, V then V^T, on Y viewed as float64 with the phases P_k
-    between them; the last kick is applied on its own.  P_k's entries are
-    powers of e^{-iwt_{k+1}} e^{iwt_k}, each taken at its own time as in
-    O(t), except where ``grid`` = (h, on_grid) marks step k + 1 (on_grid, a
-    bool per step) as the next point of a uniform grid of spacing h[s]: all
-    such steps of sequence s share G = V^T diag(e^{-iwh[s]n}) V, formed once
-    and applied as one complex product.  V must be orthonormal to 1e-10,
-    else InvalidMap: every G_k and B_k is unitary exactly when V is.
+    kick scales the levels of Y, and G_k is never formed.  On the eigenlevels
+    (0, +s, -s) of ``coupling_spectrum``, V is a butterfly (y+ + y-, y+ - y-)
+    of the pairs, then V's even and odd blocks, two half-size real products
+    on Y viewed as float64; V^T is the reverse: 8 d^2 K real multiply-adds
+    for K columns in all, against 16 for d x d products.  P_k's entries,
+    formed before the loop, are powers of e^{-iwt_{k+1}} e^{iwt_k}, each
+    taken at its own time as in O(t), except where ``grid`` = (h, on_grid)
+    marks step k + 1 (on_grid, a bool per step) as the next point of a
+    uniform grid of spacing h[s]: all such steps of sequence s share
+    G = V^T diag(e^{-iwh[s]n}) V, formed once and applied as one complex
+    product (at d of a few tens, butterflies there would cost what the
+    split products save).  The last kick is applied on its own.  V must be
+    orthonormal to 1e-10, else InvalidMap: every G_k and B_k is unitary
+    exactly when V is.
     """
     evals, vecs = spectrum
     d = len(evals)
@@ -169,13 +190,20 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     changes = frames.conj().swapaxes(-1, -2)
     changes[:, 1:] = changes[:, 1:] @ frames[:, :-1]
     turns = np.exp(1j * _phases(omega, times))
-    # e^{-iw lambda} on e and e^{+iw lambda} on f, per step and level: both
-    # held, so that one contiguous product scales all four spin blocks (a
-    # product on one output spin's blocks of a W > 1 stack makes numpy copy them)
-    kicks = np.exp(np.multiply.outer(np.asarray(weights, dtype=float), [-1j, 1j])[..., None] * evals)
+    zero, odd = d % 2, d // 2  # eigenlevels (0, +s, -s): the zero mode, then the pairs
+    even = zero + odd
+    # e^{-iw lambda} on e and e^{+iw lambda} on f, per step and level (the -s
+    # levels conjugate the +s ones): both held, so that one contiguous product
+    # scales all four spin blocks (numpy copies one output spin's of a W > 1 stack)
+    kicks = np.exp(-1j * np.multiply.outer(np.asarray(weights, dtype=float), evals[:even]))
+    kicks = np.concatenate([kicks, kicks[..., zero:].conj()], axis=-1)
+    kicks = np.stack([kicks, kicks.conj()], axis=-2)
+    # P_k of every step off a pulse grid, on the even levels, then the odd
+    on_grid = np.zeros(n_steps, dtype=bool) if grid is None else grid[1]
+    gaps = _level_phases(d, (turns[:, 1:].conj() * turns[:, :-1])[:, ~on_grid[1:]])
+    gaps = iter(np.concatenate([gaps[..., 0::2], gaps[..., 1::2]], axis=-1).swapaxes(0, 1)[:, :, None, None, :, None])
     if grid is not None:
-        h, on_grid = grid
-        grid_g = np.multiply(np.exp(-1j * omega * np.multiply.outer(h, np.arange(d)))[:, :, None], vecs, order="C")
+        grid_g = np.multiply(np.exp(-1j * omega * np.multiply.outer(grid[0], np.arange(d)))[:, :, None], vecs, order="C")
         grid_g = np.matmul(vecs.T, grid_g.view(float)).view(complex)
         kicked = np.empty((n_seq, 2, d, d), dtype=complex)  # G B_k, one per output spin
     width = d if columns.ndim == 1 else columns.shape[1]
@@ -185,31 +213,39 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
         return y
     other = np.empty_like(y)
     halves = (n_seq, 2, 2 * d * width)  # the output-spin halves, for the frames
+    # per buffer, as float64: its eigenlevel pairs, and its levels for V's even and odd blocks
+    (y_pairs, *y_blocks), (o_pairs, *o_blocks) = [
+        [v.view(float) for v in (b[..., zero:, :].reshape(n_seq, 2, 2, 2, -1), b[..., :even, :], b[..., even:, :])]
+        for b in (y, other)
+    ]
+    blocks = vecs[0::2, :even], vecs[1::2, zero:even]
     # the first step, I2 (x) Z with Z = W_1^dag C = V^T D(t_1)^* C, and its
     # frame: F_1^dag (x) Z; a diagonal C makes Z a column scaling of V^T
-    z, first = y[:, 0, 0], _level_phases(d, turns[:, 0].conj())
+    z, first = other[:, 0, 0], _level_phases(d, turns[:, 0].conj())
     if columns.ndim == 1:  # real and imaginary parts apart: no float-to-complex cast buffers
         scale = first[:, None, :] * columns
         np.multiply(vecs.T, scale.real, out=z.real)
         np.multiply(vecs.T, scale.imag, out=z.imag)
     else:
-        np.multiply(first[:, :, None], columns, out=other[:, 0, 0])
-        np.matmul(vecs.T, other[:, 0, 0].view(float), out=z.view(float))
-    np.multiply(changes[:, 0, :, :, None, None], z[:, None, None], out=other)
-    y, other = other, y
+        np.multiply(first[:, :, None], columns, out=y[:, 0, 0])
+        np.matmul(vecs.T, y[:, 0, 0].view(float), out=z.view(float))
+    np.multiply(changes[:, 0, :, :, None, None], z[:, None, None], out=y)
     for k in range(1, n_steps):
         kick = kicks[:, k - 1, :, None, :]  # of the step before
-        if grid is not None and on_grid[k]:  # the kick scales G's columns
+        if on_grid[k]:  # the kick scales G's columns
             np.multiply(grid_g[:, None], kick, out=kicked)
             np.matmul(kicked[:, :, None], y, out=other)
-            np.matmul(changes[:, k], other.reshape(halves), out=y.reshape(halves))
-        else:  # the kick scales the levels of Y
-            y *= kick[..., None]
-            np.matmul(vecs, y.view(float), out=other.view(float))
-            other *= _level_phases(d, turns[:, k].conj() * turns[:, k - 1])[:, None, None, :, None]  # P_k
-            np.matmul(vecs.T, other.view(float), out=y.view(float))
-            np.matmul(changes[:, k], y.reshape(halves), out=other.reshape(halves))
-            y, other = other, y
+        else:  # the kick scales the levels of Y (the zero mode's by 1, so y keeps it)
+            np.multiply(y, kick[..., None], out=other)
+            np.matmul(_PAIRS, o_pairs, out=y_pairs)  # (y+ + y-, y+ - y-)
+            for block, part, out in zip(blocks, y_blocks, o_blocks):  # V
+                np.matmul(block, part, out=out)
+            other *= next(gaps)  # P_k
+            for block, part, out in zip(blocks, o_blocks, y_blocks):  # V^T
+                np.matmul(block.T, part, out=out)
+            np.matmul(_PAIRS, y_pairs, out=o_pairs)  # (y+, y-)
+            other[..., :zero, :] = y[..., :zero, :]
+        np.matmul(changes[:, k], other.reshape(halves), out=y.reshape(halves))
     y *= kicks[:, -1, :, None, :, None]  # the last kick
     np.matmul(frames[:, -1], y.reshape(halves), out=other.reshape(halves))
     return other
@@ -237,14 +273,15 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     # y and its step buffer (64 W d^2 bytes each); on a pulse grid, G and
     # G B_k for both output spins (48 W d^2); V (8 d^2); S (16 d^2, or its
     # diagonal, 8 d, undisplaced); the kick phases on both spins (32 W S d);
-    # and numpy's iteration buffer for the broadcast phase products (16
-    # bytes an entry of y, at most np.getbufsize() entries).  The per-step
-    # frames, turns and gap phases (O(W S) and O(W d)) come on top.
-    grid_bytes = 48 * n_seq * d * d if grid is not None else 0
+    # the phases P_k of the steps off a pulse grid (16 W d each); and numpy's
+    # iteration buffer for the broadcast phase products (16 bytes an entry of
+    # y, at most np.getbufsize() entries).  The per-step frames and turns
+    # (O(W S)) come on top.
+    grid_bytes, grid_steps = (48 * n_seq * d * d, np.count_nonzero(grid[1][1:])) if grid is not None else (0, 0)
     s_bytes = 16 * d * d if spec.env.displacement != 0 else 8 * d
     nbytes = (
         128 * n_seq * d * d + grid_bytes + 8 * d * d + s_bytes + 32 * n_seq * n_steps * d
-        + 16 * min(np.getbufsize(), 4 * n_seq * d * d)
+        + 16 * n_seq * (max(n_steps - 1, 0) - grid_steps) * d + 16 * min(np.getbufsize(), 4 * n_seq * d * d)
     )
     try:
         spectrum = coupling_spectrum(d)

@@ -333,6 +333,30 @@ def test_oracle_check_nascent(tmp_path, capsys):
     assert dists[-1] < 1e-4
 
 
+@pytest.mark.parametrize("deltas", ["0.064 0.032 0.016 0.008", "0.008 0.016 0.032 0.064", "0.016 0.008 0.064 0.032"])
+def test_nascent_check_judges_the_finest_width_in_any_order(tmp_path, capsys, deltas):
+    """Nascent oracle-check judges the distance at the narrowest pulse
+    width, wherever [oracle] deltas lists it, and writes its rows in the
+    config's order.  The example config, in nascent mode with tol = 1e-2,
+    passes in every order: only the widest pulse is off by more."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "docs", "example-run.cfg")) as fh:
+        body = fh.read()
+    for old, new in [
+        ("mode = kicks", "mode = nascent"),
+        ("tol = 1e-8", "tol = 1e-2"),
+        ("# deltas = .*", f"deltas = {deltas}"),
+        ("dir = out", f"dir = {tmp_path / 'out'}"),
+    ]:
+        body, count = re.subn(f"^{old}", new, body, flags=re.M)
+        assert count == 1
+    assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_OK
+    finest = float(re.search(r"OK: finest distance (\S+) <= tolerance", capsys.readouterr().out).group(1))
+    rows = [r.split(",") for r in (tmp_path / "out" / "spinkick_nascent.csv").read_text().splitlines()[1:]]
+    assert [float(dt) for dt, _ in rows] == [float(dt) for dt in deltas.split()]
+    assert finest == pytest.approx(dict((float(dt), float(dist)) for dt, dist in rows)[0.008], rel=1e-3)
+    assert finest < 1e-2 < max(float(dist) for _, dist in rows)
+
+
 @pytest.mark.parametrize(
     "oracle_keys",
     [

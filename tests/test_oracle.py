@@ -147,7 +147,7 @@ def test_kick_unitary_properties():
     np.testing.assert_allclose(u.conj().T @ u, np.eye(50), atol=1e-12)
 
 
-@pytest.mark.parametrize("dim", [2, 20, 60, 150])
+@pytest.mark.parametrize("dim", [2, 3, 20, 21, 60, 150, 151])
 def test_coupling_spectrum_is_real_and_orthonormal(dim):
     """X = O(0) is real symmetric: its spectrum is float64, V^T V = 1 and
     X V = V Lambda to 1e-13, for X the quadrature at time 0."""
@@ -159,7 +159,24 @@ def test_coupling_spectrum_is_real_and_orthonormal(dim):
     assert np.max(np.abs(x @ vecs - vecs * evals)) < 1e-13
 
 
-@pytest.mark.parametrize("dim", [2, 20, 60, 150])
+@pytest.mark.parametrize("dim", [2, 3, 20, 21, 150, 151])
+def test_coupling_spectrum_is_split_by_parity_exactly(dim):
+    """The spectrum comes from the even-to-odd block of X, so its structure
+    is exact, bit for bit: the eigenvalues are a 0 for odd d, then +s and -s;
+    V's even rows in the -s columns equal those in the +s columns, its odd
+    rows there are their negatives, and the zero mode has no odd rows."""
+    evals, vecs = coupling_spectrum(dim)
+    zero, odd = dim % 2, dim // 2
+    plus, minus = slice(zero, zero + odd), slice(zero + odd, dim)
+    np.testing.assert_array_equal(evals[:zero], 0.0)
+    np.testing.assert_array_equal(evals[minus], -evals[plus])
+    assert np.all(evals[plus] > 0)
+    np.testing.assert_array_equal(vecs[0::2, minus], vecs[0::2, plus])
+    np.testing.assert_array_equal(vecs[1::2, minus], -vecs[1::2, plus])
+    np.testing.assert_array_equal(vecs[1::2, :zero], 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 20, 21, 60, 150, 151])
 def test_displaced_factor_comes_from_the_coupling_spectrum(dim):
     """D(alpha) = e^{i psi N} V e^{-i sqrt2 |alpha| Lambda} V^T e^{-i psi N},
     psi = arg(alpha) + pi/2, taken from the coupling's spectrum, equals
@@ -188,7 +205,7 @@ def _direct_step(r, o, weight):
     return np.kron((I2 + s) / 2, u_minus) + np.kron((I2 - s) / 2, u_plus)
 
 
-@pytest.mark.parametrize("dim", [10, 40, 80, 120])
+@pytest.mark.parametrize("dim", [10, 11, 40, 41, 80, 120, 121])
 def test_cached_spectrum_step_matches_direct(dim):
     """O(t) = D(t) O(0) D(t)^dag: the step from the time-0 spectrum equals
     the step from a decomposition of O(t) itself."""
@@ -215,7 +232,7 @@ _AXES = {
 
 
 @pytest.mark.parametrize("axis", list(_AXES))
-@pytest.mark.parametrize("dim", [10, 40, 80, 120])
+@pytest.mark.parametrize("dim", [10, 11, 40, 41, 80, 120, 121])
 def test_applied_steps_match_kron_product(dim, axis):
     """The evolution carried in each step's coupling eigenbasis and spin
     frame, as the oracle carries it, equals the product of kron-assembled
@@ -315,7 +332,7 @@ def test_block_readout_matches_kron_partial_trace(standard_geometry):
     _assert_channel_is_kron_readout(FockSpec(env, dim=40), steps)
 
 
-@pytest.mark.parametrize("dim", [10, 40, 80, 120])
+@pytest.mark.parametrize("dim", [10, 11, 40, 41, 80, 120, 121])
 def test_channel_matches_kron_partial_trace_at_fixed_dim(dim):
     """At a fixed truncation, on a displaced thermal state and a train of
     random axes, the channel is the partial trace of the kron product."""
@@ -397,14 +414,15 @@ def _traced_peak(build):
 def test_oracle_build_peak_memory_is_its_stated_bytes(standard_geometry):
     """One build holds its evolution and a step buffer (128 d^2), V (8 d^2),
     S (its diagonal, 8 d, or 16 d^2 displaced), the kick phases of its S
-    steps on both spins (32 S d) and numpy's iteration buffer: meta["bytes"]
-    is their sum, and the traced peak is that and little more."""
+    steps on both spins (32 S d), the phases P_k of its S - 1 gaps (16 d
+    each) and numpy's iteration buffer: meta["bytes"] is their sum, and the
+    traced peak is that and little more."""
     buffer = 16 * min(np.getbufsize(), 4 * 100**2)
     steps = _sequence([(t, 1.0, r_of_t(standard_geometry, t)) for t in (0.0, 0.7, 1.9, 2.4)])
     for displacement, s_bytes in ((0.0, 8 * 100), (0.3 - 0.4j, 16 * 100**2)):
         spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=100)
         (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, (), [{}]))
-        assert ch.meta["bytes"] == 136 * 100**2 + s_bytes + 32 * 4 * 100 + buffer
+        assert ch.meta["bytes"] == 136 * 100**2 + s_bytes + 32 * 4 * 100 + 16 * 3 * 100 + buffer
         assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
 
 
@@ -412,16 +430,17 @@ def test_batched_nascent_peak_memory_is_its_stated_bytes(standard_geometry):
     """W = 4 widths evolved together hold, per width, the evolution, its
     step buffer, the pulse grid's G and G B_k for both output spins
     (176 W d^2 in all), then V once (8 d^2), S's diagonal (8 d), the kick
-    phases on both spins (32 W S d) and numpy's iteration buffer:
-    meta["bytes"] is their sum, and the traced peak is that and little
-    more."""
+    phases on both spins (32 W S d), the phases P_k of the one gap between
+    the pulses (16 W d) and numpy's iteration buffer: meta["bytes"] is their
+    sum, and the traced peak is that and little more."""
     spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=60)
     deltas = [0.04, 0.02, 0.01, 0.005]
     chans, peak = _traced_peak(
         lambda: nascent_delta_channels(spec, standard_geometry, KickSchedule([0.0, 1.5]), deltas, steps_per_kick=12)
     )
     buffer = 16 * min(np.getbufsize(), 4 * 4 * 60**2)
-    assert [ch.meta["bytes"] for ch in chans] == [(176 * 4 + 8) * 60**2 + 8 * 60 + 32 * 4 * 24 * 60 + buffer] * 4
+    stated = (176 * 4 + 8) * 60**2 + 8 * 60 + 32 * 4 * 24 * 60 + 16 * 4 * 60 + buffer
+    assert [ch.meta["bytes"] for ch in chans] == [stated] * 4
     assert 1.0 <= peak / chans[0].meta["bytes"] <= 1.25
 
 
@@ -440,20 +459,24 @@ def test_oracle_records_its_work(standard_geometry):
 
 
 def test_each_build_makes_the_one_decomposition_it_records(standard_geometry, monkeypatch):
-    """np.linalg.eigh, counted in the oracle's namespace, runs exactly as
-    often as the builds' summed meta["eigendecompositions"] say: over a
-    displaced truncation search, and once for a displaced nascent command of
-    four widths, whose displacement comes from the same spectrum."""
+    """np.linalg.svd, counted in the oracle's namespace, runs exactly as
+    often as the builds' summed meta["eigendecompositions"] say, and
+    np.linalg.eigh never: over a displaced truncation search, and once for
+    a displaced nascent command of four widths, whose displacement comes
+    from the same spectrum."""
     from spinkick import oracle
 
-    calls = []
+    calls = {"svd": [], "eigh": []}
 
-    def eigh(matrix, *args, **kwargs):
-        calls.append(np.shape(matrix))
-        return np.linalg.eigh(matrix, *args, **kwargs)
+    def counted(name):
+        def decomposition(matrix, *args, **kwargs):
+            calls[name].append(np.shape(matrix))
+            return getattr(np.linalg, name)(matrix, *args, **kwargs)
+
+        return decomposition
 
     class CountingNumpy:
-        linalg = SimpleNamespace(eigh=eigh)
+        linalg = SimpleNamespace(svd=counted("svd"), eigh=counted("eigh"))
 
         def __getattr__(self, name):
             return getattr(np, name)
@@ -462,11 +485,13 @@ def test_each_build_makes_the_one_decomposition_it_records(standard_geometry, mo
     env = SingleModeThermal(omega=1.2, nbar=0.4, displacement=0.5 - 0.3j)
     orc = oracle_channel(fock_spec_for(env), standard_geometry, KickSchedule([0.0, 0.7, 1.9]))
     assert len(orc.meta["history"]) + 1 > 1
-    assert len(calls) == orc.meta["eigendecompositions"] == len(orc.meta["history"]) + 1
-    calls.clear()
+    assert len(calls["svd"]) == orc.meta["eigendecompositions"] == len(orc.meta["history"]) + 1
+    assert calls["eigh"] == []
+    calls["svd"].clear()
     frozen = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
     chans = nascent_delta_channels(FockSpec(env, dim=30), frozen, KickSchedule([0.0, 1.5]), [0.04, 0.02, 0.01, 0.005])
-    assert len(calls) == 1 and all(ch.meta["eigendecompositions"] == 1 for ch in chans)
+    assert len(calls["svd"]) == 1 and all(ch.meta["eigendecompositions"] == 1 for ch in chans)
+    assert calls["eigh"] == []
 
 
 def test_oracle_single_kick_vacuum(vacuum, standard_geometry):

@@ -83,8 +83,11 @@ MAX_KICKS_DEFAULT = 10
 # constructed basis stays orthonormal to ~1e-13 even at the cutoff.
 PARALLEL_BASIS_TOL = 1e-3
 
-# Side of the prefix pass's base block, of which larger levels are tiles.
+# Side of the prefix pass's base block, of which larger levels are tiles.  It
+# must be even: a column s' of the base block has the parity of s'_0, and
+# ``_PARITY_HALVES`` splits its columns into the even ones, then the odd.
 _BASE = 64
+_PARITY_HALVES = (slice(0, None, 2), slice(1, None, 2))
 
 # Largest exponent range in which a tiled level of the prefix pass is
 # contracted in factored form (``build_prefix_channels``): its factors then
@@ -500,12 +503,6 @@ def _tile_rows(re_l, phase, u, pi, re_a, re_b, p, g_plus, g_minus_conj, work) ->
     return t_mat
 
 
-def _parity_halves() -> tuple:
-    """The base block's columns by s'_0: even and odd ones, or for
-    ``_BASE`` = 1, where the tile decides, the one column for both."""
-    return (slice(None), slice(None)) if _BASE % 2 else (slice(0, None, 2), slice(1, None, 2))
-
-
 def _factored_level(gamma_halves, shift_u, shift_v, top_v, pi, p, g_plus, g_minus_conj, work) -> np.ndarray:
     """T = g_+^T X g_-* for a level of t x t tiles as one product with the
     base block Gamma_J = exp(R_J) * P_J: tile (i, j) of X is
@@ -521,7 +518,7 @@ def _factored_level(gamma_halves, shift_u, shift_v, top_v, pi, p, g_plus, g_minu
     scale = np.conjugate(pi.transpose(1, 0, 2), order="C")  # in pi's transposed layout the products take twice as long
     shift_v -= top_v
     scale *= np.exp(shift_v, out=shift_v)
-    for tau, cols in enumerate(_parity_halves()):
+    for tau, cols in enumerate(_PARITY_HALVES):
         np.multiply(scale[..., cols], (p * g_minus_conj[:, tau].reshape(t, _BASE))[:, cols], out=lhs[tau])
     np.matmul(lhs.reshape(2, t * t, half), gamma_halves.transpose(0, 2, 1), out=prod.reshape(2, t * t, _BASE))
     shift_u += top_v
@@ -641,7 +638,7 @@ def build_prefix_channels(
         re_l[0, 0], phase[0, 0] = 0.0, 1.0
         u, pi = np.empty((tiles, tiles, _BASE)), np.empty((tiles, tiles, _BASE), dtype=complex)
         u[:1, :1], pi[:1, :1] = 0.0, 1.0
-        half = (_BASE + 1) // 2
+        half = _BASE // 2
         work = np.empty(max(4 * tiles * tiles * (half + _BASE), 3 * tiles * _BASE * _BASE))  # see _pass_bytes
         f_all = np.empty(size, dtype=complex)
         gamma_halves = None
@@ -692,7 +689,7 @@ def build_prefix_channels(
                 t = m // _BASE
                 if t == 1 and -re_l.min() <= _FACTOR_RANGE:  # the base block is complete
                     gamma_halves = np.empty((2, _BASE, half), dtype=complex)  # Gamma_J's columns by parity
-                    for tau, cols in enumerate(_parity_halves()):
+                    for tau, cols in enumerate(_PARITY_HALVES):
                         gamma_halves[tau] = re_l[:, cols]  # a complex exp in place: a real one would need a cast buffer
                         np.exp(gamma_halves[tau], out=gamma_halves[tau])
                         gamma_halves[tau] *= phase[:, cols]

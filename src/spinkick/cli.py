@@ -6,8 +6,13 @@ lists every key).  ``_SCHEMA`` declares each section and key once, with the
 parser of its text and its default.  ``RunConfig`` parses every key when it
 reads the file, and --tol, --max-kicks, --log-base and --out go through the
 same parsers, so a bad value anywhere stops the run before a command starts.
-Files are written atomically (write-then-rename, so failures leave no
-partial outputs), and every failure class maps to a documented exit code:
+Commands compute and ``main`` writes: each ``cmd_*`` returns its exit code,
+the files of its run as ``{suffix: text}`` and a closing line, and writes
+nothing itself.  ``main`` writes those files, each atomically
+(write-then-rename), once the command and the reports simulate toggles on
+have returned, and then prints the closing line.  So a command that
+raises writes no file, and an oracle-check over its tolerance writes its
+report and exits 5.  Every failure class maps to a documented exit code:
 
     0  success
     2  config error (parse failure, unknown section or key, a bad value in
@@ -71,11 +76,6 @@ def write_text_atomic(path: str, content: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write(cfg: RunConfig, suffix: str, text: str) -> None:
-    """Write a command's output file <[output] dir>/<[output] prefix>_<suffix>."""
-    write_text_atomic(os.path.join(cfg["output", "dir"], f"{cfg['output', 'prefix']}_{suffix}"), text)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +359,13 @@ class _Train:
 # ---------------------------------------------------------------------------
 # commands
 
+# What a command returns: its exit code, the files main writes for it, each
+# {suffix: text} at <[output] dir>/<[output] prefix>_<suffix>, and a line main
+# prints once they exist ("" for none).
+_Outcome = tuple[int, dict[str, str], str]
 
-def cmd_simulate(cfg: RunConfig, train: _Train) -> int:
+
+def cmd_simulate(cfg: RunConfig, train: _Train) -> _Outcome:
     sched = train.sched
     base = cfg["analysis", "log_base"]
     with_entropy = cfg["analysis", "entropy"]
@@ -374,22 +379,20 @@ def cmd_simulate(cfg: RunConfig, train: _Train) -> int:
     rows = ["kick_index,t,u_x,u_y,u_z,purity,entropy", row(0, sched.times[0] if len(sched) else 0.0, u0)]
     for k in range(1, len(sched) + 1):
         rows.append(row(k, sched.times[k - 1], train.channel(k)(u0)))
-    _write(cfg, "trajectory.csv", "\n".join(rows) + "\n")
-    _write(cfg, "channel.txt", channels.format_channel(train.channel()))
-    print(f"wrote {prefix}_trajectory.csv and {prefix}_channel.txt in {out}")
-
-    # optional follow-on analyses, toggled in [analysis]
     code = EXIT_OK
-    if cfg["analysis", "divisibility"] and len(sched) >= 2:
-        code = max(code, cmd_divisibility(cfg, train))
-    if cfg["analysis", "fixed_point"]:
-        code = max(code, cmd_fixed_point(cfg, train))
-    if cfg["analysis", "oracle_check"]:
-        code = max(code, cmd_oracle_check(cfg, train))
-    return code
+    files = {"trajectory.csv": "\n".join(rows) + "\n", "channel.txt": channels.format_channel(train.channel())}
+
+    # the follow-on reports toggled in [analysis]; divisibility needs 2 kicks
+    toggled = {"divisibility": cmd_divisibility, "fixed_point": cmd_fixed_point, "oracle_check": cmd_oracle_check}
+    for key, report in toggled.items():
+        if cfg["analysis", key] and (key != "divisibility" or len(sched) >= 2):
+            report_code, report_files, _ = report(cfg, train)
+            code = max(code, report_code)
+            files.update(report_files)
+    return code, files, f"wrote {prefix}_trajectory.csv and {prefix}_channel.txt in {out}"
 
 
-def cmd_fixed_point(cfg: RunConfig, train: _Train) -> int:
+def cmd_fixed_point(cfg: RunConfig, train: _Train) -> _Outcome:
     res = analysis.fixed_point(train.channel())
     lines = [
         "u_f=" + " ".join(_fmt(x) for x in res.u_f),
@@ -398,12 +401,11 @@ def cmd_fixed_point(cfg: RunConfig, train: _Train) -> int:
         f"unique={str(res.unique).lower()}",
         f"residual={_fmt(res.residual)}",
     ]
-    _write(cfg, "fixed_point.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, {"fixed_point.txt": "\n".join(lines) + "\n"}, ""
 
 
-def cmd_divisibility(cfg: RunConfig, train: _Train) -> int:
+def cmd_divisibility(cfg: RunConfig, train: _Train) -> _Outcome:
     env, geom, sched = train.env, train.geom, train.sched
     mode = cfg["divisibility", "mode"]
     commuting, _ = is_commuting_schedule(geom, sched) if len(sched) else (False, None)
@@ -433,10 +435,8 @@ def cmd_divisibility(cfg: RunConfig, train: _Train) -> int:
         shorter = train.channel(len(sched) - 1)
         report = analysis.divisibility_report(longer, shorter, tol=cfg["analysis", "tol"])
 
-    _write(cfg, "divisibility.txt", report.to_text())
-    _write(cfg, "divisibility.kv", report.to_kv())
     print(report.to_text(), end="")
-    return EXIT_OK
+    return EXIT_OK, {"divisibility.txt": report.to_text(), "divisibility.kv": report.to_kv()}, ""
 
 
 def _apply_sweep_value(env, geom, sched, parameter, value):
@@ -506,7 +506,7 @@ def _sweep_grid(cfg: RunConfig, suffix: str = "") -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_sweep(cfg: RunConfig, train: _Train) -> int:
+def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
     base = cfg["analysis", "log_base"]
     max_kicks = cfg["analysis", "max_kicks"]
     u0 = cfg["initial_state", "u"]
@@ -530,12 +530,11 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> int:
                 cells.append(_fmt(value2))
             quantities = _sweep_quantities(env_v, geom_v, sched_v, u0, base, max_kicks, wanted)
             rows.append(",".join(cells + [_fmt(quantities[q]) for q in wanted]))
-    _write(cfg, "sweep.csv", "\n".join(rows) + "\n")
-    print(f"wrote {prefix}_sweep.csv ({len(rows) - 1} rows) in {out_dir}")
-    return EXIT_OK
+    wrote = f"wrote {prefix}_sweep.csv ({len(rows) - 1} rows) in {out_dir}"
+    return EXIT_OK, {"sweep.csv": "\n".join(rows) + "\n"}, wrote
 
 
-def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
+def cmd_oracle_check(cfg: RunConfig, train: _Train) -> _Outcome:
     env, geom, sched = train.env, train.geom, train.sched
     if not isinstance(env, SingleModeThermal):
         raise ConfigError("oracle-check requires the single_mode_thermal environment")
@@ -553,41 +552,30 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> int:
             deltas = [base_dt, base_dt / 2, base_dt / 4, base_dt / 8]
         steps, shape = cfg["oracle", "steps_per_kick"], cfg["oracle", "shape"]
         chans = oracle.nascent_delta_channels(spec, geom, sched, deltas, steps_per_kick=steps, shape=shape)
-        rows = ["delta_t,distance"]
-        dists = []
+        name, rows, dists = "nascent.csv", ["delta_t,distance"], []
         for dt, ch in zip(deltas, chans):
             d = oracle.channel_distance(analytic, ch)
             dists.append((dt, d))
             rows.append(f"{_fmt(dt)},{_fmt(d)}")
             print(f"delta_t={dt:g}  distance={d:.3e}")
-        _write(cfg, "nascent.csv", "\n".join(rows) + "\n")
-        final = min(dists)[1]  # at the narrowest width, wherever the config lists it
-        if final > tol:
-            print(f"FAIL: finest distance {final:.3e} > tolerance {tol:g}")
-            return EXIT_CHECK
-        print(f"OK: finest distance {final:.3e} <= tolerance {tol:g}")
-        return EXIT_OK
-
-    orc = oracle.oracle_channel(
-        spec, geom, sched, stability_tol=min(tol, 1e-8), max_dim=cfg["oracle", "dim_max"]
-    )
-    dist = oracle.channel_distance(analytic, orc)
-    rows = ["dim,stability,distance_to_analytic"]
-    for step_dim, step_dist in orc.meta["history"]:
-        rows.append(f"{step_dim},{_fmt(step_dist)},")
-    rows.append(f"{orc.meta['dim']},{_fmt(orc.meta['stability'])},{_fmt(dist)}")
-    _write(cfg, "oracle.csv", "\n".join(rows) + "\n")
-    for step_dim, step_dist in orc.meta["history"]:
-        print(f"dim={step_dim}  change={step_dist:.3e}")
-    print(
-        f"oracle dim={orc.meta['dim']} stability={orc.meta['stability']:.3e} "
-        f"tail={orc.meta['tail']:.3e} distance={dist:.3e}"
-    )
-    if dist > tol:
-        print(f"FAIL: distance {dist:.3e} > tolerance {tol:g}")
-        return EXIT_CHECK
-    print(f"OK: distance {dist:.3e} <= tolerance {tol:g}")
-    return EXIT_OK
+        judged, dist = "finest distance", min(dists)[1]  # at the narrowest width, wherever the config lists it
+    else:
+        orc = oracle.oracle_channel(
+            spec, geom, sched, stability_tol=min(tol, 1e-8), max_dim=cfg["oracle", "dim_max"]
+        )
+        judged, dist = "distance", oracle.channel_distance(analytic, orc)
+        name, rows = "oracle.csv", ["dim,stability,distance_to_analytic"]
+        for step_dim, step_dist in orc.meta["history"]:
+            rows.append(f"{step_dim},{_fmt(step_dist)},")
+            print(f"dim={step_dim}  change={step_dist:.3e}")
+        rows.append(f"{orc.meta['dim']},{_fmt(orc.meta['stability'])},{_fmt(dist)}")
+        print(
+            f"oracle dim={orc.meta['dim']} stability={orc.meta['stability']:.3e} "
+            f"tail={orc.meta['tail']:.3e} distance={dist:.3e}"
+        )
+    failed = dist > tol
+    print(f"{'FAIL' if failed else 'OK'}: {judged} {dist:.3e} {'>' if failed else '<='} tolerance {tol:g}")
+    return EXIT_CHECK if failed else EXIT_OK, {name: "\n".join(rows) + "\n"}, ""
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +622,11 @@ def main(argv=None) -> int:
             if raw is not None:
                 for section, key in keys:
                     cfg.override(section, key, raw, flag)
-        code = _COMMANDS[args.command](cfg, _Train(cfg))
+        code, files, wrote = _COMMANDS[args.command](cfg, _Train(cfg))
+        for suffix, text in files.items():
+            write_text_atomic(os.path.join(cfg["output", "dir"], f"{cfg['output', 'prefix']}_{suffix}"), text)
+        if wrote:
+            print(wrote)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

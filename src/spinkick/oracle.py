@@ -172,10 +172,11 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     marks step k + 1 (on_grid, a bool per step) as the next point of a
     uniform grid of spacing h[s]: all such steps of sequence s share
     G = V^T diag(e^{-iwh[s]n}) V, formed once and applied as one complex
-    product (at d of a few tens, butterflies there would cost what the
-    split products save).  The last kick is applied on its own.  V must be
-    orthonormal to 1e-10, else InvalidMap: every G_k and B_k is unitary
-    exactly when V is.
+    product: against butterflies there it is 7-18% faster at d = 20-25,
+    0-5% faster at d = 29-30 and 3-13% slower at d = 40-60 (the README's
+    Fock oracle section gives how this was timed).  The last kick is
+    applied on its own.  V must be orthonormal to 1e-10, else InvalidMap:
+    every G_k and B_k is unitary exactly when V is.
     """
     evals, vecs = spectrum
     d = len(evals)

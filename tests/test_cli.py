@@ -961,16 +961,24 @@ def cli_runs(draw):
 @example(("simulate", BASE_CFG.format(out="out").replace("h = 0 0 1", "h = 0 0 1e300")))
 @example(("simulate", BASE_CFG.format(out="out").replace(
     "single_mode_thermal\nomega = 1.0\nnbar = 0.0", "white_kick\nvariance = 1e308")))
+@example(("simulate", BASE_CFG.format(out="out").replace(
+    "single_mode_thermal\nomega = 1.0\nnbar = 0.0", "white_kick\nvariance = 0.3") + "\n[analysis]\noracle_check = true\n"))
+@example(("simulate", BASE_CFG.format(out="out").replace("times = 0.0", "times = 0.0 0.7")
+          + "\n[analysis]\ndivisibility = true\n\n[divisibility]\nmode = dephasing\n"))
 def test_exit_codes_stay_in_contract(run):
     """Every command ends in a documented exit code, never in a traceback or
-    a warning (an error under pytest), whatever the numbers it is given."""
+    a warning (an error under pytest), whatever the numbers it is given; a
+    config or domain error leaves no file, also after the trajectory of a
+    simulate whose toggled report then fails."""
     command, body = run
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = os.path.join(tmp, "run.cfg")
+        cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(body)
-        code = main(["--config", cfg, "--out", os.path.join(tmp, "out"), command])
-    assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DOMAIN, EXIT_CHECK}
+        code = main(["--config", cfg, "--out", out, command])
+        assert code in {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DOMAIN, EXIT_CHECK}
+        if code in {EXIT_CONFIG, EXIT_DOMAIN}:
+            assert not os.path.exists(out), os.listdir(out)
 
 
 EXAMPLE_CFG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "docs", "example-run.cfg")

@@ -328,6 +328,10 @@ def identity_channel() -> QubitMap:
     return _map(_ID3, np.zeros(3), (), {"kind": "identity"})
 
 
+# prefix 0 of every prefix pass: one map, built and validated once
+_IDENTITY = identity_channel()
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -438,21 +442,20 @@ def _provenance(kind: str, env, times, weights) -> dict:
 def _pass_bytes(n: int) -> int:
     """Peak storage of an n-kick pass, m = 2^(n-1) sign vectors at its last
     kick: what it holds at its last level, plus the larger of that level's
-    transients and the prefix maps it builds after it.
+    transients and what it builds after the level loop.
 
-    Held, whatever its length: 4 KiB of array headers and small objects,
-    and the provenance all prefixes share (the environment's repr, the
-    times and weights tuples and the meta they seed); per kick 640 bytes
-    (its axis, frame, overlaps q and M, mean and variance, its row of the
-    (A, b) stack, 96, and its prefix's meta); the Gram matrix, 16 n^2.
-    Per sign vector 144 bytes: f, Re a, Re b and p (48), the amplitudes of
-    both signs and the conjugate of one (96).  Below the base side, the
-    base block, which is the whole last level (24 bytes an entry).  From it
-    on, with T tiles a side: the base block and Gamma_J's parity halves (40
-    bytes an entry); per tile and base row the row shifts u and pi (24);
-    and the work space, the larger of a factored level's scaled columns,
-    one parity half, and their product (16 + 32 per tile and base row) and
-    one row of tiles of a summed level (24 an entry).
+    Held, whatever its length: 3.5 KiB of array headers and small objects;
+    per kick 288 bytes (its axis, frame, overlap with the previous frame,
+    q, mean and variance, and its block T_k with its route); the Gram
+    matrix, 16 n^2.  Per sign vector 128 + 16 n bytes: every kick's f, one
+    row of 2^(n-1) entries a kick (16 n); the last kick's Re a, Re b and p
+    (32); the amplitudes of both signs and the conjugate of one (96).
+    Below the base side, the base block, which is the whole last level (24
+    bytes an entry).  From it on, with T tiles a side: the base block and
+    Gamma_J's parity halves (40 bytes an entry); per tile and base row the
+    row shifts u and pi (24); and the work space, the larger of a factored
+    level's scaled columns, one parity half, and their product (16 + 32 per
+    tile and base row) and one row of tiles of a summed level (24 an entry).
 
     Transient at the last level: 1 KiB of temporaries' headers; below the
     base side its x_re, x_ph, exponential and product (48 an entry) and
@@ -462,18 +465,20 @@ def _pass_bytes(n: int) -> int:
     numpy's buffer casting their exponentials to complex (16 an entry, at
     most ``np.getbufsize()``).
 
-    After the last level, the maps: 2 KiB for the identity, the tuple of
-    prefixes and the generator building them, and 768 bytes a prefix for
-    its map (object, read-only A and b, axes view).  The stacked
-    validation's S, chi_P and eigenvalues (640 bytes a prefix) are freed
-    before the maps are built.
+    After the level loop, the maps: 1.5 KiB for the provenance the
+    prefixes share (the environment's repr, the times and weights tuples),
+    the route counts and the tuple of prefixes, and 1088 bytes a prefix
+    for its row of the (A, b) stack (96), its map (object, read-only A and
+    b, axes view) and its meta.  The (A, b) recursion's outer products and
+    the stacked validation's S, chi_P and eigenvalues are freed before the
+    maps are built, and prefix 0 is one map shared by every pass.
 
-    The figures: 2.8 MiB (0.70 * 4^n bytes) at 11 kicks; 7.1, 26.9 and 105
+    The figures: 3.0 MiB (0.74 * 4^n bytes) at 11 kicks; 7.4, 27.6 and 107
     MiB at 12, 13 and 14; 104 TiB at 24.  Per kick they tend to 4x, and the
     total to 104 bytes per tile and base row, 13/32 * 4^n = 0.41 * 4^n."""
     m = 2 ** (n - 1) if n else 0
-    held = 4096 + 640 * n + 16 * n * n + 144 * m
-    maps = 2048 + 768 * n
+    held = 3584 + 288 * n + 16 * n * n + (128 + 16 * n) * m
+    maps = 1536 + 1088 * n
     if m < _BASE:
         return held + 24 * m * m + max(1024 + 48 * m * m + 16 * min(np.getbufsize(), m * m), maps)
     rows = m * m // _BASE  # tile-and-base-row pairs, T^2 * _BASE
@@ -548,9 +553,27 @@ def _string_amplitudes(frames):
     amplitude of s at kick k - 1."""
     amps = _FIRST_AMPLITUDES
     yield amps
-    for later, earlier in zip(frames[1:], frames[:-1]):
-        amps = ((later.conj().T @ earlier)[:, :, None, None] * amps).reshape(2, -1, 2)
+    overlaps = frames[1:].conj().transpose(0, 2, 1) @ frames[:-1]  # one 2 x 2 product per kick, as each alone
+    for overlap in overlaps[:, :, :, None, None]:
+        amps = (overlap * amps).reshape(2, -1, 2)
         yield amps
+
+
+def _kick_sums(gram: np.ndarray) -> np.ndarray:
+    """f_k(s) = sum_(j<k) G_kj s_j for every kick k of the weighted Gram
+    matrix G: row k of the (n, 2^(n-1)) result holds it in its first 2^k
+    entries, bit j of the index clear for s_j = +1 (the rest of the row is
+    not written).  One doubling in place over the rows of all later kicks
+    gives each row the same steps +-G_kj, in the same order, as doubling
+    that kick's f alone: 2(n - 1) array operations in place of n(n - 1)."""
+    n = len(gram)
+    f = np.empty((n, 2 ** (n - 1)), dtype=complex)
+    f[:, 0] = 0.0
+    for j in range(n - 1):
+        g, head = gram[j + 1 :, j, None], f[j + 1 :, : 2**j]
+        np.subtract(head, g, out=f[j + 1 :, 2**j : 2 ** (j + 1)])
+        head += g
+    return f
 
 
 def build_prefix_channels(
@@ -613,9 +636,12 @@ def build_prefix_channels(
     Each prefix's meta counts its tiled levels in ``factored_levels`` and
     ``summed_levels``.
 
-    The base block, the tile shifts, the buffer in which f doubles and the
-    work space of a level are allocated at their final size first, so a
-    pass that cannot be held (``_pass_bytes``) is refused before any level
+    Every kick's f comes from one doubling before the first level
+    (``_kick_sums``), and every prefix's (A, b) from one recursion over the
+    kicks' blocks T_k after the last (``_affine_record``).  The base block,
+    the tile shifts and the work space of a level are allocated at their
+    final size first, and the rows of f before the first level, so a pass
+    that cannot be held (``_pass_bytes``) is refused before any level
     runs, as is one past ``max_kicks``.  So is a Gram matrix whose exponent
     sums could leave float64's range: |a_k| + |b_k| is at most
     c_k = 4 sum_(j<k) |G_kj| + 2 |mu_k| + 2 |Var_k|, the carried R_k at
@@ -625,13 +651,14 @@ def build_prefix_channels(
     value (a factor 2 to spare for rounding) raises SpinKickError.  The
     prefixes are validated together, with one ``eigvalsh`` over their
     stacked (A, b), and share one provenance: the environment's repr and
-    the kick times and weights are formed once.
+    the kick times and weights are formed once.  Prefix 0 is one identity
+    map, built and validated once and shared by every pass.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
     with _coefficient_budget(n, max_kicks, nbytes):
         if n == 0:
-            return (identity_channel(),)
+            return (_IDENTITY,)
         size = 2 ** (n - 1)
         side, tiles = min(size, _BASE), size // _BASE
         re_l, phase = np.empty((side, side)), np.empty((side, side), dtype=complex)
@@ -640,7 +667,6 @@ def build_prefix_channels(
         u[:1, :1], pi[:1, :1] = 0.0, 1.0
         half = _BASE // 2
         work = np.empty(max(4 * tiles * tiles * (half + _BASE), 3 * tiles * _BASE * _BASE))  # see _pass_bytes
-        f_all = np.empty(size, dtype=complex)
         gamma_halves = None
 
         times = sched.times
@@ -654,21 +680,15 @@ def build_prefix_channels(
             raise SpinKickError(
                 f"the Gram matrix is too large for the prefix pass: its exponent sums may reach 2 * {reach:.3g}"
             )
+        f_all = _kick_sums(gram)
         frames = spin_frames(rs)
         q = np.einsum("ka,iab,kb->ki", frames[:, :, 1].conj(), PAULI, frames[:, :, 0])  # <e_-(r_k)|sigma_i|e_+(r_k)>
         m_first = np.einsum("ax,jab,by->jxy", frames[0].conj(), PAULI, frames[0]).reshape(3, 4)  # M_j[tau, tau']
-        a_mat, shift = _ID3, np.zeros(3)
-        a_all, b_all = np.empty((n, 3, 3)), np.empty((n, 3))
-        levels = {"factored_levels": 0, "summed_levels": 0}
-        shared = _provenance("n_kick", env, times, sched.weights)
-        metas = []
+        t_all = np.empty((n, 2, 2), dtype=complex)
+        routes = np.zeros((n, 2), dtype=int)  # a tiled level's route: factored, summed
         for k, amps in enumerate(_string_amplitudes(frames)):
             m = 2**k
-            f = f_all[:m]  # f(s) = sum_j G_kj s_j, bit j of the index clear for s_j = +1, doubled in place
-            f[0] = 0.0
-            for j, g in enumerate(gram[k, :k]):
-                np.subtract(f[: 2**j], g, out=f[2**j : 2 ** (j + 1)])
-                f[: 2**j] += g
+            f = f_all[k, :m]
             re_a, re_b = -2.0 * f.real, 2.0 * f.real - 2.0 * var[k]
             p = np.exp(-1j * (2.0 * f.imag + mu[k]))
 
@@ -678,7 +698,7 @@ def build_prefix_channels(
                 x_re += re_b
                 x_ph = phase[:m, :m] * p[:, None]
                 x_ph *= p
-                t_mat = g_plus.T @ ((np.exp(x_re) * x_ph) @ g_minus_conj)
+                t_all[k] = g_plus.T @ ((np.exp(x_re) * x_ph) @ g_minus_conj)
                 if k + 1 < n:
                     re_l[:m, m : 2 * m], re_l[m : 2 * m, :m] = x_re, x_re.T
                     phase[:m, m : 2 * m], phase[m : 2 * m, :m] = x_ph, x_ph.conj().T
@@ -698,28 +718,54 @@ def build_prefix_channels(
                 shift_v = u[:t, :t].transpose(1, 0, 2) + re_b
                 top_v = shift_v.max(2, keepdims=True)
                 if gamma_halves is not None and (shift_u.max(2, keepdims=True) + top_v).max() <= _FACTOR_RANGE:
-                    t_mat = _factored_level(
+                    t_all[k] = _factored_level(
                         gamma_halves, shift_u, shift_v, top_v, pi[:t, :t], p, g_plus, g_minus_conj, work
                     )
-                    levels["factored_levels"] += 1
+                    routes[k, 0] = 1
                 else:
-                    t_mat = _tile_rows(re_l, phase, u[:t, :t], pi[:t, :t], re_a, re_b, p, g_plus, g_minus_conj, work)
-                    levels["summed_levels"] += 1
+                    t_all[k] = _tile_rows(re_l, phase, u[:t, :t], pi[:t, :t], re_a, re_b, p, g_plus, g_minus_conj, work)
+                    routes[k, 1] = 1
                 del shift_u, shift_v
                 if k + 1 < n:
                     _double_tiles(u, pi, t, re_a, re_b, p)
 
-            dephase = np.outer(rs[k], rs[k])
-            a_mat = dephase @ a_mat + np.outer(q[k], m_first @ t_mat.reshape(4)).real
-            shift = dephase @ shift + (q[k] * np.trace(t_mat)).real
-            a_all[k], b_all[k] = a_mat, shift
-            head = {"times": shared["times"][: k + 1], "weights": shared["weights"][: k + 1], "path": "kick_by_kick"}
-            terms = (4 ** (k + 1) - 1) // 3  # 1 + 4 + ... + 4^k
-            metas.append({**shared, **head, "terms": terms, "bytes": nbytes, **levels})
-
+        a_all, b_all = _affine_record(rs, q, m_first, t_all)
         _validate(a_all, b_all, cp=True)
-        maps = (QubitMap(a, b, rs[: k + 1], meta) for k, (a, b, meta) in enumerate(zip(a_all, b_all, metas)))
-        return (identity_channel(), *maps)
+        shared = _provenance("n_kick", env, times, sched.weights)
+        maps = (_IDENTITY,)
+        for k, (fl, sl) in enumerate(np.cumsum(routes, 0).tolist(), 1):
+            meta = dict(
+                shared,
+                times=shared["times"][:k],
+                weights=shared["weights"][:k],
+                path="kick_by_kick",
+                terms=(4**k - 1) // 3,  # 1 + 4 + ... + 4^(k-1)
+                bytes=nbytes,
+                factored_levels=fl,
+                summed_levels=sl,
+            )
+            maps += (QubitMap(a_all[k - 1], b_all[k - 1], rs[:k], meta),)
+        return maps
+
+
+def _affine_record(rs, q, m_first, t_all) -> tuple:
+    """The stacked (A, b) of every prefix from the kicks' 2 x 2 blocks T_k:
+    A_k = r_k r_k^T A_(k-1) + Re(q_k (x) M.T_k) and b_k = r_k r_k^T b_(k-1)
+    + Re(q_k tr T_k), from A_0 = 1 and b_0 = 0.  The outer products, M.T_k
+    (a matrix-vector product per kick, in numpy's loop over the stack) and
+    the traces are taken for all kicks at once; the recursion runs kick by
+    kick."""
+    n = len(rs)
+    dephase = rs[:, :, None] * rs[:, None, :]
+    coherence = np.matmul(m_first, t_all.reshape(n, 4, 1))[..., 0]
+    kick_a = (q[:, :, None] * coherence[:, None, :]).real
+    kick_b = (q * np.trace(t_all, axis1=1, axis2=2)[:, None]).real
+    a_all, b_all = np.empty((n, 3, 3)), np.empty((n, 3))
+    a_mat, shift = _ID3, np.zeros(3)
+    for k in range(n):
+        a_all[k] = a_mat = dephase[k] @ a_mat + kick_a[k]
+        b_all[k] = shift = dephase[k] @ shift + kick_b[k]
+    return a_all, b_all
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,16 +3,18 @@
 Commands: simulate, divisibility, sweep, oracle-check, fixed-point.  Each
 reads one INI-style config file (grammar in the README; docs/example-run.cfg
 lists every key).  ``_SCHEMA`` declares each section and key once, with the
-parser of its text and its default.  ``RunConfig`` parses every key when it
-reads the file, and --tol, --max-kicks, --log-base and --out go through the
-same parsers, so a bad value anywhere stops the run before a command starts.
-Commands compute and ``main`` writes: each ``cmd_*`` returns its exit code,
-the files of its run as ``{suffix: text}`` and a closing line, and writes
-nothing itself.  ``main`` writes those files, each atomically
+parser of its text and its default.  The defaults are parsed once, at
+import (``_DEFAULTS``); ``RunConfig`` parses every key the file gives when
+it reads the file, and --tol, --max-kicks, --log-base and --out go through
+the same parsers, so a bad value anywhere stops the run before a command
+starts.  Commands compute and ``main`` writes: each ``cmd_*`` returns its
+exit code, the files of its run as ``{suffix: text}`` and a closing line,
+and writes nothing itself.  ``main`` writes those files, each atomically
 (write-then-rename), once the command and the reports simulate toggles on
-have returned, and then prints the closing line.  So a command that
-raises writes no file, and an oracle-check over its tolerance writes its
-report and exits 5.  Every failure class maps to a documented exit code:
+have returned and no target is an existing directory, and then prints the
+closing line.  So a command that raises writes no file, and an
+oracle-check over its tolerance writes its report and exits 5.  Every
+failure class maps to a documented exit code:
 
     0  success
     2  config error (parse failure, unknown section or key, a bad value in
@@ -38,6 +40,7 @@ import cmath
 import configparser
 import contextlib
 import dataclasses
+import errno
 import functools
 import math
 import os
@@ -64,9 +67,10 @@ def _fmt(x: float) -> str:
 
 
 def write_text_atomic(path: str, content: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file (mode 0600) in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    if not os.path.isdir(directory):
+        os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-spinkick-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -153,9 +157,9 @@ _SWEEP_QUANTITIES = (
 _DEFAULT_QUANTITIES = "gamma_abs purity_final lambda_min"
 
 
-def _quantities(raw: str) -> list[str]:
+def _quantities(raw: str) -> tuple[str, ...]:
     """Names from _SWEEP_QUANTITIES; a blank value asks for the default list."""
-    names = (raw or _DEFAULT_QUANTITIES).split()
+    names = tuple((raw or _DEFAULT_QUANTITIES).split())
     unknown = [q for q in names if q not in _SWEEP_QUANTITIES]
     if unknown:
         raise ValueError(f"unknown {unknown}; available: {sorted(_SWEEP_QUANTITIES)}")
@@ -220,6 +224,24 @@ _SCHEMA = {
     "output": {"dir": (lambda raw: os.path.join(os.getcwd(), raw), "out"), "prefix": (str, "spinkick")},
 }
 
+
+def _shared(value):
+    """A parsed default as every config shares it: arrays read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    return value
+
+
+# The value of every key of _SCHEMA but [output] dir, parsed once: None where
+# the key has no default.  The default of [output] dir joins the working
+# directory when a config is read, so each config parses it.
+_DEFAULTS = {
+    (section, key): None if default is None else _shared(parse(default))
+    for section, keys in _SCHEMA.items()
+    for key, (parse, default) in keys.items()
+    if (section, key) != ("output", "dir")
+}
+
 # The config keys that each command-line flag overrides.
 _FLAG_KEYS = {
     "--out": (("output", "dir"),),
@@ -270,8 +292,12 @@ class RunConfig:
         self._values = {}
         for section, keys in _SCHEMA.items():
             for key, (_, default) in keys.items():
-                raw = given.get((section, key), default)
-                self._values[section, key] = None if raw is None else _parse(section, key, raw)
+                if (section, key) in given:
+                    self._values[section, key] = _parse(section, key, given[section, key])
+                elif (section, key) in _DEFAULTS:
+                    self._values[section, key] = _DEFAULTS[section, key]
+                else:
+                    self._values[section, key] = _parse(section, key, default)
         self.base_dir = base_dir
 
     @classmethod
@@ -520,7 +546,7 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
     parameter2 = cfg["sweep", "parameter2"]
     grid2 = _sweep_grid(cfg, "2") if parameter2 is not None else [None]
 
-    rows = [",".join([parameter] + ([parameter2] if parameter2 else []) + wanted)]
+    rows = [",".join([parameter, *([parameter2] if parameter2 else []), *wanted])]
     for value in grid:
         for value2 in grid2:
             env_v, geom_v, sched_v = _apply_sweep_value(train.env, train.geom, train.sched, parameter, value)
@@ -623,8 +649,13 @@ def main(argv=None) -> int:
                 for section, key in keys:
                     cfg.override(section, key, raw, flag)
         code, files, wrote = _COMMANDS[args.command](cfg, _Train(cfg))
-        for suffix, text in files.items():
-            write_text_atomic(os.path.join(cfg["output", "dir"], f"{cfg['output', 'prefix']}_{suffix}"), text)
+        out, prefix = cfg["output", "dir"], cfg["output", "prefix"]
+        targets = {os.path.join(out, f"{prefix}_{suffix}"): text for suffix, text in files.items()}
+        for path in targets:  # a rename onto a directory would fail after earlier files were written
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path, text in targets.items():
+            write_text_atomic(path, text)
         if wrote:
             print(wrote)
     except ConfigError as exc:

@@ -71,18 +71,20 @@ def gram_matrix(env: GaussianEnvironment, times, weights=None) -> np.ndarray:
     valid quantum state.  Weights so large that an entry overflows are
     refused with SpinKickError: inf - inf would turn the channel into NaN.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float).tolist()
     n = len(times)
-    # Python floats: the same products, and an overflow to inf, refused
-    # below, raises no numpy warning
+    # Python floats and complex numbers: the same products, and an overflow
+    # to inf, refused below, raises no numpy warning; the entries fill a flat
+    # list, converted once
     w = [1.0] * n if weights is None else np.asarray(weights, dtype=float).tolist()
     if len(w) != n:
         raise LengthMismatch(f"{n} times but {len(w)} weights")
-    m = np.empty((n, n), dtype=complex)
+    entries = [0j] * (n * n)
     for i in range(n):
         for j in range(i + 1):
-            m[i, j] = w[i] * w[j] * env.covariance(times[i], times[j])
-            m[j, i] = np.conj(m[i, j])
+            entry = complex(w[i] * w[j] * env.covariance(times[i], times[j]))
+            entries[i * n + j], entries[j * n + i] = entry, entry.conjugate()
+    m = np.array(entries, dtype=complex).reshape(n, n)
     if not np.isfinite(m).all():
         raise SpinKickError(f"weights {_numbers(w)} overflow the Gram matrix w_i w_j K(t_i, t_j)")
     return m

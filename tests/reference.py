@@ -5,8 +5,8 @@ they live here rather than in ``spinkick``: closed forms of single-kick
 purity and entropy, the two-kick transition map and its divisibility
 verdict, the truncated environment state of the Fock oracle, the truncated
 annihilation operator and Heisenberg-picture quadrature O(t) that the
-oracle's direct-exponential cross-checks decompose, and the density matrix
-of a Bloch vector.
+oracle's direct-exponential cross-checks decompose, the density matrix
+of a Bloch vector, and the prefix pass's sums f_k doubled kick by kick.
 """
 
 from __future__ import annotations
@@ -133,3 +133,18 @@ def environment_state(spec: FockSpec):
     if factor.ndim == 1:
         return np.diag(factor * factor).astype(complex), tail
     return factor @ factor.conj().T, tail
+
+
+def kick_sums(gram: np.ndarray) -> list:
+    """f_k(s) = sum_(j<k) G_kj s_j of each kick k, its 2^k entries doubled in
+    place one kick at a time (bit j of the index clear for s_j = +1): the
+    loop that ``channels._kick_sums`` runs over all kicks at once."""
+    sums = []
+    for k in range(len(gram)):
+        f = np.empty(2**k, dtype=complex)
+        f[0] = 0.0
+        for j, g in enumerate(gram[k, :k]):
+            np.subtract(f[: 2**j], g, out=f[2**j : 2 ** (j + 1)])
+            f[: 2**j] += g
+        sums.append(f)
+    return sums

@@ -44,6 +44,7 @@ from spinkick.channels import (
     PARALLEL_BASIS_TOL,
     _factored_level,
     _gamma_matrix,
+    _kick_sums,
     _map,
     _projector_strings,
     _sign_matrix,
@@ -64,7 +65,7 @@ from spinkick.environment import format_complex, parse_complex
 from spinkick.oracle import fock_spec_for, nascent_delta_channels, oracle_channel
 from spinkick.pauli import I2, PAULI, OperatorBasis, dot_sigma, spin_frames
 from conftest import random_geometry, random_schedule, random_unit
-from reference import bloch_to_density, two_kick_transition_map
+from reference import bloch_to_density, kick_sums, two_kick_transition_map
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +492,7 @@ def test_prefix_pass_is_independent_of_its_length():
     full = build_prefix_channels(env, geom, sched)
     for m in range(11):
         short = build_prefix_channels(env, geom, KickSchedule(sched.times[:m], sched.weights[:m]))
+        assert short[0] is full[0]  # prefix 0 is one map shared by every pass
         for k in range(m + 1):
             assert np.array_equal(short[k].chi, full[k].chi)
             assert np.array_equal(short[k].matrix, full[k].matrix)
@@ -615,6 +617,25 @@ def test_prefix_pass_factors_long_trains():
         assert (prefixes[11].meta["factored_levels"], prefixes[11].meta["summed_levels"]) == (5, 0)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kick_sums_are_the_per_kick_doubling_bit_for_bit(n):
+    """Every kick's f from the one doubling over all rows equals the per-kick
+    doubling entry for entry, zero signs included, on a complex Gram matrix
+    whose entries span sixteen decades (so any other order of the sums
+    would round differently) and hold zeros of either sign."""
+    rng = np.random.default_rng(n)
+    gram = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * 10.0 ** rng.uniform(-8, 8, size=(n, n))
+    for part in (gram.real, gram.imag):
+        part[rng.random((n, n)) < 0.2] = 0.0
+        part[rng.random((n, n)) < 0.2] = -0.0
+    rows = _kick_sums(gram)
+    assert rows.shape == (n, 2 ** (n - 1))
+    for k, want in enumerate(kick_sums(gram)):
+        got = rows[k, : 2**k]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 @pytest.mark.parametrize("kind", ["random", "synchronized", "antiparallel", "minus_z"])
 def test_string_amplitudes_are_the_rank_one_projector_strings(kind):
     """P_sigma(r_k) P(s) = g_sigma(s) |e_sigma(r_k)><e_(s_0)(r_0)|: the Pauli
@@ -733,7 +754,7 @@ def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.4, 0.9])
     assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3
     assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == (
-        4096 + 640 * 3 + 16 * 3**2 + 144 * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 2048 + 768 * 3)
+        3584 + 288 * 3 + 16 * 3**2 + (128 + 16 * 3) * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 1536 + 1088 * 3)
     )
 
 

@@ -1006,6 +1006,35 @@ def test_out_naming_a_file_exits_3(tmp_path, capsys):
     assert target.read_text() == "not a directory\n"
 
 
+def test_a_target_that_is_a_directory_writes_no_file(tmp_path, capsys):
+    """A run whose later file names an existing directory is an I/O error
+    before any file is written: simulate's trajectory, written first, is not
+    left behind, and neither is a temp file."""
+    out = tmp_path / "out"
+    (out / "spinkick_channel.txt").mkdir(parents=True)
+    assert main(["--config", EXAMPLE_CFG, "--out", str(out), "simulate"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 21] Is a directory")
+    assert os.listdir(out) == ["spinkick_channel.txt"]
+
+
+def test_defaults_are_shared_and_read_only(tmp_path, monkeypatch):
+    """A key a config leaves out takes its default, parsed once for every
+    config: arrays are shared read-only, so no run can change another's.
+    [output] dir alone is parsed per config, against the working directory
+    of the read."""
+    first = RunConfig.from_file(write_cfg(tmp_path, "[schedule]\ntimes = 0.5\n", "first.cfg"))
+    second = RunConfig.from_file(write_cfg(tmp_path, "", "second.cfg"))
+    u, times = first["initial_state", "u"], second["schedule", "times"]
+    assert u is second["initial_state", "u"]
+    np.testing.assert_array_equal(u, [0.0, 0.0, 1.0])
+    assert times.shape == (0,)
+    for default in (u, times):
+        assert not default.flags.writeable
+    assert first["sweep", "quantities"] == ("gamma_abs", "purity_final", "lambda_min")
+    monkeypatch.chdir(tmp_path)
+    assert RunConfig.from_file("second.cfg")["output", "dir"] == os.path.join(str(tmp_path), "out")
+
+
 def test_example_nascent_check_fails_at_its_own_tolerance(tmp_path, capsys):
     """The example config's nascent mode at its own tol = 1e-8 exits 5, as its
     comment says: the finest default pulse (delta_t / 8) is still about

@@ -22,11 +22,11 @@ from .channels import (
     compose,
     dephasing_channel,
     dephasing_gamma,
+    format_channel,
     identity_channel,
     invert_channel,
     load_channel,
     phase_damping_channel,
-    save_channel,
     single_kick_channel,
     transition_map,
     two_kick_closed_form,

@@ -48,7 +48,7 @@ constructed objects are immutable and safe to share between threads.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -268,7 +268,8 @@ class QubitMap:
     that of a trace-preserving map on operators, so trace preservation is
     structural.  The read-only ``basis`` (``default_chi_basis`` of the
     axes) and ``chi`` in it (``chi_from_affine``) are derived on first read
-    and cached.  cp=True marks a channel (CPTP, Choi matrix validated PSD);
+    and cached.  cp=True marks a channel (CPTP, Choi matrix validated PSD,
+    except the Fock oracle's maps, deliberately: ``oracle._channels_at_dim``);
     transition maps, which need not be CP, carry cp=False."""
 
     matrix: np.ndarray
@@ -328,7 +329,7 @@ def identity_channel() -> QubitMap:
     return _map(_ID3, np.zeros(3), (), {"kind": "identity"})
 
 
-# prefix 0 of every prefix pass: one map, built and validated once
+# the template of prefix 0, built and validated once; each pass gets a copy
 _IDENTITY = identity_channel()
 
 
@@ -444,10 +445,10 @@ def _pass_bytes(n: int) -> int:
     kick: what it holds at its last level, plus the larger of that level's
     transients and what it builds after the level loop.
 
-    Held, whatever its length: 3.5 KiB of array headers and small objects;
-    per kick 288 bytes (its axis, frame, overlap with the previous frame,
-    q, mean and variance, and its block T_k with its route); the Gram
-    matrix, 16 n^2.  Per sign vector 128 + 16 n bytes: every kick's f, one
+    Held, whatever its length: 3.5 KiB of array headers and small objects
+    and 1088 bytes for prefix 0, a map of the pass's own; per kick 288
+    bytes (its axis, frame, overlap with the previous frame, q, mean and
+    variance, and its block T_k with its route); the Gram matrix, 16 n^2.  Per sign vector 128 + 16 n bytes: every kick's f, one
     row of 2^(n-1) entries a kick (16 n); the last kick's Re a, Re b and p
     (32); the amplitudes of both signs and the conjugate of one (96).
     Below the base side, the base block, which is the whole last level (24
@@ -471,13 +472,13 @@ def _pass_bytes(n: int) -> int:
     for its row of the (A, b) stack (96), its map (object, read-only A and
     b, axes view) and its meta.  The (A, b) recursion's outer products and
     the stacked validation's S, chi_P and eigenvalues are freed before the
-    maps are built, and prefix 0 is one map shared by every pass.
+    maps are built.
 
     The figures: 3.0 MiB (0.74 * 4^n bytes) at 11 kicks; 7.4, 27.6 and 107
     MiB at 12, 13 and 14; 104 TiB at 24.  Per kick they tend to 4x, and the
     total to 104 bytes per tile and base row, 13/32 * 4^n = 0.41 * 4^n."""
     m = 2 ** (n - 1) if n else 0
-    held = 3584 + 288 * n + 16 * n * n + (128 + 16 * n) * m
+    held = 4672 + 288 * n + 16 * n * n + (128 + 16 * n) * m
     maps = 1536 + 1088 * n
     if m < _BASE:
         return held + 24 * m * m + max(1024 + 48 * m * m + 16 * min(np.getbufsize(), m * m), maps)
@@ -651,14 +652,15 @@ def build_prefix_channels(
     value (a factor 2 to spare for rounding) raises SpinKickError.  The
     prefixes are validated together, with one ``eigvalsh`` over their
     stacked (A, b), and share one provenance: the environment's repr and
-    the kick times and weights are formed once.  Prefix 0 is one identity
-    map, built and validated once and shared by every pass.
+    the kick times and weights are formed once.  Prefix 0 is a copy of one
+    identity map validated once: no two passes share a map.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
     with _coefficient_budget(n, max_kicks, nbytes):
+        maps = (replace(_IDENTITY, meta=dict(_IDENTITY.meta)),)  # prefix 0, with a meta of its own
         if n == 0:
-            return (_IDENTITY,)
+            return maps
         size = 2 ** (n - 1)
         side, tiles = min(size, _BASE), size // _BASE
         re_l, phase = np.empty((side, side)), np.empty((side, side), dtype=complex)
@@ -732,7 +734,6 @@ def build_prefix_channels(
         a_all, b_all = _affine_record(rs, q, m_first, t_all)
         _validate(a_all, b_all, cp=True)
         shared = _provenance("n_kick", env, times, sched.weights)
-        maps = (_IDENTITY,)
         for k, (fl, sl) in enumerate(np.cumsum(routes, 0).tolist(), 1):
             meta = dict(
                 shared,
@@ -960,12 +961,6 @@ def format_channel(m: QubitMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_channel(m: QubitMap, path) -> None:
-    """Write a channel or transition map to the documented text format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_channel(m))
-
-
 def _read_section(lines, i: int, name: str, rows: int, parse):
     """The ``rows`` rows under the header ``name:`` at lines[i], parsed
     entry by entry, and the index of the line after them."""
@@ -975,7 +970,7 @@ def _read_section(lines, i: int, name: str, rows: int, parse):
 
 
 def load_channel(path) -> QubitMap:
-    """Read back a map written by save_channel.
+    """Read back a map from the text of ``format_channel``.
 
     The map is rebuilt from A and b and validated as a channel or a
     transition map by the file's ``kind``; it keeps the file's

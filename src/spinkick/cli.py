@@ -8,12 +8,13 @@ import (``_DEFAULTS``); ``RunConfig`` parses every key the file gives when
 it reads the file, and --tol, --max-kicks, --log-base and --out go through
 the same parsers, so a bad value anywhere stops the run before a command
 starts.  Commands compute and ``main`` writes: each ``cmd_*`` returns its
-exit code, the files of its run as ``{suffix: text}`` and a closing line,
-and writes nothing itself.  ``main`` writes those files, each atomically
-(write-then-rename), once the command and the reports simulate toggles on
-have returned and no target is an existing directory, and then prints the
-closing line.  So a command that raises writes no file, and an
-oracle-check over its tolerance writes its report and exits 5.  Every
+exit code, the files of its run as ``{suffix: text}`` and its stdout text,
+and prints and writes nothing itself.  ``main`` writes those files, each
+atomically (write-then-rename), once the command and the reports simulate
+toggles on have returned and no target is an existing directory, and then
+the stdout text.  So a command that raises writes no file and prints
+nothing on stdout (its error line goes to stderr), and an oracle-check over
+its tolerance writes its report, prints its verdict and exits 5.  Every
 failure class maps to a documented exit code:
 
     0  success
@@ -386,8 +387,8 @@ class _Train:
 # commands
 
 # What a command returns: its exit code, the files main writes for it, each
-# {suffix: text} at <[output] dir>/<[output] prefix>_<suffix>, and a line main
-# prints once they exist ("" for none).
+# {suffix: text} at <[output] dir>/<[output] prefix>_<suffix>, and the stdout
+# text main prints once they exist (whole lines; "" for none).
 _Outcome = tuple[int, dict[str, str], str]
 
 
@@ -405,17 +406,17 @@ def cmd_simulate(cfg: RunConfig, train: _Train) -> _Outcome:
     rows = ["kick_index,t,u_x,u_y,u_z,purity,entropy", row(0, sched.times[0] if len(sched) else 0.0, u0)]
     for k in range(1, len(sched) + 1):
         rows.append(row(k, sched.times[k - 1], train.channel(k)(u0)))
-    code = EXIT_OK
+    code, said = EXIT_OK, ""
     files = {"trajectory.csv": "\n".join(rows) + "\n", "channel.txt": channels.format_channel(train.channel())}
 
     # the follow-on reports toggled in [analysis]; divisibility needs 2 kicks
     toggled = {"divisibility": cmd_divisibility, "fixed_point": cmd_fixed_point, "oracle_check": cmd_oracle_check}
     for key, report in toggled.items():
         if cfg["analysis", key] and (key != "divisibility" or len(sched) >= 2):
-            report_code, report_files, _ = report(cfg, train)
-            code = max(code, report_code)
+            report_code, report_files, report_said = report(cfg, train)
+            code, said = max(code, report_code), said + report_said
             files.update(report_files)
-    return code, files, f"wrote {prefix}_trajectory.csv and {prefix}_channel.txt in {out}"
+    return code, files, said + f"wrote {prefix}_trajectory.csv and {prefix}_channel.txt in {out}\n"
 
 
 def cmd_fixed_point(cfg: RunConfig, train: _Train) -> _Outcome:
@@ -427,8 +428,8 @@ def cmd_fixed_point(cfg: RunConfig, train: _Train) -> _Outcome:
         f"unique={str(res.unique).lower()}",
         f"residual={_fmt(res.residual)}",
     ]
-    print("\n".join(lines))
-    return EXIT_OK, {"fixed_point.txt": "\n".join(lines) + "\n"}, ""
+    text = "\n".join(lines) + "\n"
+    return EXIT_OK, {"fixed_point.txt": text}, text
 
 
 def cmd_divisibility(cfg: RunConfig, train: _Train) -> _Outcome:
@@ -461,8 +462,8 @@ def cmd_divisibility(cfg: RunConfig, train: _Train) -> _Outcome:
         shorter = train.channel(len(sched) - 1)
         report = analysis.divisibility_report(longer, shorter, tol=cfg["analysis", "tol"])
 
-    print(report.to_text(), end="")
-    return EXIT_OK, {"divisibility.txt": report.to_text(), "divisibility.kv": report.to_kv()}, ""
+    text = report.to_text()
+    return EXIT_OK, {"divisibility.txt": text, "divisibility.kv": report.to_kv()}, text
 
 
 def _apply_sweep_value(env, geom, sched, parameter, value):
@@ -556,7 +557,7 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
                 cells.append(_fmt(value2))
             quantities = _sweep_quantities(env_v, geom_v, sched_v, u0, base, max_kicks, wanted)
             rows.append(",".join(cells + [_fmt(quantities[q]) for q in wanted]))
-    wrote = f"wrote {prefix}_sweep.csv ({len(rows) - 1} rows) in {out_dir}"
+    wrote = f"wrote {prefix}_sweep.csv ({len(rows) - 1} rows) in {out_dir}\n"
     return EXIT_OK, {"sweep.csv": "\n".join(rows) + "\n"}, wrote
 
 
@@ -578,30 +579,30 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> _Outcome:
             deltas = [base_dt, base_dt / 2, base_dt / 4, base_dt / 8]
         steps, shape = cfg["oracle", "steps_per_kick"], cfg["oracle", "shape"]
         chans = oracle.nascent_delta_channels(spec, geom, sched, deltas, steps_per_kick=steps, shape=shape)
-        name, rows, dists = "nascent.csv", ["delta_t,distance"], []
+        name, rows, dists, said = "nascent.csv", ["delta_t,distance"], [], []
         for dt, ch in zip(deltas, chans):
             d = oracle.channel_distance(analytic, ch)
             dists.append((dt, d))
             rows.append(f"{_fmt(dt)},{_fmt(d)}")
-            print(f"delta_t={dt:g}  distance={d:.3e}")
+            said.append(f"delta_t={dt:g}  distance={d:.3e}")
         judged, dist = "finest distance", min(dists)[1]  # at the narrowest width, wherever the config lists it
     else:
         orc = oracle.oracle_channel(
             spec, geom, sched, stability_tol=min(tol, 1e-8), max_dim=cfg["oracle", "dim_max"]
         )
         judged, dist = "distance", oracle.channel_distance(analytic, orc)
-        name, rows = "oracle.csv", ["dim,stability,distance_to_analytic"]
+        name, rows, said = "oracle.csv", ["dim,stability,distance_to_analytic"], []
         for step_dim, step_dist in orc.meta["history"]:
             rows.append(f"{step_dim},{_fmt(step_dist)},")
-            print(f"dim={step_dim}  change={step_dist:.3e}")
+            said.append(f"dim={step_dim}  change={step_dist:.3e}")
         rows.append(f"{orc.meta['dim']},{_fmt(orc.meta['stability'])},{_fmt(dist)}")
-        print(
+        said.append(
             f"oracle dim={orc.meta['dim']} stability={orc.meta['stability']:.3e} "
             f"tail={orc.meta['tail']:.3e} distance={dist:.3e}"
         )
     failed = dist > tol
-    print(f"{'FAIL' if failed else 'OK'}: {judged} {dist:.3e} {'>' if failed else '<='} tolerance {tol:g}")
-    return EXIT_CHECK if failed else EXIT_OK, {name: "\n".join(rows) + "\n"}, ""
+    said.append(f"{'FAIL' if failed else 'OK'}: {judged} {dist:.3e} {'>' if failed else '<='} tolerance {tol:g}")
+    return EXIT_CHECK if failed else EXIT_OK, {name: "\n".join(rows) + "\n"}, "\n".join(said) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +649,7 @@ def main(argv=None) -> int:
             if raw is not None:
                 for section, key in keys:
                     cfg.override(section, key, raw, flag)
-        code, files, wrote = _COMMANDS[args.command](cfg, _Train(cfg))
+        code, files, said = _COMMANDS[args.command](cfg, _Train(cfg))
         out, prefix = cfg["output", "dir"], cfg["output", "prefix"]
         targets = {os.path.join(out, f"{prefix}_{suffix}"): text for suffix, text in files.items()}
         for path in targets:  # a rename onto a directory would fail after earlier files were written
@@ -656,8 +657,7 @@ def main(argv=None) -> int:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, text in targets.items():
             write_text_atomic(path, text)
-        if wrote:
-            print(wrote)
+        print(said, end="")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

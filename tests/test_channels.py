@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from spinkick import (
     identity_channel,
     invert_channel,
     load_channel,
-    save_channel,
     single_kick_channel,
     transition_map,
     two_kick_closed_form,
@@ -484,7 +484,8 @@ def test_prefix_pass_carries_wrapping_phases(kind):
 
 def test_prefix_pass_is_independent_of_its_length():
     """The pass fills buffers sized for its last kick; prefix k comes out bit
-    for bit the same whatever the length of the pass."""
+    for bit the same whatever the length of the pass.  Prefix 0 is the same
+    identity in every pass, but each pass's is a map of its own."""
     rng = np.random.default_rng(5)
     sched = KickSchedule(np.sort(rng.uniform(0.0, 5.0, size=10)), rng.uniform(0.5, 1.5, size=10))
     env = SingleModeThermal(omega=0.9, nbar=0.5, displacement=0.4 - 0.3j)
@@ -492,11 +493,27 @@ def test_prefix_pass_is_independent_of_its_length():
     full = build_prefix_channels(env, geom, sched)
     for m in range(11):
         short = build_prefix_channels(env, geom, KickSchedule(sched.times[:m], sched.weights[:m]))
-        assert short[0] is full[0]  # prefix 0 is one map shared by every pass
+        assert short[0].meta == full[0].meta and short[0].meta is not full[0].meta
         for k in range(m + 1):
             assert np.array_equal(short[k].chi, full[k].chi)
             assert np.array_equal(short[k].matrix, full[k].matrix)
             assert np.array_equal(short[k].shift, full[k].shift)
+
+
+def test_prefix_zero_is_a_map_of_each_pass(vacuum, standard_geometry):
+    """Editing the meta of one pass's prefix 0 changes no other pass and no
+    identity channel, and a pass's maps still round-trip through pickle."""
+    sched = KickSchedule([0.0, 0.7])
+    build_prefix_channels(vacuum, standard_geometry, sched)[0].meta["kind"] = "tampered"
+    build_prefix_channels(vacuum, standard_geometry, KickSchedule([]))[0].meta["kind"] = "tampered"
+    later = build_prefix_channels(vacuum, standard_geometry, sched)
+    assert later[0].meta == {"kind": "identity"}
+    assert build_prefix_channels(vacuum, standard_geometry, KickSchedule([]))[0].meta == {"kind": "identity"}
+    assert identity_channel().meta == {"kind": "identity"}
+    for m, back in zip(later, pickle.loads(pickle.dumps(later))):
+        np.testing.assert_array_equal(back.matrix, m.matrix)
+        np.testing.assert_array_equal(back.shift, m.shift)
+        assert back.meta == m.meta
 
 
 def test_prefix_pass_peak_memory_is_its_stated_bytes(vacuum, standard_geometry):
@@ -754,7 +771,7 @@ def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.4, 0.9])
     assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3
     assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == (
-        3584 + 288 * 3 + 16 * 3**2 + (128 + 16 * 3) * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 1536 + 1088 * 3)
+        4672 + 288 * 3 + 16 * 3**2 + (128 + 16 * 3) * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 1536 + 1088 * 3)
     )
 
 
@@ -1129,7 +1146,7 @@ def test_compose_is_channel_only_for_channel_pairs(vacuum, standard_geometry):
 def test_channel_roundtrip(tmp_path, vacuum, standard_geometry):
     ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     path = tmp_path / "channel.txt"
-    save_channel(ch, path)
+    path.write_text(format_channel(ch))
     back = load_channel(path)
     np.testing.assert_array_equal(back.matrix, ch.matrix)
     np.testing.assert_array_equal(back.shift, ch.shift)
@@ -1142,7 +1159,7 @@ def test_transition_roundtrip(tmp_path, vacuum, standard_geometry):
     longer = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     theta = transition_map(longer, single_kick_channel(vacuum, standard_geometry, 0.0))
     path = tmp_path / "theta.txt"
-    save_channel(theta, path)
+    path.write_text(format_channel(theta))
     back = load_channel(path)
     assert not back.cp
     np.testing.assert_array_equal(back.chi, theta.chi)
@@ -1153,7 +1170,7 @@ def test_load_rejects_an_edited_chi_entry(tmp_path, vacuum, standard_geometry):
     with them is refused."""
     ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     path = tmp_path / "channel.txt"
-    save_channel(ch, path)
+    path.write_text(format_channel(ch))
     lines = path.read_text().splitlines()
     row = lines.index("chi:") + 2
     entries = lines[row].split()

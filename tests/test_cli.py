@@ -1017,6 +1017,42 @@ def test_a_target_that_is_a_directory_writes_no_file(tmp_path, capsys):
     assert os.listdir(out) == ["spinkick_channel.txt"]
 
 
+def _example_with(tmp_path, **values):
+    """The example config with the given keys of [analysis] or [oracle] set."""
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        body = fh.read()
+    for key, value in values.items():
+        body, count = re.subn(rf"^{key} = \S+", f"{key} = {value}", body, flags=re.M)
+        assert count == 1, key
+    return write_cfg(tmp_path, body)
+
+
+def test_a_run_whose_report_fails_prints_nothing(tmp_path, capsys):
+    """A simulate whose toggled oracle check cannot converge exits 5 after
+    its divisibility report has run: it prints nothing on stdout, only its
+    error line on stderr, and writes no file."""
+    cfg = _example_with(tmp_path, divisibility="true", oracle_check="true", dim_max=25)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "simulate"]) == EXIT_CHECK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oracle failure: no stable channel up to dim 25")
+    assert not out.exists()
+
+
+def test_simulate_prints_its_reports_in_run_order_then_wrote(tmp_path, capsys):
+    """simulate prints the text of each toggled report, in run order, then
+    its wrote line; each report's text is that of its file."""
+    cfg = _example_with(tmp_path, divisibility="true", fixed_point="true")
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "simulate"]) == EXIT_OK
+    report = (out / "spinkick_divisibility.txt").read_text()
+    fixed = (out / "spinkick_fixed_point.txt").read_text()
+    assert report.startswith("divisibility") and len(fixed.splitlines()) == 5
+    wrote = f"wrote spinkick_trajectory.csv and spinkick_channel.txt in {out}\n"
+    assert capsys.readouterr().out == report + fixed + wrote
+
+
 def test_defaults_are_shared_and_read_only(tmp_path, monkeypatch):
     """A key a config leaves out takes its default, parsed once for every
     config: arrays are shared read-only, so no run can change another's.

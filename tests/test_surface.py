@@ -17,9 +17,8 @@ SRC = ROOT / "src" / "spinkick"
 MODULES = ("analysis", "channels", "cli", "environment", "errors", "kicks", "oracle", "pauli")
 
 KEEP = {
-    "trace_distance": "distance between output states, for the per-kick rows of ROADMAP item 6",
-    "commutator_C": "the commutator of the coupling, for the per-step transition maps of ROADMAP item 7",
-    "save_channel": "writer of the _channel.txt format the CLI emits",
+    "trace_distance": "distance between output states, for the per-kick rows of the classical twin (ROADMAP item 5)",
+    "commutator_C": "the commutator of the coupling, what the classical twin drops (ROADMAP item 5)",
     "load_channel": "validating reader of the _channel.txt format the CLI emits",
 }
 

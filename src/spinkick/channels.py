@@ -48,7 +48,7 @@ constructed objects are immutable and safe to share between threads.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -329,10 +329,6 @@ def identity_channel() -> QubitMap:
     return _map(_ID3, np.zeros(3), (), {"kind": "identity"})
 
 
-# the template of prefix 0, built and validated once; each pass gets a copy
-_IDENTITY = identity_channel()
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -445,10 +441,10 @@ def _pass_bytes(n: int) -> int:
     kick: what it holds at its last level, plus the larger of that level's
     transients and what it builds after the level loop.
 
-    Held, whatever its length: 3.5 KiB of array headers and small objects
-    and 1088 bytes for prefix 0, a map of the pass's own; per kick 288
-    bytes (its axis, frame, overlap with the previous frame, q, mean and
-    variance, and its block T_k with its route); the Gram matrix, 16 n^2.  Per sign vector 128 + 16 n bytes: every kick's f, one
+    Held, whatever its length: 3.5 KiB of array headers and small objects;
+    per kick 288 bytes (its axis, frame, overlap with the previous frame,
+    q, mean and variance, and its block T_k with its route); the Gram
+    matrix, 16 n^2.  Per sign vector 128 + 16 n bytes: every kick's f, one
     row of 2^(n-1) entries a kick (16 n); the last kick's Re a, Re b and p
     (32); the amplitudes of both signs and the conjugate of one (96).
     Below the base side, the base block, which is the whole last level (24
@@ -466,20 +462,21 @@ def _pass_bytes(n: int) -> int:
     numpy's buffer casting their exponentials to complex (16 an entry, at
     most ``np.getbufsize()``).
 
-    After the level loop, the maps: 1.5 KiB for the provenance the
-    prefixes share (the environment's repr, the times and weights tuples),
-    the route counts and the tuple of prefixes, and 1088 bytes a prefix
-    for its row of the (A, b) stack (96), its map (object, read-only A and
-    b, axes view) and its meta.  The (A, b) recursion's outer products and
-    the stacked validation's S, chi_P and eigenvalues are freed before the
-    maps are built.
+    After the level loop, the n + 1 maps: 1712 bytes for prefix 0 (720:
+    its row of the (A, b) stack, map and one-key meta), the stack's
+    headers, the provenance the prefixes share (the environment's repr,
+    the times and weights tuples), the route counts and the tuple of
+    prefixes; and 1216 bytes a kick prefix for its row of the stack (96),
+    its map (object, read-only A and b, axes view) and its meta.  The
+    (A, b) recursion's outer products and the stacked validation's S,
+    chi_P and eigenvalues are freed before the maps are built.
 
     The figures: 3.0 MiB (0.74 * 4^n bytes) at 11 kicks; 7.4, 27.6 and 107
     MiB at 12, 13 and 14; 104 TiB at 24.  Per kick they tend to 4x, and the
     total to 104 bytes per tile and base row, 13/32 * 4^n = 0.41 * 4^n."""
     m = 2 ** (n - 1) if n else 0
-    held = 4672 + 288 * n + 16 * n * n + (128 + 16 * n) * m
-    maps = 1536 + 1088 * n
+    held = 3584 + 288 * n + 16 * n * n + (128 + 16 * n) * m
+    maps = 1712 + 1216 * n
     if m < _BASE:
         return held + 24 * m * m + max(1024 + 48 * m * m + 16 * min(np.getbufsize(), m * m), maps)
     rows = m * m // _BASE  # tile-and-base-row pairs, T^2 * _BASE
@@ -626,16 +623,18 @@ def build_prefix_channels(
     (``_factored_level``).
 
     Those factors can leave float64's range where the coefficients do not,
-    at high occupation.  So a tiled level is factored only when -min R_J and
-    every tile's max U_ij + max V_ij are at most ``_FACTOR_RANGE`` = 600:
-    then every factor lies within [e^-600, e^600], and a column factor that
-    underflows (below e^-708) stands for a coefficient below e^-108.  Any
-    other level sums its real exponent R_J + U + V before it exponentiates
-    it, a row of tiles at a time (``_tile_rows``), so no factor leaves the
-    range; levels below the base block always do.  The rule reads only the
-    first k+1 kicks, so a prefix does not depend on the length of the pass.
-    Each prefix's meta counts its tiled levels in ``factored_levels`` and
-    ``summed_levels``.
+    at high occupation, so a tiled level is factored only when every tile's
+    max U_ij + max V_ij is at most ``_FACTOR_RANGE`` = 600.  That bound
+    suffices: row factors lie within e^600, column factors within 1, and an
+    entry of Gamma_J that underflows (R_J < -708) stands for a coefficient
+    below e^(600 - 708) = e^-108.  As every coefficient has modulus at most
+    1, max U_ij + max V_ij <= -min R_J, so a base block within the bound
+    factors every tiled level.  Any other level sums its real exponent
+    R_J + U + V before it exponentiates it, a row of tiles at a time
+    (``_tile_rows``), so no factor leaves the range; levels below the base
+    block always do.  The rule reads only the first k+1 kicks, so a prefix
+    does not depend on the length of the pass; each prefix's meta counts
+    its tiled levels in ``factored_levels`` and ``summed_levels``.
 
     Every kick's f comes from one doubling before the first level
     (``_kick_sums``), and every prefix's (A, b) from one recursion over the
@@ -652,15 +651,15 @@ def build_prefix_channels(
     value (a factor 2 to spare for rounding) raises SpinKickError.  The
     prefixes are validated together, with one ``eigvalsh`` over their
     stacked (A, b), and share one provenance: the environment's repr and
-    the kick times and weights are formed once.  Prefix 0 is a copy of one
-    identity map validated once: no two passes share a map.
+    the kick times and weights are formed once.  Prefix 0 is row 0 of that
+    stack, the identity the recursion starts from, validated with the
+    rest: no two passes share a map.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
     with _coefficient_budget(n, max_kicks, nbytes):
-        maps = (replace(_IDENTITY, meta=dict(_IDENTITY.meta)),)  # prefix 0, with a meta of its own
         if n == 0:
-            return maps
+            return (identity_channel(),)
         size = 2 ** (n - 1)
         side, tiles = min(size, _BASE), size // _BASE
         re_l, phase = np.empty((side, side)), np.empty((side, side), dtype=complex)
@@ -669,7 +668,6 @@ def build_prefix_channels(
         u[:1, :1], pi[:1, :1] = 0.0, 1.0
         half = _BASE // 2
         work = np.empty(max(4 * tiles * tiles * (half + _BASE), 3 * tiles * _BASE * _BASE))  # see _pass_bytes
-        gamma_halves = None
 
         times = sched.times
         rs = r_of_t(geom, times)
@@ -709,7 +707,7 @@ def build_prefix_channels(
                 del x_re, x_ph
             else:
                 t = m // _BASE
-                if t == 1 and -re_l.min() <= _FACTOR_RANGE:  # the base block is complete
+                if t == 1:  # the base block is complete
                     gamma_halves = np.empty((2, _BASE, half), dtype=complex)  # Gamma_J's columns by parity
                     for tau, cols in enumerate(_PARITY_HALVES):
                         gamma_halves[tau] = re_l[:, cols]  # a complex exp in place: a real one would need a cast buffer
@@ -719,7 +717,7 @@ def build_prefix_channels(
                 shift_u = u[:t, :t] + re_a[:, None]
                 shift_v = u[:t, :t].transpose(1, 0, 2) + re_b
                 top_v = shift_v.max(2, keepdims=True)
-                if gamma_halves is not None and (shift_u.max(2, keepdims=True) + top_v).max() <= _FACTOR_RANGE:
+                if (shift_u.max(2, keepdims=True) + top_v).max() <= _FACTOR_RANGE:
                     t_all[k] = _factored_level(
                         gamma_halves, shift_u, shift_v, top_v, pi[:t, :t], p, g_plus, g_minus_conj, work
                     )
@@ -733,6 +731,7 @@ def build_prefix_channels(
 
         a_all, b_all = _affine_record(rs, q, m_first, t_all)
         _validate(a_all, b_all, cp=True)
+        maps = (QubitMap(a_all[0], b_all[0], (), {"kind": "identity"}),)
         shared = _provenance("n_kick", env, times, sched.weights)
         for k, (fl, sl) in enumerate(np.cumsum(routes, 0).tolist(), 1):
             meta = dict(
@@ -745,27 +744,27 @@ def build_prefix_channels(
                 factored_levels=fl,
                 summed_levels=sl,
             )
-            maps += (QubitMap(a_all[k - 1], b_all[k - 1], rs[:k], meta),)
+            maps += (QubitMap(a_all[k], b_all[k], rs[:k], meta),)
         return maps
 
 
 def _affine_record(rs, q, m_first, t_all) -> tuple:
     """The stacked (A, b) of every prefix from the kicks' 2 x 2 blocks T_k:
     A_k = r_k r_k^T A_(k-1) + Re(q_k (x) M.T_k) and b_k = r_k r_k^T b_(k-1)
-    + Re(q_k tr T_k), from A_0 = 1 and b_0 = 0.  The outer products, M.T_k
-    (a matrix-vector product per kick, in numpy's loop over the stack) and
-    the traces are taken for all kicks at once; the recursion runs kick by
-    kick."""
+    + Re(q_k tr T_k), from row 0, A_0 = 1 and b_0 = 0 (n + 1 rows).  The
+    outer products, M.T_k (a matrix-vector product per kick, in numpy's
+    loop over the stack) and the traces are taken for all kicks at once;
+    the recursion runs kick by kick."""
     n = len(rs)
     dephase = rs[:, :, None] * rs[:, None, :]
     coherence = np.matmul(m_first, t_all.reshape(n, 4, 1))[..., 0]
     kick_a = (q[:, :, None] * coherence[:, None, :]).real
     kick_b = (q * np.trace(t_all, axis1=1, axis2=2)[:, None]).real
-    a_all, b_all = np.empty((n, 3, 3)), np.empty((n, 3))
-    a_mat, shift = _ID3, np.zeros(3)
+    a_all, b_all = np.empty((n + 1, 3, 3)), np.empty((n + 1, 3))
+    a_all[0], b_all[0] = _ID3, 0.0
     for k in range(n):
-        a_all[k] = a_mat = dephase[k] @ a_mat + kick_a[k]
-        b_all[k] = shift = dephase[k] @ shift + kick_b[k]
+        a_all[k + 1] = dephase[k] @ a_all[k] + kick_a[k]
+        b_all[k + 1] = dephase[k] @ b_all[k] + kick_b[k]
     return a_all, b_all
 
 

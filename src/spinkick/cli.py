@@ -169,6 +169,14 @@ def _quantities(raw: str) -> tuple[str, ...]:
 
 _positive_real = _at_least(_real, 0, strict=True)
 
+
+def _path_part(raw: str) -> str:
+    """Text for a file path: no path can hold a NUL byte."""
+    if "\0" in raw:
+        raise ValueError(f"holds a NUL byte: {raw!r}")
+    return raw
+
+
 # Every section and key of a run config: the parser of its text and its
 # default text.  A default of None means the key has none: the command that
 # needs the key requires it, or the library picks the value.
@@ -222,7 +230,10 @@ _SCHEMA = {
         "count2": (_at_least(_integer, 2), None),
         "quantities": (_quantities, _DEFAULT_QUANTITIES),
     },
-    "output": {"dir": (lambda raw: os.path.join(os.getcwd(), raw), "out"), "prefix": (str, "spinkick")},
+    "output": {
+        "dir": (lambda raw: os.path.join(os.getcwd(), _path_part(raw)), "out"),
+        "prefix": (_path_part, "spinkick"),
+    },
 }
 
 
@@ -306,9 +317,11 @@ class RunConfig:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         parser.optionxform = str  # keep case (Omega vs omega)
         try:
-            read = parser.read(path)
+            read = parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         return cls(parser, os.path.dirname(os.path.abspath(path)))

@@ -621,6 +621,31 @@ def test_prefix_pass_contractions_agree(monkeypatch):
         np.testing.assert_allclose(factored[k].shift, summed[k].shift, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("omega", [0.9, 0.0])
+def test_prefix_pass_routes_by_the_tile_bound_alone(omega, monkeypatch):
+    """At nbar 20 the base block's own exponent range exceeds the bound, but
+    every tile's row and column shifts stay within it, so each tiled level is
+    one product with the base block: every prefix agrees with the summed
+    route and, on a commuting train, with the dephasing closed form."""
+    from spinkick import channels
+
+    env = SingleModeThermal(omega=1.0, nbar=20)
+    geom = InteractionGeometry(h=[0, 0, 1], alpha=[0.6, 0, 0.8], omega=omega)
+    sched = KickSchedule(0.2 + 0.5 * np.arange(9))
+    got = build_prefix_channels(env, geom, sched)
+    assert (got[9].meta["factored_levels"], got[9].meta["summed_levels"]) == (3, 0)
+    monkeypatch.setattr(channels, "_FACTOR_RANGE", -np.inf)
+    summed = build_prefix_channels(env, geom, sched)
+    assert (summed[9].meta["factored_levels"], summed[9].meta["summed_levels"]) == (0, 3)
+    for k in range(10):
+        np.testing.assert_allclose(got[k].matrix, summed[k].matrix, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got[k].shift, summed[k].shift, rtol=0, atol=1e-14)
+        if omega == 0.0 and k:
+            ref = dephasing_channel(env, geom, KickSchedule(sched.times[:k]))
+            np.testing.assert_allclose(got[k].matrix, ref.matrix, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got[k].shift, ref.shift, rtol=0, atol=1e-14)
+
+
 def test_prefix_pass_factors_long_trains():
     """Trains like the long ones the benchmark runs (11 kicks 0.1 to 1 apart,
     nbar up to 2, weights up to 1.5) stay within the range bound: every
@@ -771,7 +796,7 @@ def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.4, 0.9])
     assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3
     assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == (
-        4672 + 288 * 3 + 16 * 3**2 + (128 + 16 * 3) * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 1536 + 1088 * 3)
+        3584 + 288 * 3 + 16 * 3**2 + (128 + 16 * 3) * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 1712 + 1216 * 3)
     )
 
 
@@ -1193,18 +1218,19 @@ def test_load_refuses_an_unknown_kind(tmp_path, vacuum, standard_geometry, line)
         load_channel(path)
 
 
-@pytest.mark.parametrize("cut", ["empty", "after_chi", "bad_header"])
+@pytest.mark.parametrize("cut", ["empty", "after_chi", "bad_header", "renamed_section"])
 def test_load_rejects_a_malformed_file(tmp_path, vacuum, standard_geometry, cut):
     ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     text = format_channel(ch)
-    text = {
-        "empty": "",
-        "after_chi": text[: text.index("chi:\n") + len("chi:\n")],
-        "bad_header": text.replace("spinkick-map v1", "spinkick-map v2"),
+    text, reason = {
+        "empty": ("", "a line is missing"),
+        "after_chi": (text[: text.index("chi:\n") + len("chi:\n")], "a line is missing"),
+        "bad_header": (text.replace("spinkick-map v1", "spinkick-map v2"), "unrecognized header"),
+        "renamed_section": (text.replace("\nA:\n", "\nB:\n"), "expected A section"),
     }[cut]
     path = tmp_path / "channel.txt"
     path.write_text(text)
-    with pytest.raises(InvalidMap, match="malformed"):
+    with pytest.raises(InvalidMap, match=f"malformed channel file .*: {reason}"):
         load_channel(path)
 
 

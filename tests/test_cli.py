@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import tempfile
@@ -427,10 +428,10 @@ def test_log_base_flag(tmp_path):
 
 
 def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
-    """n kicks take one pass, and its prefix channels are built and
-    validated together, in one stacked validation, straight from the affine
-    action the pass carries: the channel file reuses the last prefix
-    channel."""
+    """n kicks take one pass, and its n + 1 prefix channels, the identity
+    among them, are built and validated together, in one stacked
+    validation, straight from the affine action the pass carries: the
+    channel file reuses the last prefix channel."""
     from spinkick import channels
 
     passes, stacks, conversions = [], [], []
@@ -452,7 +453,7 @@ def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
     body = BASE_CFG.format(out=out).replace("times = 0.0", "times = 0.0 0.7 1.3")
     assert main(["--config", write_cfg(tmp_path, body), "simulate"]) == EXIT_OK
     assert passes == [3]
-    assert stacks == [((3, 3, 3), (3, 3), True)]
+    assert stacks == [((4, 3, 3), (4, 3), True)]
     ch = load_channel(out / "run_channel.txt")
     assert ch.meta["times"] == (0.0, 0.7, 1.3)
     assert sorted(p.name for p in out.iterdir()) == ["run_channel.txt", "run_trajectory.csv"]
@@ -1155,3 +1156,90 @@ def test_nascent_refusal_comes_before_any_output(tmp_path, capsys):
     assert "distance" not in captured.out
     assert captured.err.startswith("error: pulse width 1 overlaps kick gap 0.7")
     assert not (out / "run_nascent.csv").exists()
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
+    """Config files are read as UTF-8 whatever the locale: a Latin-1 byte is
+    a config error before any command runs, not a traceback."""
+    with open(EXAMPLE_CFG, "rb") as fh:
+        (tmp_path / "latin.cfg").write_bytes(b"# caf\xe9\n" + fh.read())
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", "latin.cfg", "fixed-point"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: config file latin.cfg is not UTF-8")
+    assert os.listdir(tmp_path) == ["latin.cfg"]
+
+
+@pytest.mark.parametrize("key", ["dir", "prefix"])
+def test_a_nul_byte_in_an_output_name_exits_2(tmp_path, capsys, monkeypatch, key):
+    """No path holds a NUL byte: [output] dir and prefix refuse one when the
+    config is read, so the run exits 2 and makes no directory."""
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        body, count = re.subn(rf"^({key} = \w)(\w+)$", "\\1\0\\2", fh.read(), flags=re.M)
+    assert count == 1
+    write_cfg(tmp_path, body)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", "run.cfg", "simulate"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: [output] {key}: holds a NUL byte")
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_an_atomic_write_that_fails_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A rename that fails propagates its error and removes the temp file."""
+    from spinkick.cli import write_text_atomic
+
+    def refuse(src, dst):
+        raise OSError(errno.EXDEV, "refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="refused"):
+        write_text_atomic(str(tmp_path / "x.txt"), "text\n")
+    assert os.listdir(tmp_path) == []
+
+
+# Each case: the command, the example config's lines replaced (a line by
+# None is dropped), and the start of the documented refusal.
+_REFUSALS = {
+    "no_model": ("fixed-point", {"model = single_mode_thermal": None}, "[environment] model is required"),
+    "no_omega": ("fixed-point", {"omega = 1.0": None}, "[environment] omega is required for single_mode_thermal"),
+    "no_variance": ("fixed-point", {"model = single_mode_thermal": "model = white_kick"},
+                    "[environment] variance is required for white_kick"),
+    "no_path": ("fixed-point", {"model = single_mode_thermal": "model = tabulated"},
+                "[environment] path is required for tabulated"),
+    # the config itself as the kernel file: it has none of the kernel's section headers
+    "kernel_without_headers": ("fixed-point", {"model = single_mode_thermal": "model = tabulated\npath = run.cfg"},
+                               "[environment] missing section header in "),
+    "no_gap": ("fixed-point", {"Omega = 1.0": None}, "[geometry] h, alpha and Omega are all required"),
+    "dephasing_range": (
+        "divisibility",
+        {"Omega = 1.0": "Omega = 0.0", "mode = auto": "mode = dephasing", "n = 1": "n = 2"},
+        "need 1 <= n < m <= 2, got n=2, m=2",
+    ),
+    "nbar_of_white": ("sweep", {"model = single_mode_thermal": "model = white_kick\nvariance = 0.3"},
+                      "sweep parameter 'nbar' needs the single_mode_thermal model"),
+    "variance_of_thermal": ("sweep", {"parameter = nbar": "parameter = variance"},
+                            "sweep parameter 'variance' needs the white_kick model"),
+    "gap_of_no_kicks": (
+        "sweep",
+        {"parameter = nbar": "parameter = gap", "times = 0.0 0.7": "times =", "weights = 1 1": None},
+        "sweep parameter 'gap' needs a non-empty schedule",
+    ),
+    "no_count": ("sweep", {"count = 21": None}, "[sweep] start, stop and count are required"),
+    "no_parameter": ("sweep", {"parameter = nbar": None}, "[sweep] parameter is required"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_required_keys_and_model_mismatches_exit_2(tmp_path, capsys, case):
+    """A key a command needs, a kernel file without its headers, or a sweep
+    parameter its model or schedule cannot take, ends in exit 2 with its
+    documented message and no output."""
+    command, edits, message = _REFUSALS[case]
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        lines = [re.sub(r"\s+#.*", "", line) for line in fh.read().splitlines()]
+    for old, new in edits.items():
+        assert lines.count(old) == 1, old
+        lines[lines.index(old)] = "" if new is None else new
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, "\n".join(lines) + "\n"), "--out", str(out), command]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()

@@ -578,6 +578,25 @@ def test_oracle_refuses_a_start_past_max_dim_before_building(dim, vacuum, standa
     assert builds == []
 
 
+def test_oracle_raises_after_an_unstable_ladder(standard_geometry, monkeypatch):
+    """At nbar 2 the truncations 20, 30 and 40 still differ by more than the
+    stability tolerance: each is built once, and the search then gives up at
+    max_dim."""
+    from spinkick import oracle
+
+    builds, build = [], oracle._channels_at_dim
+
+    def counting(spec, *args):
+        builds.append(spec.dim)
+        return build(spec, *args)
+
+    monkeypatch.setattr(oracle, "_channels_at_dim", counting)
+    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=2.0), dim=20)
+    with pytest.raises(TruncationNotConverged, match="no stable channel up to dim 40"):
+        oracle_channel(spec, standard_geometry, KickSchedule([0.0, 0.7]), max_dim=40)
+    assert builds == [20, 30, 40]
+
+
 def test_oracle_random_matrix(standard_geometry):
     rng = np.random.default_rng(42)
     geom = random_geometry(rng)

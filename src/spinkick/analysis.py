@@ -165,8 +165,8 @@ class DivisibilityReport:
         return "\n".join(out) + "\n"
 
 
-def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TOL) -> DivisibilityReport:
-    """Assemble Theta = longer o shorter^{-1} and judge CP and P.
+def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TOL, closed_form=None) -> DivisibilityReport:
+    """Assemble Theta = longer o shorter^{-1}, judge CP and P, and report the TwoKickParams ``closed_form`` if given.
 
     P (positivity) holds when Theta keeps every pure state in the ball,
     judged exactly by ``max_image_norm``; CP implies P, so a CP step is
@@ -189,7 +189,7 @@ def divisibility_report(longer: QubitMap, shorter: QubitMap, tol: float = PSD_TO
         cp_divisible=cp,
         p_divisible=pos,
         witness=witness,
-        closed_form_params=longer.meta.get("closed_form"),
+        closed_form_params=closed_form,
         meta={"longer": theta.meta.get("longer"), "shorter": theta.meta.get("shorter")},
     )
 

@@ -30,8 +30,8 @@ where the scalings would leave float64's range, at high occupation), and
 no array of 4^(n-1) coefficients is held (its bytes: ``_pass_bytes``).
 The two builders agree to rounding (1e-12 in the tests for n <= 10).  A
 build past the ``max_kicks`` budget, or one whose coefficients cannot be
-allocated, raises TooManyKicks naming the bytes it needs; each channel
-records them in ``meta["bytes"]``.  Construction is deterministic: a
+allocated at any size (``_held``), raises TooManyKicks naming the bytes;
+channels record them in ``meta["bytes"]``.  Construction is deterministic: a
 fixed order of accumulation gives bit-reproducible output.
 
 Channels and the transition maps between kick counts are one type,
@@ -47,6 +47,7 @@ constructed objects are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -412,17 +413,24 @@ def _byte_text(nbytes: int) -> str:
 
 
 @contextmanager
-def _coefficient_budget(n: int, max_kicks: int, nbytes: int):
-    """Refuse an n-kick exact build past ``max_kicks``, or one whose
-    coefficients cannot be allocated, with TooManyKicks naming the bytes
-    ``nbytes`` it needs."""
-    need = _byte_text(nbytes)
-    if n > max_kicks:
-        raise TooManyKicks(f"{n} kicks exceeds budget of {max_kicks}; the build would hold {need} of coefficients")
+def _held(nbytes: int, refusal: str, error: type = SpinKickError):
+    """Run a build of ``nbytes``: if they cannot be allocated, raise ``error``
+    with ``refusal``, whose ``{need}`` names them."""
+    failure = refusal.format(need=_byte_text(nbytes)) + ", more than could be allocated"
+    if nbytes > sys.maxsize:  # numpy would raise ValueError, not MemoryError: refused before the build starts
+        raise error(failure)
     try:
         yield
     except MemoryError as exc:
-        raise TooManyKicks(f"{n} kicks need {need} of coefficients, more than could be allocated") from exc
+        raise error(failure) from exc
+
+
+def _coefficient_budget(n: int, max_kicks: int, nbytes: int):
+    """Refuse an n-kick exact build past ``max_kicks`` naming ``nbytes``; else its guard ``_held``."""
+    if n > max_kicks:
+        need = _byte_text(nbytes)
+        raise TooManyKicks(f"{n} kicks exceeds budget of {max_kicks}; the build would hold {need} of coefficients")
+    return _held(nbytes, f"{n} kicks need {{need}} of coefficients", TooManyKicks)
 
 
 def _provenance(kind: str, env, times, weights) -> dict:
@@ -852,12 +860,13 @@ def two_kick_closed_form(
 
     When r(t1) is parallel to r(t0) the e-frame degenerates; the schedule is
     then commuting and the construction falls back to the dephasing channel.
+    Its meta is the provenance only: reports take ``two_kick_params``.
     """
     try:
         params = two_kick_params(env, geom, t0, t1, weights)
     except ParallelAxes:
         return dephasing_channel(env, geom, KickSchedule([t0, t1], list(weights)))
-    meta = {**_provenance("two_kick_closed_form", env, (t0, t1), weights[:2]), "closed_form": params}
+    meta = _provenance("two_kick_closed_form", env, (t0, t1), weights[:2])
     return _map(*_two_kick_affine(params), (r_of_t(geom, t0), params.frame[0]), meta)
 
 

@@ -40,7 +40,6 @@ import argparse
 import cmath
 import configparser
 import contextlib
-import dataclasses
 import errno
 import functools
 import math
@@ -465,15 +464,14 @@ def cmd_divisibility(cfg: RunConfig, train: _Train) -> _Outcome:
     else:
         if len(sched) < 2:
             raise ConfigError("divisibility needs a schedule with at least 2 kicks")
-        longer = train.channel()
+        params = None
         if len(sched) == 2 and env.is_even:
             # report lines only, wherever the closed form is defined (axes not
             # parallel, cosh and sinh in range); the channels stay the pass's
             with contextlib.suppress(SpinKickError):
                 params = channels.two_kick_params(env, geom, *sched.times, sched.weights)
-                longer = dataclasses.replace(longer, meta={**longer.meta, "closed_form": params})
-        shorter = train.channel(len(sched) - 1)
-        report = analysis.divisibility_report(longer, shorter, tol=cfg["analysis", "tol"])
+        longer, shorter = train.channel(), train.channel(len(sched) - 1)
+        report = analysis.divisibility_report(longer, shorter, tol=cfg["analysis", "tol"], closed_form=params)
 
     text = report.to_text()
     return EXIT_OK, {"divisibility.txt": text, "divisibility.kv": report.to_kv()}, text
@@ -539,11 +537,19 @@ def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted):
     return {q: formulas[q]() for q in dict.fromkeys(wanted)}
 
 
+def _grid_points(count: int) -> int:
+    """``count``, the points of a float64 grid; past sys.maxsize bytes, where
+    numpy raises ValueError, refused as out of memory before numpy sees it."""
+    if 8 * count > sys.maxsize:
+        raise MemoryError(f"Unable to allocate {8 * count} bytes for a grid of {count} points")
+    return count
+
+
 def _sweep_grid(cfg: RunConfig, suffix: str = "") -> np.ndarray:
     start, stop, count = (cfg["sweep", key + suffix] for key in ("start", "stop", "count"))
     if start is None or stop is None or count is None:
         raise ConfigError(f"[sweep] start{suffix}, stop{suffix} and count{suffix} are required")
-    return np.linspace(start, stop, count)
+    return np.linspace(start, stop, _grid_points(count))
 
 
 def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
@@ -590,7 +596,7 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> _Outcome:
         if deltas is None or len(deltas) == 0:
             base_dt = cfg["oracle", "delta_t"]
             deltas = [base_dt, base_dt / 2, base_dt / 4, base_dt / 8]
-        steps, shape = cfg["oracle", "steps_per_kick"], cfg["oracle", "shape"]
+        steps, shape = _grid_points(cfg["oracle", "steps_per_kick"]), cfg["oracle", "shape"]
         chans = oracle.nascent_delta_channels(spec, geom, sched, deltas, steps_per_kick=steps, shape=shape)
         name, rows, dists, said = "nascent.csv", ["delta_t,distance"], [], []
         for dt, ch in zip(deltas, chans):

@@ -241,16 +241,11 @@ class TabulatedKernel(GaussianEnvironment):
             raise ValueError(
                 f"covariance matrix not PSD: min eigenvalue {evals.min():.3e}"
             )
-        for a in (times, means, cov):
+        for a in (means, cov):
             a.setflags(write=False)
-        self._times = times
         self._grid = times.tolist()  # Python floats, for the bisection in _index
         self._means = means
         self._cov = cov
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._times
 
     def _index(self, t: float) -> int:
         """The first grid time within _TIME_ATOL of t, by np.isclose's rule
@@ -273,7 +268,7 @@ class TabulatedKernel(GaussianEnvironment):
         return bool(np.all(self._means == 0.0))
 
     def __repr__(self):
-        return f"TabulatedKernel(n={len(self._times)}, even={self.is_even})"
+        return f"TabulatedKernel(n={len(self._grid)}, even={self.is_even})"
 
     # text format: "times:" / "mean:" rows of reals, "covariance:" followed by
     # an n x n matrix of complex entries written as a+bi (one row per line)

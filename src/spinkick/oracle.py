@@ -31,14 +31,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import QubitMap, _byte_text
+from .channels import QubitMap, _held
 from .environment import SingleModeThermal
 from .errors import (
     InvalidMap,
     InvalidTruncation,
     NonHermitian,
     NonUnitTrace,
-    SpinKickError,
     StepTooCoarse,
     TruncationNotConverged,
     UnknownPulseShape,
@@ -268,7 +267,7 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     differs from (1, 0, 0, 0) by more than 1e-8 does not preserve the trace
     (NonUnitTrace).  Each meta gains the dimension, tail mass, the
     sequence's ``kick_steps``, the one eigendecomposition and the build's
-    peak ``bytes``; a build that cannot be allocated raises SpinKickError.
+    peak ``bytes`` (an int), which ``_held`` names if they cannot be held.
     """
     d, (n_seq, n_steps) = spec.dim, np.shape(steps[1])
     # y and its step buffer (64 W d^2 bytes each); on a pulse grid, G and
@@ -278,21 +277,17 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     # iteration buffer for the broadcast phase products (16 bytes an entry of
     # y, at most np.getbufsize() entries).  The per-step frames and turns
     # (O(W S)) come on top.
-    grid_bytes, grid_steps = (48 * n_seq * d * d, np.count_nonzero(grid[1][1:])) if grid is not None else (0, 0)
+    grid_bytes, grid_steps = (48 * n_seq * d * d, int(np.count_nonzero(grid[1][1:]))) if grid is not None else (0, 0)
     s_bytes = 16 * d * d if spec.env.displacement != 0 else 8 * d
     nbytes = (
         128 * n_seq * d * d + grid_bytes + 8 * d * d + s_bytes + 32 * n_seq * n_steps * d
         + 16 * n_seq * (max(n_steps - 1, 0) - grid_steps) * d + 16 * min(np.getbufsize(), 4 * n_seq * d * d)
     )
-    try:
+    with _held(nbytes, f"oracle truncation at dim {d} needs {{need}}"):
         spectrum = coupling_spectrum(d)
         factor, tail = _environment_factor(spec, spectrum)
         y = _evolve(spec, spectrum, steps, factor, grid).reshape(n_seq, 4, d * d)
         m = (y @ y.conj().swapaxes(1, 2)).reshape(n_seq, 2, 2, 2, 2)
-    except MemoryError as exc:
-        raise SpinKickError(
-            f"oracle truncation at dim {d} needs {_byte_text(nbytes)}, more than could be allocated"
-        ) from exc
     s = 0.5 * np.einsum("mji,nab,wiajb->wmn", _SIGMAS, _SIGMAS, m)
     imag = np.max(np.abs(s.imag))
     if not imag <= 1e-8:  # a NaN is refused too

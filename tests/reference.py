@@ -107,7 +107,7 @@ def two_kick_transition_map(
     """Closed-form transition map of the two-kick process: the two-kick
     affine action with g set to 1."""
     params = two_kick_params(env, geom, t0, t1, weights)
-    meta = {"kind": "transition_closed_form", "times": (float(t0), float(t1)), "closed_form": params}
+    meta = {"kind": "transition_closed_form", "times": (float(t0), float(t1))}
     a, b = _two_kick_affine(dataclasses.replace(params, g=1.0))
     return _map(a, b, (r_of_t(geom, t0), params.frame[0]), meta, cp=False)
 

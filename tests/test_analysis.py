@@ -255,10 +255,11 @@ def test_cp_equals_positive_two_kicks():
 def test_divisibility_report_two_kick(vacuum, standard_geometry):
     longer = two_kick_closed_form(vacuum, standard_geometry, 0.0, 0.7)
     shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
-    report = divisibility_report(longer, shorter)
+    params = two_kick_params(vacuum, standard_geometry, 0.0, 0.7)
+    report = divisibility_report(longer, shorter, closed_form=params)
     assert not report.cp_divisible and not report.p_divisible
     assert report.witness is not None
-    assert report.closed_form_params is not None
+    assert report.closed_form_params is params
     kv = report.to_kv()
     assert "cp_divisible=false" in kv
     assert "lambda_4=" in kv

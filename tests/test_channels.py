@@ -808,13 +808,19 @@ def test_budget_refusal_names_the_bytes(vacuum, standard_geometry):
         build_prefix_channels(vacuum, standard_geometry, sched)
 
 
-def test_pass_beyond_memory_is_refused(vacuum, standard_geometry):
-    """A 24-kick pass needs 24 TiB of tile shifts: their allocation fails
+@pytest.mark.parametrize(
+    "build, n",
+    [(build_prefix_channels, n) for n in (24, 34, 63)] + [(build_n_kick_channel, n) for n in (40, 60, 63)],
+    ids=["pass-24", "pass-34", "pass-63", "enumeration-40", "enumeration-60", "enumeration-63"],
+)
+def test_pass_beyond_memory_is_refused(vacuum, standard_geometry, build, n):
+    """A 24-kick pass needs 104 TiB: the allocation of its tile shifts fails
     before memory is touched, and the failure is a TooManyKicks that names
-    the bytes."""
-    sched = KickSchedule(np.linspace(0, 1, 24))
-    with pytest.raises(TooManyKicks, match=r"24 kicks need \d+ bytes"):
-        build_prefix_channels(vacuum, standard_geometry, sched, max_kicks=24)
+    the bytes.  A build whose stated bytes exceed sys.maxsize, where numpy
+    raises ValueError (or, at 63 kicks, the sign matrix's shift TypeError)
+    rather than MemoryError, is refused the same way before it starts."""
+    with pytest.raises(TooManyKicks, match=rf"^{n} kicks need \d+ bytes .*, more than could be allocated$"):
+        build(vacuum, standard_geometry, KickSchedule(np.linspace(0, 1, n)), max_kicks=n)
 
 
 # ---------------------------------------------------------------------------

@@ -562,14 +562,27 @@ def test_max_kicks_flag_zero_is_a_budget(tmp_path, times, code):
     assert main(["--config", write_cfg(tmp_path, body), "--max-kicks", "0", "simulate"]) == code
 
 
-def test_simulate_beyond_memory_exits_4(tmp_path, capsys):
-    """24 kicks within a raised budget: the pass cannot allocate its 24 TiB
-    of tile shifts, and the run exits 4 naming the bytes, not with a
-    traceback."""
-    times = " ".join(str(0.1 * i) for i in range(24))
-    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", f"times = {times}")
-    assert main(["--config", write_cfg(tmp_path, body), "--max-kicks", "24", "simulate"]) == EXIT_DOMAIN
-    assert re.match(r"error: 24 kicks need \d+ bytes", capsys.readouterr().err)
+@pytest.mark.parametrize(
+    "command, kicks, section",
+    [
+        ("simulate", 24, ""),
+        *((command, 40, "") for command in ("simulate", "fixed-point", "divisibility", "oracle-check")),
+        ("sweep", 62, "[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = 2\n"),
+    ],
+    ids=["simulate-24", "simulate-40", "fixed-point-40", "divisibility-40", "oracle-check-40", "sweep-62"],
+)
+def test_simulate_beyond_memory_exits_4(tmp_path, capsys, command, kicks, section):
+    """24 kicks within a raised budget: the pass cannot allocate its 104 TiB,
+    and the run exits 4 naming the bytes, not with a traceback.  So does a
+    build whose stated bytes exceed sys.maxsize, where numpy would raise
+    ValueError rather than MemoryError, before it allocates anything: the
+    prefix pass at 40 kicks in every command that builds it, and the
+    enumeration of a sweep at 62."""
+    times = " ".join(str(0.1 * i) for i in range(kicks))
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", f"times = {times}") + "\n" + section
+    assert main(["--config", write_cfg(tmp_path, body), "--max-kicks", str(kicks), command]) == EXIT_DOMAIN
+    refusal = rf"error: {kicks} kicks need \d+ bytes .*, more than could be allocated\n$"
+    assert re.match(refusal, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -610,13 +623,21 @@ def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"error: 3 kicks need {16 * 4**3} bytes")
 
 
-def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
+def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, standard_geometry):
     """An oracle truncation whose arrays cannot be allocated ends the run
     with exit 4, naming the dimension and the bytes of the build (136 d^2
     for the evolution, its step buffer and V, 8 d for S's diagonal, 32 d for
     the phases of the one kick, and numpy's iteration buffer of 4 d^2
-    entries, at most np.getbufsize())."""
+    entries, at most np.getbufsize()).  In nascent mode, 4 widths of 48
+    steps, all but the first on the pulse grid: G and G B_k add 48 W d^2,
+    the kick phases are 32 W S d and no step needs its own P_k.  A nascent
+    map records its bytes as an int, as a kicks-mode map does.  A truncation
+    past sys.maxsize bytes (d = 1.2e18), where numpy would raise ValueError,
+    is refused the same way in either mode before anything is built."""
     from spinkick import oracle
+
+    nascent = oracle.nascent_delta_channels(oracle.FockSpec(vacuum, 4), standard_geometry, KickSchedule([0.0]), [0.01])
+    assert type(nascent[0].meta["bytes"]) is int
 
     def no_memory(*args):
         raise MemoryError("Unable to allocate 26.8 GiB")
@@ -628,8 +649,23 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {nbytes} bytes")
     assert not (tmp_path / "out").exists()
 
+    assert main(["--config", write_cfg(tmp_path, body + "mode = nascent\n"), "oracle-check"]) == EXIT_DOMAIN
+    w, s = 4, 48
+    nbytes = (176 * w + 8) * 30**2 + 8 * 30 + 32 * w * s * 30 + 16 * min(np.getbufsize(), 4 * w * 30**2)
+    assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {nbytes} bytes")
+    assert not (tmp_path / "out").exists()
+
+    dim = 12 * 10**17
+    for mode in ("kicks", "nascent"):
+        body = BASE_CFG.format(out=tmp_path / "out") + f"\n[oracle]\nmode = {mode}\ndim = {dim}\ndim_max = {dim + 10}\n"
+        assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_DOMAIN
+        refusal = rf"error: oracle truncation at dim {dim} needs \d+ bytes .*, more than could be allocated\n$"
+        assert re.match(refusal, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
 
 _BEYOND_ANY_ADDRESS_SPACE = 10**18  # points: 8 EB of float64, past the 2^57 bytes of 5-level paging
+_PAST_SYS_MAXSIZE = 12 * 10**17  # points: 9.6 EB of float64, where numpy raises ValueError, not MemoryError
 
 
 @pytest.mark.parametrize(
@@ -642,14 +678,24 @@ _BEYOND_ANY_ADDRESS_SPACE = 10**18  # points: 8 EB of float64, past the 2^57 byt
             f"parameter2 = gap\nstart2 = 0.4\nstop2 = 1.2\ncount2 = {_BEYOND_ANY_ADDRESS_SPACE}\n",
         ),
         ("oracle-check", f"[oracle]\nmode = nascent\nsteps_per_kick = {_BEYOND_ANY_ADDRESS_SPACE}\n"),
+        ("sweep", f"[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = {_PAST_SYS_MAXSIZE}\n"),
+        (
+            "sweep",
+            "[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = 2\n"
+            f"parameter2 = gap\nstart2 = 0.4\nstop2 = 1.2\ncount2 = {_PAST_SYS_MAXSIZE}\n",
+        ),
+        ("oracle-check", f"[oracle]\nmode = nascent\nsteps_per_kick = {_PAST_SYS_MAXSIZE}\n"),
     ],
-    ids=["count", "count2", "steps_per_kick"],
+    ids=[
+        "count", "count2", "steps_per_kick", "count-past-maxsize", "count2-past-maxsize", "steps_per_kick-past-maxsize"
+    ],
 )
 def test_a_grid_beyond_any_address_space_exits_4(tmp_path, capsys, command, section):
     """A sweep grid or a nascent pulse grid of 10^18 points, which no
     machine can map, so that numpy's allocation fails at once and touches
     no page, ends the run with exit 4 and numpy's message, not with a
-    traceback."""
+    traceback; so does one of 1.2 * 10^18 points, past sys.maxsize bytes,
+    which is refused before numpy sees it."""
     body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", "times = 0.0 0.7") + "\n" + section
     assert main(["--config", write_cfg(tmp_path, body), command]) == EXIT_DOMAIN
     assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate")

@@ -13,9 +13,10 @@ of its half-size even-to-odd block, so the evolution is unitary on the
 truncated space up to rounding.  The coupling at time t is a diagonal phase
 rotation of X, and so is the generator of a coherent displacement, so that
 one decomposition per truncation serves every step and the displaced
-environment state; in its eigenbasis a kick is a diagonal phase, and the
-free evolution between kicks is V and V^T around a diagonal phase, each a
-+- butterfly and two half-size real products.  The channel is read from the
+environment state, and a process makes it once per truncation size while
+it holds that spectrum (``SPECTRA_BYTES``); in its eigenbasis a kick is a
+diagonal phase, and the free evolution between kicks is V and V^T around
+a diagonal phase, each a +- butterfly and two half-size real products.  The channel is read from the
 evolved columns of a square root of the environment state.  One loop
 evolves W step sequences of equal length together: the W = 1 kick train,
 or every pulse width of a nascent-delta command, whose steps inside a
@@ -27,6 +28,7 @@ has already checked its times and weights.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +49,8 @@ from .pauli import I2, PAULI, max_image_norm, spin_frames
 
 TAIL_TOL = 1e-12
 DIM_STEP = 10  # Fock levels added per truncation step of oracle_channel
+SPECTRA_BYTES = 8 * 1024**2  # budget of the coupling spectra a process holds, 8 (d^2 + d) bytes each
+_SPECTRA = OrderedDict()  # dim -> read-only (evals, V), least recently used first
 _SIGMAS = np.concatenate([I2[None], PAULI])  # sigma_0 = 1, sigma_x, sigma_y, sigma_z
 _PAIRS = np.array([[1.0, 1.0], [1.0, -1.0]])  # the +- butterfly of an eigenlevel pair
 
@@ -121,7 +125,19 @@ def coupling_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
     [u_j; +-w_j] / sqrt2 on the (even; odd) levels, and for odd d a 0, with
     U's last column on the even levels.  The columns come in the order
     (0, +s, -s), so V's even and odd blocks are V[0::2, :ceil(d/2)] and
-    V[1::2, d mod 2:ceil(d/2)]."""
+    V[1::2, d mod 2:ceil(d/2)].  V must be orthonormal to 1e-10, else
+    InvalidMap: every step the oracle takes from it is unitary exactly
+    when V is.
+
+    The spectrum depends on d alone, so the process keeps it, read-only, in
+    ``_SPECTRA``: 8 (d^2 + d) bytes per dimension, the least recently used
+    dropped first while the held bytes would exceed ``SPECTRA_BYTES``, and
+    a spectrum larger than that is not held.  A held dimension is returned
+    as it is, with no SVD and no check."""
+    spectrum = _SPECTRA.pop(dim, None)
+    if spectrum is not None:
+        _SPECTRA[dim] = spectrum  # now the most recently used
+        return spectrum
     zero, odd = dim % 2, dim // 2
     even = zero + odd
     # sqrt(n) times 1/sqrt2, as numpy rounds (a + a^dag) / sqrt2 in complex
@@ -132,7 +148,18 @@ def coupling_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
     vecs[0::2, zero:even] = vecs[0::2, even:] = u[:, :odd] * math.sqrt(0.5)
     vecs[1::2, zero:even] = wt.T * math.sqrt(0.5)
     vecs[1::2, even:] = -vecs[1::2, zero:even]
-    return np.concatenate([np.zeros(zero), s, -s]), vecs
+    defect = np.max(np.abs(vecs.T @ vecs - np.eye(dim)))
+    if defect > 1e-10:
+        raise InvalidMap(f"coupling eigenbasis failed unitarity check ({defect:.3e})")
+    spectrum = np.concatenate([np.zeros(zero), s, -s]), vecs
+    for array in spectrum:
+        array.flags.writeable = False
+    size = sum(array.nbytes for array in spectrum)
+    if size <= SPECTRA_BYTES:
+        while size + sum(array.nbytes for held in _SPECTRA.values() for array in held) > SPECTRA_BYTES:
+            _SPECTRA.popitem(last=False)
+        _SPECTRA[dim] = spectrum
+    return spectrum
 
 
 def _level_phases(dim: int, turn) -> np.ndarray:
@@ -174,14 +201,11 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     product: against butterflies there it is 7-18% faster at d = 20-25,
     0-5% faster at d = 29-30 and 3-13% slower at d = 40-60 (the README's
     Fock oracle section gives how this was timed).  The last kick is
-    applied on its own.  V must be orthonormal to 1e-10, else InvalidMap:
-    every G_k and B_k is unitary exactly when V is.
+    applied on its own.  Every G_k and B_k is unitary exactly when V is
+    orthonormal, which ``coupling_spectrum`` checked when it made V.
     """
     evals, vecs = spectrum
     d = len(evals)
-    defect = np.max(np.abs(vecs.T @ vecs - np.eye(d)))
-    if defect > 1e-10:
-        raise InvalidMap(f"coupling eigenbasis failed unitarity check ({defect:.3e})")
     times, weights, axes = steps
     n_seq, n_steps = np.shape(weights)
     omega = spec.env.omega
@@ -266,21 +290,25 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     does not preserve Hermiticity (NonHermitian), and one whose first row S[0]
     differs from (1, 0, 0, 0) by more than 1e-8 does not preserve the trace
     (NonUnitTrace).  Each meta gains the dimension, tail mass, the
-    sequence's ``kick_steps``, the one eigendecomposition and the build's
-    peak ``bytes`` (an int), which ``_held`` names if they cannot be held.
+    sequence's ``kick_steps``, the ``eigendecompositions`` the build made
+    (1, or 0 when the process holds the spectrum of spec.dim) and the
+    build's peak ``bytes`` (an int), which ``_held`` names if they cannot be
+    held.  The spectrum is made inside that guard, so a truncation it
+    refuses neither decomposes nor enters the cache.
     """
     d, (n_seq, n_steps) = spec.dim, np.shape(steps[1])
+    made = d not in _SPECTRA
     # y and its step buffer (64 W d^2 bytes each); on a pulse grid, G and
-    # G B_k for both output spins (48 W d^2); V (8 d^2); S (16 d^2, or its
-    # diagonal, 8 d, undisplaced); the kick phases on both spins (32 W S d);
-    # the phases P_k of the steps off a pulse grid (16 W d each); and numpy's
-    # iteration buffer for the broadcast phase products (16 bytes an entry of
-    # y, at most np.getbufsize() entries).  The per-step frames and turns
-    # (O(W S)) come on top.
+    # G B_k for both output spins (48 W d^2); V, unless held (8 d^2); S
+    # (16 d^2, or its diagonal, 8 d, undisplaced); the kick phases on both
+    # spins (32 W S d); the phases P_k of the steps off a pulse grid (16 W d
+    # each); and numpy's iteration buffer for the broadcast phase products
+    # (16 bytes an entry of y, at most np.getbufsize() entries).  The
+    # per-step frames and turns (O(W S)) come on top.
     grid_bytes, grid_steps = (48 * n_seq * d * d, int(np.count_nonzero(grid[1][1:]))) if grid is not None else (0, 0)
     s_bytes = 16 * d * d if spec.env.displacement != 0 else 8 * d
     nbytes = (
-        128 * n_seq * d * d + grid_bytes + 8 * d * d + s_bytes + 32 * n_seq * n_steps * d
+        128 * n_seq * d * d + grid_bytes + (8 * d * d if made else 0) + s_bytes + 32 * n_seq * n_steps * d
         + 16 * n_seq * (max(n_steps - 1, 0) - grid_steps) * d + 16 * min(np.getbufsize(), 4 * n_seq * d * d)
     )
     with _held(nbytes, f"oracle truncation at dim {d} needs {{need}}"):
@@ -295,7 +323,7 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     trace = np.max(np.abs(s[:, 0] - (1.0, 0.0, 0.0, 0.0)))
     if not trace <= 1e-8:
         raise NonUnitTrace(f"oracle map does not preserve the trace: S[0] is off (1, 0, 0, 0) by {trace:.3e} > 1e-8")
-    work = {"dim": d, "tail": tail, "kick_steps": n_steps, "eigendecompositions": 1, "bytes": nbytes}
+    work = {"dim": d, "tail": tail, "kick_steps": n_steps, "eigendecompositions": int(made), "bytes": nbytes}
     # truncation error can leave tiny PSD defects, so CP is not enforced
     # here: it is what the comparison tests
     return [QubitMap(sw[1:, 1:], sw[1:, 0], axes, {**meta, **work}) for sw, meta in zip(s.real, metas)]
@@ -314,8 +342,9 @@ def oracle_channel(
     reconstructed channel changes by less than stability_tol under one more
     increment and the state tail is negligible; the finer result is
     returned, with the dimension and stability recorded in meta.  meta also
-    counts the work of the whole search: ``kick_steps`` joint steps and
-    ``eigendecompositions`` of the coupling, one per truncation tried.  A
+    counts the work of the whole search: ``kick_steps`` joint steps and the
+    ``eigendecompositions`` of the coupling it made, one per truncation
+    tried whose spectrum the process did not hold (``coupling_spectrum``).  A
     start with no finer truncation up to max_dim to compare it with is
     refused before anything is built.
     """
@@ -366,7 +395,8 @@ def nascent_delta_channels(
     any is evolved; then all widths are evolved together, from one
     eigendecomposition of the coupling, and inside a pulse every step of a
     width shares one free-evolution matrix.  Each channel's meta counts its
-    ``kick_steps`` and the one eigendecomposition.  Each channel records the
+    ``kick_steps`` and the ``eigendecompositions`` the call made: 1, or 0
+    when the process holds the spectrum.  Each channel records the
     schedule's kick axes, not the pulse grid's, so its chi basis comes from
     them.
     """

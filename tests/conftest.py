@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -44,3 +45,13 @@ def vacuum():
 def standard_geometry():
     """h along z, coupling along x, unit gap: r(0) = x."""
     return InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0)
+
+
+@pytest.fixture
+def spectra(monkeypatch):
+    """The oracle's cache of coupling spectra, empty for the test; the
+    process's own comes back after it."""
+    from spinkick import oracle
+
+    monkeypatch.setattr(oracle, "_SPECTRA", OrderedDict())
+    return oracle._SPECTRA

@@ -623,14 +623,16 @@ def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"error: 3 kicks need {16 * 4**3} bytes")
 
 
-def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, standard_geometry):
+def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, standard_geometry, spectra):
     """An oracle truncation whose arrays cannot be allocated ends the run
     with exit 4, naming the dimension and the bytes of the build (136 d^2
-    for the evolution, its step buffer and V, 8 d for S's diagonal, 32 d for
-    the phases of the one kick, and numpy's iteration buffer of 4 d^2
-    entries, at most np.getbufsize()).  In nascent mode, 4 widths of 48
-    steps, all but the first on the pulse grid: G and G B_k add 48 W d^2,
-    the kick phases are 32 W S d and no step needs its own P_k.  A nascent
+    for the evolution, its step buffer and V, made from an empty cache,
+    8 d for S's diagonal, 32 d for the phases of the one kick, and numpy's
+    iteration buffer of 4 d^2 entries, at most np.getbufsize()).  In
+    nascent mode, 4 widths of 48 steps, all but the first on the pulse
+    grid: G and G B_k add 48 W d^2, the kick phases are 32 W S d, no step
+    needs its own P_k, and V is not counted, since the kicks-mode run made
+    the spectrum of d = 30 before its evolution failed.  A nascent
     map records its bytes as an int, as a kicks-mode map does.  A truncation
     past sys.maxsize bytes (d = 1.2e18), where numpy would raise ValueError,
     is refused the same way in either mode before anything is built."""
@@ -651,7 +653,8 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, sta
 
     assert main(["--config", write_cfg(tmp_path, body + "mode = nascent\n"), "oracle-check"]) == EXIT_DOMAIN
     w, s = 4, 48
-    nbytes = (176 * w + 8) * 30**2 + 8 * 30 + 32 * w * s * 30 + 16 * min(np.getbufsize(), 4 * w * 30**2)
+    assert 30 in spectra
+    nbytes = 176 * w * 30**2 + 8 * 30 + 32 * w * s * 30 + 16 * min(np.getbufsize(), 4 * w * 30**2)
     assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {nbytes} bytes")
     assert not (tmp_path / "out").exists()
 

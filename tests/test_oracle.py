@@ -30,6 +30,7 @@ from spinkick.errors import InvalidMap, InvalidTruncation, SpinKickError, Unknow
 from spinkick.kicks import r_of_t
 from spinkick.oracle import (
     PULSE_SHAPES,
+    SPECTRA_BYTES,
     _channels_at_dim,
     _environment_factor,
     _evolve,
@@ -254,11 +255,36 @@ def test_applied_steps_match_kron_product(dim, axis):
         assert np.max(np.abs(u - direct)) < 1e-13
 
 
-def test_non_orthonormal_eigenbasis_fails_unitarity():
-    spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
-    evals, vecs = coupling_spectrum(spec.dim)
+def _oracle_linalg(monkeypatch, **linalg):
+    """Give the oracle a numpy whose np.linalg holds only ``linalg`` (the
+    oracle calls np.linalg.svd and nothing else there)."""
+    from spinkick import oracle
+
+    class StubNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    stub = StubNumpy()
+    stub.linalg = SimpleNamespace(**linalg)
+    monkeypatch.setattr(oracle, "np", stub)
+
+
+def test_non_orthonormal_eigenbasis_fails_unitarity(spectra, monkeypatch):
+    """V is checked where it is made: an SVD whose U is off by 1.001 makes
+    coupling_spectrum refuse V^T V = 1 (1e-10), called directly or by a
+    build, and nothing is cached."""
+
+    def skewed(matrix, *args, **kwargs):
+        u, s, wt = np.linalg.svd(matrix, *args, **kwargs)
+        return 1.001 * u, s, wt
+
+    _oracle_linalg(monkeypatch, svd=skewed)
     with pytest.raises(InvalidMap, match="unitarity"):
-        _evolve(spec, (evals, 1.001 * vecs), _sequence([(0.0, 0.5, [0, 0, 1])]), np.eye(20))
+        coupling_spectrum(20)
+    spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
+    with pytest.raises(InvalidMap, match="unitarity"):
+        _channels_at_dim(spec, _sequence([(0.0, 0.5, [0, 0, 1])]), (), [{}])
+    assert not spectra
 
 
 def test_non_unit_kick_axis_rejected():
@@ -368,10 +394,12 @@ def test_nascent_pulse_grid_matches_kron_product(shape, standard_geometry):
 
 @pytest.mark.parametrize("shape", list(PULSE_SHAPES))
 @pytest.mark.parametrize("gap", [0.0, 1.3])
-def test_batched_widths_match_single_width_builds(shape, gap):
+def test_batched_widths_match_single_width_builds(shape, gap, spectra):
     """All widths evolved together give each width the channel of its own
     W = 1 build, to 1e-13, with frozen or precessing axes; only the build's
-    stated bytes differ."""
+    stated bytes differ, and the eigendecompositions it made: the batched
+    build makes the one SVD, and the single-width builds after it find the
+    spectrum held."""
     geom = InteractionGeometry(h=[0, 0.8, 0.6], alpha=[1, 0, 0], omega=gap)
     spec = FockSpec(SingleModeThermal(omega=1.1, nbar=0.4, displacement=0.3 - 0.2j), dim=30)
     sched, deltas = KickSchedule([0.0, 1.1, 2.3], [0.8, 0.5, 1.2]), [0.04, 0.02, 0.01, 0.005]
@@ -379,8 +407,9 @@ def test_batched_widths_match_single_width_builds(shape, gap):
     assert len(batched) == len(deltas)
     for delta, ch in zip(deltas, batched):
         single = nascent_delta_channels(spec, geom, sched, [delta], steps_per_kick=16, shape=shape)[0]
-        assert {**ch.meta, "bytes": 0} == {**single.meta, "bytes": 0}
+        assert {**ch.meta, "bytes": 0, "eigendecompositions": 0} == {**single.meta, "bytes": 0}
         assert ch.meta["kick_steps"] == 48 and ch.meta["eigendecompositions"] == 1
+        assert single.meta["eigendecompositions"] == 0
         assert channel_distance(ch, single) < 1e-13
 
 
@@ -399,9 +428,11 @@ def test_batched_widths_are_all_checked_before_any_is_evolved(standard_geometry,
     assert evolved == []
 
 
-def _traced_peak(build):
-    """The build's result and its traced peak, after a warm-up build."""
+def _traced_peak(build, before=lambda: None):
+    """The build's result and its traced peak, after a warm-up build and
+    then ``before``."""
     build()  # warm caches and imports
+    before()
     tracemalloc.start()
     try:
         result = build()
@@ -411,32 +442,37 @@ def _traced_peak(build):
     return result, peak
 
 
-def test_oracle_build_peak_memory_is_its_stated_bytes(standard_geometry):
-    """One build holds its evolution and a step buffer (128 d^2), V (8 d^2),
-    S (its diagonal, 8 d, or 16 d^2 displaced), the kick phases of its S
-    steps on both spins (32 S d), the phases P_k of its S - 1 gaps (16 d
-    each) and numpy's iteration buffer: meta["bytes"] is their sum, and the
-    traced peak is that and little more."""
+def test_oracle_build_peak_memory_is_its_stated_bytes(standard_geometry, spectra):
+    """One build holds its evolution and a step buffer (128 d^2), V when it
+    makes it (8 d^2), S (its diagonal, 8 d, or 16 d^2 displaced), the kick
+    phases of its S steps on both spins (32 S d), the phases P_k of its
+    S - 1 gaps (16 d each) and numpy's iteration buffer: meta["bytes"] is
+    their sum, and the traced peak is that and little more, both cold (no
+    spectrum held, so the build makes V) and warm (V held)."""
     buffer = 16 * min(np.getbufsize(), 4 * 100**2)
     steps = _sequence([(t, 1.0, r_of_t(standard_geometry, t)) for t in (0.0, 0.7, 1.9, 2.4)])
     for displacement, s_bytes in ((0.0, 8 * 100), (0.3 - 0.4j, 16 * 100**2)):
         spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=100)
-        (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, (), [{}]))
-        assert ch.meta["bytes"] == 136 * 100**2 + s_bytes + 32 * 4 * 100 + 16 * 3 * 100 + buffer
-        assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
+        for before, v_bytes in ((spectra.clear, 8 * 100**2), (lambda: None, 0)):
+            (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, (), [{}]), before)
+            assert ch.meta["bytes"] == 128 * 100**2 + v_bytes + s_bytes + 32 * 4 * 100 + 16 * 3 * 100 + buffer
+            assert ch.meta["eigendecompositions"] == (v_bytes > 0)
+            assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
 
 
-def test_batched_nascent_peak_memory_is_its_stated_bytes(standard_geometry):
+def test_batched_nascent_peak_memory_is_its_stated_bytes(standard_geometry, spectra):
     """W = 4 widths evolved together hold, per width, the evolution, its
     step buffer, the pulse grid's G and G B_k for both output spins
-    (176 W d^2 in all), then V once (8 d^2), S's diagonal (8 d), the kick
-    phases on both spins (32 W S d), the phases P_k of the one gap between
-    the pulses (16 W d) and numpy's iteration buffer: meta["bytes"] is their
-    sum, and the traced peak is that and little more."""
+    (176 W d^2 in all), then V once (8 d^2, made: no spectrum is held),
+    S's diagonal (8 d), the kick phases on both spins (32 W S d), the
+    phases P_k of the one gap between the pulses (16 W d) and numpy's
+    iteration buffer: meta["bytes"] is their sum, and the traced peak is
+    that and little more."""
     spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=60)
     deltas = [0.04, 0.02, 0.01, 0.005]
     chans, peak = _traced_peak(
-        lambda: nascent_delta_channels(spec, standard_geometry, KickSchedule([0.0, 1.5]), deltas, steps_per_kick=12)
+        lambda: nascent_delta_channels(spec, standard_geometry, KickSchedule([0.0, 1.5]), deltas, steps_per_kick=12),
+        spectra.clear,
     )
     buffer = 16 * min(np.getbufsize(), 4 * 4 * 60**2)
     stated = (176 * 4 + 8) * 60**2 + 8 * 60 + 32 * 4 * 24 * 60 + 16 * 4 * 60 + buffer
@@ -444,28 +480,33 @@ def test_batched_nascent_peak_memory_is_its_stated_bytes(standard_geometry):
     assert 1.0 <= peak / chans[0].meta["bytes"] <= 1.25
 
 
-def test_oracle_records_its_work(standard_geometry):
+def test_oracle_records_its_work(standard_geometry, spectra):
+    """From an empty cache every truncation tried makes its eigendecomposition;
+    the same search again finds every spectrum held and makes none, with the
+    same steps."""
     env = SingleModeThermal(omega=1.0, nbar=0.5)
     sched = KickSchedule([0.0, 0.7, 1.9])
-    orc = oracle_channel(fock_spec_for(env), standard_geometry, sched)
-    builds = len(orc.meta["history"]) + 1
-    assert builds > 1
-    assert orc.meta["eigendecompositions"] == builds
-    assert orc.meta["kick_steps"] == 3 * builds
+    for made in (True, False):
+        orc = oracle_channel(fock_spec_for(env), standard_geometry, sched)
+        builds = len(orc.meta["history"]) + 1
+        assert builds > 1
+        assert orc.meta["eigendecompositions"] == (builds if made else 0)
+        assert orc.meta["kick_steps"] == 3 * builds
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
-    ch = nascent_delta_channels(spec, standard_geometry, KickSchedule([0.0, 1.5]), [0.02], steps_per_kick=12)[0]
-    assert ch.meta["eigendecompositions"] == 1
-    assert ch.meta["kick_steps"] == 24
+    for made in (1, 0):
+        ch = nascent_delta_channels(spec, standard_geometry, KickSchedule([0.0, 1.5]), [0.02], steps_per_kick=12)[0]
+        assert ch.meta["eigendecompositions"] == made
+        assert ch.meta["kick_steps"] == 24
 
 
-def test_each_build_makes_the_one_decomposition_it_records(standard_geometry, monkeypatch):
+def test_each_build_makes_the_one_decomposition_it_records(standard_geometry, monkeypatch, spectra):
     """np.linalg.svd, counted in the oracle's namespace, runs exactly as
     often as the builds' summed meta["eigendecompositions"] say, and
     np.linalg.eigh never: over a displaced truncation search, and once for
     a displaced nascent command of four widths, whose displacement comes
-    from the same spectrum."""
-    from spinkick import oracle
-
+    from the same spectrum.  From an empty cache that is one SVD per
+    truncation; the same search and command again make none, and record
+    none."""
     calls = {"svd": [], "eigh": []}
 
     def counted(name):
@@ -475,23 +516,90 @@ def test_each_build_makes_the_one_decomposition_it_records(standard_geometry, mo
 
         return decomposition
 
-    class CountingNumpy:
-        linalg = SimpleNamespace(svd=counted("svd"), eigh=counted("eigh"))
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-    monkeypatch.setattr(oracle, "np", CountingNumpy())
+    _oracle_linalg(monkeypatch, svd=counted("svd"), eigh=counted("eigh"))
     env = SingleModeThermal(omega=1.2, nbar=0.4, displacement=0.5 - 0.3j)
-    orc = oracle_channel(fock_spec_for(env), standard_geometry, KickSchedule([0.0, 0.7, 1.9]))
-    assert len(orc.meta["history"]) + 1 > 1
-    assert len(calls["svd"]) == orc.meta["eigendecompositions"] == len(orc.meta["history"]) + 1
-    assert calls["eigh"] == []
-    calls["svd"].clear()
     frozen = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
-    chans = nascent_delta_channels(FockSpec(env, dim=30), frozen, KickSchedule([0.0, 1.5]), [0.04, 0.02, 0.01, 0.005])
-    assert len(calls["svd"]) == 1 and all(ch.meta["eigendecompositions"] == 1 for ch in chans)
+    for made in (1, 0):
+        calls["svd"].clear()
+        orc = oracle_channel(fock_spec_for(env), standard_geometry, KickSchedule([0.0, 0.7, 1.9]))
+        assert len(orc.meta["history"]) + 1 > 1
+        assert len(calls["svd"]) == orc.meta["eigendecompositions"] == made * (len(orc.meta["history"]) + 1)
+        calls["svd"].clear()
+        chans = nascent_delta_channels(FockSpec(env, dim=30), frozen, KickSchedule([0.0, 1.5]), [0.04, 0.02, 0.01, 0.005])
+        assert len(calls["svd"]) == made and all(ch.meta["eigendecompositions"] == made for ch in chans)
     assert calls["eigh"] == []
+
+
+def test_held_spectra_are_read_only(spectra):
+    """The cache hands out the arrays it holds, so a write to them raises."""
+    evals, vecs = coupling_spectrum(21)
+    assert coupling_spectrum(21)[0] is evals and coupling_spectrum(21)[1] is vecs
+    for array in (evals, vecs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+
+
+@pytest.mark.parametrize("displacement", [0.0, 0.5 - 0.3j])
+def test_warm_build_equals_cold_build(standard_geometry, spectra, displacement):
+    """A build from a held spectrum gives the channel of the build that
+    made it, bit for bit, in both modes; only the work recorded differs."""
+    env = SingleModeThermal(omega=1.2, nbar=0.4, displacement=displacement)
+    sched = KickSchedule([0.0, 0.7, 1.9])
+    cold = oracle_channel(fock_spec_for(env), standard_geometry, sched)
+    warm = oracle_channel(fock_spec_for(env), standard_geometry, sched)
+    pulses = [nascent_delta_channels(FockSpec(env, dim=25), standard_geometry, sched, [0.02, 0.01]) for _ in range(2)]
+    assert cold.meta["eigendecompositions"] > 0 == warm.meta["eigendecompositions"]
+    assert pulses[0][0].meta["eigendecompositions"] == 1 and pulses[1][0].meta["eigendecompositions"] == 0
+    for first, again in [(cold, warm), *zip(*pulses)]:
+        assert np.array_equal(first.matrix, again.matrix) and np.array_equal(first.shift, again.shift)
+        work = {"bytes": 0, "eigendecompositions": 0}
+        assert {**first.meta, **work} == {**again.meta, **work}
+
+
+@pytest.mark.parametrize("mode", ["kicks", "nascent"])
+def test_a_refused_truncation_leaves_the_cache_as_it_was(standard_geometry, monkeypatch, spectra, mode):
+    """A truncation past any address space (d = 1.2e18, as in the CLI's
+    test) is refused by its guard before the spectrum is made: no SVD runs,
+    and the held spectra and their order are unchanged."""
+    coupling_spectrum(21)
+    coupling_spectrum(20)
+    held = list(spectra.items())
+    svds = []
+    _oracle_linalg(monkeypatch, svd=lambda *args, **kwargs: svds.append(args))
+    dim = 12 * 10**17
+    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=dim)
+    with pytest.raises(SpinKickError, match=f"oracle truncation at dim {dim} needs .*, more than could be allocated"):
+        if mode == "kicks":
+            oracle_channel(spec, standard_geometry, KickSchedule([0.0, 0.7]), max_dim=dim + 10)
+        else:
+            nascent_delta_channels(spec, standard_geometry, KickSchedule([0.0, 0.7]), [0.01])
+    assert svds == []
+    assert list(spectra.items()) == held
+
+
+def test_held_spectra_stay_within_the_budget(spectra):
+    """The held spectra, 8 (d^2 + d) bytes each, never exceed SPECTRA_BYTES
+    (8 MiB): the least recently used go first, a dimension asked for again
+    counts as used, and a spectrum larger than the budget is made but not
+    held.  d = 300, 400, 500 and 600 hold 6.9 MB; 300 again is a hit; 700
+    (3.9 MB) then drops 400 and 500, not 300; 1100 (9.7 MB) fits no
+    budget."""
+    assert SPECTRA_BYTES == 8 * 1024**2
+    for dim, after in [
+        (300, [300]),
+        (400, [300, 400]),
+        (500, [300, 400, 500]),
+        (600, [300, 400, 500, 600]),
+        (300, [400, 500, 600, 300]),
+        (700, [600, 300, 700]),
+        (1100, [600, 300, 700]),
+    ]:
+        evals, vecs = coupling_spectrum(dim)
+        assert evals.nbytes + vecs.nbytes == 8 * (dim * dim + dim)
+        assert list(spectra) == after
+        assert sum(array.nbytes for held in spectra.values() for array in held) <= SPECTRA_BYTES
 
 
 def test_oracle_single_kick_vacuum(vacuum, standard_geometry):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import spinkick as sk
 from spinkick.channels import KAPPA_MAX, PSD_TOL
+from spinkick.oracle import SPECTRA_BYTES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +29,9 @@ def test_readme_states_psd_tol():
     """The README states the PSD bound every channel is validated by."""
     stated = re.search(r"`channels\.PSD_TOL = ([0-9.e+-]+)`", README.read_text(encoding="utf-8"))
     assert stated is not None and float(stated.group(1)) == PSD_TOL
+
+
+def test_readme_states_spectra_bytes():
+    """The README states the byte budget of the oracle's spectrum cache."""
+    stated = re.search(r"`oracle\.SPECTRA_BYTES = ([0-9]+)`", README.read_text(encoding="utf-8"))
+    assert stated is not None and int(stated.group(1)) == SPECTRA_BYTES

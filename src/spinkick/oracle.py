@@ -20,7 +20,9 @@ a diagonal phase, each a +- butterfly and two half-size real products.  The chan
 evolved columns of a square root of the environment state.  One loop
 evolves W step sequences of equal length together: the W = 1 kick train,
 or every pulse width of a nascent-delta command, whose steps inside a
-pulse share one free-evolution matrix per width.  ``oracle_channel`` and
+pulse share one free-evolution matrix per width; a train whose steps all
+share one kick axis (``Omega = 0``) is evolved in its two spin sectors
+alone, half the state, with no frame changes.  ``oracle_channel`` and
 ``nascent_delta_channels`` both take the train as a ``KickSchedule``, which
 has already checked its times and weights.
 """
@@ -173,6 +175,14 @@ def _level_phases(dim: int, turn) -> np.ndarray:
     return np.cumprod(phases, axis=-1, out=phases)
 
 
+def _frozen(axes) -> bool:
+    """Whether every step of every sequence has the kick axis of the first,
+    compared bit for bit (``Omega = 0`` gives this exactly, and a single
+    step has it); vacuously so for no steps."""
+    axes = np.asarray(axes)
+    return bool(np.all(axes == axes[:1, :1]))
+
+
 def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> np.ndarray:
     """Y[s, i, a, l, c] (sequence, output spin, input spin, eigenlevel,
     column) for W step sequences of S steps each, evolved together, with
@@ -203,22 +213,40 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     Fock oracle section gives how this was timed).  The last kick is
     applied on its own.  Every G_k and B_k is unitary exactly when V is
     orthonormal, which ``coupling_spectrum`` checked when it made V.
+
+    When every step has the same axis, bit for bit (``_frozen``), every
+    step is diagonal in its frame F: U = sum_sigma P_sigma (x) U_sigma.
+    Then the evolution carries one input-spin slot, (W, 2, 1, d, K), in
+    which both spin sectors start from Z = V^T D(t_1)^* C; no frame change
+    acts, and one frame is formed for the whole train.  F^dag[sigma, a] is
+    folded back in once, with the last frame product:
+    Y[s, o, a] = sum_sigma F[o, sigma] F^dag[sigma, a] U_sigma Z.  Both
+    shapes take the same loop body, step buffers and routes.
     """
     evals, vecs = spectrum
     d = len(evals)
     times, weights, axes = steps
     n_seq, n_steps = np.shape(weights)
+    width = d if columns.ndim == 1 else columns.shape[1]
+    joint = np.zeros((n_seq, 2, 2, d, width), dtype=complex)
+    if not n_steps:  # I2 (x) C
+        joint[:, 0, 0] = joint[:, 1, 1] = columns if columns.ndim == 2 else np.diag(columns)
+        return joint
     omega = spec.env.omega
-    frames = spin_frames(axes)
-    # F_1^dag, then the frame changes F_{k+1}^dag F_k
-    changes = frames.conj().swapaxes(-1, -2)
-    changes[:, 1:] = changes[:, 1:] @ frames[:, :-1]
+    frozen = _frozen(axes)
+    if frozen:  # F[o, sigma] F^dag[sigma, a], as (o a, sigma)
+        frame = spin_frames(axes[0, 0])
+        fold = np.einsum("os,sa->oas", frame, frame.conj().T).reshape(4, 2)
+    else:  # F_1^dag, then the frame changes F_{k+1}^dag F_k
+        frames = spin_frames(axes)
+        changes = frames.conj().swapaxes(-1, -2)
+        changes[:, 1:] = changes[:, 1:] @ frames[:, :-1]
     turns = np.exp(1j * _phases(omega, times))
     zero, odd = d % 2, d // 2  # eigenlevels (0, +s, -s): the zero mode, then the pairs
     even = zero + odd
     # e^{-iw lambda} on e and e^{+iw lambda} on f, per step and level (the -s
     # levels conjugate the +s ones): both held, so that one contiguous product
-    # scales all four spin blocks (numpy copies one output spin's of a W > 1 stack)
+    # scales every spin block (numpy copies one output spin's of a W > 1 stack)
     kicks = np.exp(-1j * np.multiply.outer(np.asarray(weights, dtype=float), evals[:even]))
     kicks = np.concatenate([kicks, kicks[..., zero:].conj()], axis=-1)
     kicks = np.stack([kicks, kicks.conj()], axis=-2)
@@ -230,21 +258,23 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
         grid_g = np.multiply(np.exp(-1j * omega * np.multiply.outer(grid[0], np.arange(d)))[:, :, None], vecs, order="C")
         grid_g = np.matmul(vecs.T, grid_g.view(float)).view(complex)
         kicked = np.empty((n_seq, 2, d, d), dtype=complex)  # G B_k, one per output spin
-    width = d if columns.ndim == 1 else columns.shape[1]
-    y = np.zeros((n_seq, 2, 2, d, width), dtype=complex)
-    if not n_steps:  # I2 (x) C
-        y[:, 0, 0] = y[:, 1, 1] = columns if columns.ndim == 2 else np.diag(columns)
-        return y
-    other = np.empty_like(y)
+    # the two step buffers: joint and one of its size, or frozen, joint's
+    # first half and one of its size, taken in the order that leaves the
+    # last step in the second, apart from joint
+    slots = 1 if frozen else 2  # input spins carried
+    state = joint.reshape(-1)[: joint.size * slots // 2].reshape(n_seq, 2, slots, d, width)
+    other = np.empty_like(state)
     halves = (n_seq, 2, 2 * d * width)  # the output-spin halves, for the frames
-    # per buffer, as float64: its eigenlevel pairs, and its levels for V's even and odd blocks
-    (y_pairs, *y_blocks), (o_pairs, *o_blocks) = [
-        [v.view(float) for v in (b[..., zero:, :].reshape(n_seq, 2, 2, 2, -1), b[..., :even, :], b[..., even:, :])]
-        for b in (y, other)
-    ]
     blocks = vecs[0::2, :even], vecs[1::2, zero:even]
+    # per buffer, as float64: its eigenlevel pairs, and its levels for V's even and odd blocks
+    current, following = [
+        (b, *[v.view(float) for v in (b[..., zero:, :].reshape(n_seq, 2, slots, 2, -1), b[..., :even, :], b[..., even:, :])])
+        for b in ((other, state) if frozen and n_steps % 2 else (state, other))
+    ]
     # the first step, I2 (x) Z with Z = W_1^dag C = V^T D(t_1)^* C, and its
-    # frame: F_1^dag (x) Z; a diagonal C makes Z a column scaling of V^T
+    # frame: F_1^dag (x) Z, or Z in both sectors; a diagonal C makes Z a
+    # column scaling of V^T
+    y, other = current[0], following[0]
     z, first = other[:, 0, 0], _level_phases(d, turns[:, 0].conj())
     if columns.ndim == 1:  # real and imaginary parts apart: no float-to-complex cast buffers
         scale = first[:, None, :] * columns
@@ -253,8 +283,12 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     else:
         np.multiply(first[:, :, None], columns, out=y[:, 0, 0])
         np.matmul(vecs.T, y[:, 0, 0].view(float), out=z.view(float))
-    np.multiply(changes[:, 0, :, :, None, None], z[:, None, None], out=y)
+    if frozen:
+        y[...] = z[:, None, None]
+    else:
+        np.multiply(changes[:, 0, :, :, None, None], z[:, None, None], out=y)
     for k in range(1, n_steps):
+        (y, y_pairs, *y_blocks), (other, o_pairs, *o_blocks) = current, following
         kick = kicks[:, k - 1, :, None, :]  # of the step before
         if on_grid[k]:  # the kick scales G's columns
             np.multiply(grid_g[:, None], kick, out=kicked)
@@ -269,8 +303,15 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
                 np.matmul(block.T, part, out=out)
             np.matmul(_PAIRS, y_pairs, out=o_pairs)  # (y+, y-)
             other[..., :zero, :] = y[..., :zero, :]
-        np.matmul(changes[:, k], other.reshape(halves), out=y.reshape(halves))
+        if frozen:  # the step landed in the other buffer
+            current, following = following, current
+        else:
+            np.matmul(changes[:, k], other.reshape(halves), out=y.reshape(halves))
+    y, other = current[0], following[0]
     y *= kicks[:, -1, :, None, :, None]  # the last kick
+    if frozen:  # F^dag folded back in with the last frame product, into the whole of joint
+        np.matmul(fold, y.reshape(n_seq, 2, -1), out=joint.reshape(n_seq, 4, -1))
+        return joint
     np.matmul(frames[:, -1], y.reshape(halves), out=other.reshape(halves))
     return other
 
@@ -290,27 +331,32 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     does not preserve Hermiticity (NonHermitian), and one whose first row S[0]
     differs from (1, 0, 0, 0) by more than 1e-8 does not preserve the trace
     (NonUnitTrace).  Each meta gains the dimension, tail mass, the
-    sequence's ``kick_steps``, the ``eigendecompositions`` the build made
-    (1, or 0 when the process holds the spectrum of spec.dim) and the
-    build's peak ``bytes`` (an int), which ``_held`` names if they cannot be
-    held.  The spectrum is made inside that guard, so a truncation it
-    refuses neither decomposes nor enters the cache.
+    sequence's ``kick_steps``, the ``spin_blocks`` the evolution carried
+    (2 on ``_evolve``'s frozen-axis path, 4 otherwise), the
+    ``eigendecompositions`` the build made (1, or 0 when the process holds
+    the spectrum of spec.dim) and the build's peak ``bytes`` (an int) on
+    the path it took, which ``_held`` names if they cannot be held.  The
+    spectrum is made inside that guard, so a truncation it refuses neither
+    decomposes nor enters the cache.
     """
     d, (n_seq, n_steps) = spec.dim, np.shape(steps[1])
-    made = d not in _SPECTRA
-    # y and its step buffer (64 W d^2 bytes each); on a pulse grid, G and
-    # G B_k for both output spins (48 W d^2); V, unless held (8 d^2); S
-    # (16 d^2, or its diagonal, 8 d, undisplaced); the kick phases on both
-    # spins (32 W S d); the phases P_k of the steps off a pulse grid (16 W d
-    # each); and numpy's iteration buffer for the broadcast phase products
-    # (16 bytes an entry of y, at most np.getbufsize() entries).  The
-    # per-step frames and turns (O(W S)) come on top.
+    made, blocks = d not in _SPECTRA, 2 if _frozen(steps[2]) else 4
+    # Y (64 W d^2 bytes) and its step buffer (16 W d^2 a spin block); on a
+    # pulse grid, G and G B_k for both output spins (48 W d^2); the kick
+    # phases on both spins (32 W S d); the phases P_k of the steps off a
+    # pulse grid (16 W d each); and numpy's iteration buffer for the
+    # broadcast phase products (16 bytes an entry of the state, at most
+    # np.getbufsize() entries).  The readout then holds Y and its conjugate
+    # (128 W d^2), more than a frozen-axis evolution without a pulse grid.
+    # Throughout, V, unless held (8 d^2), and S (16 d^2, or its diagonal,
+    # 8 d, undisplaced).  The per-step frames and turns (O(W S)) come on top.
     grid_bytes, grid_steps = (48 * n_seq * d * d, int(np.count_nonzero(grid[1][1:]))) if grid is not None else (0, 0)
     s_bytes = 16 * d * d if spec.env.displacement != 0 else 8 * d
-    nbytes = (
-        128 * n_seq * d * d + grid_bytes + (8 * d * d if made else 0) + s_bytes + 32 * n_seq * n_steps * d
-        + 16 * n_seq * (max(n_steps - 1, 0) - grid_steps) * d + 16 * min(np.getbufsize(), 4 * n_seq * d * d)
+    evolution = (
+        (64 + 16 * blocks) * n_seq * d * d + grid_bytes + 32 * n_seq * n_steps * d
+        + 16 * n_seq * (max(n_steps - 1, 0) - grid_steps) * d + 16 * min(np.getbufsize(), blocks * n_seq * d * d)
     )
+    nbytes = max(evolution, 128 * n_seq * d * d) + (8 * d * d if made else 0) + s_bytes
     with _held(nbytes, f"oracle truncation at dim {d} needs {{need}}"):
         spectrum = coupling_spectrum(d)
         factor, tail = _environment_factor(spec, spectrum)
@@ -323,7 +369,10 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     trace = np.max(np.abs(s[:, 0] - (1.0, 0.0, 0.0, 0.0)))
     if not trace <= 1e-8:
         raise NonUnitTrace(f"oracle map does not preserve the trace: S[0] is off (1, 0, 0, 0) by {trace:.3e} > 1e-8")
-    work = {"dim": d, "tail": tail, "kick_steps": n_steps, "eigendecompositions": int(made), "bytes": nbytes}
+    work = {
+        "dim": d, "tail": tail, "kick_steps": n_steps, "spin_blocks": blocks,
+        "eigendecompositions": int(made), "bytes": nbytes,
+    }
     # truncation error can leave tiny PSD defects, so CP is not enforced
     # here: it is what the comparison tests
     return [QubitMap(sw[1:, 1:], sw[1:, 0], axes, {**meta, **work}) for sw, meta in zip(s.real, metas)]

@@ -625,12 +625,15 @@ def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
 
 def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, standard_geometry, spectra):
     """An oracle truncation whose arrays cannot be allocated ends the run
-    with exit 4, naming the dimension and the bytes of the build (136 d^2
-    for the evolution, its step buffer and V, made from an empty cache,
-    8 d for S's diagonal, 32 d for the phases of the one kick, and numpy's
-    iteration buffer of 4 d^2 entries, at most np.getbufsize()).  In
-    nascent mode, 4 widths of 48 steps, all but the first on the pulse
-    grid: G and G B_k add 48 W d^2, the kick phases are 32 W S d, no step
+    with exit 4, naming the dimension and the bytes of the build.  The one
+    kick has one axis, so its evolution takes the frozen-axis path: 96 d^2
+    for the evolution and its half-size step buffer, 32 d for the phases of
+    the one kick and numpy's iteration buffer of 2 d^2 entries (at most
+    np.getbufsize()), against the readout's 128 d^2; then 8 d^2 for V, made
+    from an empty cache, and 8 d for S's diagonal.  In nascent mode, 4
+    widths of 48 steps, all but the first on the pulse grid, precess: the
+    evolution and its step buffer are 128 W d^2, G and G B_k add 48 W d^2,
+    the kick phases are 32 W S d, the buffer holds 4 W d^2 entries, no step
     needs its own P_k, and V is not counted, since the kicks-mode run made
     the spectrum of d = 30 before its evolution failed.  A nascent
     map records its bytes as an int, as a kicks-mode map does.  A truncation
@@ -647,7 +650,8 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, sta
     monkeypatch.setattr(oracle, "_evolve", no_memory)
     body = BASE_CFG.format(out=tmp_path / "out") + "\n[oracle]\ndim = 30\n"
     assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_DOMAIN
-    nbytes = 136 * 30**2 + 8 * 30 + 32 * 30 + 16 * min(np.getbufsize(), 4 * 30**2)
+    evolution = 96 * 30**2 + 32 * 30 + 16 * min(np.getbufsize(), 2 * 30**2)
+    nbytes = max(evolution, 128 * 30**2) + 8 * 30**2 + 8 * 30
     assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {nbytes} bytes")
     assert not (tmp_path / "out").exists()
 

@@ -34,11 +34,12 @@ from spinkick.oracle import (
     _channels_at_dim,
     _environment_factor,
     _evolve,
+    _frozen,
     _level_phases,
     coupling_spectrum,
 )
 from spinkick.pauli import I2, PAULI, density_to_bloch, dot_sigma
-from conftest import random_geometry, random_schedule
+from conftest import random_geometry, random_schedule, random_unit
 from reference import annihilation, entanglement_entropy, environment_state, quadrature_heisenberg
 
 
@@ -225,7 +226,8 @@ def test_cached_spectrum_step_matches_direct(dim):
 
 
 _AXES = {
-    "generic": None,
+    "generic": None,  # a random axis at every step
+    "generic_fixed": "random",  # one random axis at every step of a train: a complex frame
     "plus_z": [0.0, 0.0, 1.0],
     "minus_z": [0.0, 0.0, -1.0],
     "near_minus_z": [0.6e-9, 0.8e-9, -np.sqrt(1.0 - 1e-18)],  # 1e-9 from -z
@@ -237,20 +239,23 @@ _AXES = {
 def test_applied_steps_match_kron_product(dim, axis):
     """The evolution carried in each step's coupling eigenbasis and spin
     frame, as the oracle carries it, equals the product of kron-assembled
-    steps."""
+    steps; every train but the generic one has one axis, and takes the
+    frozen-axis path, in both of its buffer orders (odd and even S)."""
     rng = np.random.default_rng(dim)
     omega = 1.7
     spec = FockSpec(SingleModeThermal(omega=omega), dim=dim)
     spectrum = coupling_spectrum(spec.dim)
     for n_steps in (2, 5, 8):
         steps, direct = [], np.eye(2 * dim, dtype=complex)
+        fixed = rng.normal(size=3) if _AXES[axis] == "random" else _AXES[axis]
         for _ in range(n_steps):
             t = rng.uniform(0.0, 50.0) / omega
             w = rng.uniform(0.0, 3.0)
-            r = rng.normal(size=3) if _AXES[axis] is None else np.array(_AXES[axis])
+            r = rng.normal(size=3) if fixed is None else np.array(fixed)
             r /= np.linalg.norm(r)
             steps.append((t, w, r))
             direct = _direct_step(r, quadrature_heisenberg(spec, t), w) @ direct
+        assert _frozen(_sequence(steps)[2]) == (axis != "generic")
         u = _joint(spec, spectrum, steps, np.eye(dim))
         assert np.max(np.abs(u - direct)) < 1e-13
 
@@ -318,9 +323,11 @@ def _assert_is_kron_readout(spec, steps, ch):
 
 def _assert_channel_is_kron_readout(spec, steps):
     """The oracle's channel at spec.dim, read from the evolved square root of
-    the environment state, against the kron product's partial trace."""
+    the environment state, against the kron product's partial trace; the
+    channel is returned."""
     (ch,) = _channels_at_dim(spec, _sequence(steps), (), [{}])
     _assert_is_kron_readout(spec, steps, ch)
+    return ch
 
 
 @pytest.mark.parametrize(
@@ -358,38 +365,61 @@ def test_block_readout_matches_kron_partial_trace(standard_geometry):
     _assert_channel_is_kron_readout(FockSpec(env, dim=40), steps)
 
 
-@pytest.mark.parametrize("dim", [10, 11, 40, 41, 80, 120, 121])
-def test_channel_matches_kron_partial_trace_at_fixed_dim(dim):
+@pytest.mark.parametrize(
+    "dim, frozen",
+    [
+        pytest.param(dim, frozen, id=f"{dim}-frozen" if frozen else str(dim))
+        for frozen in (False, True)
+        for dim in (10, 11, 40, 41, 80, 120, 121)
+    ],
+)
+def test_channel_matches_kron_partial_trace_at_fixed_dim(dim, frozen):
     """At a fixed truncation, on a displaced thermal state and a train of
-    random axes, the channel is the partial trace of the kron product."""
+    random axes, or of one random axis (the frozen-axis path, 2 spin
+    blocks), the channel is the partial trace of the kron product."""
     rng = np.random.default_rng(dim)
     env = SingleModeThermal(omega=1.3, nbar=0.9, displacement=0.5 + 0.2j)
-    steps = []
+    steps, fixed = [], random_unit(rng) if frozen else None
     for t in np.sort(rng.uniform(0.0, 6.0, size=5)):
         r = rng.normal(size=3)
-        steps.append((t, rng.uniform(0.2, 2.0), r / np.linalg.norm(r)))
-    _assert_channel_is_kron_readout(FockSpec(env, dim=dim), steps)
+        steps.append((t, rng.uniform(0.2, 2.0), fixed if frozen else r / np.linalg.norm(r)))
+    ch = _assert_channel_is_kron_readout(FockSpec(env, dim=dim), steps)
+    assert ch.meta["spin_blocks"] == (2 if frozen else 4)
 
 
-@pytest.mark.parametrize("shape", list(PULSE_SHAPES))
-def test_nascent_pulse_grid_matches_kron_product(shape, standard_geometry):
+_GEOMETRIES = {
+    "precessing": InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0),
+    "frozen": InteractionGeometry(h=[0, 0.8, 0.6], alpha=[0.36, 0.48, 0.8], omega=0.0),  # a complex frame
+}
+
+
+@pytest.mark.parametrize(
+    "shape, geometry",
+    [
+        pytest.param(shape, geometry, id=shape if geometry == "precessing" else f"{shape}-frozen")
+        for geometry in _GEOMETRIES
+        for shape in PULSE_SHAPES
+    ],
+)
+def test_nascent_pulse_grid_matches_kron_product(shape, geometry):
     """The steps inside a pulse share one free-evolution matrix per width,
     and the kick before each step scales its columns; the channel equals the
-    kron product of every grid step, precessing axes included."""
+    kron product of every grid step, with precessing axes (4 spin blocks)
+    or a frozen one (2)."""
+    geom = _GEOMETRIES[geometry]
     spec = FockSpec(SingleModeThermal(omega=1.1, nbar=0.6, displacement=0.2 + 0.1j), dim=12)
     times, weights, delta, per = [0.3, 1.4], [0.9, 1.3], 0.02, 6
     profile, half = PULSE_SHAPES[shape]
     xs = (np.arange(per) + 0.5) / per * 2.0 * half - half
     vals = profile(xs) / profile(xs).sum()
     steps = [
-        (t + delta * x, w * v, r_of_t(standard_geometry, t + delta * x))
+        (t + delta * x, w * v, r_of_t(geom, t + delta * x))
         for t, w in zip(times, weights)
         for x, v in zip(xs, vals)
     ]
-    (ch,) = nascent_delta_channels(
-        spec, standard_geometry, KickSchedule(times, weights), [delta], steps_per_kick=per, shape=shape
-    )
+    (ch,) = nascent_delta_channels(spec, geom, KickSchedule(times, weights), [delta], steps_per_kick=per, shape=shape)
     _assert_is_kron_readout(spec, steps, ch)
+    assert ch.meta["spin_blocks"] == (2 if geometry == "frozen" else 4)
 
 
 @pytest.mark.parametrize("shape", list(PULSE_SHAPES))
@@ -442,42 +472,102 @@ def _traced_peak(build, before=lambda: None):
     return result, peak
 
 
-def test_oracle_build_peak_memory_is_its_stated_bytes(standard_geometry, spectra):
-    """One build holds its evolution and a step buffer (128 d^2), V when it
-    makes it (8 d^2), S (its diagonal, 8 d, or 16 d^2 displaced), the kick
-    phases of its S steps on both spins (32 S d), the phases P_k of its
-    S - 1 gaps (16 d each) and numpy's iteration buffer: meta["bytes"] is
-    their sum, and the traced peak is that and little more, both cold (no
-    spectrum held, so the build makes V) and warm (V held)."""
-    buffer = 16 * min(np.getbufsize(), 4 * 100**2)
-    steps = _sequence([(t, 1.0, r_of_t(standard_geometry, t)) for t in (0.0, 0.7, 1.9, 2.4)])
-    for displacement, s_bytes in ((0.0, 8 * 100), (0.3 - 0.4j, 16 * 100**2)):
-        spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=100)
-        for before, v_bytes in ((spectra.clear, 8 * 100**2), (lambda: None, 0)):
-            (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, (), [{}]), before)
-            assert ch.meta["bytes"] == 128 * 100**2 + v_bytes + s_bytes + 32 * 4 * 100 + 16 * 3 * 100 + buffer
-            assert ch.meta["eigendecompositions"] == (v_bytes > 0)
-            assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
+def test_oracle_build_peak_memory_is_its_stated_bytes(spectra):
+    """One build's evolution holds the result and a step buffer (128 d^2;
+    on the frozen-axis path, 2 spin blocks, the result and a half-size
+    step buffer, 96 d^2), the kick phases of its S steps on both spins
+    (32 S d), the phases P_k of its S - 1 gaps (16 d each) and numpy's
+    iteration buffer (16 bytes an entry of the state, 4 d^2 entries, or
+    2 d^2 frozen, at most np.getbufsize()); its readout holds Y and its
+    conjugate (128 d^2), which the frozen path reaches first at d = 100.
+    The larger of the two, V when the build makes it (8 d^2) and S (its
+    diagonal, 8 d, or 16 d^2 displaced) are meta["bytes"], and the traced
+    peak is that and little more, both cold (no spectrum held, so the
+    build makes V) and warm (V held), on a precessing and a frozen axis."""
+    for geometry, blocks in (("precessing", 4), ("frozen", 2)):
+        buffer = 16 * min(np.getbufsize(), blocks * 100**2)
+        evolution = (64 + 16 * blocks) * 100**2 + 32 * 4 * 100 + 16 * 3 * 100 + buffer
+        steps = _sequence([(t, 1.0, r_of_t(_GEOMETRIES[geometry], t)) for t in (0.0, 0.7, 1.9, 2.4)])
+        for displacement, s_bytes in ((0.0, 8 * 100), (0.3 - 0.4j, 16 * 100**2)):
+            spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=100)
+            for before, v_bytes in ((spectra.clear, 8 * 100**2), (lambda: None, 0)):
+                (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, (), [{}]), before)
+                assert ch.meta["spin_blocks"] == blocks
+                assert ch.meta["bytes"] == max(evolution, 128 * 100**2) + v_bytes + s_bytes
+                assert ch.meta["eigendecompositions"] == (v_bytes > 0)
+                assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
 
 
-def test_batched_nascent_peak_memory_is_its_stated_bytes(standard_geometry, spectra):
-    """W = 4 widths evolved together hold, per width, the evolution, its
-    step buffer, the pulse grid's G and G B_k for both output spins
-    (176 W d^2 in all), then V once (8 d^2, made: no spectrum is held),
-    S's diagonal (8 d), the kick phases on both spins (32 W S d), the
-    phases P_k of the one gap between the pulses (16 W d) and numpy's
-    iteration buffer: meta["bytes"] is their sum, and the traced peak is
-    that and little more."""
+def test_batched_nascent_peak_memory_is_its_stated_bytes(spectra):
+    """W = 4 widths evolved together hold, per width, the result, its step
+    buffer (half-size on the frozen-axis path), the pulse grid's G and G B_k
+    for both output spins (176 W d^2 in all, 144 W d^2 frozen), then V once
+    (8 d^2, made: no spectrum is held), S's diagonal (8 d), the kick phases
+    on both spins (32 W S d), the phases P_k of the one gap between the
+    pulses (16 W d) and numpy's iteration buffer (4 W d^2 entries, 2 W d^2
+    frozen): meta["bytes"] is their sum, more than the readout's 128 W d^2,
+    and the traced peak is that and little more, on a precessing and a
+    frozen axis."""
     spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=60)
     deltas = [0.04, 0.02, 0.01, 0.005]
-    chans, peak = _traced_peak(
-        lambda: nascent_delta_channels(spec, standard_geometry, KickSchedule([0.0, 1.5]), deltas, steps_per_kick=12),
-        spectra.clear,
-    )
-    buffer = 16 * min(np.getbufsize(), 4 * 4 * 60**2)
-    stated = (176 * 4 + 8) * 60**2 + 8 * 60 + 32 * 4 * 24 * 60 + 16 * 4 * 60 + buffer
-    assert [ch.meta["bytes"] for ch in chans] == [stated] * 4
-    assert 1.0 <= peak / chans[0].meta["bytes"] <= 1.25
+    for geometry, blocks in (("precessing", 4), ("frozen", 2)):
+        chans, peak = _traced_peak(
+            lambda: nascent_delta_channels(
+                spec, _GEOMETRIES[geometry], KickSchedule([0.0, 1.5]), deltas, steps_per_kick=12
+            ),
+            spectra.clear,
+        )
+        buffer = 16 * min(np.getbufsize(), blocks * 4 * 60**2)
+        stated = ((112 + 16 * blocks) * 4 + 8) * 60**2 + 8 * 60 + 32 * 4 * 24 * 60 + 16 * 4 * 60 + buffer
+        assert [(ch.meta["bytes"], ch.meta["spin_blocks"]) for ch in chans] == [(stated, blocks)] * 4
+        assert 1.0 <= peak / chans[0].meta["bytes"] <= 1.25
+
+
+@pytest.mark.parametrize("geometry", list(_GEOMETRIES))
+def test_every_map_records_its_spin_blocks(geometry):
+    """Every oracle map records the spin blocks its evolution carried: 2 on
+    the frozen-axis path, 4 on a precessing train, through oracle_channel's
+    search and for every nascent width."""
+    geom, blocks = _GEOMETRIES[geometry], 2 if geometry == "frozen" else 4
+    env = SingleModeThermal(omega=1.0, nbar=0.3)
+    sched = KickSchedule([0.0, 0.7, 1.9])
+    orc = oracle_channel(fock_spec_for(env), geom, sched)
+    assert orc.meta["history"] and orc.meta["spin_blocks"] == blocks
+    chans = nascent_delta_channels(FockSpec(env, dim=20), geom, sched, [0.02, 0.01], steps_per_kick=12)
+    assert [ch.meta["spin_blocks"] for ch in chans] == [blocks] * 2
+
+
+def test_axes_a_billionth_apart_take_the_four_block_path():
+    """The frozen-axis test is exact equality: a train whose axis moves by
+    1e-9 between steps is evolved in 4 spin blocks, and its one-axis twin in
+    2; each is the partial trace of its kron product."""
+    spec = FockSpec(SingleModeThermal(omega=1.1, nbar=0.4, displacement=0.3 + 0.1j), dim=21)
+    base = np.array([0.36, 0.48, 0.8])
+    moved = base + 1e-9 * np.array([0.8, -0.6, 0.0])  # perpendicular to base
+    moved /= np.linalg.norm(moved)
+    times, weights = [0.0, 0.6, 1.5, 2.1], [0.9, 1.2, 0.7, 1.1]
+    for axes, blocks in (([base, moved, base, moved], 4), ([base] * 4, 2)):
+        ch = _assert_channel_is_kron_readout(spec, list(zip(times, weights, axes)))
+        assert ch.meta["spin_blocks"] == blocks
+
+
+@pytest.mark.parametrize("displacement", [0.0, 0.3 - 0.2j])
+@pytest.mark.parametrize("dim", [2, 3, 20, 61])
+def test_the_frozen_path_states_no_more_bytes(dim, displacement, spectra):
+    """At the same d and W, a frozen-axis build states no more bytes than a
+    precessing one, as a kick train and as 4 pulse widths (every build from
+    the spectrum made first, so none counts V)."""
+    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=dim)
+    coupling_spectrum(dim)
+    sched = KickSchedule([0.0, 0.7, 1.9], [0.8, 1.1, 0.6])
+    stated = {}
+    for geometry, geom in _GEOMETRIES.items():
+        steps = (sched.times[None], sched.weights[None], r_of_t(geom, sched.times[None]))
+        kicks = _channels_at_dim(spec, steps, (), [{}])
+        pulses = nascent_delta_channels(spec, geom, sched, [0.04, 0.02, 0.01, 0.005], steps_per_kick=12)
+        stated[geometry] = [(ch.meta["bytes"], ch.meta["spin_blocks"]) for ch in (*kicks, pulses[0])]
+    for (frozen, two), (precessing, four) in zip(stated["frozen"], stated["precessing"]):
+        assert (two, four) == (2, 4) and frozen <= precessing
 
 
 def test_oracle_records_its_work(standard_geometry, spectra):
@@ -713,6 +803,91 @@ def test_oracle_random_matrix(standard_geometry):
     analytic = build_n_kick_channel(env, geom, sched)
     orc = oracle_channel(fock_spec_for(env), geom, sched)
     assert channel_distance(analytic, orc) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# exact symmetries at a fixed truncation
+
+
+def _rotation(rng) -> np.ndarray:
+    """A random rotation R in SO(3)."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def _about(axis, angle) -> np.ndarray:
+    """The rotation by ``angle`` about the unit ``axis`` (Rodrigues)."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _onto(h, e) -> np.ndarray:
+    """The rotation taking the unit h onto the unit e about their normal."""
+    normal = np.cross(h, e)
+    return _about(normal / np.linalg.norm(normal), np.arccos(np.clip(h @ e, -1.0, 1.0)))
+
+
+def _symmetry_channels(spec, geom, times, weights):
+    """The kick train's channel from ``_channels_at_dim`` at spec.dim, then
+    the channels of two pulse widths in its place from
+    ``nascent_delta_channels``."""
+    times, weights = np.asarray(times), np.asarray(weights)
+    steps = (times[None], weights[None], r_of_t(geom, times[None]))
+    pulses = nascent_delta_channels(spec, geom, KickSchedule(times, weights), [0.02, 0.01], steps_per_kick=12)
+    return [*_channels_at_dim(spec, steps, (), [{}]), *pulses]
+
+
+def _assert_rotated(chans, turned, rot):
+    """Each channel of ``turned`` is (R A R^T, R b) of its own in ``chans``,
+    to a fixed 1e-12, on the same path."""
+    for ch, other in zip(chans, turned, strict=True):
+        assert other.meta["spin_blocks"] == ch.meta["spin_blocks"]
+        np.testing.assert_allclose(other.matrix, rot @ ch.matrix @ rot.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(other.shift, rot @ ch.shift, rtol=0, atol=1e-12)
+
+
+def _symmetry_train(rng, n_kicks):
+    """Kick times 0.4-0.9 apart and weights 0.3-0.8."""
+    return np.cumsum(rng.uniform(0.4, 0.9, size=n_kicks)), rng.uniform(0.3, 0.8, size=n_kicks)
+
+
+@pytest.mark.parametrize("displacement", [0.0, 0.4 - 0.3j])
+@pytest.mark.parametrize("gap", [0.0, 1.3])
+def test_rotating_the_geometry_rotates_the_channel(gap, displacement):
+    """Rotating h and alpha by R in SO(3) maps every oracle channel (A, b) to
+    (R A R^T, R b): the spin frames turn with the axes, and the environment
+    does not see them.  At d = 24, for a 9-kick train and two pulse widths
+    in its place, with a frozen axis (gap 0) or a precessing one, on an even
+    and on a displaced state; R is random, or takes h onto a coordinate
+    axis, which is then given exactly, since special cases live there."""
+    rng = np.random.default_rng(11)
+    spec = FockSpec(SingleModeThermal(omega=1.1, nbar=0.4, displacement=displacement), dim=24)
+    h, alpha = random_unit(rng), random_unit(rng)
+    times, weights = _symmetry_train(rng, 9)
+    chans = _symmetry_channels(spec, InteractionGeometry(h=h, alpha=alpha, omega=gap), times, weights)
+    assert {ch.meta["spin_blocks"] for ch in chans} == {2 if gap == 0 else 4}
+    rotations = [(rot, rot @ h) for rot in (_rotation(rng), _rotation(rng))] + [(_onto(h, e), e) for e in np.eye(3)]
+    for rot, turned_h in rotations:
+        turned = InteractionGeometry(h=turned_h, alpha=rot @ alpha, omega=gap)
+        _assert_rotated(chans, _symmetry_channels(spec, turned, times, weights), rot)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1.3])
+def test_shifting_the_times_rotates_the_channel_about_h(gap):
+    """On an undisplaced mode, whose state commutes with the free
+    evolution, shifting every kick time by tau equals rotating about h by
+    -Omega tau: (A, b) goes to (R A R^T, R b), R = R_h(-Omega tau), for a
+    9-kick train and two pulse widths in its place, precessing or frozen
+    (R = 1)."""
+    rng = np.random.default_rng(12)
+    spec = FockSpec(SingleModeThermal(omega=1.1, nbar=0.4), dim=24)
+    geom = InteractionGeometry(h=random_unit(rng), alpha=random_unit(rng), omega=gap)
+    times, weights = _symmetry_train(rng, 9)
+    chans = _symmetry_channels(spec, geom, times, weights)
+    for tau in (0.37, 2.9, -1.6):
+        shifted = _symmetry_channels(spec, geom, times + tau, weights)
+        _assert_rotated(chans, shifted, _about(geom.h, -gap * tau))
 
 
 # ---------------------------------------------------------------------------

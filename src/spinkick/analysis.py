@@ -67,10 +67,18 @@ class FixedPointResult:
 def fixed_point(round_map) -> FixedPointResult:
     """Fixed point u_f = (1 - A)^{-1} b of one round of kicks.
 
-    When 1 is an eigenvalue of A with b = 0 the fixed family is flagged
-    non-unique (u_f = 0 is reported); with b inconsistent the equation has
-    no solution and NonContractive is raised.  converged indicates that
-    iterating the round from any start reaches u_f (spectral radius < 1).
+    When 1 - A has a singular value at most 1e-12, the fixed family is
+    flagged non-unique and u_f is ``lstsq``'s solution with numpy's default
+    cutoff (rcond=None: 3 eps times the largest singular value); with b
+    inconsistent the equation has no solution and NonContractive is raised.
+    That cutoff lies far below 1e-12, so a singular value between the two,
+    rounding noise on a synchronized echo train, is inverted and u_f is
+    noise of any size (|u_f| = 0.135 on the benchmark pool's
+    ``sweep_sync_n4.0`` at nbar 0) where the least-norm point of the family
+    is 0.  The fix, rcond=1e-12, changes cells the benchmark's references
+    pin, so it waits for their rebuild (ROADMAP item 1, step 0).
+    converged indicates that iterating the round from any start reaches u_f
+    (spectral radius < 1).
     """
     a, b = round_map.matrix, round_map.shift
     spectral_radius = float(np.max(np.abs(np.linalg.eigvals(a))))

@@ -387,7 +387,49 @@ def build_n_kick_channel(
     longer than ``max_kicks`` are refused (raise the budget explicitly if
     you really mean it), and so is a build whose gamma matrix cannot be
     allocated.
+
+    The build composes two parts: what the kick axes alone give
+    (``_axis_part``: the chi basis, the sign vectors and the projector
+    strings' coefficients) and what reads the environment (the gamma
+    matrix, chi, its affine action and validation).  ``reusing_builder``
+    keeps the first part from one build to the next while the axes hold.
     """
+    return _enumerate(env, geom, sched, max_kicks, _axis_part)
+
+
+def reusing_builder():
+    """``build_n_kick_channel`` for a run of builds whose kick axes repeat,
+    as they do along a sweep's grid: it keeps the axis part of its last
+    build and takes it again while the axes from ``r_of_t`` are the same
+    bytes, so every channel comes from the same floating-point operations
+    as a fresh build.  It holds that one axis part, never more."""
+    last = {}
+
+    def axis_part(rs):
+        key = rs.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _axis_part(rs)
+        return last[key]
+
+    def build(env, geom, sched, max_kicks=MAX_KICKS_DEFAULT):
+        return _enumerate(env, geom, sched, max_kicks, axis_part)
+
+    return build
+
+
+def _axis_part(rs: np.ndarray) -> tuple:
+    """The enumeration's work on the kick axes ``rs`` alone: the chi basis,
+    the 2^n sign vectors and the coefficients of every projector string in
+    that basis."""
+    basis = default_chi_basis(rs)
+    signs = _sign_matrix(len(rs))
+    return basis, signs, np.einsum("ayx,myx->ma", basis.ops.conj(), _projector_strings(rs, signs))
+
+
+def _enumerate(env, geom, sched, max_kicks: int, axis_part) -> QubitMap:
+    """The 4^n enumeration with its axis part from ``axis_part(rs)``, taken
+    inside the coefficient budget's guard, after the kick count is judged."""
     n = len(sched)
     if n == 0:
         return identity_channel()
@@ -395,10 +437,7 @@ def build_n_kick_channel(
     with _coefficient_budget(n, max_kicks, nbytes):
         times = sched.times
         rs = r_of_t(geom, times)
-        basis = default_chi_basis(rs)
-
-        signs = _sign_matrix(n)
-        coeff = np.einsum("ayx,myx->ma", basis.ops.conj(), _projector_strings(rs, signs))
+        basis, signs, coeff = axis_part(rs)
         gammas = _gamma_matrix(env, times, sched.weights, signs)
         chi = coeff.T @ gammas @ coeff.conj()
 

@@ -501,12 +501,14 @@ def _apply_sweep_value(env, geom, sched, parameter, value):
     return env, geom, sched
 
 
-def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted):
+def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted, builds):
     """The scalar observables of cmd_sweep named in ``wanted``, at one grid
     point.  Each is computed only when asked for: the channel is built once,
     and the (n-1)-kick prefix, the transition map and the fixed point only
-    for the quantities that need them."""
-    ch = channels.build_n_kick_channel(env, geom, sched, max_kicks=max_kicks)
+    for the quantities that need them.  ``builds`` are the builders of the
+    channel and of its prefix (``channels.reusing_builder``)."""
+    build, build_head = builds
+    ch = build(env, geom, sched, max_kicks)
     commuting = functools.cache(lambda: is_commuting_schedule(geom, sched)[0])
 
     def fixed_point_norm():
@@ -518,7 +520,7 @@ def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted):
     def lambda_min():
         if len(sched) < 2:
             return np.nan
-        shorter = channels.build_n_kick_channel(env, geom, _head(sched, len(sched) - 1), max_kicks=max_kicks)
+        shorter = build_head(env, geom, _head(sched, len(sched) - 1), max_kicks)
         try:
             theta = channels.transition_map(ch, shorter)
         except SpinKickError:
@@ -553,6 +555,18 @@ def _sweep_grid(cfg: RunConfig, suffix: str = "") -> np.ndarray:
 
 
 def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
+    """One CSV row of the requested quantities per grid point, over
+    ``parameter`` and, when given, ``parameter2`` (the inner loop).
+
+    Each point's channel, and its (n-1)-kick head for ``lambda_min``, comes
+    from the 4^n enumeration through a ``channels.reusing_builder``, one for
+    the channels and one for the heads: each takes the previous point's axis
+    part again while the kick axes are the same bytes.  Grids over
+    ``nbar``, ``omega``, ``variance`` and ``scale`` keep the axes; ``Omega``
+    and ``gap`` change them at every point (unless Omega is 0), so a 2D grid
+    reuses along an inner loop that keeps them.  Every cell is
+    byte-identical to a fresh ``build_n_kick_channel`` at every point.
+    """
     base = cfg["analysis", "log_base"]
     max_kicks = cfg["analysis", "max_kicks"]
     u0 = cfg["initial_state", "u"]
@@ -567,6 +581,7 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
     grid2 = _sweep_grid(cfg, "2") if parameter2 is not None else [None]
 
     rows = [",".join([parameter, *([parameter2] if parameter2 else []), *wanted])]
+    builds = (channels.reusing_builder(), channels.reusing_builder())
     for value in grid:
         for value2 in grid2:
             env_v, geom_v, sched_v = _apply_sweep_value(train.env, train.geom, train.sched, parameter, value)
@@ -574,7 +589,7 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
             if parameter2 is not None:
                 env_v, geom_v, sched_v = _apply_sweep_value(env_v, geom_v, sched_v, parameter2, value2)
                 cells.append(_fmt(value2))
-            quantities = _sweep_quantities(env_v, geom_v, sched_v, u0, base, max_kicks, wanted)
+            quantities = _sweep_quantities(env_v, geom_v, sched_v, u0, base, max_kicks, wanted, builds)
             rows.append(",".join(cells + [_fmt(quantities[q]) for q in wanted]))
     wrote = f"wrote {prefix}_sweep.csv ({len(rows) - 1} rows) in {out_dir}\n"
     return EXIT_OK, {"sweep.csv": "\n".join(rows) + "\n"}, wrote

@@ -23,6 +23,13 @@ def random_unit(rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_rotation(rng) -> np.ndarray:
+    """A random rotation R in SO(3)."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
 def random_geometry(rng, omega_max: float = 2.5) -> InteractionGeometry:
     return InteractionGeometry(
         h=random_unit(rng), alpha=random_unit(rng), omega=rng.uniform(0.0, omega_max)

@@ -146,6 +146,44 @@ def test_fixed_point_inconsistent_raises():
         fixed_point(bad)
 
 
+def _echo_channel():
+    """A synchronized echo train at vacuum (the benchmark pool's
+    ``sweep_sync_n4.0`` at nbar 0): every kick axis is +-r(t_0), so the
+    fixed family is the line along r through 0, whose least-norm point is
+    0.  The enumeration leaves 1 - A a singular value of 2.7e-16, above
+    lstsq's default cutoff (3 eps sigma_max = 2.4e-16), and b of norm 1.1e-15."""
+    env = SingleModeThermal(omega=1.9619904022307777)
+    geom = InteractionGeometry(
+        h=[-0.26034074849679251, 0.23337684224657865, -0.93688737005850675],
+        alpha=[-0.7097688145151777, -0.70409603392030107, 0.021840443205702036],
+        omega=1.5136031459432457,
+    )
+    times = [4.2408070358726135, 6.3163792636457119, 10.467523719191909, 12.543095946965007]
+    weights = [0.90686288343599364, 0.91781059536068477, 0.59436231361648773, 0.67026759815955372]
+    return build_n_kick_channel(env, geom, KickSchedule(times, weights))
+
+
+def test_echo_train_has_a_singular_value_between_the_cutoffs():
+    """What the xfail below stands on: 1 - A has a singular value below
+    fixed_point's 1e-12 test but above lstsq's own cutoff."""
+    a = _echo_channel().matrix
+    svals = np.linalg.svd(np.eye(3) - a, compute_uv=False)
+    assert 3 * np.finfo(float).eps * svals[0] < svals[-1] <= 1e-12
+    assert not fixed_point(_echo_channel()).unique
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="fixed_point's lstsq (rcond=None) inverts a singular value of rounding size; "
+    "rcond=1e-12 waits for the benchmark change of ROADMAP item 1, step 0",
+)
+def test_fixed_point_of_a_non_unique_family_is_not_rounding_noise():
+    """A non-unique fixed family reports its least-norm point, here 0, not
+    rounding noise: today |u_f| = 0.135.  Once the fix lands this passes,
+    and strict xfail turns that into a loud failure, so the mark goes with it."""
+    assert np.linalg.norm(fixed_point(_echo_channel()).u_f) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # chi eigenvalues
 

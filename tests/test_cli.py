@@ -277,32 +277,108 @@ def test_omega_sweep_keeps_the_temperature():
 
 
 @pytest.mark.parametrize(
-    "quantities, builds, fixed_points",
-    [("purity_final", [3], 0), ("lambda_min", [3, 2], 0), ("fixed_point_norm", [3], 1), ("commuting", [3], 0)],
-    ids=["purity_final", "lambda_min", "fixed_point_norm", "commuting"],
+    "parameter, quantities, builds, fixed_points",
+    [
+        ("nbar", "purity_final", [3], 0),
+        ("nbar", "lambda_min", [3, 2], 0),
+        ("nbar", "fixed_point_norm", [3], 1),
+        ("nbar", "commuting", [3], 0),
+        ("Omega", "lambda_min", [3, 2], 0),
+    ],
+    ids=["purity_final", "lambda_min", "fixed_point_norm", "commuting", "Omega-lambda_min"],
 )
-def test_sweep_computes_only_requested_quantities(tmp_path, monkeypatch, quantities, builds, fixed_points):
+def test_sweep_computes_only_requested_quantities(tmp_path, monkeypatch, parameter, quantities, builds, fixed_points):
     """Per grid point: one build of the channel, plus the (n-1)-kick prefix
-    only for lambda_min and a fixed-point solve only for fixed_point_norm."""
+    only for lambda_min and a fixed-point solve only for fixed_point_norm.
+    The builds come from the sweep's two ``reusing_builder``s, one for the
+    channels and one for their heads: on an nbar grid the axes hold, so
+    each derives its axis part once; on an Omega grid they change, so each
+    derives it at every point."""
     from spinkick import analysis, channels
 
-    calls = {"build": [], "fixed_point": 0}
-    build, fixed_point = channels.build_n_kick_channel, analysis.fixed_point
+    calls = {"build": [], "axis_part": [], "fixed_point": 0}
+    reusing_builder, axis_part, fixed_point = channels.reusing_builder, channels._axis_part, analysis.fixed_point
 
-    def counting_build(*args, **kwargs):
-        calls["build"].append(len(args[2]))
-        return build(*args, **kwargs)
+    def counting_reusing_builder():
+        build = reusing_builder()
+
+        def counting_build(*args, **kwargs):
+            calls["build"].append(len(args[2]))
+            return build(*args, **kwargs)
+
+        return counting_build
+
+    def counting_axis_part(rs):
+        calls["axis_part"].append(len(rs))
+        return axis_part(rs)
 
     def counting_fixed_point(*args, **kwargs):
         calls["fixed_point"] += 1
         return fixed_point(*args, **kwargs)
 
-    monkeypatch.setattr(channels, "build_n_kick_channel", counting_build)
+    monkeypatch.setattr(channels, "reusing_builder", counting_reusing_builder)
+    monkeypatch.setattr(channels, "_axis_part", counting_axis_part)
     monkeypatch.setattr(analysis, "fixed_point", counting_fixed_point)
     body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", "times = 0.0 0.7 1.3")
-    body += f"\n[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = 2\nquantities = {quantities}\n"
+    body += f"\n[sweep]\nparameter = {parameter}\nstart = 0.0\nstop = 1.0\ncount = 2\nquantities = {quantities}\n"
     assert main(["--config", write_cfg(tmp_path, body), "sweep"]) == EXIT_OK
-    assert calls == {"build": builds * 2, "fixed_point": 2 * fixed_points}
+    derived = builds * 2 if parameter == "Omega" else builds
+    assert calls == {"build": builds * 2, "axis_part": derived, "fixed_point": 2 * fixed_points}
+
+
+# Inputs of the byte-for-byte test of the sweep's reuse: a precessing
+# 3-kick train, a white-kick one, and a synchronized 4-kick echo train
+# (Omega = pi/2, kicks 2 apart, coupling axis perpendicular to h), whose
+# fixed_point_norm is rounding noise and so shows any change in rounding.
+_SWEEP_TRAINS = {
+    "thermal": BASE_CFG.replace("times = 0.0", "times = 0.1 0.8 1.5\nweights = 0.9 0.6 0.8").replace(
+        "nbar = 0.0", "nbar = 0.3\ndisplacement = 0.2-0.1i"
+    ),
+    "white": BASE_CFG.replace("times = 0.0", "times = 0.1 0.8 1.5").replace(
+        "model = single_mode_thermal\nomega = 1.0\nnbar = 0.0", "model = white_kick\nvariance = 0.3"
+    ),
+    "synchronized": BASE_CFG.replace("times = 0.0", "times = 0.3 2.3 4.3 6.3\nweights = 0.7 0.9 0.6 0.8").replace(
+        "Omega = 1.0", f"Omega = {np.pi / 2!r}"
+    ),
+}
+_SWEEP_GRIDS = {
+    "nbar": ("thermal", "nbar", "start = 0.0\nstop = 1.0"),
+    "omega": ("thermal", "omega", "start = 0.5\nstop = 2.0"),
+    "Omega": ("thermal", "Omega", "start = 0.3\nstop = 2.0"),
+    "gap": ("thermal", "gap", "start = 0.2\nstop = 1.0"),
+    "variance": ("white", "variance", "start = 0.05\nstop = 0.6"),
+    "scale": ("thermal", "scale", "start = 0.5\nstop = 1.5"),
+    "Omega-scale": (
+        "thermal", "Omega", "start = 0.3\nstop = 2.0\nparameter2 = scale\nstart2 = 0.5\nstop2 = 1.5\ncount2 = 3"
+    ),
+    "omega-gap": (
+        "thermal", "omega", "start = 0.5\nstop = 2.0\nparameter2 = gap\nstart2 = 0.2\nstop2 = 1.0\ncount2 = 3"
+    ),
+    "synchronized-nbar": ("synchronized", "nbar", "start = 0.0\nstop = 1.0"),
+}
+
+
+@pytest.mark.parametrize("grid", list(_SWEEP_GRIDS))
+def test_sweep_reuse_is_bit_for_bit(tmp_path, monkeypatch, grid):
+    """The sweep's CSV equals, byte for byte, the one whose every cell comes
+    from a fresh build_n_kick_channel at every grid point, for every sweep
+    parameter and two 2D grids: reusing the axis part while the axes hold
+    runs the same floating-point operations as deriving it again."""
+    from spinkick import channels
+
+    train, parameter, rest = _SWEEP_GRIDS[grid]
+    body = _SWEEP_TRAINS[train].format(out=tmp_path / "out")
+    body += f"\n[sweep]\nparameter = {parameter}\n{rest}\ncount = 4\nquantities = {' '.join(_SWEEP_QUANTITIES)}\n"
+    cfg = write_cfg(tmp_path, body)
+    csv = tmp_path / "out" / "run_sweep.csv"
+    assert main(["--config", cfg, "sweep"]) == EXIT_OK
+    reused = csv.read_bytes()
+    monkeypatch.setattr(channels, "reusing_builder", lambda: channels.build_n_kick_channel)
+    assert main(["--config", cfg, "sweep"]) == EXIT_OK
+    assert reused == csv.read_bytes()
+    if train == "synchronized":  # the noise this test keeps: a fixed point where 1 - A is singular
+        cells = [dict(zip(_SWEEP_QUANTITIES, row.split(",")[1:])) for row in reused.decode().splitlines()[1:]]
+        assert max(float(c["fixed_point_norm"]) for c in cells) > 1e-3
 
 
 def test_oracle_check(tmp_path, capsys):

@@ -39,7 +39,7 @@ from spinkick.oracle import (
     coupling_spectrum,
 )
 from spinkick.pauli import I2, PAULI, density_to_bloch, dot_sigma
-from conftest import random_geometry, random_schedule, random_unit
+from conftest import random_geometry, random_rotation, random_schedule, random_unit
 from reference import annihilation, entanglement_entropy, environment_state, quadrature_heisenberg
 
 
@@ -809,13 +809,6 @@ def test_oracle_random_matrix(standard_geometry):
 # exact symmetries at a fixed truncation
 
 
-def _rotation(rng) -> np.ndarray:
-    """A random rotation R in SO(3)."""
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q * np.sign(np.diag(r))
-    return q if np.linalg.det(q) > 0 else -q
-
-
 def _about(axis, angle) -> np.ndarray:
     """The rotation by ``angle`` about the unit ``axis`` (Rodrigues)."""
     k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
@@ -867,7 +860,8 @@ def test_rotating_the_geometry_rotates_the_channel(gap, displacement):
     times, weights = _symmetry_train(rng, 9)
     chans = _symmetry_channels(spec, InteractionGeometry(h=h, alpha=alpha, omega=gap), times, weights)
     assert {ch.meta["spin_blocks"] for ch in chans} == {2 if gap == 0 else 4}
-    rotations = [(rot, rot @ h) for rot in (_rotation(rng), _rotation(rng))] + [(_onto(h, e), e) for e in np.eye(3)]
+    rotations = [(rot, rot @ h) for rot in (random_rotation(rng), random_rotation(rng))]
+    rotations += [(_onto(h, e), e) for e in np.eye(3)]
     for rot, turned_h in rotations:
         turned = InteractionGeometry(h=turned_h, alpha=rot @ alpha, omega=gap)
         _assert_rotated(chans, _symmetry_channels(spec, turned, times, weights), rot)

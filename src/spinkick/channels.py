@@ -11,12 +11,12 @@ centered two-point correlator.  The sum runs over all 4^n sign-vector pairs;
 their order is lexicographic with bit i of the index addressing kick i
 (bit 0 = earliest kick, cleared bit = +1).
 
-Two builders evaluate it exactly.  ``build_n_kick_channel`` enumerates the
-4^n coefficients of one schedule at once: it exponentiates 4^n complex
-entries and holds the whole gamma matrix, 16 * 4^n bytes.
-``build_prefix_channels`` gives the channel after every kick of a schedule,
-a tuple of prefixes validated together, from one exact recursion on the
-affine action.  The sign pairs that agree
+Two builders evaluate it exactly from a train's ``KickInputs``.
+``build_n_kick_channel`` enumerates the 4^n coefficients of one schedule
+at once: it exponentiates 4^n complex entries and holds the whole gamma
+matrix, 16 * 4^n bytes.  ``build_prefix_channels`` gives the channel after
+every kick of a schedule, a tuple of prefixes validated together, from one
+exact recursion on the affine action.  The sign pairs that agree
 on a new kick repeat the previous coefficients, so their part of the new
 channel is the previous prefix dephased along the kick axis r,
 (A, b) -> (r r^T A, r r^T b).  Every projector string has rank one,
@@ -47,6 +47,7 @@ constructed objects are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -127,8 +128,38 @@ def _projector_strings(rs: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return strings
 
 
-def _gamma_matrix(env, times, weights, signs: np.ndarray) -> np.ndarray:
-    """gamma(s, s') for every pair of rows of ``signs`` at once.
+@dataclass(frozen=True, eq=False)
+class KickInputs:
+    """What a train hands its exact builders: the kick axes r(t_k), weighted
+    means w_k m(t_k) and weighted Gram matrix w_j w_k K(t_j, t_k), by the
+    Weyl relations all a channel reads of the environment.  ``of`` is their
+    one derivation (the weights scale the means and the Gram matrix, and an
+    overflow is refused with SpinKickError); ``head(k)``, slices with the
+    Gram block copied contiguous, is byte for byte ``of`` on the first k
+    kicks.  Outside it stay the Fock oracle's own axes, independent of it,
+    and ``gaussian_char``'s unweighted moments, for the dephasing and
+    single-kick coefficients' bits."""
+
+    env: GaussianEnvironment
+    times: np.ndarray
+    weights: np.ndarray
+    axes: np.ndarray
+    means: np.ndarray
+    gram: np.ndarray
+
+    @classmethod
+    def of(cls, env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> KickInputs:
+        t, w = sched.times, sched.weights  # derived, and so refused, in this order: axes, means, Gram
+        return cls(env, t, w, r_of_t(geom, t), _kick_means(env, t, w), gram_matrix(env, t, w))
+
+    def head(self, k: int) -> KickInputs:
+        heads = (self.times[:k], self.weights[:k], self.axes[:k], self.means[:k])
+        return KickInputs(self.env, *heads, self.gram[:k, :k].copy())
+
+
+def _gamma_matrix(mu: np.ndarray, gram: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """gamma(s, s') for every pair of rows of ``signs`` at once, from the
+    kicks' weighted means ``mu`` and Gram matrix (``KickInputs``).
 
     Gaussian expectation of the projected Weyl-operator string: a phase from
     the means, a self-variance damping factor, and cross terms coupling each
@@ -139,9 +170,6 @@ def _gamma_matrix(env, times, weights, signs: np.ndarray) -> np.ndarray:
     the largest Gram entry, so a Gram matrix so large that the exponent's
     rounding overflows exp is refused with SpinKickError.
     """
-    lam = np.asarray(weights, dtype=float)
-    mu = _kick_means(env, times, lam)
-    gram = gram_matrix(env, times, lam)
     var = np.diag(gram).real
     s = signs.astype(float)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -388,21 +416,21 @@ def build_n_kick_channel(
     you really mean it), and so is a build whose gamma matrix cannot be
     allocated.
 
-    The build composes two parts: what the kick axes alone give
-    (``_axis_part``: the chi basis, the sign vectors and the projector
-    strings' coefficients) and what reads the environment (the gamma
-    matrix, chi, its affine action and validation).  ``reusing_builder``
-    keeps the first part from one build to the next while the axes hold.
+    The build reads the train's ``KickInputs`` in two parts: what the kick
+    axes alone give (``_axis_part``: the chi basis, the sign vectors and the
+    projector strings' coefficients) and what reads the environment (the
+    gamma matrix, chi, its affine action and validation).
+    ``reusing_builder`` keeps the first part while the axes hold.
     """
-    return _enumerate(env, geom, sched, max_kicks, _axis_part)
+    return _enumerate(lambda: KickInputs.of(env, geom, sched), len(sched), max_kicks, _axis_part)
 
 
 def reusing_builder():
-    """``build_n_kick_channel`` for a run of builds whose kick axes repeat,
-    as they do along a sweep's grid: it keeps the axis part of its last
-    build and takes it again while the axes from ``r_of_t`` are the same
-    bytes, so every channel comes from the same floating-point operations
-    as a fresh build.  It holds that one axis part, never more."""
+    """``build(inputs, n, max_kicks)``, the enumeration of the n-kick record
+    ``inputs()``, for builds whose axes repeat, as along a sweep's grid: it
+    keeps its last build's axis part and takes it again while the axes are
+    the same bytes, so every channel comes from the same floating-point
+    operations as a fresh build.  It holds that one axis part, never more."""
     last = {}
 
     def axis_part(rs):
@@ -412,8 +440,8 @@ def reusing_builder():
             last[key] = _axis_part(rs)
         return last[key]
 
-    def build(env, geom, sched, max_kicks=MAX_KICKS_DEFAULT):
-        return _enumerate(env, geom, sched, max_kicks, axis_part)
+    def build(inputs, n: int, max_kicks: int = MAX_KICKS_DEFAULT) -> QubitMap:
+        return _enumerate(inputs, n, max_kicks, axis_part)
 
     return build
 
@@ -427,28 +455,31 @@ def _axis_part(rs: np.ndarray) -> tuple:
     return basis, signs, np.einsum("ayx,myx->ma", basis.ops.conj(), _projector_strings(rs, signs))
 
 
-def _enumerate(env, geom, sched, max_kicks: int, axis_part) -> QubitMap:
-    """The 4^n enumeration with its axis part from ``axis_part(rs)``, taken
-    inside the coefficient budget's guard, after the kick count is judged."""
-    n = len(sched)
+def _enumerate(inputs, n: int, max_kicks: int, axis_part) -> QubitMap:
+    """The 4^n enumeration of the n-kick record ``inputs()`` with its axis
+    part from ``axis_part(axes)``, both taken inside the coefficient
+    budget's guard, after the kick count is judged."""
     if n == 0:
         return identity_channel()
     nbytes = 16 * 4**n
     with _coefficient_budget(n, max_kicks, nbytes):
-        times = sched.times
-        rs = r_of_t(geom, times)
-        basis, signs, coeff = axis_part(rs)
-        gammas = _gamma_matrix(env, times, sched.weights, signs)
+        kicks = inputs()
+        basis, signs, coeff = axis_part(kicks.axes)
+        gammas = _gamma_matrix(kicks.means, kicks.gram, signs)
         chi = coeff.T @ gammas @ coeff.conj()
 
-    meta = {**_provenance("n_kick", env, times, sched.weights), "path": "enumeration", "terms": 4**n, "bytes": nbytes}
-    return _map(*affine_from_chi(chi, basis), rs, meta)
+    meta = {**_provenance("n_kick", kicks.env, kicks.times, kicks.weights), "path": "enumeration"}
+    return _map(*affine_from_chi(chi, basis), kicks.axes, {**meta, "terms": 4**n, "bytes": nbytes})
 
 
 def _byte_text(nbytes: int) -> str:
-    """nbytes, and the same size in the largest binary unit it reaches."""
+    """nbytes and the same size in its largest binary unit; past float64's range, its base-2 logarithm."""
     power = min(max(nbytes.bit_length() - 1, 0) // 10, 5)
-    return f"{nbytes} bytes ({nbytes / 1024**power:.4g} {('B', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB')[power]})"
+    try:
+        scaled = nbytes / 1024**power
+    except OverflowError:
+        return f"2^{math.log2(nbytes):.2f} bytes"
+    return f"{nbytes} bytes ({scaled:.4g} {('B', 'KiB', 'MiB', 'GiB', 'TiB', 'PiB')[power]})"
 
 
 @contextmanager
@@ -688,19 +719,19 @@ def build_prefix_channels(
     kicks' blocks T_k after the last (``_affine_record``).  The base block,
     the tile shifts and the work space of a level are allocated at their
     final size first, and the rows of f before the first level, so a pass
-    that cannot be held (``_pass_bytes``) is refused before any level
-    runs, as is one past ``max_kicks``.  So is a Gram matrix whose exponent
-    sums could leave float64's range: |a_k| + |b_k| is at most
-    c_k = 4 sum_(j<k) |G_kj| + 2 |mu_k| + 2 |Var_k|, the carried R_k at
-    most sum_(j<k) c_j, and every sum the pass forms (R_k + Re a + Re b, a
-    tile's row plus column shift, their difference from its maximum) at
-    most twice T = sum_k c_k; a T above a quarter of float64's largest
-    value (a factor 2 to spare for rounding) raises SpinKickError.  The
-    prefixes are validated together, with one ``eigvalsh`` over their
-    stacked (A, b), and share one provenance: the environment's repr and
-    the kick times and weights are formed once.  Prefix 0 is row 0 of that
-    stack, the identity the recursion starts from, validated with the
-    rest: no two passes share a map.
+    that cannot be held (``_pass_bytes``) is refused before any level runs,
+    as is one past ``max_kicks``, before it reads ``KickInputs``.  So is a
+    Gram matrix whose exponent sums could leave float64's range:
+    |a_k| + |b_k| is at most c_k = 4 sum_(j<k) |G_kj| + 2 |mu_k| + 2 |Var_k|,
+    the carried R_k at most sum_(j<k) c_j, and every sum the pass forms
+    (R_k + Re a + Re b, a tile's row plus column shift, their difference
+    from its maximum) at most twice T = sum_k c_k; a T above a quarter of
+    float64's largest value (a factor 2 to spare for rounding) raises
+    SpinKickError.  The prefixes are validated together, with one ``eigvalsh`` over their
+    stacked (A, b), and share one provenance: the environment's repr and the
+    kick times and weights are formed once.  Prefix 0 is row 0 of that
+    stack, the identity the recursion starts from, validated with the rest:
+    no two passes share a map.
     """
     n = len(sched)
     nbytes = _pass_bytes(n)
@@ -716,10 +747,8 @@ def build_prefix_channels(
         half = _BASE // 2
         work = np.empty(max(4 * tiles * tiles * (half + _BASE), 3 * tiles * _BASE * _BASE))  # see _pass_bytes
 
-        times = sched.times
-        rs = r_of_t(geom, times)
-        mu = _kick_means(env, times, sched.weights)
-        gram = gram_matrix(env, times, sched.weights)
+        kicks = KickInputs.of(env, geom, sched)
+        rs, mu, gram = kicks.axes, kicks.means, kicks.gram
         var = np.diag(gram).real
         with np.errstate(over="ignore"):  # an overflow is refused below
             reach = (4.0 * np.abs(np.tril(gram, -1)).sum(1) + 2.0 * np.abs(mu) + 2.0 * np.abs(var)).sum()
@@ -779,7 +808,7 @@ def build_prefix_channels(
         a_all, b_all = _affine_record(rs, q, m_first, t_all)
         _validate(a_all, b_all, cp=True)
         maps = (QubitMap(a_all[0], b_all[0], (), {"kind": "identity"}),)
-        shared = _provenance("n_kick", env, times, sched.weights)
+        shared = _provenance("n_kick", env, kicks.times, kicks.weights)
         for k, (fl, sl) in enumerate(np.cumsum(routes, 0).tolist(), 1):
             meta = dict(
                 shared,
@@ -836,22 +865,27 @@ def two_kick_params(
     """Parameters (alpha, g, h, k) and the adapted frame for kicks at t0 < t1.
 
     alpha = r(t1).r(t0), g = exp(-2 Var(t0)), and h, k combine the damping at
-    t1 with hyperbolic functions of the cross correlator K(t1, t0).  Requires
-    an even environment and non-parallel axes.  Weights whose cross
-    correlator would take cosh and sinh out of float64's range,
-    |2 Re w1 w0 K(t1, t0)| > ln(float max) = 709.78, are refused with
-    SpinKickError before either is evaluated.
+    t1 with hyperbolic functions of the cross correlator K(t1, t0), all read
+    from the ``KickInputs`` of ``KickSchedule([t0, t1], weights)``, whose
+    ValueError refuses other times and weights.  Requires an even
+    environment and non-parallel axes.  Weights whose cross correlator
+    would take cosh and sinh out of float64's range, |2 Re w1 w0 K(t1, t0)|
+    > ln(float max) = 709.78, are refused with SpinKickError before either
+    is evaluated.
     """
+    return _two_kick(env, geom, t0, t1, weights)[1]
+
+
+def _two_kick(env, geom, t0, t1, weights) -> tuple:
+    """The record of the two kicks and ``two_kick_params`` read from it."""
+    sched = KickSchedule([t0, t1], weights)
     if not env.is_even:
         raise NonEvenEnvironment("two-kick closed form assumes a vanishing mean")
-    w0, w1 = float(weights[0]), float(weights[1])
-    r0 = r_of_t(geom, t0)
-    r1 = r_of_t(geom, t1)
+    kicks = KickInputs.of(env, geom, sched)
+    (r0, r1), (w0, w1) = kicks.axes, kicks.weights
     frame = two_kick_frame(r1, r0)
     alpha = float(r1 @ r0)
-    v0 = w0 * w0 * env.covariance(t0, t0).real
-    v1 = w1 * w1 * env.covariance(t1, t1).real
-    corr = w1 * w0 * env.covariance(t1, t0)
+    (v0, v1), corr = np.diag(kicks.gram).real, complex(kicks.gram[1, 0])
     if not abs(2.0 * corr.real) <= _EXP_MAX:  # a NaN is refused too
         raise SpinKickError(
             f"weights {w0:g} {w1:g} overflow the two-kick closed form:"
@@ -860,7 +894,7 @@ def two_kick_params(
     g = float(np.exp(-2.0 * v0))
     h = np.exp(-v1) * (np.cosh(2.0 * corr) - alpha * np.sinh(2.0 * corr))
     k = np.linalg.norm(cross3(r1, r0)) * np.exp(-v1) * np.sinh(2.0 * corr)
-    return TwoKickParams(alpha, g, complex(h), complex(k), frame)
+    return kicks, TwoKickParams(alpha, g, complex(h), complex(k), frame)
 
 
 def _two_kick_affine(params: TwoKickParams) -> tuple:
@@ -902,11 +936,11 @@ def two_kick_closed_form(
     Its meta is the provenance only: reports take ``two_kick_params``.
     """
     try:
-        params = two_kick_params(env, geom, t0, t1, weights)
+        kicks, params = _two_kick(env, geom, t0, t1, weights)
     except ParallelAxes:
-        return dephasing_channel(env, geom, KickSchedule([t0, t1], list(weights)))
-    meta = _provenance("two_kick_closed_form", env, (t0, t1), weights[:2])
-    return _map(*_two_kick_affine(params), (r_of_t(geom, t0), params.frame[0]), meta)
+        return dephasing_channel(env, geom, KickSchedule([t0, t1], weights))
+    meta = _provenance("two_kick_closed_form", env, kicks.times, kicks.weights)
+    return _map(*_two_kick_affine(params), kicks.axes, meta)
 
 
 def dephasing_gamma(env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> complex:
@@ -927,6 +961,8 @@ def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched
     collapses to a single coefficient computed in O(n^2) from the correlator
     double sum.  Time ordering contributes only a global phase and drops out.
     """
+    if len(sched) == 0:
+        return identity_channel()
     gamma = dephasing_gamma(env, geom, sched)
     meta = _provenance("dephasing", env, sched.times, sched.weights)
     return phase_damping_channel(r_of_t(geom, sched.times[0]), gamma, meta=meta)

@@ -508,7 +508,8 @@ def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted, builds):
     for the quantities that need them.  ``builds`` are the builders of the
     channel and of its prefix (``channels.reusing_builder``)."""
     build, build_head = builds
-    ch = build(env, geom, sched, max_kicks)
+    kicks = functools.cache(lambda: channels.KickInputs.of(env, geom, sched))
+    ch = build(kicks, len(sched), max_kicks)
     commuting = functools.cache(lambda: is_commuting_schedule(geom, sched)[0])
 
     def fixed_point_norm():
@@ -520,7 +521,7 @@ def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted, builds):
     def lambda_min():
         if len(sched) < 2:
             return np.nan
-        shorter = build_head(env, geom, _head(sched, len(sched) - 1), max_kicks)
+        shorter = build_head(lambda: kicks().head(len(sched) - 1), len(sched) - 1, max_kicks)
         try:
             theta = channels.transition_map(ch, shorter)
         except SpinKickError:
@@ -559,12 +560,13 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
     ``parameter`` and, when given, ``parameter2`` (the inner loop).
 
     Each point's channel, and its (n-1)-kick head for ``lambda_min``, comes
-    from the 4^n enumeration through a ``channels.reusing_builder``, one for
-    the channels and one for the heads: each takes the previous point's axis
-    part again while the kick axes are the same bytes.  Grids over
-    ``nbar``, ``omega``, ``variance`` and ``scale`` keep the axes; ``Omega``
-    and ``gap`` change them at every point (unless Omega is 0), so a 2D grid
-    reuses along an inner loop that keeps them.  Every cell is
+    from the 4^n enumeration of the point's ``channels.KickInputs`` and its
+    ``head(n - 1)`` through a ``channels.reusing_builder``, one for the
+    channels and one for the heads: each takes the previous point's axis
+    part again while the axes are the same bytes.  Grids over ``nbar``,
+    ``omega``, ``variance`` and ``scale`` keep them; ``Omega`` and ``gap``
+    change them at every point (unless Omega is 0), so a 2D grid reuses
+    along an inner loop that keeps them.  Every cell is
     byte-identical to a fresh ``build_n_kick_channel`` at every point.
     """
     base = cfg["analysis", "log_base"]

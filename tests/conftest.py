@@ -30,6 +30,12 @@ def random_rotation(rng) -> np.ndarray:
     return q if np.linalg.det(q) > 0 else -q
 
 
+def rotation_about(axis, angle) -> np.ndarray:
+    """The rotation by ``angle`` about the unit ``axis`` (Rodrigues)."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
 def random_geometry(rng, omega_max: float = 2.5) -> InteractionGeometry:
     return InteractionGeometry(
         h=random_unit(rng), alpha=random_unit(rng), omega=rng.uniform(0.0, omega_max)

@@ -42,6 +42,8 @@ from spinkick.channels import (
     _EXP_MAX,
     _PARITY_HALVES,
     PARALLEL_BASIS_TOL,
+    KickInputs,
+    _byte_text,
     _factored_level,
     _gamma_matrix,
     _kick_sums,
@@ -64,7 +66,7 @@ from spinkick.channels import (
 from spinkick.environment import format_complex, parse_complex
 from spinkick.oracle import fock_spec_for, nascent_delta_channels, oracle_channel
 from spinkick.pauli import I2, PAULI, OperatorBasis, dot_sigma, spin_frames
-from conftest import random_geometry, random_rotation, random_schedule, random_unit
+from conftest import random_geometry, random_rotation, random_schedule, random_unit, rotation_about
 from reference import bloch_to_density, kick_sums, two_kick_transition_map
 
 
@@ -135,18 +137,45 @@ def test_gamma_white_kernel_factorizes():
         assert joint == pytest.approx(g0 * g1, abs=1e-14)
 
 
-def test_gamma_matrix_matches_pairwise():
+def test_gamma_matrix_matches_pairwise(standard_geometry):
     rng = np.random.default_rng(7)
     env = SingleModeThermal(omega=1.4, nbar=0.6, displacement=0.5 - 0.3j)
     sched = random_schedule(rng, 3)
     signs = _sign_matrix(3)
-    gam = _gamma_matrix(env, sched.times, sched.weights, signs)
+    kicks = KickInputs.of(env, standard_geometry, sched)
+    gam = _gamma_matrix(kicks.means, kicks.gram, signs)
     for i in range(len(signs)):
         for j in range(len(signs)):
             expected = gamma_coefficient(env, sched, signs[i], signs[j])
             assert gam[i, j] == pytest.approx(expected, abs=1e-13)
             assert abs(gam[i, j]) <= 1 + 1e-12
             GammaCoefficient(gam[i, j], tuple(signs[i]), tuple(signs[j]))
+
+
+@pytest.mark.parametrize("kind", ["thermal", "displaced", "white", "tabulated", "tabulated_even"])
+def test_kick_inputs_head_is_the_record_of_the_first_kicks(kind):
+    """``head(k)`` of a train's record is, byte for byte, the record ``of``
+    derives from its first k kicks alone, for every k from 0 to n, on all
+    three kernels, displaced and undisplaced; its Gram block is contiguous,
+    as a derived one is."""
+    rng = np.random.default_rng(41)
+    n = 7
+    geom = random_geometry(rng)
+    sched = KickSchedule(np.cumsum(rng.uniform(0.2, 0.9, size=n)), rng.uniform(0.3, 1.5, size=n))
+    env = {
+        "thermal": SingleModeThermal(omega=1.3, nbar=0.7),
+        "displaced": SingleModeThermal(omega=0.8, nbar=0.2, displacement=0.6 - 0.4j),
+        "white": WhiteKickKernel(0.35),
+        "tabulated": _tabulated(rng, sched.times),
+        "tabulated_even": _tabulated(rng, sched.times, mean_bound=0.0),
+    }[kind]
+    full = KickInputs.of(env, geom, sched)
+    for k in range(n + 1):
+        head, fresh = full.head(k), KickInputs.of(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
+        assert head.env is env and head.gram.flags.c_contiguous
+        for name in ("times", "weights", "axes", "means", "gram"):
+            assert getattr(head, name).shape == getattr(fresh, name).shape
+            assert getattr(head, name).tobytes() == getattr(fresh, name).tobytes(), (k, name)
 
 
 @pytest.mark.parametrize("n", [1, 4, 7])
@@ -328,7 +357,8 @@ def test_n_kick_chi_consistent_with_affine():
     rs = np.stack([r_of_t(geom, t) for t in sched.times])
     signs = _sign_matrix(len(sched))
     coeff = np.einsum("ayx,myx->ma", ch.basis.ops.conj(), _projector_strings(rs, signs))
-    gammas = _gamma_matrix(env, sched.times, sched.weights, signs)
+    kicks = KickInputs.of(env, geom, sched)
+    gammas = _gamma_matrix(kicks.means, kicks.gram, signs)
     double_trace = coeff.T @ gammas @ coeff.conj()
     np.testing.assert_allclose(double_trace, chi_from_affine(ch, ch.basis), atol=1e-12)
 
@@ -338,6 +368,21 @@ def test_n_kick_budget(vacuum, standard_geometry):
         build_n_kick_channel(
             vacuum, standard_geometry, KickSchedule(np.linspace(0, 1, 11))
         )
+
+
+def test_byte_text_states_every_size():
+    """A byte count keeps its decimal digits and binary unit while the count
+    in that unit is a float64; past that, where the division overflows and
+    the digits may pass Python's int-to-str limit, its base-2 logarithm.
+    No count raises, at any bit length from 0 to 20 000."""
+    assert _byte_text(0) == "0 bytes (0 B)"
+    assert _byte_text(16 * 4**11) == "67108864 bytes (64 MiB)"
+    largest = int(np.finfo(float).max) * 1024**5
+    assert _byte_text(largest) == f"{largest} bytes ({np.finfo(float).max:.4g} PiB)"
+    assert _byte_text(2**1074) == "2^1074.00 bytes"
+    assert _byte_text(16 * 4**600) == "2^1204.00 bytes"
+    for bits in range(20001):
+        assert _byte_text(2**bits - 1).endswith(("B)", " bytes"))
 
 
 def test_n_kick_ball_contraction():
@@ -870,15 +915,16 @@ def test_two_kick_rejects_displaced(standard_geometry):
 def test_two_kick_params_refuse_weights_beyond_cosh_range(standard_geometry):
     """Weights that take cosh and sinh of 2 w1 w0 K(t1, t0) out of float64's
     range (|2 Re w1 w0 K| > ln(float max)) are refused before either is
-    evaluated, NaN weights too; just inside that edge the parameters are the
-    formula's, finite and without a warning."""
+    evaluated; NaN weights are refused before that, by the schedule, with
+    ValueError.  Just inside that edge the parameters are the formula's,
+    finite and without a warning."""
     env = SingleModeThermal(omega=1.0, nbar=0.5)
     t0, t1 = 0.0, 0.7
     edge = np.sqrt(_EXP_MAX / abs(2.0 * env.covariance(t1, t0).real))
     for w in (edge * (1 + 1e-6), 1e30):
         with pytest.raises(SpinKickError, match="overflow the two-kick closed form"):
             two_kick_params(env, standard_geometry, t0, t1, (w, w))
-    with pytest.raises(SpinKickError, match="overflow the two-kick closed form"):
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
         two_kick_params(env, standard_geometry, t0, t1, (np.nan, 1.0))
     w = edge * (1 - 1e-6)
     params = two_kick_params(env, standard_geometry, t0, t1, (w, w))
@@ -886,6 +932,29 @@ def test_two_kick_params_refuse_weights_beyond_cosh_range(standard_geometry):
     damping = np.exp(-w * w * env.covariance(t1, t1).real)
     assert params.h == damping * (np.cosh(2.0 * corr) - params.alpha * np.sinh(2.0 * corr))
     assert np.isfinite(params.h) and np.isfinite(params.k) and abs(params.k) > 0
+
+
+@pytest.mark.parametrize(
+    "t0, t1, weights, message",
+    [
+        (0.5, 0.3, (1.0, 1.0), "strictly increasing"),
+        (0.3, 0.3, (1.0, 1.0), "strictly increasing"),
+        (2 * np.pi, 2 * np.pi, (1.0, 1.0), "strictly increasing"),
+        (0.0, 0.7, (1.0,), "2 times but 1 weights"),
+        (0.0, 0.7, (1.0, 1.0, 1.0), "2 times but 3 weights"),
+        (0.0, 0.7, (1.0, -0.5), "positive and finite"),
+    ],
+    ids=["reversed", "equal", "equal_parallel", "one_weight", "three_weights", "negative_weight"],
+)
+@pytest.mark.parametrize("build", [two_kick_params, two_kick_closed_form])
+def test_two_kick_refuses_what_is_not_a_schedule(vacuum, standard_geometry, build, t0, t1, weights, message):
+    """The closed form reads the record of the schedule (t0, t1) with its
+    weights, so times that are not strictly increasing, a weight count
+    other than two and a weight that is not positive are refused with the
+    schedule's ValueError; a channel for (0.5, 0.3) would silently differ
+    from the one for (0.3, 0.5)."""
+    with pytest.raises(ValueError, match=message):
+        build(vacuum, standard_geometry, t0, t1, weights)
 
 
 def test_two_kick_parallel_falls_back_to_dephasing(vacuum, standard_geometry):
@@ -897,6 +966,14 @@ def test_two_kick_parallel_falls_back_to_dephasing(vacuum, standard_geometry):
 
 # ---------------------------------------------------------------------------
 # dephasing
+
+
+def test_dephasing_channel_of_an_empty_schedule_is_the_identity(vacuum, standard_geometry):
+    """As both exact builders do, the dephasing channel of no kicks is the
+    identity."""
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([]))
+    assert np.array_equal(ch.matrix, np.eye(3)) and np.array_equal(ch.shift, np.zeros(3))
+    assert ch.meta["kind"] == "identity"
 
 
 def test_dephasing_reduces_to_single_kick(vacuum, standard_geometry):
@@ -1382,6 +1459,8 @@ def _symmetry_train(kind, rng):
         env = flipped = SingleModeThermal(omega=1.1, nbar=0.5)
     elif kind == "high_nbar":
         env = flipped = SingleModeThermal(omega=1.1, nbar=200.0)
+    elif kind == "white":
+        env = flipped = WhiteKickKernel(0.3)
     elif kind == "displaced":
         env, flipped = (SingleModeThermal(omega=0.9, nbar=0.4, displacement=d) for d in (0.5 - 0.3j, -0.5 + 0.3j))
     else:
@@ -1433,6 +1512,25 @@ def test_flipping_the_coupling_axis_flips_the_mean(kind):
         build_prefix_channels(env, reversed_axis, sched, max_kicks=13),
         build_prefix_channels(flipped, geom, sched, max_kicks=13),
     )
+
+
+@pytest.mark.parametrize("kind", ["even", "high_nbar", "white"])
+def test_shifting_the_times_rotates_every_prefix_about_h(kind):
+    """On a stationary kernel (an undisplaced mode, white kicks) shifting
+    every kick time by tau moves only the axes, r(t + tau) = R r(t) with R
+    the rotation about h by -Omega tau, so every prefix channel (A, b) of a
+    pass goes to (R A R^T, R b).  On 12 and 13 kicks, on both level
+    routes."""
+    rng = np.random.default_rng(34)
+    env, sched, _ = _symmetry_train(kind, rng)
+    geom = random_geometry(rng)
+    prefixes = build_prefix_channels(env, geom, sched, max_kicks=13)
+    routes = [m.meta["summed_levels"] for m in prefixes[1:]]
+    assert (routes[-1] > 0) == (kind == "high_nbar")
+    for tau in (-1.6, 0.37, 2.9):
+        shifted = build_prefix_channels(env, geom, KickSchedule(sched.times + tau, sched.weights), max_kicks=13)
+        assert [m.meta["summed_levels"] for m in shifted[1:]] == routes
+        _assert_maps_equal(prefixes, shifted, rotation_about(geom.h, -geom.omega * tau))
 
 
 @pytest.mark.parametrize("kind", ["displaced", "tabulated"])

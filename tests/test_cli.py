@@ -1,4 +1,5 @@
 import errno
+import itertools
 import os
 import re
 import tempfile
@@ -293,17 +294,19 @@ def test_sweep_computes_only_requested_quantities(tmp_path, monkeypatch, paramet
     The builds come from the sweep's two ``reusing_builder``s, one for the
     channels and one for their heads: on an nbar grid the axes hold, so
     each derives its axis part once; on an Omega grid they change, so each
-    derives it at every point."""
+    derives it at every point.  Both read the point's one ``KickInputs``:
+    one weighted Gram matrix per grid point, whatever is asked for."""
     from spinkick import analysis, channels
 
-    calls = {"build": [], "axis_part": [], "fixed_point": 0}
+    calls = {"build": [], "axis_part": [], "gram": 0, "fixed_point": 0}
     reusing_builder, axis_part, fixed_point = channels.reusing_builder, channels._axis_part, analysis.fixed_point
+    gram_matrix = channels.gram_matrix
 
     def counting_reusing_builder():
         build = reusing_builder()
 
         def counting_build(*args, **kwargs):
-            calls["build"].append(len(args[2]))
+            calls["build"].append(args[1])
             return build(*args, **kwargs)
 
         return counting_build
@@ -312,18 +315,23 @@ def test_sweep_computes_only_requested_quantities(tmp_path, monkeypatch, paramet
         calls["axis_part"].append(len(rs))
         return axis_part(rs)
 
+    def counting_gram_matrix(*args, **kwargs):
+        calls["gram"] += 1
+        return gram_matrix(*args, **kwargs)
+
     def counting_fixed_point(*args, **kwargs):
         calls["fixed_point"] += 1
         return fixed_point(*args, **kwargs)
 
     monkeypatch.setattr(channels, "reusing_builder", counting_reusing_builder)
     monkeypatch.setattr(channels, "_axis_part", counting_axis_part)
+    monkeypatch.setattr(channels, "gram_matrix", counting_gram_matrix)
     monkeypatch.setattr(analysis, "fixed_point", counting_fixed_point)
     body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", "times = 0.0 0.7 1.3")
     body += f"\n[sweep]\nparameter = {parameter}\nstart = 0.0\nstop = 1.0\ncount = 2\nquantities = {quantities}\n"
     assert main(["--config", write_cfg(tmp_path, body), "sweep"]) == EXIT_OK
     derived = builds * 2 if parameter == "Omega" else builds
-    assert calls == {"build": builds * 2, "axis_part": derived, "fixed_point": 2 * fixed_points}
+    assert calls == {"build": builds * 2, "axis_part": derived, "gram": 2, "fixed_point": 2 * fixed_points}
 
 
 # Inputs of the byte-for-byte test of the sweep's reuse: a precessing
@@ -361,9 +369,11 @@ _SWEEP_GRIDS = {
 @pytest.mark.parametrize("grid", list(_SWEEP_GRIDS))
 def test_sweep_reuse_is_bit_for_bit(tmp_path, monkeypatch, grid):
     """The sweep's CSV equals, byte for byte, the one whose every cell comes
-    from a fresh build_n_kick_channel at every grid point, for every sweep
-    parameter and two 2D grids: reusing the axis part while the axes hold
-    runs the same floating-point operations as deriving it again."""
+    from a fresh build at every grid point, for every sweep parameter and
+    two 2D grids: reusing the axis part while the axes hold, and reading
+    the head's record from the channel's, runs the same floating-point
+    operations as deriving the axis part, and the head's ``KickInputs``
+    from its own schedule, again."""
     from spinkick import channels
 
     train, parameter, rest = _SWEEP_GRIDS[grid]
@@ -373,7 +383,23 @@ def test_sweep_reuse_is_bit_for_bit(tmp_path, monkeypatch, grid):
     csv = tmp_path / "out" / "run_sweep.csv"
     assert main(["--config", cfg, "sweep"]) == EXIT_OK
     reused = csv.read_bytes()
-    monkeypatch.setattr(channels, "reusing_builder", lambda: channels.build_n_kick_channel)
+
+    of, last = channels.KickInputs.of, {}
+
+    def remembering_of(env, geom, sched):
+        last["train"] = env, geom, sched
+        return of(env, geom, sched)
+
+    def fresh_head(record, k):
+        env, geom, sched = last["train"]
+        return of(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
+
+    def fresh_build(inputs, n, max_kicks):
+        return channels._enumerate(inputs, n, max_kicks, channels._axis_part)
+
+    monkeypatch.setattr(channels.KickInputs, "of", staticmethod(remembering_of))
+    monkeypatch.setattr(channels.KickInputs, "head", fresh_head)
+    monkeypatch.setattr(channels, "reusing_builder", lambda: fresh_build)
     assert main(["--config", cfg, "sweep"]) == EXIT_OK
     assert reused == csv.read_bytes()
     if train == "synchronized":  # the noise this test keeps: a fixed point where 1 - A is singular
@@ -684,6 +710,36 @@ def test_schedule_over_budget_is_refused_up_front(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "out").exists()
 
 
+def _long_train_cfg(tmp_path, kicks):
+    """A train of ``kicks`` kicks 0.01 apart, with a sweep over nbar."""
+    times = " ".join(repr(0.01 * i) for i in range(kicks))
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", f"times = {times}")
+    body += "\n[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = 2\nquantities = purity_final lambda_min\n"
+    return write_cfg(tmp_path, body)
+
+
+@pytest.mark.parametrize("kicks", [600, 7200, 20000])
+@pytest.mark.parametrize("command", ["simulate", "fixed-point", "divisibility", "oracle-check", "sweep"])
+def test_trains_past_float_range_are_refused_naming_the_budget(tmp_path, monkeypatch, capsys, command, kicks):
+    """Trains whose bytes pass float64's range (600 kicks) and whose digits
+    pass Python's int-to-str limit (7200) end every building command with
+    exit 4 and one line naming the budget and the bytes' base-2 logarithm:
+    no traceback, nothing on stdout, no output directory.  The kick count
+    is judged first: no train's record, whose Gram matrix would hold 4e8
+    entries at 20 000 kicks, is derived."""
+    from spinkick import channels
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("gram_matrix called")
+
+    monkeypatch.setattr(channels, "gram_matrix", no_gram)
+    assert main(["--config", _long_train_cfg(tmp_path, kicks), command]) == EXIT_DOMAIN
+    out, err = capsys.readouterr()
+    assert re.match(rf"error: {kicks} kicks exceeds budget of 10; the build would hold 2\^\d+\.\d\d bytes", err)
+    assert out == "" and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
     """A gamma matrix the enumeration cannot allocate ends the sweep with
     exit 4."""
@@ -714,7 +770,8 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, sta
     the spectrum of d = 30 before its evolution failed.  A nascent
     map records its bytes as an int, as a kicks-mode map does.  A truncation
     past sys.maxsize bytes (d = 1.2e18), where numpy would raise ValueError,
-    is refused the same way in either mode before anything is built."""
+    is refused the same way in either mode before anything is built, and so
+    is one at d = 1e200, whose bytes pass float64's range."""
     from spinkick import oracle
 
     nascent = oracle.nascent_delta_channels(oracle.FockSpec(vacuum, 4), standard_geometry, KickSchedule([0.0]), [0.01])
@@ -738,11 +795,11 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, sta
     assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {nbytes} bytes")
     assert not (tmp_path / "out").exists()
 
-    dim = 12 * 10**17
-    for mode in ("kicks", "nascent"):
+    for mode, dim in itertools.product(("kicks", "nascent"), (12 * 10**17, 10**200)):
         body = BASE_CFG.format(out=tmp_path / "out") + f"\n[oracle]\nmode = {mode}\ndim = {dim}\ndim_max = {dim + 10}\n"
         assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_DOMAIN
-        refusal = rf"error: oracle truncation at dim {dim} needs \d+ bytes .*, more than could be allocated\n$"
+        need = r"\d+ bytes .*" if dim < 10**100 else r"2\^\d+\.\d\d bytes"
+        refusal = rf"error: oracle truncation at dim {dim} needs {need}, more than could be allocated\n$"
         assert re.match(refusal, capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 

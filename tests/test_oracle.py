@@ -39,7 +39,7 @@ from spinkick.oracle import (
     coupling_spectrum,
 )
 from spinkick.pauli import I2, PAULI, density_to_bloch, dot_sigma
-from conftest import random_geometry, random_rotation, random_schedule, random_unit
+from conftest import random_geometry, random_rotation, random_schedule, random_unit, rotation_about
 from reference import annihilation, entanglement_entropy, environment_state, quadrature_heisenberg
 
 
@@ -809,16 +809,10 @@ def test_oracle_random_matrix(standard_geometry):
 # exact symmetries at a fixed truncation
 
 
-def _about(axis, angle) -> np.ndarray:
-    """The rotation by ``angle`` about the unit ``axis`` (Rodrigues)."""
-    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
 def _onto(h, e) -> np.ndarray:
     """The rotation taking the unit h onto the unit e about their normal."""
     normal = np.cross(h, e)
-    return _about(normal / np.linalg.norm(normal), np.arccos(np.clip(h @ e, -1.0, 1.0)))
+    return rotation_about(normal / np.linalg.norm(normal), np.arccos(np.clip(h @ e, -1.0, 1.0)))
 
 
 def _symmetry_channels(spec, geom, times, weights):
@@ -881,7 +875,7 @@ def test_shifting_the_times_rotates_the_channel_about_h(gap):
     chans = _symmetry_channels(spec, geom, times, weights)
     for tau in (0.37, 2.9, -1.6):
         shifted = _symmetry_channels(spec, geom, times + tau, weights)
-        _assert_rotated(chans, shifted, _about(geom.h, -gap * tau))
+        _assert_rotated(chans, shifted, rotation_about(geom.h, -gap * tau))
 
 
 # ---------------------------------------------------------------------------

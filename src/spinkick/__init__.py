@@ -38,7 +38,6 @@ from .environment import (
     TabulatedKernel,
     WhiteKickKernel,
     commutator_C,
-    gaussian_char,
     gram_matrix,
 )
 from .errors import (

@@ -55,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .environment import PSD_TOL, GaussianEnvironment, _kick_means, format_complex, gaussian_char, gram_matrix, parse_complex
+from .environment import PSD_TOL, GaussianEnvironment, _kick_means, _numbers, format_complex, gram_matrix, parse_complex
 from .errors import (
     InvalidMap,
     NonCommutingSchedule,
@@ -136,9 +136,10 @@ class KickInputs:
     one derivation (the weights scale the means and the Gram matrix, and an
     overflow is refused with SpinKickError); ``head(k)``, slices with the
     Gram block copied contiguous, is byte for byte ``of`` on the first k
-    kicks.  Outside it stay the Fock oracle's own axes, independent of it,
-    and ``gaussian_char``'s unweighted moments, for the dephasing and
-    single-kick coefficients' bits."""
+    kicks.  The closed forms read it too: the two-kick parameters and
+    ``dephasing_gamma``.  Outside it stay the Fock oracle's own axes,
+    independent of it, and ``is_commuting_schedule``'s, which judges a
+    schedule before its Gram matrix is formed."""
 
     env: GaussianEnvironment
     times: np.ndarray
@@ -155,6 +156,18 @@ class KickInputs:
     def head(self, k: int) -> KickInputs:
         heads = (self.times[:k], self.weights[:k], self.axes[:k], self.means[:k])
         return KickInputs(self.env, *heads, self.gram[:k, :k].copy())
+
+    def dephasing_gamma(self, signs) -> complex:
+        """The dephasing coefficient <exp(-2i sum_k f_k w_k O(t_k))> of a
+        commuting train, f its axis signs (``collinear_signs`` of the axes):
+        exp(-2i f.means - 2 f^T Re(gram) f).  An exponent that overflows is
+        refused with SpinKickError."""
+        f = np.asarray(signs, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            exponent = -2j * (f @ self.means) - 2.0 * (f @ self.gram.real @ f)
+        if not np.isfinite(exponent):
+            raise SpinKickError(f"weights {_numbers(self.weights)} overflow the dephasing coefficient's exponent")
+        return complex(np.exp(exponent))
 
 
 def _gamma_matrix(mu: np.ndarray, gram: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -386,14 +399,14 @@ def single_kick_channel(
     weight: float = 1.0,
 ) -> QubitMap:
     """Exact channel for one kick at t0: phase damping about r(t0) with
-    gamma = <exp(-2i w O(t0))>.
+    gamma = <exp(-2i w O(t0))>, the dephasing channel of the schedule
+    (t0, weight), which refuses a weight that is not positive and finite.
 
     For even environments gamma is real and the Bloch action reduces to
     u -> gamma u + (1 - gamma)(u.r) r; a nonzero mean only adds a rotation
     about r(t0).
     """
-    gamma = gaussian_char(env, [t0], [2.0 * weight])
-    return phase_damping_channel(r_of_t(geom, t0), gamma, meta=_provenance("single_kick", env, [t0], [weight]))
+    return dephasing_channel(env, geom, KickSchedule([t0], [weight]))
 
 
 def build_n_kick_channel(
@@ -943,15 +956,21 @@ def two_kick_closed_form(
     return _map(*_two_kick_affine(params), kicks.axes, meta)
 
 
+def _dephasing(env, geom, sched) -> tuple[KickInputs, complex]:
+    """A commuting schedule's record and its dephasing coefficient.  A
+    schedule that does not commute is refused with NonCommutingSchedule,
+    judged from its axes before the record's Gram matrix is formed."""
+    commuting, signs = is_commuting_schedule(geom, sched)
+    if not commuting:
+        raise NonCommutingSchedule("kick axes are not collinear within tolerance")
+    kicks = KickInputs.of(env, geom, sched)
+    return kicks, kicks.dephasing_gamma(signs)
+
+
 def dephasing_gamma(env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> complex:
     """Dephasing coefficient <exp(-2i sum_k f_k w_k O(t_k))> of a commuting
-    schedule."""
-    ok, signs = is_commuting_schedule(geom, sched)
-    if not ok:
-        raise NonCommutingSchedule("kick axes are not collinear within tolerance")
-    with np.errstate(over="ignore"):  # gaussian_char refuses an infinite coefficient
-        coeffs = 2.0 * signs * sched.weights
-    return gaussian_char(env, sched.times, coeffs)
+    schedule, read from its ``KickInputs``."""
+    return _dephasing(env, geom, sched)[1]
 
 
 def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched: KickSchedule) -> QubitMap:
@@ -963,9 +982,9 @@ def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched
     """
     if len(sched) == 0:
         return identity_channel()
-    gamma = dephasing_gamma(env, geom, sched)
-    meta = _provenance("dephasing", env, sched.times, sched.weights)
-    return phase_damping_channel(r_of_t(geom, sched.times[0]), gamma, meta=meta)
+    kicks, gamma = _dephasing(env, geom, sched)
+    meta = _provenance("dephasing", env, kicks.times, kicks.weights)
+    return phase_damping_channel(kicks.axes[0], gamma, meta=meta)
 
 
 # ---------------------------------------------------------------------------

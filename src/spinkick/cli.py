@@ -52,7 +52,7 @@ import numpy as np
 from . import analysis, channels, oracle
 from .environment import SingleModeThermal, TabulatedKernel, WhiteKickKernel, parse_complex
 from .errors import ConfigError, LengthMismatch, NonUnitVector, SpinKickError, TruncationNotConverged
-from .kicks import InteractionGeometry, KickSchedule, is_commuting_schedule
+from .kicks import InteractionGeometry, KickSchedule, collinear_signs, is_commuting_schedule
 from .pauli import is_physical_bloch
 
 EXIT_OK = 0
@@ -369,11 +369,6 @@ class RunConfig:
             return KickSchedule(self["schedule", "times"], self["schedule", "weights"])
 
 
-def _head(sched: KickSchedule, k: int) -> KickSchedule:
-    """The first k kicks of a schedule."""
-    return KickSchedule(sched.times[:k], sched.weights[:k])
-
-
 class _Train:
     """A run's environment, geometry and schedule, and the exact channel of
     each prefix of the schedule, all from one ``build_prefix_channels`` pass:
@@ -447,7 +442,7 @@ def cmd_fixed_point(cfg: RunConfig, train: _Train) -> _Outcome:
 def cmd_divisibility(cfg: RunConfig, train: _Train) -> _Outcome:
     env, geom, sched = train.env, train.geom, train.sched
     mode = cfg["divisibility", "mode"]
-    commuting, _ = is_commuting_schedule(geom, sched) if len(sched) else (False, None)
+    commuting, signs = is_commuting_schedule(geom, sched) if len(sched) else (False, None)
     if mode == "auto":
         mode = "dephasing" if commuting and len(sched) >= 2 else "two_kick"
 
@@ -458,8 +453,9 @@ def cmd_divisibility(cfg: RunConfig, train: _Train) -> _Outcome:
         m = len(sched) if m is None else m
         if not 1 <= n < m <= len(sched):
             raise ConfigError(f"need 1 <= n < m <= {len(sched)}, got n={n}, m={m}")
-        gam_n = channels.dephasing_gamma(env, geom, _head(sched, n))
-        gam_m = channels.dephasing_gamma(env, geom, _head(sched, m))
+        # one record of the first m kicks, with the signs judged above
+        kicks = channels.KickInputs.of(env, geom, KickSchedule(sched.times[:m], sched.weights[:m]))
+        gam_m, gam_n = kicks.dephasing_gamma(signs[:m]), kicks.head(n).dephasing_gamma(signs[:n])
         report = analysis.dephasing_divisibility(gam_m, gam_n)
     else:
         if len(sched) < 2:
@@ -510,7 +506,7 @@ def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted, builds):
     build, build_head = builds
     kicks = functools.cache(lambda: channels.KickInputs.of(env, geom, sched))
     ch = build(kicks, len(sched), max_kicks)
-    commuting = functools.cache(lambda: is_commuting_schedule(geom, sched)[0])
+    signs = functools.cache(lambda: collinear_signs(kicks().axes))  # None when the axes do not commute
 
     def fixed_point_norm():
         try:
@@ -533,8 +529,8 @@ def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted, builds):
         "entropy_final": lambda: analysis.entropy(ch(u0), base),
         "nonunital_shift": lambda: float(np.linalg.norm(ch.shift)),
         "fixed_point_norm": fixed_point_norm,
-        "commuting": lambda: 1.0 if commuting() else 0.0,
-        "gamma_abs": lambda: abs(channels.dephasing_gamma(env, geom, sched)) if commuting() else np.nan,
+        "commuting": lambda: 0.0 if signs() is None else 1.0,
+        "gamma_abs": lambda: np.nan if signs() is None else abs(kicks().dephasing_gamma(signs())),
         "lambda_min": lambda_min,
     }
     return {q: formulas[q]() for q in dict.fromkeys(wanted)}

@@ -64,7 +64,7 @@ def commutator_C(env: GaussianEnvironment, t: float, t_prime: float) -> complex:
     return 2.0j * env.covariance(t, t_prime).imag
 
 
-def gram_matrix(env: GaussianEnvironment, times, weights=None) -> np.ndarray:
+def gram_matrix(env: GaussianEnvironment, times, weights) -> np.ndarray:
     """Hermitian Gram matrix M_ij = w_i w_j K(t_i, t_j).
 
     Positive semi-definite for any finite time set when the environment is a
@@ -76,7 +76,7 @@ def gram_matrix(env: GaussianEnvironment, times, weights=None) -> np.ndarray:
     # Python floats and complex numbers: the same products, and an overflow
     # to inf, refused below, raises no numpy warning; the entries fill a flat
     # list, converted once
-    w = [1.0] * n if weights is None else np.asarray(weights, dtype=float).tolist()
+    w = np.asarray(weights, dtype=float).tolist()
     if len(w) != n:
         raise LengthMismatch(f"{n} times but {len(w)} weights")
     entries = [0j] * (n * n)
@@ -111,28 +111,6 @@ def _phase(omega: float, t) -> float:
     if not math.isfinite(x):
         raise SpinKickError(f"phase {omega:g} * {float(t):g} overflows")
     return x
-
-
-def gaussian_char(env: GaussianEnvironment, times, coeffs) -> complex:
-    """Characteristic function <exp(-i sum_k c_k O(t_k))>.
-
-    Equals exp(-i c.m) exp(-c^T Re(K) c / 2) with the full Hermitian Gram of
-    centered operators; the magnitude never exceeds 1.  Coefficients so
-    large that the exponent overflows are refused with SpinKickError.
-    """
-    times = np.asarray(times, dtype=float)
-    c = np.asarray(coeffs, dtype=float)
-    if len(times) != len(c):
-        raise LengthMismatch(f"{len(times)} times but {len(c)} coefficients")
-    if len(times) == 0:
-        return 1.0 + 0.0j
-    mu = np.array([env.mean(t) for t in times])
-    gram = gram_matrix(env, times)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        exponent = -1j * (c @ mu) - 0.5 * np.real(c @ gram @ c)
-    if not np.isfinite(exponent):
-        raise SpinKickError(f"coefficients {_numbers(c)} overflow the characteristic function's exponent")
-    return complex(np.exp(exponent))
 
 
 @dataclass(frozen=True)

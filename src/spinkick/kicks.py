@@ -102,21 +102,24 @@ def r_of_t(geom: InteractionGeometry, t) -> np.ndarray:
     return ha * h + np.cos(wt) * (a - ha * h) - np.sin(wt) * geom.h_cross_alpha
 
 
-def is_commuting_schedule(geom: InteractionGeometry, sched: KickSchedule):
-    """Whether all kick axes r(t_i) are collinear, and the signs if so.
+def collinear_signs(axes) -> np.ndarray | None:
+    """The signs f_k = sign(r_k . r_0) of kick axes that commute, else None.
 
-    Returns (True, f) with f_k = sign(r(t_k) . r(t_0)) when every pairwise
-    cross product has norm <= COMMUTE_TOL, else (False, None).  Near-commuting
-    schedules are treated as non-commuting: exactness is preferred over a
-    silent approximation.
+    The axes commute when every |r_k x r_0| <= COMMUTE_TOL, judged in one
+    pass left at the first axis that fails; near-commuting axes do not, as
+    exactness is preferred over a silent approximation.
     """
-    if len(sched) == 0:
-        return True, np.array([], dtype=int)
-    rs = r_of_t(geom, sched.times)
-    n = len(rs)
-    for i in range(n):
-        for j in range(i):
-            if np.linalg.norm(cross3(rs[i], rs[j])) > COMMUTE_TOL:
-                return False, None
-    signs = np.where(rs @ rs[0] >= 0.0, 1, -1).astype(int)
-    return True, signs
+    if len(axes) == 0:
+        return np.array([], dtype=int)
+    r0 = axes[0]
+    for r in axes[1:]:
+        if np.linalg.norm(cross3(r, r0)) > COMMUTE_TOL:
+            return None
+    return np.where(axes @ r0 >= 0.0, 1, -1).astype(int)
+
+
+def is_commuting_schedule(geom: InteractionGeometry, sched: KickSchedule):
+    """(True, f) when a schedule's kick axes commute (``collinear_signs``),
+    else (False, None): judged from the axes alone, before any Gram matrix."""
+    signs = collinear_signs(r_of_t(geom, sched.times))
+    return signs is not None, signs

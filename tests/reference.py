@@ -6,7 +6,9 @@ purity and entropy, the two-kick transition map and its divisibility
 verdict, the truncated environment state of the Fock oracle, the truncated
 annihilation operator and Heisenberg-picture quadrature O(t) that the
 oracle's direct-exponential cross-checks decompose, the density matrix
-of a Bloch vector, and the prefix pass's sums f_k doubled kick by kick.
+of a Bloch vector, the prefix pass's sums f_k doubled kick by kick, and
+the Gaussian characteristic function from its own unweighted moments, the
+independent derivation of the dephasing and single-kick coefficients.
 """
 
 from __future__ import annotations
@@ -18,11 +20,34 @@ import numpy as np
 
 from spinkick.analysis import DivisibilityReport, _h2, chi_eigenvalues_two_kick
 from spinkick.channels import PSD_TOL, QubitMap, TwoKickParams, _map, _two_kick_affine, two_kick_params
-from spinkick.environment import GaussianEnvironment
-from spinkick.errors import NonEvenEnvironment
+from spinkick.environment import GaussianEnvironment, _numbers, gram_matrix
+from spinkick.errors import LengthMismatch, NonEvenEnvironment, SpinKickError
 from spinkick.kicks import InteractionGeometry, r_of_t
 from spinkick.oracle import FockSpec, _environment_factor, coupling_spectrum
 from spinkick.pauli import I2, cross3, dot_sigma
+
+
+def gaussian_char(env: GaussianEnvironment, times, coeffs) -> complex:
+    """Characteristic function <exp(-i sum_k c_k O(t_k))>.
+
+    Equals exp(-i c.m) exp(-c^T Re(K) c / 2) with the full Hermitian Gram of
+    centered operators, unweighted; the magnitude never exceeds 1.
+    Coefficients so large that the exponent overflows are refused with
+    SpinKickError.
+    """
+    times = np.asarray(times, dtype=float)
+    c = np.asarray(coeffs, dtype=float)
+    if len(times) != len(c):
+        raise LengthMismatch(f"{len(times)} times but {len(c)} coefficients")
+    if len(times) == 0:
+        return 1.0 + 0.0j
+    mu = np.array([env.mean(t) for t in times])
+    gram = gram_matrix(env, times, np.ones(len(times)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        exponent = -1j * (c @ mu) - 0.5 * np.real(c @ gram @ c)
+    if not np.isfinite(exponent):
+        raise SpinKickError(f"coefficients {_numbers(c)} overflow the characteristic function's exponent")
+    return complex(np.exp(exponent))
 
 
 def bloch_to_density(u) -> np.ndarray:

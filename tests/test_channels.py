@@ -26,7 +26,6 @@ from spinkick import (
     compose,
     dephasing_channel,
     dephasing_gamma,
-    gaussian_char,
     gram_matrix,
     identity_channel,
     invert_channel,
@@ -67,7 +66,7 @@ from spinkick.environment import format_complex, parse_complex
 from spinkick.oracle import fock_spec_for, nascent_delta_channels, oracle_channel
 from spinkick.pauli import I2, PAULI, OperatorBasis, dot_sigma, spin_frames
 from conftest import random_geometry, random_rotation, random_schedule, random_unit, rotation_about
-from reference import bloch_to_density, kick_sums, two_kick_transition_map
+from reference import bloch_to_density, gaussian_char, kick_sums, two_kick_transition_map
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +239,60 @@ def test_single_kick_displaced_rotation(standard_geometry):
 def test_single_kick_weight_scales_variance(vacuum, standard_geometry):
     ch = single_kick_channel(vacuum, standard_geometry, 0.0, weight=2.0)
     assert ch.meta["gamma"] == pytest.approx(np.exp(-4.0 * 0.5 * 2.0))  # e^{-2 w^2}
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+def test_single_kick_refuses_a_weight_that_is_no_schedule(standard_geometry, weight):
+    """A single kick's weight is judged by KickSchedule, as every train's
+    is: zero, negative, NaN and infinite weights raise the schedule's
+    ValueError, not an identity channel or a misnamed overflow."""
+    displaced = SingleModeThermal(omega=1.0, nbar=0.3, displacement=0.5 + 0.2j)
+    with pytest.raises(ValueError, match="weights must be positive and finite"):
+        single_kick_channel(displaced, standard_geometry, 0.3, weight)
+
+
+@pytest.mark.parametrize("kind", ["thermal", "displaced", "white", "tabulated", "tabulated_even"])
+def test_dephasing_coefficients_are_the_characteristic_function(kind):
+    """The dephasing coefficient of every head of a commuting train, and the
+    single-kick coefficient of each of its kicks, equal the reference
+    characteristic function at c = 2 f w, which derives its own unweighted
+    moments, to 1e-13 relative: weights 0.3-1.5, axis signs of both kinds
+    (kicks a whole number of half turns apart), on every kernel, with and
+    without means."""
+    rng = np.random.default_rng(44)
+    n = 6
+    geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=np.pi / 2)
+    times = 0.3 + 2.0 * np.cumsum(rng.integers(1, 3, size=n))
+    weights = rng.uniform(0.3, 1.5, size=n)
+    env = {
+        "thermal": SingleModeThermal(omega=1.3, nbar=0.7),
+        "displaced": SingleModeThermal(omega=0.8, nbar=0.2, displacement=0.6 - 0.4j),
+        "white": WhiteKickKernel(0.35),
+        "tabulated": _tabulated(rng, times),
+        "tabulated_even": _tabulated(rng, times, mean_bound=0.0),
+    }[kind]
+    axes = r_of_t(geom, times)
+    signs = np.where(axes @ axes[0] >= 0.0, 1.0, -1.0)
+    assert set(signs) == {1.0, -1.0}
+    for k in range(n + 1):
+        expected = gaussian_char(env, times[:k], 2.0 * signs[:k] * weights[:k])
+        got = dephasing_gamma(env, geom, KickSchedule(times[:k], weights[:k]))
+        assert got == pytest.approx(expected, rel=1e-13, abs=0), k
+    for t, w in zip(times, weights):
+        single = single_kick_channel(env, geom, t, w)
+        assert single.meta["gamma"] == pytest.approx(gaussian_char(env, [t], [2.0 * w]), rel=1e-13, abs=0)
+
+
+def test_dephasing_coefficient_whose_exponent_overflows_is_refused():
+    """A record whose Gram entries are finite but whose quadratic form
+    2 f^T Re(K) f passes float64's range is refused with SpinKickError, not
+    turned into gamma = 0 with a numpy warning."""
+    env = SingleModeThermal(omega=1.0)
+    geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
+    sched = KickSchedule([0.0, 1.0], [1e154, 1e154])
+    assert np.isfinite(KickInputs.of(env, geom, sched).gram).all()
+    with pytest.raises(SpinKickError, match="weights 1e\\+154 1e\\+154 overflow the dephasing coefficient's exponent"):
+        dephasing_gamma(env, geom, sched)
 
 
 def test_phase_damping_matches_operator_form():
@@ -999,9 +1052,17 @@ def test_dephasing_echo_cancellation(standard_geometry):
     assert gam == pytest.approx(1.0, abs=1e-14)
 
 
-def test_dephasing_rejects_non_commuting(vacuum, standard_geometry):
-    with pytest.raises(NonCommutingSchedule):
-        dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0, 1.0]))
+def test_dephasing_rejects_non_commuting(vacuum, standard_geometry, monkeypatch):
+    """Refused from the kick axes, before the record's Gram matrix is formed."""
+    from spinkick import channels
+
+    def no_gram(*args):
+        raise AssertionError("gram_matrix called")
+
+    monkeypatch.setattr(channels, "gram_matrix", no_gram)
+    for dephasing in (dephasing_channel, dephasing_gamma):
+        with pytest.raises(NonCommutingSchedule):
+            dephasing(vacuum, standard_geometry, KickSchedule([0.0, 1.0]))
 
 
 def test_dephasing_order_invariance(standard_geometry):

@@ -32,6 +32,8 @@ from spinkick.cli import (
     main,
 )
 
+from reference import gaussian_char
+
 BASE_CFG = """
 [environment]
 model = single_mode_thermal
@@ -212,6 +214,48 @@ def test_divisibility_dephasing(tmp_path):
     )
     assert kv["cp_divisible"] in ("true", "false")
     assert float(kv["lambda_3"]) == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 500])
+def test_synchronized_divisibility_judges_each_axis_once(tmp_path, monkeypatch, m):
+    """A 500-kick synchronized divisibility (Omega = 0, so auto mode picks
+    dephasing) compares each kick axis after the first with r(t_0) once, 499
+    comparisons in all, where the pairwise rule made 124 750.  It forms one
+    Gram matrix, the weighted one of its first m kicks, and reads both
+    coefficients from it: gamma_ratio is the reference characteristic
+    functions' ratio."""
+    from spinkick import channels, cli, environment, kicks
+
+    times = 0.01 * np.arange(500)
+    weights = 0.5 + 0.25 * (np.arange(500) % 3)
+    schedule = f"times = {' '.join(map(repr, times.tolist()))}\nweights = {' '.join(map(repr, weights.tolist()))}"
+    body = BASE_CFG.format(out=tmp_path / "out").replace("Omega = 1.0", "Omega = 0.0").replace("times = 0.0", schedule)
+    body += f"\n[divisibility]\nmode = auto\nn = 1\nm = {m}\n"
+    cfg = RunConfig.from_file(write_cfg(tmp_path, body))
+    train = cli._Train(cfg)  # its geometry's own h x alpha is formed here, before the counting
+
+    calls = {"compare": 0, "gram": []}
+    cross3, gram_matrix = kicks.cross3, environment.gram_matrix
+
+    def counting_cross3(*args):
+        calls["compare"] += 1
+        return cross3(*args)
+
+    def counting_gram_matrix(*args):
+        calls["gram"].append(args)
+        return gram_matrix(*args)
+
+    monkeypatch.setattr(kicks, "cross3", counting_cross3)
+    monkeypatch.setattr(channels, "gram_matrix", counting_gram_matrix)
+    monkeypatch.setattr(environment, "gram_matrix", counting_gram_matrix)
+    code, files, _ = cli.cmd_divisibility(cfg, train)
+    assert code == EXIT_OK
+    assert calls["compare"] == 499
+    assert [(list(t), list(w)) for _, t, w in calls["gram"]] == [(list(times[:m]), list(weights[:m]))]
+    gamma_m, gamma_n = (gaussian_char(train.env, times[:k], 2.0 * weights[:k]) for k in (m, 1))
+    ratio = abs(gamma_m) / abs(gamma_n)
+    kv = dict(line.split("=", 1) for line in files["divisibility.kv"].splitlines())
+    assert float(kv["gamma_ratio"]) == pytest.approx(ratio, rel=1e-13)
 
 
 def test_fixed_point_command(tmp_path, capsys):

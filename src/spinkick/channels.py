@@ -14,7 +14,10 @@ their order is lexicographic with bit i of the index addressing kick i
 Two builders evaluate it exactly from a train's ``KickInputs``.
 ``build_n_kick_channel`` enumerates the 4^n coefficients of one schedule
 at once: it exponentiates 4^n complex entries and holds the whole gamma
-matrix, 16 * 4^n bytes.  ``build_prefix_channels`` gives the channel after
+matrix, 16 * 4^n bytes.  It is the one-record case of ``_enumerate``,
+which builds a stack of records in one pass (as ``sweep`` does a stack of
+grid points, bounded by ``STACK_BYTES``), each entry bit for bit its
+one-record channel.  ``build_prefix_channels`` gives the channel after
 every kick of a schedule, a tuple of prefixes validated together, from one
 exact recursion on the affine action.  The sign pairs that agree
 on a new kick repeat the previous coefficients, so their part of the new
@@ -40,7 +43,11 @@ and judged by (A, b) alone, by one rule (``_validate``) for one map or a
 stack of them: a map must be finite, a channel (flag ``cp``) must have a
 PSD Choi matrix in the normalized Pauli basis (``choi_eigenvalues``, one
 kernel over leading axes), and ``invert_channel`` refuses an A whose
-condition number exceeds ``KAPPA_MAX``.  The chi basis of the axes and the
+condition number exceeds ``KAPPA_MAX``.  A QubitMap whose A and b carry
+leading axes is a stack of maps; the map algebra (``choi_eigenvalues``,
+``invert_channel``, ``transition_map``, ``compose``) takes it entry by
+entry in the formula whose 0-d case is the one-map form, and a stack entry
+that one map would refuse is nan.  The chi basis of the axes and the
 chi in it (``chi_from_affine``) are built only when read, for output.  The
 constructed objects are immutable and safe to share between threads.
 """
@@ -65,7 +72,7 @@ from .errors import (
     SpinKickError,
     TooManyKicks,
 )
-from .kicks import COMMUTE_TOL, InteractionGeometry, KickSchedule, is_commuting_schedule, r_of_t
+from .kicks import COMMUTE_TOL, InteractionGeometry, KickSchedule, collinear_signs, is_commuting_schedule, r_of_t
 from .pauli import (
     I2,
     PAULI,
@@ -79,6 +86,11 @@ from .pauli import (
 )
 
 MAX_KICKS_DEFAULT = 10
+
+# Bytes of gamma matrices that one stacked enumeration holds (``_enumerate``,
+# ``_stack_size``): 512 records of 5 kicks, 2 of 9, and from 10 kicks, whose
+# one record's coefficients take 16 MiB, a record alone.
+STACK_BYTES = 8 * 1024**2
 
 # At or below this |r_last x r_first| the two reference axes are treated as
 # parallel when choosing a chi basis.  Kept deliberately coarse (1e-3) so the
@@ -170,24 +182,30 @@ class KickInputs:
         return complex(np.exp(exponent))
 
 
-def _gamma_matrix(mu: np.ndarray, gram: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def _gamma_matrix(mu: np.ndarray, gram: np.ndarray, signs: np.ndarray, out=None) -> np.ndarray:
     """gamma(s, s') for every pair of rows of ``signs`` at once, from the
-    kicks' weighted means ``mu`` and Gram matrix (``KickInputs``).
+    kicks' weighted means ``mu`` and Gram matrix (``KickInputs``), written
+    into ``out`` when it is given (a complex 2^n x 2^n array).
 
     Gaussian expectation of the projected Weyl-operator string: a phase from
     the means, a self-variance damping factor, and cross terms coupling each
     kick to all earlier ones through the centered correlator; gamma(s, s) is
     1.  The separable split exp(phi(s) + conj(phi(s')) + s K^T s') keeps the
     4^n sweep in dense linear algebra (the tests keep the pairwise formula as
-    the reference it must match).  Its terms cancel to within rounding of
-    the largest Gram entry, so a Gram matrix so large that the exponent's
-    rounding overflows exp is refused with SpinKickError.
+    the reference it must match); the exponent is summed and exponentiated
+    in place, so the one temporary of its size is s K^T s'.  Its terms
+    cancel to within rounding of the largest Gram entry, so a Gram matrix so
+    large that the exponent's rounding overflows exp is refused with
+    SpinKickError.
     """
     var = np.diag(gram).real
     s = signs.astype(float)
+    gammas = np.empty((len(s), len(s)), dtype=complex) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         phi = -1j * (s @ mu) - np.einsum("mi,ij,mj->m", s, np.tril(gram, -1), s) - 0.5 * var.sum()
-        gammas = np.exp(phi[:, None] + phi.conj()[None, :] + s @ gram.T @ s.T)
+        np.add(phi[:, None], phi.conj()[None, :], out=gammas)
+        gammas += s @ gram.T @ s.T
+        np.exp(gammas, out=gammas)
     if not np.isfinite(gammas).all():
         raise SpinKickError("the Gram matrix is too large for the enumeration: its gamma coefficients overflow")
     return gammas
@@ -238,9 +256,10 @@ def default_chi_basis(axes) -> OperatorBasis:
 
 
 def apply_chi(chi: np.ndarray, basis: OperatorBasis, rho: np.ndarray) -> np.ndarray:
-    """sum_ab chi_ab B_a rho B_b^dag."""
+    """sum_ab chi_ab B_a rho B_b^dag; chi and rho may carry leading axes,
+    which broadcast."""
     b = basis.ops
-    return np.einsum("ab,aij,jk,blk->il", chi, b, rho, b.conj())
+    return np.einsum("...ab,aij,...jk,blk->...il", chi, b, rho, b.conj())
 
 
 def _basis_tensor(basis: OperatorBasis) -> np.ndarray:
@@ -260,6 +279,8 @@ _FIRST_AMPLITUDES = np.eye(2, dtype=complex)[:, None, :]
 # taken once: each np.eye call allocates a 5 KiB flat iterator, the largest
 # fixed cost of a short prefix pass
 _ID3 = np.eye(3)
+# the states whose images give a map's affine action: 1/2, then (1 + sigma_i)/2
+_READOUT_STATES = np.stack([I2 / 2.0] + [(I2 + sig) / 2.0 for sig in PAULI])
 
 
 def _pauli_chi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -286,16 +307,58 @@ def choi_eigenvalues(m) -> np.ndarray:
     """Eigenvalues, ascending, of the map's Choi matrix chi_P in the
     normalized Pauli basis.  C is unitary for an orthonormal basis, so they
     are chi's eigenvalues in every such basis; every CP verdict reads them,
-    and none builds a basis."""
-    return np.linalg.eigvalsh(_pauli_chi(m.matrix, m.shift))
+    and none builds a basis.  Of a stack of maps, one ``eigvalsh`` gives
+    every entry's; a refused entry, nan throughout, fails it, and then the
+    others are taken without it and its eigenvalues are nan."""
+    chi = _pauli_chi(m.matrix, m.shift)
+    try:
+        return np.linalg.eigvalsh(chi)
+    except np.linalg.LinAlgError:
+        return _on_entries(~np.isnan(chi[..., 0, 0]), np.linalg.eigvalsh, chi)
 
 
 def affine_from_chi(chi: np.ndarray, basis: OperatorBasis) -> tuple:
     """Affine Bloch action (A, b) of the map chi, from its action on
-    {1/2, (1+sigma_i)/2}."""
-    b = density_to_bloch(apply_chi(chi, basis, I2 / 2.0))
-    cols = [density_to_bloch(apply_chi(chi, basis, (I2 + sig) / 2.0)) - b for sig in PAULI]
-    return np.column_stack(cols), b
+    {1/2, (1+sigma_i)/2}, or of a stack of chi matrices along leading axes
+    in one basis: one ``apply_chi`` and one ``density_to_bloch`` for all,
+    whose checks judge each entry's four images in that order."""
+    u = density_to_bloch(apply_chi(chi[..., None, :, :], basis, _READOUT_STATES))
+    b = u[..., 0, :]
+    return np.swapaxes(u[..., 1:, :] - b[..., None, :], -1, -2), b
+
+
+def _every(ok) -> bool:
+    """Whether ``ok`` holds for every entry (one map's ``ok`` is 0-d)."""
+    return bool(ok) if ok.ndim == 0 else bool(ok.all())
+
+
+def _on_entries(ok, fn, *stacks) -> np.ndarray:
+    """``fn`` of the arrays ``stacks``, which share their leading axes,
+    evaluated on the entries where ``ok`` only, nan in the others."""
+    if _every(ok):
+        return fn(*stacks)
+    part = fn(*(x[ok] for x in stacks))
+    out = np.full(ok.shape + part.shape[1:], np.nan, dtype=part.dtype)
+    out[ok] = part
+    return out
+
+
+def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for matrices and vectors with leading axes, one matrix-vector
+    product an entry."""
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def _frozen(x) -> np.ndarray:
+    """``x`` as a read-only float64 array: ``x`` itself when it is one and
+    no writable array lies under it, else a frozen copy."""
+    if isinstance(x, np.ndarray) and x.dtype == float:
+        owner = x
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None:
+            return x
+    return _freeze(np.array(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +368,22 @@ def affine_from_chi(chi: np.ndarray, basis: OperatorBasis) -> tuple:
 @dataclass(frozen=True, eq=False)
 class QubitMap:
     """A trace- and Hermiticity-preserving qubit map, recorded by its affine
-    Bloch action u -> A u + b (``matrix`` A and ``shift`` b, read-only
-    copies) and its kick axes in time order.  Any affine Bloch action is
-    that of a trace-preserving map on operators, so trace preservation is
-    structural.  The read-only ``basis`` (``default_chi_basis`` of the
-    axes) and ``chi`` in it (``chi_from_affine``) are derived on first read
-    and cached.  cp=True marks a channel (CPTP, Choi matrix validated PSD,
-    except the Fock oracle's maps, deliberately: ``oracle._channels_at_dim``);
-    transition maps, which need not be CP, carry cp=False."""
+    Bloch action u -> A u + b (``matrix`` A and ``shift`` b, read-only; an
+    array handed in that is writable, or lies over writable memory, or is
+    not float64 is copied) and its kick axes in time order.  Any affine
+    Bloch action is that of a trace-preserving map on operators, so trace
+    preservation is structural.  The read-only ``basis``
+    (``default_chi_basis`` of the axes) and ``chi`` in it
+    (``chi_from_affine``) are derived on first read and cached.  cp=True
+    marks a channel (CPTP, Choi matrix validated PSD, except the Fock
+    oracle's maps, deliberately: ``oracle._channels_at_dim``); transition
+    maps, which need not be CP, carry cp=False.
+
+    A and b may carry leading axes, (..., 3, 3) and (..., 3): the map is
+    then a stack of maps, which ``choi_eigenvalues``, ``invert_channel``,
+    ``transition_map``, ``compose`` and ``analysis.fixed_point`` take entry
+    by entry in one formula, the one-map form being its 0-d case; its basis
+    and chi are those of no entry."""
 
     matrix: np.ndarray
     shift: np.ndarray
@@ -321,8 +392,11 @@ class QubitMap:
     cp: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(np.array(self.matrix, dtype=float).reshape(3, 3)))
-        object.__setattr__(self, "shift", _freeze(np.array(self.shift, dtype=float).reshape(3)))
+        a, b = _frozen(self.matrix), _frozen(self.shift)
+        if a.shape[-2:] != (3, 3) or b.shape != a.shape[:-1]:
+            raise ValueError(f"an affine action has A of shape (..., 3, 3) and b of (..., 3), not {a.shape}, {b.shape}")
+        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "shift", b)
 
     @property
     def is_unital(self) -> bool:
@@ -339,8 +413,8 @@ class QubitMap:
         return chi
 
     def __call__(self, u) -> np.ndarray:
-        """A u + b."""
-        return self.matrix @ np.asarray(u, dtype=float) + self.shift
+        """A u + b, entry by entry for a stack."""
+        return _apply(self.matrix, np.asarray(u, dtype=float)) + self.shift
 
 
 def _validate(a: np.ndarray, b: np.ndarray, cp: bool) -> None:
@@ -360,8 +434,14 @@ def _validate(a: np.ndarray, b: np.ndarray, cp: bool) -> None:
 
 
 def _map(a, b, axes, meta, cp=True) -> QubitMap:
-    """Construct and validate a map."""
-    m = QubitMap(a, b, axes, meta, cp)
+    """Construct and validate a map.  A stack of maps that need not be
+    channels refuses an entry that is not finite by making it nan, not by
+    raising: it is such a map's only check."""
+    if not cp and a.ndim > 2:
+        refused = ~(np.isfinite(a).all((-2, -1)) & np.isfinite(b).all(-1))
+        a[refused], b[refused] = np.nan, np.nan
+        return QubitMap(_freeze(a), _freeze(b), axes, meta, cp)
+    m = QubitMap(_freeze(a), _freeze(b), axes, meta, cp)  # arrays of its callers' own, so not copied
     _validate(m.matrix, m.shift, cp)
     return m
 
@@ -427,36 +507,21 @@ def build_n_kick_channel(
     twentieth of the memory at 11 kicks (``_pass_bytes``).  Schedules
     longer than ``max_kicks`` are refused (raise the budget explicitly if
     you really mean it), and so is a build whose gamma matrix cannot be
-    allocated.
-
-    The build reads the train's ``KickInputs`` in two parts: what the kick
-    axes alone give (``_axis_part``: the chi basis, the sign vectors and the
-    projector strings' coefficients) and what reads the environment (the
-    gamma matrix, chi, its affine action and validation).
-    ``reusing_builder`` keeps the first part while the axes hold.
+    allocated.  It is the one-record case of ``_enumerate``, which builds
+    a stack of records at once.
     """
-    return _enumerate(lambda: KickInputs.of(env, geom, sched), len(sched), max_kicks, _axis_part)
+    n = len(sched)
+    if n == 0:
+        return identity_channel()
+    (kicks,), a, b = _enumerate(lambda: [KickInputs.of(env, geom, sched)], 1, n, max_kicks)
+    meta = {**_provenance("n_kick", env, kicks.times, kicks.weights), "path": "enumeration"}
+    return QubitMap(a[0], b[0], kicks.axes, {**meta, "terms": 4**n, "bytes": 16 * 4**n})
 
 
-def reusing_builder():
-    """``build(inputs, n, max_kicks)``, the enumeration of the n-kick record
-    ``inputs()``, for builds whose axes repeat, as along a sweep's grid: it
-    keeps its last build's axis part and takes it again while the axes are
-    the same bytes, so every channel comes from the same floating-point
-    operations as a fresh build.  It holds that one axis part, never more."""
-    last = {}
-
-    def axis_part(rs):
-        key = rs.tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = _axis_part(rs)
-        return last[key]
-
-    def build(inputs, n: int, max_kicks: int = MAX_KICKS_DEFAULT) -> QubitMap:
-        return _enumerate(inputs, n, max_kicks, axis_part)
-
-    return build
+def _stack_size(n: int) -> int:
+    """The records of n kicks one stacked enumeration holds: as many as
+    ``STACK_BYTES`` of gamma matrices hold, and at least one."""
+    return max(1, STACK_BYTES // (16 * 4**n))
 
 
 def _axis_part(rs: np.ndarray) -> tuple:
@@ -468,21 +533,42 @@ def _axis_part(rs: np.ndarray) -> tuple:
     return basis, signs, np.einsum("ayx,myx->ma", basis.ops.conj(), _projector_strings(rs, signs))
 
 
-def _enumerate(inputs, n: int, max_kicks: int, axis_part) -> QubitMap:
-    """The 4^n enumeration of the n-kick record ``inputs()`` with its axis
-    part from ``axis_part(axes)``, both taken inside the coefficient
-    budget's guard, after the kick count is judged."""
-    if n == 0:
-        return identity_channel()
-    nbytes = 16 * 4**n
-    with _coefficient_budget(n, max_kicks, nbytes):
-        kicks = inputs()
-        basis, signs, coeff = axis_part(kicks.axes)
-        gammas = _gamma_matrix(kicks.means, kicks.gram, signs)
-        chi = coeff.T @ gammas @ coeff.conj()
+def _enumerate(inputs, count: int, n: int, max_kicks: int) -> tuple:
+    """The 4^n enumeration of ``count`` n-kick records, ``inputs()``, as one
+    stack: the records and their channels' stacked (A, b), read-only.
 
-    meta = {**_provenance("n_kick", kicks.env, kicks.times, kicks.weights), "path": "enumeration"}
-    return _map(*affine_from_chi(chi, basis), kicks.axes, {**meta, "terms": 4**n, "bytes": nbytes})
+    Inside the coefficient budget's guard, after the kick count is judged,
+    the stack of gamma matrices (16 * 4^n bytes a record) is allocated
+    first, so a stack that cannot be held is refused before the records are
+    read or an axis part is derived; then, per run of consecutive records
+    whose axes are the same bytes, one axis part (``_axis_part``), a gamma
+    matrix per record and one product coeff^T gamma coeff* for the run.
+    Each run is read out in its basis (``affine_from_chi``), and the stack
+    is validated with one ``eigvalsh``.  Every entry comes from the
+    floating-point operations of the one-record build, so it is that
+    build's channel bit for bit; the stack raises the first failure of any
+    stage, whichever record meets it.  No kicks give the identity.
+    """
+    if n == 0:
+        return inputs(), np.broadcast_to(_ID3, (count, 3, 3)), np.zeros((count, 3))
+    side = 2**n
+    with _coefficient_budget(n, max_kicks, count * 16 * 4**n):
+        gammas = np.empty((count, side, side), dtype=complex)
+        records = inputs()
+        starts = [i for i in range(count) if i == 0 or records[i].axes.tobytes() != records[i - 1].axes.tobytes()]
+        chi, bases = np.empty((count, 4, 4), dtype=complex), []
+        for run in map(slice, starts, starts[1:] + [count]):
+            basis, signs, coeff = _axis_part(records[run.start].axes)
+            for i in range(run.start, run.stop):
+                _gamma_matrix(records[i].means, records[i].gram, signs, gammas[i])
+            chi[run] = coeff.T @ gammas[run] @ coeff.conj()
+            bases.append((run, basis))
+        del gammas
+    a, b = np.empty((count, 3, 3)), np.empty((count, 3))
+    for run, basis in bases:
+        a[run], b[run] = affine_from_chi(chi[run], basis)
+    _validate(a, b, cp=True)
+    return records, _freeze(a), _freeze(b)
 
 
 def _byte_text(nbytes: int) -> str:
@@ -553,12 +639,13 @@ def _pass_bytes(n: int) -> int:
     numpy's buffer casting their exponentials to complex (16 an entry, at
     most ``np.getbufsize()``).
 
-    After the level loop, the n + 1 maps: 1712 bytes for prefix 0 (720:
+    After the level loop, the n + 1 maps: 1460 bytes for prefix 0 (468:
     its row of the (A, b) stack, map and one-key meta), the stack's
     headers, the provenance the prefixes share (the environment's repr,
     the times and weights tuples), the route counts and the tuple of
-    prefixes; and 1216 bytes a kick prefix for its row of the stack (96),
-    its map (object, read-only A and b, axes view) and its meta.  The
+    prefixes; and 848 bytes a kick prefix for its row of the stack (96),
+    its map (object, views of its rows of the read-only A and b stack and
+    of the axes) and its meta.  The
     (A, b) recursion's outer products and the stacked validation's S,
     chi_P and eigenvalues are freed before the maps are built.
 
@@ -567,7 +654,7 @@ def _pass_bytes(n: int) -> int:
     total to 104 bytes per tile and base row, 13/32 * 4^n = 0.41 * 4^n."""
     m = 2 ** (n - 1) if n else 0
     held = 3584 + 288 * n + 16 * n * n + (128 + 16 * n) * m
-    maps = 1712 + 1216 * n
+    maps = 1460 + 848 * n
     if m < _BASE:
         return held + 24 * m * m + max(1024 + 48 * m * m + 16 * min(np.getbufsize(), m * m), maps)
     rows = m * m // _BASE  # tile-and-base-row pairs, T^2 * _BASE
@@ -820,6 +907,7 @@ def build_prefix_channels(
 
         a_all, b_all = _affine_record(rs, q, m_first, t_all)
         _validate(a_all, b_all, cp=True)
+        _freeze(a_all), _freeze(b_all)  # each prefix's A and b are read-only rows of the stack
         maps = (QubitMap(a_all[0], b_all[0], (), {"kind": "identity"}),)
         shared = _provenance("n_kick", env, kicks.times, kicks.weights)
         for k, (fl, sl) in enumerate(np.cumsum(routes, 0).tolist(), 1):
@@ -886,15 +974,19 @@ def two_kick_params(
     > ln(float max) = 709.78, are refused with SpinKickError before either
     is evaluated.
     """
-    return _two_kick(env, geom, t0, t1, weights)[1]
+    return _two_kick_params(_two_kick_inputs(env, geom, t0, t1, weights))
 
 
-def _two_kick(env, geom, t0, t1, weights) -> tuple:
-    """The record of the two kicks and ``two_kick_params`` read from it."""
+def _two_kick_inputs(env, geom, t0, t1, weights) -> KickInputs:
+    """The record of the two kicks, on an even environment."""
     sched = KickSchedule([t0, t1], weights)
     if not env.is_even:
         raise NonEvenEnvironment("two-kick closed form assumes a vanishing mean")
-    kicks = KickInputs.of(env, geom, sched)
+    return KickInputs.of(env, geom, sched)
+
+
+def _two_kick_params(kicks: KickInputs) -> TwoKickParams:
+    """``two_kick_params`` read from the two kicks' record."""
     (r0, r1), (w0, w1) = kicks.axes, kicks.weights
     frame = two_kick_frame(r1, r0)
     alpha = float(r1 @ r0)
@@ -907,7 +999,7 @@ def _two_kick(env, geom, t0, t1, weights) -> tuple:
     g = float(np.exp(-2.0 * v0))
     h = np.exp(-v1) * (np.cosh(2.0 * corr) - alpha * np.sinh(2.0 * corr))
     k = np.linalg.norm(cross3(r1, r0)) * np.exp(-v1) * np.sinh(2.0 * corr)
-    return kicks, TwoKickParams(alpha, g, complex(h), complex(k), frame)
+    return TwoKickParams(alpha, g, complex(h), complex(k), frame)
 
 
 def _two_kick_affine(params: TwoKickParams) -> tuple:
@@ -948,10 +1040,11 @@ def two_kick_closed_form(
     then commuting and the construction falls back to the dephasing channel.
     Its meta is the provenance only: reports take ``two_kick_params``.
     """
+    kicks = _two_kick_inputs(env, geom, t0, t1, weights)
     try:
-        kicks, params = _two_kick(env, geom, t0, t1, weights)
-    except ParallelAxes:
-        return dephasing_channel(env, geom, KickSchedule([t0, t1], weights))
+        params = _two_kick_params(kicks)
+    except ParallelAxes:  # so the axes are collinear, and the record is the dephasing channel's
+        return _dephased(kicks, kicks.dephasing_gamma(collinear_signs(kicks.axes)))
     meta = _provenance("two_kick_closed_form", env, kicks.times, kicks.weights)
     return _map(*_two_kick_affine(params), kicks.axes, meta)
 
@@ -982,8 +1075,12 @@ def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched
     """
     if len(sched) == 0:
         return identity_channel()
-    kicks, gamma = _dephasing(env, geom, sched)
-    meta = _provenance("dephasing", env, kicks.times, kicks.weights)
+    return _dephased(*_dephasing(env, geom, sched))
+
+
+def _dephased(kicks: KickInputs, gamma: complex) -> QubitMap:
+    """The dephasing channel of a commuting train's record, of coefficient ``gamma``."""
+    meta = _provenance("dephasing", kicks.env, kicks.times, kicks.weights)
     return phase_damping_channel(kicks.axes[0], gamma, meta=meta)
 
 
@@ -992,7 +1089,7 @@ def dephasing_channel(env: GaussianEnvironment, geom: InteractionGeometry, sched
 
 
 def _composed_affine(later: QubitMap, earlier: QubitMap) -> tuple:
-    return later.matrix @ earlier.matrix, later.matrix @ earlier.shift + later.shift
+    return later.matrix @ earlier.matrix, _apply(later.matrix, earlier.shift) + later.shift
 
 
 def compose(later: QubitMap, earlier: QubitMap) -> QubitMap:
@@ -1008,26 +1105,30 @@ def invert_channel(ch: QubitMap) -> QubitMap:
     Raises SingularChannel when the condition number
     kappa = max(sigma_max, 1) / sigma_min of A exceeds ``KAPPA_MAX`` (for
     dephasing, gamma -> 0 is the singular limit).  kappa is recorded in meta.
+    Of a stack of maps, kappa is judged and recorded per entry, and an entry
+    past ``KAPPA_MAX`` is refused as nan.
     """
     a = ch.matrix
     svals = np.linalg.svd(a, compute_uv=False)
-    kappa = max(svals[0], 1.0) / svals[-1] if svals[-1] > 0 else np.inf
-    if not kappa <= KAPPA_MAX:
-        raise SingularChannel(f"affine matrix singular: condition number {kappa:.4g} > KAPPA_MAX = {KAPPA_MAX:g}")
-    a_inv = np.linalg.inv(a)
-    meta = {
-        "kind": "inverse",
-        "parent": ch.meta.get("kind"),
-        "condition_number": float(kappa),
-    }
-    return _map(a_inv, -a_inv @ ch.shift, ch.axes, meta, cp=False)
+    with np.errstate(divide="ignore"):  # sigma_min = 0 gives kappa = inf
+        kappa = np.maximum(svals[..., 0], 1.0) / svals[..., -1]
+    accepted = kappa <= KAPPA_MAX
+    if a.ndim == 2:
+        if not accepted:
+            raise SingularChannel(f"affine matrix singular: condition number {kappa:.4g} > KAPPA_MAX = {KAPPA_MAX:g}")
+        kappa = float(kappa)
+    a_inv = _on_entries(accepted, np.linalg.inv, a)
+    meta = {"kind": "inverse", "parent": ch.meta.get("kind"), "condition_number": kappa}
+    return _map(a_inv, -_apply(a_inv, ch.shift), ch.axes, meta, cp=False)
 
 
 def transition_map(longer: QubitMap, shorter: QubitMap) -> QubitMap:
     """Theta = longer o shorter^{-1}, the map between intermediate states.
 
     Hermiticity- and trace-preserving by construction; complete positivity
-    of Theta is exactly what divisibility analysis interrogates.
+    of Theta is exactly what divisibility analysis interrogates.  Of stacks
+    of maps, entry by entry: an entry whose inverse is refused, or that is
+    not finite, is nan.
     """
     inverse = invert_channel(shorter)
     meta = {
@@ -1097,7 +1198,7 @@ def load_channel(path) -> QubitMap:
         chi, i = _read_section(lines, i, "chi", 4, parse_complex)
         a, i = _read_section(lines, i, "A", 3, float)
         b, i = _read_section(lines, i, "b", 1, float)
-        m, basis, chi = QubitMap(a, b, (), meta, cp=kind == "channel"), OperatorBasis(ops), chi.reshape(4, 4)
+        m, basis, chi = QubitMap(a, b[0], (), meta, cp=kind == "channel"), OperatorBasis(ops), chi.reshape(4, 4)
     except IndexError as exc:
         raise InvalidMap(f"malformed channel file {path}: a line is missing or cut short") from exc
     except ValueError as exc:

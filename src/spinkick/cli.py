@@ -42,6 +42,7 @@ import configparser
 import contextlib
 import errno
 import functools
+import itertools
 import math
 import os
 import sys
@@ -497,43 +498,68 @@ def _apply_sweep_value(env, geom, sched, parameter, value):
     return env, geom, sched
 
 
-def _sweep_quantities(env, geom, sched, u0, base, max_kicks, wanted, builds):
-    """The scalar observables of cmd_sweep named in ``wanted``, at one grid
-    point.  Each is computed only when asked for: the channel is built once,
-    and the (n-1)-kick prefix, the transition map and the fixed point only
-    for the quantities that need them.  ``builds`` are the builders of the
-    channel and of its prefix (``channels.reusing_builder``)."""
-    build, build_head = builds
-    kicks = functools.cache(lambda: channels.KickInputs.of(env, geom, sched))
-    ch = build(kicks, len(sched), max_kicks)
-    signs = functools.cache(lambda: collinear_signs(kicks().axes))  # None when the axes do not commute
+def _sweep_rows(points, train: _Train, cfg: RunConfig) -> list[str]:
+    """The CSV rows of consecutive grid points, each a (value, value2) pair,
+    evaluated as one stack (``_stacked_rows``).  A stack that raises is
+    evaluated again a point at a time, so the sweep raises what a loop over
+    the points would raise first, the failure the lowest point meets at its
+    earliest stage, and a stack that cannot be held as a whole is held a
+    point at a time."""
+    try:
+        return _stacked_rows(points, train, cfg)
+    except SpinKickError:
+        if len(points) == 1:
+            raise
+        return [row for point in points for row in _stacked_rows([point], train, cfg)]
 
-    def fixed_point_norm():
-        try:
-            return float(np.linalg.norm(analysis.fixed_point(ch).u_f))
-        except SpinKickError:
-            return np.nan
+
+def _stacked_rows(points, train: _Train, cfg: RunConfig) -> list[str]:
+    """The rows of ``points``, each from its point's parameter values and
+    ``channels.KickInputs``, and every quantity from stacks along the
+    points: one enumeration of their channels (``channels._enumerate``), and
+    of their (n-1)-kick heads only for lambda_min, one transition map and
+    Choi spectrum, and one fixed-point solve only for fixed_point_norm.  Each
+    quantity is computed only when asked for, in the order asked, and a
+    refused transition map or fixed point is a nan cell."""
+    parameter, parameter2, wanted = (cfg["sweep", key] for key in ("parameter", "parameter2", "quantities"))
+    max_kicks, n = cfg["analysis", "max_kicks"], len(train.sched)
+    trains, rows = [], []
+    for value, value2 in points:
+        env_v, geom_v, sched_v = _apply_sweep_value(train.env, train.geom, train.sched, parameter, value)
+        rows.append([_fmt(value)])
+        if parameter2 is not None:
+            env_v, geom_v, sched_v = _apply_sweep_value(env_v, geom_v, sched_v, parameter2, value2)
+            rows[-1].append(_fmt(value2))
+        trains.append((env_v, geom_v, sched_v))
+    records, a, b = channels._enumerate(
+        lambda: [channels.KickInputs.of(*point) for point in trains], len(trains), n, max_kicks
+    )
+    ch = channels.QubitMap(a, b)
+    final = ch(cfg["initial_state", "u"])
+    signs = functools.cache(lambda: [collinear_signs(kicks.axes) for kicks in records])  # None where not commuting
 
     def lambda_min():
-        if len(sched) < 2:
-            return np.nan
-        shorter = build_head(lambda: kicks().head(len(sched) - 1), len(sched) - 1, max_kicks)
-        try:
-            theta = channels.transition_map(ch, shorter)
-        except SpinKickError:
-            return np.nan
-        return float(channels.choi_eigenvalues(theta)[0])
+        if n < 2:
+            return [np.nan] * len(records)
+        _, head_a, head_b = channels._enumerate(
+            lambda: [kicks.head(n - 1) for kicks in records], len(records), n - 1, max_kicks
+        )
+        return channels.choi_eigenvalues(channels.transition_map(ch, channels.QubitMap(head_a, head_b)))[:, 0]
+
+    def gamma_abs():
+        return [np.nan if f is None else abs(kicks.dephasing_gamma(f)) for kicks, f in zip(records, signs())]
 
     formulas = {
-        "purity_final": lambda: analysis.purity(ch(u0)),
-        "entropy_final": lambda: analysis.entropy(ch(u0), base),
-        "nonunital_shift": lambda: float(np.linalg.norm(ch.shift)),
-        "fixed_point_norm": fixed_point_norm,
-        "commuting": lambda: 0.0 if signs() is None else 1.0,
-        "gamma_abs": lambda: np.nan if signs() is None else abs(kicks().dephasing_gamma(signs())),
+        "purity_final": lambda: [analysis.purity(u) for u in final],
+        "entropy_final": lambda: [analysis.entropy(u, cfg["analysis", "log_base"]) for u in final],
+        "nonunital_shift": lambda: [np.linalg.norm(shift) for shift in ch.shift],
+        "fixed_point_norm": lambda: [np.linalg.norm(u_f) for u_f in analysis.fixed_point(ch).u_f],
+        "commuting": lambda: [0.0 if f is None else 1.0 for f in signs()],
+        "gamma_abs": gamma_abs,
         "lambda_min": lambda_min,
     }
-    return {q: formulas[q]() for q in dict.fromkeys(wanted)}
+    columns = {q: formulas[q]() for q in dict.fromkeys(wanted)}
+    return [",".join(cells + [_fmt(columns[q][i]) for q in wanted]) for i, cells in enumerate(rows)]
 
 
 def _grid_points(count: int) -> int:
@@ -555,21 +581,16 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
     """One CSV row of the requested quantities per grid point, over
     ``parameter`` and, when given, ``parameter2`` (the inner loop).
 
-    Each point's channel, and its (n-1)-kick head for ``lambda_min``, comes
-    from the 4^n enumeration of the point's ``channels.KickInputs`` and its
-    ``head(n - 1)`` through a ``channels.reusing_builder``, one for the
-    channels and one for the heads: each takes the previous point's axis
-    part again while the axes are the same bytes.  Grids over ``nbar``,
-    ``omega``, ``variance`` and ``scale`` keep them; ``Omega`` and ``gap``
-    change them at every point (unless Omega is 0), so a 2D grid reuses
-    along an inner loop that keeps them.  Every cell is
-    byte-identical to a fresh ``build_n_kick_channel`` at every point.
+    The grid is evaluated in stacks of consecutive points, as many as
+    ``channels._stack_size`` holds (8 MiB of gamma coefficients; a point of
+    10 or more kicks alone), each point's channel, and its (n-1)-kick head
+    for ``lambda_min``, from the 4^n enumeration of the stack's
+    ``channels.KickInputs`` (``_sweep_rows``).  Every cell is byte-identical
+    to the point's one-map build and reads (``build_n_kick_channel``,
+    ``transition_map``, ``fixed_point``, ``choi_eigenvalues``), and a grid
+    with a refused point raises what a loop over the points would.
     """
-    base = cfg["analysis", "log_base"]
-    max_kicks = cfg["analysis", "max_kicks"]
-    u0 = cfg["initial_state", "u"]
     out_dir, prefix = cfg["output", "dir"], cfg["output", "prefix"]
-
     parameter = cfg["sweep", "parameter"]
     if parameter is None:
         raise ConfigError("[sweep] parameter is required")
@@ -579,16 +600,9 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
     grid2 = _sweep_grid(cfg, "2") if parameter2 is not None else [None]
 
     rows = [",".join([parameter, *([parameter2] if parameter2 else []), *wanted])]
-    builds = (channels.reusing_builder(), channels.reusing_builder())
-    for value in grid:
-        for value2 in grid2:
-            env_v, geom_v, sched_v = _apply_sweep_value(train.env, train.geom, train.sched, parameter, value)
-            cells = [_fmt(value)]
-            if parameter2 is not None:
-                env_v, geom_v, sched_v = _apply_sweep_value(env_v, geom_v, sched_v, parameter2, value2)
-                cells.append(_fmt(value2))
-            quantities = _sweep_quantities(env_v, geom_v, sched_v, u0, base, max_kicks, wanted, builds)
-            rows.append(",".join(cells + [_fmt(quantities[q]) for q in wanted]))
+    points = itertools.product(grid, grid2)
+    while stack := list(itertools.islice(points, channels._stack_size(len(train.sched)))):
+        rows += _sweep_rows(stack, train, cfg)
     wrote = f"wrote {prefix}_sweep.csv ({len(rows) - 1} rows) in {out_dir}\n"
     return EXIT_OK, {"sweep.csv": "\n".join(rows) + "\n"}, wrote
 

@@ -43,14 +43,19 @@ def dot_sigma(v) -> np.ndarray:
 
 def density_to_bloch(rho) -> np.ndarray:
     """Bloch vector u_i = tr(rho sigma_i) of a matrix Hermitian and of unit
-    trace to 1e-10."""
+    trace to 1e-10, or of each of a stack of them along leading axes: the
+    first entry, in C order, that fails either check is refused, its
+    Hermiticity judged before its trace."""
     rho = np.asarray(rho, dtype=complex)
-    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:  # a NaN is refused too
-        raise NonHermitian("density matrix not Hermitian within 1e-10")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-10:
-        raise NonUnitTrace(f"trace {tr} differs from 1 by more than 1e-10")
-    return np.einsum("ijk,kj->i", PAULI, rho).real
+    hermitian = np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2)), axis=(-2, -1)) <= 1e-10  # a NaN fails
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    failed = ~hermitian | (np.abs(tr - 1.0) > 1e-10)
+    if failed.any():
+        first = np.flatnonzero(failed)[0]
+        if not hermitian.flat[first]:
+            raise NonHermitian("density matrix not Hermitian within 1e-10")
+        raise NonUnitTrace(f"trace {np.ravel(tr)[first]} differs from 1 by more than 1e-10")
+    return np.einsum("ijk,...kj->...i", PAULI, rho).real
 
 
 def is_physical_bloch(u) -> bool:

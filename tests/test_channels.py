@@ -13,6 +13,7 @@ from spinkick import (
     LengthMismatch,
     KickSchedule,
     NonCommutingSchedule,
+    NonContractive,
     NonEvenEnvironment,
     QubitMap,
     SingleModeThermal,
@@ -894,7 +895,7 @@ def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.4, 0.9])
     assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3
     assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == (
-        3584 + 288 * 3 + 16 * 3**2 + (128 + 16 * 3) * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 1712 + 1216 * 3)
+        3584 + 288 * 3 + 16 * 3**2 + (128 + 16 * 3) * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 1460 + 848 * 3)
     )
 
 
@@ -1015,6 +1016,32 @@ def test_two_kick_parallel_falls_back_to_dephasing(vacuum, standard_geometry):
     deph = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0, 2 * np.pi]))
     np.testing.assert_allclose(closed.matrix, deph.matrix, atol=1e-12)
     assert closed.meta["kind"] == "dephasing"
+
+
+@pytest.mark.parametrize("t1", [np.pi, 2 * np.pi])
+def test_two_kick_parallel_derives_its_train_once(monkeypatch, vacuum, standard_geometry, t1):
+    """On parallel (t = pi) or antiparallel axes the closed form's fallback
+    reads the record it already built, with its collinear signs: one r(t)
+    and one Gram matrix for the channel, whose text is the dephasing
+    channel's byte for byte."""
+    from spinkick import channels, kicks
+
+    deph = format_channel(dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0, t1])))
+    calls = {"r_of_t": 0, "gram_matrix": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for module in (channels, kicks):
+        monkeypatch.setattr(module, "r_of_t", counting("r_of_t", kicks.r_of_t))
+    monkeypatch.setattr(channels, "gram_matrix", counting("gram_matrix", channels.gram_matrix))
+    closed = two_kick_closed_form(vacuum, standard_geometry, 0.0, t1)
+    assert calls == {"r_of_t": 1, "gram_matrix": 1}
+    assert format_channel(closed) == deph and closed.meta["kind"] == "dephasing"
 
 
 # ---------------------------------------------------------------------------
@@ -1310,6 +1337,144 @@ def test_compose_is_channel_only_for_channel_pairs(vacuum, standard_geometry):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _random_channel_stack(rng, count: int, n: int):
+    """Channels of random precessing thermal trains, and their (n-1)-kick
+    heads, from the prefix pass."""
+    longer, shorter = [], []
+    for _ in range(count):
+        env = SingleModeThermal(omega=rng.uniform(0.5, 2.0), nbar=rng.uniform(0.0, 1.0))
+        prefixes = build_prefix_channels(env, random_geometry(rng), random_schedule(rng, n))
+        longer.append(prefixes[n])
+        shorter.append(prefixes[n - 1])
+    return longer, shorter
+
+
+def test_stacked_map_algebra_is_the_one_map_algebra_entry_by_entry():
+    """choi_eigenvalues, invert_channel, transition_map, compose and
+    fixed_point take a stack of maps in one formula whose one-map form is
+    its 0-d case: every entry is the one-map result bit for bit.  Where one
+    map raises (a singular inverse, a fixed-point equation with no
+    solution), its stack entry is nan, kappa is recorded per entry, and the
+    entries beside it are unchanged; a singular but consistent fixed-point
+    equation is solved by lstsq entry by entry."""
+    rng = np.random.default_rng(11)
+    longer, shorter = _random_channel_stack(rng, 6, 3)
+    dephased = phase_damping_channel([0.0, 0.0, 1.0], 0.0)  # A = diag(0, 0, 1): no inverse
+    translation = QubitMap(np.eye(3), [0.0, 0.0, 0.2], cp=False)  # 1 - A = 0 with b != 0: no fixed point
+    echo = QubitMap(np.diag([1.0, 0.5, 0.5]), np.zeros(3), cp=False)  # a singular, consistent fixed point
+    shorter[2] = dephased
+    stack = lambda maps, cp=True: QubitMap(np.stack([m.matrix for m in maps]), np.stack([m.shift for m in maps]), cp=cp)
+    big, small = stack(longer), stack(shorter)
+
+    theta = transition_map(big, small)
+    inverse = invert_channel(small)
+    composed = compose(big, small)
+    for k in range(6):
+        if k == 2:
+            with pytest.raises(SingularChannel):
+                transition_map(longer[k], shorter[k])
+            assert np.isnan(theta.matrix[k]).all() and np.isnan(theta.shift[k]).all()
+            assert np.isnan(choi_eigenvalues(theta)[k]).all() and inverse.meta["condition_number"][k] == np.inf
+            continue
+        one = transition_map(longer[k], shorter[k])
+        assert np.array_equal(theta.matrix[k], one.matrix) and np.array_equal(theta.shift[k], one.shift)
+        assert np.array_equal(choi_eigenvalues(theta)[k], choi_eigenvalues(one))
+        assert inverse.meta["condition_number"][k] == invert_channel(shorter[k]).meta["condition_number"]
+        assert np.array_equal(composed.matrix[k], compose(longer[k], shorter[k]).matrix)
+
+    maps = longer[:4] + [translation, echo]
+    result = fixed_point(stack(maps, cp=False))
+    for k, m in enumerate(maps):
+        if m is translation:
+            with pytest.raises(NonContractive):
+                fixed_point(m)
+            assert np.isnan(result.u_f[k]).all() and np.isnan(result.residual[k])
+            continue
+        one = fixed_point(m)
+        assert np.array_equal(result.u_f[k], one.u_f)
+        assert (result.spectral_radius[k], result.converged[k], result.unique[k], result.residual[k]) == (
+            one.spectral_radius, one.converged, one.unique, one.residual
+        )
+    assert not result.unique[5] and result.unique[:4].all()
+
+
+def test_stacked_enumeration_is_each_build_bit_for_bit(standard_geometry):
+    """The enumeration of a stack of records, with runs of equal and of
+    differing axes, gives each record's one-map channel bit for bit, and
+    allocates its gamma matrices as one stack of 16 * 4^n bytes a record."""
+    from spinkick import channels
+
+    rng = np.random.default_rng(12)
+    sched = KickSchedule([0.1, 0.8, 1.5], [0.9, 0.6, 0.8])
+    trains = [(SingleModeThermal(omega=1.0, nbar=nbar), standard_geometry, sched) for nbar in (0.0, 0.4, 0.9)]
+    trains += [(SingleModeThermal(omega=1.0, nbar=0.3), random_geometry(rng), sched) for _ in range(2)]
+    trains += [(WhiteKickKernel(0.3), standard_geometry, sched)]
+    records, a, b = channels._enumerate(lambda: [KickInputs.of(*train) for train in trains], len(trains), 3, 10)
+    assert not a.flags.writeable and not b.flags.writeable
+    for k, train in enumerate(trains):
+        one = build_n_kick_channel(*train)
+        assert np.array_equal(a[k], one.matrix) and np.array_equal(b[k], one.shift)
+        assert np.array_equal(records[k].gram, KickInputs.of(*train).gram)
+
+
+def test_stacked_enumeration_peak_memory_is_its_stated_bytes(vacuum, standard_geometry):
+    """A stack of 8 records of 7 kicks states 16 * 4^7 bytes of gamma
+    coefficients a record, and holds beside them only one record's exponent
+    sum (16 * 4^7) and the axis part at a time: its traced peak is its
+    stated bytes within a quarter."""
+    from spinkick import channels
+
+    sched = KickSchedule(np.linspace(0, 4, 7))
+    envs = [SingleModeThermal(omega=1.0, nbar=nbar) for nbar in np.linspace(0.0, 1.0, 8)]
+    inputs = lambda: [KickInputs.of(env, standard_geometry, sched) for env in envs]
+    channels._enumerate(inputs, 8, 7, 10)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        channels._enumerate(inputs, 8, 7, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.0 <= peak / (8 * 16 * 4**7) <= 1.25
+
+
+def test_prefixes_are_read_only_rows_of_one_stack(vacuum, standard_geometry):
+    """The pass freezes its validated (A, b) stack and makes every prefix,
+    the identity among them, from views of its rows: no prefix copies its
+    A or b, and none can be written."""
+    prefixes = build_prefix_channels(vacuum, standard_geometry, KickSchedule([0.0, 0.7, 1.3]))
+    stack = prefixes[0].matrix.base
+    assert isinstance(stack, np.ndarray) and stack.shape == (4, 3, 3) and not stack.flags.writeable
+    for m in prefixes:
+        assert m.matrix.base is stack and np.shares_memory(m.matrix, stack)
+        assert m.shift.base is prefixes[0].shift.base and not m.shift.base.flags.writeable
+
+
+@pytest.mark.parametrize("handed", ["writable", "read-only view of a writable array", "integers", "list"])
+def test_a_map_never_changes_with_its_callers_array(handed):
+    """QubitMap copies any array it is handed that is writable, lies over
+    writable memory or is not float64, so writing to the caller's array
+    never changes the map; a read-only float64 array over read-only memory
+    is taken as it is."""
+    a, b = np.diag([1.0, 0.5, 0.25]), np.zeros(3)
+    given = {
+        "writable": a,
+        "read-only view of a writable array": a.view(),
+        "integers": np.eye(3, dtype=int),
+        "list": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.25]],
+    }[handed]
+    if handed == "read-only view of a writable array":
+        given.setflags(write=False)
+    m = QubitMap(given, b, cp=False)
+    before = m.matrix.copy()
+    for target in (a, given):
+        if isinstance(target, np.ndarray) and target.flags.writeable:
+            target[0, 0] = 7.0
+    assert np.array_equal(m.matrix, before) and not m.matrix.flags.writeable
+    frozen = before.copy()
+    frozen.setflags(write=False)
+    assert QubitMap(frozen, b, cp=False).matrix is frozen
 
 
 def test_channel_roundtrip(tmp_path, vacuum, standard_geometry):

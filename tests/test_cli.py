@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinkick import (
+    ConfigError,
     KickSchedule,
     SingleModeThermal,
+    SpinKickError,
     build_n_kick_channel,
     build_prefix_channels,
     divisibility_report,
@@ -333,27 +335,22 @@ def test_omega_sweep_keeps_the_temperature():
     ids=["purity_final", "lambda_min", "fixed_point_norm", "commuting", "Omega-lambda_min"],
 )
 def test_sweep_computes_only_requested_quantities(tmp_path, monkeypatch, parameter, quantities, builds, fixed_points):
-    """Per grid point: one build of the channel, plus the (n-1)-kick prefix
-    only for lambda_min and a fixed-point solve only for fixed_point_norm.
-    The builds come from the sweep's two ``reusing_builder``s, one for the
-    channels and one for their heads: on an nbar grid the axes hold, so
-    each derives its axis part once; on an Omega grid they change, so each
-    derives it at every point.  Both read the point's one ``KickInputs``:
-    one weighted Gram matrix per grid point, whatever is asked for."""
+    """A grid of two points is one stack: one enumeration of its channels,
+    plus one of their (n-1)-kick heads only for lambda_min, and one stacked
+    fixed-point solve only for fixed_point_norm.  Each enumeration derives
+    one axis part per run of equal axes: on an nbar grid the axes hold, so
+    one; on an Omega grid they change, so one per point.  Every point reads
+    its one ``KickInputs``: one weighted Gram matrix a point, whatever is
+    asked for."""
     from spinkick import analysis, channels
 
-    calls = {"build": [], "axis_part": [], "gram": 0, "fixed_point": 0}
-    reusing_builder, axis_part, fixed_point = channels.reusing_builder, channels._axis_part, analysis.fixed_point
+    calls = {"build": [], "axis_part": [], "gram": 0, "fixed_point": []}
+    enumerate_, axis_part, fixed_point = channels._enumerate, channels._axis_part, analysis.fixed_point
     gram_matrix = channels.gram_matrix
 
-    def counting_reusing_builder():
-        build = reusing_builder()
-
-        def counting_build(*args, **kwargs):
-            calls["build"].append(args[1])
-            return build(*args, **kwargs)
-
-        return counting_build
+    def counting_enumerate(inputs, count, n, max_kicks):
+        calls["build"].append(n)
+        return enumerate_(inputs, count, n, max_kicks)
 
     def counting_axis_part(rs):
         calls["axis_part"].append(len(rs))
@@ -363,22 +360,22 @@ def test_sweep_computes_only_requested_quantities(tmp_path, monkeypatch, paramet
         calls["gram"] += 1
         return gram_matrix(*args, **kwargs)
 
-    def counting_fixed_point(*args, **kwargs):
-        calls["fixed_point"] += 1
-        return fixed_point(*args, **kwargs)
+    def counting_fixed_point(round_map):
+        calls["fixed_point"].append(round_map.matrix.shape)
+        return fixed_point(round_map)
 
-    monkeypatch.setattr(channels, "reusing_builder", counting_reusing_builder)
+    monkeypatch.setattr(channels, "_enumerate", counting_enumerate)
     monkeypatch.setattr(channels, "_axis_part", counting_axis_part)
     monkeypatch.setattr(channels, "gram_matrix", counting_gram_matrix)
     monkeypatch.setattr(analysis, "fixed_point", counting_fixed_point)
     body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", "times = 0.0 0.7 1.3")
     body += f"\n[sweep]\nparameter = {parameter}\nstart = 0.0\nstop = 1.0\ncount = 2\nquantities = {quantities}\n"
     assert main(["--config", write_cfg(tmp_path, body), "sweep"]) == EXIT_OK
-    derived = builds * 2 if parameter == "Omega" else builds
-    assert calls == {"build": builds * 2, "axis_part": derived, "gram": 2, "fixed_point": 2 * fixed_points}
+    derived = [n for n in builds for _ in range(2)] if parameter == "Omega" else builds
+    assert calls == {"build": builds, "axis_part": derived, "gram": 2, "fixed_point": [(2, 3, 3)] * fixed_points}
 
 
-# Inputs of the byte-for-byte test of the sweep's reuse: a precessing
+# Inputs of the byte-for-byte test of the stacked sweep: a precessing
 # 3-kick train, a white-kick one, and a synchronized 4-kick echo train
 # (Omega = pi/2, kicks 2 apart, coupling axis perpendicular to h), whose
 # fixed_point_norm is rounding noise and so shows any change in rounding.
@@ -407,48 +404,185 @@ _SWEEP_GRIDS = {
         "thermal", "omega", "start = 0.5\nstop = 2.0\nparameter2 = gap\nstart2 = 0.2\nstop2 = 1.0\ncount2 = 3"
     ),
     "synchronized-nbar": ("synchronized", "nbar", "start = 0.0\nstop = 1.0"),
+    # 3 stacks of 2, 2 and 1 points, with the stack budget cut to 2 records of 3 kicks
+    "nbar-stacks": ("thermal", "nbar", "start = 0.0\nstop = 1.0\ncount = 5"),
 }
+
+
+def _point_by_point_csv(cfg_path: str) -> str:
+    """The sweep CSV of a config from the one-map calls, a grid point at a
+    time (``build_n_kick_channel``, ``transition_map``, ``fixed_point``,
+    ``choi_eigenvalues``, ``dephasing_gamma``): the sweep as a loop over its
+    points, which raises the first SpinKickError a point meets."""
+    from spinkick import analysis, channels
+    from spinkick.cli import _Train, _fmt, _sweep_grid
+
+    cfg = RunConfig.from_file(cfg_path)
+    train = _Train(cfg)
+    parameter, parameter2, wanted = (cfg["sweep", key] for key in ("parameter", "parameter2", "quantities"))
+    max_kicks, u0, base = cfg["analysis", "max_kicks"], cfg["initial_state", "u"], cfg["analysis", "log_base"]
+    rows = [",".join([parameter, *([parameter2] if parameter2 else []), *wanted])]
+    for value in _sweep_grid(cfg):
+        for value2 in _sweep_grid(cfg, "2") if parameter2 else [None]:
+            env, geom, sched = _apply_sweep_value(train.env, train.geom, train.sched, parameter, value)
+            cells = [_fmt(value)]
+            if parameter2:
+                env, geom, sched = _apply_sweep_value(env, geom, sched, parameter2, value2)
+                cells.append(_fmt(value2))
+            n = len(sched)
+            ch = build_n_kick_channel(env, geom, sched, max_kicks)
+            commuting = channels.is_commuting_schedule(geom, sched)[0]
+
+            def lambda_min():
+                if n < 2:
+                    return np.nan
+                head = build_n_kick_channel(env, geom, KickSchedule(sched.times[:-1], sched.weights[:-1]), max_kicks)
+                try:
+                    theta = channels.transition_map(ch, head)
+                except channels.SpinKickError:
+                    return np.nan
+                return channels.choi_eigenvalues(theta)[0]
+
+            def fixed_point_norm():
+                try:
+                    return np.linalg.norm(analysis.fixed_point(ch).u_f)
+                except channels.SpinKickError:
+                    return np.nan
+
+            formulas = {
+                "purity_final": lambda: analysis.purity(ch(u0)),
+                "entropy_final": lambda: analysis.entropy(ch(u0), base),
+                "nonunital_shift": lambda: np.linalg.norm(ch.shift),
+                "fixed_point_norm": fixed_point_norm,
+                "commuting": lambda: float(commuting),
+                "gamma_abs": lambda: abs(channels.dephasing_gamma(env, geom, sched)) if commuting else np.nan,
+                "lambda_min": lambda_min,
+            }
+            values = {q: formulas[q]() for q in dict.fromkeys(wanted)}
+            rows.append(",".join(cells + [_fmt(values[q]) for q in wanted]))
+    return "\n".join(rows) + "\n"
 
 
 @pytest.mark.parametrize("grid", list(_SWEEP_GRIDS))
 def test_sweep_reuse_is_bit_for_bit(tmp_path, monkeypatch, grid):
-    """The sweep's CSV equals, byte for byte, the one whose every cell comes
-    from a fresh build at every grid point, for every sweep parameter and
-    two 2D grids: reusing the axis part while the axes hold, and reading
-    the head's record from the channel's, runs the same floating-point
-    operations as deriving the axis part, and the head's ``KickInputs``
-    from its own schedule, again."""
+    """The stacked sweep's CSV equals, byte for byte, the one built a point
+    at a time from the one-map calls, for every sweep parameter, two 2D
+    grids and a grid over several stacks: each entry of a stack runs the
+    floating-point operations of its one-map build, transition map, fixed
+    point and Choi spectrum, and each stack derives one axis part per run
+    of equal axes."""
     from spinkick import channels
 
     train, parameter, rest = _SWEEP_GRIDS[grid]
     body = _SWEEP_TRAINS[train].format(out=tmp_path / "out")
-    body += f"\n[sweep]\nparameter = {parameter}\n{rest}\ncount = 4\nquantities = {' '.join(_SWEEP_QUANTITIES)}\n"
+    count = "" if "count =" in rest else "\ncount = 4"
+    body += f"\n[sweep]\nparameter = {parameter}\n{rest}{count}\nquantities = {' '.join(_SWEEP_QUANTITIES)}\n"
     cfg = write_cfg(tmp_path, body)
-    csv = tmp_path / "out" / "run_sweep.csv"
+    stacks = []
+    if grid == "nbar-stacks":
+        enumerate_ = channels._enumerate
+        monkeypatch.setattr(channels, "STACK_BYTES", 2 * 16 * 4**3)
+
+        def counting_enumerate(inputs, count, n, max_kicks):
+            stacks.append((count, n))
+            return enumerate_(inputs, count, n, max_kicks)
+
+        monkeypatch.setattr(channels, "_enumerate", counting_enumerate)
     assert main(["--config", cfg, "sweep"]) == EXIT_OK
-    reused = csv.read_bytes()
-
-    of, last = channels.KickInputs.of, {}
-
-    def remembering_of(env, geom, sched):
-        last["train"] = env, geom, sched
-        return of(env, geom, sched)
-
-    def fresh_head(record, k):
-        env, geom, sched = last["train"]
-        return of(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
-
-    def fresh_build(inputs, n, max_kicks):
-        return channels._enumerate(inputs, n, max_kicks, channels._axis_part)
-
-    monkeypatch.setattr(channels.KickInputs, "of", staticmethod(remembering_of))
-    monkeypatch.setattr(channels.KickInputs, "head", fresh_head)
-    monkeypatch.setattr(channels, "reusing_builder", lambda: fresh_build)
-    assert main(["--config", cfg, "sweep"]) == EXIT_OK
-    assert reused == csv.read_bytes()
+    if grid == "nbar-stacks":  # each stack's channels, then their heads
+        assert stacks == [(2, 3), (2, 2), (2, 3), (2, 2), (1, 3), (1, 2)]
+    stacked = (tmp_path / "out" / "run_sweep.csv").read_text()
+    assert stacked == _point_by_point_csv(cfg)
     if train == "synchronized":  # the noise this test keeps: a fixed point where 1 - A is singular
-        cells = [dict(zip(_SWEEP_QUANTITIES, row.split(",")[1:])) for row in reused.decode().splitlines()[1:]]
+        cells = [dict(zip(_SWEEP_QUANTITIES, row.split(",")[1:])) for row in stacked.splitlines()[1:]]
         assert max(float(c["fixed_point_norm"]) for c in cells) > 1e-3
+
+
+# Grids whose first refused point fails at different stages, while other
+# points fail at other stages: a config error at the third of four nbar
+# points; a gamma matrix that overflows at the first point before a
+# weight that is no schedule at the second; the channel of the first point
+# built but its head's readout refused (not Hermitian) before the second
+# point's gamma matrix overflows; the dephasing coefficient refused at the
+# second point after its channel and head were built; the record of the
+# second point refused (its Gram matrix overflows); and the kick budget.
+_FAILING_SWEEPS = {
+    "config-at-third-point": ("thermal", "parameter = nbar\nstart = 1\nstop = -1\ncount = 4", ()),
+    "gamma-before-config": ("synchronized", "parameter = scale\nstart = 1e150\nstop = -1\ncount = 2", ()),
+    "head-before-channel": (
+        "synchronized", "parameter = scale\nstart = 2.81838293126438e+149\nstop = 1e150\ncount = 2", ()
+    ),
+    "dephasing-after-head": (
+        "synchronized3", "parameter = scale\nstart = 1\nstop = 7.079457843841287e+153\ncount = 2", ()
+    ),
+    "record": ("thermal", "parameter = scale\nstart = 1\nstop = 1e156\ncount = 2", ()),
+    "budget": ("thermal", "parameter = nbar\nstart = 0\nstop = 1\ncount = 3", ("--max-kicks", "2")),
+}
+
+
+_FIRST_FAILURES = {
+    "config-at-third-point": "config error: [sweep] nbar must be non-negative",
+    "gamma-before-config": "error: the Gram matrix is too large for the enumeration",
+    "head-before-channel": "error: density matrix not Hermitian",
+    "dephasing-after-head": "error: weights 4.95562e+153",
+    "record": "error: weights 9e+155 6e+155 8e+155 overflow the Gram matrix",
+    "budget": "error: 3 kicks exceeds budget of 2",
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILING_SWEEPS))
+def test_stacked_sweep_raises_what_the_point_loop_raises_first(tmp_path, capsys, case):
+    """A stack holding refused points ends the sweep with the exit code and
+    the one stderr line of the loop over its points: the failure that the
+    lowest refused point meets at its earliest stage."""
+    train, sweep, flags = _FAILING_SWEEPS[case]
+    trains = {
+        **_SWEEP_TRAINS,
+        "synchronized3": _SWEEP_TRAINS["synchronized"]
+        .replace("times = 0.3 2.3 4.3 6.3\nweights = 0.7 0.9 0.6 0.8", "times = 0.3 2.3 4.3\nweights = 0.7 0.9 0.6")
+        .replace("nbar = 0.0", "nbar = 0.5"),
+    }
+    body = trains[train].format(out=tmp_path / "out")
+    body += f"\n[sweep]\n{sweep}\nquantities = purity_final lambda_min gamma_abs\n"
+    cfg = write_cfg(tmp_path, body)
+    code = main(["--config", cfg, *flags, "sweep"])
+    err = capsys.readouterr().err
+    if flags:  # the loop reads the budget from the config
+        flagged = body.replace("[sweep]", f"[analysis]\nmax_kicks = {flags[1]}\n\n[sweep]")
+        cfg = write_cfg(tmp_path, flagged, "flagged.cfg")
+    with pytest.raises(SpinKickError) as raised:
+        _point_by_point_csv(cfg)
+    expected = (EXIT_CONFIG, "config error") if isinstance(raised.value, ConfigError) else (EXIT_DOMAIN, "error")
+    assert (code, err) == (expected[0], f"{expected[1]}: {raised.value}\n")
+    assert err.startswith(_FIRST_FAILURES[case])
+    assert not (tmp_path / "out").exists()
+
+
+def test_refused_stack_touches_no_axis_work(tmp_path, monkeypatch, capsys):
+    """The stack of gamma matrices is allocated first inside the budget's
+    guard: when it cannot be, no sign vector or projector string is made,
+    and the sweep exits 4 naming the bytes of one point's coefficients (the
+    stack is refused, and so is the point alone)."""
+    from spinkick import channels
+
+    empty = np.empty
+
+    def no_stack(shape, dtype=float, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 3 and shape[1:] == (8, 8):
+            raise MemoryError(f"Unable to allocate a stack of {shape}")
+        return empty(shape, dtype, *args, **kwargs)
+
+    def no_signs(n):
+        raise AssertionError("sign matrix made")
+
+    monkeypatch.setattr(np, "empty", no_stack)
+    monkeypatch.setattr(channels, "_sign_matrix", no_signs)
+    body = BASE_CFG.format(out=tmp_path / "out").replace("times = 0.0", "times = 0.0 0.7 1.3")
+    body += "\n[sweep]\nparameter = nbar\nstart = 0.0\nstop = 1.0\ncount = 2\nquantities = purity_final\n"
+    assert main(["--config", write_cfg(tmp_path, body), "sweep"]) == EXIT_DOMAIN
+    out, err = capsys.readouterr()
+    assert err == f"error: 3 kicks need {16 * 4**3} bytes (1 KiB) of coefficients, more than could be allocated\n"
+    assert out == "" and not (tmp_path / "out").exists()
 
 
 def test_oracle_check(tmp_path, capsys):

@@ -211,7 +211,7 @@ _SCHEMA = {
     },
     "oracle": {
         "dim": (_at_least(_integer, 2), None),  # oracle.fock_spec_for's estimate
-        "dim_max": (_integer, "300"),
+        "dim_max": (_at_least(_integer, 2), "300"),
         "tol": (_positive_real, "1e-8"),
         "mode": (_choice(("kicks", "nascent")), "kicks"),
         "delta_t": (_positive_real, "0.064"),
@@ -631,6 +631,7 @@ def cmd_oracle_check(cfg: RunConfig, train: _Train) -> _Outcome:
             dists.append((dt, d))
             rows.append(f"{_fmt(dt)},{_fmt(d)}")
             said.append(f"delta_t={dt:g}  distance={d:.3e}")
+        said.append(f"oracle dim={chans[0].meta['dim']} tail={chans[0].meta['tail']:.3e}")
         judged, dist = "finest distance", min(dists)[1]  # at the narrowest width, wherever the config lists it
     else:
         orc = oracle.oracle_channel(

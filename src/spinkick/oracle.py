@@ -16,15 +16,18 @@ one decomposition per truncation serves every step and the displaced
 environment state, and a process makes it once per truncation size while
 it holds that spectrum (``SPECTRA_BYTES``); in its eigenbasis a kick is a
 diagonal phase, and the free evolution between kicks is V and V^T around
-a diagonal phase, each a +- butterfly and two half-size real products.  The channel is read from the
-evolved columns of a square root of the environment state.  One loop
-evolves W step sequences of equal length together: the W = 1 kick train,
-or every pulse width of a nascent-delta command, whose steps inside a
-pulse share one free-evolution matrix per width; a train whose steps all
-share one kick axis (``Omega = 0``) is evolved in its two spin sectors
-alone, half the state, with no frame changes.  ``oracle_channel`` and
-``nascent_delta_channels`` both take the train as a ``KickSchedule``, which
-has already checked its times and weights.
+a diagonal phase, each a +- butterfly and two half-size real products.
+One loop evolves W step sequences of equal length together: the W = 1
+kick train, or every pulse width of a nascent-delta command, whose steps
+inside a pulse share one free-evolution matrix per width; a train whose
+steps all share one kick axis (``Omega = 0``) is evolved in its two spin
+sectors alone, half the state, with no frame changes.  The evolution is
+left in the frames it is carried in, with the 4 x B spin map P to the lab
+frame, and the channel is read from the evolved columns Y of a square
+root of the environment state by one formula on either path,
+m = P (Y Y^dag) P^dag.  ``oracle_channel`` and ``nascent_delta_channels``
+both take the train as a ``KickSchedule``, which has already checked its
+times and weights.
 """
 
 from __future__ import annotations
@@ -183,15 +186,17 @@ def _frozen(axes) -> bool:
     return bool(np.all(axes == axes[:1, :1]))
 
 
-def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> np.ndarray:
-    """Y[s, i, a, l, c] (sequence, output spin, input spin, eigenlevel,
-    column) for W step sequences of S steps each, evolved together, with
-    U_s (I2 (x) C) = (I2 (x) D(t_{s,S}) V) Y[s], for U_s the product of the
-    steps exp(-i w r.sigma (x) O(t)) of sequence s in time order, C a d x K
-    block of environment columns (or a length-d vector for the diagonal
-    block diag(C)) and (lambda, V) = ``spectrum``, X = O(0) =
-    V diag(lambda) V^T with V real.  ``steps`` is (times, weights, axes),
-    shaped (W, S), (W, S) and (W, S, 3).
+def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks Y[s, beta, l, c] (sequence, carried spin block, eigenlevel,
+    column) that W step sequences of S steps each carry when evolved
+    together, and the 4 x B spin map P[(i a), beta] (output spin i, input
+    spin a) that takes them to the lab frame:
+    U_s (I2 (x) C) = (I2 (x) D(t_{s,S}) V) sum_beta P[(i a), beta] Y[s, beta],
+    for U_s the product of the steps exp(-i w r.sigma (x) O(t)) of sequence
+    s in time order, C a d x K block of environment columns (or a length-d
+    vector for the diagonal block diag(C)) and (lambda, V) = ``spectrum``,
+    X = O(0) = V diag(lambda) V^T with V real.  ``steps`` is (times,
+    weights, axes), shaped (W, S), (W, S) and (W, S, 3).
 
     With W_k = D(t_k) V and F_k the frame of r_k.sigma, step k is
     (F_k (x) W_k) B_k (F_k (x) W_k)^dag, B_k = e^{-+iw_k lambda} on the +-1
@@ -208,39 +213,41 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     marks step k + 1 (on_grid, a bool per step) as the next point of a
     uniform grid of spacing h[s]: all such steps of sequence s share
     G = V^T diag(e^{-iwh[s]n}) V, formed once and applied as one complex
-    product: against butterflies there it is 7-18% faster at d = 20-25,
-    0-5% faster at d = 29-30 and 3-13% slower at d = 40-60 (the README's
-    Fock oracle section gives how this was timed).  The last kick is
+    product (faster there than butterflies at d = 20-30, slower at 40-60;
+    the README's Fock oracle section gives the timings).  The last kick is
     applied on its own.  Every G_k and B_k is unitary exactly when V is
     orthonormal, which ``coupling_spectrum`` checked when it made V.
 
-    When every step has the same axis, bit for bit (``_frozen``), every
-    step is diagonal in its frame F: U = sum_sigma P_sigma (x) U_sigma.
-    Then the evolution carries one input-spin slot, (W, 2, 1, d, K), in
-    which both spin sectors start from Z = V^T D(t_1)^* C; no frame change
-    acts, and one frame is formed for the whole train.  F^dag[sigma, a] is
-    folded back in once, with the last frame product:
-    Y[s, o, a] = sum_sigma F[o, sigma] F^dag[sigma, a] U_sigma Z.  Both
-    shapes take the same loop body, step buffers and routes.
+    In general B = 4: Y[s, (sigma a)] is input spin a in the last step's
+    frame, and P = F_S (x) 1, one per sequence, (W, 4, 4).  When every step
+    has the same axis, bit for bit (``_frozen``), every step is diagonal in
+    its frame F: U = sum_sigma Pi_sigma (x) U_sigma for the projectors
+    Pi_sigma.  Then B = 2: both sectors start from Z = V^T D(t_1)^* C, no
+    frame change acts, Y[s, sigma] = U_sigma Z, and P[(i a), sigma] =
+    F[i, sigma] F^dag[sigma, a], (4, 2).  No steps are the frozen case with
+    F = 1 and C in both sectors.  Both paths take the same loop body, step
+    buffers and routes.
     """
     evals, vecs = spectrum
     d = len(evals)
     times, weights, axes = steps
     n_seq, n_steps = np.shape(weights)
     width = d if columns.ndim == 1 else columns.shape[1]
-    joint = np.zeros((n_seq, 2, 2, d, width), dtype=complex)
-    if not n_steps:  # I2 (x) C
-        joint[:, 0, 0] = joint[:, 1, 1] = columns if columns.ndim == 2 else np.diag(columns)
-        return joint
-    omega = spec.env.omega
     frozen = _frozen(axes)
-    if frozen:  # F[o, sigma] F^dag[sigma, a], as (o a, sigma)
-        frame = spin_frames(axes[0, 0])
-        fold = np.einsum("os,sa->oas", frame, frame.conj().T).reshape(4, 2)
-    else:  # F_1^dag, then the frame changes F_{k+1}^dag F_k
+    if frozen:  # F[i, sigma] F^dag[sigma, a], as (i a, sigma)
+        frame = spin_frames(axes[0, 0]) if n_steps else I2
+        spins = np.einsum("os,sa->oas", frame, frame.conj().T).reshape(4, 2)
+    else:  # F_S (x) 1; F_1^dag, then the frame changes F_{k+1}^dag F_k
         frames = spin_frames(axes)
+        spins = np.einsum("wos,ab->woasb", frames[:, -1], I2).reshape(n_seq, 4, 4)
         changes = frames.conj().swapaxes(-1, -2)
         changes[:, 1:] = changes[:, 1:] @ frames[:, :-1]
+    slots = 1 if frozen else 2  # input spins carried
+    state = np.empty((n_seq, 2, slots, d, width), dtype=complex)
+    if not n_steps:  # C in both sectors
+        state[...] = columns if columns.ndim == 2 else np.diag(columns)
+        return state.reshape(n_seq, 2, d, width), spins
+    omega = spec.env.omega
     turns = np.exp(1j * _phases(omega, times))
     zero, odd = d % 2, d // 2  # eigenlevels (0, +s, -s): the zero mode, then the pairs
     even = zero + odd
@@ -258,35 +265,29 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
         grid_g = np.multiply(np.exp(-1j * omega * np.multiply.outer(grid[0], np.arange(d)))[:, :, None], vecs, order="C")
         grid_g = np.matmul(vecs.T, grid_g.view(float)).view(complex)
         kicked = np.empty((n_seq, 2, d, d), dtype=complex)  # G B_k, one per output spin
-    # the two step buffers: joint and one of its size, or frozen, joint's
-    # first half and one of its size, taken in the order that leaves the
-    # last step in the second, apart from joint
-    slots = 1 if frozen else 2  # input spins carried
-    state = joint.reshape(-1)[: joint.size * slots // 2].reshape(n_seq, 2, slots, d, width)
-    other = np.empty_like(state)
-    halves = (n_seq, 2, 2 * d * width)  # the output-spin halves, for the frames
+    other = np.empty_like(state)  # the step buffer
+    halves = (n_seq, 2, 2 * d * width)  # the output-spin halves, for the frame changes
     blocks = vecs[0::2, :even], vecs[1::2, zero:even]
     # per buffer, as float64: its eigenlevel pairs, and its levels for V's even and odd blocks
     current, following = [
         (b, *[v.view(float) for v in (b[..., zero:, :].reshape(n_seq, 2, slots, 2, -1), b[..., :even, :], b[..., even:, :])])
-        for b in ((other, state) if frozen and n_steps % 2 else (state, other))
+        for b in (state, other)
     ]
     # the first step, I2 (x) Z with Z = W_1^dag C = V^T D(t_1)^* C, and its
     # frame: F_1^dag (x) Z, or Z in both sectors; a diagonal C makes Z a
     # column scaling of V^T
-    y, other = current[0], following[0]
     z, first = other[:, 0, 0], _level_phases(d, turns[:, 0].conj())
     if columns.ndim == 1:  # real and imaginary parts apart: no float-to-complex cast buffers
         scale = first[:, None, :] * columns
         np.multiply(vecs.T, scale.real, out=z.real)
         np.multiply(vecs.T, scale.imag, out=z.imag)
     else:
-        np.multiply(first[:, :, None], columns, out=y[:, 0, 0])
-        np.matmul(vecs.T, y[:, 0, 0].view(float), out=z.view(float))
+        np.multiply(first[:, :, None], columns, out=state[:, 0, 0])
+        np.matmul(vecs.T, state[:, 0, 0].view(float), out=z.view(float))
     if frozen:
-        y[...] = z[:, None, None]
+        state[...] = z[:, None, None]
     else:
-        np.multiply(changes[:, 0, :, :, None, None], z[:, None, None], out=y)
+        np.multiply(changes[:, 0, :, :, None, None], z[:, None, None], out=state)
     for k in range(1, n_steps):
         (y, y_pairs, *y_blocks), (other, o_pairs, *o_blocks) = current, following
         kick = kicks[:, k - 1, :, None, :]  # of the step before
@@ -307,13 +308,9 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
             current, following = following, current
         else:
             np.matmul(changes[:, k], other.reshape(halves), out=y.reshape(halves))
-    y, other = current[0], following[0]
+    y = current[0]
     y *= kicks[:, -1, :, None, :, None]  # the last kick
-    if frozen:  # F^dag folded back in with the last frame product, into the whole of joint
-        np.matmul(fold, y.reshape(n_seq, 2, -1), out=joint.reshape(n_seq, 4, -1))
-        return joint
-    np.matmul(frames[:, -1], y.reshape(halves), out=other.reshape(halves))
-    return other
+    return y.reshape(n_seq, 2 * slots, d, width), spins
 
 
 def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[QubitMap]:
@@ -321,47 +318,47 @@ def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[Qubi
     of ``metas``, each recorded with the kick axes ``axes``; ``steps`` =
     (times, weights, axes of every step) and ``grid`` as in ``_evolve``.
 
-    With Y the evolved columns C of a square root of the environment state,
-    rho_env = C C^dag, m[i, a, j, b] =
-    tr(U_ia rho_env U_jb^dag) = sum_{l, c} Y[i, a, l, c] conj(Y[j, b, l, c])
-    (D(t_n) V cancels in the trace), so E(rho)[i, j] = sum_ab rho[a, b]
-    m[i, a, j, b].  The channel is read from the one contraction
-    S_mu,nu = tr(sigma_mu E(sigma_nu)) / 2 (sigma_0 = 1): b = Re S[1:, 0]
-    and A = Re S[1:, 1:].  A map whose max |Im S| exceeds 1e-8, or is NaN,
-    does not preserve Hermiticity (NonHermitian), and one whose first row S[0]
-    differs from (1, 0, 0, 0) by more than 1e-8 does not preserve the trace
-    (NonUnitTrace).  Each meta gains the dimension, tail mass, the
-    sequence's ``kick_steps``, the ``spin_blocks`` the evolution carried
-    (2 on ``_evolve``'s frozen-axis path, 4 otherwise), the
-    ``eigendecompositions`` the build made (1, or 0 when the process holds
-    the spectrum of spec.dim) and the build's peak ``bytes`` (an int) on
-    the path it took, which ``_held`` names if they cannot be held.  The
+    With (Y, P) the ``_evolve`` of the columns C of a square root of the
+    environment state, rho_env = C C^dag, m[(i a), (j b)] =
+    tr(U_ia rho_env U_jb^dag) = P (Y Y^dag) P^dag on both paths, from the
+    Gram matrix of the B carried blocks (D(t_n) V cancels in the trace), and
+    E(rho)[i, j] = sum_ab rho[a, b] m[i, a, j, b].  The channel is read
+    from the one contraction S_mu,nu = tr(sigma_mu E(sigma_nu)) / 2
+    (sigma_0 = 1): b = Re S[1:, 0] and A = Re S[1:, 1:].  A map whose max
+    |Im S| exceeds 1e-8, or is NaN, does not preserve Hermiticity
+    (NonHermitian), and one whose first row S[0] differs from (1, 0, 0, 0)
+    by more than 1e-8 does not preserve the trace (NonUnitTrace).  Each meta
+    gains the dimension, tail mass, the sequence's ``kick_steps``, the
+    ``spin_blocks`` B the evolution carried (2 on ``_evolve``'s frozen-axis
+    path, 4 otherwise), the ``eigendecompositions`` the build made (1, or 0
+    when the process holds the spectrum of spec.dim) and the build's peak
+    ``bytes`` (an int), which ``_held`` names if they cannot be held.  The
     spectrum is made inside that guard, so a truncation it refuses neither
     decomposes nor enters the cache.
     """
     d, (n_seq, n_steps) = spec.dim, np.shape(steps[1])
     made, blocks = d not in _SPECTRA, 2 if _frozen(steps[2]) else 4
-    # Y (64 W d^2 bytes) and its step buffer (16 W d^2 a spin block); on a
-    # pulse grid, G and G B_k for both output spins (48 W d^2); the kick
-    # phases on both spins (32 W S d); the phases P_k of the steps off a
-    # pulse grid (16 W d each); and numpy's iteration buffer for the
-    # broadcast phase products (16 bytes an entry of the state, at most
-    # np.getbufsize() entries).  The readout then holds Y and its conjugate
-    # (128 W d^2), more than a frozen-axis evolution without a pulse grid.
-    # Throughout, V, unless held (8 d^2), and S (16 d^2, or its diagonal,
-    # 8 d, undisplaced).  The per-step frames and turns (O(W S)) come on top.
+    # Y and its step buffer (32 B W d^2 for B spin blocks); on a pulse grid,
+    # G and G B_k for both output spins (48 W d^2); the kick phases on both
+    # spins (32 W S d); the phases P_k of the steps off a pulse grid (16 W d
+    # each); and numpy's iteration buffer for the broadcast phase products
+    # (16 bytes an entry of the state, at most np.getbufsize() entries).  The
+    # readout then holds Y and its conjugate, no more.  Throughout, V, unless
+    # held (8 d^2), and S (16 d^2, or its diagonal, 8 d, undisplaced).  The
+    # per-step frames and turns (O(W S)) come on top.
     grid_bytes, grid_steps = (48 * n_seq * d * d, int(np.count_nonzero(grid[1][1:]))) if grid is not None else (0, 0)
     s_bytes = 16 * d * d if spec.env.displacement != 0 else 8 * d
-    evolution = (
-        (64 + 16 * blocks) * n_seq * d * d + grid_bytes + 32 * n_seq * n_steps * d
+    nbytes = (
+        32 * blocks * n_seq * d * d + grid_bytes + 32 * n_seq * n_steps * d
         + 16 * n_seq * (max(n_steps - 1, 0) - grid_steps) * d + 16 * min(np.getbufsize(), blocks * n_seq * d * d)
+        + (8 * d * d if made else 0) + s_bytes
     )
-    nbytes = max(evolution, 128 * n_seq * d * d) + (8 * d * d if made else 0) + s_bytes
     with _held(nbytes, f"oracle truncation at dim {d} needs {{need}}"):
         spectrum = coupling_spectrum(d)
         factor, tail = _environment_factor(spec, spectrum)
-        y = _evolve(spec, spectrum, steps, factor, grid).reshape(n_seq, 4, d * d)
-        m = (y @ y.conj().swapaxes(1, 2)).reshape(n_seq, 2, 2, 2, 2)
+        y, spins = _evolve(spec, spectrum, steps, factor, grid)
+        y = y.reshape(*y.shape[:2], -1)
+        m = (spins @ (y @ y.conj().swapaxes(1, 2)) @ spins.conj().swapaxes(-1, -2)).reshape(n_seq, 2, 2, 2, 2)
     s = 0.5 * np.einsum("mji,nab,wiajb->wmn", _SIGMAS, _SIGMAS, m)
     imag = np.max(np.abs(s.imag))
     if not imag <= 1e-8:  # a NaN is refused too

@@ -645,6 +645,7 @@ def test_nascent_check_judges_the_finest_width_in_any_order(tmp_path, capsys, de
         "mode = nascent\ndeltas = 0.05 abc",
         "mode = nascent\nshape = triangle",
         "dim = 1",
+        "dim_max = 1",
         "tol = -1",
         "mode = nascent\nsteps_per_kick = 0",
         "mode = nascent\ndelta_t = -0.01",
@@ -655,6 +656,7 @@ def test_nascent_check_judges_the_finest_width_in_any_order(tmp_path, capsys, de
         "non_numeric_deltas",
         "unknown_shape",
         "dim_1",
+        "dim_max_1",
         "negative_tol",
         "zero_steps",
         "negative_delta_t",
@@ -936,17 +938,18 @@ def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
 def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, standard_geometry, spectra):
     """An oracle truncation whose arrays cannot be allocated ends the run
     with exit 4, naming the dimension and the bytes of the build.  The one
-    kick has one axis, so its evolution takes the frozen-axis path: 96 d^2
-    for the evolution and its half-size step buffer, 32 d for the phases of
-    the one kick and numpy's iteration buffer of 2 d^2 entries (at most
-    np.getbufsize()), against the readout's 128 d^2; then 8 d^2 for V, made
-    from an empty cache, and 8 d for S's diagonal.  In nascent mode, 4
-    widths of 48 steps, all but the first on the pulse grid, precess: the
-    evolution and its step buffer are 128 W d^2, G and G B_k add 48 W d^2,
-    the kick phases are 32 W S d, the buffer holds 4 W d^2 entries, no step
-    needs its own P_k, and V is not counted, since the kicks-mode run made
-    the spectrum of d = 30 before its evolution failed.  A nascent
-    map records its bytes as an int, as a kicks-mode map does.  A truncation
+    kick has one axis, so its evolution takes the frozen-axis path: 64 d^2
+    for its 2 spin blocks and their step buffer (the readout's Y and its
+    conjugate hold no more), 32 d for the phases of the one kick and
+    numpy's iteration buffer of 2 d^2 entries (at most np.getbufsize());
+    then 8 d^2 for V, made from an empty cache, and 8 d for S's diagonal.
+    In nascent mode, 4 widths of 48 steps, all but the first on the pulse
+    grid, precess: the 4 spin blocks and their step buffer are 128 W d^2,
+    G and G B_k add 48 W d^2, the kick phases are 32 W S d, the buffer
+    holds 4 W d^2 entries, no step needs its own P_k, and V is not counted,
+    since the kicks-mode run made the spectrum of d = 30 before its
+    evolution failed.  A nascent map records its bytes as an int, as a
+    kicks-mode map does.  A truncation
     past sys.maxsize bytes (d = 1.2e18), where numpy would raise ValueError,
     is refused the same way in either mode before anything is built, and so
     is one at d = 1e200, whose bytes pass float64's range."""
@@ -961,8 +964,7 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, sta
     monkeypatch.setattr(oracle, "_evolve", no_memory)
     body = BASE_CFG.format(out=tmp_path / "out") + "\n[oracle]\ndim = 30\n"
     assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_DOMAIN
-    evolution = 96 * 30**2 + 32 * 30 + 16 * min(np.getbufsize(), 2 * 30**2)
-    nbytes = max(evolution, 128 * 30**2) + 8 * 30**2 + 8 * 30
+    nbytes = 64 * 30**2 + 32 * 30 + 16 * min(np.getbufsize(), 2 * 30**2) + 8 * 30**2 + 8 * 30
     assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {nbytes} bytes")
     assert not (tmp_path / "out").exists()
 
@@ -1448,6 +1450,27 @@ def test_example_nascent_check_fails_at_its_own_tolerance(tmp_path, capsys):
     finest = float(rows[-1].split(",")[1])
     assert 1.7e-3 < finest < 1.9e-3
     assert f"FAIL: finest distance {finest:.3e} > tolerance 1e-08" in capsys.readouterr().out
+
+
+def test_nascent_check_states_its_truncation(tmp_path, capsys):
+    """A nascent oracle-check states its truncation and the tail it kept on
+    stdout, before its verdict, as kicks mode does; it demands no tail: at
+    nbar = 50 the example's dim = 20 keeps 4.1% of the state in its top
+    level, and a frozen-axis run still passes tol = 0.1."""
+    with open(EXAMPLE_CFG, encoding="utf-8") as fh:
+        body = fh.read()
+    for old, new in [
+        ("nbar = 0.0 ", "nbar = 50 "),
+        ("Omega = 1.0 ", "Omega = 0.0 "),
+        ("tol = 1e-8 ", "tol = 0.1 "),
+        ("mode = kicks ", "mode = nascent "),
+    ]:
+        body, count = re.subn(f"^{old}", new, body, flags=re.M)
+        assert count == 1
+    assert main(["--config", write_cfg(tmp_path, body), "--out", str(tmp_path / "out"), "oracle-check"]) == EXIT_OK
+    *_, stated, verdict = capsys.readouterr().out.splitlines()
+    assert stated == "oracle dim=20 tail=4.116e-02"
+    assert verdict.startswith("OK: finest distance 7.19")
 
 
 @pytest.mark.parametrize(

@@ -128,10 +128,17 @@ def _sequence(steps):
     return tuple(np.array([[step[i] for step in steps]], dtype=float) for i in range(3))
 
 
+def _lab(y, spins):
+    """The lab-frame blocks Y[s, i, a, l, c] (output spin i, input spin a)
+    of the oracle's evolution (Y, P): sum_beta P[(i a), beta] Y[s, beta]."""
+    n_seq, blocks, dim, width = y.shape
+    return (spins @ y.reshape(n_seq, blocks, -1)).reshape(n_seq, 2, 2, dim, width)
+
+
 def _joint(spec, spectrum, steps, columns):
     """U (I2 (x) C) rebuilt from the oracle's evolution of steps (t, w, r) as
-    (I2 (x) D(t_n) V) Y."""
-    y = _evolve(spec, spectrum, _sequence(steps), columns)[0]
+    (I2 (x) D(t_n) V) Y, with Y its lab-frame blocks."""
+    y = _lab(*_evolve(spec, spectrum, _sequence(steps), columns))[0]
     dim, width = columns.shape
     basis = _level_phases(dim, np.exp(1j * spec.env.omega * steps[-1][0]))[:, None] * spectrum[1]
     return np.kron(I2, basis) @ y.transpose(0, 2, 1, 3).reshape(2 * dim, 2 * width)
@@ -240,7 +247,7 @@ def test_applied_steps_match_kron_product(dim, axis):
     """The evolution carried in each step's coupling eigenbasis and spin
     frame, as the oracle carries it, equals the product of kron-assembled
     steps; every train but the generic one has one axis, and takes the
-    frozen-axis path, in both of its buffer orders (odd and even S)."""
+    frozen-axis path, ending in either step buffer (odd and even S)."""
     rng = np.random.default_rng(dim)
     omega = 1.7
     spec = FockSpec(SingleModeThermal(omega=omega), dim=dim)
@@ -344,14 +351,14 @@ def test_readout_refuses_a_map_that_breaks_trace_or_hermiticity(defect, error, s
     from spinkick import oracle
 
     def broken(*args, **kwargs):
-        y = _evolve(*args, **kwargs)
+        y = _lab(*_evolve(*args, **kwargs))
         if defect == "scale":
             y *= 1.01
         elif defect == "block":
             y[:, 0, 0] *= 1j
         else:
             y[0, 0, 0, 0, 0] = np.nan
-        return y
+        return y.reshape(len(y), 4, *y.shape[-2:]), np.eye(4)
 
     monkeypatch.setattr(oracle, "_evolve", broken)
     with pytest.raises(error):
@@ -473,41 +480,39 @@ def _traced_peak(build, before=lambda: None):
 
 
 def test_oracle_build_peak_memory_is_its_stated_bytes(spectra):
-    """One build's evolution holds the result and a step buffer (128 d^2;
-    on the frozen-axis path, 2 spin blocks, the result and a half-size
-    step buffer, 96 d^2), the kick phases of its S steps on both spins
-    (32 S d), the phases P_k of its S - 1 gaps (16 d each) and numpy's
-    iteration buffer (16 bytes an entry of the state, 4 d^2 entries, or
-    2 d^2 frozen, at most np.getbufsize()); its readout holds Y and its
-    conjugate (128 d^2), which the frozen path reaches first at d = 100.
-    The larger of the two, V when the build makes it (8 d^2) and S (its
+    """One build's evolution holds its B spin blocks and their step buffer
+    (32 B d^2: B = 4, or 2 on the frozen-axis path), the kick phases of its
+    S steps on both spins (32 S d), the phases P_k of its S - 1 gaps (16 d
+    each) and numpy's iteration buffer (16 bytes an entry of the state,
+    B d^2 entries, at most np.getbufsize()); its readout holds Y and its
+    conjugate, no more.  That, V when the build makes it (8 d^2) and S (its
     diagonal, 8 d, or 16 d^2 displaced) are meta["bytes"], and the traced
     peak is that and little more, both cold (no spectrum held, so the
     build makes V) and warm (V held), on a precessing and a frozen axis."""
     for geometry, blocks in (("precessing", 4), ("frozen", 2)):
         buffer = 16 * min(np.getbufsize(), blocks * 100**2)
-        evolution = (64 + 16 * blocks) * 100**2 + 32 * 4 * 100 + 16 * 3 * 100 + buffer
+        evolution = 32 * blocks * 100**2 + 32 * 4 * 100 + 16 * 3 * 100 + buffer
         steps = _sequence([(t, 1.0, r_of_t(_GEOMETRIES[geometry], t)) for t in (0.0, 0.7, 1.9, 2.4)])
         for displacement, s_bytes in ((0.0, 8 * 100), (0.3 - 0.4j, 16 * 100**2)):
             spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=100)
             for before, v_bytes in ((spectra.clear, 8 * 100**2), (lambda: None, 0)):
                 (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, (), [{}]), before)
                 assert ch.meta["spin_blocks"] == blocks
-                assert ch.meta["bytes"] == max(evolution, 128 * 100**2) + v_bytes + s_bytes
+                assert ch.meta["bytes"] == evolution + v_bytes + s_bytes
                 assert ch.meta["eigendecompositions"] == (v_bytes > 0)
                 assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
 
 
 def test_batched_nascent_peak_memory_is_its_stated_bytes(spectra):
-    """W = 4 widths evolved together hold, per width, the result, its step
-    buffer (half-size on the frozen-axis path), the pulse grid's G and G B_k
-    for both output spins (176 W d^2 in all, 144 W d^2 frozen), then V once
+    """W = 4 widths evolved together hold, per width, the B spin blocks and
+    their step buffer and the pulse grid's G and G B_k for both output spins
+    (176 W d^2 in all for B = 4, 112 W d^2 frozen, B = 2), then V once
     (8 d^2, made: no spectrum is held), S's diagonal (8 d), the kick phases
     on both spins (32 W S d), the phases P_k of the one gap between the
-    pulses (16 W d) and numpy's iteration buffer (4 W d^2 entries, 2 W d^2
-    frozen): meta["bytes"] is their sum, more than the readout's 128 W d^2,
-    and the traced peak is that and little more, on a precessing and a
-    frozen axis."""
+    pulses (16 W d) and numpy's iteration buffer (B W d^2 entries):
+    meta["bytes"] is their sum, which the readout's Y and its conjugate
+    never exceed, and the traced peak is that and little more, on a
+    precessing and a frozen axis."""
     spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=60)
     deltas = [0.04, 0.02, 0.01, 0.005]
     for geometry, blocks in (("precessing", 4), ("frozen", 2)):
@@ -518,7 +523,7 @@ def test_batched_nascent_peak_memory_is_its_stated_bytes(spectra):
             spectra.clear,
         )
         buffer = 16 * min(np.getbufsize(), blocks * 4 * 60**2)
-        stated = ((112 + 16 * blocks) * 4 + 8) * 60**2 + 8 * 60 + 32 * 4 * 24 * 60 + 16 * 4 * 60 + buffer
+        stated = ((48 + 32 * blocks) * 4 + 8) * 60**2 + 8 * 60 + 32 * 4 * 24 * 60 + 16 * 4 * 60 + buffer
         assert [(ch.meta["bytes"], ch.meta["spin_blocks"]) for ch in chans] == [(stated, blocks)] * 4
         assert 1.0 <= peak / chans[0].meta["bytes"] <= 1.25
 

@@ -9,13 +9,15 @@ it reads the file, and --tol, --max-kicks, --log-base and --out go through
 the same parsers, so a bad value anywhere stops the run before a command
 starts.  Commands compute and ``main`` writes: each ``cmd_*`` returns its
 exit code, the files of its run as ``{suffix: text}`` and its stdout text,
-and prints and writes nothing itself.  ``main`` writes those files, each
-atomically (write-then-rename), once the command and the reports simulate
-toggles on have returned and no target is an existing directory, and then
-the stdout text.  So a command that raises writes no file and prints
-nothing on stdout (its error line goes to stderr), and an oracle-check over
-its tolerance writes its report, prints its verdict and exits 5.  Every
-failure class maps to a documented exit code:
+and prints and writes nothing itself.  ``main`` writes those files, all
+or none, once the command and the reports simulate toggles on have
+returned and no target is an existing directory: each is written as a
+temp before the first rename (``_write_all``), and a failure before the
+renames removes every temp.  Then it prints the stdout text.  So a
+command that raises writes no file and prints nothing on stdout (its
+error line goes to stderr), and an oracle-check over its tolerance writes
+its report, prints its verdict and exits 5.  Every failure class maps to
+a documented exit code:
 
     0  success
     2  config error (parse failure, unknown section or key, a bad value in
@@ -67,8 +69,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_text_atomic(path: str, content: str) -> None:
-    """Write via a temp file (mode 0600) in the same directory, then rename."""
+def write_text_atomic(path: str, content: str, staged: list | None = None) -> None:
+    """Write via a temp file (mode 0600) in the same directory, then rename;
+    given a list ``staged``, append (temp, path) to it instead and leave the
+    rename to the caller (``_write_all``).  A failure removes the temp."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         os.makedirs(directory, exist_ok=True)
@@ -76,10 +80,31 @@ def write_text_atomic(path: str, content: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
-        os.replace(tmp, path)
+        if staged is None:
+            os.replace(tmp, path)
+        else:
+            staged.append((tmp, path))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        raise
+
+
+def _write_all(targets: dict) -> None:
+    """Write every file of ``targets`` ({path: text}) or none: each is
+    written as a temp (``write_text_atomic``) before the first rename, and a
+    failure removes every temp not yet renamed."""
+    staged = []
+    try:
+        for path, text in targets.items():
+            write_text_atomic(path, text, staged)
+        while staged:
+            os.replace(*staged[0])
+            staged.pop(0)
+    except BaseException:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -702,8 +727,7 @@ def main(argv=None) -> int:
         for path in targets:  # a rename onto a directory would fail after earlier files were written
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        for path, text in targets.items():
-            write_text_atomic(path, text)
+        _write_all(targets)
         print(said, end="")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

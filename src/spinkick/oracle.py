@@ -19,15 +19,18 @@ diagonal phase, and the free evolution between kicks is V and V^T around
 a diagonal phase, each a +- butterfly and two half-size real products.
 One loop evolves W step sequences of equal length together: the W = 1
 kick train, or every pulse width of a nascent-delta command, whose steps
-inside a pulse share one free-evolution matrix per width; a train whose
-steps all share one kick axis (``Omega = 0``) is evolved in its two spin
-sectors alone, half the state, with no frame changes.  The evolution is
-left in the frames it is carried in, with the 4 x B spin map P to the lab
-frame, and the channel is read from the evolved columns Y of a square
-root of the environment state by one formula on either path,
-m = P (Y Y^dag) P^dag.  ``oracle_channel`` and ``nascent_delta_channels``
-both take the train as a ``KickSchedule``, which has already checked its
-times and weights.
+inside a pulse share one free-evolution matrix per width.  It carries only
+the spin blocks the channel reads: the two spin sectors of the first kick
+axis until some sequence's axis first turns, with no frame changes, then
+four blocks; on an axis that never turns (``Omega = 0``, or one kick) an
+undisplaced state evolves one sector alone, the other being its parity
+mirror.  The evolution is left in the frames it is carried in, with the
+4 x B spin map P to the lab frame, and the channel is read from the
+evolved columns Y of a square root of the environment state by one
+formula for every B, m = P (Y Y^dag) P^dag.  ``oracle_channel`` and
+``nascent_delta_channels`` both take the train as a ``KickSchedule``,
+which has already checked its times and weights, and derive its
+truncation-independent step data (``_Steps``) once per call.
 """
 
 from __future__ import annotations
@@ -178,25 +181,81 @@ def _level_phases(dim: int, turn) -> np.ndarray:
     return np.cumprod(phases, axis=-1, out=phases)
 
 
-def _frozen(axes) -> bool:
-    """Whether every step of every sequence has the kick axis of the first,
-    compared bit for bit (``Omega = 0`` gives this exactly, and a single
-    step has it); vacuously so for no steps."""
-    axes = np.asarray(axes)
-    return bool(np.all(axes == axes[:1, :1]))
+@dataclass(frozen=True, eq=False)
+class _Steps:
+    """What W step sequences of S steps each give every truncation alike,
+    derived once per call (``_steps``): the ``weights``, shaped (W, S); the
+    mode's phase turns, e^{-iwt_1} at each sequence's ``first`` step (None
+    for no steps) and e^{-iwt_{k+1}} e^{iwt_k} at each step k + 1 off a
+    pulse grid (``gaps``), with w = ``omega``; the steps ``on_grid`` and
+    the grid's ``spacing`` h (None off a pulse grid), as in ``_evolve``;
+    the ``turn``, the first step at which some sequence's kick axis differs
+    from its own first, bit for bit (S when none does); and the spin map
+    ``spins`` P of ``_evolve``, with, when the axis turns, every frame
+    change F_{k+1}^dag F_k (``changes``, k = 1 .. S - 1) and the 4 x 2
+    ``expand`` of the turn."""
+
+    omega: float
+    weights: np.ndarray
+    first: np.ndarray | None
+    gaps: np.ndarray
+    on_grid: np.ndarray
+    spacing: np.ndarray | None
+    turn: int
+    spins: np.ndarray
+    changes: np.ndarray | None
+    expand: np.ndarray | None
+
+    def blocks(self, diagonal: bool) -> int:
+        """The spin blocks B an evolution carries at its end: 4 once the
+        axis has turned; else its two sectors, or sector + alone when the
+        square root of the environment state is ``diagonal`` (undisplaced)
+        and there is a step, sector - being its mirror (``_evolve``)."""
+        n_steps = self.weights.shape[1]
+        if self.turn < n_steps:
+            return 4
+        return 1 if diagonal and n_steps else 2
 
 
-def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> tuple[np.ndarray, np.ndarray]:
+def _steps(omega: float, steps, grid=None) -> _Steps:
+    """The ``_Steps`` of ``steps`` = (times, weights, axes), shaped (W, S),
+    (W, S) and (W, S, 3), for a mode of frequency ``omega``; ``grid`` as in
+    ``_evolve``.  A kick axis off the unit sphere is refused
+    (NonUnitVector), and so is a phase w t past float64's range
+    (SpinKickError)."""
+    times, weights, axes = steps
+    n_seq, n_steps = np.shape(weights)
+    axes = np.asarray(axes, dtype=float)
+    turned = np.any(axes != axes[:, :1], axis=(0, 2))  # per step, any bit of any sequence
+    turn = int(np.argmax(turned)) if turned.any() else n_steps
+    turns = np.exp(1j * _phases(omega, times))
+    on_grid = np.zeros(n_steps, dtype=bool) if grid is None else grid[1]
+    gaps = (turns[:, 1:].conj() * turns[:, :-1])[:, ~on_grid[1:]]
+    if turn < n_steps:  # F_S (x) 1; F_{k+1}^dag F_k; at the turn, Q[o', sigma] F_1^dag[sigma, a], as (o' a, sigma)
+        frames = spin_frames(axes)
+        spins = np.einsum("wos,ab->woasb", frames[:, -1], I2).reshape(n_seq, 4, 4)
+        changes = frames[:, 1:].conj().swapaxes(-1, -2) @ frames[:, :-1]
+        expand = np.einsum("wos,was->woas", changes[:, turn - 1], frames[:, 0].conj()).reshape(n_seq, 4, 2)
+    else:  # F[o, sigma] F^dag[sigma, a], as (o a, sigma)
+        frame = spin_frames(axes[:, 0]) if n_steps else np.broadcast_to(I2, (n_seq, 2, 2))
+        spins = np.einsum("wos,was->woas", frame, frame.conj()).reshape(n_seq, 4, 2)
+        changes = expand = None
+    first = turns[:, 0].conj() if n_steps else None
+    spacing = None if grid is None else grid[0]
+    return _Steps(omega, np.asarray(weights, dtype=float), first, gaps, on_grid, spacing, turn, spins, changes, expand)
+
+
+def _evolve(spec: FockSpec, spectrum, steps: _Steps, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The blocks Y[s, beta, l, c] (sequence, carried spin block, eigenlevel,
     column) that W step sequences of S steps each carry when evolved
-    together, and the 4 x B spin map P[(i a), beta] (output spin i, input
-    spin a) that takes them to the lab frame:
-    U_s (I2 (x) C) = (I2 (x) D(t_{s,S}) V) sum_beta P[(i a), beta] Y[s, beta],
+    together, and the 4 x B spin map P[s, (i a), beta] (output spin i,
+    input spin a) that takes them to the lab frame:
+    U_s (I2 (x) C) = (I2 (x) D(t_{s,S}) V) sum_beta P[s, (i a), beta] Y[s, beta],
     for U_s the product of the steps exp(-i w r.sigma (x) O(t)) of sequence
     s in time order, C a d x K block of environment columns (or a length-d
     vector for the diagonal block diag(C)) and (lambda, V) = ``spectrum``,
-    X = O(0) = V diag(lambda) V^T with V real.  ``steps`` is (times,
-    weights, axes), shaped (W, S), (W, S) and (W, S, 3).
+    X = O(0) = V diag(lambda) V^T with V real.  ``steps`` is the
+    sequences' ``_Steps``.
 
     With W_k = D(t_k) V and F_k the frame of r_k.sigma, step k is
     (F_k (x) W_k) B_k (F_k (x) W_k)^dag, B_k = e^{-+iw_k lambda} on the +-1
@@ -207,158 +266,198 @@ def _evolve(spec: FockSpec, spectrum, steps, columns: np.ndarray, grid=None) -> 
     (0, +s, -s) of ``coupling_spectrum``, V is a butterfly (y+ + y-, y+ - y-)
     of the pairs, then V's even and odd blocks, two half-size real products
     on Y viewed as float64; V^T is the reverse: 8 d^2 K real multiply-adds
-    for K columns in all, against 16 for d x d products.  P_k's entries,
-    formed before the loop, are powers of e^{-iwt_{k+1}} e^{iwt_k}, each
-    taken at its own time as in O(t), except where ``grid`` = (h, on_grid)
-    marks step k + 1 (on_grid, a bool per step) as the next point of a
-    uniform grid of spacing h[s]: all such steps of sequence s share
-    G = V^T diag(e^{-iwh[s]n}) V, formed once and applied as one complex
-    product (faster there than butterflies at d = 20-30, slower at 40-60;
-    the README's Fock oracle section gives the timings).  The last kick is
-    applied on its own.  Every G_k and B_k is unitary exactly when V is
-    orthonormal, which ``coupling_spectrum`` checked when it made V.
+    for K columns in all, against 16 for d x d products.  P_k's entries are
+    powers of e^{-iwt_{k+1}} e^{iwt_k}, each taken at its own time as in
+    O(t), except where ``on_grid`` (a bool per step) marks step k + 1 as
+    the next point of a uniform grid of ``spacing`` h[s]: all such steps of
+    sequence s share G = V^T diag(e^{-iwh[s]n}) V, formed once and applied
+    as one complex product (faster there than butterflies at d = 20-30,
+    slower at 40-60; the README's Fock oracle section gives the timings).
+    The last kick is applied on its own.  Every G_k and B_k is unitary
+    exactly when V is orthonormal, which ``coupling_spectrum`` checked when
+    it made V.
 
-    In general B = 4: Y[s, (sigma a)] is input spin a in the last step's
-    frame, and P = F_S (x) 1, one per sequence, (W, 4, 4).  When every step
-    has the same axis, bit for bit (``_frozen``), every step is diagonal in
-    its frame F: U = sum_sigma Pi_sigma (x) U_sigma for the projectors
-    Pi_sigma.  Then B = 2: both sectors start from Z = V^T D(t_1)^* C, no
-    frame change acts, Y[s, sigma] = U_sigma Z, and P[(i a), sigma] =
-    F[i, sigma] F^dag[sigma, a], (4, 2).  No steps are the frozen case with
-    F = 1 and C in both sectors.  Both paths take the same loop body, step
-    buffers and routes.
+    Only the blocks that m = P (Y Y^dag) P^dag reads are carried, chosen
+    from the axes, bit for bit, and from whether C is diagonal
+    (``_Steps.blocks``).  While every sequence's axis is its first, each
+    step is diagonal in the first frame F_1: U = sum_sigma Pi_sigma (x)
+    U_sigma for the projectors Pi_sigma.  So the evolution starts as the two
+    sectors Y[s, sigma] = U_sigma Z, both from Z = V^T D(t_1)^* C, and no
+    frame change acts.  A train whose axis never turns ends so, B = 2, with
+    P[(i a), sigma] = F_1[i, sigma] F_1^dag[sigma, a].  At the first step
+    at which some sequence's axis turns, its frame change Q = F_{k+1}^dag F_1
+    takes the two sectors to four blocks, Y[(o' a)] = sum_sigma Q[o', sigma]
+    F_1^dag[sigma, a] Y[sigma] (``expand``), one 4 x 2 product in place of
+    the step's 2 x 2 one; from there Y[s, (sigma a)] is input spin a in the
+    latest step's frame, every frame change acts, and B = 4 with
+    P = F_S (x) 1.  For a diagonal C (an undisplaced state) on an axis that
+    never turns, sector + is evolved alone, B = 1.  X is odd under the
+    parity Pi = diag((-1)^n), and V's -s columns are Pi times its +s
+    columns, bit for bit, so V^T Pi V = Sw swaps the +-s levels and keeps
+    the zero mode; Sw conjugates the kicks and commutes with every G_k, as
+    D(t), diag(P_k) and diag(C) commute with Pi.  So U_- = Sw U_+ Sw and
+    Sw Z = Z Pi_c, and sector - is the mirror Y_- = Sw Y_+ Pi_c, Pi_c
+    multiplying column l by (-1)^l; it is formed at the end, in the step
+    buffer, so that Y holds both sectors.  The evolution ends in the first
+    of its two step buffers.  No steps are the two-sector case with F = 1
+    and C in both sectors.
     """
     evals, vecs = spectrum
     d = len(evals)
-    times, weights, axes = steps
-    n_seq, n_steps = np.shape(weights)
+    n_seq, n_steps = steps.weights.shape
     width = d if columns.ndim == 1 else columns.shape[1]
-    frozen = _frozen(axes)
-    if frozen:  # F[i, sigma] F^dag[sigma, a], as (i a, sigma)
-        frame = spin_frames(axes[0, 0]) if n_steps else I2
-        spins = np.einsum("os,sa->oas", frame, frame.conj().T).reshape(4, 2)
-    else:  # F_S (x) 1; F_1^dag, then the frame changes F_{k+1}^dag F_k
-        frames = spin_frames(axes)
-        spins = np.einsum("wos,ab->woasb", frames[:, -1], I2).reshape(n_seq, 4, 4)
-        changes = frames.conj().swapaxes(-1, -2)
-        changes[:, 1:] = changes[:, 1:] @ frames[:, :-1]
-    slots = 1 if frozen else 2  # input spins carried
-    state = np.empty((n_seq, 2, slots, d, width), dtype=complex)
+    blocks, turn = steps.blocks(columns.ndim == 1), steps.turn
     if not n_steps:  # C in both sectors
-        state[...] = columns if columns.ndim == 2 else np.diag(columns)
-        return state.reshape(n_seq, 2, d, width), spins
-    omega = spec.env.omega
-    turns = np.exp(1j * _phases(omega, times))
+        y = np.empty((n_seq, 2, d, width), dtype=complex)
+        y[...] = columns if columns.ndim == 2 else np.diag(columns)
+        return y, steps.spins
+    sectors = min(blocks, 2)
     zero, odd = d % 2, d // 2  # eigenlevels (0, +s, -s): the zero mode, then the pairs
     even = zero + odd
     # e^{-iw lambda} on e and e^{+iw lambda} on f, per step and level (the -s
-    # levels conjugate the +s ones): both held, so that one contiguous product
-    # scales every spin block (numpy copies one output spin's of a W > 1 stack)
-    kicks = np.exp(-1j * np.multiply.outer(np.asarray(weights, dtype=float), evals[:even]))
+    # levels conjugate the +s ones): those of the sectors carried, so that one
+    # contiguous product scales every spin block (numpy copies one output
+    # spin's of a W > 1 stack)
+    kicks = np.exp(-1j * np.multiply.outer(steps.weights, evals[:even]))
     kicks = np.concatenate([kicks, kicks[..., zero:].conj()], axis=-1)
-    kicks = np.stack([kicks, kicks.conj()], axis=-2)
+    kicks = np.stack([kicks, kicks.conj()], axis=-2) if sectors == 2 else kicks[:, :, None]
     # P_k of every step off a pulse grid, on the even levels, then the odd
-    on_grid = np.zeros(n_steps, dtype=bool) if grid is None else grid[1]
-    gaps = _level_phases(d, (turns[:, 1:].conj() * turns[:, :-1])[:, ~on_grid[1:]])
+    gaps = _level_phases(d, steps.gaps)
     gaps = iter(np.concatenate([gaps[..., 0::2], gaps[..., 1::2]], axis=-1).swapaxes(0, 1)[:, :, None, None, :, None])
-    if grid is not None:
-        grid_g = np.multiply(np.exp(-1j * omega * np.multiply.outer(grid[0], np.arange(d)))[:, :, None], vecs, order="C")
+    if steps.spacing is not None:
+        grid_g = np.exp(-1j * steps.omega * np.multiply.outer(steps.spacing, np.arange(d)))
+        grid_g = np.multiply(grid_g[:, :, None], vecs, order="C")
         grid_g = np.matmul(vecs.T, grid_g.view(float)).view(complex)
-        kicked = np.empty((n_seq, 2, d, d), dtype=complex)  # G B_k, one per output spin
-    other = np.empty_like(state)  # the step buffer
+        kicked = np.empty((n_seq, sectors, d, d), dtype=complex)  # G B_k, one per sector carried
+    # the two step buffers, of the B blocks carried at the end; a mirror's
+    # are one array, which then holds sector + and its mirror (each buffer
+    # contiguous: numpy copies an input whose bounds overlap the output's)
+    size = blocks * d * width
+    if blocks == 1:
+        buffers = pair = np.empty((2, n_seq, size), dtype=complex)
+    else:
+        buffers = np.empty((n_seq, size), dtype=complex), np.empty((n_seq, size), dtype=complex)
     halves = (n_seq, 2, 2 * d * width)  # the output-spin halves, for the frame changes
-    blocks = vecs[0::2, :even], vecs[1::2, zero:even]
-    # per buffer, as float64: its eigenlevel pairs, and its levels for V's even and odd blocks
-    current, following = [
-        (b, *[v.view(float) for v in (b[..., zero:, :].reshape(n_seq, 2, slots, 2, -1), b[..., :even, :], b[..., even:, :])])
-        for b in (state, other)
-    ]
-    # the first step, I2 (x) Z with Z = W_1^dag C = V^T D(t_1)^* C, and its
-    # frame: F_1^dag (x) Z, or Z in both sectors; a diagonal C makes Z a
-    # column scaling of V^T
-    z, first = other[:, 0, 0], _level_phases(d, turns[:, 0].conj())
+    v_blocks = vecs[0::2, :even], vecs[1::2, zero:even]
+
+    def views(buffer, shape):
+        """The buffer's first shape = (sectors, input spins) blocks, then, as
+        float64, their eigenlevel pairs and their levels for V's even and
+        odd blocks."""
+        b = buffer[:, : math.prod(shape) * d * width].reshape(n_seq, *shape, d, width)
+        parts = b[..., zero:, :].reshape(n_seq, *shape, 2, -1), b[..., :even, :], b[..., even:, :]
+        return (b, *[part.view(float) for part in parts])
+
+    # before the turn, the sectors carried, one input spin; from it, four
+    # blocks; an odd number of swaps before the turn starts in the second
+    # buffer, so that the evolution ends in the first
+    before = [views(buffer, (sectors, 1)) for buffer in buffers]
+    after = [views(buffer, (2, 2)) for buffer in buffers] if blocks == 4 else None
+    current, following = before[(turn - 1) % 2], before[turn % 2]
+    # the first step, Z = W_1^dag C = V^T D(t_1)^* C in every sector carried;
+    # a diagonal C makes Z a column scaling of V^T
+    z, first = following[0][:, 0, 0], _level_phases(d, steps.first)
     if columns.ndim == 1:  # real and imaginary parts apart: no float-to-complex cast buffers
         scale = first[:, None, :] * columns
         np.multiply(vecs.T, scale.real, out=z.real)
         np.multiply(vecs.T, scale.imag, out=z.imag)
     else:
-        np.multiply(first[:, :, None], columns, out=state[:, 0, 0])
-        np.matmul(vecs.T, state[:, 0, 0].view(float), out=z.view(float))
-    if frozen:
-        state[...] = z[:, None, None]
-    else:
-        np.multiply(changes[:, 0, :, :, None, None], z[:, None, None], out=state)
+        np.multiply(first[:, :, None], columns, out=current[0][:, 0, 0])
+        np.matmul(vecs.T, current[0][:, 0, 0].view(float), out=z.view(float))
+    current[0][...] = z[:, None, None]
     for k in range(1, n_steps):
         (y, y_pairs, *y_blocks), (other, o_pairs, *o_blocks) = current, following
         kick = kicks[:, k - 1, :, None, :]  # of the step before
-        if on_grid[k]:  # the kick scales G's columns
+        if steps.on_grid[k]:  # the kick scales G's columns
             np.multiply(grid_g[:, None], kick, out=kicked)
             np.matmul(kicked[:, :, None], y, out=other)
         else:  # the kick scales the levels of Y (the zero mode's by 1, so y keeps it)
             np.multiply(y, kick[..., None], out=other)
             np.matmul(_PAIRS, o_pairs, out=y_pairs)  # (y+ + y-, y+ - y-)
-            for block, part, out in zip(blocks, y_blocks, o_blocks):  # V
+            for block, part, out in zip(v_blocks, y_blocks, o_blocks):  # V
                 np.matmul(block, part, out=out)
             other *= next(gaps)  # P_k
-            for block, part, out in zip(blocks, o_blocks, y_blocks):  # V^T
+            for block, part, out in zip(v_blocks, o_blocks, y_blocks):  # V^T
                 np.matmul(block.T, part, out=out)
             np.matmul(_PAIRS, y_pairs, out=o_pairs)  # (y+, y-)
             other[..., :zero, :] = y[..., :zero, :]
-        if frozen:  # the step landed in the other buffer
+        if k < turn:  # the step landed in the other buffer
             current, following = following, current
+        elif k == turn:  # the axis turns: four blocks, in the first buffer
+            current, following = after
+            np.matmul(steps.expand, other.reshape(n_seq, 2, -1), out=current[0].reshape(n_seq, 4, -1))
         else:
-            np.matmul(changes[:, k], other.reshape(halves), out=y.reshape(halves))
+            np.matmul(steps.changes[:, k - 1], other.reshape(halves), out=y.reshape(halves))
     y = current[0]
     y *= kicks[:, -1, :, None, :, None]  # the last kick
-    return y.reshape(n_seq, 2 * slots, d, width), spins
+    if blocks == 1:  # sector - = Sw Y_+ Pi_c, in the step buffer
+        mirror = following[0]
+        mirror[..., :zero, :] = y[..., :zero, :]
+        mirror[..., zero:even, :], mirror[..., even:, :] = y[..., even:, :], y[..., zero:even, :]
+        mirror[..., 1::2] *= -1.0
+        return pair.swapaxes(0, 1).reshape(n_seq, 2, d, width), steps.spins
+    return buffers[0].reshape(n_seq, blocks, d, width), steps.spins
 
 
-def _channels_at_dim(spec: FockSpec, steps, axes, metas, grid=None) -> list[QubitMap]:
+def _channels_at_dim(spec: FockSpec, steps: _Steps, axes, metas) -> list[QubitMap]:
     """Reduced channels of W joint step sequences at spec.dim, one per entry
-    of ``metas``, each recorded with the kick axes ``axes``; ``steps`` =
-    (times, weights, axes of every step) and ``grid`` as in ``_evolve``.
+    of ``metas``, each recorded with the kick axes ``axes``; ``steps`` is
+    the sequences' ``_Steps``, which every truncation of a call shares.
 
     With (Y, P) the ``_evolve`` of the columns C of a square root of the
     environment state, rho_env = C C^dag, m[(i a), (j b)] =
-    tr(U_ia rho_env U_jb^dag) = P (Y Y^dag) P^dag on both paths, from the
-    Gram matrix of the B carried blocks (D(t_n) V cancels in the trace), and
-    E(rho)[i, j] = sum_ab rho[a, b] m[i, a, j, b].  The channel is read
-    from the one contraction S_mu,nu = tr(sigma_mu E(sigma_nu)) / 2
-    (sigma_0 = 1): b = Re S[1:, 0] and A = Re S[1:, 1:].  A map whose max
-    |Im S| exceeds 1e-8, or is NaN, does not preserve Hermiticity
-    (NonHermitian), and one whose first row S[0] differs from (1, 0, 0, 0)
-    by more than 1e-8 does not preserve the trace (NonUnitTrace).  Each meta
-    gains the dimension, tail mass, the sequence's ``kick_steps``, the
-    ``spin_blocks`` B the evolution carried (2 on ``_evolve``'s frozen-axis
-    path, 4 otherwise), the ``eigendecompositions`` the build made (1, or 0
-    when the process holds the spectrum of spec.dim) and the build's peak
-    ``bytes`` (an int), which ``_held`` names if they cannot be held.  The
-    spectrum is made inside that guard, so a truncation it refuses neither
-    decomposes nor enters the cache.
+    tr(U_ia rho_env U_jb^dag) = P (Y Y^dag) P^dag for every B, from the
+    Gram matrix of the blocks (D(t_n) V cancels in the trace), and
+    E(rho)[i, j] = sum_ab rho[a, b] m[i, a, j, b].  A mirrored pair's Gram
+    matrix is real: with a, b and z the +s, -s and zero-mode levels of
+    Y_+, <Y_+, Y_-> = <a, b Pi_c> + <b, a Pi_c> + <z, z Pi_c>, whose
+    second term is the conjugate of its first, so it is read as
+    Y_r Y_r^T + Y_i Y_i^T, one real product of Y viewed as float64.  The
+    channel is read from the one contraction S_mu,nu =
+    tr(sigma_mu E(sigma_nu)) / 2 (sigma_0 = 1): b = Re S[1:, 0] and
+    A = Re S[1:, 1:].  A map whose max |Im S| exceeds 1e-8, or is NaN, does
+    not preserve Hermiticity (NonHermitian), and one whose first row S[0]
+    differs from (1, 0, 0, 0) by more than 1e-8 does not preserve the trace
+    (NonUnitTrace).  Each meta gains the dimension, tail mass, the
+    sequence's ``kick_steps``, the ``spin_blocks`` B the evolution carried
+    at its end (1 mirrored, 2 on an axis that never turns, 4 once it
+    turns), the ``eigendecompositions`` the build made (1, or 0 when the
+    process holds the spectrum of spec.dim) and the build's peak ``bytes``
+    (an int), which ``_held`` names if they cannot be held.  The spectrum is
+    made inside that guard, so a truncation it refuses neither decomposes
+    nor enters the cache.
     """
-    d, (n_seq, n_steps) = spec.dim, np.shape(steps[1])
-    made, blocks = d not in _SPECTRA, 2 if _frozen(steps[2]) else 4
-    # Y and its step buffer (32 B W d^2 for B spin blocks); on a pulse grid,
-    # G and G B_k for both output spins (48 W d^2); the kick phases on both
-    # spins (32 W S d); the phases P_k of the steps off a pulse grid (16 W d
-    # each); and numpy's iteration buffer for the broadcast phase products
-    # (16 bytes an entry of the state, at most np.getbufsize() entries).  The
-    # readout then holds Y and its conjugate, no more.  Throughout, V, unless
-    # held (8 d^2), and S (16 d^2, or its diagonal, 8 d, undisplaced).  The
-    # per-step frames and turns (O(W S)) come on top.
-    grid_bytes, grid_steps = (48 * n_seq * d * d, int(np.count_nonzero(grid[1][1:]))) if grid is not None else (0, 0)
+    d, (n_seq, n_steps) = spec.dim, steps.weights.shape
+    made, blocks = d not in _SPECTRA, steps.blocks(spec.env.displacement == 0)
+    sectors = min(blocks, 2)
+    # Y and its step buffer, 32 B W d^2 for the B blocks carried at the end
+    # (the sectors before a turn, and a mirror, lie in them); on a pulse
+    # grid, G and G B_k for each sector carried (16 (1 + sectors) W d^2);
+    # the kick phases of the sectors carried (16 sectors W S d); the phases
+    # P_k of the steps off a pulse grid (16 W d each); and numpy's iteration
+    # buffer for the broadcast phase products (16 bytes an entry of the
+    # state, at most np.getbufsize() entries).  The readout then holds Y and
+    # its conjugate, or a mirrored pair alone, no more.  Throughout, V,
+    # unless held (8 d^2), and S (16 d^2, or its diagonal, 8 d,
+    # undisplaced).  The per-call step data (O(W S)) comes on top.
+    grid_bytes = 16 * (1 + sectors) * n_seq * d * d if steps.spacing is not None else 0
     s_bytes = 16 * d * d if spec.env.displacement != 0 else 8 * d
     nbytes = (
-        32 * blocks * n_seq * d * d + grid_bytes + 32 * n_seq * n_steps * d
-        + 16 * n_seq * (max(n_steps - 1, 0) - grid_steps) * d + 16 * min(np.getbufsize(), blocks * n_seq * d * d)
+        32 * blocks * n_seq * d * d + grid_bytes + 16 * sectors * n_seq * n_steps * d
+        + 16 * n_seq * steps.gaps.shape[1] * d + 16 * min(np.getbufsize(), blocks * n_seq * d * d)
         + (8 * d * d if made else 0) + s_bytes
     )
     with _held(nbytes, f"oracle truncation at dim {d} needs {{need}}"):
         spectrum = coupling_spectrum(d)
         factor, tail = _environment_factor(spec, spectrum)
-        y, spins = _evolve(spec, spectrum, steps, factor, grid)
+        y, spins = _evolve(spec, spectrum, steps, factor)
         y = y.reshape(*y.shape[:2], -1)
-        m = (spins @ (y @ y.conj().swapaxes(1, 2)) @ spins.conj().swapaxes(-1, -2)).reshape(n_seq, 2, 2, 2, 2)
+        if blocks == 1:
+            y = y.view(float)
+            gram = y @ y.swapaxes(1, 2)
+        else:
+            gram = y @ y.conj().swapaxes(1, 2)
+        m = (spins @ gram @ spins.conj().swapaxes(-1, -2)).reshape(n_seq, 2, 2, 2, 2)
     s = 0.5 * np.einsum("mji,nab,wiajb->wmn", _SIGMAS, _SIGMAS, m)
     imag = np.max(np.abs(s.imag))
     if not imag <= 1e-8:  # a NaN is refused too
@@ -399,8 +498,9 @@ def oracle_channel(
     if len(dims) < 2:
         raise TruncationNotConverged(unstable)
     times = sched.times[None]
-    steps = (times, sched.weights[None], r_of_t(geom, times))
-    axes = steps[2][0]
+    axes = r_of_t(geom, times)
+    steps = _steps(spec.env.omega, (times, sched.weights[None], axes))
+    axes = axes[0]
     current = _channels_at_dim(replace(spec, dim=dims[0]), steps, axes, [{"kind": "oracle"}])[0]
     work = {key: current.meta[key] for key in ("kick_steps", "eigendecompositions")}
     history = []
@@ -480,7 +580,7 @@ def nascent_delta_channels(
         {"kind": "nascent_delta", "delta_t": float(dt), "shape": shape, "steps_per_kick": int(steps_per_kick)}
         for dt in deltas
     ]
-    return _channels_at_dim(spec, steps, r_of_t(geom, times), metas, grid)
+    return _channels_at_dim(spec, _steps(spec.env.omega, steps, grid), r_of_t(geom, times), metas)
 
 
 def channel_distance(c1, c2) -> float:

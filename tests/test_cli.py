@@ -938,11 +938,12 @@ def test_sweep_beyond_memory_exits_4(tmp_path, monkeypatch, capsys):
 def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, standard_geometry, spectra):
     """An oracle truncation whose arrays cannot be allocated ends the run
     with exit 4, naming the dimension and the bytes of the build.  The one
-    kick has one axis, so its evolution takes the frozen-axis path: 64 d^2
-    for its 2 spin blocks and their step buffer (the readout's Y and its
-    conjugate hold no more), 32 d for the phases of the one kick and
-    numpy's iteration buffer of 2 d^2 entries (at most np.getbufsize());
-    then 8 d^2 for V, made from an empty cache, and 8 d for S's diagonal.
+    kick has one axis, which never turns, and the vacuum is even, so its
+    evolution carries sector + alone: 32 d^2 for its 1 spin block and its
+    step buffer, which then holds the mirror (the readout holds no more),
+    16 d for the phases of the one kick on that sector and numpy's
+    iteration buffer of d^2 entries (at most np.getbufsize()); then 8 d^2
+    for V, made from an empty cache, and 8 d for S's diagonal.
     In nascent mode, 4 widths of 48 steps, all but the first on the pulse
     grid, precess: the 4 spin blocks and their step buffer are 128 W d^2,
     G and G B_k add 48 W d^2, the kick phases are 32 W S d, the buffer
@@ -964,7 +965,7 @@ def test_oracle_beyond_memory_exits_4(tmp_path, monkeypatch, capsys, vacuum, sta
     monkeypatch.setattr(oracle, "_evolve", no_memory)
     body = BASE_CFG.format(out=tmp_path / "out") + "\n[oracle]\ndim = 30\n"
     assert main(["--config", write_cfg(tmp_path, body), "oracle-check"]) == EXIT_DOMAIN
-    nbytes = 64 * 30**2 + 32 * 30 + 16 * min(np.getbufsize(), 2 * 30**2) + 8 * 30**2 + 8 * 30
+    nbytes = 32 * 30**2 + 16 * 30 + 16 * min(np.getbufsize(), 30**2) + 8 * 30**2 + 8 * 30
     assert capsys.readouterr().err.startswith(f"error: oracle truncation at dim 30 needs {nbytes} bytes")
     assert not (tmp_path / "out").exists()
 
@@ -1382,6 +1383,38 @@ def test_a_target_that_is_a_directory_writes_no_file(tmp_path, capsys):
     assert main(["--config", EXAMPLE_CFG, "--out", str(out), "simulate"]) == EXIT_IO
     assert capsys.readouterr().err.startswith("I/O error: [Errno 21] Is a directory")
     assert os.listdir(out) == ["spinkick_channel.txt"]
+
+
+def test_a_full_disk_while_a_later_file_is_written_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A run writes all of its files or none: when the disk fills while
+    simulate's second file is written, the run is an I/O error, and neither
+    the first file, staged as a temp before any rename, nor any temp is
+    left behind."""
+    fdopen, opened = os.fdopen, []
+
+    class FullDisk:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_at_the_second(fd, *args, **kwargs):
+        opened.append(fdopen(fd, *args, **kwargs))
+        return FullDisk(opened[-1]) if len(opened) == 2 else opened[-1]
+
+    monkeypatch.setattr(os, "fdopen", full_at_the_second)
+    out = tmp_path / "out"
+    assert main(["--config", EXAMPLE_CFG, "--out", str(out), "simulate"]) == EXIT_IO
+    assert len(opened) == 2
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 28] No space left on device")
+    assert not [name for name in os.listdir(out) if name.startswith(("spinkick_", ".tmp-spinkick-"))]
 
 
 def _example_with(tmp_path, **values):

@@ -34,8 +34,8 @@ from spinkick.oracle import (
     _channels_at_dim,
     _environment_factor,
     _evolve,
-    _frozen,
     _level_phases,
+    _steps,
     coupling_spectrum,
 )
 from spinkick.pauli import I2, PAULI, density_to_bloch, dot_sigma
@@ -123,9 +123,15 @@ def test_displaced_state_mean_matches_env():
         assert np.trace(rho @ o).real == pytest.approx(env.mean(t), abs=1e-10)
 
 
-def _sequence(steps):
-    """Steps (t, w, r) as the (times, weights, axes) arrays of one sequence."""
-    return tuple(np.array([[step[i] for step in steps]], dtype=float) for i in range(3))
+def _sequence(*sequences):
+    """Sequences of steps (t, w, r), of one length, as the (times, weights,
+    axes) arrays the oracle evolves together."""
+    return tuple(np.array([[step[i] for step in steps] for steps in sequences], dtype=float) for i in range(3))
+
+
+def _train(spec, steps):
+    """The oracle's step data of steps (t, w, r) in spec's mode."""
+    return _steps(spec.env.omega, _sequence(steps))
 
 
 def _lab(y, spins):
@@ -138,7 +144,7 @@ def _lab(y, spins):
 def _joint(spec, spectrum, steps, columns):
     """U (I2 (x) C) rebuilt from the oracle's evolution of steps (t, w, r) as
     (I2 (x) D(t_n) V) Y, with Y its lab-frame blocks."""
-    y = _lab(*_evolve(spec, spectrum, _sequence(steps), columns))[0]
+    y = _lab(*_evolve(spec, spectrum, _train(spec, steps), columns))[0]
     dim, width = columns.shape
     basis = _level_phases(dim, np.exp(1j * spec.env.omega * steps[-1][0]))[:, None] * spectrum[1]
     return np.kron(I2, basis) @ y.transpose(0, 2, 1, 3).reshape(2 * dim, 2 * width)
@@ -246,8 +252,8 @@ _AXES = {
 def test_applied_steps_match_kron_product(dim, axis):
     """The evolution carried in each step's coupling eigenbasis and spin
     frame, as the oracle carries it, equals the product of kron-assembled
-    steps; every train but the generic one has one axis, and takes the
-    frozen-axis path, ending in either step buffer (odd and even S)."""
+    steps; every train but the generic one has one axis, which never
+    turns, so it carries two sectors throughout (odd and even S)."""
     rng = np.random.default_rng(dim)
     omega = 1.7
     spec = FockSpec(SingleModeThermal(omega=omega), dim=dim)
@@ -262,7 +268,7 @@ def test_applied_steps_match_kron_product(dim, axis):
             r /= np.linalg.norm(r)
             steps.append((t, w, r))
             direct = _direct_step(r, quadrature_heisenberg(spec, t), w) @ direct
-        assert _frozen(_sequence(steps)[2]) == (axis != "generic")
+        assert (_train(spec, steps).turn == n_steps) == (axis != "generic")
         u = _joint(spec, spectrum, steps, np.eye(dim))
         assert np.max(np.abs(u - direct)) < 1e-13
 
@@ -295,7 +301,7 @@ def test_non_orthonormal_eigenbasis_fails_unitarity(spectra, monkeypatch):
         coupling_spectrum(20)
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     with pytest.raises(InvalidMap, match="unitarity"):
-        _channels_at_dim(spec, _sequence([(0.0, 0.5, [0, 0, 1])]), (), [{}])
+        _channels_at_dim(spec, _train(spec, [(0.0, 0.5, [0, 0, 1])]), (), [{}])
     assert not spectra
 
 
@@ -303,7 +309,7 @@ def test_non_unit_kick_axis_rejected():
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     spectrum = coupling_spectrum(spec.dim)
     with pytest.raises(NonUnitVector):
-        _evolve(spec, spectrum, _sequence([(0.0, 0.5, [0.0, 0.0, 1.001])]), np.eye(20))
+        _evolve(spec, spectrum, _train(spec, [(0.0, 0.5, [0.0, 0.0, 1.001])]), np.eye(20))
 
 
 def _kron_readout(u, rho_env):
@@ -332,7 +338,7 @@ def _assert_channel_is_kron_readout(spec, steps):
     """The oracle's channel at spec.dim, read from the evolved square root of
     the environment state, against the kron product's partial trace; the
     channel is returned."""
-    (ch,) = _channels_at_dim(spec, _sequence(steps), (), [{}])
+    (ch,) = _channels_at_dim(spec, _train(spec, steps), (), [{}])
     _assert_is_kron_readout(spec, steps, ch)
     return ch
 
@@ -382,7 +388,7 @@ def test_block_readout_matches_kron_partial_trace(standard_geometry):
 )
 def test_channel_matches_kron_partial_trace_at_fixed_dim(dim, frozen):
     """At a fixed truncation, on a displaced thermal state and a train of
-    random axes, or of one random axis (the frozen-axis path, 2 spin
+    random axes, or of one random axis (an axis that never turns: 2 spin
     blocks), the channel is the partial trace of the kron product."""
     rng = np.random.default_rng(dim)
     env = SingleModeThermal(omega=1.3, nbar=0.9, displacement=0.5 + 0.2j)
@@ -392,6 +398,45 @@ def test_channel_matches_kron_partial_trace_at_fixed_dim(dim, frozen):
         steps.append((t, rng.uniform(0.2, 2.0), fixed if frozen else r / np.linalg.norm(r)))
     ch = _assert_channel_is_kron_readout(FockSpec(env, dim=dim), steps)
     assert ch.meta["spin_blocks"] == (2 if frozen else 4)
+
+
+def _turning_sequences(rng, n_seq, n_steps, shared):
+    """W sequences of S random steps (t, w, r), each of whose first
+    ``shared`` steps has one random axis, bit for bit, and every later step
+    a random axis of its own: the first sequence turns at step ``shared``
+    (0-based; never when shared = S), sequence s at shared + s."""
+    sequences = []
+    for s in range(n_seq):
+        fixed, times = random_unit(rng), np.sort(rng.uniform(0.0, 6.0, size=n_steps))
+        axes = [fixed if k < shared + s else random_unit(rng) for k in range(n_steps)]
+        sequences.append([(t, rng.uniform(0.2, 2.0), r) for t, r in zip(times, axes)])
+    return sequences
+
+
+@pytest.mark.parametrize("n_seq", [1, 4])
+@pytest.mark.parametrize("dim", [2, 3, 10, 11])
+@pytest.mark.parametrize("displacement", [0.0, 0.5 + 0.2j])
+def test_every_spin_block_route_matches_kron_partial_trace(displacement, dim, n_seq):
+    """Each route of the evolution, at a fixed truncation, gives the partial
+    trace of its kron product to 1e-13, for W sequences evolved together:
+    two sectors until the first step at which some sequence's axis turns,
+    then four blocks (after 1, 2 or S - 1 steps on one axis, bit for bit,
+    for S = 1, 2, 3 and 5), or to the end when no axis turns, on an even
+    thermal state (sector + alone and its mirror, B = 1) and on a displaced
+    one (B = 2); odd and even d place the zero mode in the mirror's swap or
+    leave it out."""
+    rng = np.random.default_rng(100 * dim + n_seq)
+    spec = FockSpec(SingleModeThermal(omega=1.3, nbar=0.9, displacement=displacement), dim=dim)
+    for n_steps in (1, 2, 3, 5):
+        for shared in sorted({1, 2, n_steps - 1, n_steps} & set(range(1, n_steps + 1))):
+            sequences = _turning_sequences(rng, n_seq, n_steps, shared)
+            train = _steps(spec.env.omega, _sequence(*sequences))
+            chans = _channels_at_dim(spec, train, (), [{}] * n_seq)
+            assert train.turn == shared
+            blocks = 4 if shared < n_steps else 2 if displacement else 1
+            assert [ch.meta["spin_blocks"] for ch in chans] == [blocks] * n_seq
+            for seq, ch in zip(sequences, chans, strict=True):
+                _assert_is_kron_readout(spec, seq, ch)
 
 
 _GEOMETRIES = {
@@ -480,72 +525,82 @@ def _traced_peak(build, before=lambda: None):
 
 
 def test_oracle_build_peak_memory_is_its_stated_bytes(spectra):
-    """One build's evolution holds its B spin blocks and their step buffer
-    (32 B d^2: B = 4, or 2 on the frozen-axis path), the kick phases of its
-    S steps on both spins (32 S d), the phases P_k of its S - 1 gaps (16 d
-    each) and numpy's iteration buffer (16 bytes an entry of the state,
-    B d^2 entries, at most np.getbufsize()); its readout holds Y and its
-    conjugate, no more.  That, V when the build makes it (8 d^2) and S (its
+    """One build's evolution holds the B spin blocks it carries at its end
+    and their step buffer (32 B d^2: B = 4 on a precessing axis; on a
+    frozen one 2 displaced, and 1, sector + with its mirror, undisplaced),
+    the kick phases of its S steps on the sectors carried (16 min(B, 2) S d),
+    the phases P_k of its S - 1 gaps (16 d each) and numpy's iteration
+    buffer (16 bytes an entry of the state, B d^2 entries, at most
+    np.getbufsize()); its readout holds Y and its conjugate, or a mirrored
+    pair alone, no more.  That, V when the build makes it (8 d^2) and S (its
     diagonal, 8 d, or 16 d^2 displaced) are meta["bytes"], and the traced
-    peak is that and little more, both cold (no spectrum held, so the
-    build makes V) and warm (V held), on a precessing and a frozen axis."""
-    for geometry, blocks in (("precessing", 4), ("frozen", 2)):
+    peak is that and little more, both cold (no spectrum held, so the build
+    makes V) and warm (V held), for each B."""
+    for geometry, displacement, blocks in (
+        ("precessing", 0.0, 4), ("precessing", 0.3 - 0.4j, 4), ("frozen", 0.0, 1), ("frozen", 0.3 - 0.4j, 2)
+    ):
         buffer = 16 * min(np.getbufsize(), blocks * 100**2)
-        evolution = 32 * blocks * 100**2 + 32 * 4 * 100 + 16 * 3 * 100 + buffer
-        steps = _sequence([(t, 1.0, r_of_t(_GEOMETRIES[geometry], t)) for t in (0.0, 0.7, 1.9, 2.4)])
-        for displacement, s_bytes in ((0.0, 8 * 100), (0.3 - 0.4j, 16 * 100**2)):
-            spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=100)
-            for before, v_bytes in ((spectra.clear, 8 * 100**2), (lambda: None, 0)):
-                (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, (), [{}]), before)
-                assert ch.meta["spin_blocks"] == blocks
-                assert ch.meta["bytes"] == evolution + v_bytes + s_bytes
-                assert ch.meta["eigendecompositions"] == (v_bytes > 0)
-                assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
+        evolution = 32 * blocks * 100**2 + 16 * min(blocks, 2) * 4 * 100 + 16 * 3 * 100 + buffer
+        s_bytes = 16 * 100**2 if displacement else 8 * 100
+        spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=100)
+        steps = _train(spec, [(t, 1.0, r_of_t(_GEOMETRIES[geometry], t)) for t in (0.0, 0.7, 1.9, 2.4)])
+        for before, v_bytes in ((spectra.clear, 8 * 100**2), (lambda: None, 0)):
+            (ch,), peak = _traced_peak(lambda: _channels_at_dim(spec, steps, (), [{}]), before)
+            assert ch.meta["spin_blocks"] == blocks
+            assert ch.meta["bytes"] == evolution + v_bytes + s_bytes
+            assert ch.meta["eigendecompositions"] == (v_bytes > 0)
+            assert 1.0 <= peak / ch.meta["bytes"] <= 1.25
 
 
 def test_batched_nascent_peak_memory_is_its_stated_bytes(spectra):
     """W = 4 widths evolved together hold, per width, the B spin blocks and
-    their step buffer and the pulse grid's G and G B_k for both output spins
-    (176 W d^2 in all for B = 4, 112 W d^2 frozen, B = 2), then V once
-    (8 d^2, made: no spectrum is held), S's diagonal (8 d), the kick phases
-    on both spins (32 W S d), the phases P_k of the one gap between the
-    pulses (16 W d) and numpy's iteration buffer (B W d^2 entries):
-    meta["bytes"] is their sum, which the readout's Y and its conjugate
-    never exceed, and the traced peak is that and little more, on a
-    precessing and a frozen axis."""
-    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5), dim=60)
+    their step buffer (32 B d^2) and the pulse grid's G and G B_k for each
+    sector carried (16 (1 + min(B, 2)) d^2): 176 W d^2 in all for B = 4,
+    112 W d^2 for B = 2 (a frozen axis, displaced) and 64 W d^2 for B = 1
+    (a frozen axis, undisplaced); then V once (8 d^2, made: no spectrum is
+    held), S (its diagonal, 8 d, or 16 d^2 displaced), the kick phases on
+    the sectors carried (16 min(B, 2) W S d), the phases P_k of the one gap
+    between the pulses (16 W d) and numpy's iteration buffer (B W d^2
+    entries): meta["bytes"] is their sum, which the readout never exceeds,
+    and the traced peak is that and little more, for each B."""
     deltas = [0.04, 0.02, 0.01, 0.005]
-    for geometry, blocks in (("precessing", 4), ("frozen", 2)):
+    for geometry, displacement, blocks in (("precessing", 0.0, 4), ("frozen", 0.3 - 0.4j, 2), ("frozen", 0.0, 1)):
+        spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=60)
         chans, peak = _traced_peak(
             lambda: nascent_delta_channels(
                 spec, _GEOMETRIES[geometry], KickSchedule([0.0, 1.5]), deltas, steps_per_kick=12
             ),
             spectra.clear,
         )
+        sectors, s_bytes = min(blocks, 2), 16 * 60**2 if displacement else 8 * 60
         buffer = 16 * min(np.getbufsize(), blocks * 4 * 60**2)
-        stated = ((48 + 32 * blocks) * 4 + 8) * 60**2 + 8 * 60 + 32 * 4 * 24 * 60 + 16 * 4 * 60 + buffer
+        stated = ((32 * blocks + 16 * (1 + sectors)) * 4 + 8) * 60**2 + s_bytes + 16 * sectors * 4 * 24 * 60
+        stated += 16 * 4 * 60 + buffer
         assert [(ch.meta["bytes"], ch.meta["spin_blocks"]) for ch in chans] == [(stated, blocks)] * 4
         assert 1.0 <= peak / chans[0].meta["bytes"] <= 1.25
 
 
 @pytest.mark.parametrize("geometry", list(_GEOMETRIES))
 def test_every_map_records_its_spin_blocks(geometry):
-    """Every oracle map records the spin blocks its evolution carried: 2 on
-    the frozen-axis path, 4 on a precessing train, through oracle_channel's
-    search and for every nascent width."""
-    geom, blocks = _GEOMETRIES[geometry], 2 if geometry == "frozen" else 4
-    env = SingleModeThermal(omega=1.0, nbar=0.3)
+    """Every oracle map records the spin blocks its evolution carried at its
+    end: on a frozen axis 1 for an undisplaced state (sector + and its
+    mirror) and 2 for a displaced one, and 4 on a precessing train, through
+    oracle_channel's search and for every nascent width."""
     sched = KickSchedule([0.0, 0.7, 1.9])
-    orc = oracle_channel(fock_spec_for(env), geom, sched)
-    assert orc.meta["history"] and orc.meta["spin_blocks"] == blocks
-    chans = nascent_delta_channels(FockSpec(env, dim=20), geom, sched, [0.02, 0.01], steps_per_kick=12)
-    assert [ch.meta["spin_blocks"] for ch in chans] == [blocks] * 2
+    for displacement in (0.0, 0.3 - 0.2j):
+        geom = _GEOMETRIES[geometry]
+        blocks = 4 if geometry == "precessing" else 2 if displacement else 1
+        env = SingleModeThermal(omega=1.0, nbar=0.3, displacement=displacement)
+        orc = oracle_channel(fock_spec_for(env), geom, sched)
+        assert orc.meta["history"] and orc.meta["spin_blocks"] == blocks
+        chans = nascent_delta_channels(FockSpec(env, dim=20), geom, sched, [0.02, 0.01], steps_per_kick=12)
+        assert [ch.meta["spin_blocks"] for ch in chans] == [blocks] * 2
 
 
 def test_axes_a_billionth_apart_take_the_four_block_path():
-    """The frozen-axis test is exact equality: a train whose axis moves by
-    1e-9 between steps is evolved in 4 spin blocks, and its one-axis twin in
-    2; each is the partial trace of its kron product."""
+    """An axis turns on any difference in any bit: a train whose axis moves
+    by 1e-9 between steps is evolved in 4 spin blocks, and its one-axis twin
+    in 2; each is the partial trace of its kron product."""
     spec = FockSpec(SingleModeThermal(omega=1.1, nbar=0.4, displacement=0.3 + 0.1j), dim=21)
     base = np.array([0.36, 0.48, 0.8])
     moved = base + 1e-9 * np.array([0.8, -0.6, 0.0])  # perpendicular to base
@@ -559,20 +614,21 @@ def test_axes_a_billionth_apart_take_the_four_block_path():
 @pytest.mark.parametrize("displacement", [0.0, 0.3 - 0.2j])
 @pytest.mark.parametrize("dim", [2, 3, 20, 61])
 def test_the_frozen_path_states_no_more_bytes(dim, displacement, spectra):
-    """At the same d and W, a frozen-axis build states no more bytes than a
-    precessing one, as a kick train and as 4 pulse widths (every build from
-    the spectrum made first, so none counts V)."""
+    """At the same d and W, a build on a frozen axis (1 spin block
+    undisplaced, 2 displaced) states no more bytes than a precessing one (4),
+    as a kick train and as 4 pulse widths (every build from the spectrum
+    made first, so none counts V)."""
     spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.5, displacement=displacement), dim=dim)
     coupling_spectrum(dim)
     sched = KickSchedule([0.0, 0.7, 1.9], [0.8, 1.1, 0.6])
     stated = {}
     for geometry, geom in _GEOMETRIES.items():
-        steps = (sched.times[None], sched.weights[None], r_of_t(geom, sched.times[None]))
+        steps = _steps(spec.env.omega, (sched.times[None], sched.weights[None], r_of_t(geom, sched.times[None])))
         kicks = _channels_at_dim(spec, steps, (), [{}])
         pulses = nascent_delta_channels(spec, geom, sched, [0.04, 0.02, 0.01, 0.005], steps_per_kick=12)
         stated[geometry] = [(ch.meta["bytes"], ch.meta["spin_blocks"]) for ch in (*kicks, pulses[0])]
-    for (frozen, two), (precessing, four) in zip(stated["frozen"], stated["precessing"]):
-        assert (two, four) == (2, 4) and frozen <= precessing
+    for (frozen, few), (precessing, four) in zip(stated["frozen"], stated["precessing"]):
+        assert (few, four) == (2 if displacement else 1, 4) and frozen <= precessing
 
 
 def test_oracle_records_its_work(standard_geometry, spectra):
@@ -825,7 +881,7 @@ def _symmetry_channels(spec, geom, times, weights):
     the channels of two pulse widths in its place from
     ``nascent_delta_channels``."""
     times, weights = np.asarray(times), np.asarray(weights)
-    steps = (times[None], weights[None], r_of_t(geom, times[None]))
+    steps = _steps(spec.env.omega, (times[None], weights[None], r_of_t(geom, times[None])))
     pulses = nascent_delta_channels(spec, geom, KickSchedule(times, weights), [0.02, 0.01], steps_per_kick=12)
     return [*_channels_at_dim(spec, steps, (), [{}]), *pulses]
 
@@ -850,15 +906,16 @@ def test_rotating_the_geometry_rotates_the_channel(gap, displacement):
     """Rotating h and alpha by R in SO(3) maps every oracle channel (A, b) to
     (R A R^T, R b): the spin frames turn with the axes, and the environment
     does not see them.  At d = 24, for a 9-kick train and two pulse widths
-    in its place, with a frozen axis (gap 0) or a precessing one, on an even
-    and on a displaced state; R is random, or takes h onto a coordinate
-    axis, which is then given exactly, since special cases live there."""
+    in its place, with a frozen axis (gap 0: 1 spin block on the even state,
+    2 on the displaced one) or a precessing one (4), on an even and on a
+    displaced state; R is random, or takes h onto a coordinate axis, which
+    is then given exactly, since special cases live there."""
     rng = np.random.default_rng(11)
     spec = FockSpec(SingleModeThermal(omega=1.1, nbar=0.4, displacement=displacement), dim=24)
     h, alpha = random_unit(rng), random_unit(rng)
     times, weights = _symmetry_train(rng, 9)
     chans = _symmetry_channels(spec, InteractionGeometry(h=h, alpha=alpha, omega=gap), times, weights)
-    assert {ch.meta["spin_blocks"] for ch in chans} == {2 if gap == 0 else 4}
+    assert {ch.meta["spin_blocks"] for ch in chans} == {(2 if displacement else 1) if gap == 0 else 4}
     rotations = [(rot, rot @ h) for rot in (random_rotation(rng), random_rotation(rng))]
     rotations += [(_onto(h, e), e) for e in np.eye(3)]
     for rot, turned_h in rotations:

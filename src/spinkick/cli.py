@@ -69,10 +69,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_text_atomic(path: str, content: str, staged: list | None = None) -> None:
-    """Write via a temp file (mode 0600) in the same directory, then rename;
-    given a list ``staged``, append (temp, path) to it instead and leave the
-    rename to the caller (``_write_all``).  A failure removes the temp."""
+def write_text_atomic(path: str, content: str) -> str:
+    """Write ``content`` to a temp file (mode 0600) in ``path``'s directory
+    and return its name; the rename onto ``path`` is ``_write_all``'s.  A
+    failed write removes the temp."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         os.makedirs(directory, exist_ok=True)
@@ -80,14 +80,10 @@ def write_text_atomic(path: str, content: str, staged: list | None = None) -> No
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(content)
-        if staged is None:
-            os.replace(tmp, path)
-        else:
-            staged.append((tmp, path))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+    return tmp
 
 
 def _write_all(targets: dict) -> None:
@@ -97,10 +93,9 @@ def _write_all(targets: dict) -> None:
     staged = []
     try:
         for path, text in targets.items():
-            write_text_atomic(path, text, staged)
-        while staged:
-            os.replace(*staged[0])
-            staged.pop(0)
+            staged.append((write_text_atomic(path, text), path))
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
         for tmp, _ in staged:
             if os.path.exists(tmp):

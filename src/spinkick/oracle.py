@@ -428,7 +428,8 @@ def _channels_at_dim(spec: FockSpec, steps: _Steps, axes, metas) -> list[QubitMa
     nor enters the cache.
     """
     d, (n_seq, n_steps) = spec.dim, steps.weights.shape
-    made, blocks = d not in _SPECTRA, steps.blocks(spec.env.displacement == 0)
+    diagonal = spec.env.displacement == 0  # S is returned as its diagonal
+    made, blocks = d not in _SPECTRA, steps.blocks(diagonal)
     sectors = min(blocks, 2)
     # Y and its step buffer, 32 B W d^2 for the B blocks carried at the end
     # (the sectors before a turn, and a mirror, lie in them); on a pulse
@@ -450,6 +451,8 @@ def _channels_at_dim(spec: FockSpec, steps: _Steps, axes, metas) -> list[QubitMa
     with _held(nbytes, f"oracle truncation at dim {d} needs {{need}}"):
         spectrum = coupling_spectrum(d)
         factor, tail = _environment_factor(spec, spectrum)
+        if (factor.ndim == 1) != diagonal:  # _evolve mirrors on a diagonal S; the bytes and readout assume so
+            raise AssertionError(f"a {factor.ndim}-D S at displacement {spec.env.displacement}")
         y, spins = _evolve(spec, spectrum, steps, factor)
         y = y.reshape(*y.shape[:2], -1)
         if blocks == 1:

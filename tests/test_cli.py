@@ -1603,17 +1603,24 @@ def test_a_nul_byte_in_an_output_name_exits_2(tmp_path, capsys, monkeypatch, key
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
-def test_an_atomic_write_that_fails_leaves_no_temp_file(tmp_path, monkeypatch):
-    """A rename that fails propagates its error and removes the temp file."""
-    from spinkick.cli import write_text_atomic
+def test_an_atomic_write_that_fails_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    """A rename that fails after an earlier one succeeded is an I/O error:
+    the file already renamed stays, and every temp not yet renamed is
+    removed."""
+    replace, renamed = os.replace, []
 
-    def refuse(src, dst):
-        raise OSError(errno.EXDEV, "refused")
+    def refuse_the_second(src, dst):
+        if renamed:
+            raise OSError(errno.EXDEV, "refused")
+        replace(src, dst)
+        renamed.append(os.path.basename(dst))
 
-    monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="refused"):
-        write_text_atomic(str(tmp_path / "x.txt"), "text\n")
-    assert os.listdir(tmp_path) == []
+    monkeypatch.setattr(os, "replace", refuse_the_second)
+    out = tmp_path / "out"
+    assert main(["--config", EXAMPLE_CFG, "--out", str(out), "simulate"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 18] refused")
+    assert len(renamed) == 1 and renamed[0].startswith("spinkick_")
+    assert sorted(os.listdir(out)) == renamed
 
 
 # Each case: the command, the example config's lines replaced (a line by

@@ -597,6 +597,21 @@ def test_every_map_records_its_spin_blocks(geometry):
         assert [ch.meta["spin_blocks"] for ch in chans] == [blocks] * 2
 
 
+def test_a_square_root_of_the_wrong_shape_is_refused(monkeypatch):
+    """The mirror is chosen from the square root's shape and the readout
+    from the displacement: an undisplaced state whose square root came back
+    as a full matrix is refused, not read as a mirrored pair."""
+    import spinkick.oracle as oracle_module
+
+    diagonal = oracle_module._environment_factor
+    monkeypatch.setattr(
+        oracle_module, "_environment_factor", lambda spec, spectrum: (np.diag(diagonal(spec, spectrum)[0]), 0.0)
+    )
+    spec = FockSpec(SingleModeThermal(omega=1.0, nbar=0.3), dim=20)
+    with pytest.raises(AssertionError, match="2-D S at displacement 0"):
+        _channels_at_dim(spec, _train(spec, [(0.0, 0.5, [0.0, 0.6, 0.8])]), None, [{}])
+
+
 def test_axes_a_billionth_apart_take_the_four_block_path():
     """An axis turns on any difference in any bit: a train whose axis moves
     by 1e-9 between steps is evolved in 4 spin blocks, and its one-axis twin

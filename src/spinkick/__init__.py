@@ -17,7 +17,6 @@ from .analysis import (
 from .channels import (
     QubitMap,
     TwoKickParams,
-    build_n_kick_channel,
     build_prefix_channels,
     compose,
     dephasing_channel,
@@ -27,7 +26,6 @@ from .channels import (
     invert_channel,
     load_channel,
     phase_damping_channel,
-    single_kick_channel,
     transition_map,
     two_kick_closed_form,
     two_kick_params,

@@ -11,17 +11,12 @@ centered two-point correlator.  The sum runs over all 4^n sign-vector pairs;
 their order is lexicographic with bit i of the index addressing kick i
 (bit 0 = earliest kick, cleared bit = +1).
 
-Two builders evaluate it exactly from a train's ``KickInputs``.
-``build_n_kick_channel`` enumerates the 4^n coefficients of one schedule
-at once: it exponentiates 4^n complex entries and holds the whole gamma
-matrix, 16 * 4^n bytes.  It is the one-record case of ``_enumerate``,
-which builds a stack of records in one pass (as ``sweep`` does a stack of
-grid points, bounded by ``STACK_BYTES``), each entry bit for bit its
-one-record channel.  ``build_prefix_channels`` gives the channel after
-every kick of a schedule, a tuple of prefixes validated together, from one
-exact recursion on the affine action.  The sign pairs that agree
-on a new kick repeat the previous coefficients, so their part of the new
-channel is the previous prefix dephased along the kick axis r,
+The one exact builder, ``build_prefix_channels``, evaluates it from a
+train's ``KickInputs``: the channel after every kick of a schedule, a tuple
+of prefixes validated together, from one exact recursion on the affine
+action.  The sign pairs that agree on a new kick repeat the previous
+coefficients, so their part of the new channel is the previous prefix
+dephased along the kick axis r,
 (A, b) -> (r r^T A, r r^T b).  Every projector string has rank one,
 P_sigma(r_k) P(s) = g_sigma(s) |e_sigma(r_k)><e_(s_0)(r_0)|, so the pass
 carries one complex amplitude g per sign vector, contracts the one new
@@ -31,11 +26,15 @@ is one base block Gamma_J between a diagonal row and column scaling, so a
 level is one matrix product with Gamma_J (summed a row of tiles at a time
 where the scalings would leave float64's range, at high occupation), and
 no array of 4^(n-1) coefficients is held (its bytes: ``_pass_bytes``).
-The two builders agree to rounding (1e-12 in the tests for n <= 10).  A
-build past the ``max_kicks`` budget, or one whose coefficients cannot be
-allocated at any size (``_held``), raises TooManyKicks naming the bytes;
-channels record them in ``meta["bytes"]``.  Construction is deterministic: a
-fixed order of accumulation gives bit-reproducible output.
+``sweep`` alone still evaluates the sum by ``_enumerate``, which
+exponentiates all 4^n coefficients of a stack of records at once (16 * 4^n
+bytes a record, at most ``STACK_BYTES`` a stack), because the pinned sweep
+outputs record that route's rounding; the tests hold the pass to it (1e-12
+for n <= 10).  A build past the ``max_kicks`` budget, or one whose
+coefficients cannot be allocated at any size (``_held``), raises
+TooManyKicks naming the bytes; the pass records them in ``meta["bytes"]``.
+Construction is deterministic: a fixed order of accumulation gives
+bit-reproducible output.
 
 Channels and the transition maps between kick counts are one type,
 QubitMap, recorded by the affine Bloch action (A, b) and its kick axes,
@@ -472,52 +471,6 @@ def phase_damping_channel(r_axis, gamma: complex, meta: dict | None = None) -> Q
     return _map(a, np.zeros(3), (r,), md)
 
 
-def single_kick_channel(
-    env: GaussianEnvironment,
-    geom: InteractionGeometry,
-    t0: float,
-    weight: float = 1.0,
-) -> QubitMap:
-    """Exact channel for one kick at t0: phase damping about r(t0) with
-    gamma = <exp(-2i w O(t0))>, the dephasing channel of the schedule
-    (t0, weight), which refuses a weight that is not positive and finite.
-
-    For even environments gamma is real and the Bloch action reduces to
-    u -> gamma u + (1 - gamma)(u.r) r; a nonzero mean only adds a rotation
-    about r(t0).
-    """
-    return dephasing_channel(env, geom, KickSchedule([t0], [weight]))
-
-
-def build_n_kick_channel(
-    env: GaussianEnvironment,
-    geom: InteractionGeometry,
-    sched: KickSchedule,
-    max_kicks: int = MAX_KICKS_DEFAULT,
-) -> QubitMap:
-    """Exact channel for an arbitrary kick schedule by full 4^n enumeration.
-
-    Accumulates the chi matrix from the double trace over projector strings
-    and keeps the affine action it has on {1/2, (1+s_i)/2}; the channel's chi
-    is derived from that action.
-    It exponentiates all 4^n coefficients gamma(s, s') and holds them as one
-    complex matrix (16 * 4^n bytes, ``meta["bytes"]``; 67 MB at 11 kicks).
-    For the channels after every kick of a train, ``build_prefix_channels``
-    takes about a third of those coefficients in one pass, in under a
-    twentieth of the memory at 11 kicks (``_pass_bytes``).  Schedules
-    longer than ``max_kicks`` are refused (raise the budget explicitly if
-    you really mean it), and so is a build whose gamma matrix cannot be
-    allocated.  It is the one-record case of ``_enumerate``, which builds
-    a stack of records at once.
-    """
-    n = len(sched)
-    if n == 0:
-        return identity_channel()
-    (kicks,), a, b = _enumerate(lambda: [KickInputs.of(env, geom, sched)], 1, n, max_kicks)
-    meta = {**_provenance("n_kick", env, kicks.times, kicks.weights), "path": "enumeration"}
-    return QubitMap(a[0], b[0], kicks.axes, {**meta, "terms": 4**n, "bytes": 16 * 4**n})
-
-
 def _stack_size(n: int) -> int:
     """The records of n kicks one stacked enumeration holds: as many as
     ``STACK_BYTES`` of gamma matrices hold, and at least one."""
@@ -545,9 +498,9 @@ def _enumerate(inputs, count: int, n: int, max_kicks: int) -> tuple:
     matrix per record and one product coeff^T gamma coeff* for the run.
     Each run is read out in its basis (``affine_from_chi``), and the stack
     is validated with one ``eigvalsh``.  Every entry comes from the
-    floating-point operations of the one-record build, so it is that
-    build's channel bit for bit; the stack raises the first failure of any
-    stage, whichever record meets it.  No kicks give the identity.
+    floating-point operations of a stack of that record alone, so it is
+    that stack's channel bit for bit; the stack raises the first failure
+    of any stage, whichever record meets it.  No kicks give the identity.
     """
     if n == 0:
         return inputs(), np.broadcast_to(_ID3, (count, 3, 3)), np.zeros((count, 3))

@@ -606,9 +606,10 @@ def cmd_sweep(cfg: RunConfig, train: _Train) -> _Outcome:
     10 or more kicks alone), each point's channel, and its (n-1)-kick head
     for ``lambda_min``, from the 4^n enumeration of the stack's
     ``channels.KickInputs`` (``_sweep_rows``).  Every cell is byte-identical
-    to the point's one-map build and reads (``build_n_kick_channel``,
-    ``transition_map``, ``fixed_point``, ``choi_eigenvalues``), and a grid
-    with a refused point raises what a loop over the points would.
+    to the same reads (``transition_map``, ``fixed_point``,
+    ``choi_eigenvalues``) of the point's one-point ``_enumerate`` stack,
+    and a grid with a refused point raises what a loop over the points
+    would.
     """
     out_dir, prefix = cfg["output", "dir"], cfg["output", "prefix"]
     parameter = cfg["sweep", "parameter"]
@@ -688,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="accepted for compatibility; nothing is sampled")
     parser.add_argument("--log-base", dest="log_base", metavar="{e,2}", help="entropy log base")
     parser.add_argument("--tol", help="tolerance override for checks")
-    parser.add_argument("--max-kicks", dest="max_kicks", metavar="N", help="kick budget of both exact builders")
+    parser.add_argument("--max-kicks", dest="max_kicks", metavar="N", help="kick budget of every exact build")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="build channels, write trajectory CSV and channel file")
     sub.add_parser("divisibility", help="transition-map CP/P analysis")

@@ -245,7 +245,7 @@ def _steps(omega: float, steps, grid=None) -> _Steps:
     return _Steps(omega, np.asarray(weights, dtype=float), first, gaps, on_grid, spacing, turn, spins, changes, expand)
 
 
-def _evolve(spec: FockSpec, spectrum, steps: _Steps, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _evolve(spectrum, steps: _Steps, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The blocks Y[s, beta, l, c] (sequence, carried spin block, eigenlevel,
     column) that W step sequences of S steps each carry when evolved
     together, and the 4 x B spin map P[s, (i a), beta] (output spin i,
@@ -453,7 +453,7 @@ def _channels_at_dim(spec: FockSpec, steps: _Steps, axes, metas) -> list[QubitMa
         factor, tail = _environment_factor(spec, spectrum)
         if (factor.ndim == 1) != diagonal:  # _evolve mirrors on a diagonal S; the bytes and readout assume so
             raise AssertionError(f"a {factor.ndim}-D S at displacement {spec.env.displacement}")
-        y, spins = _evolve(spec, spectrum, steps, factor)
+        y, spins = _evolve(spectrum, steps, factor)
         y = y.reshape(*y.shape[:2], -1)
         if blocks == 1:
             y = y.view(float)

@@ -60,10 +60,11 @@ def standard_geometry():
     return InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0)
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def spectra(monkeypatch):
-    """The oracle's cache of coupling spectra, empty for the test; the
-    process's own comes back after it."""
+    """The oracle's cache of coupling spectra, empty for every test, so no
+    test passes only on spectra held from an earlier one; the process's own
+    comes back after it."""
     from spinkick import oracle
 
     monkeypatch.setattr(oracle, "_SPECTRA", OrderedDict())

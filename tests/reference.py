@@ -6,9 +6,11 @@ purity and entropy, the two-kick transition map and its divisibility
 verdict, the truncated environment state of the Fock oracle, the truncated
 annihilation operator and Heisenberg-picture quadrature O(t) that the
 oracle's direct-exponential cross-checks decompose, the density matrix
-of a Bloch vector, the prefix pass's sums f_k doubled kick by kick, and
-the Gaussian characteristic function from its own unweighted moments, the
-independent derivation of the dephasing and single-kick coefficients.
+of a Bloch vector, the prefix pass's sums f_k doubled kick by kick, the
+Gaussian characteristic function from its own unweighted moments, the
+independent derivation of the dephasing and single-kick coefficients, and
+the 4^n enumeration of one schedule's channel, the reference the prefix
+pass and the other constructions are held to.
 """
 
 from __future__ import annotations
@@ -19,7 +21,18 @@ import math
 import numpy as np
 
 from spinkick.analysis import DivisibilityReport, _h2, chi_eigenvalues_two_kick
-from spinkick.channels import PSD_TOL, QubitMap, TwoKickParams, _map, _two_kick_affine, two_kick_params
+from spinkick.channels import (
+    MAX_KICKS_DEFAULT,
+    PSD_TOL,
+    KickInputs,
+    QubitMap,
+    TwoKickParams,
+    _enumerate,
+    _map,
+    _provenance,
+    _two_kick_affine,
+    two_kick_params,
+)
 from spinkick.environment import GaussianEnvironment, _numbers, gram_matrix
 from spinkick.errors import LengthMismatch, NonEvenEnvironment, SpinKickError
 from spinkick.kicks import InteractionGeometry, r_of_t
@@ -48,6 +61,17 @@ def gaussian_char(env: GaussianEnvironment, times, coeffs) -> complex:
     if not np.isfinite(exponent):
         raise SpinKickError(f"coefficients {_numbers(c)} overflow the characteristic function's exponent")
     return complex(np.exp(exponent))
+
+
+def enumerated_channel(
+    env: GaussianEnvironment, geom: InteractionGeometry, sched, max_kicks: int = MAX_KICKS_DEFAULT
+) -> QubitMap:
+    """The exact channel of ``sched`` by the 4^n enumeration: ``_enumerate``
+    on its one record, which exponentiates all 4^n coefficients and holds
+    them (16 * 4^n bytes), refusing a build past ``max_kicks`` or one that
+    cannot be allocated with TooManyKicks.  No kicks give the identity."""
+    (kicks,), a, b = _enumerate(lambda: [KickInputs.of(env, geom, sched)], 1, len(sched), max_kicks)
+    return QubitMap(a[0], b[0], kicks.axes, _provenance("n_kick", env, kicks.times, kicks.weights))
 
 
 def bloch_to_density(u) -> np.ndarray:

@@ -13,7 +13,7 @@ from spinkick import (
     KickSchedule,
     SingleModeThermal,
     WhiteKickKernel,
-    build_n_kick_channel,
+    build_prefix_channels,
     channel_distance,
     chi_eigenvalues_two_kick,
     compose,
@@ -27,7 +27,6 @@ from spinkick import (
     max_image_norm,
     nascent_delta_channels,
     oracle_channel,
-    single_kick_channel,
     transition_map,
     two_kick_closed_form,
     two_kick_params,
@@ -76,7 +75,7 @@ def test_criterion_1_oracle_equivalence():
                 env = _random_env(rng, flavor)
                 geom = random_geometry(rng)
                 sched = KickSchedule(_random_times(rng, n_kicks))
-                analytic = build_n_kick_channel(env, geom, sched)
+                analytic = build_prefix_channels(env, geom, sched)[-1]
                 orc = oracle_channel(fock_spec_for(env), geom, sched)
                 dist = channel_distance(analytic, orc)
                 assert dist <= 1e-8, (
@@ -91,7 +90,7 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_closed_form_consistency():
-    """4^n enumeration vs closed forms, entrywise to 1e-12."""
+    """The exact channel (the prefix pass) vs closed forms, entrywise to 1e-12."""
     rng = np.random.default_rng(31415)
     worst = 0.0
     for i in range(100):
@@ -104,7 +103,7 @@ def test_criterion_2_closed_form_consistency():
             t0, t1 = _random_times(rng, 2)
             if np.linalg.norm(np.cross(r_of_t(geom, t1), r_of_t(geom, t0))) >= 0.05:
                 break
-        built = build_n_kick_channel(env, geom, KickSchedule([t0, t1]))
+        built = build_prefix_channels(env, geom, KickSchedule([t0, t1]))[-1]
         closed = two_kick_closed_form(env, geom, t0, t1)
         for got, want in (
             (built.matrix, closed.matrix),
@@ -119,8 +118,8 @@ def test_criterion_2_closed_form_consistency():
         geom = random_geometry(rng)
         env = _random_env(rng, rng.choice(["vacuum", "thermal_low", "coherent"]))
         t0 = rng.uniform(0, 4)
-        built = build_n_kick_channel(env, geom, KickSchedule([t0]))
-        single = single_kick_channel(env, geom, t0)
+        built = build_prefix_channels(env, geom, KickSchedule([t0]))[-1]
+        single = dephasing_channel(env, geom, KickSchedule([t0]))
         for got, want in (
             (built.matrix, single.matrix),
             (built.shift, single.shift),
@@ -139,11 +138,11 @@ def test_criterion_3_white_kernel_factorization():
     for n_kicks in range(1, 7):  # up to N = 5
         env = WhiteKickKernel(rng.uniform(0.05, 0.6))
         geom = random_geometry(rng)
-        sched = KickSchedule(_random_times(rng, n_kicks))
-        built = build_n_kick_channel(env, geom, sched)
-        comp = single_kick_channel(env, geom, sched.times[0])
-        for t in sched.times[1:]:
-            comp = compose(single_kick_channel(env, geom, t), comp)
+        times = _random_times(rng, n_kicks)
+        built = build_prefix_channels(env, geom, KickSchedule(times))[-1]
+        comp = dephasing_channel(env, geom, KickSchedule(times[:1]))
+        for t in times[1:]:
+            comp = compose(dephasing_channel(env, geom, KickSchedule([t])), comp)
         diff_a = np.max(np.abs(built.matrix - comp.matrix))
         diff_b = np.max(np.abs(built.shift - comp.shift))
         diff_chi = np.max(np.abs(built.chi - chi_from_affine(comp, built.basis)))
@@ -170,7 +169,7 @@ def _two_kick_instances(seed=977, count=100):
         if not white and abs(params.k) < 1e-4:
             continue  # too weakly correlated to certify strict negativity
         longer = two_kick_closed_form(env, geom, t0, t1)
-        shorter = single_kick_channel(env, geom, t0)
+        shorter = dephasing_channel(env, geom, KickSchedule([t0]))
         theta = transition_map(longer, shorter)
         instances.append((params, theta, white))
     return instances
@@ -249,7 +248,7 @@ def test_criterion_7_nascent_delta_convergence():
     start = time.time()
     env = SingleModeThermal(omega=1.0)
     geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
-    analytic = single_kick_channel(env, geom, 1.0)
+    analytic = dephasing_channel(env, geom, KickSchedule([1.0]))
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     dists = []
     for dt in (0.064, 0.032, 0.016, 0.008):
@@ -266,11 +265,11 @@ def _representative_channels(rng):
     vacuum = SingleModeThermal(omega=1.0)
     geom_std = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0)
     chans = [
-        ("single vacuum", single_kick_channel(vacuum, geom_std, 0.3)),
+        ("single vacuum", dephasing_channel(vacuum, geom_std, KickSchedule([0.3]))),
         (
             "single coherent",
-            single_kick_channel(
-                SingleModeThermal(omega=1.2, displacement=0.6 + 0.2j), geom_std, 0.5
+            dephasing_channel(
+                SingleModeThermal(omega=1.2, displacement=0.6 + 0.2j), geom_std, KickSchedule([0.5])
             ),
         ),
         (
@@ -281,14 +280,14 @@ def _representative_channels(rng):
         ),
         (
             "white 3-kick",
-            build_n_kick_channel(WhiteKickKernel(0.3), random_geometry(rng), KickSchedule(_random_times(rng, 3))),
+            build_prefix_channels(WhiteKickKernel(0.3), random_geometry(rng), KickSchedule(_random_times(rng, 3)))[-1],
         ),
         ("two-kick vacuum", two_kick_closed_form(vacuum, geom_std, 0.0, 0.7)),
         (
             "thermal 3-kick",
-            build_n_kick_channel(
+            build_prefix_channels(
                 SingleModeThermal(omega=1.1, nbar=1.0), random_geometry(rng), KickSchedule(_random_times(rng, 3))
-            ),
+            )[-1],
         ),
     ]
     return chans
@@ -344,7 +343,7 @@ def test_criterion_10_fixed_point():
         geom = random_geometry(rng)
         env = SingleModeThermal(omega=rng.uniform(0.6, 1.6), nbar=rng.uniform(0, 1.5))
         t0, t1 = _random_times(rng, 2)
-        ch = build_n_kick_channel(env, geom, KickSchedule([t0, t1]))
+        ch = build_prefix_channels(env, geom, KickSchedule([t0, t1]))[-1]
         res = fixed_point(ch)
         if res.spectral_radius > 0.95:
             continue
@@ -379,10 +378,10 @@ def test_criterion_11_mean_shift_covariance():
             even = SingleModeThermal(omega=omega, nbar=nbar)
             shifted = SingleModeThermal(omega=omega, nbar=nbar, displacement=amp)
             s_even = np.linalg.svd(
-                build_n_kick_channel(even, geom, sched).matrix, compute_uv=False
+                build_prefix_channels(even, geom, sched)[-1].matrix, compute_uv=False
             )
             s_shift = np.linalg.svd(
-                build_n_kick_channel(shifted, geom, sched).matrix, compute_uv=False
+                build_prefix_channels(shifted, geom, sched)[-1].matrix, compute_uv=False
             )
             diff = np.max(np.abs(s_even - s_shift))
             assert diff <= 1e-10
@@ -397,10 +396,10 @@ def test_criterion_11_mean_shift_covariance():
         even = SingleModeThermal(omega=omega, nbar=0.4)
         shifted = SingleModeThermal(omega=omega, nbar=0.4, displacement=amp)
         s_even = np.linalg.svd(
-            build_n_kick_channel(even, geom, sched).matrix, compute_uv=False
+            build_prefix_channels(even, geom, sched)[-1].matrix, compute_uv=False
         )
         s_shift = np.linalg.svd(
-            build_n_kick_channel(shifted, geom, sched).matrix, compute_uv=False
+            build_prefix_channels(shifted, geom, sched)[-1].matrix, compute_uv=False
         )
         diff = np.max(np.abs(s_even - s_shift))
         assert diff <= 1e-10

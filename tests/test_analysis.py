@@ -10,7 +10,6 @@ from spinkick import (
     SingleModeThermal,
     SingularChannel,
     WhiteKickKernel,
-    build_n_kick_channel,
     chi_eigenvalues_two_kick,
     dephasing_channel,
     dephasing_divisibility,
@@ -22,7 +21,6 @@ from spinkick import (
     is_cp,
     max_image_norm,
     purity,
-    single_kick_channel,
     trace_distance,
     transition_map,
     two_kick_closed_form,
@@ -32,7 +30,13 @@ from spinkick.analysis import PSD_TOL
 from spinkick.channels import QubitMap
 from spinkick.pauli import PAULI_BASIS
 from conftest import fibonacci_sphere, random_geometry, random_schedule
-from reference import entanglement_entropy, entropy_from_purity, post_kick_purity, two_kick_divisibility
+from reference import (
+    entanglement_entropy,
+    entropy_from_purity,
+    enumerated_channel,
+    post_kick_purity,
+    two_kick_divisibility,
+)
 
 
 def test_purity_examples():
@@ -79,7 +83,7 @@ def test_post_kick_purity_matches_channel(standard_geometry):
         u = rng.normal(size=3)
         u = u / np.linalg.norm(u) * rng.uniform(0, 1)
         t0 = rng.uniform(0, 3)
-        ch = single_kick_channel(env, standard_geometry, t0)
+        ch = dephasing_channel(env, standard_geometry, KickSchedule([t0]))
         assert post_kick_purity(u, env, standard_geometry, t0) == pytest.approx(
             purity(ch(u)), abs=1e-12
         )
@@ -116,7 +120,7 @@ def test_trace_distance_examples():
 def test_fixed_point_unital_contractive():
     env = WhiteKickKernel(0.4)
     geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.7)
-    ch = build_n_kick_channel(env, geom, KickSchedule([0.0, 0.5, 1.3]))
+    ch = enumerated_channel(env, geom, KickSchedule([0.0, 0.5, 1.3]))
     assert ch.is_unital
     res = fixed_point(ch)
     np.testing.assert_allclose(res.u_f, 0.0, atol=1e-12)
@@ -160,7 +164,7 @@ def _echo_channel():
     )
     times = [4.2408070358726135, 6.3163792636457119, 10.467523719191909, 12.543095946965007]
     weights = [0.90686288343599364, 0.91781059536068477, 0.59436231361648773, 0.67026759815955372]
-    return build_n_kick_channel(env, geom, KickSchedule(times, weights))
+    return enumerated_channel(env, geom, KickSchedule(times, weights))
 
 
 def test_echo_train_has_a_singular_value_between_the_cutoffs():
@@ -212,7 +216,7 @@ def test_chi_eigenvalues_match_numeric(vacuum, standard_geometry):
         except Exception:
             continue
         longer = two_kick_closed_form(env, geom, t0, t1)
-        shorter = single_kick_channel(env, geom, t0)
+        shorter = dephasing_channel(env, geom, KickSchedule([t0]))
         theta = transition_map(longer, shorter)
         lam_closed = np.sort(chi_eigenvalues_two_kick(params.h, params.k))
         lam_num = np.sort(np.linalg.eigvalsh(theta.chi))
@@ -224,14 +228,14 @@ def test_chi_eigenvalues_match_numeric(vacuum, standard_geometry):
 
 
 def test_is_cp_examples(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.0)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     assert is_cp(ch)
     env = WhiteKickKernel(0.4)
-    longer = build_n_kick_channel(env, standard_geometry, KickSchedule([0.0, 0.9]))
-    theta = transition_map(longer, single_kick_channel(env, standard_geometry, 0.0))
+    longer = enumerated_channel(env, standard_geometry, KickSchedule([0.0, 0.9]))
+    theta = transition_map(longer, dephasing_channel(env, standard_geometry, KickSchedule([0.0])))
     assert is_cp(theta)
     longer_c = two_kick_closed_form(vacuum, standard_geometry, 0.0, 0.7)
-    theta_c = transition_map(longer_c, single_kick_channel(vacuum, standard_geometry, 0.0))
+    theta_c = transition_map(longer_c, dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0])))
     assert not is_cp(theta_c)
 
 
@@ -243,7 +247,7 @@ def test_is_positive_identity():
 
 def test_is_positive_witness(vacuum, standard_geometry):
     longer = two_kick_closed_form(vacuum, standard_geometry, 0.0, 0.7)
-    shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
+    shorter = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     theta = transition_map(longer, shorter)
     assert max_image_norm(theta.matrix, theta.shift)[0] > 1.0 + PSD_TOL
     report = divisibility_report(longer, shorter)
@@ -279,7 +283,7 @@ def test_cp_equals_positive_two_kicks():
         t0, t1 = np.sort(rng.uniform(0, 3, size=2))
         try:
             longer = two_kick_closed_form(env, geom, t0, t1)
-            shorter = single_kick_channel(env, geom, t0)
+            shorter = dephasing_channel(env, geom, KickSchedule([t0]))
             theta = transition_map(longer, shorter)
         except Exception:
             continue
@@ -292,7 +296,7 @@ def test_cp_equals_positive_two_kicks():
 
 def test_divisibility_report_two_kick(vacuum, standard_geometry):
     longer = two_kick_closed_form(vacuum, standard_geometry, 0.0, 0.7)
-    shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
+    shorter = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     params = two_kick_params(vacuum, standard_geometry, 0.0, 0.7)
     report = divisibility_report(longer, shorter, closed_form=params)
     assert not report.cp_divisible and not report.p_divisible
@@ -311,7 +315,7 @@ def test_two_kick_divisibility_closed_form(vacuum, standard_geometry):
     report = two_kick_divisibility(params)
     assert not report.cp_divisible
     longer = two_kick_closed_form(vacuum, standard_geometry, 0.0, 0.7)
-    shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
+    shorter = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     numeric = divisibility_report(longer, shorter)
     np.testing.assert_allclose(
         report.chi_eigenvalues, numeric.chi_eigenvalues, atol=1e-10
@@ -360,9 +364,9 @@ def test_dephasing_divisibility_matches_assembled(standard_geometry):
 def test_contractivity(vacuum, standard_geometry):
     rng = np.random.default_rng(23)
     channels_under_test = [
-        single_kick_channel(vacuum, standard_geometry, 0.2),
+        dephasing_channel(vacuum, standard_geometry, KickSchedule([0.2])),
         two_kick_closed_form(vacuum, standard_geometry, 0.0, 0.7),
-        build_n_kick_channel(
+        enumerated_channel(
             SingleModeThermal(omega=1.2, nbar=0.9), random_geometry(rng), random_schedule(rng, 3)
         ),
     ]
@@ -384,7 +388,7 @@ def test_monotone_decay_under_cp_divisible(standard_geometry):
     u_b = np.array([-0.5, 0.1, 0.6])
     last = trace_distance(u_a, u_b)
     for k in range(1, len(times) + 1):
-        ch = build_n_kick_channel(env, standard_geometry, KickSchedule(times[:k]))
+        ch = enumerated_channel(env, standard_geometry, KickSchedule(times[:k]))
         d = trace_distance(ch(u_a), ch(u_b))
         assert d <= last + 1e-12
         last = d

@@ -1,4 +1,5 @@
 import pickle
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -22,7 +23,6 @@ from spinkick import (
     TabulatedKernel,
     TooManyKicks,
     WhiteKickKernel,
-    build_n_kick_channel,
     build_prefix_channels,
     compose,
     dephasing_channel,
@@ -31,7 +31,6 @@ from spinkick import (
     identity_channel,
     invert_channel,
     load_channel,
-    single_kick_channel,
     transition_map,
     two_kick_closed_form,
     two_kick_params,
@@ -67,7 +66,7 @@ from spinkick.environment import format_complex, parse_complex
 from spinkick.oracle import fock_spec_for, nascent_delta_channels, oracle_channel
 from spinkick.pauli import I2, PAULI, OperatorBasis, dot_sigma, spin_frames
 from conftest import random_geometry, random_rotation, random_schedule, random_unit, rotation_about
-from reference import bloch_to_density, gaussian_char, kick_sums, two_kick_transition_map
+from reference import bloch_to_density, enumerated_channel, gaussian_char, kick_sums, two_kick_transition_map
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +200,21 @@ def test_projector_strings_match_loop(n):
 
 
 def test_single_kick_vacuum_affine(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.0)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     g = np.exp(-1.0)
     np.testing.assert_allclose(ch.matrix, np.diag([1.0, g, g]), atol=1e-14)
     np.testing.assert_allclose(ch.shift, 0.0, atol=1e-15)
 
 
 def test_single_kick_fixed_direction(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.0)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     u = np.array([0.9, 0, 0])  # parallel to r(0) = x
     np.testing.assert_allclose(ch(u), u, atol=1e-14)
 
 
 def test_single_kick_strong_damping_limit(standard_geometry):
     env = SingleModeThermal(omega=1.0, nbar=400.0)  # Var >> 1, gamma ~ 0
-    ch = single_kick_channel(env, standard_geometry, 0.0)
+    ch = dephasing_channel(env, standard_geometry, KickSchedule([0.0]))
     r = r_of_t(standard_geometry, 0.0)
     np.testing.assert_allclose(ch.matrix, np.outer(r, r), atol=1e-12)
     np.testing.assert_allclose(ch.shift, 0.0, atol=1e-14)
@@ -225,8 +224,8 @@ def test_single_kick_displaced_rotation(standard_geometry):
     """A mean adds a rotation about r: singular values of A are unchanged."""
     even = SingleModeThermal(omega=1.0)
     disp = SingleModeThermal(omega=1.0, displacement=0.8 + 0.1j)
-    a_even = single_kick_channel(even, standard_geometry, 0.3).matrix
-    a_disp = single_kick_channel(disp, standard_geometry, 0.3).matrix
+    a_even = dephasing_channel(even, standard_geometry, KickSchedule([0.3])).matrix
+    a_disp = dephasing_channel(disp, standard_geometry, KickSchedule([0.3])).matrix
     np.testing.assert_allclose(
         np.linalg.svd(a_even, compute_uv=False),
         np.linalg.svd(a_disp, compute_uv=False),
@@ -238,7 +237,7 @@ def test_single_kick_displaced_rotation(standard_geometry):
 
 
 def test_single_kick_weight_scales_variance(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.0, weight=2.0)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0], [2.0]))
     assert ch.meta["gamma"] == pytest.approx(np.exp(-4.0 * 0.5 * 2.0))  # e^{-2 w^2}
 
 
@@ -249,7 +248,7 @@ def test_single_kick_refuses_a_weight_that_is_no_schedule(standard_geometry, wei
     ValueError, not an identity channel or a misnamed overflow."""
     displaced = SingleModeThermal(omega=1.0, nbar=0.3, displacement=0.5 + 0.2j)
     with pytest.raises(ValueError, match="weights must be positive and finite"):
-        single_kick_channel(displaced, standard_geometry, 0.3, weight)
+        dephasing_channel(displaced, standard_geometry, KickSchedule([0.3], [weight]))
 
 
 @pytest.mark.parametrize("kind", ["thermal", "displaced", "white", "tabulated", "tabulated_even"])
@@ -280,7 +279,7 @@ def test_dephasing_coefficients_are_the_characteristic_function(kind):
         got = dephasing_gamma(env, geom, KickSchedule(times[:k], weights[:k]))
         assert got == pytest.approx(expected, rel=1e-13, abs=0), k
     for t, w in zip(times, weights):
-        single = single_kick_channel(env, geom, t, w)
+        single = dephasing_channel(env, geom, KickSchedule([t], [w]))
         assert single.meta["gamma"] == pytest.approx(gaussian_char(env, [t], [2.0 * w]), rel=1e-13, abs=0)
 
 
@@ -362,12 +361,12 @@ def test_chi_from_affine_matches_definition():
 
 
 # ---------------------------------------------------------------------------
-# n-kick builder
+# the 4^n enumeration, the reference of the exact channel
 
 
 def test_n_kick_reduces_to_single(vacuum, standard_geometry):
-    single = single_kick_channel(vacuum, standard_geometry, 0.4)
-    built = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.4]))
+    single = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.4]))
+    built = enumerated_channel(vacuum, standard_geometry, KickSchedule([0.4]))
     np.testing.assert_allclose(built.matrix, single.matrix, atol=1e-12)
     np.testing.assert_allclose(built.shift, single.shift, atol=1e-12)
     np.testing.assert_allclose(built.chi, single.chi, atol=1e-12)
@@ -381,7 +380,7 @@ def test_n_kick_matches_closed_form_two_kicks():
         t0, t1 = np.sort(rng.uniform(0, 3, size=2))
         if np.linalg.norm(np.cross(r_of_t(geom, t1), r_of_t(geom, t0))) < 0.05:
             continue
-        built = build_n_kick_channel(env, geom, KickSchedule([t0, t1]))
+        built = enumerated_channel(env, geom, KickSchedule([t0, t1]))
         closed = two_kick_closed_form(env, geom, t0, t1)
         np.testing.assert_allclose(built.matrix, closed.matrix, atol=1e-12)
         np.testing.assert_allclose(built.shift, closed.shift, atol=1e-12)
@@ -391,10 +390,10 @@ def test_n_kick_matches_closed_form_two_kicks():
 def test_n_kick_white_kernel_is_composition(standard_geometry):
     env = WhiteKickKernel(0.35)
     times = [0.0, 0.6, 1.1]
-    built = build_n_kick_channel(env, standard_geometry, KickSchedule(times))
-    comp = single_kick_channel(env, standard_geometry, times[0])
+    built = enumerated_channel(env, standard_geometry, KickSchedule(times))
+    comp = dephasing_channel(env, standard_geometry, KickSchedule([times[0]]))
     for t in times[1:]:
-        comp = compose(single_kick_channel(env, standard_geometry, t), comp)
+        comp = compose(dephasing_channel(env, standard_geometry, KickSchedule([t])), comp)
     np.testing.assert_allclose(built.matrix, comp.matrix, atol=1e-12)
     chi_comp = chi_from_affine(comp, built.basis)
     np.testing.assert_allclose(built.chi, chi_comp, atol=1e-12)
@@ -407,7 +406,7 @@ def test_n_kick_chi_consistent_with_affine():
     env = SingleModeThermal(omega=1.1, nbar=0.4, displacement=0.2 + 0.6j)
     geom = random_geometry(rng)
     sched = random_schedule(rng, 3)
-    ch = build_n_kick_channel(env, geom, sched)
+    ch = enumerated_channel(env, geom, sched)
     rs = np.stack([r_of_t(geom, t) for t in sched.times])
     signs = _sign_matrix(len(sched))
     coeff = np.einsum("ayx,myx->ma", ch.basis.ops.conj(), _projector_strings(rs, signs))
@@ -419,7 +418,7 @@ def test_n_kick_chi_consistent_with_affine():
 
 def test_n_kick_budget(vacuum, standard_geometry):
     with pytest.raises(TooManyKicks):
-        build_n_kick_channel(
+        enumerated_channel(
             vacuum, standard_geometry, KickSchedule(np.linspace(0, 1, 11))
         )
 
@@ -443,7 +442,7 @@ def test_n_kick_ball_contraction():
     rng = np.random.default_rng(17)
     env = SingleModeThermal(omega=0.9, nbar=1.2)
     geom = random_geometry(rng)
-    ch = build_n_kick_channel(env, geom, random_schedule(rng, 3))
+    ch = enumerated_channel(env, geom, random_schedule(rng, 3))
     pts = rng.normal(size=(10_000, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     out = pts @ ch.matrix.T + ch.shift
@@ -452,8 +451,8 @@ def test_n_kick_ball_contraction():
 
 def test_n_kick_deterministic(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.7, 1.3])
-    a = build_n_kick_channel(vacuum, standard_geometry, sched)
-    b = build_n_kick_channel(vacuum, standard_geometry, sched)
+    a = enumerated_channel(vacuum, standard_geometry, sched)
+    b = enumerated_channel(vacuum, standard_geometry, sched)
     assert np.array_equal(a.chi, b.chi)
     assert np.array_equal(a.matrix, b.matrix)
 
@@ -498,7 +497,7 @@ def test_prefix_pass_matches_enumeration(kind, n):
     assert len(prefixes) == n + 1
     for k in range(n + 1):
         got = prefixes[k]
-        ref = build_n_kick_channel(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
+        ref = enumerated_channel(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
         np.testing.assert_array_equal(got.basis.ops, ref.basis.ops)
         np.testing.assert_allclose(got.chi, ref.chi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.matrix, ref.matrix, rtol=0, atol=1e-12)
@@ -506,7 +505,6 @@ def test_prefix_pass_matches_enumeration(kind, n):
         if k:
             assert got.meta["times"] == ref.meta["times"]
             assert (got.meta["path"], got.meta["terms"]) == ("kick_by_kick", (4**k - 1) // 3)
-            assert (ref.meta["path"], ref.meta["terms"]) == ("enumeration", 4**k)
         if kind == "parallel_axes":
             assert got.basis is PAULI_BASIS
     assert prefixes[-1] is prefixes[n]  # one map per prefix
@@ -532,8 +530,8 @@ def _extended_chi(env, geom, sched) -> np.ndarray:
 # 1/2), before they cancel, so its rounding grows with the occupation.  On
 # 20 random 9-kick trains at nbar 5000 its chi lay up to 2.9e-11 from the
 # extended-precision sum (median 1.1e-11) and the pass's within 1.7e-13.
-# On the train below the two builders differ by 1.2e-11 and the pass lies
-# within 1.5e-15 of the extended-precision sum.
+# On the train below the pass and the enumeration differ by 1.2e-11 and the
+# pass lies within 1.5e-15 of the extended-precision sum.
 @pytest.mark.parametrize("nbar, enumeration_tol", [(500, 1e-11), (5000, 3e-11)])
 def test_prefix_pass_at_high_occupation(nbar, enumeration_tol, standard_geometry):
     """Nine kicks on a strongly occupied mode: no overflow (pytest turns a
@@ -546,7 +544,7 @@ def test_prefix_pass_at_high_occupation(nbar, enumeration_tol, standard_geometry
     extended = np.finfo(np.longdouble).eps < 1e-18
     for k in range(1, 10):
         head = KickSchedule(sched.times[:k])
-        got, ref = prefixes[k], build_n_kick_channel(env, standard_geometry, head)
+        got, ref = prefixes[k], enumerated_channel(env, standard_geometry, head)
         np.testing.assert_allclose(got.chi, ref.chi, rtol=0, atol=enumeration_tol)
         np.testing.assert_allclose(got.matrix, ref.matrix, rtol=0, atol=enumeration_tol)
         np.testing.assert_allclose(got.shift, ref.shift, rtol=0, atol=enumeration_tol)
@@ -576,7 +574,7 @@ def test_prefix_pass_carries_wrapping_phases(kind):
     extended = np.finfo(np.longdouble).eps < 1e-18
     for k in range(1, 10):
         head = KickSchedule(sched.times[:k], sched.weights[:k])
-        np.testing.assert_allclose(prefixes[k].chi, build_n_kick_channel(env, geom, head).chi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prefixes[k].chi, enumerated_channel(env, geom, head).chi, rtol=0, atol=1e-12)
         if extended:
             np.testing.assert_allclose(prefixes[k].chi, _extended_chi(env, geom, head), rtol=0, atol=1e-13)
 
@@ -893,7 +891,6 @@ def test_prefix_pass_builds_a_chi_basis_only_for_read_prefixes(vacuum, standard_
 
 def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
     sched = KickSchedule([0.0, 0.4, 0.9])
-    assert build_n_kick_channel(vacuum, standard_geometry, sched).meta["bytes"] == 16 * 4**3
     assert build_prefix_channels(vacuum, standard_geometry, sched)[3].meta["bytes"] == (
         3584 + 288 * 3 + 16 * 3**2 + (128 + 16 * 3) * 4 + 24 * 4**2 + max(1024 + 48 * 4**2 + 16 * 4**2, 1460 + 848 * 3)
     )
@@ -902,14 +899,14 @@ def test_exact_builders_record_their_bytes(vacuum, standard_geometry):
 def test_budget_refusal_names_the_bytes(vacuum, standard_geometry):
     sched = KickSchedule(np.linspace(0, 1, 11))
     with pytest.raises(TooManyKicks, match=f"would hold {16 * 4**11} bytes"):
-        build_n_kick_channel(vacuum, standard_geometry, sched)
+        enumerated_channel(vacuum, standard_geometry, sched)
     with pytest.raises(TooManyKicks, match=r"would hold \d+ bytes"):
         build_prefix_channels(vacuum, standard_geometry, sched)
 
 
 @pytest.mark.parametrize(
     "build, n",
-    [(build_prefix_channels, n) for n in (24, 34, 63)] + [(build_n_kick_channel, n) for n in (40, 60, 63)],
+    [(build_prefix_channels, n) for n in (24, 34, 63)] + [(enumerated_channel, n) for n in (40, 60, 63)],
     ids=["pass-24", "pass-34", "pass-63", "enumeration-40", "enumeration-60", "enumeration-63"],
 )
 def test_pass_beyond_memory_is_refused(vacuum, standard_geometry, build, n):
@@ -930,8 +927,8 @@ def test_two_kick_uncorrelated_composes(standard_geometry):
     env = WhiteKickKernel(0.25)
     closed = two_kick_closed_form(env, standard_geometry, 0.0, 0.8)
     comp = compose(
-        single_kick_channel(env, standard_geometry, 0.8),
-        single_kick_channel(env, standard_geometry, 0.0),
+        dephasing_channel(env, standard_geometry, KickSchedule([0.8])),
+        dephasing_channel(env, standard_geometry, KickSchedule([0.0])),
     )
     np.testing.assert_allclose(closed.matrix, comp.matrix, atol=1e-12)
     np.testing.assert_allclose(closed.shift, comp.shift, atol=1e-12)
@@ -1049,16 +1046,18 @@ def test_two_kick_parallel_derives_its_train_once(monkeypatch, vacuum, standard_
 
 
 def test_dephasing_channel_of_an_empty_schedule_is_the_identity(vacuum, standard_geometry):
-    """As both exact builders do, the dephasing channel of no kicks is the
-    identity."""
+    """Like the prefix pass's prefix 0 and the enumeration of no kicks, the
+    dephasing channel of no kicks is the identity."""
     ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([]))
     assert np.array_equal(ch.matrix, np.eye(3)) and np.array_equal(ch.shift, np.zeros(3))
     assert ch.meta["kind"] == "identity"
 
 
 def test_dephasing_reduces_to_single_kick(vacuum, standard_geometry):
+    """One kick dephases about its own axis r(t0) with the single-kick
+    coefficient <exp(-2i O(t0))>."""
     deph = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.3]))
-    single = single_kick_channel(vacuum, standard_geometry, 0.3)
+    single = phase_damping_channel(r_of_t(standard_geometry, 0.3), gaussian_char(vacuum, [0.3], [2.0]))
     np.testing.assert_allclose(deph.matrix, single.matrix, atol=1e-14)
 
 
@@ -1108,14 +1107,14 @@ def test_dephasing_order_invariance(standard_geometry):
 
 
 def test_compose_identity(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.2)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.2]))
     ident = identity_channel()
     out = compose(ident, ch)
     np.testing.assert_allclose(out.matrix, ch.matrix, atol=1e-14)
 
 
 def test_invert_roundtrip(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.2)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.2]))
     inv = invert_channel(ch)
     assert not inv.cp
     round_trip = compose(inv, ch)
@@ -1127,7 +1126,7 @@ def test_invert_roundtrip(vacuum, standard_geometry):
 
 
 def test_invert_single_kick_diagonal(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.0)  # r = x, gamma = 1/e
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))  # r = x, gamma = 1/e
     inv = invert_channel(ch)
     np.testing.assert_allclose(
         inv.matrix, np.diag([1.0, np.e, np.e]), atol=1e-12
@@ -1136,7 +1135,7 @@ def test_invert_single_kick_diagonal(vacuum, standard_geometry):
 
 
 def test_invert_singular(standard_geometry):
-    ch = single_kick_channel(SingleModeThermal(omega=1.0, nbar=5000.0), standard_geometry, 0.0)
+    ch = dephasing_channel(SingleModeThermal(omega=1.0, nbar=5000.0), standard_geometry, KickSchedule([0.0]))
     with pytest.raises(SingularChannel):
         invert_channel(ch)
 
@@ -1170,8 +1169,8 @@ def test_choi_eigenvalues_are_the_chi_eigenvalues():
 
 
 def test_transition_map_consistency(vacuum, standard_geometry):
-    longer = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
-    shorter = single_kick_channel(vacuum, standard_geometry, 0.0)
+    longer = enumerated_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
+    shorter = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     theta = transition_map(longer, shorter)
     recomposed = compose(theta, shorter)
     np.testing.assert_allclose(recomposed.matrix, longer.matrix, atol=1e-10)
@@ -1180,7 +1179,7 @@ def test_transition_map_consistency(vacuum, standard_geometry):
 
 
 def test_transition_identity(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.2)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.2]))
     theta = transition_map(ch, ch)
     np.testing.assert_allclose(theta.matrix, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(theta.shift, 0.0, atol=1e-12)
@@ -1188,10 +1187,10 @@ def test_transition_identity(vacuum, standard_geometry):
 
 def test_transition_uncorrelated_is_later_kick(standard_geometry):
     env = WhiteKickKernel(0.4)
-    longer = build_n_kick_channel(env, standard_geometry, KickSchedule([0.0, 0.9]))
-    shorter = single_kick_channel(env, standard_geometry, 0.0)
+    longer = enumerated_channel(env, standard_geometry, KickSchedule([0.0, 0.9]))
+    shorter = dephasing_channel(env, standard_geometry, KickSchedule([0.0]))
     theta = transition_map(longer, shorter)
-    later = single_kick_channel(env, standard_geometry, 0.9)
+    later = dephasing_channel(env, standard_geometry, KickSchedule([0.9]))
     np.testing.assert_allclose(theta.matrix, later.matrix, atol=1e-12)
     assert np.linalg.eigvalsh(theta.chi).min() >= -1e-10  # completely positive
 
@@ -1206,13 +1205,13 @@ def test_unital_entropy_never_decreases(vacuum):
     rng = np.random.default_rng(31)
     geom = random_geometry(rng)
     channels_under_test = [
-        single_kick_channel(vacuum, geom, 0.5),
+        dephasing_channel(vacuum, geom, KickSchedule([0.5])),
         dephasing_channel(
             SingleModeThermal(omega=1.0, nbar=0.7),
             InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0),
             KickSchedule([0.0, np.pi]),
         ),
-        build_n_kick_channel(WhiteKickKernel(0.3), geom, random_schedule(rng, 3)),
+        enumerated_channel(WhiteKickKernel(0.3), geom, random_schedule(rng, 3)),
     ]
     for ch in channels_under_test:
         assert ch.is_unital
@@ -1234,8 +1233,8 @@ def test_mean_shift_preserves_singular_values():
             disp = SingleModeThermal(
                 omega=1.3, nbar=0.4, displacement=rng.normal() + 1j * rng.normal()
             )
-            a_even = build_n_kick_channel(even, geom, sched).matrix
-            a_disp = build_n_kick_channel(disp, geom, sched).matrix
+            a_even = enumerated_channel(even, geom, sched).matrix
+            a_disp = enumerated_channel(disp, geom, sched).matrix
             np.testing.assert_allclose(
                 np.linalg.svd(a_even, compute_uv=False),
                 np.linalg.svd(a_disp, compute_uv=False),
@@ -1254,10 +1253,10 @@ def test_mean_shift_invariance_has_a_boundary():
     even = SingleModeThermal(omega=1.3, nbar=0.3)
     disp = SingleModeThermal(omega=1.3, nbar=0.3, displacement=0.6 + 0.8j)
     s_even = np.linalg.svd(
-        build_n_kick_channel(even, geom, sched).matrix, compute_uv=False
+        enumerated_channel(even, geom, sched).matrix, compute_uv=False
     )
     s_disp = np.linalg.svd(
-        build_n_kick_channel(disp, geom, sched).matrix, compute_uv=False
+        enumerated_channel(disp, geom, sched).matrix, compute_uv=False
     )
     assert np.max(np.abs(s_even - s_disp)) > 1e-6
 
@@ -1266,7 +1265,7 @@ def test_channel_validation_catches_bad_chi(vacuum, standard_geometry):
     """A chi derived from real (A, b) is Hermitian and trace-preserving by
     construction, so the chi validation can catch is one that is not PSD:
     here the single-kick channel with its kick axis mapped to 1.5 r."""
-    ch = single_kick_channel(vacuum, standard_geometry, 0.0)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     with pytest.raises(ValueError):
         _map(ch.matrix, 0.5 * ch.axes[0], ch.axes, {})
 
@@ -1281,7 +1280,7 @@ def test_channel_validation_refuses_a_non_psd_chi():
 def test_invalid_map_is_a_domain_error(vacuum, standard_geometry):
     from spinkick import SpinKickError
 
-    ch = single_kick_channel(vacuum, standard_geometry, 0.0)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     with pytest.raises(InvalidMap):
         _map(ch.matrix, np.full(3, np.inf), ch.axes, {}, cp=False)
     assert issubclass(InvalidMap, SpinKickError)
@@ -1329,7 +1328,7 @@ def test_one_rule_refuses_a_bad_map_and_a_bad_stack_entry(vacuum, standard_geome
 
 
 def test_compose_is_channel_only_for_channel_pairs(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.2)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.2]))
     assert compose(ch, ch).cp
     assert not compose(invert_channel(ch), ch).cp
     assert not compose(ch, invert_channel(ch)).cp
@@ -1414,7 +1413,7 @@ def test_stacked_enumeration_is_each_build_bit_for_bit(standard_geometry):
     records, a, b = channels._enumerate(lambda: [KickInputs.of(*train) for train in trains], len(trains), 3, 10)
     assert not a.flags.writeable and not b.flags.writeable
     for k, train in enumerate(trains):
-        one = build_n_kick_channel(*train)
+        one = enumerated_channel(*train)
         assert np.array_equal(a[k], one.matrix) and np.array_equal(b[k], one.shift)
         assert np.array_equal(records[k].gram, KickInputs.of(*train).gram)
 
@@ -1477,8 +1476,19 @@ def test_a_map_never_changes_with_its_callers_array(handed):
     assert QubitMap(frozen, b, cp=False).matrix is frozen
 
 
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [((2, 3), (2,)), ((3, 3), (2,)), ((3, 3), (1, 3)), ((4, 3, 3), (3,)), ((3,), (3,))],
+)
+def test_a_map_whose_shapes_do_not_match_is_refused(a_shape, b_shape):
+    """A is (..., 3, 3) and b is (..., 3) with the same leading axes, or
+    the map is refused with ValueError naming both shapes."""
+    with pytest.raises(ValueError, match=rf"not {re.escape(str(a_shape))}, {re.escape(str(b_shape))}$"):
+        QubitMap(np.zeros(a_shape), np.zeros(b_shape), cp=False)
+
+
 def test_channel_roundtrip(tmp_path, vacuum, standard_geometry):
-    ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
+    ch = enumerated_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     path = tmp_path / "channel.txt"
     path.write_text(format_channel(ch))
     back = load_channel(path)
@@ -1490,8 +1500,8 @@ def test_channel_roundtrip(tmp_path, vacuum, standard_geometry):
 
 
 def test_transition_roundtrip(tmp_path, vacuum, standard_geometry):
-    longer = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
-    theta = transition_map(longer, single_kick_channel(vacuum, standard_geometry, 0.0))
+    longer = enumerated_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
+    theta = transition_map(longer, dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0])))
     path = tmp_path / "theta.txt"
     path.write_text(format_channel(theta))
     back = load_channel(path)
@@ -1502,7 +1512,7 @@ def test_transition_roundtrip(tmp_path, vacuum, standard_geometry):
 def test_load_rejects_an_edited_chi_entry(tmp_path, vacuum, standard_geometry):
     """chi is derived from the file's A and b; a chi section that disagrees
     with them is refused."""
-    ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
+    ch = enumerated_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     path = tmp_path / "channel.txt"
     path.write_text(format_channel(ch))
     lines = path.read_text().splitlines()
@@ -1520,7 +1530,7 @@ def test_load_refuses_an_unknown_kind(tmp_path, vacuum, standard_geometry, line)
     """Only 'channel' and 'transition' are kinds: any other kind line is
     refused, naming it, so a mistyped channel cannot load as a transition
     map and skip its CP check."""
-    ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
+    ch = enumerated_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     path = tmp_path / "channel.txt"
     path.write_text(format_channel(ch).replace("kind: channel", line))
     with pytest.raises(InvalidMap, match=f"unknown kind line '{line}'"):
@@ -1529,7 +1539,7 @@ def test_load_refuses_an_unknown_kind(tmp_path, vacuum, standard_geometry, line)
 
 @pytest.mark.parametrize("cut", ["empty", "after_chi", "bad_header", "renamed_section"])
 def test_load_rejects_a_malformed_file(tmp_path, vacuum, standard_geometry, cut):
-    ch = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
+    ch = enumerated_channel(vacuum, standard_geometry, KickSchedule([0.0, 0.7]))
     text = format_channel(ch)
     text, reason = {
         "empty": ("", "a line is missing"),
@@ -1559,8 +1569,8 @@ def test_two_kick_transition_map_matches_inverted_composition():
         w = rng.uniform(0.5, 1.0, size=2)
         closed = two_kick_transition_map(env, geom, t0, t1, w)
         exact = transition_map(
-            build_n_kick_channel(env, geom, KickSchedule([t0, t1], w)),
-            single_kick_channel(env, geom, t0, w[0]),
+            enumerated_channel(env, geom, KickSchedule([t0, t1], w)),
+            dephasing_channel(env, geom, KickSchedule([t0], [w[0]])),
         )
         assert not closed.cp
         np.testing.assert_allclose(closed.matrix, exact.matrix, rtol=0, atol=1e-12)
@@ -1580,7 +1590,7 @@ def test_every_constructor_reads_chi_in_the_default_basis():
     assert not np.array_equal(frame, PAULI_BASIS.ops)
     spec = fock_spec_for(env, dim=20)
     framed = [
-        build_n_kick_channel(env, geom, KickSchedule(times)),
+        enumerated_channel(env, geom, KickSchedule(times)),
         oracle_channel(spec, geom, KickSchedule(times), stability_tol=1.0),
         nascent_delta_channels(spec, geom, KickSchedule(times), [0.01], steps_per_kick=4)[0],
     ]
@@ -1594,10 +1604,10 @@ def test_every_constructor_reads_chi_in_the_default_basis():
     empty = KickSchedule([])
     pauli = [
         identity_channel(),
-        build_n_kick_channel(env, geom, empty),
+        enumerated_channel(env, geom, empty),
         oracle_channel(spec, geom, empty, stability_tol=1.0),
         nascent_delta_channels(spec, geom, empty, [0.01])[0],
-        single_kick_channel(env, geom, 0.3),
+        dephasing_channel(env, geom, KickSchedule([0.3])),
         dephasing_channel(env, synced, KickSchedule([0.0, np.pi])),
         two_kick_closed_form(env, synced, 0.0, np.pi),
     ]
@@ -1617,7 +1627,7 @@ def _geometry():
         _geometry,
         lambda: KickSchedule([0.0, 1.0]),
         lambda: two_kick_params(SingleModeThermal(omega=1.0), _geometry(), 0.0, 0.7),
-        lambda: fixed_point(single_kick_channel(SingleModeThermal(omega=1.0), _geometry(), 0.0)),
+        lambda: fixed_point(dephasing_channel(SingleModeThermal(omega=1.0), _geometry(), KickSchedule([0.0]))),
         lambda: dephasing_divisibility(0.5, 0.8),
     ],
     ids=[
@@ -1647,11 +1657,11 @@ def test_enumeration_refuses_gamma_coefficients_that_overflow():
     geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=1.0)
     sched = KickSchedule([0.0, 0.7, 1.3])
     with pytest.raises(SpinKickError, match="gamma coefficients overflow"):
-        build_n_kick_channel(env, geom, sched)
+        enumerated_channel(env, geom, sched)
     assert np.isfinite(build_prefix_channels(env, geom, sched)[3].matrix).all()
 
 
-@pytest.mark.parametrize("build", [build_n_kick_channel, lambda *a: build_prefix_channels(*a)[1]])
+@pytest.mark.parametrize("build", [enumerated_channel, lambda *a: build_prefix_channels(*a)[1]])
 def test_kick_means_that_overflow_are_refused(build):
     """A weight times a displaced mean past float64's range is refused like
     an overflowing Gram entry, with no numpy warning first."""
@@ -1767,9 +1777,9 @@ def test_enumeration_keeps_both_symmetries(kind):
     env, sched, flipped = _symmetry_train(kind, rng)
     sched = KickSchedule(sched.times[:5], sched.weights[:5])
     geom = random_geometry(rng)
-    channel = build_n_kick_channel(env, geom, sched)
+    channel = enumerated_channel(env, geom, sched)
     rot = random_rotation(rng)
     turned = InteractionGeometry(h=rot @ geom.h, alpha=rot @ geom.alpha, omega=geom.omega)
-    _assert_maps_equal([channel], [build_n_kick_channel(env, turned, sched)], rot)
+    _assert_maps_equal([channel], [enumerated_channel(env, turned, sched)], rot)
     reversed_axis = InteractionGeometry(h=geom.h, alpha=-geom.alpha, omega=geom.omega)
-    _assert_maps_equal([build_n_kick_channel(env, reversed_axis, sched)], [build_n_kick_channel(flipped, geom, sched)])
+    _assert_maps_equal([enumerated_channel(env, reversed_axis, sched)], [enumerated_channel(flipped, geom, sched)])

@@ -14,7 +14,6 @@ from spinkick import (
     KickSchedule,
     SingleModeThermal,
     SpinKickError,
-    build_n_kick_channel,
     build_prefix_channels,
     divisibility_report,
     load_channel,
@@ -34,7 +33,7 @@ from spinkick.cli import (
     main,
 )
 
-from reference import gaussian_char
+from reference import enumerated_channel, gaussian_char
 
 BASE_CFG = """
 [environment]
@@ -411,7 +410,7 @@ _SWEEP_GRIDS = {
 
 def _point_by_point_csv(cfg_path: str) -> str:
     """The sweep CSV of a config from the one-map calls, a grid point at a
-    time (``build_n_kick_channel``, ``transition_map``, ``fixed_point``,
+    time (``enumerated_channel``, ``transition_map``, ``fixed_point``,
     ``choi_eigenvalues``, ``dephasing_gamma``): the sweep as a loop over its
     points, which raises the first SpinKickError a point meets."""
     from spinkick import analysis, channels
@@ -430,13 +429,13 @@ def _point_by_point_csv(cfg_path: str) -> str:
                 env, geom, sched = _apply_sweep_value(env, geom, sched, parameter2, value2)
                 cells.append(_fmt(value2))
             n = len(sched)
-            ch = build_n_kick_channel(env, geom, sched, max_kicks)
+            ch = enumerated_channel(env, geom, sched, max_kicks)
             commuting = channels.is_commuting_schedule(geom, sched)[0]
 
             def lambda_min():
                 if n < 2:
                     return np.nan
-                head = build_n_kick_channel(env, geom, KickSchedule(sched.times[:-1], sched.weights[:-1]), max_kicks)
+                head = enumerated_channel(env, geom, KickSchedule(sched.times[:-1], sched.weights[:-1]), max_kicks)
                 try:
                     theta = channels.transition_map(ch, head)
                 except channels.SpinKickError:
@@ -764,6 +763,7 @@ def test_simulate_builds_each_channel_once(tmp_path, monkeypatch):
         ("simulate", "[output]", "[analysis]\ntol = -5\n\n[output]"),
         ("simulate", "[output]", "[divisibility]\nmode = bogus\n\n[output]"),
         ("sweep", "[output]", "[sweep]\nparameter = nbar\nstart = 0\nstop = nan\ncount = 3\n\n[output]"),
+        ("sweep", "[output]", "[sweep]\nparameter = nbar\nstart = 0\nstop = 1\ncount = 3\nquantities = purity_final bogus\n\n[output]"),
         ("--max-kicks -1 simulate", "[output]", "[output]"),
         ("simulate", "prefix = run", "prefix = 50%"),  # a bare % is an interpolation error
         ("simulate", "[environment]", "[DEFAULT]\ntol = 1e-6\n\n[environment]"),
@@ -1091,7 +1091,7 @@ def test_divisibility_leaves_ill_conditioned_closed_form(tmp_path, body):
     gain A_1 has condition number 9.2e5, so the transition map amplifies
     rounding: lambda_2 is 0.12315789 in 60-digit arithmetic and reads
     0.12315840 from the enumeration and 0.12315787 from the pass, though
-    both builders' affine maps lie within 6e-16 of the 60-digit ones.
+    both constructions' affine maps lie within 6e-16 of the 60-digit ones.
     """
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, body.format(out=out))
@@ -1105,7 +1105,7 @@ def test_divisibility_leaves_ill_conditioned_closed_form(tmp_path, body):
     ]
     prefixes = build_prefix_channels(env, geom, sched)
     for k in (1, 2):
-        ref = build_n_kick_channel(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
+        ref = enumerated_channel(env, geom, KickSchedule(sched.times[:k], sched.weights[:k]))
         np.testing.assert_allclose(prefixes[k].chi, ref.chi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(prefixes[k].matrix, ref.matrix, rtol=0, atol=1e-12)
         np.testing.assert_allclose(prefixes[k].shift, ref.shift, rtol=0, atol=1e-12)
@@ -1154,7 +1154,7 @@ def test_divisibility_after_erasing_kick_is_singular(tmp_path, capsys):
     assert main(["--config", cfg, "divisibility"]) == EXIT_DOMAIN
     assert capsys.readouterr().err.startswith("error: affine matrix singular")
     c = RunConfig.from_file(cfg)
-    longer = build_n_kick_channel(c.environment(), c.geometry(), c.schedule())
+    longer = enumerated_channel(c.environment(), c.geometry(), c.schedule())
     assert np.linalg.eigvalsh(longer.chi).min() > 0.29
 
 

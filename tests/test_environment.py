@@ -228,6 +228,11 @@ def test_overflowing_weights_and_coefficients_are_refused():
     assert np.isfinite(gram_matrix(env, [0.0, 0.7], [1e150, 1e150])).all()
 
 
+def test_gram_matrix_refuses_a_weight_count_other_than_its_times():
+    with pytest.raises(LengthMismatch, match="^2 times but 1 weights$"):
+        gram_matrix(SingleModeThermal(omega=1.0), [0.0, 0.7], [1.0])
+
+
 NAN = float("nan")
 
 

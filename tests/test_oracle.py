@@ -14,7 +14,6 @@ from spinkick import (
     SingleModeThermal,
     StepTooCoarse,
     TruncationNotConverged,
-    build_n_kick_channel,
     channel_distance,
     commutator_C,
     dephasing_channel,
@@ -23,7 +22,6 @@ from spinkick import (
     identity_channel,
     nascent_delta_channels,
     oracle_channel,
-    single_kick_channel,
     two_kick_closed_form,
 )
 from spinkick.errors import InvalidMap, InvalidTruncation, SpinKickError, UnknownPulseShape
@@ -40,7 +38,7 @@ from spinkick.oracle import (
 )
 from spinkick.pauli import I2, PAULI, density_to_bloch, dot_sigma
 from conftest import random_geometry, random_rotation, random_schedule, random_unit, rotation_about
-from reference import annihilation, entanglement_entropy, environment_state, quadrature_heisenberg
+from reference import annihilation, entanglement_entropy, enumerated_channel, environment_state, quadrature_heisenberg
 
 
 def test_quadrature_small():
@@ -144,7 +142,7 @@ def _lab(y, spins):
 def _joint(spec, spectrum, steps, columns):
     """U (I2 (x) C) rebuilt from the oracle's evolution of steps (t, w, r) as
     (I2 (x) D(t_n) V) Y, with Y its lab-frame blocks."""
-    y = _lab(*_evolve(spec, spectrum, _train(spec, steps), columns))[0]
+    y = _lab(*_evolve(spectrum, _train(spec, steps), columns))[0]
     dim, width = columns.shape
     basis = _level_phases(dim, np.exp(1j * spec.env.omega * steps[-1][0]))[:, None] * spectrum[1]
     return np.kron(I2, basis) @ y.transpose(0, 2, 1, 3).reshape(2 * dim, 2 * width)
@@ -309,7 +307,7 @@ def test_non_unit_kick_axis_rejected():
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=20)
     spectrum = coupling_spectrum(spec.dim)
     with pytest.raises(NonUnitVector):
-        _evolve(spec, spectrum, _train(spec, [(0.0, 0.5, [0.0, 0.0, 1.001])]), np.eye(20))
+        _evolve(spectrum, _train(spec, [(0.0, 0.5, [0.0, 0.0, 1.001])]), np.eye(20))
 
 
 def _kron_readout(u, rho_env):
@@ -769,7 +767,7 @@ def test_held_spectra_stay_within_the_budget(spectra):
 
 
 def test_oracle_single_kick_vacuum(vacuum, standard_geometry):
-    analytic = single_kick_channel(vacuum, standard_geometry, 0.0)
+    analytic = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     orc = oracle_channel(fock_spec_for(vacuum), standard_geometry, KickSchedule([0.0]))
     assert channel_distance(analytic, orc) < 1e-8
     assert orc.meta["tail"] < 1e-12
@@ -793,7 +791,7 @@ def test_oracle_synchronized_dephasing(standard_geometry):
 def test_oracle_displaced(standard_geometry):
     env = SingleModeThermal(omega=1.0, displacement=0.5 + 0.3j)
     sched = KickSchedule([0.0, 0.9])
-    analytic = build_n_kick_channel(env, standard_geometry, sched)
+    analytic = enumerated_channel(env, standard_geometry, sched)
     orc = oracle_channel(fock_spec_for(env), standard_geometry, sched)
     assert channel_distance(analytic, orc) < 1e-8
 
@@ -818,7 +816,7 @@ def test_oracle_confirms_echo(standard_geometry):
 def test_oracle_weighted_kicks(standard_geometry):
     env = SingleModeThermal(omega=1.0, nbar=0.3)
     sched = KickSchedule([0.0, 0.8], weights=[0.7, 1.4])
-    analytic = build_n_kick_channel(env, standard_geometry, sched)
+    analytic = enumerated_channel(env, standard_geometry, sched)
     orc = oracle_channel(fock_spec_for(env), standard_geometry, sched)
     assert channel_distance(analytic, orc) < 1e-8
 
@@ -876,7 +874,7 @@ def test_oracle_random_matrix(standard_geometry):
     geom = random_geometry(rng)
     env = SingleModeThermal(omega=1.2, nbar=0.5)
     sched = random_schedule(rng, 3)
-    analytic = build_n_kick_channel(env, geom, sched)
+    analytic = enumerated_channel(env, geom, sched)
     orc = oracle_channel(fock_spec_for(env), geom, sched)
     assert channel_distance(analytic, orc) < 1e-8
 
@@ -984,7 +982,7 @@ def test_flipping_the_coupling_axis_is_flipping_the_displacement(gap, displaceme
 
 def test_nascent_converges_monotonically(vacuum):
     geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
-    analytic = single_kick_channel(vacuum, geom, 1.0)
+    analytic = dephasing_channel(vacuum, geom, KickSchedule([1.0]))
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     dists = [
         channel_distance(
@@ -999,7 +997,7 @@ def test_nascent_converges_monotonically(vacuum):
 
 
 def test_nascent_with_precession_still_converges(vacuum, standard_geometry):
-    analytic = single_kick_channel(vacuum, standard_geometry, 1.0)
+    analytic = dephasing_channel(vacuum, standard_geometry, KickSchedule([1.0]))
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     dists = [
         channel_distance(
@@ -1025,7 +1023,7 @@ def test_domain_errors_are_spinkick_errors(vacuum, standard_geometry):
 
 def test_nascent_rectangular_shape(vacuum):
     geom = InteractionGeometry(h=[0, 0, 1], alpha=[1, 0, 0], omega=0.0)
-    analytic = single_kick_channel(vacuum, geom, 1.0)
+    analytic = dephasing_channel(vacuum, geom, KickSchedule([1.0]))
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
     d = channel_distance(
         analytic,
@@ -1036,7 +1034,7 @@ def test_nascent_rectangular_shape(vacuum):
 
 def test_nascent_two_kicks(vacuum, standard_geometry):
     spec = FockSpec(SingleModeThermal(omega=1.0), dim=40)
-    analytic = build_n_kick_channel(vacuum, standard_geometry, KickSchedule([0.0, 1.5]))
+    analytic = enumerated_channel(vacuum, standard_geometry, KickSchedule([0.0, 1.5]))
     d1 = channel_distance(
         analytic, nascent_delta_channels(spec, standard_geometry, KickSchedule([0.0, 1.5]), [0.04])[0]
     )
@@ -1068,16 +1066,16 @@ def test_nascent_length_mismatch(standard_geometry):
 
 
 def test_channel_distance_properties(vacuum, standard_geometry):
-    ch = single_kick_channel(vacuum, standard_geometry, 0.0)
+    ch = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.0]))
     assert channel_distance(ch, ch) == 0.0
-    full_dephasing = single_kick_channel(
+    full_dephasing = dephasing_channel(
         SingleModeThermal(omega=1.0, nbar=50_000.0),
         InteractionGeometry(h=[1, 0, 0], alpha=[0, 0, 1], omega=0.0),
-        0.0,
+        KickSchedule([0.0]),
     )
     ident = identity_channel()
     assert channel_distance(ident, full_dephasing) == pytest.approx(0.5, abs=1e-12)
-    other = single_kick_channel(vacuum, standard_geometry, 0.4)
+    other = dephasing_channel(vacuum, standard_geometry, KickSchedule([0.4]))
     assert channel_distance(ch, other) == pytest.approx(
         channel_distance(other, ch), abs=0
     )

@@ -10,14 +10,13 @@ from spinkick import (
     QubitMap,
     density_to_bloch,
     WhiteKickKernel,
-    build_n_kick_channel,
     is_physical_bloch,
     max_image_norm,
     transition_map,
 )
 from spinkick.pauli import I2, PAULI_BASIS, SIGMA_X, SIGMA_Y, SIGMA_Z, OperatorBasis, cross3, dot_sigma
 from conftest import fibonacci_sphere
-from reference import bloch_to_density
+from reference import bloch_to_density, enumerated_channel
 
 bloch_vectors = st.lists(
     st.floats(-1.0, 1.0, allow_nan=False), min_size=3, max_size=3
@@ -155,7 +154,7 @@ def test_max_image_norm_white_kick_transition_map():
     geom = InteractionGeometry(h=[0, 0.6, 0.8], alpha=[1, 0, 0], omega=1.3)
     sched = KickSchedule([0.0, 0.5, 1.6])
     theta = transition_map(
-        build_n_kick_channel(env, geom, sched), build_n_kick_channel(env, geom, KickSchedule([0.0, 0.5]))
+        enumerated_channel(env, geom, sched), enumerated_channel(env, geom, KickSchedule([0.0, 0.5]))
     )
     assert np.linalg.norm(theta.shift) <= 1e-15
     assert np.ptp(np.linalg.svd(theta.matrix, compute_uv=False)[1:]) <= 1e-12

@@ -17,6 +17,7 @@ def test_readme_library_tour_runs():
     assert not sk.is_cp(ns["theta"])
     assert sk.max_image_norm(ns["theta"].matrix, ns["theta"].shift)[0] > 1.0
     assert sk.channel_distance(ns["ch"], ns["orc"]) < 1e-12
+    assert sk.channel_distance(ns["one"], ns["prefixes"][1]) < 1e-12
 
 
 def test_readme_states_kappa_max():
